@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
-from .simwire import NETWORK_ERROR_STATUS, Body, Envelope, MessageKind, Simulator
+from .simwire import NETWORK_ERROR_STATUS, RESPONSE, Body, Envelope, Simulator
 
 DEFAULT_BREAKER_THRESHOLD = 5
 DEFAULT_BREAKER_OPEN_TICKS = 30
@@ -59,6 +59,12 @@ class CircuitState(str, Enum):
     HALF_OPEN = "HALF_OPEN"
 
 
+# Enum member lookups are slow; the hot paths use these.
+_CLOSED = CircuitState.CLOSED
+_OPEN = CircuitState.OPEN
+_HALF_OPEN = CircuitState.HALF_OPEN
+
+
 class CircuitBreaker:
     """Consecutive-failure breaker guarding one downstream instance.
 
@@ -94,21 +100,21 @@ class CircuitBreaker:
 
     def can_attempt(self, now: int) -> bool:
         """Would :meth:`allow` admit a call right now? Never mutates."""
-        if self.state is CircuitState.CLOSED:
+        if self.state is _CLOSED:
             return True
-        if self.state is CircuitState.OPEN:
+        if self.state is _OPEN:
             assert self.opened_at is not None
             return now - self.opened_at >= self.open_duration
         return self.probe_inflight < 1
 
     def allow(self, now: int) -> bool:
         """Admit a call, moving OPEN to HALF_OPEN when the wait is over."""
-        if self.state is CircuitState.CLOSED:
+        if self.state is _CLOSED:
             return True
-        if self.state is CircuitState.OPEN:
+        if self.state is _OPEN:
             assert self.opened_at is not None
             if now - self.opened_at >= self.open_duration:
-                self.state = CircuitState.HALF_OPEN
+                self.state = _HALF_OPEN
                 self.probe_inflight = 1
                 return True
             return False
@@ -118,22 +124,22 @@ class CircuitBreaker:
         return False
 
     def record_result(self, success: bool, now: int) -> None:
-        if self.state is CircuitState.CLOSED:
+        if self.state is _CLOSED:
             if success:
                 self.consecutive_failures = 0
             else:
                 self.consecutive_failures += 1
                 if self.consecutive_failures >= self.threshold:
-                    self.state = CircuitState.OPEN
+                    self.state = _OPEN
                     self.opened_at = now
-        elif self.state is CircuitState.HALF_OPEN:
+        elif self.state is _HALF_OPEN:
             self.probe_inflight = 0
             if success:
-                self.state = CircuitState.CLOSED
+                self.state = _CLOSED
                 self.consecutive_failures = 0
                 self.opened_at = None
             else:
-                self.state = CircuitState.OPEN
+                self.state = _OPEN
                 self.opened_at = now
                 self.consecutive_failures = 0
         # OPEN: late result, ignored.
@@ -183,7 +189,18 @@ class Resolver:
         entry = self._services.get(service)
         if entry is None or not entry.endpoints:
             raise NoInstances(service)
-        eligible = [e for e in entry.endpoints if allowed is None or allowed(e)]
+        eligible = entry.endpoints
+        if allowed is not None:
+            # Ask about every endpoint; copy only once one is refused.
+            kept: Optional[list[Endpoint]] = None
+            for i, endpoint in enumerate(eligible):
+                if allowed(endpoint):
+                    if kept is not None:
+                        kept.append(endpoint)
+                elif kept is None:
+                    kept = eligible[:i]
+            if kept is not None:
+                eligible = kept
         if not eligible:
             raise NoInstances(service)
         pick = eligible[entry.rotation % len(eligible)]
@@ -231,8 +248,16 @@ class ConfigView:
 
 # -- requests and routing ------------------------------------------------------
 
-@dataclass
+def split_path(path: str) -> tuple[str, ...]:
+    """The non-empty segments of ``path``: ``//a/b/`` gives ``("a", "b")``."""
+    return tuple(filter(None, path.split("/")))
+
+
+@dataclass(slots=True)
 class Request:
+    """One inbound request. A request that arrived on the wire (``env``)
+    answers with a RESPONSE on ``wire``; an in-process one calls ``_reply``."""
+
     method: str
     path: str
     body: Body
@@ -240,6 +265,7 @@ class Request:
     headers: dict[str, str] = field(default_factory=dict)
     params: dict[str, str] = field(default_factory=dict)
     env: Optional[Envelope] = None
+    wire: Optional[Simulator] = None
     replied: bool = False
     _reply: Optional[Callable[[str, Body], None]] = None
 
@@ -249,31 +275,28 @@ class Request:
         self.replied = True
         if self._reply is not None:
             self._reply(str(status), body)
+        elif self.wire is not None and self.env is not None:
+            self.wire.send(Envelope.response(self.env, str(status), body))
 
 
-@dataclass
-class _Route:
-    method: str
-    segments: list[str]
+class _Route(NamedTuple):
+    """A compiled route pattern: the literal segments a path must repeat
+    and the positions bound to ``{param}`` names."""
+
+    literals: tuple[tuple[int, str], ...]
+    params: tuple[tuple[int, str], ...]
     handler: Callable[[Request], Optional[tuple[str, Body]]]
 
-    def match(self, method: str, parts: list[str]) -> Optional[tuple[int, dict[str, str]]]:
-        if method != self.method or len(parts) != len(self.segments):
-            return None
-        params: dict[str, str] = {}
-        score = 0
-        for seg, part in zip(self.segments, parts):
+    @classmethod
+    def compile(cls, segments: tuple[str, ...],
+                handler: Callable[[Request], Optional[tuple[str, Body]]]) -> "_Route":
+        literals, params = [], []
+        for i, seg in enumerate(segments):
             if seg.startswith("{") and seg.endswith("}"):
-                params[seg[1:-1]] = part
-            elif seg == part:
-                score += 1
+                params.append((i, seg[1:-1]))
             else:
-                return None
-        return score, params
-
-
-def _split(path: str) -> list[str]:
-    return [p for p in path.split("/") if p]
+                literals.append((i, seg))
+        return cls(tuple(literals), tuple(params), handler)
 
 
 class ServiceNode:
@@ -293,7 +316,9 @@ class ServiceNode:
         self.profile = profile
         self.config = ConfigView()
         self.client: Optional[ServiceClient] = None
-        self._routes: list[_Route] = []
+        # (method, segment count) -> routes, most literal segments first and
+        # in registration order among equals: the first match is the best.
+        self._routes: dict[tuple[str, int], list[_Route]] = {}
         self.route("POST", "/refresh", self._handle_refresh)
 
     def bind(self) -> "ServiceNode":
@@ -302,7 +327,10 @@ class ServiceNode:
 
     def route(self, method: str, pattern: str,
               handler: Callable[[Request], Optional[tuple[str, Body]]]) -> None:
-        self._routes.append(_Route(method, _split(pattern), handler))
+        segments = split_path(pattern)
+        routes = self._routes.setdefault((method, len(segments)), [])
+        routes.append(_Route.compile(segments, handler))
+        routes.sort(key=lambda r: -len(r.literals))
 
     def set_timer(self, delay: int, fn: Callable[[], None],
                   maintenance: Optional[bool] = None) -> int:
@@ -318,30 +346,26 @@ class ServiceNode:
     # -- inbound ---------------------------------------------------------
 
     def _on_envelope(self, env: Envelope) -> None:
-        if env.kind is MessageKind.RESPONSE:
+        if env.kind is RESPONSE:
             if self.client is not None:
                 self.client.handle_response(env)
             return
-        req = Request(method=env.method, path=env.path, body=env.body,
-                      source=env.source, headers=dict(env.headers), env=env,
-                      _reply=lambda status, body, e=env: self.sim.send(
-                          Envelope.response(e, status, body)))
-        self.dispatch(req)
+        self.dispatch(Request(env.method, env.path, env.body, env.source,
+                              dict(env.headers), {}, env, self.sim))
 
     def dispatch(self, req: Request) -> None:
-        parts = _split(req.path)
-        best: Optional[tuple[int, _Route, dict[str, str]]] = None
-        for route in self._routes:
-            hit = route.match(req.method, parts)
-            if hit is not None and (best is None or hit[0] > best[0]):
-                best = (hit[0], route, hit[1])
-        if best is None:
-            req.reply("404", {"error": "NoRoute"})
-            return
-        req.params = best[2]
-        out = best[1].handler(req)
-        if out is not None:
-            req.reply(out[0], out[1])
+        parts = split_path(req.path)
+        for literals, params, handler in self._routes.get((req.method, len(parts)), ()):
+            for i, seg in literals:
+                if parts[i] != seg:
+                    break
+            else:
+                req.params = {name: parts[i] for i, name in params}
+                out = handler(req)
+                if out is not None:
+                    req.reply(out[0], out[1])
+                return
+        req.reply("404", {"error": "NoRoute"})
 
     # -- config ----------------------------------------------------------
 
@@ -376,7 +400,16 @@ class CallStatus(str, Enum):
     TIMEOUT = "TIMEOUT"
 
 
-@dataclass
+# Hot-path aliases, as for CircuitState above.
+_LIBRARY_CALL = WiringMode.LIBRARY_CALL
+_DIRECT_WIRE = WiringMode.DIRECT_WIRE
+_OK = CallStatus.OK
+_FAST_FAIL = CallStatus.FAST_FAIL
+_REMOTE_ERROR = CallStatus.REMOTE_ERROR
+_TIMEOUT = CallStatus.TIMEOUT
+
+
+@dataclass(slots=True)
 class CallResult:
     status: CallStatus
     body: Body = None
@@ -385,10 +418,10 @@ class CallResult:
 
     @property
     def ok(self) -> bool:
-        return self.status is CallStatus.OK
+        return self.status is _OK
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     service: str
     instance_id: str
@@ -444,18 +477,19 @@ class ServiceClient:
     def call(self, service: str, method: str, path: str, body: Body = None,
              on_result: Optional[Callable[[CallResult], None]] = None,
              deadline: Optional[int] = None) -> None:
-        if self.mode is WiringMode.LIBRARY_CALL:
+        if self.mode is _LIBRARY_CALL:
             self._call_library(service, method, path, body, on_result)
-        elif self.mode is WiringMode.DIRECT_WIRE:
+        elif self.mode is _DIRECT_WIRE:
             target = self.direct.get(service)
             if target is None:
                 self._finish_fast(on_result)
                 return
-            if not self.breaker_for(target).allow(self.sim.now):
+            breaker = self.breaker_for(target)
+            if not breaker.allow(self.sim.now):
                 self._finish_fast(on_result)
                 return
             self._send_tracked(service, target, target, method, path, body,
-                               on_result, deadline, use_breaker=True)
+                               on_result, deadline, breaker)
         else:
             self._call_discovered(service, method, path, body, on_result, deadline)
 
@@ -463,8 +497,9 @@ class ServiceClient:
                   on_result: Optional[Callable[[CallResult], None]] = None,
                   deadline: Optional[int] = None, track_breaker: bool = False) -> None:
         """Send straight to a named node, bypassing resolution."""
+        breaker = self.breaker_for(target_node) if track_breaker else None
         self._send_tracked(target_node, target_node, target_node, method, path,
-                           body, on_result, deadline, use_breaker=track_breaker)
+                           body, on_result, deadline, breaker)
 
     def _call_library(self, service: str, method: str, path: str, body: Body,
                       on_result: Optional[Callable[[CallResult], None]]) -> None:
@@ -523,9 +558,7 @@ class ServiceClient:
                  deadline: Optional[int]) -> None:
         now = self.sim.now
         try:
-            endpoint = self.resolver.resolve(
-                service, now,
-                allowed=lambda e: self.breaker_for(e.instance_id).can_attempt(now))
+            endpoint = self.resolver.resolve(service, now, allowed=self._can_attempt)
         except NoInstances:
             self._finish_fast(on_result)
             return
@@ -534,19 +567,19 @@ class ServiceClient:
             self._finish_fast(on_result)
             return
         self._send_tracked(service, endpoint.instance_id, endpoint.node, method,
-                           path, body, on_result, deadline, use_breaker=True)
+                           path, body, on_result, deadline, breaker)
+
+    def _can_attempt(self, endpoint: Endpoint) -> bool:
+        return self.breaker_for(endpoint.instance_id).can_attempt(self.sim.now)
 
     def _send_tracked(self, service: str, instance_id: str, target_node: str,
                       method: str, path: str, body: Body,
                       on_result: Optional[Callable[[CallResult], None]],
-                      deadline: Optional[int], use_breaker: bool = False) -> None:
-        env = Envelope.request(self.node.node_id, target_node, path,
-                               method=method, body=body)
-        mid = self.sim.send(env)
+                      deadline: Optional[int], breaker: Optional[CircuitBreaker]) -> None:
+        node_id = self.node.node_id
+        mid = self.sim.send(Envelope.request(node_id, target_node, path, method, body))
         wait = (deadline if deadline is not None else self.deadline) + 1
-        timer = self.sim.set_timer(self.node.node_id, wait,
-                                   lambda: self._on_deadline(mid))
-        breaker = self.breaker_for(instance_id) if use_breaker else None
+        timer = self.sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
         self._pending[mid] = _Pending(service, instance_id, breaker, on_result, timer)
 
     def handle_response(self, env: Envelope) -> None:
@@ -556,7 +589,7 @@ class ServiceClient:
         self.sim.cancel_timer(pending.timer_id)
         result = _classify(env.status or "", env.body)
         if pending.breaker is not None:
-            failure = result.status is CallStatus.TIMEOUT or (
+            failure = result.status is _TIMEOUT or (
                 result.remote_status is not None and result.remote_status.startswith("5"))
             pending.breaker.record_result(not failure, self.sim.now)
         if pending.on_result is not None:
@@ -569,17 +602,17 @@ class ServiceClient:
         if pending.breaker is not None:
             pending.breaker.record_result(False, self.sim.now)
         if pending.on_result is not None:
-            pending.on_result(CallResult(CallStatus.TIMEOUT))
+            pending.on_result(CallResult(_TIMEOUT))
 
     def _finish_fast(self, on_result: Optional[Callable[[CallResult], None]]) -> None:
         if on_result is not None:
-            on_result(CallResult(CallStatus.FAST_FAIL))
+            on_result(CallResult(_FAST_FAIL))
 
 
 def relay_result(req: Request, result: CallResult) -> None:
     """Answer an upstream call's outcome back out: unreachable upstreams
     become a plain 503, everything else passes through as-is."""
-    if result.status in (CallStatus.FAST_FAIL, CallStatus.TIMEOUT):
+    if result.status is _FAST_FAIL or result.status is _TIMEOUT:
         req.reply(UPSTREAM_UNAVAILABLE_STATUS, dict(UPSTREAM_UNAVAILABLE_BODY))
     else:
         req.reply(result.remote_status or "200", result.body)
@@ -587,10 +620,10 @@ def relay_result(req: Request, result: CallResult) -> None:
 
 def _classify(status: str, body: Body) -> CallResult:
     if status == NETWORK_ERROR_STATUS:
-        return CallResult(CallStatus.TIMEOUT, body=body, remote_status=status)
+        return CallResult(_TIMEOUT, body, 1, status)
     if status.startswith("2"):
-        return CallResult(CallStatus.OK, body=body, remote_status=status)
-    return CallResult(CallStatus.REMOTE_ERROR, body=body, remote_status=status)
+        return CallResult(_OK, body, 1, status)
+    return CallResult(_REMOTE_ERROR, body, 1, status)
 
 
 # -- lifecycle helpers -----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chassis import CallResult, Request, ServiceNode, relay_result
+from .chassis import CallResult, Request, ServiceNode, relay_result, split_path
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "Gateway"
@@ -50,27 +50,40 @@ class RouteRule:
             raise InvalidRoute("empty service")
 
 
-def _segments(path: str) -> list[str]:
-    return [p for p in path.split("/") if p]
-
-
 class RouteTable:
-    """Ordered prefix rules with longest-match lookup and strip rewriting."""
+    """Ordered prefix rules with longest-match lookup and strip rewriting.
+
+    Each prefix is split once, when the table changes. Lookup probes a dict
+    keyed by segment tuples, longest prefix length first; of two prefixes
+    that split alike (``/api`` and ``//api``) the first added wins.
+    """
 
     def __init__(self) -> None:
         self._rules: dict[str, RouteRule] = {}
+        self._segments: dict[str, tuple[str, ...]] = {}
+        self._by_segments: dict[tuple[str, ...], RouteRule] = {}
+        self._lengths: list[int] = []  # distinct prefix lengths, longest first
         self.version = 0
 
     def add_route(self, rule: RouteRule) -> None:
         if rule.prefix in self._rules:
             raise DuplicatePrefix(rule.prefix)
         self._rules[rule.prefix] = rule
-        self.version += 1
+        self._segments[rule.prefix] = split_path(rule.prefix)
+        self._reindex()
 
     def remove_route(self, prefix: str) -> None:
         if prefix not in self._rules:
             raise UnknownRule(prefix)
         del self._rules[prefix]
+        del self._segments[prefix]
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._by_segments = {}
+        for prefix, rule in self._rules.items():
+            self._by_segments.setdefault(self._segments[prefix], rule)
+        self._lengths = sorted({len(pre) for pre in self._by_segments}, reverse=True)
         self.version += 1
 
     def rules(self) -> list[RouteRule]:
@@ -79,15 +92,13 @@ class RouteTable:
     def match(self, path: str) -> RouteRule | None:
         """Longest rule whose prefix covers whole leading segments of
         ``path``; /api/dev never matches a /api/developers request."""
-        parts = _segments(path)
-        best: RouteRule | None = None
-        best_len = -1
-        for rule in self._rules.values():
-            pre = _segments(rule.prefix)
-            if len(pre) <= len(parts) and parts[:len(pre)] == pre and len(pre) > best_len:
-                best = rule
-                best_len = len(pre)
-        return best
+        parts = split_path(path)
+        for n in self._lengths:
+            if n <= len(parts):
+                rule = self._by_segments.get(parts[:n])
+                if rule is not None:
+                    return rule
+        return None
 
     def rewrite(self, path: str, rule: RouteRule) -> str:
         """With strip on, drop the prefix's parent directories so the last
@@ -95,9 +106,8 @@ class RouteTable:
         as /developers/42."""
         if not rule.strip:
             return path
-        pre = _segments(rule.prefix)
-        parts = _segments(path)
-        return "/" + "/".join(pre[-1:] + parts[len(pre):])
+        pre = self._segments.get(rule.prefix) or split_path(rule.prefix)
+        return "/" + "/".join(pre[-1:] + split_path(path)[len(pre):])
 
     @classmethod
     def from_config_entries(cls, entries: dict[str, str]) -> "RouteTable":

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..chassis import split_path
 from ..simwire import DELIVERED, MessageKind, MessageRecord
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
@@ -33,7 +34,7 @@ AUDIT_NOT_APPLICABLE = "NOT_APPLICABLE"
 def classify_write(path: str, stage: int) -> Optional[str]:
     """Name the entity a write path touches, or None for paths that carry
     no entity data (use-case surfaces, infrastructure traffic)."""
-    parts = [p for p in path.split("/") if p]
+    parts = split_path(path)
     if not parts:
         return None
     root = parts[0]

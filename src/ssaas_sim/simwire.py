@@ -5,6 +5,10 @@ All inter-service traffic in every topology flows through a single
 (FIFO within a tick), seeded randomness, and injectable fault rules.
 Determinism is the contract: identical seed + identical operation
 sequence produces an identical delivery trace, byte for byte.
+
+Every request gets exactly one reply: from its destination's handler, or
+from the kernel as a network error when the destination is gone. A second
+RESPONSE to the same request is rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 Body = Any  # maps, lists, strings, ints, booleans, None
 
@@ -54,6 +58,11 @@ class MessageKind(str, Enum):
     RESPONSE = "RESPONSE"
 
 
+# Enum member and ``.value`` lookups are slow; the hot paths use these.
+REQUEST = MessageKind.REQUEST
+RESPONSE = MessageKind.RESPONSE
+
+
 class FaultEffect(str, Enum):
     DROP = "DROP"
     PARTITION = "PARTITION"
@@ -61,7 +70,7 @@ class FaultEffect(str, Enum):
     KILL_NODE = "KILL_NODE"
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One message on the wire.
 
@@ -83,17 +92,16 @@ class Envelope:
     @staticmethod
     def request(source: str, destination: str, path: str, method: str = "GET",
                 body: Body = None, headers: Optional[dict[str, str]] = None) -> "Envelope":
-        return Envelope(source=source, destination=destination, kind=MessageKind.REQUEST,
-                        path=path, method=method, headers=dict(headers or {}), body=body)
+        return Envelope(source, destination, REQUEST, path, method,
+                        dict(headers) if headers else {}, body)
 
     @staticmethod
     def response(to: "Envelope", status: str, body: Body = None,
                  headers: Optional[dict[str, str]] = None) -> "Envelope":
-        hdrs = dict(headers or {})
+        hdrs = dict(headers) if headers else {}
         hdrs["status"] = status
-        return Envelope(source=to.destination, destination=to.source, kind=MessageKind.RESPONSE,
-                        path=to.path, method=to.method, headers=hdrs, body=body,
-                        correlation_id=to.message_id)
+        return Envelope(to.destination, to.source, RESPONSE, to.path, to.method, hdrs, body,
+                        to.message_id)
 
     @property
     def status(self) -> Optional[str]:
@@ -129,8 +137,7 @@ class FaultRule:
         return fnmatchcase(node, self.node)
 
 
-@dataclass
-class MessageRecord:
+class MessageRecord(NamedTuple):
     """One line of the delivery trace.
 
     ``status`` is the delivery fate for requests (delivered/dropped/failed)
@@ -150,15 +157,14 @@ class MessageRecord:
         return f"{self.tick}|{self.message_id}|{self.source}|{self.destination}|{self.kind}|{self.path}|{self.status}"
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
+
+_KIND_NAMES = {REQUEST: "REQUEST", RESPONSE: "RESPONSE"}
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
 FAILED = "failed"
-
-_EV_DELIVER = 0
-_EV_TIMER = 1
 
 
 @dataclass
@@ -172,6 +178,10 @@ class Simulator:
     All node and simulator state is mutated only inside :meth:`step`.
     Sends made from within a handler are enqueued and delivered on later
     ticks; base latency is one tick unless a DELAY rule matches.
+
+    Every event lands at least one tick ahead, so the queue is a FIFO bucket
+    per tick under a heap of the distinct ticks: send order within a tick
+    is bucket order.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -184,13 +194,17 @@ class Simulator:
         self.delivered = 0
         self.dropped = 0
         self.failed = 0
-        self._queue: list[tuple] = []  # (tick, seq, event_type, payload, maintenance)
+        # A bucket holds (payload, maintenance) pairs flattened: an Envelope
+        # to deliver, or the id of a timer to fire.
+        self._buckets: dict[int, list] = {}
+        self._ticks: list[int] = []  # heap of the keys of _buckets
         self._fault_schedule: list[tuple[int, int, FaultRule]] = []
         self._rules: dict[int, FaultRule] = {}
         self._dead: set[str] = set()
-        self._seen_requests: set[int] = set()
-        self._timers: dict[int, tuple[Callable[[], None], bool]] = {}
-        self._cancelled_timers: set[int] = set()
+        self._awaiting_reply: set[int] = set()
+        # Pending timers by id; cancelling one removes it here and leaves
+        # its queue entry behind as a tombstone.
+        self._timers: dict[int, tuple[Callable[[], None], bool, str]] = {}
         self._next_message_id = 1
         self._next_rule_id = 1
         self._next_timer_id = 1
@@ -214,44 +228,48 @@ class Simulator:
         """Schedule ``env`` for delivery; returns the assigned message id.
 
         The envelope's fate is decided here for drop/partition rules and for
-        dead or unknown destinations; DELAY rules stretch the latency.
+        dead or unknown destinations; DELAY rules stretch the latency. A
+        RESPONSE must answer a REQUEST that has had no reply yet.
         """
-        if env.source not in self.nodes:
-            raise UnknownNode(f"unknown source node: {env.source}")
-        if env.kind is MessageKind.RESPONSE:
-            if env.correlation_id is None or env.correlation_id not in self._seen_requests:
-                raise InvalidEnvelope("RESPONSE must correlate to an existing REQUEST")
+        source, destination = env.source, env.destination
+        if source not in self.nodes:
+            raise UnknownNode(f"unknown source node: {source}")
+        if env.kind is RESPONSE:
+            if env.correlation_id not in self._awaiting_reply:
+                raise InvalidEnvelope("RESPONSE must answer a REQUEST still awaiting its reply")
+            self._awaiting_reply.remove(env.correlation_id)
         mid = self._next_message_id
         self._next_message_id += 1
         env.message_id = mid
-        if env.kind is MessageKind.REQUEST:
-            self._seen_requests.add(mid)
         self.sent += 1
         if maintenance is None:
             maintenance = self._ctx_maintenance
 
-        if env.source in self._dead:
+        if source in self._dead:
             # Dead nodes cannot put traffic on the wire.
             self._record(env, DROPPED)
             self.dropped += 1
             return mid
-        if env.destination not in self.nodes or env.destination in self._dead:
+        if destination not in self.nodes or destination in self._dead:
             self._fail_with_network_error(env, maintenance)
             return mid
-        for rule in self._rules.values():
-            if not rule.active:
-                continue
-            if rule.effect in (FaultEffect.DROP, FaultEffect.PARTITION) and \
-                    rule.matches_pair(env.source, env.destination):
-                self._record(env, DROPPED)
-                self.dropped += 1
-                return mid
         latency = BASE_LATENCY_TICKS
-        for rule in self._rules.values():
-            if rule.active and rule.effect is FaultEffect.DELAY and \
-                    rule.matches_pair(env.source, env.destination):
-                latency += rule.delay_ticks
-        self._enqueue(self.now + latency, _EV_DELIVER, env, maintenance)
+        if self._rules:
+            for rule in self._rules.values():
+                if not rule.active:
+                    continue
+                if rule.effect in (FaultEffect.DROP, FaultEffect.PARTITION) and \
+                        rule.matches_pair(source, destination):
+                    self._record(env, DROPPED)
+                    self.dropped += 1
+                    return mid
+            for rule in self._rules.values():
+                if rule.active and rule.effect is FaultEffect.DELAY and \
+                        rule.matches_pair(source, destination):
+                    latency += rule.delay_ticks
+        if env.kind is REQUEST:
+            self._awaiting_reply.add(mid)
+        self._enqueue(self.now + latency, env, maintenance)
         return mid
 
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
@@ -269,17 +287,16 @@ class Simulator:
             maintenance = self._ctx_maintenance
         tid = self._next_timer_id
         self._next_timer_id += 1
-        self._timers[tid] = (fn, maintenance)
-        self._enqueue(self.now + delay, _EV_TIMER, (node, tid), maintenance)
+        self._timers[tid] = (fn, maintenance, node)
+        self._enqueue(self.now + delay, tid, maintenance)
         return tid
 
     def cancel_timer(self, timer_id: int) -> None:
         entry = self._timers.pop(timer_id, None)
         if entry is None:
             return
-        # The queue entry stays behind as a tombstone; release its share of
-        # the pending count now so quiescence is not held hostage.
-        self._cancelled_timers.add(timer_id)
+        # Release the tombstone's share of the pending count now so
+        # quiescence is not held hostage.
         if not entry[1]:
             self._pending_external -= 1
 
@@ -355,45 +372,58 @@ class Simulator:
         With an empty queue the clock advances one tick. Node handlers run
         synchronously; their sends land on later ticks.
         """
-        if not self._queue:
+        if not self._ticks:
             self.now += 1
             self._activate_due_faults(self.now)
             return []
-        tick = self._queue[0][0]
+        tick = heapq.heappop(self._ticks)
+        events = iter(self._buckets.pop(tick))
         self._activate_due_faults(tick)
         self.now = tick
+        nodes, timers = self.nodes, self._timers
+        outer = self._ctx_maintenance
         delivered: list[Envelope] = []
-        while self._queue and self._queue[0][0] == tick:
-            _, _, ev_type, payload, maintenance = heapq.heappop(self._queue)
-            if ev_type == _EV_TIMER:
-                node, tid = payload
-                if tid in self._cancelled_timers:
-                    self._cancelled_timers.discard(tid)
-                    continue
+        for payload, maintenance in zip(events, events):
+            if type(payload) is int:
+                entry = timers.pop(payload, None)
+                if entry is None:
+                    continue  # cancelled
+                fn, maintenance, node = entry
                 if not maintenance:
                     self._pending_external -= 1
-                entry = self._timers.pop(tid, None)
-                if entry is not None and self.node_alive(node):
-                    self._run_in_context(entry[0], maintenance)
-                continue
-            if not maintenance:
-                self._pending_external -= 1
-            env: Envelope = payload
-            if env.destination not in self.nodes or env.destination in self._dead:
-                self._fail_with_network_error(env, maintenance)
-                continue
-            status = env.status if env.kind is MessageKind.RESPONSE and env.status else DELIVERED
-            self._record(env, status)
-            self.delivered += 1
-            delivered.append(env)
-            handler = self.nodes[env.destination].handler
-            if handler is not None:
-                self._run_in_context(lambda e=env, h=handler: h(e), maintenance)
+                if node not in nodes or node in self._dead:
+                    continue
+                handler, arg = fn, None
+            else:
+                if not maintenance:
+                    self._pending_external -= 1
+                env: Envelope = payload
+                destination = env.destination
+                if destination not in nodes or destination in self._dead:
+                    self._fail_with_network_error(env, maintenance)
+                    continue
+                status = (env.headers.get("status") or DELIVERED) if env.kind is RESPONSE \
+                    else DELIVERED
+                self._record(env, status)
+                self.delivered += 1
+                delivered.append(env)
+                handler = nodes[destination].handler
+                if handler is None:
+                    continue
+                arg = env
+            self._ctx_maintenance = maintenance
+            try:
+                if arg is None:
+                    handler()
+                else:
+                    handler(arg)
+            finally:
+                self._ctx_maintenance = outer
         return delivered
 
     def advance_to(self, tick: int) -> None:
         """Run any earlier events, then move the clock to ``tick``."""
-        while self._queue and self._queue[0][0] < tick:
+        while self._ticks and self._ticks[0] < tick:
             self.step()
         if tick > self.now:
             self.now = tick
@@ -416,45 +446,41 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return sum(len(bucket) for bucket in self._buckets.values()) // 2
 
     def next_event_tick(self) -> Optional[int]:
-        return self._queue[0][0] if self._queue else None
+        return self._ticks[0] if self._ticks else None
 
     # -- internals --------------------------------------------------------
 
-    def _enqueue(self, tick: int, ev_type: int, payload, maintenance: bool) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (tick, self._seq, ev_type, payload, maintenance))
+    def _enqueue(self, tick: int, payload, maintenance: bool) -> None:
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = []
+            heapq.heappush(self._ticks, tick)
+        bucket.append(payload)
+        bucket.append(maintenance)
         if not maintenance:
             self._pending_external += 1
-
-    def _run_in_context(self, fn: Callable[[], None], maintenance: bool) -> None:
-        prev = self._ctx_maintenance
-        self._ctx_maintenance = maintenance
-        try:
-            fn()
-        finally:
-            self._ctx_maintenance = prev
 
     def _fail_with_network_error(self, env: Envelope, maintenance: bool) -> None:
         self._record(env, FAILED)
         self.failed += 1
-        if env.kind is not MessageKind.REQUEST:
+        if env.kind is not REQUEST:
             return
+        self._awaiting_reply.discard(env.message_id)
         if env.source not in self.nodes or env.source in self._dead:
             return
         reply = Envelope.response(env, NETWORK_ERROR_STATUS, body={"error": "NetworkError"})
         reply.message_id = self._next_message_id
         self._next_message_id += 1
         self.sent += 1
-        self._enqueue(self.now + BASE_LATENCY_TICKS, _EV_DELIVER, reply, maintenance)
+        self._enqueue(self.now + BASE_LATENCY_TICKS, reply, maintenance)
 
     def _record(self, env: Envelope, status: str) -> None:
-        self.records.append(MessageRecord(
-            tick=self.now, message_id=env.message_id or 0, source=env.source,
-            destination=env.destination, kind=env.kind.value, method=env.method,
-            path=env.path, status=status))
+        self.records.append(MessageRecord._make((
+            self.now, env.message_id or 0, env.source, env.destination,
+            _KIND_NAMES[env.kind], env.method, env.path, status)))
 
     # -- trace export -----------------------------------------------------
 

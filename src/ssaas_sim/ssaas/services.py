@@ -20,6 +20,7 @@ from ..chassis import (
     ServiceNode,
     decode_tolerant,
     relay_result,
+    split_path,
 )
 from ..simwire import Body, Simulator
 from .stores import (
@@ -489,7 +490,7 @@ class Monolith(ServiceNode):
         if req.method == "POST" and req.path == "/refresh":
             super().dispatch(req)
             return
-        parts = [p for p in req.path.split("/") if p]
+        parts = split_path(req.path)
         target = self._by_root.get(parts[0]) if parts else None
         if target is None:
             req.reply("404", {"error": "NoRoute"})

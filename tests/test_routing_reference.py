@@ -1,0 +1,185 @@
+"""Indexed route and prefix lookup against the linear scans they replaced.
+
+``ServiceNode.dispatch`` finds routes through an index keyed by method and
+segment count, and ``RouteTable`` probes pre-split prefixes longest first.
+The reference implementations below are the plain scans: every route scored
+by its literal segments, every prefix split and compared on each lookup.
+Both sides must pick the same route, bind the same params and rewrite to the
+same path.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssaas_sim.chassis import Request, ServiceNode
+from ssaas_sim.gateway import DuplicatePrefix, InvalidRoute, RouteRule, RouteTable
+from ssaas_sim.simwire import Simulator
+
+
+def ref_split(path: str) -> list[str]:
+    return [p for p in path.split("/") if p]
+
+
+class RefRoute:
+    def __init__(self, method: str, pattern: str, name: int) -> None:
+        self.method = method
+        self.segments = ref_split(pattern)
+        self.name = name
+
+    def match(self, method: str, parts: list[str]) -> Optional[tuple[int, dict[str, str]]]:
+        if method != self.method or len(parts) != len(self.segments):
+            return None
+        params: dict[str, str] = {}
+        score = 0
+        for seg, part in zip(self.segments, parts):
+            if seg.startswith("{") and seg.endswith("}"):
+                params[seg[1:-1]] = part
+            elif seg == part:
+                score += 1
+            else:
+                return None
+        return score, params
+
+
+def ref_dispatch(routes: list[RefRoute], method: str, path: str):
+    """(route name, params) of the best match, or None: most literal
+    segments wins, ties go to the first registered."""
+    parts = ref_split(path)
+    best = None
+    for route in routes:
+        hit = route.match(method, parts)
+        if hit is not None and (best is None or hit[0] > best[0]):
+            best = (hit[0], route, hit[1])
+    return None if best is None else (best[1].name, best[2])
+
+
+def ref_match(rules: list[RouteRule], path: str) -> Optional[RouteRule]:
+    parts = ref_split(path)
+    best, best_len = None, -1
+    for rule in rules:
+        pre = ref_split(rule.prefix)
+        if len(pre) <= len(parts) and parts[:len(pre)] == pre and len(pre) > best_len:
+            best, best_len = rule, len(pre)
+    return best
+
+
+def ref_rewrite(path: str, rule: RouteRule) -> str:
+    if not rule.strip:
+        return path
+    pre = ref_split(rule.prefix)
+    parts = ref_split(path)
+    return "/" + "/".join(pre[-1:] + parts[len(pre):])
+
+
+def indexed_dispatch(routes: list[tuple[str, str]], method: str, path: str):
+    node = ServiceNode(Simulator(), "n", "N")
+    for name, (route_method, pattern) in enumerate(routes):
+        node.route(route_method, pattern,
+                   lambda req, name=name: ("200", (name, dict(req.params))))
+    got = []
+    node.dispatch(Request(method, path, None, "t", _reply=lambda s, b: got.append((s, b))))
+    assert len(got) == 1
+    status, body = got[0]
+    return None if status == "404" else body
+
+
+def build_table(prefixes: list[tuple[str, bool]], removed: list[int]):
+    """The table and the reference's rule list after the same adds and
+    removals; invalid and duplicate prefixes are skipped on both sides."""
+    table, rules = RouteTable(), []
+    for i, (prefix, strip) in enumerate(prefixes):
+        try:
+            rule = RouteRule(prefix, f"svc{i}", strip)
+            table.add_route(rule)
+        except (InvalidRoute, DuplicatePrefix):
+            continue
+        rules.append(rule)
+    for i in removed:
+        if rules:
+            rule = rules.pop(i % len(rules))
+            table.remove_route(rule.prefix)
+    return table, rules
+
+
+METHODS = st.sampled_from(["GET", "POST"])
+ROUTE_SEGMENT = st.sampled_from(["a", "b", "c", "{x}", "{y}"])
+PATH_SEGMENT = st.sampled_from(["a", "b", "c", "d", ""])
+PREFIX_SEGMENT = st.sampled_from(["api", "dev", "x", ""])
+
+
+def joined(segment: st.SearchStrategy[str], max_size: int) -> st.SearchStrategy[str]:
+    return st.lists(segment, max_size=max_size).map(lambda segs: "/" + "/".join(segs))
+
+
+class TestServiceNodeIndex:
+    @given(st.lists(st.tuples(METHODS, joined(ROUTE_SEGMENT, 3)), max_size=10),
+           st.lists(st.tuples(METHODS, joined(PATH_SEGMENT, 4)), min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_same_route_and_params_as_linear_scan(self, routes, requests):
+        ref_routes = [RefRoute(m, p, name) for name, (m, p) in enumerate(routes)]
+        for method, path in requests:
+            assert indexed_dispatch(routes, method, path) == \
+                ref_dispatch(ref_routes, method, path)
+
+    @pytest.mark.parametrize("routes, path, want", [
+        # a literal beats a param, in either registration order
+        ([("GET", "/t/{id}"), ("GET", "/t/special")], "/t/special", 1),
+        ([("GET", "/t/special"), ("GET", "/t/{id}")], "/t/special", 0),
+        # ties go to the first route registered
+        ([("GET", "/t/{a}"), ("GET", "/t/{b}")], "/t/1", 0),
+        ([("GET", "/{a}/x"), ("GET", "/t/{b}")], "/t/x", 0),
+        # segment count and method both select
+        ([("GET", "/t/{a}"), ("GET", "/t/{a}/{b}")], "//t/1/2/", 1),
+        ([("POST", "/t"), ("GET", "/t")], "/t", 1),
+        ([("GET", "/")], "/", 0),
+    ])
+    def test_cases(self, routes, path, want):
+        got = indexed_dispatch(routes, "GET", path)
+        ref = ref_dispatch([RefRoute(m, p, n) for n, (m, p) in enumerate(routes)], "GET", path)
+        assert got == ref
+        assert got is not None and got[0] == want
+
+
+class TestRouteTableIndex:
+    @given(st.lists(st.tuples(joined(PREFIX_SEGMENT, 3), st.booleans()), max_size=8),
+           st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+           st.lists(joined(st.sampled_from(["api", "dev", "x", "y", ""]), 4),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_same_rule_and_rewrite_as_prefix_scan(self, prefixes, removed, paths):
+        table, rules = build_table(prefixes, removed)
+        for path in paths:
+            want = ref_match(rules, path)
+            got = table.match(path)
+            assert got is want
+            if got is not None:
+                assert table.rewrite(path, got) == ref_rewrite(path, want)
+
+    @pytest.mark.parametrize("prefixes, path, want", [
+        # the / prefix covers everything, and loses to any longer prefix
+        ([("/", False), ("/api", True)], "/other/1", "/"),
+        ([("/", False), ("/api", True)], "/api/1", "/api"),
+        ([("/", False)], "/", "/"),
+        # prefixes that split alike: the first added wins
+        ([("/api", True), ("//api", False)], "/api/x", "/api"),
+        ([("//api", False), ("/api", True)], "/api/x", "//api"),
+        # whole segments only
+        ([("/api/dev", True)], "/api/developers/1", None),
+    ])
+    def test_cases(self, prefixes, path, want):
+        table, rules = build_table(prefixes, [])
+        got = table.match(path)
+        assert got is ref_match(rules, path)
+        assert (got.prefix if got else None) == want
+        if got is not None:
+            assert table.rewrite(path, got) == ref_rewrite(path, got)
+
+    def test_removing_the_first_of_two_alike_prefixes_exposes_the_second(self):
+        table, rules = build_table([("/api", True), ("//api", False)], [0])
+        assert table.match("/api/x") is rules[0]
+        assert rules[0].prefix == "//api"

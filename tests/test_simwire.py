@@ -366,3 +366,84 @@ class TestReferenceQueueOracle:
         got = [(r.tick, r.path) for r in sim.records]
         expected.sort()
         assert [(t, p) for t, _, p in expected] == got
+
+
+class TestExactlyOneReply:
+    def test_second_response_rejected(self):
+        sim = make_sim("a", "b")
+        sim.send(Envelope.request("a", "b", "/x"))
+        (req,) = sim.step()
+        sim.send(Envelope.response(req, "200"))
+        with pytest.raises(InvalidEnvelope):
+            sim.send(Envelope.response(req, "500"))
+        assert sim._awaiting_reply == set()
+
+    def test_network_error_is_the_reply(self):
+        sim = make_sim("a", "b")
+        sim.send(Envelope.request("a", "b", "/x"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.step()  # delivery fails; the kernel answers for b
+        assert sim._awaiting_reply == set()
+        late = Envelope(source="b", destination="a", kind=MessageKind.RESPONSE,
+                        path="/x", correlation_id=1)
+        with pytest.raises(InvalidEnvelope):
+            sim.send(late)
+
+    @pytest.mark.parametrize("script, faults, stages", [
+        ("basic.wl", None, range(7)),
+        ("chat_resilience.wl", "faults_kill_chat.fs", range(7)),
+    ])
+    def test_nothing_awaits_a_reply_once_idle(self, script, faults, stages):
+        from ssaas_sim.migration import build_stage, parse_workload, run_workload
+        from ssaas_sim.workloads import load_text
+
+        lines = parse_workload(load_text(script))
+        schedule = parse_fault_script(load_text(faults)) if faults else None
+        for stage in stages:
+            handle = build_stage(stage, 1)
+            run_workload(handle, lines, faults=schedule)  # ends in run_until_idle
+            assert handle.sim._awaiting_reply == set(), stage
+
+
+class TestTickBuckets:
+    def test_same_tick_events_run_in_send_order(self):
+        # A DELAY-stretched send from tick 0 and later sends and timers from
+        # tick 3 all land on tick 4; cancelled timers leave tombstones.
+        sim = Simulator()
+        order: list[str] = []
+        sim.add_node("a")
+        sim.add_node("b", lambda env: order.append(env.path))
+        rid = sim.inject(FaultRule(FaultEffect.DELAY, source="a", destination="b",
+                                   delay_ticks=3))
+        sim.send(Envelope.request("a", "b", "/early"))
+        sim.clear(rid)
+        sim.set_timer("b", 4, lambda: order.append("timer-0"))
+        sim.cancel_timer(sim.set_timer("b", 4, lambda: order.append("cancelled-0")))
+        sim.advance_to(3)
+        sim.send(Envelope.request("a", "b", "/late-1"))
+        sim.set_timer("b", 1, lambda: order.append("timer-3"))
+        sim.cancel_timer(sim.set_timer("b", 1, lambda: order.append("cancelled-3")))
+        sim.send(Envelope.request("a", "b", "/late-2"))
+        sim.set_timer("b", 2, lambda: order.append("timer-5"))
+
+        assert sim.queue_depth == 8  # tombstones included
+        assert sim.next_event_tick() == 4
+        assert sim.pending_external == 6
+        assert [e.path for e in sim.step()] == ["/early", "/late-1", "/late-2"]
+        assert sim.now == 4
+        assert order == ["/early", "timer-0", "/late-1", "timer-3", "/late-2"]
+        assert sim.queue_depth == 1
+        assert sim.next_event_tick() == 5
+        assert sim.pending_external == 1
+        sim.step()
+        assert order[-1] == "timer-5"
+        assert (sim.queue_depth, sim.next_event_tick(), sim.pending_external) == (0, None, 0)
+
+    def test_revive_by_an_earlier_handler_applies_within_the_tick(self):
+        sim = make_sim("a", "c")
+        sim.add_node("b", lambda env: sim.clear(rid))
+        sim.send(Envelope.request("a", "b", "/revive-c"))
+        sim.send(Envelope.request("a", "c", "/to-c"))
+        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="c"))
+        assert [e.path for e in sim.step()] == ["/revive-c", "/to-c"]
+        assert sim.failed == 0
