@@ -34,7 +34,7 @@ class NoInstances(ChassisError):
 
 class DecodeError(ChassisError):
     def __init__(self, fieldname: str) -> None:
-        super().__init__(f"missing required field: {fieldname}")
+        super().__init__(f"missing or malformed field: {fieldname}")
         self.field = fieldname
 
 
@@ -225,8 +225,17 @@ class ConfigView:
         self.version: tuple[int, int] = (0, 0)
         self.entries: dict[str, str] = {}
 
-    def apply_refresh(self, version: tuple[int, int], entries: dict[str, str]) -> bool:
-        version = (int(version[0]), int(version[1]))
+    def apply_refresh(self, version: Any, entries: Any) -> bool:
+        """Apply a document that is newer than the current one. Raises
+        :class:`DecodeError` naming a malformed ``version`` or ``entries``."""
+        try:
+            version = tuple(version)
+            version = (int(version[0]), int(version[1]))
+        except (TypeError, ValueError, IndexError):
+            raise DecodeError("version") from None
+        if not isinstance(entries, dict) or \
+                not all(isinstance(value, str) for value in entries.values()):
+            raise DecodeError("entries")
         if version <= self.version:
             return False
         self.version = version
@@ -372,11 +381,11 @@ class ServiceNode:
     def _handle_refresh(self, req: Request) -> Optional[tuple[str, Body]]:
         try:
             doc = decode_tolerant(req.body, ["service", "profile", "version", "entries"])
+            if doc["service"] != self.service or doc["profile"] != self.profile:
+                return "200", {"applied": False}
+            applied = self.config.apply_refresh(doc["version"], doc["entries"])
         except DecodeError as exc:
             return "400", {"error": "Malformed", "field": exc.field}
-        if doc["service"] != self.service or doc["profile"] != self.profile:
-            return "200", {"applied": False}
-        applied = self.config.apply_refresh(tuple(doc["version"]), doc["entries"])
         if applied:
             self.on_config_applied()
         return "200", {"applied": applied}
@@ -570,7 +579,9 @@ class ServiceClient:
                            path, body, on_result, deadline, breaker)
 
     def _can_attempt(self, endpoint: Endpoint) -> bool:
-        return self.breaker_for(endpoint.instance_id).can_attempt(self.sim.now)
+        # A missing breaker would be created CLOSED, and CLOSED admits.
+        brk = self.breakers.get(endpoint.instance_id)
+        return brk is None or brk.state is _CLOSED or brk.can_attempt(self.sim.now)
 
     def _send_tracked(self, service: str, instance_id: str, target_node: str,
                       method: str, path: str, body: Body,
@@ -667,9 +678,10 @@ def enable_config(node: ServiceNode, confsvc_node: str = "confsvc") -> None:
             return
         try:
             doc = decode_tolerant(result.body, ["version", "entries"])
+            applied = node.config.apply_refresh(doc["version"], doc["entries"])
         except DecodeError:
             return
-        if node.config.apply_refresh(tuple(doc["version"]), doc["entries"]):
+        if applied:
             node.on_config_applied()
 
     node.client.call_node(confsvc_node, "GET",

@@ -8,7 +8,7 @@ gone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .chassis import Request, ServiceNode
@@ -77,7 +77,8 @@ class RegistryStore:
         inst = self._instances.get(key)
         if inst is None:
             raise UnknownInstance(f"{service}/{instance_id}")
-        inst = replace(inst, lease_expiry=now + self.lease.ttl_ticks)
+        inst = Instance(inst.service, inst.instance_id, inst.address, inst.port,
+                        inst.status, now + self.lease.ttl_ticks)
         self._instances[key] = inst
         return inst
 
@@ -134,7 +135,7 @@ class RegistryService(ServiceNode):
                 port=int(body.get("port", 0) or 0),
                 now=self.sim.now,
                 status=str(body.get("status", STATUS_UP)))
-        except (MalformedInstance, ValueError):
+        except (MalformedInstance, TypeError, ValueError):
             return "400", {"error": "MalformedInstance"}
         return "200", {"lease_expiry": inst.lease_expiry}
 

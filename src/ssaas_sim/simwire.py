@@ -70,6 +70,9 @@ class FaultEffect(str, Enum):
     KILL_NODE = "KILL_NODE"
 
 
+_DELAY = FaultEffect.DELAY
+
+
 @dataclass(slots=True)
 class Envelope:
     """One message on the wire.
@@ -98,10 +101,9 @@ class Envelope:
     @staticmethod
     def response(to: "Envelope", status: str, body: Body = None,
                  headers: Optional[dict[str, str]] = None) -> "Envelope":
-        hdrs = dict(headers) if headers else {}
-        hdrs["status"] = status
-        return Envelope(to.destination, to.source, RESPONSE, to.path, to.method, hdrs, body,
-                        to.message_id)
+        return Envelope(to.destination, to.source, RESPONSE, to.path, to.method,
+                        {**headers, "status": status} if headers else {"status": status},
+                        body, to.message_id)
 
     @property
     def status(self) -> Optional[str]:
@@ -161,6 +163,7 @@ class MessageRecord(NamedTuple):
 
 
 _KIND_NAMES = {REQUEST: "REQUEST", RESPONSE: "RESPONSE"}
+_new_tuple = tuple.__new__  # builds a MessageRecord without _make's overhead
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -200,6 +203,9 @@ class Simulator:
         self._ticks: list[int] = []  # heap of the keys of _buckets
         self._fault_schedule: list[tuple[int, int, FaultRule]] = []
         self._rules: dict[int, FaultRule] = {}
+        # The DROP, PARTITION and DELAY rules of _rules, in registration
+        # order: the only rules a send consults. Kill rules act via _dead.
+        self._link_rules: list[FaultRule] = []
         self._dead: set[str] = set()
         self._awaiting_reply: set[int] = set()
         # Pending timers by id; cancelling one removes it here and leaves
@@ -253,23 +259,26 @@ class Simulator:
         if destination not in self.nodes or destination in self._dead:
             self._fail_with_network_error(env, maintenance)
             return mid
-        latency = BASE_LATENCY_TICKS
-        if self._rules:
-            for rule in self._rules.values():
-                if not rule.active:
-                    continue
-                if rule.effect in (FaultEffect.DROP, FaultEffect.PARTITION) and \
-                        rule.matches_pair(source, destination):
-                    self._record(env, DROPPED)
-                    self.dropped += 1
-                    return mid
-            for rule in self._rules.values():
-                if rule.active and rule.effect is FaultEffect.DELAY and \
-                        rule.matches_pair(source, destination):
-                    latency += rule.delay_ticks
+        tick = self.now + BASE_LATENCY_TICKS
+        if self._link_rules:
+            for rule in self._link_rules:
+                if rule.active and rule.matches_pair(source, destination):
+                    if rule.effect is not _DELAY:
+                        self._record(env, DROPPED)
+                        self.dropped += 1
+                        return mid
+                    tick += rule.delay_ticks
         if env.kind is REQUEST:
             self._awaiting_reply.add(mid)
-        self._enqueue(self.now + latency, env, maintenance)
+        # _enqueue, inlined: this is the busiest call site.
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = []
+            heapq.heappush(self._ticks, tick)
+        bucket.append(env)
+        bucket.append(maintenance)
+        if not maintenance:
+            self._pending_external += 1
         return mid
 
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
@@ -315,6 +324,8 @@ class Simulator:
             raise UnknownRule(f"no such rule: {rule_id}")
         if rule.effect is FaultEffect.KILL_NODE:
             self._recompute_dead()
+        else:
+            self._link_rules.remove(rule)
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> int:
         """Register a rule that activates when the clock reaches ``tick``."""
@@ -336,6 +347,8 @@ class Simulator:
         if rule.rule_id in self._rules:
             raise InvalidFaultRule(f"duplicate rule id: {rule.rule_id}")
         self._rules[rule.rule_id] = rule
+        if rule.effect is not FaultEffect.KILL_NODE:
+            self._link_rules.append(rule)
         return rule.rule_id
 
     def _apply_rule(self, rule: FaultRule) -> None:
@@ -381,6 +394,7 @@ class Simulator:
         self._activate_due_faults(tick)
         self.now = tick
         nodes, timers = self.nodes, self._timers
+        records_append = self.records.append
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
         for payload, maintenance in zip(events, events):
@@ -404,7 +418,9 @@ class Simulator:
                     continue
                 status = (env.headers.get("status") or DELIVERED) if env.kind is RESPONSE \
                     else DELIVERED
-                self._record(env, status)
+                records_append(_new_tuple(MessageRecord, (
+                    tick, env.message_id or 0, env.source, destination,
+                    _KIND_NAMES[env.kind], env.method, env.path, status)))
                 self.delivered += 1
                 delivered.append(env)
                 handler = nodes[destination].handler
@@ -478,7 +494,7 @@ class Simulator:
         self._enqueue(self.now + BASE_LATENCY_TICKS, reply, maintenance)
 
     def _record(self, env: Envelope, status: str) -> None:
-        self.records.append(MessageRecord._make((
+        self.records.append(_new_tuple(MessageRecord, (
             self.now, env.message_id or 0, env.source, env.destination,
             _KIND_NAMES[env.kind], env.method, env.path, status)))
 

@@ -197,6 +197,24 @@ class TestConfigView:
         assert cfg.get_int("n", 7) == 7
         assert cfg.get_int("missing", 3) == 3
 
+    @pytest.mark.parametrize("version, entries, field", [
+        ("x", {}, "version"),
+        ([1], {}, "version"),
+        (5, {}, "version"),
+        (None, {}, "version"),
+        ([1, "y"], {}, "version"),
+        ([1, 0], [["k", "v"]], "entries"),
+        ([1, 0], "k=v", "entries"),
+        ([1, 0], {"k": 1}, "entries"),
+    ])
+    def test_malformed_document_rejected_unchanged(self, version, entries, field):
+        cfg = ConfigView()
+        cfg.apply_refresh((1, 0), {"k": "1"})
+        with pytest.raises(DecodeError) as err:
+            cfg.apply_refresh(version, entries)
+        assert err.value.field == field
+        assert (cfg.version, cfg.entries) == ((1, 0), {"k": "1"})
+
 
 class EchoNode(ServiceNode):
     """Replies 200 with the request body; /fail replies 500; /sluggish never replies."""
@@ -306,6 +324,28 @@ class TestClientDirectWire:
                            deadline=5)
         run_until_idle(sim)
         assert results[0].status is CallStatus.OK
+
+    @pytest.mark.parametrize("delay, status, failures", [
+        (3, CallStatus.OK, 0),
+        (4, CallStatus.TIMEOUT, 1),
+    ])
+    def test_deadline_fires_before_reply_on_same_tick(self, delay, status, failures):
+        # The deadline timer (deadline + 1 ticks) is queued at call time, the
+        # reply one tick later, so on a shared tick the deadline runs first.
+        sim, caller = self._setup()
+        sim.inject(FaultRule(FaultEffect.DELAY, source="echo-1", destination="caller",
+                             delay_ticks=delay))
+        results: list[CallResult] = []
+        start = sim.now
+        caller.client.call("Echo", "POST", "/echo", {"v": 3}, results.append,
+                           deadline=5)
+        run_until_idle(sim)
+        assert [r.status for r in results] == [status]
+        assert caller.client.breakers["echo-1"].consecutive_failures == failures
+        assert caller.client._pending == {}
+        reply = sim.records[-1]
+        assert (reply.kind, reply.status, reply.tick) == ("RESPONSE", "200",
+                                                          start + 2 + delay)
 
 
 class TestClientDiscovered:
@@ -432,6 +472,23 @@ class TestServiceNodeRouting:
                       _reply=lambda s, b: None)
         node.dispatch(req)
         assert node.config.get("k") is None
+
+    @pytest.mark.parametrize("version, entries, field", [
+        ("x", {}, "version"),
+        ([1], {}, "version"),
+        ([1, 0], 7, "entries"),
+    ])
+    def test_malformed_refresh_is_400(self, version, entries, field):
+        sim = Simulator()
+        node = ServiceNode(sim, "n", "Svc")
+        got = []
+        req = Request(method="POST", path="/refresh", source="confsvc",
+                      body={"service": "Svc", "profile": "default",
+                            "version": version, "entries": entries},
+                      _reply=lambda s, b: got.append((s, b)))
+        node.dispatch(req)
+        assert got == [("400", {"error": "Malformed", "field": field})]
+        assert node.config.version == (0, 0)
 
 
 class TestLibraryMode:

@@ -76,6 +76,23 @@ class TestRun:
         assert run_cli("run", "--stage", "1", "--workload", "basic.wl",
                        "--faults", str(bad)) == 2
 
+    @pytest.mark.parametrize("line, answer", [
+        ('0|client|POST|/refresh|{"service":"Gateway","profile":"default",'
+         '"version":"x","entries":{}}',
+         ["400", '{"error":"Malformed","field":"version"}']),
+        ('0|client|POST|/refresh|{"service":"Gateway","profile":"default",'
+         '"version":[9,9],"entries":{"route.1":5}}',
+         ["400", '{"error":"Malformed","field":"entries"}']),
+        ('0|admin|POST|/registry/X|{"instance_id":"x-1","address":"x-1","port":[1]}',
+         ["400", '{"error":"MalformedInstance"}']),
+    ], ids=["refresh-version", "refresh-entry-value", "registry-port"])
+    def test_malformed_body_is_answered_not_fatal(self, tmp_path, capsys, line, answer):
+        script = tmp_path / "one.wl"
+        script.write_text(line + "\n")
+        assert run_cli("run", "--stage", "6", "--workload", str(script)) == 0
+        fields = capsys.readouterr().out.strip().split("\t")
+        assert [fields[6], fields[8]] == answer
+
     def test_budget_exhaustion_exit(self, tmp_path):
         assert run_cli("run", "--stage", "1", "--workload", "basic.wl",
                        "--budget", "1") == 3

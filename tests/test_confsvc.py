@@ -195,3 +195,18 @@ class TestWireApi:
         enable_config(late)
         assert sim.run_until_idle(budget=100)
         assert late.config.get("seeded") == "yes"
+
+    @pytest.mark.parametrize("doc", [
+        {"version": "x", "entries": {}},
+        {"version": [1], "entries": {}},
+        {"version": [1, 1], "entries": ["seeded"]},
+    ])
+    def test_malformed_startup_pull_ignored(self, doc):
+        sim = Simulator()
+        fake = ServiceNode(sim, "confsvc", "ConfigServer").bind()
+        fake.route("GET", "/config/{service}/{profile}", lambda req: ("200", doc))
+        late = ServiceNode(sim, "late-1", "Svc").bind()
+        ServiceClient(late, WiringMode.DIRECT_WIRE)
+        enable_config(late)
+        assert sim.run_until_idle(budget=100)
+        assert (late.config.version, late.config.entries) == ((0, 0), {})

@@ -203,6 +203,15 @@ class TestWireApi:
         assert r.remote_status == "400"
         assert r.body == {"error": "MalformedInstance"}
 
+    @pytest.mark.parametrize("port", [[1], {"p": 1}])
+    def test_register_non_scalar_port_is_400(self, port):
+        sim, registry, caller = self._setup()
+        r = self._call(sim, caller, "POST", "/registry/X",
+                       {"instance_id": "x-1", "address": "x-1", "port": port})
+        assert r.remote_status == "400"
+        assert r.body == {"error": "MalformedInstance"}
+        assert registry.store.all_instances() == []
+
     def test_sweeper_evicts_unrenewed_instance(self):
         sim, registry, caller = self._setup()
         registry.start_sweeping()
