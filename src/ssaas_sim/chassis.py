@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .simwire import NETWORK_ERROR_STATUS, RESPONSE, Body, Envelope, Simulator
 
@@ -19,9 +19,6 @@ DEFAULT_BREAKER_OPEN_TICKS = 30
 DEFAULT_CACHE_TTL_TICKS = 10
 DEFAULT_CALL_DEADLINE_TICKS = 5
 DEFAULT_RENEW_INTERVAL_TICKS = 10
-
-UPSTREAM_UNAVAILABLE_STATUS = "503"
-UPSTREAM_UNAVAILABLE_BODY = {"error": "UpstreamUnavailable"}
 
 
 class ChassisError(Exception):
@@ -38,7 +35,7 @@ class DecodeError(ChassisError):
         self.field = fieldname
 
 
-def decode_tolerant(body: Body, required: list[str]) -> dict[str, Any]:
+def decode_tolerant(body: Body, required: Sequence[str]) -> dict[str, Any]:
     """Extract ``required`` fields from a structured body, ignoring any
     extras. Raises :class:`DecodeError` naming the first missing field."""
     if not isinstance(body, dict):
@@ -207,9 +204,6 @@ class Resolver:
         entry.rotation += 1
         return pick
 
-    def invalidate(self, service: str) -> None:
-        self._services.pop(service, None)
-
 
 # -- config view --------------------------------------------------------------
 
@@ -341,10 +335,6 @@ class ServiceNode:
         routes.append(_Route.compile(segments, handler))
         routes.sort(key=lambda r: -len(r.literals))
 
-    def set_timer(self, delay: int, fn: Callable[[], None],
-                  maintenance: Optional[bool] = None) -> int:
-        return self.sim.set_timer(self.node_id, delay, fn, maintenance=maintenance)
-
     def every(self, interval: int, fn: Callable[[], None]) -> None:
         """Run ``fn`` every ``interval`` ticks as maintenance traffic."""
         def tick() -> None:
@@ -422,7 +412,6 @@ _TIMEOUT = CallStatus.TIMEOUT
 class CallResult:
     status: CallStatus
     body: Body = None
-    attempts: int = 1
     remote_status: Optional[str] = None
 
     @property
@@ -620,21 +609,25 @@ class ServiceClient:
             on_result(CallResult(_FAST_FAIL))
 
 
-def relay_result(req: Request, result: CallResult) -> None:
-    """Answer an upstream call's outcome back out: unreachable upstreams
-    become a plain 503, everything else passes through as-is."""
+def result_reply(result: CallResult) -> tuple[str, Body]:
+    """The answer that passes an upstream call's outcome on: an unreachable
+    upstream becomes a plain 503, anything it answered goes out as-is."""
     if result.status is _FAST_FAIL or result.status is _TIMEOUT:
-        req.reply(UPSTREAM_UNAVAILABLE_STATUS, dict(UPSTREAM_UNAVAILABLE_BODY))
-    else:
-        req.reply(result.remote_status or "200", result.body)
+        return "503", {"error": "UpstreamUnavailable"}
+    return result.remote_status, result.body
+
+
+def relay_result(req: Request, result: CallResult) -> None:
+    """Answer ``req`` with the outcome of an upstream call."""
+    req.reply(*result_reply(result))
 
 
 def _classify(status: str, body: Body) -> CallResult:
     if status == NETWORK_ERROR_STATUS:
-        return CallResult(_TIMEOUT, body, 1, status)
+        return CallResult(_TIMEOUT, body, status)
     if status.startswith("2"):
-        return CallResult(_OK, body, 1, status)
-    return CallResult(_REMOTE_ERROR, body, 1, status)
+        return CallResult(_OK, body, status)
+    return CallResult(_REMOTE_ERROR, body, status)
 
 
 # -- lifecycle helpers -----------------------------------------------------------

@@ -29,10 +29,6 @@ class DuplicatePrefix(GatewayError):
     pass
 
 
-class UnknownRule(GatewayError):
-    pass
-
-
 class InvalidRoute(GatewayError):
     pass
 
@@ -63,7 +59,6 @@ class RouteTable:
         self._segments: dict[str, tuple[str, ...]] = {}
         self._by_segments: dict[tuple[str, ...], RouteRule] = {}
         self._lengths: list[int] = []  # distinct prefix lengths, longest first
-        self.version = 0
 
     def add_route(self, rule: RouteRule) -> None:
         if rule.prefix in self._rules:
@@ -72,19 +67,11 @@ class RouteTable:
         self._segments[rule.prefix] = split_path(rule.prefix)
         self._reindex()
 
-    def remove_route(self, prefix: str) -> None:
-        if prefix not in self._rules:
-            raise UnknownRule(prefix)
-        del self._rules[prefix]
-        del self._segments[prefix]
-        self._reindex()
-
     def _reindex(self) -> None:
         self._by_segments = {}
         for prefix, rule in self._rules.items():
             self._by_segments.setdefault(self._segments[prefix], rule)
         self._lengths = sorted({len(pre) for pre in self._by_segments}, reverse=True)
-        self.version += 1
 
     def rules(self) -> list[RouteRule]:
         return [self._rules[p] for p in sorted(self._rules)]

@@ -26,13 +26,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ..chassis import (
-    UPSTREAM_UNAVAILABLE_BODY,
-    UPSTREAM_UNAVAILABLE_STATUS,
-    CallResult,
-    CallStatus,
-    ServiceNode,
-)
+from ..chassis import CallResult, CallStatus, ServiceNode, result_reply
 from ..simwire import Body, FaultRule, apply_fault_schedule
 from .stages import CLIENT_DEADLINE_TICKS, SystemHandle, wire_client
 from .traces import TraceEntry
@@ -131,10 +125,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
     sent_tick = sim.now
 
     def finish(result: CallResult) -> None:
-        if result.status in (CallStatus.FAST_FAIL, CallStatus.TIMEOUT):
-            status, body = UPSTREAM_UNAVAILABLE_STATUS, dict(UPSTREAM_UNAVAILABLE_BODY)
-        else:
-            status, body = result.remote_status or "", result.body
+        status, body = result_reply(result)
         entries[seq] = TraceEntry(
             seq=seq, client=line.client, method=line.method, path=line.path,
             request_body=line.body, sent_tick=sent_tick, status=status,

@@ -56,8 +56,6 @@ LAST_STAGE = 6
 SETTLE_BUDGET_TICKS = 200
 CLIENT_DEADLINE_TICKS = 60
 
-PUBLIC_PREFIXES = ("/api/developers", "/api/projects", "/api/content", "/api/chat")
-
 _BREAKER_DOC = {"breaker.threshold": "5", "breaker.open_ticks": "30"}
 
 _SERVER_SPECS = (("oracle-a", ServerFlavor.ORACLE, 4),

@@ -127,15 +127,15 @@ class RegistryService(ServiceNode):
 
     def _register(self, req: Request) -> tuple[str, Body]:
         body = req.body if isinstance(req.body, dict) else {}
+        instance_id, address = body.get("instance_id", ""), body.get("address", "")
+        port, status = body.get("port", 0), body.get("status", STATUS_UP)
+        if not all(isinstance(v, str) for v in (instance_id, address, status)) \
+                or isinstance(port, bool) or not isinstance(port, int):
+            return "400", {"error": "MalformedInstance"}
         try:
-            inst = self.store.register(
-                service=req.params["service"],
-                instance_id=str(body.get("instance_id", "")),
-                address=str(body.get("address", "")),
-                port=int(body.get("port", 0) or 0),
-                now=self.sim.now,
-                status=str(body.get("status", STATUS_UP)))
-        except (MalformedInstance, TypeError, ValueError):
+            inst = self.store.register(req.params["service"], instance_id, address, port,
+                                       self.sim.now, status)
+        except MalformedInstance:
             return "400", {"error": "MalformedInstance"}
         return "200", {"lease_expiry": inst.lease_expiry}
 

@@ -500,9 +500,6 @@ class Simulator:
 
     # -- trace export -----------------------------------------------------
 
-    def trace_lines(self) -> list[str]:
-        return [r.line() for r in self.records]
-
     def write_trace(self, path: str, fmt: str = "text") -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for record in self.records:

@@ -10,7 +10,7 @@ and the service name owning resource reservations.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..chassis import (
     CallResult,
@@ -59,6 +59,12 @@ def _int_arg(raw: object) -> int:
         raise Malformed(str(raw)) from exc
 
 
+def _str_arg(raw: object) -> str:
+    if not isinstance(raw, str):
+        raise Malformed(str(raw))
+    return raw
+
+
 def domain_route(fn: Callable[..., Optional[tuple[str, Body]]]):
     """Translate domain and decode failures into error replies. Works on
     plain handlers and on methods alike."""
@@ -72,13 +78,43 @@ def domain_route(fn: Callable[..., Optional[tuple[str, Body]]]):
     return wrapped
 
 
+def forward(node: ServiceNode, req: Request, service: str, method: str, path: str,
+            body: Body = None, then: Optional[Callable[[Any], None]] = None,
+            fields: tuple[str, ...] = (), undo: Optional[Callable[[], None]] = None) -> None:
+    """Make one upstream call, one step of the flow that answers ``req``.
+
+    Without ``then`` the upstream's outcome is relayed as it is. With it, a
+    success's body goes to ``then``, decoded to ``fields`` first when given.
+    A failure, or a success lacking ``fields``, runs ``undo`` and is then
+    answered, so a compensating call goes out before the reply does.
+    """
+    def done(result: CallResult) -> None:
+        if then is not None and result.ok:
+            try:
+                out = decode_tolerant(result.body, fields) if fields else result.body
+            except DecodeError:
+                result = CallResult(CallStatus.FAST_FAIL)  # as good as unreachable
+            else:
+                then(out)
+                return
+        if undo is not None:
+            undo()
+        relay_result(req, result)
+
+    node.client.call(service, method, path, body, on_result=done)
+
+
+def _release(node: ServiceNode, resources_service: str, reservation_id: object) -> None:
+    node.client.call(resources_service, "DELETE", f"/resources/reservations/{reservation_id}")
+
+
 def mount_developer_entity(node: ServiceNode, store: DeveloperStore, prefix: str) -> None:
     """Expose a developer store under ``prefix`` (create, read, add kind)."""
 
     @domain_route
     def create(req: Request):
         doc = decode_tolerant(req.body, ["name", "email"])
-        dev = store.register_developer(str(doc["name"]), str(doc["email"]))
+        dev = store.register_developer(_str_arg(doc["name"]), _str_arg(doc["email"]))
         return "200", dev.to_body()
 
     @domain_route
@@ -88,7 +124,7 @@ def mount_developer_entity(node: ServiceNode, store: DeveloperStore, prefix: str
     @domain_route
     def add_kind(req: Request):
         doc = decode_tolerant(req.body, ["kind"])
-        dev = store.add_service_kind(_int_arg(req.params["did"]), str(doc["kind"]))
+        dev = store.add_service_kind(_int_arg(req.params["did"]), _str_arg(doc["kind"]))
         return "200", dev.to_body()
 
     node.route("POST", prefix, create)
@@ -109,10 +145,10 @@ def mount_resources(node: ServiceNode, pool: ServerPool, rng: random.Random) -> 
         doc = decode_tolerant(req.body, ["flavor", "owner"])
         policy = node.config.get("rm.policy", POLICY_LEAST_USED) or POLICY_LEAST_USED
         try:
-            flavor = ServerFlavor(str(doc["flavor"]))
+            flavor = ServerFlavor(_str_arg(doc["flavor"]))
         except ValueError as exc:
             raise Malformed(str(doc["flavor"])) from exc
-        res = pool.reserve(flavor, str(doc["owner"]), policy=policy, rng=rng)
+        res = pool.reserve(flavor, _str_arg(doc["owner"]), policy=policy, rng=rng)
         return "200", res.to_body()
 
     @domain_route
@@ -153,7 +189,8 @@ class DeveloperData(ServiceNode):
         @domain_route
         def create_project(req: Request):
             doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
-            proj = schemas.create_project(str(doc["name"]), _int_arg(doc["owner_developer_id"]))
+            proj = schemas.create_project(_str_arg(doc["name"]),
+                                          _int_arg(doc["owner_developer_id"]))
             return "200", proj.to_body()
 
         @domain_route
@@ -163,14 +200,14 @@ class DeveloperData(ServiceNode):
         @domain_route
         def add_table(req: Request):
             doc = decode_tolerant(req.body, ["table"])
-            proj = schemas.add_table(_int_arg(req.params["pid"]), str(doc["table"]))
+            proj = schemas.add_table(_int_arg(req.params["pid"]), _str_arg(doc["table"]))
             return "200", proj.to_body()
 
         @domain_route
         def add_column(req: Request):
             doc = decode_tolerant(req.body, ["column", "type"])
             proj = schemas.add_column(_int_arg(req.params["pid"]), req.params["table"],
-                                      str(doc["column"]), str(doc["type"]))
+                                      _str_arg(doc["column"]), _str_arg(doc["type"]))
             return "200", proj.to_body()
 
         self.route("POST", "/schema/projects", create_project)
@@ -227,94 +264,55 @@ class DeveloperServices(ServiceNode):
 
     def _create_developer(self, req: Request) -> None:
         svc, prefix = self.dev_entity
-        self.client.call(svc, "POST", prefix, req.body,
-                         on_result=lambda r: relay_result(req, r))
+        forward(self, req, svc, "POST", prefix, req.body)
 
     def _get_developer(self, req: Request) -> None:
         svc, prefix = self.dev_entity
-        self.client.call(svc, "GET", f"{prefix}/{req.params['did']}",
-                         on_result=lambda r: relay_result(req, r))
+        forward(self, req, svc, "GET", f"{prefix}/{req.params['did']}")
 
     def _add_kind(self, req: Request) -> None:
         svc, prefix = self.dev_entity
-        self.client.call(svc, "POST", f"{prefix}/{req.params['did']}/kinds", req.body,
-                         on_result=lambda r: relay_result(req, r))
+        forward(self, req, svc, "POST", f"{prefix}/{req.params['did']}/kinds", req.body)
 
     def _forward_to_schema(self, method: str, suffix: str):
         def handler(req: Request) -> None:
             path = f"/schema/projects/{req.params['pid']}" + suffix.replace(
                 "{table}", req.params.get("table", ""))
-            self.client.call("DeveloperData", method, path, req.body,
-                             on_result=lambda r: relay_result(req, r))
+            forward(self, req, "DeveloperData", method, path, req.body)
         return handler
 
     # -- provisioning ---------------------------------------------------------
 
-    def _provision(self, req: Request) -> Optional[tuple[str, Body]]:
-        try:
-            doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
-            owner = _int_arg(doc["owner_developer_id"])
-        except DecodeError as exc:
-            return "400", {"error": "Malformed", "field": exc.field}
-        except DomainError as exc:
-            return exc.status, exc.body()
-        name = str(doc["name"])
+    @domain_route
+    def _provision(self, req: Request) -> None:
+        doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
+        owner = _int_arg(doc["owner_developer_id"])
+        name = _str_arg(doc["name"])
         dev_svc, dev_prefix = self.dev_entity
 
-        def have_developer(result: CallResult) -> None:
-            if not result.ok:
-                relay_result(req, result)
-                return
-            self.client.call(self.resources_service, "POST", "/resources/reservations",
-                             {"flavor": ServerFlavor.ORACLE.value, "owner": f"project:{name}"},
-                             on_result=have_reservation)
+        def reserve(_: Body) -> None:
+            forward(self, req, self.resources_service, "POST", "/resources/reservations",
+                    {"flavor": ServerFlavor.ORACLE.value, "owner": f"project:{name}"},
+                    then=persist, fields=("reservation_id", "server_id", "database_name"))
 
-        def have_reservation(result: CallResult) -> None:
-            if not result.ok:
-                relay_result(req, result)
-                return
-            try:
-                res = decode_tolerant(result.body,
-                                      ["reservation_id", "server_id", "database_name"])
-            except DecodeError:
-                req.reply("503", {"error": "UpstreamUnavailable"})
-                return
-            self.client.call("DeveloperData", "POST", "/schema/projects",
-                             {"name": name, "owner_developer_id": owner},
-                             on_result=lambda r: have_schema(r, res))
+        def persist(res: dict) -> None:
+            def release() -> None:
+                _release(self, self.resources_service, res["reservation_id"])
 
-        def have_schema(result: CallResult, res: dict) -> None:
-            if not result.ok:
-                self._release(res["reservation_id"])
-                relay_result(req, result)
-                return
-            try:
-                proj = decode_tolerant(result.body, ["project_id"])
-            except DecodeError:
-                self._release(res["reservation_id"])
-                req.reply("503", {"error": "UpstreamUnavailable"})
-                return
-            self.client.call(dev_svc, "POST", f"{dev_prefix}/{owner}/kinds",
-                             {"kind": KIND_RDBMS},
-                             on_result=lambda r: have_kind(r, res, proj))
+            def tag(proj: dict) -> None:
+                forward(self, req, dev_svc, "POST", f"{dev_prefix}/{owner}/kinds",
+                        {"kind": KIND_RDBMS}, undo=release,
+                        then=lambda _: req.reply("200", {
+                            "project_id": proj["project_id"],
+                            "reservation_id": res["reservation_id"],
+                            "database_name": res["database_name"],
+                            "server_id": res["server_id"]}))
 
-        def have_kind(result: CallResult, res: dict, proj: dict) -> None:
-            if not result.ok:
-                self._release(res["reservation_id"])
-                relay_result(req, result)
-                return
-            req.reply("200", {"project_id": proj["project_id"],
-                              "reservation_id": res["reservation_id"],
-                              "database_name": res["database_name"],
-                              "server_id": res["server_id"]})
+            forward(self, req, "DeveloperData", "POST", "/schema/projects",
+                    {"name": name, "owner_developer_id": owner},
+                    then=tag, fields=("project_id",), undo=release)
 
-        self.client.call(dev_svc, "GET", f"{dev_prefix}/{owner}",
-                         on_result=have_developer)
-        return None
-
-    def _release(self, reservation_id: object) -> None:
-        self.client.call(self.resources_service, "DELETE",
-                         f"/resources/reservations/{reservation_id}")
+        forward(self, req, dev_svc, "GET", f"{dev_prefix}/{owner}", then=reserve)
 
 
 class ContentServices(ServiceNode):
@@ -343,14 +341,11 @@ class ContentServices(ServiceNode):
             fn(cached[1])
             return
 
-        def got(result: CallResult) -> None:
-            if not result.ok:
-                relay_result(req, result)
-                return
-            self._schema_cache[pid] = (self.sim.now, result.body)
-            fn(result.body)
+        def got(schema: Body) -> None:
+            self._schema_cache[pid] = (self.sim.now, schema)
+            fn(schema)
 
-        self.client.call("DeveloperData", "GET", f"/schema/projects/{pid}", on_result=got)
+        forward(self, req, "DeveloperData", "GET", f"/schema/projects/{pid}", then=got)
 
     def _checked_write(self, req: Request, apply: Callable[[int, str, dict], tuple[str, Body]]) -> None:
         try:
@@ -423,51 +418,29 @@ class ChatServices(ServiceNode):
         self.route("POST", "/chat", self._create)
         self.route("GET", "/chat/{cid}", self._get)
 
-    def _create(self, req: Request) -> Optional[tuple[str, Body]]:
-        try:
-            doc = decode_tolerant(req.body, ["developer_id"])
-            developer_id = _int_arg(doc["developer_id"])
-        except DecodeError as exc:
-            return "400", {"error": "Malformed", "field": exc.field}
-        except DomainError as exc:
-            return exc.status, exc.body()
+    @domain_route
+    def _create(self, req: Request) -> None:
+        doc = decode_tolerant(req.body, ["developer_id"])
+        developer_id = _int_arg(doc["developer_id"])
         dev_svc, dev_prefix = self.dev_entity
 
-        def have_developer(result: CallResult) -> None:
-            if not result.ok:
-                relay_result(req, result)
-                return
-            self.client.call(self.resources_service, "POST", "/resources/reservations",
-                             {"flavor": ServerFlavor.MYSQL.value,
-                              "owner": f"chat:{developer_id}"},
-                             on_result=have_reservation)
+        def reserve(_: Body) -> None:
+            forward(self, req, self.resources_service, "POST", "/resources/reservations",
+                    {"flavor": ServerFlavor.MYSQL.value, "owner": f"chat:{developer_id}"},
+                    then=tag, fields=("reservation_id",))
 
-        def have_reservation(result: CallResult) -> None:
-            if not result.ok:
-                relay_result(req, result)
-                return
-            try:
-                res = decode_tolerant(result.body, ["reservation_id"])
-            except DecodeError:
-                req.reply("503", {"error": "UpstreamUnavailable"})
-                return
+        def tag(res: dict) -> None:
             inst = self.chats.create(developer_id, res["reservation_id"])
-            self.client.call(dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds",
-                             {"kind": KIND_CHAT},
-                             on_result=lambda r: have_kind(r, inst, res))
 
-        def have_kind(result: CallResult, inst, res: dict) -> None:
-            if not result.ok:
+            def undo() -> None:
                 self.chats.remove(inst.chat_id)
-                self.client.call(self.resources_service, "DELETE",
-                                 f"/resources/reservations/{res['reservation_id']}")
-                relay_result(req, result)
-                return
-            req.reply("200", inst.to_body())
+                _release(self, self.resources_service, res["reservation_id"])
 
-        self.client.call(dev_svc, "GET", f"{dev_prefix}/{developer_id}",
-                         on_result=have_developer)
-        return None
+            forward(self, req, dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds",
+                    {"kind": KIND_CHAT}, undo=undo,
+                    then=lambda _: req.reply("200", inst.to_body()))
+
+        forward(self, req, dev_svc, "GET", f"{dev_prefix}/{developer_id}", then=reserve)
 
     @domain_route
     def _get(self, req: Request):

@@ -23,6 +23,7 @@ from ssaas_sim.chassis import (
     WiringMode,
     decode_tolerant,
     enable_discovery,
+    result_reply,
 )
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
 
@@ -216,6 +217,19 @@ class TestConfigView:
         assert (cfg.version, cfg.entries) == ((1, 0), {"k": "1"})
 
 
+class TestResultReply:
+    @pytest.mark.parametrize("status", [CallStatus.FAST_FAIL, CallStatus.TIMEOUT])
+    def test_unreachable_is_a_fresh_503(self, status):
+        first, second = result_reply(CallResult(status)), result_reply(CallResult(status))
+        assert first == second == ("503", {"error": "UpstreamUnavailable"})
+        assert first[1] is not second[1]
+
+    def test_answers_pass_through(self):
+        body = {"error": "Nope"}
+        assert result_reply(CallResult(CallStatus.REMOTE_ERROR, body, "404")) == ("404", body)
+        assert result_reply(CallResult(CallStatus.OK, [1], "201")) == ("201", [1])
+
+
 class EchoNode(ServiceNode):
     """Replies 200 with the request body; /fail replies 500; /sluggish never replies."""
 
@@ -268,7 +282,6 @@ class TestClientDirectWire:
         run_until_idle(sim)
         assert results[0].status is CallStatus.OK
         assert results[0].body == {"v": 1}
-        assert results[0].attempts == 1
 
     def test_unconfigured_service_fast_fails(self):
         sim, caller = self._setup()
@@ -385,8 +398,9 @@ class TestClientDiscovered:
 
     def test_empty_registry_fast_fails(self):
         sim, caller, registry = self._setup()
+        assert self._call(sim, caller).ok
         registry.instances["Echo"] = []
-        caller.client.resolver.invalidate("Echo")
+        sim.advance_to(sim.now + caller.client.resolver.cache_ttl)
         r = self._call(sim, caller)
         assert r.status is CallStatus.FAST_FAIL
 

@@ -85,7 +85,14 @@ class TestRun:
          ["400", '{"error":"Malformed","field":"entries"}']),
         ('0|admin|POST|/registry/X|{"instance_id":"x-1","address":"x-1","port":[1]}',
          ["400", '{"error":"MalformedInstance"}']),
-    ], ids=["refresh-version", "refresh-entry-value", "registry-port"])
+        ('0|admin|POST|/registry/X|{"instance_id":null,"address":null,"port":1}',
+         ["400", '{"error":"MalformedInstance"}']),
+        ('0|client|POST|/api/developers|{"name":null,"email":["x"]}',
+         ["400", '{"error":"Malformed"}']),
+        ('0|client|POST|/api/projects|{"name":null,"owner_developer_id":1}',
+         ["400", '{"error":"Malformed"}']),
+    ], ids=["refresh-version", "refresh-entry-value", "registry-port", "registry-null-id",
+            "developer-null-name", "project-null-name"])
     def test_malformed_body_is_answered_not_fatal(self, tmp_path, capsys, line, answer):
         script = tmp_path / "one.wl"
         script.write_text(line + "\n")

@@ -212,6 +212,20 @@ class TestWireApi:
         assert r.body == {"error": "MalformedInstance"}
         assert registry.store.all_instances() == []
 
+    @pytest.mark.parametrize("body", [
+        {"instance_id": None, "address": None, "port": 1},
+        {"instance_id": "x-1", "address": ["x-1"], "port": 1},
+        {"instance_id": "x-1", "address": "x-1", "port": 1, "status": None},
+        {"instance_id": "x-1", "address": "x-1", "port": True},
+        {"instance_id": "x-1", "address": "x-1", "port": "1"},
+    ], ids=["null-id", "list-address", "null-status", "bool-port", "string-port"])
+    def test_register_wrong_field_types_are_400(self, body):
+        sim, registry, caller = self._setup()
+        r = self._call(sim, caller, "POST", "/registry/X", body)
+        assert r.remote_status == "400"
+        assert r.body == {"error": "MalformedInstance"}
+        assert registry.store.all_instances() == []
+
     def test_sweeper_evicts_unrenewed_instance(self):
         sim, registry, caller = self._setup()
         registry.start_sweeping()

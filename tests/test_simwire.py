@@ -277,7 +277,7 @@ class TestDeterminism:
                                      delay_ticks=2))
             sim.step()
         drain(sim)
-        return sim.trace_lines()
+        return [r.line() for r in sim.records]
 
     def test_same_seed_same_trace(self):
         assert self._run(7) == self._run(7)
@@ -286,7 +286,7 @@ class TestDeterminism:
         sim = make_sim("a", "b")
         sim.send(Envelope.request("a", "b", "/x", method="POST"))
         drain(sim)
-        line = sim.trace_lines()[0]
+        line = sim.records[0].line()
         fields = line.split("|")
         assert len(fields) == 7
         assert fields[4] == "REQUEST"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssaas_sim.chassis import CallResult, ServiceClient, ServiceNode, WiringMode
-from ssaas_sim.simwire import Simulator
+from ssaas_sim.chassis import CallResult, Request, ServiceClient, ServiceNode, WiringMode
+from ssaas_sim.simwire import FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas import (
     ChatServices,
     ChatStore,
@@ -19,6 +19,7 @@ from ssaas_sim.ssaas import (
     DeveloperInfoServices,
     DeveloperServices,
     DeveloperStore,
+    DomainError,
     Monolith,
     ResourceManager,
     SchemaStore,
@@ -40,6 +41,7 @@ from ssaas_sim.ssaas.stores import (
     UnknownReservation,
     UnknownTable,
 )
+from ssaas_sim.ssaas.services import forward
 
 
 class TestDeveloperStore:
@@ -226,6 +228,49 @@ class TestContentStore:
             store.get(2, "posts", rid)
 
 
+# -- one upstream step ----------------------------------------------------------
+
+class TestForward:
+    """``forward`` over an in-process upstream: each outcome, and ``undo``
+    always before the answer."""
+
+    def _forward(self, path, steps=True, fields=(), peer=True):
+        """The log of one step: what ``then`` got, ``undo``, and the reply."""
+        sim = Simulator()
+        caller = ServiceNode(sim, "caller", "Caller")
+        client = ServiceClient(caller, WiringMode.LIBRARY_CALL)
+        if peer:  # without one the call fast-fails
+            upstream = ServiceNode(sim, "up", "Up")
+            upstream.route("GET", "/ok", lambda req: ("200", {"a": 1, "extra": 2}))
+            upstream.route("GET", "/missing", lambda req: ("404", {"error": "Nope"}))
+            client.add_peer("Up", upstream)
+        log: list = []
+        req = Request("GET", "/x", None, "t", _reply=lambda s, b: log.append((s, b)))
+        kw = {"then": lambda body: log.append(("then", body)),
+              "undo": lambda: log.append("undo")} if steps else {}
+        forward(caller, req, "Up", "GET", path, fields=fields, **kw)
+        return log
+
+    def test_without_steps_relays_the_outcome(self):
+        assert self._forward("/ok", steps=False) == [("200", {"a": 1, "extra": 2})]
+        assert self._forward("/missing", steps=False) == [("404", {"error": "Nope"})]
+        assert self._forward("/ok", steps=False, peer=False) == [
+            ("503", {"error": "UpstreamUnavailable"})]
+
+    def test_success_goes_to_then_decoded_to_fields(self):
+        assert self._forward("/ok") == [("then", {"a": 1, "extra": 2})]
+        assert self._forward("/ok", fields=("a",)) == [("then", {"a": 1})]
+
+    def test_failure_runs_undo_then_relays(self):
+        assert self._forward("/missing") == ["undo", ("404", {"error": "Nope"})]
+        assert self._forward("/ok", peer=False) == [
+            "undo", ("503", {"error": "UpstreamUnavailable"})]
+
+    def test_success_lacking_fields_runs_undo_then_503(self):
+        assert self._forward("/ok", fields=("a", "b")) == [
+            "undo", ("503", {"error": "UpstreamUnavailable"})]
+
+
 # -- service flows -------------------------------------------------------------
 
 def build_monolith_world():
@@ -360,6 +405,17 @@ class TestMonolithFlows:
         assert r.body["owner_developer_id"] == 1
 
 
+def release_precedes_answer(sim) -> bool:
+    """The reservation DELETE went on the wire before the answer to ``ext``:
+    both leave in the same handler, so they arrive in send order."""
+    recs = sim.records
+    release = next(i for i, rec in enumerate(recs)
+                   if rec.kind == "REQUEST" and rec.method == "DELETE")
+    answer = max(i for i, rec in enumerate(recs)
+                 if rec.kind == "RESPONSE" and rec.destination == "ext")
+    return recs[release].tick == recs[answer].tick and release < answer
+
+
 def build_wire_world():
     """Split services on separate nodes with static wiring."""
     sim = Simulator()
@@ -413,6 +469,16 @@ class TestWireFlows:
                  target="contentservices-1")
         assert r.remote_status == "400"
 
+    def test_provision_compensates_before_answering(self):
+        sim, ext, pool = build_wire_world()
+        call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
+             target="developerservices-1")
+        r = call(sim, ext, "POST", "/projects", {"name": "", "owner_developer_id": 1},
+                 target="developerservices-1")
+        assert r.remote_status == "400"
+        assert pool.active_reservations() == []
+        assert release_precedes_answer(sim)
+
     def test_content_unknown_project_404(self):
         sim, ext, pool = build_wire_world()
         r = call(sim, ext, "POST", "/content/9/posts", {"values": {}},
@@ -463,6 +529,21 @@ class TestChatFlows:
                  target="chatservices-1")
         assert r.remote_status == "404"
         assert pool.active_reservations() == []
+
+    def test_chat_compensates_when_kind_tag_is_unreachable(self):
+        sim, ext, pool, chats = build_final_world()
+        call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
+             target="developerinfoservices-1")
+        # The reservation's reply arrives 5 ticks after the send; the kind tag
+        # sent then finds its target dead.
+        sim.schedule_fault(sim.now + 5, FaultRule(FaultEffect.KILL_NODE,
+                                                  node="developerinfoservices-1"))
+        r = call(sim, ext, "POST", "/chat", {"developer_id": 1}, target="chatservices-1")
+        assert (r.remote_status, r.body) == ("503", {"error": "UpstreamUnavailable"})
+        with pytest.raises(DomainError):
+            chats.get(1)
+        assert pool.active_reservations() == []
+        assert release_precedes_answer(sim)
 
     def test_chat_exhaustion_409(self):
         sim, ext, pool, chats = build_final_world()
