@@ -108,17 +108,11 @@ class CircuitBreaker:
         """Admit a call, moving OPEN to HALF_OPEN when the wait is over."""
         if self.state is _CLOSED:
             return True
-        if self.state is _OPEN:
-            assert self.opened_at is not None
-            if now - self.opened_at >= self.open_duration:
-                self.state = _HALF_OPEN
-                self.probe_inflight = 1
-                return True
+        if not self.can_attempt(now):
             return False
-        if self.probe_inflight < 1:
-            self.probe_inflight = 1
-            return True
-        return False
+        self.state = _HALF_OPEN
+        self.probe_inflight = 1
+        return True
 
     def record_result(self, success: bool, now: int) -> None:
         if self.state is _CLOSED:
@@ -264,8 +258,6 @@ class Request:
     method: str
     path: str
     body: Body
-    source: str
-    headers: dict[str, str] = field(default_factory=dict)
     params: dict[str, str] = field(default_factory=dict)
     env: Optional[Envelope] = None
     wire: Optional[Simulator] = None
@@ -349,8 +341,7 @@ class ServiceNode:
             if self.client is not None:
                 self.client.handle_response(env)
             return
-        self.dispatch(Request(env.method, env.path, env.body, env.source,
-                              dict(env.headers), {}, env, self.sim))
+        self.dispatch(Request(env.method, env.path, env.body, {}, env, self.sim))
 
     def dispatch(self, req: Request) -> None:
         parts = split_path(req.path)
@@ -421,8 +412,6 @@ class CallResult:
 
 @dataclass(slots=True)
 class _Pending:
-    service: str
-    instance_id: str
     breaker: Optional[CircuitBreaker]
     on_result: Optional[Callable[[CallResult], None]]
     timer_id: int
@@ -486,8 +475,7 @@ class ServiceClient:
             if not breaker.allow(self.sim.now):
                 self._finish_fast(on_result)
                 return
-            self._send_tracked(service, target, target, method, path, body,
-                               on_result, deadline, breaker)
+            self._send_tracked(target, method, path, body, on_result, deadline, breaker)
         else:
             self._call_discovered(service, method, path, body, on_result, deadline)
 
@@ -496,8 +484,7 @@ class ServiceClient:
                   deadline: Optional[int] = None, track_breaker: bool = False) -> None:
         """Send straight to a named node, bypassing resolution."""
         breaker = self.breaker_for(target_node) if track_breaker else None
-        self._send_tracked(target_node, target_node, target_node, method, path,
-                           body, on_result, deadline, breaker)
+        self._send_tracked(target_node, method, path, body, on_result, deadline, breaker)
 
     def _call_library(self, service: str, method: str, path: str, body: Body,
                       on_result: Optional[Callable[[CallResult], None]]) -> None:
@@ -508,9 +495,7 @@ class ServiceClient:
         def reply(status: str, rbody: Body) -> None:
             if on_result is not None:
                 on_result(_classify(status, rbody))
-        req = Request(method=method, path=path, body=body,
-                      source=self.node.node_id, _reply=reply)
-        peer.dispatch(req)
+        peer.dispatch(Request(method, path, body, _reply=reply))
 
     def _call_discovered(self, service: str, method: str, path: str, body: Body,
                          on_result: Optional[Callable[[CallResult], None]],
@@ -564,23 +549,21 @@ class ServiceClient:
         if not breaker.allow(now):
             self._finish_fast(on_result)
             return
-        self._send_tracked(service, endpoint.instance_id, endpoint.node, method,
-                           path, body, on_result, deadline, breaker)
+        self._send_tracked(endpoint.node, method, path, body, on_result, deadline, breaker)
 
     def _can_attempt(self, endpoint: Endpoint) -> bool:
         # A missing breaker would be created CLOSED, and CLOSED admits.
         brk = self.breakers.get(endpoint.instance_id)
         return brk is None or brk.state is _CLOSED or brk.can_attempt(self.sim.now)
 
-    def _send_tracked(self, service: str, instance_id: str, target_node: str,
-                      method: str, path: str, body: Body,
+    def _send_tracked(self, target_node: str, method: str, path: str, body: Body,
                       on_result: Optional[Callable[[CallResult], None]],
                       deadline: Optional[int], breaker: Optional[CircuitBreaker]) -> None:
         node_id = self.node.node_id
         mid = self.sim.send(Envelope.request(node_id, target_node, path, method, body))
         wait = (deadline if deadline is not None else self.deadline) + 1
         timer = self.sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
-        self._pending[mid] = _Pending(service, instance_id, breaker, on_result, timer)
+        self._pending[mid] = _Pending(breaker, on_result, timer)
 
     def handle_response(self, env: Envelope) -> None:
         pending = self._pending.pop(env.correlation_id or -1, None)

@@ -57,7 +57,8 @@ class MergedConfig:
 
 def _check_entries(entries: dict[str, str]) -> None:
     for key, value in entries.items():
-        if not key or _KEY_FORBIDDEN & set(key) or _VALUE_FORBIDDEN & set(str(value)):
+        if not key or _KEY_FORBIDDEN & set(key) or not isinstance(value, str) \
+                or _VALUE_FORBIDDEN & set(value):
             raise MalformedConfig(f"bad entry: {key!r}")
 
 
@@ -73,7 +74,7 @@ class ConfigStore:
         _check_entries(entries)
         doc = self._docs.setdefault((service, profile), _Doc())
         doc.version += 1
-        doc.entries = {k: str(v) for k, v in entries.items()}
+        doc.entries = dict(entries)
         return self.get_config(service, profile).version
 
     def get_config(self, service: str, profile: str) -> MergedConfig:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chassis import CallResult, Request, ServiceNode, relay_result, split_path
-from .simwire import Body, Simulator
+from .simwire import Simulator
 
 SERVICE_NAME = "Gateway"
 

@@ -114,15 +114,10 @@ class SystemHandle:
     stores: Stores
     nodes: dict[str, ServiceNode]
     client_router: RouteTable
-    client_node: ServiceNode | None = None
     confsvc: ConfigServer | None = None
     registry: RegistryService | None = None
     gateway: Gateway | None = None
     settle_tick: int = 0
-
-    @property
-    def wiring(self) -> WiringMode:
-        return STAGES[self.stage].wiring
 
     def node_services(self) -> dict[str, str]:
         return {node_id: node.service for node_id, node in self.nodes.items()}
@@ -184,7 +179,7 @@ def build_stage(stage: int, seed: int = 0) -> SystemHandle:
     else:
         _build_split(handle)
 
-    handle.client_node = wire_client(handle, "client")
+    wire_client(handle, "client")
 
     settled = sim.run_until_idle(budget=SETTLE_BUDGET_TICKS)
     assert settled, "topology did not settle"

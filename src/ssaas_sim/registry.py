@@ -9,7 +9,6 @@ gone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .chassis import Request, ServiceNode
 from .simwire import Body, Simulator
@@ -17,7 +16,6 @@ from .simwire import Body, Simulator
 SERVICE_NAME = "ServiceRegistry"
 
 STATUS_UP = "UP"
-STATUS_DOWN = "DOWN"
 
 
 class RegistryError(Exception):

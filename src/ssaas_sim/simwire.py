@@ -2,7 +2,8 @@
 
 All inter-service traffic in every topology flows through a single
 :class:`Simulator`: a logical integer clock, a time-ordered event queue
-(FIFO within a tick), seeded randomness, and injectable fault rules.
+(FIFO within a tick), a seed that services derive their random choices
+from, and injectable fault rules.
 Determinism is the contract: identical seed + identical operation
 sequence produces an identical delivery trace, byte for byte.
 
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 import heapq
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
 from typing import Any, Callable, NamedTuple, Optional
@@ -79,7 +79,8 @@ class Envelope:
 
     ``message_id`` is assigned by the simulator at send time and strictly
     increases in send order. A RESPONSE echoes its request's id in
-    ``correlation_id``.
+    ``correlation_id`` and carries its status code in ``status``. The send
+    also sets ``maintenance``, the flag its receiving handler runs under.
     """
 
     source: str
@@ -87,27 +88,21 @@ class Envelope:
     kind: MessageKind
     path: str
     method: str = "GET"
-    headers: dict[str, str] = field(default_factory=dict)
+    status: Optional[str] = None
     body: Body = None
     correlation_id: Optional[int] = None
     message_id: Optional[int] = None
+    maintenance: bool = False
 
     @staticmethod
     def request(source: str, destination: str, path: str, method: str = "GET",
-                body: Body = None, headers: Optional[dict[str, str]] = None) -> "Envelope":
-        return Envelope(source, destination, REQUEST, path, method,
-                        dict(headers) if headers else {}, body)
+                body: Body = None) -> "Envelope":
+        return Envelope(source, destination, REQUEST, path, method, None, body)
 
     @staticmethod
-    def response(to: "Envelope", status: str, body: Body = None,
-                 headers: Optional[dict[str, str]] = None) -> "Envelope":
+    def response(to: "Envelope", status: str, body: Body = None) -> "Envelope":
         return Envelope(to.destination, to.source, RESPONSE, to.path, to.method,
-                        {**headers, "status": status} if headers else {"status": status},
-                        body, to.message_id)
-
-    @property
-    def status(self) -> Optional[str]:
-        return self.headers.get("status")
+                        status, body, to.message_id)
 
 
 @dataclass
@@ -170,11 +165,6 @@ DROPPED = "dropped"
 FAILED = "failed"
 
 
-@dataclass
-class _NodeSlot:
-    handler: Optional[Callable[[Envelope], None]]
-
-
 class Simulator:
     """Single-threaded event loop over logical ticks.
 
@@ -189,16 +179,15 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.rng = random.Random(seed)
         self.now = 0
-        self.nodes: dict[str, _NodeSlot] = {}
+        self.nodes: dict[str, Optional[Callable[[Envelope], None]]] = {}
         self.records: list[MessageRecord] = []
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.failed = 0
-        # A bucket holds (payload, maintenance) pairs flattened: an Envelope
-        # to deliver, or the id of a timer to fire.
+        # A bucket holds one entry per event: an Envelope to deliver, or the
+        # id of a timer to fire.
         self._buckets: dict[int, list] = {}
         self._ticks: list[int] = []  # heap of the keys of _buckets
         self._fault_schedule: list[tuple[int, int, FaultRule]] = []
@@ -223,7 +212,7 @@ class Simulator:
     def add_node(self, name: str, handler: Optional[Callable[[Envelope], None]] = None) -> None:
         if name in self.nodes:
             raise SimwireError(f"node already registered: {name}")
-        self.nodes[name] = _NodeSlot(handler=handler)
+        self.nodes[name] = handler
 
     def node_alive(self, name: str) -> bool:
         return name in self.nodes and name not in self._dead
@@ -250,6 +239,7 @@ class Simulator:
         self.sent += 1
         if maintenance is None:
             maintenance = self._ctx_maintenance
+        env.maintenance = maintenance
 
         if source in self._dead:
             # Dead nodes cannot put traffic on the wire.
@@ -257,7 +247,7 @@ class Simulator:
             self.dropped += 1
             return mid
         if destination not in self.nodes or destination in self._dead:
-            self._fail_with_network_error(env, maintenance)
+            self._fail_with_network_error(env)
             return mid
         tick = self.now + BASE_LATENCY_TICKS
         if self._link_rules:
@@ -276,7 +266,6 @@ class Simulator:
             bucket = self._buckets[tick] = []
             heapq.heappush(self._ticks, tick)
         bucket.append(env)
-        bucket.append(maintenance)
         if not maintenance:
             self._pending_external += 1
         return mid
@@ -390,16 +379,15 @@ class Simulator:
             self._activate_due_faults(self.now)
             return []
         tick = heapq.heappop(self._ticks)
-        events = iter(self._buckets.pop(tick))
         self._activate_due_faults(tick)
         self.now = tick
         nodes, timers = self.nodes, self._timers
         records_append = self.records.append
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
-        for payload, maintenance in zip(events, events):
-            if type(payload) is int:
-                entry = timers.pop(payload, None)
+        for event in self._buckets.pop(tick):
+            if type(event) is int:
+                entry = timers.pop(event, None)
                 if entry is None:
                     continue  # cancelled
                 fn, maintenance, node = entry
@@ -409,24 +397,23 @@ class Simulator:
                     continue
                 handler, arg = fn, None
             else:
+                maintenance = event.maintenance
                 if not maintenance:
                     self._pending_external -= 1
-                env: Envelope = payload
-                destination = env.destination
+                destination = event.destination
                 if destination not in nodes or destination in self._dead:
-                    self._fail_with_network_error(env, maintenance)
+                    self._fail_with_network_error(event)
                     continue
-                status = (env.headers.get("status") or DELIVERED) if env.kind is RESPONSE \
-                    else DELIVERED
+                status = (event.status or DELIVERED) if event.kind is RESPONSE else DELIVERED
                 records_append(_new_tuple(MessageRecord, (
-                    tick, env.message_id or 0, env.source, destination,
-                    _KIND_NAMES[env.kind], env.method, env.path, status)))
+                    tick, event.message_id or 0, event.source, destination,
+                    _KIND_NAMES[event.kind], event.method, event.path, status)))
                 self.delivered += 1
-                delivered.append(env)
-                handler = nodes[destination].handler
+                delivered.append(event)
+                handler = nodes[destination]
                 if handler is None:
                     continue
-                arg = env
+                arg = event
             self._ctx_maintenance = maintenance
             try:
                 if arg is None:
@@ -462,24 +449,23 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values()) // 2
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def next_event_tick(self) -> Optional[int]:
         return self._ticks[0] if self._ticks else None
 
     # -- internals --------------------------------------------------------
 
-    def _enqueue(self, tick: int, payload, maintenance: bool) -> None:
+    def _enqueue(self, tick: int, event: Envelope | int, maintenance: bool) -> None:
         bucket = self._buckets.get(tick)
         if bucket is None:
             bucket = self._buckets[tick] = []
             heapq.heappush(self._ticks, tick)
-        bucket.append(payload)
-        bucket.append(maintenance)
+        bucket.append(event)
         if not maintenance:
             self._pending_external += 1
 
-    def _fail_with_network_error(self, env: Envelope, maintenance: bool) -> None:
+    def _fail_with_network_error(self, env: Envelope) -> None:
         self._record(env, FAILED)
         self.failed += 1
         if env.kind is not REQUEST:
@@ -491,7 +477,8 @@ class Simulator:
         reply.message_id = self._next_message_id
         self._next_message_id += 1
         self.sent += 1
-        self._enqueue(self.now + BASE_LATENCY_TICKS, reply, maintenance)
+        reply.maintenance = env.maintenance
+        self._enqueue(self.now + BASE_LATENCY_TICKS, reply, reply.maintenance)
 
     def _record(self, env: Envelope, status: str) -> None:
         self.records.append(_new_tuple(MessageRecord, (

@@ -408,13 +408,9 @@ class ContentServices(ServiceNode):
 class ChatServices(ServiceNode):
     """Chat instance provisioning over MYSQL reservations."""
 
-    def __init__(self, sim: Simulator, node_id: str, chats: ChatStore,
-                 dev_entity: tuple[str, str] = DEV_ENTITY_SERVICE,
-                 resources_service: str = "ResourceManager") -> None:
+    def __init__(self, sim: Simulator, node_id: str, chats: ChatStore) -> None:
         super().__init__(sim, node_id, "ChatServices")
         self.chats = chats
-        self.dev_entity = dev_entity
-        self.resources_service = resources_service
         self.route("POST", "/chat", self._create)
         self.route("GET", "/chat/{cid}", self._get)
 
@@ -422,10 +418,10 @@ class ChatServices(ServiceNode):
     def _create(self, req: Request) -> None:
         doc = decode_tolerant(req.body, ["developer_id"])
         developer_id = _int_arg(doc["developer_id"])
-        dev_svc, dev_prefix = self.dev_entity
+        dev_svc, dev_prefix = DEV_ENTITY_SERVICE
 
         def reserve(_: Body) -> None:
-            forward(self, req, self.resources_service, "POST", "/resources/reservations",
+            forward(self, req, "ResourceManager", "POST", "/resources/reservations",
                     {"flavor": ServerFlavor.MYSQL.value, "owner": f"chat:{developer_id}"},
                     then=tag, fields=("reservation_id",))
 
@@ -434,7 +430,7 @@ class ChatServices(ServiceNode):
 
             def undo() -> None:
                 self.chats.remove(inst.chat_id)
-                _release(self, self.resources_service, res["reservation_id"])
+                _release(self, "ResourceManager", res["reservation_id"])
 
             forward(self, req, dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds",
                     {"kind": KIND_CHAT}, undo=undo,

@@ -443,7 +443,7 @@ class TestServiceNodeRouting:
         node.route("GET", "/things/{tid}", lambda req: ("200", {"which": "param"}))
         node.route("GET", "/things/special", lambda req: ("200", {"which": "literal"}))
         got = []
-        req = Request(method="GET", path="/things/special", body=None, source="t",
+        req = Request(method="GET", path="/things/special", body=None,
                       _reply=lambda s, b: got.append(b))
         node.dispatch(req)
         assert got == [{"which": "literal"}]
@@ -452,14 +452,14 @@ class TestServiceNodeRouting:
         sim = Simulator()
         node = ServiceNode(sim, "n", "N")
         got = []
-        req = Request(method="GET", path="/nope", body=None, source="t",
+        req = Request(method="GET", path="/nope", body=None,
                       _reply=lambda s, b: got.append((s, b)))
         node.dispatch(req)
         assert got == [("404", {"error": "NoRoute"})]
 
     def test_double_reply_ignored(self):
         got = []
-        req = Request(method="GET", path="/x", body=None, source="t",
+        req = Request(method="GET", path="/x", body=None,
                       _reply=lambda s, b: got.append(s))
         req.reply("200")
         req.reply("500")
@@ -469,7 +469,7 @@ class TestServiceNodeRouting:
         sim = Simulator()
         node = ServiceNode(sim, "n", "Svc")
         got = []
-        req = Request(method="POST", path="/refresh", source="confsvc",
+        req = Request(method="POST", path="/refresh",
                       body={"service": "Svc", "profile": "default",
                             "version": [1, 0], "entries": {"k": "v"}},
                       _reply=lambda s, b: got.append((s, b)))
@@ -480,7 +480,7 @@ class TestServiceNodeRouting:
     def test_refresh_for_other_service_not_applied(self):
         sim = Simulator()
         node = ServiceNode(sim, "n", "Svc")
-        req = Request(method="POST", path="/refresh", source="confsvc",
+        req = Request(method="POST", path="/refresh",
                       body={"service": "Other", "profile": "default",
                             "version": [1, 0], "entries": {"k": "v"}},
                       _reply=lambda s, b: None)
@@ -496,7 +496,7 @@ class TestServiceNodeRouting:
         sim = Simulator()
         node = ServiceNode(sim, "n", "Svc")
         got = []
-        req = Request(method="POST", path="/refresh", source="confsvc",
+        req = Request(method="POST", path="/refresh",
                       body={"service": "Svc", "profile": "default",
                             "version": version, "entries": entries},
                       _reply=lambda s, b: got.append((s, b)))

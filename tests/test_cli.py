@@ -91,8 +91,11 @@ class TestRun:
          ["400", '{"error":"Malformed"}']),
         ('0|client|POST|/api/projects|{"name":null,"owner_developer_id":1}',
          ["400", '{"error":"Malformed"}']),
+        ('0|admin|PUT|/config/ResourceManager/default|'
+         '{"entries":{"rm.policy":null,"breaker.threshold":["x"]}}',
+         ["400", '{"error":"Malformed","field":"entries"}']),
     ], ids=["refresh-version", "refresh-entry-value", "registry-port", "registry-null-id",
-            "developer-null-name", "project-null-name"])
+            "developer-null-name", "project-null-name", "config-non-string-entries"])
     def test_malformed_body_is_answered_not_fatal(self, tmp_path, capsys, line, answer):
         script = tmp_path / "one.wl"
         script.write_text(line + "\n")

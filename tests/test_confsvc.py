@@ -60,6 +60,15 @@ class TestStore:
         with pytest.raises(MalformedConfig):
             store.set_config("Sv|c", "default", {})
 
+    def test_non_string_values_rejected(self):
+        store = ConfigStore()
+        store.set_config("Svc", "default", {"a": "1"})
+        for bad in ({"a": None}, {"a": ["x"]}, {"a": 5}, {"a": True}):
+            with pytest.raises(MalformedConfig):
+                store.set_config("Svc", "default", bad)
+        merged = store.get_config("Svc", "default")
+        assert (merged.version, merged.entries) == ((1, 1), {"a": "1"})
+
 
 config_keys = st.text(alphabet="abcdefghijklmnop.-_", min_size=1, max_size=12)
 config_values = st.text(alphabet="abcdefghijklmnop0123456789._-", max_size=12)

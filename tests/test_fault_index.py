@@ -58,7 +58,7 @@ def observed_fate(sim: Simulator, env: Envelope, mid: int) -> tuple[str, Optiona
     if last is not None and last.message_id == mid:
         return last.status, None
     ticks = [tick for tick, bucket in sim._buckets.items()
-             if any(item is env for item in bucket[::2])]
+             if any(item is env for item in bucket)]
     assert len(ticks) == 1
     return "queued", ticks[0]
 

@@ -82,7 +82,7 @@ def indexed_dispatch(routes: list[tuple[str, str]], method: str, path: str):
         node.route(route_method, pattern,
                    lambda req, name=name: ("200", (name, dict(req.params))))
     got = []
-    node.dispatch(Request(method, path, None, "t", _reply=lambda s, b: got.append((s, b))))
+    node.dispatch(Request(method, path, None, _reply=lambda s, b: got.append((s, b))))
     assert len(got) == 1
     status, body = got[0]
     return None if status == "404" else body

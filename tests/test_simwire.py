@@ -268,7 +268,7 @@ class TestConservation:
 class TestDeterminism:
     def _run(self, seed: int) -> list[str]:
         sim = make_sim("a", "b", "c", seed=seed)
-        sim.nodes["b"].handler = lambda env: sim.send(Envelope.response(env, "200")) \
+        sim.nodes["b"] = lambda env: sim.send(Envelope.response(env, "200")) \
             if env.kind is MessageKind.REQUEST else None
         for i in range(10):
             sim.send(Envelope.request("a", "b", f"/r{i}"))
@@ -403,6 +403,46 @@ class TestExactlyOneReply:
             handle = build_stage(stage, 1)
             run_workload(handle, lines, faults=schedule)  # ends in run_until_idle
             assert handle.sim._awaiting_reply == set(), stage
+
+
+class TestMaintenanceFlag:
+    """The kernel's network-error reply keeps the maintenance flag of the
+    request it answers, so a maintenance loop that reaches a dead node never
+    holds up quiescence, and its handler's next send is maintenance too."""
+
+    @pytest.mark.parametrize("kill_before_send, expected", [
+        (True, [(1, "/beat", FAILED), (2, "/beat", NETWORK_ERROR_STATUS),
+                (3, "/next", DELIVERED)]),
+        (False, [(2, "/beat", FAILED), (3, "/beat", NETWORK_ERROR_STATUS),
+                 (4, "/next", DELIVERED)]),
+    ], ids=["killed-before-send", "killed-in-flight"])
+    def test_network_error_reply_stays_maintenance(self, kill_before_send, expected):
+        sim = Simulator()
+        replies: list[Envelope] = []
+
+        def on_reply(env: Envelope) -> None:
+            replies.append(env)
+            sim.send(Envelope.request("a", "c", "/next"))
+
+        def beat() -> None:
+            sim.send(Envelope.request("a", "b", "/beat"))
+            if not kill_before_send:
+                sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+
+        sim.add_node("a", on_reply)
+        sim.add_node("b")
+        sim.add_node("c")
+        if kill_before_send:
+            sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.set_timer("a", 1, beat, maintenance=True)
+        while sim.next_event_tick() is not None:
+            now = sim.now
+            assert sim.pending_external == 0
+            assert sim.run_until_idle()
+            assert sim.now == now
+            sim.step()
+        assert [r.status for r in replies] == [NETWORK_ERROR_STATUS]
+        assert [(r.tick, r.path, r.status) for r in sim.records] == expected
 
 
 class TestTickBuckets:

@@ -245,7 +245,7 @@ class TestForward:
             upstream.route("GET", "/missing", lambda req: ("404", {"error": "Nope"}))
             client.add_peer("Up", upstream)
         log: list = []
-        req = Request("GET", "/x", None, "t", _reply=lambda s, b: log.append((s, b)))
+        req = Request("GET", "/x", None, _reply=lambda s, b: log.append((s, b)))
         kw = {"then": lambda body: log.append(("then", body)),
               "undo": lambda: log.append("undo")} if steps else {}
         forward(caller, req, "Up", "GET", path, fields=fields, **kw)
