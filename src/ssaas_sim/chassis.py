@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .simwire import NETWORK_ERROR_STATUS, RESPONSE, Body, Envelope, Simulator
+from .simwire import NETWORK_ERROR_STATUS, REQUEST, RESPONSE, Body, Envelope, Simulator
 
 DEFAULT_BREAKER_THRESHOLD = 5
 DEFAULT_BREAKER_OPEN_TICKS = 30
@@ -247,7 +247,9 @@ class ConfigView:
 
 def split_path(path: str) -> tuple[str, ...]:
     """The non-empty segments of ``path``: ``//a/b/`` gives ``("a", "b")``."""
-    return tuple(filter(None, path.split("/")))
+    parts = path.strip("/").split("/")
+    # Only repeated inner slashes leave empty segments after the strip.
+    return tuple(filter(None, parts)) if "" in parts else tuple(parts)
 
 
 @dataclass(slots=True)
@@ -270,8 +272,10 @@ class Request:
         self.replied = True
         if self._reply is not None:
             self._reply(str(status), body)
-        elif self.wire is not None and self.env is not None:
-            self.wire.send(Envelope.response(self.env, str(status), body))
+        elif self.wire is not None and (env := self.env) is not None:
+            # Envelope.response, inlined: every wire request is answered here.
+            self.wire.send(Envelope(env.destination, env.source, RESPONSE, env.path,
+                                    env.method, str(status), body, env.message_id))
 
 
 class _Route(NamedTuple):
@@ -410,13 +414,6 @@ class CallResult:
         return self.status is _OK
 
 
-@dataclass(slots=True)
-class _Pending:
-    breaker: Optional[CircuitBreaker]
-    on_result: Optional[Callable[[CallResult], None]]
-    timer_id: int
-
-
 class ServiceClient:
     """Outbound call port for a node, in one of three wiring modes.
 
@@ -440,7 +437,8 @@ class ServiceClient:
         self.direct: dict[str, str] = {}
         self.resolver = Resolver()
         self.breakers: dict[str, CircuitBreaker] = {}
-        self._pending: dict[int, _Pending] = {}
+        # message id -> (breaker or None, on_result, deadline timer id)
+        self._pending: dict[int, tuple] = {}
         self._fetch_waiters: dict[str, list[Callable[[bool], None]]] = {}
         node.client = self
 
@@ -471,8 +469,8 @@ class ServiceClient:
             if target is None:
                 self._finish_fast(on_result)
                 return
-            breaker = self.breaker_for(target)
-            if not breaker.allow(self.sim.now):
+            breaker = self.breakers.get(target) or self.breaker_for(target)
+            if breaker.state is not _CLOSED and not breaker.allow(self.sim.now):
                 self._finish_fast(on_result)
                 return
             self._send_tracked(target, method, path, body, on_result, deadline, breaker)
@@ -545,8 +543,8 @@ class ServiceClient:
         except NoInstances:
             self._finish_fast(on_result)
             return
-        breaker = self.breaker_for(endpoint.instance_id)
-        if not breaker.allow(now):
+        breaker = self.breakers.get(endpoint.instance_id) or self.breaker_for(endpoint.instance_id)
+        if breaker.state is not _CLOSED and not breaker.allow(now):
             self._finish_fast(on_result)
             return
         self._send_tracked(endpoint.node, method, path, body, on_result, deadline, breaker)
@@ -559,33 +557,36 @@ class ServiceClient:
     def _send_tracked(self, target_node: str, method: str, path: str, body: Body,
                       on_result: Optional[Callable[[CallResult], None]],
                       deadline: Optional[int], breaker: Optional[CircuitBreaker]) -> None:
-        node_id = self.node.node_id
-        mid = self.sim.send(Envelope.request(node_id, target_node, path, method, body))
+        node_id, sim = self.node.node_id, self.sim
+        # Envelope.request, inlined: every tracked call sends one.
+        mid = sim.send(Envelope(node_id, target_node, REQUEST, path, method, None, body))
         wait = (deadline if deadline is not None else self.deadline) + 1
-        timer = self.sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
-        self._pending[mid] = _Pending(breaker, on_result, timer)
+        timer = sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
+        self._pending[mid] = (breaker, on_result, timer)
 
     def handle_response(self, env: Envelope) -> None:
-        pending = self._pending.pop(env.correlation_id or -1, None)
+        pending = self._pending.pop(env.correlation_id, None)
         if pending is None:
             return  # late response: the deadline already decided this call
-        self.sim.cancel_timer(pending.timer_id)
+        breaker, on_result, timer = pending
+        self.sim.cancel_timer(timer)
         result = _classify(env.status or "", env.body)
-        if pending.breaker is not None:
+        if breaker is not None:
             failure = result.status is _TIMEOUT or (
                 result.remote_status is not None and result.remote_status.startswith("5"))
-            pending.breaker.record_result(not failure, self.sim.now)
-        if pending.on_result is not None:
-            pending.on_result(result)
+            breaker.record_result(not failure, self.sim.now)
+        if on_result is not None:
+            on_result(result)
 
     def _on_deadline(self, message_id: int) -> None:
         pending = self._pending.pop(message_id, None)
         if pending is None:
             return
-        if pending.breaker is not None:
-            pending.breaker.record_result(False, self.sim.now)
-        if pending.on_result is not None:
-            pending.on_result(CallResult(_TIMEOUT))
+        breaker, on_result, _ = pending
+        if breaker is not None:
+            breaker.record_result(False, self.sim.now)
+        if on_result is not None:
+            on_result(CallResult(_TIMEOUT))
 
     def _finish_fast(self, on_result: Optional[Callable[[CallResult], None]]) -> None:
         if on_result is not None:

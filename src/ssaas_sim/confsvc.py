@@ -57,8 +57,8 @@ class MergedConfig:
 
 def _check_entries(entries: dict[str, str]) -> None:
     for key, value in entries.items():
-        if not key or _KEY_FORBIDDEN & set(key) or not isinstance(value, str) \
-                or _VALUE_FORBIDDEN & set(value):
+        if not isinstance(key, str) or not key or _KEY_FORBIDDEN & set(key) \
+                or not isinstance(value, str) or _VALUE_FORBIDDEN & set(value):
             raise MalformedConfig(f"bad entry: {key!r}")
 
 

@@ -10,8 +10,9 @@ internal failure detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .chassis import CallResult, Request, ServiceNode, relay_result, split_path
+from .chassis import Request, ServiceNode, relay_result, split_path
 from .simwire import Simulator
 
 SERVICE_NAME = "Gateway"
@@ -76,10 +77,11 @@ class RouteTable:
     def rules(self) -> list[RouteRule]:
         return [self._rules[p] for p in sorted(self._rules)]
 
-    def match(self, path: str) -> RouteRule | None:
+    def match(self, path: str, parts: tuple[str, ...] | None = None) -> RouteRule | None:
         """Longest rule whose prefix covers whole leading segments of
-        ``path``; /api/dev never matches a /api/developers request."""
-        parts = split_path(path)
+        ``path``; /api/dev never matches a /api/developers request. A caller
+        that has split ``path`` already passes the segments as ``parts``."""
+        parts = split_path(path) if parts is None else parts
         for n in self._lengths:
             if n <= len(parts):
                 rule = self._by_segments.get(parts[:n])
@@ -87,14 +89,16 @@ class RouteTable:
                     return rule
         return None
 
-    def rewrite(self, path: str, rule: RouteRule) -> str:
+    def rewrite(self, path: str, rule: RouteRule,
+                parts: tuple[str, ...] | None = None) -> str:
         """With strip on, drop the prefix's parent directories so the last
         prefix segment becomes the path root: /api/developers/42 forwarded
-        as /developers/42."""
+        as /developers/42. ``parts`` is as for :meth:`match`."""
         if not rule.strip:
             return path
         pre = self._segments.get(rule.prefix) or split_path(rule.prefix)
-        return "/" + "/".join(pre[-1:] + split_path(path)[len(pre):])
+        parts = split_path(path) if parts is None else parts
+        return "/" + "/".join(pre[-1:] + parts[len(pre):])
 
     @classmethod
     def from_config_entries(cls, entries: dict[str, str]) -> "RouteTable":
@@ -134,15 +138,13 @@ class Gateway(ServiceNode):
         if req.method == "POST" and req.path == "/refresh":
             super().dispatch(req)
             return
-        rule = self.table.match(req.path)
+        parts = split_path(req.path)
+        rule = self.table.match(req.path, parts)
         if rule is None:
             req.reply("404", {"error": "NoRoute"})
             return
         assert self.client is not None, "gateway needs a client"
-        inner_path = self.table.rewrite(req.path, rule)
-
-        def relay(result: CallResult) -> None:
-            relay_result(req, result)
-
+        inner_path = self.table.rewrite(req.path, rule, parts)
         self.client.call(rule.service, req.method, inner_path, req.body,
-                         on_result=relay, deadline=UPSTREAM_DEADLINE_TICKS)
+                         on_result=partial(relay_result, req),
+                         deadline=UPSTREAM_DEADLINE_TICKS)

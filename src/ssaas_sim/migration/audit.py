@@ -19,6 +19,7 @@ from ..chassis import split_path
 from ..simwire import DELIVERED, MessageKind, MessageRecord
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
+_REQUEST_KIND = MessageKind.REQUEST.value  # a record's kind is a plain string
 
 ENTITY_DEVELOPER = "Developer"
 ENTITY_PROJECT_SCHEMA = "ProjectSchema"
@@ -118,7 +119,7 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
         return AuditReport(stage=stage, status=AUDIT_NOT_APPLICABLE)
     report = AuditReport(stage=stage, status=AUDIT_OK)
     for rec in records:
-        if rec.kind != MessageKind.REQUEST.value or rec.status != DELIVERED:
+        if rec.kind != _REQUEST_KIND or rec.status != DELIVERED:
             continue
         if rec.method not in WRITE_METHODS:
             continue

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ..chassis import CallResult, CallStatus, ServiceNode, result_reply
+from ..chassis import CallResult, CallStatus, ServiceNode, result_reply, split_path
 from ..simwire import Body, FaultRule, apply_fault_schedule
 from .stages import CLIENT_DEADLINE_TICKS, SystemHandle, wire_client
 from .traces import TraceEntry
@@ -141,13 +141,14 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
         client.call_node("gateway", line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
     else:
-        rule = handle.client_router.match(line.path)
+        parts = split_path(line.path)
+        rule = handle.client_router.match(line.path, parts)
         if rule is None:
             finish(CallResult(CallStatus.REMOTE_ERROR, {"error": "NoRoute"},
                               remote_status="404"))
             return
         client.call(rule.service, line.method,
-                    handle.client_router.rewrite(line.path, rule), line.body,
+                    handle.client_router.rewrite(line.path, rule, parts), line.body,
                     finish, deadline=CLIENT_DEADLINE_TICKS)
 
 

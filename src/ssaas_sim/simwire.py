@@ -159,6 +159,7 @@ class MessageRecord(NamedTuple):
 
 _KIND_NAMES = {REQUEST: "REQUEST", RESPONSE: "RESPONSE"}
 _new_tuple = tuple.__new__  # builds a MessageRecord without _make's overhead
+_GONE = object()  # step's marker for a destination missing from _live
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -175,12 +176,17 @@ class Simulator:
     Every event lands at least one tick ahead, so the queue is a FIFO bucket
     per tick under a heap of the distinct ticks: send order within a tick
     is bucket order.
+
+    ``_live`` maps each node no kill rule has taken down to its handler, so
+    a send or a delivery checks liveness with one lookup. Kills and revives
+    edit it in place: a handler may change it for a later event of the tick.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.now = 0
         self.nodes: dict[str, Optional[Callable[[Envelope], None]]] = {}
+        self._live: dict[str, Optional[Callable[[Envelope], None]]] = {}
         self.records: list[MessageRecord] = []
         self.sent = 0
         self.delivered = 0
@@ -193,9 +199,8 @@ class Simulator:
         self._fault_schedule: list[tuple[int, int, FaultRule]] = []
         self._rules: dict[int, FaultRule] = {}
         # The DROP, PARTITION and DELAY rules of _rules, in registration
-        # order: the only rules a send consults. Kill rules act via _dead.
+        # order: the only rules a send consults. Kill rules act via _live.
         self._link_rules: list[FaultRule] = []
-        self._dead: set[str] = set()
         self._awaiting_reply: set[int] = set()
         # Pending timers by id; cancelling one removes it here and leaves
         # its queue entry behind as a tombstone.
@@ -213,9 +218,10 @@ class Simulator:
         if name in self.nodes:
             raise SimwireError(f"node already registered: {name}")
         self.nodes[name] = handler
+        self._live[name] = handler
 
     def node_alive(self, name: str) -> bool:
-        return name in self.nodes and name not in self._dead
+        return name in self._live
 
     # -- sending ----------------------------------------------------------
 
@@ -227,26 +233,29 @@ class Simulator:
         RESPONSE must answer a REQUEST that has had no reply yet.
         """
         source, destination = env.source, env.destination
-        if source not in self.nodes:
+        live = self._live
+        source_alive = source in live
+        if not source_alive and source not in self.nodes:
             raise UnknownNode(f"unknown source node: {source}")
-        if env.kind is RESPONSE:
+        kind = env.kind
+        if kind is RESPONSE:
             if env.correlation_id not in self._awaiting_reply:
                 raise InvalidEnvelope("RESPONSE must answer a REQUEST still awaiting its reply")
             self._awaiting_reply.remove(env.correlation_id)
         mid = self._next_message_id
-        self._next_message_id += 1
+        self._next_message_id = mid + 1
         env.message_id = mid
         self.sent += 1
         if maintenance is None:
             maintenance = self._ctx_maintenance
         env.maintenance = maintenance
 
-        if source in self._dead:
+        if not source_alive:
             # Dead nodes cannot put traffic on the wire.
             self._record(env, DROPPED)
             self.dropped += 1
             return mid
-        if destination not in self.nodes or destination in self._dead:
+        if destination not in live:
             self._fail_with_network_error(env)
             return mid
         tick = self.now + BASE_LATENCY_TICKS
@@ -258,7 +267,7 @@ class Simulator:
                         self.dropped += 1
                         return mid
                     tick += rule.delay_ticks
-        if env.kind is REQUEST:
+        if kind is REQUEST:
             self._awaiting_reply.add(mid)
         # _enqueue, inlined: this is the busiest call site.
         bucket = self._buckets.get(tick)
@@ -286,7 +295,15 @@ class Simulator:
         tid = self._next_timer_id
         self._next_timer_id += 1
         self._timers[tid] = (fn, maintenance, node)
-        self._enqueue(self.now + delay, tid, maintenance)
+        # _enqueue, inlined: a tracked call sets a deadline timer.
+        tick = self.now + delay
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = []
+            heapq.heappush(self._ticks, tick)
+        bucket.append(tid)
+        if not maintenance:
+            self._pending_external += 1
         return tid
 
     def cancel_timer(self, timer_id: int) -> None:
@@ -345,21 +362,24 @@ class Simulator:
         if rule.effect is FaultEffect.KILL_NODE:
             for name in self.nodes:
                 if rule.matches_node(name):
-                    self._dead.add(name)
+                    self._live.pop(name, None)
 
     def _recompute_dead(self) -> None:
-        self._dead = {
-            name
-            for name in self.nodes
-            for rule in self._rules.values()
-            if rule.active and rule.effect is FaultEffect.KILL_NODE and rule.matches_node(name)
-        }
+        """Refill ``_live`` in place: every node no active kill rule matches."""
+        kills = [rule for rule in self._rules.values()
+                 if rule.active and rule.effect is FaultEffect.KILL_NODE]
+        live = self._live
+        live.clear()
+        for name, handler in self.nodes.items():
+            if not any(rule.matches_node(name) for rule in kills):
+                live[name] = handler
 
     def _activate_due_faults(self, up_to_tick: int) -> None:
         while self._fault_schedule and self._fault_schedule[0][0] <= up_to_tick:
             _, _, (action, arg) = heapq.heappop(self._fault_schedule)
             if action == "activate":
-                self._apply_rule(arg)
+                if self._rules.get(arg.rule_id) is arg:  # not cleared meanwhile
+                    self._apply_rule(arg)
             else:  # revive
                 for rule in self._rules.values():
                     if rule.effect is FaultEffect.KILL_NODE and rule.node == arg:
@@ -379,49 +399,47 @@ class Simulator:
             self._activate_due_faults(self.now)
             return []
         tick = heapq.heappop(self._ticks)
-        self._activate_due_faults(tick)
+        if self._fault_schedule:
+            self._activate_due_faults(tick)
         self.now = tick
-        nodes, timers = self.nodes, self._timers
+        live, timers = self._live, self._timers
         records_append = self.records.append
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
-        for event in self._buckets.pop(tick):
-            if type(event) is int:
-                entry = timers.pop(event, None)
-                if entry is None:
-                    continue  # cancelled
-                fn, maintenance, node = entry
-                if not maintenance:
-                    self._pending_external -= 1
-                if node not in nodes or node in self._dead:
+        # Handlers run under their event's flag; the caller's is restored after.
+        try:
+            for event in self._buckets.pop(tick):
+                if type(event) is int:
+                    entry = timers.pop(event, None)
+                    if entry is None:
+                        continue  # cancelled
+                    fn, maintenance, node = entry
+                    if not maintenance:
+                        self._pending_external -= 1
+                    if node in live:
+                        self._ctx_maintenance = maintenance
+                        fn()
                     continue
-                handler, arg = fn, None
-            else:
                 maintenance = event.maintenance
                 if not maintenance:
                     self._pending_external -= 1
                 destination = event.destination
-                if destination not in nodes or destination in self._dead:
+                handler = live.get(destination, _GONE)
+                if handler is _GONE:
                     self._fail_with_network_error(event)
                     continue
-                status = (event.status or DELIVERED) if event.kind is RESPONSE else DELIVERED
+                kind = event.kind
                 records_append(_new_tuple(MessageRecord, (
                     tick, event.message_id or 0, event.source, destination,
-                    _KIND_NAMES[event.kind], event.method, event.path, status)))
+                    _KIND_NAMES[kind], event.method, event.path,
+                    (event.status or DELIVERED) if kind is RESPONSE else DELIVERED)))
                 self.delivered += 1
                 delivered.append(event)
-                handler = nodes[destination]
-                if handler is None:
-                    continue
-                arg = event
-            self._ctx_maintenance = maintenance
-            try:
-                if arg is None:
-                    handler()
-                else:
-                    handler(arg)
-            finally:
-                self._ctx_maintenance = outer
+                if handler is not None:
+                    self._ctx_maintenance = maintenance
+                    handler(event)
+        finally:
+            self._ctx_maintenance = outer
         return delivered
 
     def advance_to(self, tick: int) -> None:
@@ -430,7 +448,8 @@ class Simulator:
             self.step()
         if tick > self.now:
             self.now = tick
-        self._activate_due_faults(self.now)
+        if self._fault_schedule:
+            self._activate_due_faults(self.now)
 
     def run_until_idle(self, budget: int = 10_000) -> bool:
         """Step until no non-maintenance work is pending. Returns False if
@@ -471,7 +490,7 @@ class Simulator:
         if env.kind is not REQUEST:
             return
         self._awaiting_reply.discard(env.message_id)
-        if env.source not in self.nodes or env.source in self._dead:
+        if env.source not in self._live:
             return
         reply = Envelope.response(env, NETWORK_ERROR_STATUS, body={"error": "NetworkError"})
         reply.message_id = self._next_message_id

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssaas_sim.chassis import (
+    DEFAULT_BREAKER_OPEN_TICKS,
     CallResult,
     CallStatus,
     CircuitBreaker,
@@ -422,6 +423,83 @@ class TestClientDiscovered:
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
         r = self._call(sim, caller)
         assert r.status is CallStatus.FAST_FAIL
+
+
+class ScriptNode(ServiceNode):
+    """Answers by path: 200, 400, 500, a network error, or 200 after
+    ``/after/{ticks}`` ticks, counted on the timers of ``timer_node``."""
+
+    def __init__(self, sim, node_id, timer_node):
+        super().__init__(sim, node_id, "Script")
+        self.timer_node = timer_node
+        self.route("POST", "/ok", lambda req: ("200", req.body))
+        self.route("POST", "/reject", lambda req: ("400", {"error": "Malformed"}))
+        self.route("POST", "/fail", lambda req: ("500", {"error": "boom"}))
+        self.route("POST", "/neterr", lambda req: ("network-error", {"error": "NetworkError"}))
+        self.route("POST", "/after/{ticks}", self._after)
+
+    def _after(self, req):
+        self.sim.set_timer(self.timer_node, int(req.params["ticks"]),
+                           lambda: req.reply("200", req.body))
+
+
+class TestCallPathsAgree:
+    """One answer script through every wiring mode. The wire modes keep
+    separate send paths (a configured node, or a resolved instance), so they
+    must agree on every result and every breaker state. A library call has
+    no deadline: answers that come late over the wire come back as OK."""
+
+    DEADLINE = 5
+    # (path, what the wire modes get); /after/3 lands on the deadline tick,
+    # /after/4 one tick past it, /after/12 long after the deadline fired.
+    SCRIPT = [("/ok", CallStatus.OK), ("/reject", CallStatus.REMOTE_ERROR),
+              ("/fail", CallStatus.REMOTE_ERROR), ("/neterr", CallStatus.TIMEOUT),
+              ("/after/3", CallStatus.OK), ("/after/4", CallStatus.TIMEOUT),
+              ("/after/12", CallStatus.TIMEOUT)] + \
+        [("/fail", CallStatus.REMOTE_ERROR)] * 3 + [("/ok", CallStatus.FAST_FAIL)]
+    LATE = ("/after/4", "/after/12")
+
+    def _run(self, mode: WiringMode):
+        sim = Simulator()
+        caller = build_caller(sim, mode)
+        script = ScriptNode(sim, "script-1", "caller")
+        if mode is WiringMode.LIBRARY_CALL:
+            caller.client.add_peer("Script", script)
+        else:
+            script.bind()
+            caller.client.set_direct("Script", "script-1")
+            FakeRegistry(sim, {"Script": [{"instance_id": "script-1",
+                                           "address": "script-1"}]}).bind()
+        steps = []
+        for i, (path, _) in enumerate(self.SCRIPT + [("/ok", None)]):
+            if i == len(self.SCRIPT):
+                sim.advance_to(sim.now + DEFAULT_BREAKER_OPEN_TICKS)  # probe
+            results: list[CallResult] = []
+            caller.client.call("Script", "POST", path, {"n": i}, results.append,
+                               deadline=self.DEADLINE)
+            run_until_idle(sim)
+            brk = caller.client.breakers.get("script-1")
+            steps.append((results, brk and (brk.state, brk.consecutive_failures,
+                                            brk.probe_inflight)))
+        return steps
+
+    def test_modes_agree(self):
+        direct = self._run(WiringMode.DIRECT_WIRE)
+        discovered = self._run(WiringMode.DISCOVERED)
+        library = self._run(WiringMode.LIBRARY_CALL)
+        assert direct == discovered
+        assert [r[0].status for r, _ in direct] == \
+            [want for _, want in self.SCRIPT] + [CallStatus.OK]
+        assert direct[3][0][0] == CallResult(CallStatus.TIMEOUT, {"error": "NetworkError"},
+                                             "network-error")
+        assert direct[-2][1] == (CircuitState.OPEN, 5, 0)
+        assert direct[-1][1] == (CircuitState.CLOSED, 0, 0)
+        for (path, _), (wire, _), (lib, brk) in zip(self.SCRIPT, direct, library):
+            assert brk is None
+            if path in self.LATE:
+                assert lib[0].status is CallStatus.OK
+            elif wire[0].status is not CallStatus.FAST_FAIL:
+                assert lib == wire
 
 
 class TestServiceNodeRouting:

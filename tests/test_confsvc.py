@@ -69,6 +69,13 @@ class TestStore:
         merged = store.get_config("Svc", "default")
         assert (merged.version, merged.entries) == ((1, 1), {"a": "1"})
 
+    def test_non_string_keys_rejected(self):
+        store = ConfigStore()
+        for bad in ({1: "x"}, {None: "x"}, {("a",): "x"}):
+            with pytest.raises(MalformedConfig):
+                store.set_config("S", "default", bad)
+        assert store.services() == []
+
 
 config_keys = st.text(alphabet="abcdefghijklmnop.-_", min_size=1, max_size=12)
 config_values = st.text(alphabet="abcdefghijklmnop0123456789._-", max_size=12)

@@ -1,26 +1,31 @@
-"""The link-rule index that ``Simulator.send`` consults, against a full scan.
+"""Send fates and node liveness against references built from the rules.
 
 ``send`` only looks at the DROP, PARTITION and DELAY rules, kept in
-registration order; KILL_NODE rules act through the dead-node set. The
-reference below is the decision ``send`` used to make: two scans over every
-registered rule, the first for an active drop or partition, the second
-summing active delays. After any sequence of injects, clears, scheduled
-faults and revives, and ``active`` flags flipped by hand, every send must
-meet the fate the reference predicts: dropped, failed, or delivered on a
-given tick.
+registration order; KILL_NODE rules act through the kernel's live-node map.
+The references below read neither index. A node is up when it is registered
+and no active kill rule matches it. A send's fate is the decision ``send``
+used to make: two scans over every registered rule, the first for an active
+drop or partition, the second summing active delays. After any sequence of
+injects, clears, scheduled faults and revives, link rules' ``active`` flags
+flipped by hand, timers (also on killed nodes), and kills, revives and sends
+made by handlers and timers in the middle of a tick, every send must meet
+the fate the reference predicts (dropped, failed, or delivered on a given
+tick), ``node_alive`` must agree with the reference, and ``step()`` must
+deliver exactly the events whose node was up when their turn came.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssaas_sim.simwire import (
     BASE_LATENCY_TICKS,
     DROPPED,
     FAILED,
+    REQUEST,
     Envelope,
     FaultEffect,
     FaultRule,
@@ -33,11 +38,22 @@ PATTERNS = ("*", "a-*", "b-1", "?-1", "reg", "c*")
 LINK_EFFECTS = (FaultEffect.DROP, FaultEffect.PARTITION, FaultEffect.DELAY)
 
 
+def reference_alive(sim: Simulator, name: str) -> bool:
+    """Registered, and matched by no active kill rule."""
+    return name in sim.nodes and not any(
+        rule.active and rule.effect is FaultEffect.KILL_NODE and rule.matches_node(name)
+        for rule in sim._rules.values())
+
+
+def alive_set(sim: Simulator) -> frozenset[str]:
+    return frozenset(name for name in DESTINATIONS if reference_alive(sim, name))
+
+
 def reference_fate(sim: Simulator, source: str, destination: str) -> tuple[str, Optional[int]]:
     """("dropped" | "failed" | "queued", delivery tick) by the old double scan."""
-    if source in sim._dead:
+    if not reference_alive(sim, source):
         return DROPPED, None
-    if destination not in sim.nodes or destination in sim._dead:
+    if not reference_alive(sim, destination):
         return FAILED, None
     latency = BASE_LATENCY_TICKS
     for rule in sim._rules.values():
@@ -73,24 +89,125 @@ rules = st.one_of(
               st.sampled_from(PATTERNS)),
 )
 
+# What a handler or a timer does when it runs.
+actions = st.one_of(
+    st.none(),
+    st.tuples(st.just("kill"), st.sampled_from(PATTERNS)),
+    st.tuples(st.just("revive"), st.integers(0, 20)),
+    st.tuples(st.just("send"), st.sampled_from(DESTINATIONS)),
+)
+
 ops = st.one_of(
     st.tuples(st.just("inject"), rules),
     st.tuples(st.just("clear"), st.integers(0, 20)),
     st.tuples(st.just("schedule"), st.integers(0, 6), rules),
     st.tuples(st.just("revive"), st.integers(0, 6), st.sampled_from(PATTERNS)),
     st.tuples(st.just("advance"), st.integers(0, 4)),
+    st.tuples(st.just("step")),
     st.tuples(st.just("toggle"), st.integers(0, 20)),
-    st.tuples(st.just("send"), st.sampled_from(NODES), st.sampled_from(DESTINATIONS)),
+    st.tuples(st.just("timer"), st.sampled_from(NODES), st.integers(1, 4), actions),
+    st.tuples(st.just("send"), st.sampled_from(NODES), st.sampled_from(DESTINATIONS),
+              actions),
 )
+
+
+class Script:
+    """A simulator whose handlers and timers run drawn actions and log, for
+    every event they run, the reference's live set before and after."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.ids: list[int] = []
+        self.log: list[tuple[object, frozenset[str], frozenset[str]]] = []
+        self.timer_nodes: dict[int, str] = {}
+        for name in NODES:
+            self.sim.add_node(name, self._handler(name))
+
+    def _handler(self, name: str):
+        def handler(env: Envelope) -> None:
+            self._run(env, name, env.body if env.kind is REQUEST else None)
+        return handler
+
+    def _run(self, event: object, node: str, action) -> None:
+        before = alive_set(self.sim)
+        if action is not None:
+            kind, arg = action
+            if kind == "kill":
+                self.ids.append(self.sim.inject(FaultRule(FaultEffect.KILL_NODE, node=arg)))
+            elif kind == "revive":
+                kills = [rid for rid in self.ids if rid in self.sim._rules
+                         and self.sim._rules[rid].effect is FaultEffect.KILL_NODE]
+                if kills:
+                    self.sim.clear(kills[arg % len(kills)])
+            else:
+                self.send(node, arg, None)
+        self.log.append((event, before, alive_set(self.sim)))
+
+    def send(self, source: str, destination: str, action) -> None:
+        sim = self.sim
+        want = reference_fate(sim, source, destination)
+        env = Envelope.request(source, destination, "/x", body=action)
+        mid = sim.send(env)
+        assert observed_fate(sim, env, mid) == want
+
+    def set_timer(self, node: str, delay: int, action) -> None:
+        box: list[int] = []
+        tid = self.sim.set_timer(node, delay, lambda: self._run(box[0], node, action))
+        box.append(tid)
+        self.timer_nodes[tid] = node
+
+    def step(self) -> None:
+        """Step once; what was delivered or fired must be exactly the events
+        whose node the reference had up at their turn."""
+        sim = self.sim
+        tick = sim.next_event_tick()
+        bucket = list(sim._buckets[tick]) if tick is not None else []
+        pending_timers = set(sim._timers)
+        self.log.clear()
+        delivered = sim.step()
+        after = alive_set(sim)
+        expected: list[Envelope] = []
+        state: Optional[frozenset[str]] = None  # live set between two runs
+        ran = 0
+        for event in bucket:
+            if type(event) is int:
+                if event not in pending_timers:
+                    continue  # cancelled
+                node = self.timer_nodes[event]
+            else:
+                node = event.destination
+            if ran < len(self.log) and self.log[ran][0] is event:
+                _, before, state_after = self.log[ran]
+                ran += 1
+                assert state is None or before == state
+                assert node in before
+                state = state_after
+                if type(event) is not int:
+                    expected.append(event)
+            else:
+                now = state if state is not None else \
+                    self.log[ran][1] if ran < len(self.log) else after
+                assert node not in now
+        assert ran == len(self.log)
+        assert [id(e) for e in delivered] == [id(e) for e in expected]
+
+
+# In flight to b-1 at tick 1: a request and a timer; a handler earlier in
+# that tick revives (first) or kills (second) b-1.
+MID_TICK_REVIVE = [("send", "a-1", "reg", ("revive", 0)), ("send", "a-1", "b-1", None),
+                   ("timer", "b-1", 1, None),
+                   ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")), ("step",)]
+MID_TICK_KILL = [("send", "a-1", "reg", ("kill", "b-1")), ("send", "a-1", "b-1", None),
+                 ("timer", "b-1", 1, None), ("step",)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ops, max_size=40))
+@example(MID_TICK_REVIVE)
+@example(MID_TICK_KILL)
 def test_send_fate_matches_full_rule_scan(script):
-    sim = Simulator()
-    for name in NODES:
-        sim.add_node(name)
-    ids: list[int] = []
+    run = Script()
+    sim, ids = run.sim, run.ids
     for op in script:
         kind = op[0]
         if kind == "inject":
@@ -105,19 +222,24 @@ def test_send_fate_matches_full_rule_scan(script):
             sim.schedule_revive(sim.now + op[1], op[2])
         elif kind == "advance":
             sim.advance_to(sim.now + op[1])
+        elif kind == "step":
+            run.step()
         elif kind == "toggle":
-            live = [sim._rules[rid] for rid in ids if rid in sim._rules]
+            # Only link rules: a kill rule takes effect when it is applied or
+            # cleared, not when its flag is flipped by hand.
+            live = [sim._rules[rid] for rid in ids if rid in sim._rules
+                    and sim._rules[rid].effect is not FaultEffect.KILL_NODE]
             if live:
                 rule = live[op[1] % len(live)]
                 rule.active = not rule.active
+        elif kind == "timer":
+            run.set_timer(*op[1:])
         else:
-            _, source, destination = op
-            want = reference_fate(sim, source, destination)
-            env = Envelope.request(source, destination, "/x")
-            mid = sim.send(env)
-            assert observed_fate(sim, env, mid) == want
+            run.send(*op[1:])
         assert sim._link_rules == [rule for rule in sim._rules.values()
                                    if rule.effect is not FaultEffect.KILL_NODE]
+        for name in DESTINATIONS:
+            assert sim.node_alive(name) == reference_alive(sim, name)
 
 
 def test_no_link_rule_means_nothing_scanned():

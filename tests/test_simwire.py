@@ -209,6 +209,17 @@ class TestFaults:
         sim.advance_to(10)
         assert not sim.node_alive("b")
 
+    def test_scheduled_fault_cleared_before_its_tick_never_activates(self):
+        sim = make_sim("a", "b")
+        kill = sim.schedule_fault(10, FaultRule(FaultEffect.KILL_NODE, node="b"))
+        drop = sim.schedule_fault(10, FaultRule(FaultEffect.DROP, source="a", destination="b"))
+        sim.clear(kill)
+        sim.clear(drop)
+        sim.advance_to(10)
+        assert sim.node_alive("b")
+        sim.send(Envelope.request("a", "b", "/x"))
+        assert [e.path for e in drain(sim)] == ["/x"]
+
     def test_timer_fires_and_is_not_traced(self):
         sim = make_sim("a")
         fired: list[int] = []
@@ -267,9 +278,9 @@ class TestConservation:
 
 class TestDeterminism:
     def _run(self, seed: int) -> list[str]:
-        sim = make_sim("a", "b", "c", seed=seed)
-        sim.nodes["b"] = lambda env: sim.send(Envelope.response(env, "200")) \
-            if env.kind is MessageKind.REQUEST else None
+        sim = make_sim("a", "c", seed=seed)
+        sim.add_node("b", lambda env: sim.send(Envelope.response(env, "200"))
+                     if env.kind is MessageKind.REQUEST else None)
         for i in range(10):
             sim.send(Envelope.request("a", "b", f"/r{i}"))
             if i == 4:
