@@ -176,7 +176,7 @@ class Script:
                 node = self.timer_nodes[event]
             else:
                 node = event.destination
-            if ran < len(self.log) and self.log[ran][0] is event:
+            if ran < len(self.log) and self.log[ran][0] == event:
                 _, before, state_after = self.log[ran]
                 ran += 1
                 assert state is None or before == state
