@@ -469,7 +469,7 @@ class ServiceClient:
             if target is None:
                 self._finish_fast(on_result)
                 return
-            breaker = self.breakers.get(target) or self.breaker_for(target)
+            breaker = self.breaker_for(target)
             if breaker.state is not _CLOSED and not breaker.allow(self.sim.now):
                 self._finish_fast(on_result)
                 return
@@ -543,7 +543,7 @@ class ServiceClient:
         except NoInstances:
             self._finish_fast(on_result)
             return
-        breaker = self.breakers.get(endpoint.instance_id) or self.breaker_for(endpoint.instance_id)
+        breaker = self.breaker_for(endpoint.instance_id)
         if breaker.state is not _CLOSED and not breaker.allow(now):
             self._finish_fast(on_result)
             return

@@ -10,9 +10,8 @@ internal failure detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .chassis import Request, ServiceNode, relay_result, split_path
+from .chassis import CallResult, Request, ServiceNode, relay_result, split_path
 from .simwire import Simulator
 
 SERVICE_NAME = "Gateway"
@@ -77,11 +76,10 @@ class RouteTable:
     def rules(self) -> list[RouteRule]:
         return [self._rules[p] for p in sorted(self._rules)]
 
-    def match(self, path: str, parts: tuple[str, ...] | None = None) -> RouteRule | None:
-        """Longest rule whose prefix covers whole leading segments of
-        ``path``; /api/dev never matches a /api/developers request. A caller
-        that has split ``path`` already passes the segments as ``parts``."""
-        parts = split_path(path) if parts is None else parts
+    def match(self, parts: tuple[str, ...]) -> RouteRule | None:
+        """Longest rule whose prefix covers whole leading segments of a path
+        split into ``parts``; /api/dev never matches a /api/developers
+        request."""
         for n in self._lengths:
             if n <= len(parts):
                 rule = self._by_segments.get(parts[:n])
@@ -89,15 +87,13 @@ class RouteTable:
                     return rule
         return None
 
-    def rewrite(self, path: str, rule: RouteRule,
-                parts: tuple[str, ...] | None = None) -> str:
+    def rewrite(self, path: str, rule: RouteRule, parts: tuple[str, ...]) -> str:
         """With strip on, drop the prefix's parent directories so the last
         prefix segment becomes the path root: /api/developers/42 forwarded
-        as /developers/42. ``parts`` is as for :meth:`match`."""
+        as /developers/42. ``parts`` is ``path`` split."""
         if not rule.strip:
             return path
         pre = self._segments.get(rule.prefix) or split_path(rule.prefix)
-        parts = split_path(path) if parts is None else parts
         return "/" + "/".join(pre[-1:] + parts[len(pre):])
 
     @classmethod
@@ -139,12 +135,15 @@ class Gateway(ServiceNode):
             super().dispatch(req)
             return
         parts = split_path(req.path)
-        rule = self.table.match(req.path, parts)
+        rule = self.table.match(parts)
         if rule is None:
             req.reply("404", {"error": "NoRoute"})
             return
         assert self.client is not None, "gateway needs a client"
         inner_path = self.table.rewrite(req.path, rule, parts)
+
+        def relay(result: CallResult) -> None:
+            relay_result(req, result)
+
         self.client.call(rule.service, req.method, inner_path, req.body,
-                         on_result=partial(relay_result, req),
-                         deadline=UPSTREAM_DEADLINE_TICKS)
+                         on_result=relay, deadline=UPSTREAM_DEADLINE_TICKS)

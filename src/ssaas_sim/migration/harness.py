@@ -142,7 +142,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
     else:
         parts = split_path(line.path)
-        rule = handle.client_router.match(line.path, parts)
+        rule = handle.client_router.match(parts)
         if rule is None:
             finish(CallResult(CallStatus.REMOTE_ERROR, {"error": "NoRoute"},
                               remote_status="404"))

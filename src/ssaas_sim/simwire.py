@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple, Optional
 
 Body = Any  # maps, lists, strings, ints, booleans, None
@@ -81,6 +82,7 @@ class Envelope:
     increases in send order. A RESPONSE echoes its request's id in
     ``correlation_id`` and carries its status code in ``status``. The send
     also sets ``maintenance``, the flag its receiving handler runs under.
+    The chassis builds its envelopes positionally, in this field order.
     """
 
     source: str
@@ -177,15 +179,18 @@ class Simulator:
     per tick under a heap of the distinct ticks: send order within a tick
     is bucket order.
 
-    ``_live`` maps each node no kill rule has taken down to its handler, so
-    a send or a delivery checks liveness with one lookup. Kills and revives
-    edit it in place: a handler may change it for a later event of the tick.
+    ``nodes`` is a read-only view of every registered node's handler:
+    :meth:`add_node` is the only way in. ``_live`` maps each node no kill
+    rule has taken down to its handler, so a send or a delivery checks
+    liveness with one lookup. Kills and revives edit it in place: a handler
+    may change it for a later event of the tick.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.now = 0
-        self.nodes: dict[str, Optional[Callable[[Envelope], None]]] = {}
+        self._nodes: dict[str, Optional[Callable[[Envelope], None]]] = {}
+        self.nodes = MappingProxyType(self._nodes)
         self._live: dict[str, Optional[Callable[[Envelope], None]]] = {}
         self.records: list[MessageRecord] = []
         self.sent = 0
@@ -215,9 +220,9 @@ class Simulator:
     # -- nodes ------------------------------------------------------------
 
     def add_node(self, name: str, handler: Optional[Callable[[Envelope], None]] = None) -> None:
-        if name in self.nodes:
+        if name in self._nodes:
             raise SimwireError(f"node already registered: {name}")
-        self.nodes[name] = handler
+        self._nodes[name] = handler
         self._live[name] = handler
 
     def node_alive(self, name: str) -> bool:
@@ -235,7 +240,7 @@ class Simulator:
         source, destination = env.source, env.destination
         live = self._live
         source_alive = source in live
-        if not source_alive and source not in self.nodes:
+        if not source_alive and source not in self._nodes:
             raise UnknownNode(f"unknown source node: {source}")
         kind = env.kind
         if kind is RESPONSE:
@@ -269,7 +274,6 @@ class Simulator:
                     tick += rule.delay_ticks
         if kind is REQUEST:
             self._awaiting_reply.add(mid)
-        # _enqueue, inlined: this is the busiest call site.
         bucket = self._buckets.get(tick)
         if bucket is None:
             bucket = self._buckets[tick] = []
@@ -286,7 +290,7 @@ class Simulator:
         Timers are scheduler internals, not wire traffic: they never appear
         in the trace and are skipped if the node has been killed.
         """
-        if node not in self.nodes:
+        if node not in self._nodes:
             raise UnknownNode(f"unknown node: {node}")
         if delay < 1:
             raise SimwireError("timer delay must be >= 1 tick")
@@ -295,7 +299,6 @@ class Simulator:
         tid = self._next_timer_id
         self._next_timer_id += 1
         self._timers[tid] = (fn, maintenance, node)
-        # _enqueue, inlined: a tracked call sets a deadline timer.
         tick = self.now + delay
         bucket = self._buckets.get(tick)
         if bucket is None:
@@ -360,7 +363,7 @@ class Simulator:
     def _apply_rule(self, rule: FaultRule) -> None:
         rule.active = True
         if rule.effect is FaultEffect.KILL_NODE:
-            for name in self.nodes:
+            for name in self._nodes:
                 if rule.matches_node(name):
                     self._live.pop(name, None)
 
@@ -370,7 +373,7 @@ class Simulator:
                  if rule.active and rule.effect is FaultEffect.KILL_NODE]
         live = self._live
         live.clear()
-        for name, handler in self.nodes.items():
+        for name, handler in self._nodes.items():
             if not any(rule.matches_node(name) for rule in kills):
                 live[name] = handler
 
@@ -475,15 +478,6 @@ class Simulator:
 
     # -- internals --------------------------------------------------------
 
-    def _enqueue(self, tick: int, event: Envelope | int, maintenance: bool) -> None:
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            bucket = self._buckets[tick] = []
-            heapq.heappush(self._ticks, tick)
-        bucket.append(event)
-        if not maintenance:
-            self._pending_external += 1
-
     def _fail_with_network_error(self, env: Envelope) -> None:
         self._record(env, FAILED)
         self.failed += 1
@@ -496,8 +490,15 @@ class Simulator:
         reply.message_id = self._next_message_id
         self._next_message_id += 1
         self.sent += 1
-        reply.maintenance = env.maintenance
-        self._enqueue(self.now + BASE_LATENCY_TICKS, reply, reply.maintenance)
+        reply.maintenance = maintenance = env.maintenance
+        tick = self.now + BASE_LATENCY_TICKS
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = []
+            heapq.heappush(self._ticks, tick)
+        bucket.append(reply)
+        if not maintenance:
+            self._pending_external += 1
 
     def _record(self, env: Envelope, status: str) -> None:
         self.records.append(_new_tuple(MessageRecord, (

@@ -3,19 +3,24 @@
 ``send`` only looks at the DROP, PARTITION and DELAY rules, kept in
 registration order; KILL_NODE rules act through the kernel's live-node map.
 The references below read neither index. A node is up when it is registered
-and no active kill rule matches it. A send's fate is the decision ``send``
-used to make: two scans over every registered rule, the first for an active
-drop or partition, the second summing active delays. After any sequence of
-injects, clears, scheduled faults and revives, link rules' ``active`` flags
-flipped by hand, timers (also on killed nodes), and kills, revives and sends
-made by handlers and timers in the middle of a tick, every send must meet
-the fate the reference predicts (dropped, failed, or delivered on a given
-tick), ``node_alive`` must agree with the reference, and ``step()`` must
-deliver exactly the events whose node was up when their turn came.
+and no kill rule in force matches it. A kill rule comes into force when it
+is applied (injected, or activated at its scheduled tick); clearing a kill
+rule or a scheduled revive puts exactly the active kill rules in force. So
+a kill rule's ``active`` flag flipped by hand counts only from the next
+clear or revive on. A send's fate is the decision ``send`` used to make:
+two scans over every registered rule, the first for an active drop or
+partition, the second summing active delays. After any sequence of injects,
+clears, scheduled faults and revives, ``active`` flags flipped by hand,
+timers (also on killed nodes), and kills, revives and sends made by
+handlers and timers in the middle of a tick, every send must meet the fate
+the reference predicts (dropped, failed, or delivered on a given tick),
+``node_alive`` must agree with the reference, and ``step()`` must deliver
+exactly the events whose node was up when their turn came.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from hypothesis import example, given, settings
@@ -38,22 +43,12 @@ PATTERNS = ("*", "a-*", "b-1", "?-1", "reg", "c*")
 LINK_EFFECTS = (FaultEffect.DROP, FaultEffect.PARTITION, FaultEffect.DELAY)
 
 
-def reference_alive(sim: Simulator, name: str) -> bool:
-    """Registered, and matched by no active kill rule."""
-    return name in sim.nodes and not any(
-        rule.active and rule.effect is FaultEffect.KILL_NODE and rule.matches_node(name)
-        for rule in sim._rules.values())
-
-
-def alive_set(sim: Simulator) -> frozenset[str]:
-    return frozenset(name for name in DESTINATIONS if reference_alive(sim, name))
-
-
-def reference_fate(sim: Simulator, source: str, destination: str) -> tuple[str, Optional[int]]:
+def reference_fate(sim: Simulator, alive: frozenset[str], source: str,
+                   destination: str) -> tuple[str, Optional[int]]:
     """("dropped" | "failed" | "queued", delivery tick) by the old double scan."""
-    if not reference_alive(sim, source):
+    if source not in alive:
         return DROPPED, None
-    if not reference_alive(sim, destination):
+    if destination not in alive:
         return FAILED, None
     latency = BASE_LATENCY_TICKS
     for rule in sim._rules.values():
@@ -113,15 +108,79 @@ ops = st.one_of(
 
 class Script:
     """A simulator whose handlers and timers run drawn actions and log, for
-    every event they run, the reference's live set before and after."""
+    every event they run, the reference's live set before and after. Every
+    fault goes through the script, which keeps the kill rules in force and
+    its own copy of the fault schedule."""
 
     def __init__(self) -> None:
         self.sim = Simulator()
         self.ids: list[int] = []
         self.log: list[tuple[object, frozenset[str], frozenset[str]]] = []
         self.timer_nodes: dict[int, str] = {}
+        self.in_force: set[int] = set()  # ids of the kill rules in force
+        self.schedule: list[tuple[int, int, str, object]] = []
+        self.seq = 0
         for name in NODES:
             self.sim.add_node(name, self._handler(name))
+
+    def alive(self) -> frozenset[str]:
+        """Registered, and matched by no kill rule in force."""
+        rules = self.sim._rules
+        return frozenset(name for name in DESTINATIONS if name in self.sim.nodes and not any(
+            rules[rid].matches_node(name) for rid in self.in_force))
+
+    def _enforce_active_kills(self) -> None:
+        self.in_force = {rid for rid, rule in self.sim._rules.items()
+                         if rule.active and rule.effect is FaultEffect.KILL_NODE}
+
+    def inject(self, rule: FaultRule) -> None:
+        rid = self.sim.inject(rule)
+        self.ids.append(rid)
+        if rule.effect is FaultEffect.KILL_NODE:
+            self.in_force.add(rid)
+
+    def clear(self, rid: int) -> None:
+        kill = self.sim._rules[rid].effect is FaultEffect.KILL_NODE
+        self.sim.clear(rid)
+        if kill:
+            self._enforce_active_kills()
+
+    def schedule_fault(self, tick: int, rule: FaultRule) -> None:
+        self.ids.append(self.sim.schedule_fault(tick, rule))
+        self.seq += 1
+        heapq.heappush(self.schedule, (tick, self.seq, "activate", rule))
+
+    def schedule_revive(self, tick: int, pattern: str) -> None:
+        self.sim.schedule_revive(tick, pattern)
+        self.seq += 1
+        heapq.heappush(self.schedule, (tick, self.seq, "revive", pattern))
+
+    def fire_due(self, tick: int) -> None:
+        """Bring the kill rules in force to where the scheduled faults due by
+        ``tick`` put them; called just before the kernel fires them."""
+        # The kill rules' active flags as the scheduled actions leave them.
+        active = {rid: rule.active for rid, rule in self.sim._rules.items()
+                  if rule.effect is FaultEffect.KILL_NODE}
+        while self.schedule and self.schedule[0][0] <= tick:
+            _, _, action, arg = heapq.heappop(self.schedule)
+            if action == "activate":
+                if arg.rule_id in active and self.sim._rules[arg.rule_id] is arg:
+                    active[arg.rule_id] = True
+                    self.in_force.add(arg.rule_id)
+            else:  # a revive lifts the kill rules naming exactly that pattern
+                for rid in active:
+                    if self.sim._rules[rid].node == arg:
+                        active[rid] = False
+                self.in_force = {rid for rid, on in active.items() if on}
+
+    def advance(self, ticks: int) -> None:
+        """``advance_to``, one checked step at a time."""
+        sim = self.sim
+        target = sim.now + ticks
+        while (tick := sim.next_event_tick()) is not None and tick < target:
+            self.step()
+        self.fire_due(max(sim.now, target))
+        sim.advance_to(target)
 
     def _handler(self, name: str):
         def handler(env: Envelope) -> None:
@@ -129,23 +188,23 @@ class Script:
         return handler
 
     def _run(self, event: object, node: str, action) -> None:
-        before = alive_set(self.sim)
+        before = self.alive()
         if action is not None:
             kind, arg = action
             if kind == "kill":
-                self.ids.append(self.sim.inject(FaultRule(FaultEffect.KILL_NODE, node=arg)))
+                self.inject(FaultRule(FaultEffect.KILL_NODE, node=arg))
             elif kind == "revive":
                 kills = [rid for rid in self.ids if rid in self.sim._rules
                          and self.sim._rules[rid].effect is FaultEffect.KILL_NODE]
                 if kills:
-                    self.sim.clear(kills[arg % len(kills)])
+                    self.clear(kills[arg % len(kills)])
             else:
                 self.send(node, arg, None)
-        self.log.append((event, before, alive_set(self.sim)))
+        self.log.append((event, before, self.alive()))
 
     def send(self, source: str, destination: str, action) -> None:
         sim = self.sim
-        want = reference_fate(sim, source, destination)
+        want = reference_fate(sim, self.alive(), source, destination)
         env = Envelope.request(source, destination, "/x", body=action)
         mid = sim.send(env)
         assert observed_fate(sim, env, mid) == want
@@ -164,8 +223,9 @@ class Script:
         bucket = list(sim._buckets[tick]) if tick is not None else []
         pending_timers = set(sim._timers)
         self.log.clear()
+        self.fire_due(tick if tick is not None else sim.now + 1)
         delivered = sim.step()
-        after = alive_set(sim)
+        after = self.alive()
         expected: list[Envelope] = []
         state: Optional[frozenset[str]] = None  # live set between two runs
         ran = 0
@@ -211,24 +271,21 @@ def test_send_fate_matches_full_rule_scan(script):
     for op in script:
         kind = op[0]
         if kind == "inject":
-            ids.append(sim.inject(op[1]))
+            run.inject(op[1])
         elif kind == "clear":
             live = [rid for rid in ids if rid in sim._rules]
             if live:
-                sim.clear(live[op[1] % len(live)])
+                run.clear(live[op[1] % len(live)])
         elif kind == "schedule":
-            ids.append(sim.schedule_fault(sim.now + op[1], op[2]))
+            run.schedule_fault(sim.now + op[1], op[2])
         elif kind == "revive":
-            sim.schedule_revive(sim.now + op[1], op[2])
+            run.schedule_revive(sim.now + op[1], op[2])
         elif kind == "advance":
-            sim.advance_to(sim.now + op[1])
+            run.advance(op[1])
         elif kind == "step":
             run.step()
         elif kind == "toggle":
-            # Only link rules: a kill rule takes effect when it is applied or
-            # cleared, not when its flag is flipped by hand.
-            live = [sim._rules[rid] for rid in ids if rid in sim._rules
-                    and sim._rules[rid].effect is not FaultEffect.KILL_NODE]
+            live = [sim._rules[rid] for rid in ids if rid in sim._rules]
             if live:
                 rule = live[op[1] % len(live)]
                 rule.active = not rule.active
@@ -238,8 +295,9 @@ def test_send_fate_matches_full_rule_scan(script):
             run.send(*op[1:])
         assert sim._link_rules == [rule for rule in sim._rules.values()
                                    if rule.effect is not FaultEffect.KILL_NODE]
+        alive = run.alive()
         for name in DESTINATIONS:
-            assert sim.node_alive(name) == reference_alive(sim, name)
+            assert sim.node_alive(name) == (name in alive)
 
 
 def test_no_link_rule_means_nothing_scanned():

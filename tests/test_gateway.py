@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ssaas_sim.chassis import CallResult, ServiceClient, ServiceNode, WiringMode
+from ssaas_sim.chassis import CallResult, ServiceClient, ServiceNode, WiringMode, split_path
 from ssaas_sim.gateway import (
     DuplicatePrefix,
     Gateway,
@@ -22,34 +22,42 @@ def table_with(*rules: tuple[str, str, bool]) -> RouteTable:
     return table
 
 
+def match(table: RouteTable, path: str) -> RouteRule | None:
+    return table.match(split_path(path))
+
+
+def rewrite(table: RouteTable, path: str, rule: RouteRule) -> str:
+    return table.rewrite(path, rule, split_path(path))
+
+
 class TestRouteTable:
     def test_longest_prefix_wins(self):
         table = table_with(("/api", "Fallback", False),
                            ("/api/developers", "DevInfo", True))
-        assert table.match("/api/developers/42").service == "DevInfo"
-        assert table.match("/api/other").service == "Fallback"
+        assert match(table, "/api/developers/42").service == "DevInfo"
+        assert match(table, "/api/other").service == "Fallback"
 
     def test_matches_on_segment_boundaries_only(self):
         table = table_with(("/api/developers", "DevInfo", True))
-        assert table.match("/api/developersX/42") is None
-        assert table.match("/api/developers") is not None
-        assert table.match("/api") is None
+        assert match(table, "/api/developersX/42") is None
+        assert match(table, "/api/developers") is not None
+        assert match(table, "/api") is None
 
     def test_strip_removes_parent_directory(self):
         table = table_with(("/api/developers", "DevInfo", True))
-        rule = table.match("/api/developers/42")
-        assert table.rewrite("/api/developers/42", rule) == "/developers/42"
-        assert table.rewrite("/api/developers", rule) == "/developers"
+        rule = match(table, "/api/developers/42")
+        assert rewrite(table, "/api/developers/42", rule) == "/developers/42"
+        assert rewrite(table, "/api/developers", rule) == "/developers"
 
     def test_no_strip_forwards_verbatim(self):
         table = table_with(("/api/chat", "Chat", False))
-        rule = table.match("/api/chat/7")
-        assert table.rewrite("/api/chat/7", rule) == "/api/chat/7"
+        rule = match(table, "/api/chat/7")
+        assert rewrite(table, "/api/chat/7", rule) == "/api/chat/7"
 
     def test_single_segment_prefix_strip_keeps_path(self):
         table = table_with(("/api", "Mono", True))
-        rule = table.match("/api/x/y")
-        assert table.rewrite("/api/x/y", rule) == "/api/x/y"
+        rule = match(table, "/api/x/y")
+        assert rewrite(table, "/api/x/y", rule) == "/api/x/y"
 
     def test_duplicate_prefix_rejected(self):
         table = table_with(("/api/chat", "Chat", False))

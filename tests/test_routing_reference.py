@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssaas_sim.chassis import Request, ServiceNode
+from ssaas_sim.chassis import Request, ServiceNode, split_path
 from ssaas_sim.gateway import DuplicatePrefix, InvalidRoute, RouteRule, RouteTable
 from ssaas_sim.simwire import Simulator
 
@@ -150,10 +150,10 @@ class TestRouteTableIndex:
         table, rules = build_table(prefixes)
         for path in paths:
             want = ref_match(rules, path)
-            got = table.match(path)
+            got = table.match(split_path(path))
             assert got is want
             if got is not None:
-                assert table.rewrite(path, got) == ref_rewrite(path, want)
+                assert table.rewrite(path, got, split_path(path)) == ref_rewrite(path, want)
 
     @pytest.mark.parametrize("prefixes, path, want", [
         # the / prefix covers everything, and loses to any longer prefix
@@ -168,8 +168,8 @@ class TestRouteTableIndex:
     ])
     def test_cases(self, prefixes, path, want):
         table, rules = build_table(prefixes)
-        got = table.match(path)
+        got = table.match(split_path(path))
         assert got is ref_match(rules, path)
         assert (got.prefix if got else None) == want
         if got is not None:
-            assert table.rewrite(path, got) == ref_rewrite(path, got)
+            assert table.rewrite(path, got, split_path(path)) == ref_rewrite(path, got)
