@@ -20,6 +20,10 @@ DEFAULT_CACHE_TTL_TICKS = 10
 DEFAULT_CALL_DEADLINE_TICKS = 5
 DEFAULT_RENEW_INTERVAL_TICKS = 10
 
+# A route memo (a node's dispatch memo, a gateway table's resolve memo) is
+# emptied when it holds this many paths, which bounds its memory.
+ROUTE_MEMO_LIMIT = 4096
+
 
 class ChassisError(Exception):
     pass
@@ -278,17 +282,19 @@ class Request:
                                     env.method, str(status), body, env.message_id))
 
 
+Handler = Callable[[Request], Optional[tuple[str, Body]]]
+
+
 class _Route(NamedTuple):
     """A compiled route pattern: the literal segments a path must repeat
     and the positions bound to ``{param}`` names."""
 
     literals: tuple[tuple[int, str], ...]
     params: tuple[tuple[int, str], ...]
-    handler: Callable[[Request], Optional[tuple[str, Body]]]
+    handler: Handler
 
     @classmethod
-    def compile(cls, segments: tuple[str, ...],
-                handler: Callable[[Request], Optional[tuple[str, Body]]]) -> "_Route":
+    def compile(cls, segments: tuple[str, ...], handler: Handler) -> "_Route":
         literals, params = [], []
         for i, seg in enumerate(segments):
             if seg.startswith("{") and seg.endswith("}"):
@@ -318,18 +324,22 @@ class ServiceNode:
         # (method, segment count) -> routes, most literal segments first and
         # in registration order among equals: the first match is the best.
         self._routes: dict[tuple[str, int], list[_Route]] = {}
+        # (method, path) -> (handler, bound params) of every path matched so
+        # far; route() empties it, and paths that match no route stay out.
+        # A request gets a copy of the params, so the memo's own never leaks.
+        self._resolved: dict[tuple[str, str], tuple[Handler, dict[str, str]]] = {}
         self.route("POST", "/refresh", self._handle_refresh)
 
     def bind(self) -> "ServiceNode":
         self.sim.add_node(self.node_id, self._on_envelope)
         return self
 
-    def route(self, method: str, pattern: str,
-              handler: Callable[[Request], Optional[tuple[str, Body]]]) -> None:
+    def route(self, method: str, pattern: str, handler: Handler) -> None:
         segments = split_path(pattern)
         routes = self._routes.setdefault((method, len(segments)), [])
         routes.append(_Route.compile(segments, handler))
         routes.sort(key=lambda r: -len(r.literals))
+        self._resolved.clear()
 
     def every(self, interval: int, fn: Callable[[], None]) -> None:
         """Run ``fn`` every ``interval`` ticks as maintenance traffic."""
@@ -348,18 +358,27 @@ class ServiceNode:
         self.dispatch(Request(env.method, env.path, env.body, {}, env, self.sim))
 
     def dispatch(self, req: Request) -> None:
-        parts = split_path(req.path)
-        for literals, params, handler in self._routes.get((req.method, len(parts)), ()):
-            for i, seg in literals:
-                if parts[i] != seg:
+        key = (req.method, req.path)
+        hit = self._resolved.get(key)
+        if hit is None:
+            parts = split_path(req.path)
+            for literals, params, handler in self._routes.get((req.method, len(parts)), ()):
+                for i, seg in literals:
+                    if parts[i] != seg:
+                        break
+                else:
+                    hit = (handler, {name: parts[i] for i, name in params})
                     break
             else:
-                req.params = {name: parts[i] for i, name in params}
-                out = handler(req)
-                if out is not None:
-                    req.reply(out[0], out[1])
+                req.reply("404", {"error": "NoRoute"})
                 return
-        req.reply("404", {"error": "NoRoute"})
+            if len(self._resolved) >= ROUTE_MEMO_LIMIT:
+                self._resolved.clear()
+            self._resolved[key] = hit
+        req.params = hit[1].copy()
+        out = hit[0](req)
+        if out is not None:
+            req.reply(out[0], out[1])
 
     # -- config ----------------------------------------------------------
 

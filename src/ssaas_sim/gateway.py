@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chassis import CallResult, Request, ServiceNode, relay_result, split_path
+from .chassis import ROUTE_MEMO_LIMIT, CallResult, Request, ServiceNode, relay_result, split_path
 from .simwire import Simulator
 
 SERVICE_NAME = "Gateway"
@@ -52,6 +52,8 @@ class RouteTable:
     Each prefix is split once, when the table changes. Lookup probes a dict
     keyed by segment tuples, longest prefix length first; of two prefixes
     that split alike (``/api`` and ``//api``) the first added wins.
+    :meth:`resolve` remembers each path it has matched until the table
+    changes; a config refresh builds a new table, with nothing remembered.
     """
 
     def __init__(self) -> None:
@@ -59,6 +61,7 @@ class RouteTable:
         self._segments: dict[str, tuple[str, ...]] = {}
         self._by_segments: dict[tuple[str, ...], RouteRule] = {}
         self._lengths: list[int] = []  # distinct prefix lengths, longest first
+        self._resolved: dict[str, tuple[RouteRule, str]] = {}
 
     def add_route(self, rule: RouteRule) -> None:
         if rule.prefix in self._rules:
@@ -72,6 +75,7 @@ class RouteTable:
         for prefix, rule in self._rules.items():
             self._by_segments.setdefault(self._segments[prefix], rule)
         self._lengths = sorted({len(pre) for pre in self._by_segments}, reverse=True)
+        self._resolved.clear()
 
     def rules(self) -> list[RouteRule]:
         return [self._rules[p] for p in sorted(self._rules)]
@@ -95,6 +99,20 @@ class RouteTable:
             return path
         pre = self._segments.get(rule.prefix) or split_path(rule.prefix)
         return "/" + "/".join(pre[-1:] + parts[len(pre):])
+
+    def resolve(self, path: str) -> tuple[RouteRule, str] | None:
+        """The rule for ``path`` and the path to forward upstream, or None
+        when no rule matches."""
+        hit = self._resolved.get(path)
+        if hit is None:
+            parts = split_path(path)
+            rule = self.match(parts)
+            if rule is None:
+                return None
+            if len(self._resolved) >= ROUTE_MEMO_LIMIT:
+                self._resolved.clear()
+            hit = self._resolved[path] = (rule, self.rewrite(path, rule, parts))
+        return hit
 
     @classmethod
     def from_config_entries(cls, entries: dict[str, str]) -> "RouteTable":
@@ -134,13 +152,12 @@ class Gateway(ServiceNode):
         if req.method == "POST" and req.path == "/refresh":
             super().dispatch(req)
             return
-        parts = split_path(req.path)
-        rule = self.table.match(parts)
-        if rule is None:
+        hit = self.table.resolve(req.path)
+        if hit is None:
             req.reply("404", {"error": "NoRoute"})
             return
         assert self.client is not None, "gateway needs a client"
-        inner_path = self.table.rewrite(req.path, rule, parts)
+        rule, inner_path = hit
 
         def relay(result: CallResult) -> None:
             relay_result(req, result)

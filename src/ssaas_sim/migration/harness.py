@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ..chassis import CallResult, CallStatus, ServiceNode, result_reply, split_path
+from ..chassis import CallResult, CallStatus, ServiceNode, result_reply
 from ..simwire import Body, FaultRule, apply_fault_schedule
 from .stages import CLIENT_DEADLINE_TICKS, SystemHandle, wire_client
 from .traces import TraceEntry
@@ -35,6 +35,7 @@ WORKLOAD_METHODS = ("GET", "POST", "PUT", "DELETE")
 DEFAULT_BUDGET_TICKS = 10_000
 
 _ADMIN_TARGETS = (("/config", "confsvc"), ("/registry", "registry"))
+_ADMIN_PREFIXES = tuple(prefix for prefix, _ in _ADMIN_TARGETS)
 
 
 class WorkloadError(Exception):
@@ -126,10 +127,8 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
 
     def finish(result: CallResult) -> None:
         status, body = result_reply(result)
-        entries[seq] = TraceEntry(
-            seq=seq, client=line.client, method=line.method, path=line.path,
-            request_body=line.body, sent_tick=sent_tick, status=status,
-            response_body=body, done_tick=sim.now)
+        entries[seq] = TraceEntry(seq, line.client, line.method, line.path, line.body,
+                                  sent_tick, status, body, sim.now)
 
     client = node.client
     assert client is not None
@@ -141,18 +140,19 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
         client.call_node("gateway", line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
     else:
-        parts = split_path(line.path)
-        rule = handle.client_router.match(parts)
-        if rule is None:
+        hit = handle.client_router.resolve(line.path)
+        if hit is None:
             finish(CallResult(CallStatus.REMOTE_ERROR, {"error": "NoRoute"},
                               remote_status="404"))
             return
-        client.call(rule.service, line.method,
-                    handle.client_router.rewrite(line.path, rule, parts), line.body,
+        rule, inner_path = hit
+        client.call(rule.service, line.method, inner_path, line.body,
                     finish, deadline=CLIENT_DEADLINE_TICKS)
 
 
 def _admin_target(path: str) -> Optional[str]:
+    if not path.startswith(_ADMIN_PREFIXES):  # ordinary traffic
+        return None
     for prefix, node_id in _ADMIN_TARGETS:
         if path == prefix or path.startswith(prefix + "/"):
             return node_id

@@ -137,10 +137,7 @@ class SystemHandle:
             raise UnknownStage("scale-out needs the discovery stage")
         factories = {
             "ContentServices": lambda nid: ContentServices(self.sim, nid, self.stores.content),
-            "DeveloperServices": lambda nid: DeveloperServices(
-                self.sim, nid,
-                dev_entity=DEV_ENTITY_SERVICE if self.stage >= 6 else DEV_ENTITY_EMBEDDED,
-                resources_service="ResourceManager" if self.stage >= 5 else "DeveloperData"),
+            "DeveloperServices": lambda nid: _developer_services(self.sim, nid, self.stage),
             "ChatServices": lambda nid: ChatServices(self.sim, nid, self.stores.chats),
             "DeveloperInfoServices": lambda nid: DeveloperInfoServices(
                 self.sim, nid, self.stores.developers),
@@ -231,8 +228,6 @@ def _build_split(handle: SystemHandle) -> None:
     sim, stores, stage = handle.sim, handle.stores, handle.stage
     discovered = stage >= 4
     mode = WiringMode.DISCOVERED if discovered else WiringMode.DIRECT_WIRE
-    resources_service = "ResourceManager" if stage >= 5 else "DeveloperData"
-    dev_entity = DEV_ENTITY_SERVICE if stage >= 6 else DEV_ENTITY_EMBEDDED
 
     app_nodes: list[ServiceNode] = []
     dd = DeveloperData(
@@ -240,9 +235,7 @@ def _build_split(handle: SystemHandle) -> None:
         developers=None if stage >= 6 else stores.developers,
         pool=None if stage >= 5 else stores.pool)
     app_nodes.append(dd)
-    app_nodes.append(DeveloperServices(sim, "developerservices-1",
-                                       dev_entity=dev_entity,
-                                       resources_service=resources_service))
+    app_nodes.append(_developer_services(sim, "developerservices-1", stage))
     app_nodes.append(ContentServices(sim, "contentservices-1", stores.content))
     if stage >= 5:
         app_nodes.append(ResourceManager(sim, "resourcemanager-1", stores.pool))
@@ -297,6 +290,15 @@ def _build_split(handle: SystemHandle) -> None:
     if stage >= 4:
         for node in app_nodes:
             enable_discovery(node)
+
+
+def _developer_services(sim: Simulator, node_id: str, stage: int) -> DeveloperServices:
+    """DeveloperServices calling its stage's upstreams: the developer entity
+    is a service of its own from stage 6, reservations from stage 5."""
+    return DeveloperServices(
+        sim, node_id,
+        dev_entity=DEV_ENTITY_SERVICE if stage >= 6 else DEV_ENTITY_EMBEDDED,
+        resources_service="ResourceManager" if stage >= 5 else "DeveloperData")
 
 
 def _service_doc(service: str) -> dict[str, str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ..simwire import Body, canonical_json
 
@@ -35,8 +35,7 @@ class TraceFormatError(Exception):
     """A trace file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     seq: int
     client: str
     method: str

@@ -526,6 +526,21 @@ class TestServiceNodeRouting:
         node.dispatch(req)
         assert got == [{"which": "literal"}]
 
+    def test_later_route_with_more_literals_takes_over_a_resolved_path(self):
+        node = ServiceNode(Simulator(), "n", "N")
+        node.route("GET", "/things/{tid}", lambda req: ("200", {"which": "param"}))
+        got = []
+
+        def get(path: str) -> None:
+            node.dispatch(Request(method="GET", path=path, body=None,
+                                  _reply=lambda s, b: got.append(b)))
+
+        get("/things/special")
+        node.route("GET", "/things/special", lambda req: ("200", {"which": "literal"}))
+        get("/things/special")
+        get("/things/7")
+        assert got == [{"which": "param"}, {"which": "literal"}, {"which": "param"}]
+
     def test_unmatched_path_is_404(self):
         sim = Simulator()
         node = ServiceNode(sim, "n", "N")

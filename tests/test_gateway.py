@@ -59,6 +59,14 @@ class TestRouteTable:
         rule = match(table, "/api/x/y")
         assert rewrite(table, "/api/x/y", rule) == "/api/x/y"
 
+    def test_route_added_after_resolve_takes_over(self):
+        t = table_with(("/api", "Api", True))
+        assert t.resolve("/api/dev/1")[0].service == "Api"
+        t.add_route(RouteRule("/api/dev", "Dev", True))
+        rule, inner = t.resolve("/api/dev/1")
+        assert (rule.service, inner) == ("Dev", "/dev/1")
+        assert t.resolve("/other") is None
+
     def test_duplicate_prefix_rejected(self):
         table = table_with(("/api/chat", "Chat", False))
         with pytest.raises(DuplicatePrefix):
@@ -165,6 +173,20 @@ class TestGatewayNode:
             [("/api/people", "DevInfo", True)]
         # old prefix is gone, new one forwards with its last segment kept
         assert through_gateway(sim, caller, "GET", "/api/developers/42").remote_status == "404"
+
+    def test_refresh_sends_an_already_resolved_path_to_the_new_service(self):
+        sim, gw, caller = build_edge()
+        UpstreamNode(sim, "upstream-2").bind()
+        gw.client.set_direct("People", "upstream-2")
+        assert through_gateway(sim, caller, "GET", "/api/developers/42").ok
+        req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
+                    "entries": {"route.1": "/api/developers|People|0"}}
+        assert through_gateway(sim, caller, "POST", "/refresh", req_body).ok
+        sim.records.clear()
+        assert through_gateway(sim, caller, "GET", "/api/developers/42").remote_status == "404"
+        inner = [(rec.destination, rec.path) for rec in sim.records
+                 if rec.source == "gateway" and rec.kind == "REQUEST"]
+        assert inner == [("upstream-2", "/api/developers/42")]
 
     def test_bad_route_config_keeps_last_good_table(self):
         sim, gw, caller = build_edge()

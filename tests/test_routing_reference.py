@@ -1,11 +1,13 @@
-"""Indexed route and prefix lookup against the linear scans they replaced.
+"""Indexed, memoized route and prefix lookup against the linear scans they
+replaced.
 
 ``ServiceNode.dispatch`` finds routes through an index keyed by method and
 segment count, and ``RouteTable`` probes pre-split prefixes longest first.
-The reference implementations below are the plain scans: every route scored
-by its literal segments, every prefix split and compared on each lookup.
-Both sides must pick the same route, bind the same params and rewrite to the
-same path.
+Both remember each path they have resolved. The reference implementations
+below are the plain scans: every route scored by its literal segments, every
+prefix split and compared on each lookup. Both sides must pick the same
+route, bind the same params and rewrite to the same path, whether the memo
+is cold or warm.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssaas_sim.chassis import Request, ServiceNode, split_path
+from ssaas_sim.chassis import ROUTE_MEMO_LIMIT, Request, ServiceNode, split_path
 from ssaas_sim.gateway import DuplicatePrefix, InvalidRoute, RouteRule, RouteTable
 from ssaas_sim.simwire import Simulator
 
@@ -76,16 +78,40 @@ def ref_rewrite(path: str, rule: RouteRule) -> str:
     return "/" + "/".join(pre[-1:] + parts[len(pre):])
 
 
-def indexed_dispatch(routes: list[tuple[str, str]], method: str, path: str):
+def routed_node(routes: list[tuple[str, str]]) -> ServiceNode:
+    """A node answering (route name, params) on each route. The handler then
+    scribbles on ``req.params``, which must not reach a later request."""
+    def answer(req: Request, name: int):
+        out = ("200", (name, dict(req.params)))
+        req.params["scribbled"] = "x"
+        return out
+
     node = ServiceNode(Simulator(), "n", "N")
     for name, (route_method, pattern) in enumerate(routes):
-        node.route(route_method, pattern,
-                   lambda req, name=name: ("200", (name, dict(req.params))))
+        node.route(route_method, pattern, lambda req, name=name: answer(req, name))
+    return node
+
+
+def node_dispatch(node: ServiceNode, method: str, path: str):
     got = []
     node.dispatch(Request(method, path, None, _reply=lambda s, b: got.append((s, b))))
     assert len(got) == 1
     status, body = got[0]
     return None if status == "404" else body
+
+
+def indexed_dispatch(routes: list[tuple[str, str]], method: str, path: str):
+    return node_dispatch(routed_node(routes), method, path)
+
+
+def table_resolve(table: RouteTable, path: str):
+    hit = table.resolve(path)
+    return None if hit is None else (hit[0].prefix, hit[1])
+
+
+def ref_resolve(rules: list[RouteRule], path: str):
+    rule = ref_match(rules, path)
+    return None if rule is None else (rule.prefix, ref_rewrite(path, rule))
 
 
 def build_table(prefixes: list[tuple[str, bool]]):
@@ -122,6 +148,17 @@ class TestServiceNodeIndex:
             assert indexed_dispatch(routes, method, path) == \
                 ref_dispatch(ref_routes, method, path)
 
+    @given(st.lists(st.tuples(METHODS, joined(ROUTE_SEGMENT, 3)), max_size=10),
+           st.lists(st.tuples(METHODS, joined(PATH_SEGMENT, 4)), min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_cold_and_warm_memo_agree_with_linear_scan(self, routes, requests):
+        ref_routes = [RefRoute(m, p, name) for name, (m, p) in enumerate(routes)]
+        node = routed_node(routes)
+        for method, path in requests:
+            want = ref_dispatch(ref_routes, method, path)
+            assert node_dispatch(node, method, path) == want
+            assert node_dispatch(node, method, path) == want
+
     @pytest.mark.parametrize("routes, path, want", [
         # a literal beats a param, in either registration order
         ([("GET", "/t/{id}"), ("GET", "/t/special")], "/t/special", 1),
@@ -155,6 +192,17 @@ class TestRouteTableIndex:
             if got is not None:
                 assert table.rewrite(path, got, split_path(path)) == ref_rewrite(path, want)
 
+    @given(st.lists(st.tuples(joined(PREFIX_SEGMENT, 3), st.booleans()), max_size=8),
+           st.lists(joined(st.sampled_from(["api", "dev", "x", "y", ""]), 4),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_resolve_cold_and_warm_agrees_with_prefix_scan(self, prefixes, paths):
+        table, rules = build_table(prefixes)
+        for path in paths:
+            want = ref_resolve(rules, path)
+            assert table_resolve(table, path) == want
+            assert table_resolve(table, path) == want
+
     @pytest.mark.parametrize("prefixes, path, want", [
         # the / prefix covers everything, and loses to any longer prefix
         ([("/", False), ("/api", True)], "/other/1", "/"),
@@ -173,3 +221,27 @@ class TestRouteTableIndex:
         assert (got.prefix if got else None) == want
         if got is not None:
             assert table.rewrite(path, got, split_path(path)) == ref_rewrite(path, got)
+
+
+class TestMemoLimit:
+    """More distinct paths than a memo holds: the answers stay the
+    reference's, and no memo grows past the limit."""
+
+    def test_node_memo_stays_bounded(self):
+        routes = [("GET", "/t/{a}"), ("GET", "/t/{a}/x")]
+        node = routed_node(routes)
+        ref_routes = [RefRoute(m, p, name) for name, (m, p) in enumerate(routes)]
+        for i in range(ROUTE_MEMO_LIMIT + 300):
+            path = f"/t/{i}" if i % 2 else f"/t/{i}/x"
+            assert node_dispatch(node, "GET", path) == ref_dispatch(ref_routes, "GET", path)
+            assert len(node._resolved) <= ROUTE_MEMO_LIMIT
+        # paths seen before the memo was emptied still resolve
+        assert node_dispatch(node, "GET", "/t/1") == (0, {"a": "1"})
+
+    def test_table_memo_stays_bounded(self):
+        table, rules = build_table([("/api", True), ("/api/dev", False)])
+        for i in range(ROUTE_MEMO_LIMIT + 300):
+            path = f"/api/{i}" if i % 2 else f"/api/dev/{i}"
+            assert table_resolve(table, path) == ref_resolve(rules, path)
+            assert len(table._resolved) <= ROUTE_MEMO_LIMIT
+        assert table_resolve(table, "/api/1") == ("/api", "/api/1")
