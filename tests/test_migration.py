@@ -260,6 +260,21 @@ class TestHarness:
         assert entries[1].status == "200"
         assert entries[1].response_body[0]["instance_id"] == "contentservices-1"
 
+    @pytest.mark.parametrize("path, target", [
+        ("/config", "confsvc"),
+        ("/config/ResourceManager/default", "confsvc"),
+        ("/registry/ContentServices", "registry"),
+        ("/configX", "gateway"),
+        ("/registryX/ContentServices", "gateway"),
+        ("/api/config", "gateway"),
+    ])
+    def test_admin_paths_match_whole_segments(self, path, target):
+        handle = build_stage(6)
+        run_workload(handle, wl(f"0|admin|GET|{path}|\n"))
+        sent = [r.destination for r in handle.sim.records
+                if r.source == "admin" and r.kind == "REQUEST"]
+        assert sent == [target]
+
     def test_admin_infrastructure_paths_unavailable_before_stage_two(self):
         handle = build_stage(1)
         entries = run_workload(handle, wl(

@@ -100,10 +100,6 @@ def node_dispatch(node: ServiceNode, method: str, path: str):
     return None if status == "404" else body
 
 
-def indexed_dispatch(routes: list[tuple[str, str]], method: str, path: str):
-    return node_dispatch(routed_node(routes), method, path)
-
-
 def table_resolve(table: RouteTable, path: str):
     hit = table.resolve(path)
     return None if hit is None else (hit[0].prefix, hit[1])
@@ -144,18 +140,10 @@ class TestServiceNodeIndex:
     @settings(max_examples=200, deadline=None)
     def test_same_route_and_params_as_linear_scan(self, routes, requests):
         ref_routes = [RefRoute(m, p, name) for name, (m, p) in enumerate(routes)]
-        for method, path in requests:
-            assert indexed_dispatch(routes, method, path) == \
-                ref_dispatch(ref_routes, method, path)
-
-    @given(st.lists(st.tuples(METHODS, joined(ROUTE_SEGMENT, 3)), max_size=10),
-           st.lists(st.tuples(METHODS, joined(PATH_SEGMENT, 4)), min_size=1, max_size=10))
-    @settings(max_examples=200, deadline=None)
-    def test_cold_and_warm_memo_agree_with_linear_scan(self, routes, requests):
-        ref_routes = [RefRoute(m, p, name) for name, (m, p) in enumerate(routes)]
         node = routed_node(routes)
         for method, path in requests:
             want = ref_dispatch(ref_routes, method, path)
+            # a path's first dispatch fills the memo, the second reads it
             assert node_dispatch(node, method, path) == want
             assert node_dispatch(node, method, path) == want
 
@@ -172,7 +160,7 @@ class TestServiceNodeIndex:
         ([("GET", "/")], "/", 0),
     ])
     def test_cases(self, routes, path, want):
-        got = indexed_dispatch(routes, "GET", path)
+        got = node_dispatch(routed_node(routes), "GET", path)
         ref = ref_dispatch([RefRoute(m, p, n) for n, (m, p) in enumerate(routes)], "GET", path)
         assert got == ref
         assert got is not None and got[0] == want
@@ -191,17 +179,8 @@ class TestRouteTableIndex:
             assert got is want
             if got is not None:
                 assert table.rewrite(path, got, split_path(path)) == ref_rewrite(path, want)
-
-    @given(st.lists(st.tuples(joined(PREFIX_SEGMENT, 3), st.booleans()), max_size=8),
-           st.lists(joined(st.sampled_from(["api", "dev", "x", "y", ""]), 4),
-                    min_size=1, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_resolve_cold_and_warm_agrees_with_prefix_scan(self, prefixes, paths):
-        table, rules = build_table(prefixes)
-        for path in paths:
-            want = ref_resolve(rules, path)
-            assert table_resolve(table, path) == want
-            assert table_resolve(table, path) == want
+            assert table_resolve(table, path) == ref_resolve(rules, path)
+            assert table_resolve(table, path) == ref_resolve(rules, path)
 
     @pytest.mark.parametrize("prefixes, path, want", [
         # the / prefix covers everything, and loses to any longer prefix
