@@ -183,6 +183,7 @@ class TestGatewayNode:
                     "entries": {"route.1": "/api/developers|People|0"}}
         assert through_gateway(sim, caller, "POST", "/refresh", req_body).ok
         sim.records.clear()
+        # the new rule forwards the path unstripped, which upstream-2 has no route for
         assert through_gateway(sim, caller, "GET", "/api/developers/42").remote_status == "404"
         inner = [(rec.destination, rec.path) for rec in sim.records
                  if rec.source == "gateway" and rec.kind == "REQUEST"]
