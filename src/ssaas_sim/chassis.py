@@ -20,8 +20,9 @@ DEFAULT_CACHE_TTL_TICKS = 10
 DEFAULT_CALL_DEADLINE_TICKS = 5
 DEFAULT_RENEW_INTERVAL_TICKS = 10
 
-# A route memo (a node's dispatch memo, a gateway table's resolve memo) is
-# emptied when it holds this many paths, which bounds its memory.
+# A route memo (a node's dispatch memo, a gateway table's resolve memo, the
+# compiled route patterns) is emptied when it holds this many paths, which
+# bounds its memory.
 ROUTE_MEMO_LIMIT = 4096
 
 
@@ -259,12 +260,14 @@ def split_path(path: str) -> tuple[str, ...]:
 @dataclass(slots=True)
 class Request:
     """One inbound request. A request that arrived on the wire (``env``)
-    answers with a RESPONSE on ``wire``; an in-process one calls ``_reply``."""
+    answers with a RESPONSE on ``wire``; an in-process one calls ``_reply``.
+    ``params`` are the values the matched route bound: only
+    :meth:`ServiceNode.dispatch` sets them, before it calls the handler."""
 
     method: str
     path: str
     body: Body
-    params: dict[str, str] = field(default_factory=dict)
+    params: Optional[dict[str, str]] = None
     env: Optional[Envelope] = None
     wire: Optional[Simulator] = None
     replied: bool = False
@@ -293,15 +296,26 @@ class _Route(NamedTuple):
     params: tuple[tuple[int, str], ...]
     handler: Handler
 
-    @classmethod
-    def compile(cls, segments: tuple[str, ...], handler: Handler) -> "_Route":
+
+# pattern -> (segment count, literals, params). Every node of every stage
+# registers the same few dozen patterns, so each is compiled once per process.
+_compiled_patterns: dict[str, tuple[int, tuple, tuple]] = {}
+
+
+def _compile_pattern(pattern: str) -> tuple[int, tuple, tuple]:
+    hit = _compiled_patterns.get(pattern)
+    if hit is None:
+        segments = split_path(pattern)
         literals, params = [], []
         for i, seg in enumerate(segments):
             if seg.startswith("{") and seg.endswith("}"):
                 params.append((i, seg[1:-1]))
             else:
                 literals.append((i, seg))
-        return cls(tuple(literals), tuple(params), handler)
+        if len(_compiled_patterns) >= ROUTE_MEMO_LIMIT:
+            _compiled_patterns.clear()
+        hit = _compiled_patterns[pattern] = (len(segments), tuple(literals), tuple(params))
+    return hit
 
 
 class ServiceNode:
@@ -335,18 +349,15 @@ class ServiceNode:
         return self
 
     def route(self, method: str, pattern: str, handler: Handler) -> None:
-        segments = split_path(pattern)
-        routes = self._routes.setdefault((method, len(segments)), [])
-        routes.append(_Route.compile(segments, handler))
+        count, literals, params = _compile_pattern(pattern)
+        routes = self._routes.setdefault((method, count), [])
+        routes.append(_Route(literals, params, handler))
         routes.sort(key=lambda r: -len(r.literals))
         self._resolved.clear()
 
     def every(self, interval: int, fn: Callable[[], None]) -> None:
         """Run ``fn`` every ``interval`` ticks as maintenance traffic."""
-        def tick() -> None:
-            fn()
-            self.sim.set_timer(self.node_id, interval, tick, maintenance=True)
-        self.sim.set_timer(self.node_id, interval, tick, maintenance=True)
+        self.sim.every(self.node_id, interval, fn)
 
     # -- inbound ---------------------------------------------------------
 
@@ -355,7 +366,7 @@ class ServiceNode:
             if self.client is not None:
                 self.client.handle_response(env)
             return
-        self.dispatch(Request(env.method, env.path, env.body, {}, env, self.sim))
+        self.dispatch(Request(env.method, env.path, env.body, None, env, self.sim))
 
     def dispatch(self, req: Request) -> None:
         key = (req.method, req.path)

@@ -20,6 +20,7 @@ from ..simwire import DELIVERED, MessageKind, MessageRecord
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
 _REQUEST_KIND = MessageKind.REQUEST.value  # a record's kind is a plain string
+_UNSEEN = object()
 
 ENTITY_DEVELOPER = "Developer"
 ENTITY_PROJECT_SCHEMA = "ProjectSchema"
@@ -118,16 +119,22 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
     if stage == 0:
         return AuditReport(stage=stage, status=AUDIT_NOT_APPLICABLE)
     report = AuditReport(stage=stage, status=AUDIT_OK)
+    # path -> (entity, owner), or None for a path that carries no entity.
+    owners: dict[str, Optional[tuple[str, str]]] = {}
     for rec in records:
         if rec.kind != _REQUEST_KIND or rec.status != DELIVERED:
             continue
         if rec.method not in WRITE_METHODS:
             continue
-        entity = classify_write(rec.path, stage)
-        if entity is None:
+        hit = owners.get(rec.path, _UNSEEN)
+        if hit is _UNSEEN:
+            entity = classify_write(rec.path, stage)
+            hit = owners[rec.path] = \
+                None if entity is None else (entity, expected_owner(entity, stage))
+        if hit is None:
             continue
         report.writes_checked += 1
-        owner = expected_owner(entity, stage)
+        entity, owner = hit
         actual = node_services.get(rec.destination, rec.destination)
         if actual != owner:
             report.violations.append(Violation(

@@ -110,9 +110,15 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
         apply_fault_schedule(sim, [(base + tick, action, entry)
                                    for tick, action, entry in faults])
     entries: list[Optional[TraceEntry]] = [None] * len(lines)
+    nodes = handle.nodes
     for i, line in enumerate(lines):
         sim.advance_to(base + line.tick)
-        _send(handle, wire_client(handle, line.client), line, i, entries)
+        # A client is created when its first line is sent, never earlier: a
+        # node added after a kill rule fired is not covered by that rule.
+        node = nodes.get(line.client)
+        if node is None:
+            node = wire_client(handle, line.client)
+        _send(handle, node, line, i, entries)
     if not sim.run_until_idle(budget=budget):
         raise BudgetExceeded(f"still busy after {budget} ticks")
     done = [e for e in entries if e is not None]

@@ -200,6 +200,12 @@ def _first_diff(a: Any, b: Any, path: str) -> Optional[tuple[str, Any, Any]]:
 def compare_traces(left: Iterable[TraceEntry], right: Iterable[TraceEntry]) -> TraceDiff:
     a, b = normalize_trace(left), normalize_trace(right)
     for i in range(min(len(a), len(b))):
+        # For the JSON types of a body, equal repr text means an equal entry:
+        # the text tells 1, 1.0 and True apart and lists from tuples. NaN is
+        # the exception, its text equals itself while its value does not.
+        text = repr(a[i])
+        if text == repr(b[i]) and "nan" not in text:
+            continue
         found = _first_diff(a[i], b[i], "")
         if found:
             field, lv, rv = found

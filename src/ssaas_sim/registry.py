@@ -9,6 +9,7 @@ gone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chassis import Request, ServiceNode
 from .simwire import Body, Simulator
@@ -37,8 +38,9 @@ class LeaseConfig:
     eviction_sweep_ticks: int = 5
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
+    """One leased record. Immutable: a renewal replaces it."""
+
     service: str
     instance_id: str
     address: str
@@ -58,6 +60,8 @@ class RegistryStore:
     def __init__(self, lease: LeaseConfig = LeaseConfig()) -> None:
         self.lease = lease
         self._instances: dict[tuple[str, str], Instance] = {}
+        # No lease expires before this tick, so a sweep before it finds nothing.
+        self._next_expiry = 0
 
     def register(self, service: str, instance_id: str, address: str, port: int,
                  now: int, status: str = STATUS_UP) -> Instance:
@@ -68,6 +72,8 @@ class RegistryStore:
                         port=int(port), status=status,
                         lease_expiry=now + self.lease.ttl_ticks)
         self._instances[(service, instance_id)] = inst
+        if inst.lease_expiry < self._next_expiry:
+            self._next_expiry = inst.lease_expiry
         return inst
 
     def renew(self, service: str, instance_id: str, now: int) -> Instance:
@@ -75,9 +81,12 @@ class RegistryStore:
         inst = self._instances.get(key)
         if inst is None:
             raise UnknownInstance(f"{service}/{instance_id}")
+        expiry = now + self.lease.ttl_ticks
         inst = Instance(inst.service, inst.instance_id, inst.address, inst.port,
-                        inst.status, now + self.lease.ttl_ticks)
+                        inst.status, expiry)
         self._instances[key] = inst
+        if expiry < self._next_expiry:
+            self._next_expiry = expiry
         return inst
 
     def deregister(self, service: str, instance_id: str) -> bool:
@@ -94,9 +103,13 @@ class RegistryStore:
 
     def sweep(self, now: int) -> list[Instance]:
         """Evict every record whose lease has expired (expiry <= now)."""
+        if now < self._next_expiry:
+            return []
         evicted = [inst for inst in self._instances.values() if inst.lease_expiry <= now]
         for inst in evicted:
             del self._instances[(inst.service, inst.instance_id)]
+        self._next_expiry = min((inst.lease_expiry for inst in self._instances.values()),
+                                default=now + self.lease.ttl_ticks)
         return sorted(evicted, key=lambda i: (i.service, i.instance_id))
 
     def all_instances(self) -> list[Instance]:

@@ -156,8 +156,11 @@ class MessageRecord(NamedTuple):
         return f"{self.tick}|{self.message_id}|{self.source}|{self.destination}|{self.kind}|{self.path}|{self.status}"
 
     def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
+        return _CANONICAL.encode(self._asdict())
 
+
+# json.dumps with options builds a new encoder per call; this one is shared.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 _KIND_NAMES = {REQUEST: "REQUEST", RESPONSE: "RESPONSE"}
 _new_tuple = tuple.__new__  # builds a MessageRecord without _make's overhead
@@ -179,6 +182,11 @@ class Simulator:
     per tick under a heap of the distinct ticks: send order within a tick
     is bucket order.
 
+    A bucket holds three kinds of event: an :class:`Envelope` to deliver,
+    the id of a one-shot timer (:meth:`set_timer`), or a periodic loop's
+    ``(fn, node, interval)`` entry (:meth:`every`), which :meth:`step`
+    re-arms as soon as ``fn`` returns.
+
     ``nodes`` is a read-only view of every registered node's handler:
     :meth:`add_node` is the only way in. ``_live`` maps each node no kill
     rule has taken down to its handler, so a send or a delivery checks
@@ -197,9 +205,7 @@ class Simulator:
         self.delivered = 0
         self.dropped = 0
         self.failed = 0
-        # A bucket holds one entry per event: an Envelope to deliver, or the
-        # id of a timer to fire.
-        self._buckets: dict[int, list] = {}
+        self._buckets: dict[int, list] = {}  # one entry per event, see above
         self._ticks: list[int] = []  # heap of the keys of _buckets
         self._fault_schedule: list[tuple[int, int, FaultRule]] = []
         self._rules: dict[int, FaultRule] = {}
@@ -309,6 +315,24 @@ class Simulator:
             self._pending_external += 1
         return tid
 
+    def every(self, node: str, interval: int, fn: Callable[[], None]) -> None:
+        """Run ``fn`` on ``node`` every ``interval`` ticks, from ``interval``
+        ticks from now, as maintenance work.
+
+        The loop never counts as pending work. It ends at the first firing
+        that finds ``node`` killed; a later revive does not restart it.
+        """
+        if node not in self._nodes:
+            raise UnknownNode(f"unknown node: {node}")
+        if interval < 1:
+            raise SimwireError("timer interval must be >= 1 tick")
+        tick = self.now + interval
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = []
+            heapq.heappush(self._ticks, tick)
+        bucket.append((fn, node, interval))
+
     def cancel_timer(self, timer_id: int) -> None:
         entry = self._timers.pop(timer_id, None)
         if entry is None:
@@ -405,14 +429,32 @@ class Simulator:
         if self._fault_schedule:
             self._activate_due_faults(tick)
         self.now = tick
-        live, timers = self._live, self._timers
+        live, timers, buckets = self._live, self._timers, self._buckets
         records_append = self.records.append
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
         # Handlers run under their event's flag; the caller's is restored after.
         try:
-            for event in self._buckets.pop(tick):
-                if type(event) is int:
+            for event in buckets.pop(tick):
+                if type(event) is Envelope:
+                    maintenance = event.maintenance
+                    if not maintenance:
+                        self._pending_external -= 1
+                    destination = event.destination
+                    handler = live.get(destination, _GONE)
+                    if handler is _GONE:
+                        self._fail_with_network_error(event)
+                        continue
+                    kind = event.kind
+                    records_append(_new_tuple(MessageRecord, (
+                        tick, event.message_id or 0, event.source, destination,
+                        _KIND_NAMES[kind], event.method, event.path,
+                        (event.status or DELIVERED) if kind is RESPONSE else DELIVERED)))
+                    delivered.append(event)
+                    if handler is not None:
+                        self._ctx_maintenance = maintenance
+                        handler(event)
+                elif type(event) is int:
                     entry = timers.pop(event, None)
                     if entry is None:
                         continue  # cancelled
@@ -422,27 +464,20 @@ class Simulator:
                     if node in live:
                         self._ctx_maintenance = maintenance
                         fn()
-                    continue
-                maintenance = event.maintenance
-                if not maintenance:
-                    self._pending_external -= 1
-                destination = event.destination
-                handler = live.get(destination, _GONE)
-                if handler is _GONE:
-                    self._fail_with_network_error(event)
-                    continue
-                kind = event.kind
-                records_append(_new_tuple(MessageRecord, (
-                    tick, event.message_id or 0, event.source, destination,
-                    _KIND_NAMES[kind], event.method, event.path,
-                    (event.status or DELIVERED) if kind is RESPONSE else DELIVERED)))
-                self.delivered += 1
-                delivered.append(event)
-                if handler is not None:
-                    self._ctx_maintenance = maintenance
-                    handler(event)
+                else:  # a periodic loop: (fn, node, interval)
+                    fn, node, interval = event
+                    if node in live:
+                        self._ctx_maintenance = True
+                        fn()
+                        due = tick + interval
+                        bucket = buckets.get(due)
+                        if bucket is None:
+                            bucket = buckets[due] = []
+                            heapq.heappush(self._ticks, due)
+                        bucket.append(event)
         finally:
             self._ctx_maintenance = outer
+            self.delivered += len(delivered)
         return delivered
 
     def advance_to(self, tick: int) -> None:
@@ -564,4 +599,4 @@ def apply_fault_schedule(sim: Simulator, schedule: list[tuple[int, str, FaultRul
 
 def canonical_json(body: Body) -> str:
     """Stable serialization for bodies: sorted keys, no whitespace."""
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(body)

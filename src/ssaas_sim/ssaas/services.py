@@ -20,7 +20,6 @@ from ..chassis import (
     ServiceNode,
     decode_tolerant,
     relay_result,
-    split_path,
 )
 from ..simwire import Body, Simulator
 from .stores import (
@@ -459,8 +458,8 @@ class Monolith(ServiceNode):
         if req.method == "POST" and req.path == "/refresh":
             super().dispatch(req)
             return
-        parts = split_path(req.path)
-        target = self._by_root.get(parts[0]) if parts else None
+        # The path's first segment; "" (no segment) is never a hosted root.
+        target = self._by_root.get(req.path.lstrip("/").split("/", 1)[0])
         if target is None:
             req.reply("404", {"error": "NoRoute"})
             return

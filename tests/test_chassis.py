@@ -541,6 +541,17 @@ class TestServiceNodeRouting:
         get("/things/7")
         assert got == [{"which": "param"}, {"which": "literal"}, {"which": "param"}]
 
+    def test_nodes_sharing_a_pattern_keep_their_own_handlers(self):
+        sim = Simulator()
+        got = []
+        for name in ("n1", "n2"):
+            node = ServiceNode(sim, name, "N")
+            node.route("GET", "/things/{tid}",
+                       lambda req, name=name: ("200", (name, req.params["tid"])))
+            node.dispatch(Request(method="GET", path=f"/things/{name}", body=None,
+                                  _reply=lambda s, b: got.append(b)))
+        assert got == [("n1", "n1"), ("n2", "n2")]
+
     def test_unmatched_path_is_404(self):
         sim = Simulator()
         node = ServiceNode(sim, "n", "N")

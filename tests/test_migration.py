@@ -12,6 +12,7 @@ from ssaas_sim.migration import (
     AUDIT_VIOLATIONS,
     BudgetExceeded,
     STAGES,
+    TraceDiff,
     TraceEntry,
     TraceFormatError,
     UnknownStage,
@@ -231,6 +232,106 @@ class TestNormalization:
         left = [self.entry(0, {"flag": True})]
         right = [self.entry(0, {"flag": 1})]
         assert not compare_traces(left, right).equal
+
+
+def ref_first_diff(a, b, path):
+    """The plain walk ``compare_traces`` ran on every entry before it cleared
+    equal entries by their text."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else key
+            if key not in a:
+                return sub, "<absent>", b[key]
+            if key not in b:
+                return sub, a[key], "<absent>"
+            found = ref_first_diff(a[key], b[key], sub)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (av, bv) in enumerate(zip(a, b)):
+            found = ref_first_diff(av, bv, f"{path}[{i}]")
+            if found:
+                return found
+        if len(a) != len(b):
+            return f"{path}.<length>", len(a), len(b)
+        return None
+    if a != b or type(a) is not type(b):
+        return path, a, b
+    return None
+
+
+def ref_compare_traces(left, right) -> TraceDiff:
+    a, b = normalize_trace(left), normalize_trace(right)
+    for i in range(min(len(a), len(b))):
+        found = ref_first_diff(a[i], b[i], "")
+        if found:
+            field, lv, rv = found
+            return TraceDiff(False, index=i, field=field, left=lv, right=rv)
+    if len(a) != len(b):
+        return TraceDiff(False, index=min(len(a), len(b)), field="<length>",
+                         left=len(a), right=len(b))
+    return TraceDiff(True)
+
+
+# Values that == one another across types, and text that looks like them.
+_LOOKALIKES = ((0, 0.0, -0.0, False), (1, 1.0, True))
+_leaves = (st.none() | st.sampled_from([x for group in _LOOKALIKES for x in group])
+           | st.integers(-2, 2) | st.floats(allow_infinity=True, allow_nan=True)
+           | st.just(float("nan")) | st.sampled_from(["nan", "NaN", "1", "db_1", "x"]))
+_trace_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.sampled_from(["a", "b", "developer_id", "project_id",
+                                       "database_name"]), inner, max_size=3),
+    max_leaves=8)
+
+
+def _twin(value, data):
+    """A value that often equals ``value`` under ==, in a type or key order
+    that may differ from it."""
+    if isinstance(value, dict):
+        items = [(k, _twin(v, data)) for k, v in value.items()]
+        if data.draw(st.booleans()):
+            items.reverse()
+        return dict(items)
+    if isinstance(value, (list, tuple)):
+        items = [_twin(v, data) for v in value]
+        return data.draw(st.sampled_from([type(value), type(value), list, tuple]))(items)
+    for group in _LOOKALIKES:
+        if isinstance(value, (bool, int, float)) and value in group:
+            return data.draw(st.sampled_from((value,) * len(group) + group))
+    return value
+
+
+class TestCompareTracesReference:
+    """``compare_traces`` clears equal entries by their text and walks only
+    the rest; every outcome must be the plain walk's."""
+
+    @staticmethod
+    def _entry(seq, path, request, response) -> TraceEntry:
+        return TraceEntry(seq=seq, client="client", method="POST", path=path,
+                          request_body=request, sent_tick=seq, status="200",
+                          response_body=response, done_tick=seq + 1)
+
+    @given(bodies=st.lists(st.tuples(st.sampled_from(["/a", "/b"]), _trace_values,
+                                     _trace_values), max_size=4),
+           data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_outcome_equals_the_plain_walk(self, bodies, data):
+        left = [self._entry(i, path, req, resp) for i, (path, req, resp) in enumerate(bodies)]
+        right = [self._entry(i, data.draw(st.sampled_from([path, path, "/c"])),
+                             _twin(req, data), _twin(resp, data))
+                 for i, (path, req, resp) in enumerate(bodies)]
+        cut = data.draw(st.integers(0, 2))
+        if cut == 1 and right:
+            right.pop()
+        elif cut == 2:
+            right.append(self._entry(len(right), "/a", None, None))
+        got, want = compare_traces(left, right), ref_compare_traces(left, right)
+        # repr, so that a NaN reported on both sides still compares equal
+        assert repr(got) == repr(want)
+        assert (got.equal, got.index, got.field) == (want.equal, want.index, want.field)
 
 
 class TestHarness:

@@ -46,6 +46,16 @@ class TestStoreBasics:
         inst = store.renew("Chat", "chat-1", now=25)
         assert inst.lease_expiry == 55
 
+    def test_renew_replaces_the_immutable_record(self):
+        store = RegistryStore()
+        first = store.register("Chat", "chat-1", "chat-1", 0, now=0)
+        renewed = store.renew("Chat", "chat-1", now=25)
+        assert renewed is not first
+        assert (first.lease_expiry, renewed.lease_expiry) == (30, 55)
+        assert store.all_instances() == [renewed]
+        with pytest.raises(AttributeError):
+            renewed.lease_expiry = 99  # type: ignore[misc]
+
     def test_renew_unknown_raises(self):
         store = RegistryStore()
         with pytest.raises(UnknownInstance):
@@ -85,6 +95,20 @@ class TestQueryAndSweep:
         evicted = store.sweep(now=30)
         assert [i.instance_id for i in evicted] == ["chat-1"]
         assert store.all_instances() == []
+
+    @pytest.mark.parametrize("op", ["register", "renew"])
+    def test_sweep_sees_a_lease_set_by_an_earlier_tick(self, op):
+        # The store takes each tick from its caller; a sweep that found
+        # nothing due must still see a lease written for an earlier tick.
+        store = RegistryStore()
+        store.register("Chat", "chat-1", "chat-1", 0, now=100)  # expiry 130
+        assert store.sweep(now=0) == []
+        if op == "register":
+            store.register("Chat", "chat-2", "chat-2", 0, now=0)  # expiry 30
+        else:
+            store.renew("Chat", "chat-1", now=0)  # expiry 30
+        evicted = store.sweep(now=30)
+        assert [i.lease_expiry for i in evicted] == [30]
 
     def test_renewal_keeps_instance_alive_past_original_ttl(self):
         store = RegistryStore()
@@ -153,6 +177,7 @@ def test_store_matches_lease_oracle(ops):
             store.sweep(now=now)
             oracle.sweep(now)
         assert [i.instance_id for i in store.query("S", now=now)] == oracle.live(now)
+        assert sorted(i.instance_id for i in store.all_instances()) == sorted(oracle.expiry)
 
 
 class TestWireApi:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssaas_sim import chassis
 from ssaas_sim.chassis import ROUTE_MEMO_LIMIT, Request, ServiceNode, split_path
 from ssaas_sim.gateway import DuplicatePrefix, InvalidRoute, RouteRule, RouteTable
 from ssaas_sim.simwire import Simulator
@@ -216,6 +217,16 @@ class TestMemoLimit:
             assert len(node._resolved) <= ROUTE_MEMO_LIMIT
         # paths seen before the memo was emptied still resolve
         assert node_dispatch(node, "GET", "/t/1") == (0, {"a": "1"})
+
+    def test_compiled_patterns_stay_bounded(self):
+        # Nodes of ten routes each, so that no route list grows long.
+        for start in range(0, ROUTE_MEMO_LIMIT + 300, 10):
+            routes = [("GET", f"/p{i}/{{x}}") for i in range(start, start + 10)]
+            node = routed_node(routes)
+            for name, (_, pattern) in enumerate(routes):
+                path = pattern.replace("{x}", "7")
+                assert node_dispatch(node, "GET", path) == (name, {"x": "7"})
+            assert len(chassis._compiled_patterns) <= ROUTE_MEMO_LIMIT
 
     def test_table_memo_stays_bounded(self):
         table, rules = build_table([("/api", True), ("/api/dev", False)])

@@ -21,6 +21,7 @@ from ssaas_sim.simwire import (
     InvalidFaultRule,
     MessageKind,
     Simulator,
+    SimwireError,
     UnknownNode,
     UnknownRule,
     apply_fault_schedule,
@@ -498,3 +499,99 @@ class TestTickBuckets:
         rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="c"))
         assert [e.path for e in sim.step()] == ["/revive-c", "/to-c"]
         assert sim.failed == 0
+
+
+def closure_every(sim: Simulator, node: str, interval: int, fn) -> None:
+    """The periodic loop as nodes ran it before the kernel owned it: a
+    maintenance timer that re-arms itself once ``fn`` returns."""
+    def tick() -> None:
+        fn()
+        sim.set_timer(node, interval, tick, maintenance=True)
+    sim.set_timer(node, interval, tick, maintenance=True)
+
+
+class TestEvery:
+    """``Simulator.every``: a periodic loop the kernel re-arms in place."""
+
+    @staticmethod
+    def _run(every) -> tuple[list, list]:
+        # Loops, one-shot timers and messages armed in the same ticks, some
+        # of them by the loops themselves, all landing in shared buckets.
+        sim = Simulator()
+        log: list = []
+        sim.add_node("a", lambda env: log.append((sim.now, "deliver", env.path)))
+        sim.add_node("b", lambda env: log.append((sim.now, "deliver", env.path)))
+
+        def slow() -> None:
+            log.append((sim.now, "slow"))
+            sim.set_timer("a", 2, lambda: log.append((sim.now, "armed-by-slow")))
+            sim.send(Envelope.request("a", "b", f"/slow-{sim.now}"))
+
+        def once() -> None:
+            log.append((sim.now, "once"))
+            sim.set_timer("b", 2, lambda: log.append((sim.now, "armed-by-once")))
+
+        sim.send(Envelope.request("b", "a", "/m0"))
+        every(sim, "a", 2, slow)
+        sim.set_timer("b", 2, once)
+        every(sim, "b", 1, lambda: log.append((sim.now, "fast")))
+        sim.inject(FaultRule(FaultEffect.DELAY, source="a", destination="b", delay_ticks=1))
+        pending = []
+        while sim.now < 12:
+            sim.step()
+            pending.append((sim.now, sim.pending_external, sim.queue_depth))
+        return log + [("records", [r.line() for r in sim.records])], pending
+
+    def test_fires_in_the_closure_loops_order(self):
+        kernel = self._run(lambda sim, node, interval, fn: sim.every(node, interval, fn))
+        assert kernel == self._run(closure_every)
+        log = kernel[0]
+        assert log[:4] == [(1, "deliver", "/m0"), (1, "fast"), (2, "slow"), (2, "once")]
+        # At tick 4: what "slow" armed and sent at 2, then "slow" again (it
+        # re-arms once it returns), then what a later event of tick 2 armed.
+        assert [e for e in log if e[0] == 4][:4] == [
+            (4, "armed-by-slow"), (4, "deliver", "/slow-2"), (4, "slow"),
+            (4, "armed-by-once")]
+
+    def test_runs_as_maintenance_and_is_never_pending(self):
+        sim = make_sim("b")
+        sent: list[Envelope] = []
+
+        def beat() -> None:
+            env = Envelope.request("a", "b", "/beat")
+            sim.send(env)
+            sent.append(env)
+
+        # Armed from an external message's handler, the loop still runs
+        # under the maintenance flag.
+        sim.add_node("a", lambda env: sim.every("a", 3, beat))
+        sim.send(Envelope.request("b", "a", "/start"))
+        assert sim.pending_external == 1
+        assert sim.run_until_idle()
+        assert sim.now == 1 and sim.pending_external == 0
+        sim.advance_to(11)
+        assert sim.now == 11
+        assert [env.maintenance for env in sent] == [True, True, True]  # ticks 4, 7, 10
+        assert sim.pending_external == 0
+        assert sim.run_until_idle() and sim.now == 11
+
+    def test_loop_on_a_killed_node_ends_and_revive_does_not_restart_it(self):
+        sim = make_sim("a")
+        fired: list[int] = []
+        sim.every("a", 2, lambda: fired.append(sim.now))
+        sim.advance_to(3)
+        assert fired == [2]
+        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a"))
+        sim.advance_to(5)
+        sim.clear(rid)
+        assert sim.node_alive("a")
+        sim.advance_to(20)
+        assert fired == [2]
+        assert sim.next_event_tick() is None
+
+    def test_arming_is_checked(self):
+        sim = make_sim("a")
+        with pytest.raises(UnknownNode):
+            sim.every("ghost", 1, lambda: None)
+        with pytest.raises(SimwireError):
+            sim.every("a", 0, lambda: None)

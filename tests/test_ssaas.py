@@ -304,6 +304,25 @@ def call(sim, ext, method, path, body=None, target="monolith") -> CallResult:
     return results[0]
 
 
+class TestMonolithRoots:
+    class Hosted(ServiceNode):
+        def dispatch(self, req: Request) -> None:
+            req.reply("200", self.service)
+
+    @pytest.mark.parametrize("path, want", [
+        ("/content", "content"), ("//content/1/t", "content"), ("/schema/", "schema"),
+        ("/", None), ("///", None), ("", None), ("/contents", None), ("/x/content", None),
+    ])
+    def test_first_segment_picks_the_hosted_service(self, path, want):
+        sim = Simulator()
+        mono = Monolith(sim)
+        for root in ("content", "schema"):
+            mono.host(self.Hosted(sim, "monolith", root), [root])
+        got = []
+        mono.dispatch(Request("GET", path, None, _reply=lambda s, b: got.append((s, b))))
+        assert got == [("200", want) if want else ("404", {"error": "NoRoute"})]
+
+
 class TestMonolithFlows:
     def test_register_and_fetch_developer(self):
         sim, mono, ext, _ = build_monolith_world()
