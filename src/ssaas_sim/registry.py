@@ -60,8 +60,6 @@ class RegistryStore:
     def __init__(self, lease: LeaseConfig = LeaseConfig()) -> None:
         self.lease = lease
         self._instances: dict[tuple[str, str], Instance] = {}
-        # No lease expires before this tick, so a sweep before it finds nothing.
-        self._next_expiry = 0
 
     def register(self, service: str, instance_id: str, address: str, port: int,
                  now: int, status: str = STATUS_UP) -> Instance:
@@ -72,8 +70,6 @@ class RegistryStore:
                         port=int(port), status=status,
                         lease_expiry=now + self.lease.ttl_ticks)
         self._instances[(service, instance_id)] = inst
-        if inst.lease_expiry < self._next_expiry:
-            self._next_expiry = inst.lease_expiry
         return inst
 
     def renew(self, service: str, instance_id: str, now: int) -> Instance:
@@ -81,12 +77,9 @@ class RegistryStore:
         inst = self._instances.get(key)
         if inst is None:
             raise UnknownInstance(f"{service}/{instance_id}")
-        expiry = now + self.lease.ttl_ticks
         inst = Instance(inst.service, inst.instance_id, inst.address, inst.port,
-                        inst.status, expiry)
+                        inst.status, now + self.lease.ttl_ticks)
         self._instances[key] = inst
-        if expiry < self._next_expiry:
-            self._next_expiry = expiry
         return inst
 
     def deregister(self, service: str, instance_id: str) -> bool:
@@ -103,13 +96,11 @@ class RegistryStore:
 
     def sweep(self, now: int) -> list[Instance]:
         """Evict every record whose lease has expired (expiry <= now)."""
-        if now < self._next_expiry:
-            return []
         evicted = [inst for inst in self._instances.values() if inst.lease_expiry <= now]
+        if not evicted:
+            return evicted
         for inst in evicted:
             del self._instances[(inst.service, inst.instance_id)]
-        self._next_expiry = min((inst.lease_expiry for inst in self._instances.values()),
-                                default=now + self.lease.ttl_ticks)
         return sorted(evicted, key=lambda i: (i.service, i.instance_id))
 
     def all_instances(self) -> list[Instance]:
