@@ -477,6 +477,7 @@ class Simulator:
                         bucket.append(event)
         finally:
             self._ctx_maintenance = outer
+            # Counted once per tick, so a handler reads the count at the tick's start.
             self.delivered += len(delivered)
         return delivered
 
