@@ -433,8 +433,7 @@ _REMOTE_ERROR = CallStatus.REMOTE_ERROR
 _TIMEOUT = CallStatus.TIMEOUT
 
 
-@dataclass(slots=True)
-class CallResult:
+class CallResult(NamedTuple):
     status: CallStatus
     body: Body = None
     remote_status: Optional[str] = None
@@ -442,6 +441,9 @@ class CallResult:
     @property
     def ok(self) -> bool:
         return self.status is _OK
+
+
+_new_tuple = tuple.__new__  # builds a CallResult without its __new__ frame
 
 
 class ServiceClient:
@@ -504,8 +506,15 @@ class ServiceClient:
                 self._finish_fast(on_result)
                 return
             self._send_tracked(target, method, path, body, on_result, deadline, breaker)
+        elif self.resolver.fresh(service, self.sim.now):
+            self._attempt(service, method, path, body, on_result, deadline)
         else:
-            self._call_discovered(service, method, path, body, on_result, deadline)
+            def after_fetch(fetched: bool) -> None:
+                if not fetched:
+                    self._finish_fast(on_result)
+                    return
+                self._attempt(service, method, path, body, on_result, deadline)
+            self._fetch_instances(service, after_fetch)
 
     def call_node(self, target_node: str, method: str, path: str, body: Body = None,
                   on_result: Optional[Callable[[CallResult], None]] = None,
@@ -524,20 +533,6 @@ class ServiceClient:
             if on_result is not None:
                 on_result(_classify(status, rbody))
         peer.dispatch(Request(method, path, body, _reply=reply))
-
-    def _call_discovered(self, service: str, method: str, path: str, body: Body,
-                         on_result: Optional[Callable[[CallResult], None]],
-                         deadline: Optional[int]) -> None:
-        now = self.sim.now
-        if self.resolver.fresh(service, now):
-            self._attempt(service, method, path, body, on_result, deadline)
-            return
-        def after_fetch(fetched: bool) -> None:
-            if not fetched:
-                self._finish_fast(on_result)
-                return
-            self._attempt(service, method, path, body, on_result, deadline)
-        self._fetch_instances(service, after_fetch)
 
     def _fetch_instances(self, service: str, waiter: Callable[[bool], None]) -> None:
         waiters = self._fetch_waiters.get(service)
@@ -638,10 +633,10 @@ def relay_result(req: Request, result: CallResult) -> None:
 
 def _classify(status: str, body: Body) -> CallResult:
     if status == NETWORK_ERROR_STATUS:
-        return CallResult(_TIMEOUT, body, status)
+        return _new_tuple(CallResult, (_TIMEOUT, body, status))
     if status.startswith("2"):
-        return CallResult(_OK, body, status)
-    return CallResult(_REMOTE_ERROR, body, status)
+        return _new_tuple(CallResult, (_OK, body, status))
+    return _new_tuple(CallResult, (_REMOTE_ERROR, body, status))
 
 
 # -- lifecycle helpers -----------------------------------------------------------

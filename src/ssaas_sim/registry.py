@@ -54,6 +54,9 @@ class Instance(NamedTuple):
                 "status": self.status, "lease_expiry": self.lease_expiry}
 
 
+_new_tuple = tuple.__new__  # builds a renewed Instance without its __new__ frame
+
+
 class RegistryStore:
     """Pure lease bookkeeping; every operation takes the current tick."""
 
@@ -77,8 +80,8 @@ class RegistryStore:
         inst = self._instances.get(key)
         if inst is None:
             raise UnknownInstance(f"{service}/{instance_id}")
-        inst = Instance(inst.service, inst.instance_id, inst.address, inst.port,
-                        inst.status, now + self.lease.ttl_ticks)
+        inst = _new_tuple(Instance, (inst.service, inst.instance_id, inst.address,
+                                     inst.port, inst.status, now + self.lease.ttl_ticks))
         self._instances[key] = inst
         return inst
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
 from types import MappingProxyType
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 Body = Any  # maps, lists, strings, ints, booleans, None
 
@@ -201,7 +201,6 @@ class Simulator:
         self.nodes = MappingProxyType(self._nodes)
         self._live: dict[str, Optional[Callable[[Envelope], None]]] = {}
         self.records: list[MessageRecord] = []
-        self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.failed = 0
@@ -220,7 +219,6 @@ class Simulator:
         self._next_rule_id = 1
         self._next_timer_id = 1
         self._seq = 0
-        self._pending_external = 0
         self._ctx_maintenance = False
 
     # -- nodes ------------------------------------------------------------
@@ -256,7 +254,6 @@ class Simulator:
         mid = self._next_message_id
         self._next_message_id = mid + 1
         env.message_id = mid
-        self.sent += 1
         if maintenance is None:
             maintenance = self._ctx_maintenance
         env.maintenance = maintenance
@@ -285,8 +282,6 @@ class Simulator:
             bucket = self._buckets[tick] = []
             heapq.heappush(self._ticks, tick)
         bucket.append(env)
-        if not maintenance:
-            self._pending_external += 1
         return mid
 
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
@@ -311,8 +306,6 @@ class Simulator:
             bucket = self._buckets[tick] = []
             heapq.heappush(self._ticks, tick)
         bucket.append(tid)
-        if not maintenance:
-            self._pending_external += 1
         return tid
 
     def every(self, node: str, interval: int, fn: Callable[[], None]) -> None:
@@ -334,13 +327,7 @@ class Simulator:
         bucket.append((fn, node, interval))
 
     def cancel_timer(self, timer_id: int) -> None:
-        entry = self._timers.pop(timer_id, None)
-        if entry is None:
-            return
-        # Release the tombstone's share of the pending count now so
-        # quiescence is not held hostage.
-        if not entry[1]:
-            self._pending_external -= 1
+        self._timers.pop(timer_id, None)
 
     # -- faults -----------------------------------------------------------
 
@@ -437,9 +424,6 @@ class Simulator:
         try:
             for event in buckets.pop(tick):
                 if type(event) is Envelope:
-                    maintenance = event.maintenance
-                    if not maintenance:
-                        self._pending_external -= 1
                     destination = event.destination
                     handler = live.get(destination, _GONE)
                     if handler is _GONE:
@@ -452,15 +436,13 @@ class Simulator:
                         (event.status or DELIVERED) if kind is RESPONSE else DELIVERED)))
                     delivered.append(event)
                     if handler is not None:
-                        self._ctx_maintenance = maintenance
+                        self._ctx_maintenance = event.maintenance
                         handler(event)
                 elif type(event) is int:
                     entry = timers.pop(event, None)
                     if entry is None:
                         continue  # cancelled
                     fn, maintenance, node = entry
-                    if not maintenance:
-                        self._pending_external -= 1
                     if node in live:
                         self._ctx_maintenance = maintenance
                         fn()
@@ -494,7 +476,7 @@ class Simulator:
         """Step until no non-maintenance work is pending. Returns False if
         the tick budget ran out first."""
         deadline = self.now + budget
-        while self.pending_external > 0:
+        while any(self._pending_work()):
             if self.now >= deadline:
                 return False
             self.step()
@@ -502,8 +484,32 @@ class Simulator:
 
     @property
     def pending_external(self) -> int:
-        """Queued events that are not periodic maintenance traffic."""
-        return self._pending_external
+        """Queued work that is not maintenance, counted from the queue itself.
+
+        While a tick is being delivered, the messages of the rest of that
+        tick are no longer counted: :meth:`step` has taken its bucket off the
+        queue.
+        """
+        return sum(self._pending_work())
+
+    def _pending_work(self) -> Iterator[int]:
+        """Yield 1 per queued message and per pending one-shot timer that is
+        not flagged maintenance. A cancelled or fired timer has left
+        ``_timers``; a periodic loop is always maintenance."""
+        for _, maintenance, _ in self._timers.values():
+            if not maintenance:
+                yield 1
+        for bucket in self._buckets.values():
+            for event in bucket:
+                if type(event) is Envelope and not event.maintenance:
+                    yield 1
+
+    @property
+    def sent(self) -> int:
+        """Messages sent so far, dropped and failed ones included. Every send,
+        and every network-error reply the kernel makes, takes exactly one
+        message id."""
+        return self._next_message_id - 1
 
     @property
     def queue_depth(self) -> int:
@@ -525,16 +531,13 @@ class Simulator:
         reply = Envelope.response(env, NETWORK_ERROR_STATUS, body={"error": "NetworkError"})
         reply.message_id = self._next_message_id
         self._next_message_id += 1
-        self.sent += 1
-        reply.maintenance = maintenance = env.maintenance
+        reply.maintenance = env.maintenance
         tick = self.now + BASE_LATENCY_TICKS
         bucket = self._buckets.get(tick)
         if bucket is None:
             bucket = self._buckets[tick] = []
             heapq.heappush(self._ticks, tick)
         bucket.append(reply)
-        if not maintenance:
-            self._pending_external += 1
 
     def _record(self, env: Envelope, status: str) -> None:
         self.records.append(_new_tuple(MessageRecord, (

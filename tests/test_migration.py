@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from ssaas_sim.migration import (
     run_workload,
     serialize_trace,
 )
+from ssaas_sim.migration.traces import ID_FAMILIES
 from ssaas_sim.simwire import Envelope, parse_fault_script
 from ssaas_sim.workloads import load_text
 
@@ -304,9 +308,48 @@ def _twin(value, data):
     return value
 
 
+def _renumber(value, key=None):
+    """``value`` with every generated id moved by 100, the way another
+    topology might number the same objects."""
+    if isinstance(value, dict):
+        return {k: _renumber(v, k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_renumber(v, key) for v in value)
+    if key in ID_FAMILIES and isinstance(value, int) and not isinstance(value, bool):
+        return value + 100
+    if key == "database_name" and isinstance(value, str) and re.fullmatch(r"db_\d+", value):
+        return f"db_{int(value[3:]) + 100}"
+    return value
+
+
+def _lookalike(value, data):
+    """``value`` with leaves swapped for ones that == them: NaN for a fresh
+    NaN, -0.0 for 0.0, 1 for 1.0 or True."""
+    if isinstance(value, dict):
+        return {k: _lookalike(v, data) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_lookalike(v, data) for v in value)
+    if isinstance(value, float) and value != value:
+        return float("nan")
+    for group in _LOOKALIKES:
+        if isinstance(value, (bool, int, float)) and value in group:
+            return data.draw(st.sampled_from(group))
+    return value
+
+
+def _reordered(value):
+    """``value`` with the keys of every dict in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(list(value))}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reordered(v) for v in value)
+    return value
+
+
 class TestCompareTracesReference:
-    """``compare_traces`` clears equal entries by their text and walks only
-    the rest; every outcome must be the plain walk's."""
+    """``compare_traces`` clears equal traces, and then equal entries, by
+    their text and walks only the rest; every outcome must be the plain
+    walk's."""
 
     @staticmethod
     def _entry(seq, path, request, response) -> TraceEntry:
@@ -332,6 +375,58 @@ class TestCompareTracesReference:
         # repr, so that a NaN reported on both sides still compares equal
         assert repr(got) == repr(want)
         assert (got.equal, got.index, got.field) == (want.equal, want.index, want.field)
+
+    @given(bodies=st.lists(st.tuples(st.sampled_from(["/a", "/b"]), _trace_values,
+                                     _trace_values), max_size=4),
+           derive=st.sampled_from(["copy", "renumber", "change", "lookalike",
+                                   "reorder", "truncate"]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_right_trace_derived_from_the_left(self, bodies, derive, data):
+        left = [self._entry(i, path, req, resp) for i, (path, req, resp) in enumerate(bodies)]
+        if derive == "copy":  # fresh objects, same values
+            right = [e._replace(request_body=copy.deepcopy(e.request_body),
+                                response_body=copy.deepcopy(e.response_body)) for e in left]
+        elif derive == "renumber":
+            right = [e._replace(request_body=_renumber(e.request_body),
+                                response_body=_renumber(e.response_body)) for e in left]
+        elif derive == "change":
+            right = list(left)
+            if right:
+                i = data.draw(st.integers(0, len(right) - 1))
+                name = data.draw(st.sampled_from(TraceEntry._fields))
+                if name in ("request_body", "response_body"):
+                    value = data.draw(_trace_values)
+                elif name in ("seq", "sent_tick", "done_tick"):
+                    value = data.draw(st.integers(0, 9))
+                else:
+                    value = data.draw(st.sampled_from(["client", "GET", "/a", "/c", "200", "404"]))
+                right[i] = right[i]._replace(**{name: value})
+        elif derive == "lookalike":
+            right = [e._replace(request_body=_lookalike(e.request_body, data),
+                                response_body=_lookalike(e.response_body, data)) for e in left]
+        elif derive == "reorder":
+            right = [e._replace(request_body=_reordered(e.request_body),
+                                response_body=_reordered(e.response_body)) for e in left]
+        else:
+            right = left[:data.draw(st.integers(0, len(left)))]
+        got, want = compare_traces(left, right), ref_compare_traces(left, right)
+        assert repr(got) == repr(want)
+        assert repr(compare_traces(iter(left), iter(right))) == repr(want)
+
+    def test_equal_stage_traces_are_not_normalized(self, monkeypatch):
+        from ssaas_sim.migration import traces
+
+        lines = parse_workload(load_text("basic.wl"))
+        reference = run_workload(build_stage(0), lines)
+        stage_traces = [run_workload(build_stage(stage), lines) for stage in range(1, 7)]
+
+        def refuse(entries):
+            raise AssertionError("an equal trace was normalized")
+
+        monkeypatch.setattr(traces, "normalize_trace", refuse)
+        for entries in stage_traces:
+            assert compare_traces(reference, entries) == TraceDiff(True)
 
 
 class TestHarness:

@@ -595,3 +595,195 @@ class TestEvery:
             sim.every("ghost", 1, lambda: None)
         with pytest.raises(SimwireError):
             sim.every("a", 0, lambda: None)
+
+
+class _TrackedCounters:
+    """A kernel driven by test ops, next to the pending and sent counts kept
+    by the rule the kernel once tracked them by: +1 per queued message or
+    timer not flagged maintenance, -1 per cancel of a live one, -1 per one
+    popped by ``step``; one id per send and per network-error reply.
+
+    The model keeps its own queue of what it expects the kernel to hold. It
+    uses no DELAY rules, so every message lands one tick after its send, and
+    no callback kills or revives a node, so liveness holds for a whole tick.
+    """
+
+    NODES = ("a", "b", "c")
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        for name in self.NODES:
+            self.sim.add_node(name, lambda env: None)
+        self.pending = 0
+        self.ids = 0
+        # due tick -> ("msg", maintenance, source, destination, is_request)
+        # or ("timer", timer id)
+        self.queue: dict[int, list[tuple]] = {}
+        self.timers: dict[int, bool] = {}  # live timer id -> maintenance
+        self.timer_ids: list[int] = []
+        self.kills: dict[str, list[int]] = {}
+        self.drops: list[tuple[int, str, str]] = []
+        self.ctx = False  # the flag the kernel runs the current callback under
+
+    def _other(self, node: str) -> str:
+        return self.NODES[(self.NODES.index(node) + 1) % len(self.NODES)]
+
+    def _enqueue(self, due: int, item: tuple) -> None:
+        self.queue.setdefault(due, []).append(item)
+
+    def _running(self, flag: bool, fn) -> None:
+        outer, self.ctx = self.ctx, flag
+        try:
+            fn()
+        finally:
+            self.ctx = outer
+
+    def send(self, source: str, destination: str, maintenance=None) -> None:
+        sim = self.sim
+        flag = self.ctx if maintenance is None else maintenance
+        depth = sim.queue_depth
+        env = Envelope.request(source, destination, "/x")
+        sim.send(env, maintenance)
+        assert env.maintenance is flag
+        self.ids += 1
+        if not sim.node_alive(source):
+            item = None  # dropped at the source
+        elif not sim.node_alive(destination):
+            self.ids += 1  # the kernel's network-error reply
+            item = ("msg", flag, destination, source, False)
+        elif any((s, d) == (source, destination) for _, s, d in self.drops):
+            item = None
+        else:
+            item = ("msg", flag, source, destination, True)
+        assert sim.queue_depth == depth + (item is not None)
+        if item is not None:
+            self._enqueue(sim.now + 1, item)
+            if not flag:
+                self.pending += 1
+
+    def set_timer(self, node: str, delay: int, maintenance, then: str) -> None:
+        flag = self.ctx if maintenance is None else maintenance
+
+        def fire() -> None:
+            if then == "send":
+                self._running(flag, lambda: self.send(node, self._other(node)))
+            elif then == "timer":
+                self._running(flag, lambda: self.set_timer(node, 1, None, "none"))
+
+        tid = self.sim.set_timer(node, delay, fire, maintenance)
+        self.timers[tid] = flag
+        self.timer_ids.append(tid)
+        self._enqueue(self.sim.now + delay, ("timer", tid))
+        if not flag:
+            self.pending += 1
+
+    def cancel(self, k: int) -> None:
+        if not self.timer_ids:
+            return
+        tid = self.timer_ids[k % len(self.timer_ids)]
+        self.sim.cancel_timer(tid)
+        if self.timers.pop(tid, True) is False:
+            self.pending -= 1
+
+    def every(self, node: str, interval: int) -> None:
+        self.sim.every(node, interval, lambda: self._running(
+            True, lambda: self.send(node, self._other(node))))
+
+    def kill(self, node: str) -> None:
+        rid = self.sim.inject(FaultRule(FaultEffect.KILL_NODE, node=node))
+        self.kills.setdefault(node, []).append(rid)
+
+    def revive(self, node: str) -> None:
+        for rid in self.kills.pop(node, []):
+            self.sim.clear(rid)
+
+    def drop(self, source: str, destination: str) -> None:
+        rid = self.sim.inject(FaultRule(FaultEffect.DROP, source=source,
+                                        destination=destination))
+        self.drops.append((rid, source, destination))
+
+    def undrop(self, k: int) -> None:
+        if self.drops:
+            self.sim.clear(self.drops.pop(k % len(self.drops))[0])
+
+    def step(self) -> None:
+        self.sim.step()
+        self._pop(through=self.sim.now)
+
+    def advance(self, ticks: int) -> None:
+        target = self.sim.now + ticks
+        self.sim.advance_to(target)
+        self._pop(through=target - 1)
+
+    def _pop(self, through: int) -> None:
+        """Take every expected event due by ``through`` off the model queue."""
+        alive = self.sim.node_alive
+        while self.queue and min(self.queue) <= through:
+            tick = min(self.queue)
+            for item in self.queue.pop(tick):
+                if item[0] == "timer":
+                    if self.timers.pop(item[1], True) is False:
+                        self.pending -= 1
+                    continue
+                _, flag, source, destination, is_request = item
+                if not flag:
+                    self.pending -= 1
+                if not alive(destination) and is_request and alive(source):
+                    self.ids += 1
+                    self._enqueue(tick + 1, ("msg", flag, destination, source, False))
+                    if not flag:
+                        self.pending += 1
+
+
+_node = st.sampled_from(_TrackedCounters.NODES)
+_flag = st.sampled_from([None, True, False])
+_kernel_op = st.one_of(
+    st.tuples(st.just("send"), _node, _node, _flag),
+    st.tuples(st.just("set_timer"), _node, st.integers(1, 4), _flag,
+              st.sampled_from(["none", "send", "timer"])),
+    st.tuples(st.just("cancel"), st.integers(0, 20)),
+    st.tuples(st.just("every"), _node, st.integers(1, 4)),
+    st.tuples(st.just("kill"), _node),
+    st.tuples(st.just("revive"), _node),
+    st.tuples(st.just("drop"), _node, _node),
+    st.tuples(st.just("undrop"), st.integers(0, 5)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("advance"), st.integers(0, 5)),
+)
+
+
+class TestDerivedCounts:
+    """``pending_external`` and ``sent`` are derived from the queue and the
+    id counter; they must read what per-event tracking would have read."""
+
+    @given(ops=st.lists(_kernel_op, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_equal_the_tracked_ones_after_every_op(self, ops):
+        model = _TrackedCounters()
+        sim = model.sim
+        for name, *args in ops:
+            getattr(model, name)(*args)
+            assert (sim.pending_external, sim.sent) == (model.pending, model.ids), name
+        assert sim.run_until_idle(budget=100)
+        model._pop(through=sim.now)
+        assert sim.pending_external == model.pending == 0
+        assert sim.sent == model.ids
+
+    def test_a_raising_handler_leaves_no_phantom_pending_work(self):
+        # The handler raises on the tick's first message. The rest of the
+        # tick is lost with it, and nothing is left that could hold up
+        # quiescence.
+        sim = make_sim("a")
+
+        def on_b(env: Envelope) -> None:
+            if env.path == "/boom":
+                raise RuntimeError("boom")
+
+        sim.add_node("b", on_b)
+        sim.send(Envelope.request("a", "b", "/boom"))
+        sim.send(Envelope.request("a", "b", "/after"))
+        with pytest.raises(RuntimeError):
+            sim.step()
+        assert (sim.queue_depth, sim.pending_external) == (0, 0)
+        assert sim.run_until_idle(budget=50)
+        assert sim.now == 1
