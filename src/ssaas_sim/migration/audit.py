@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..chassis import split_path
-from ..simwire import DELIVERED, MessageKind, MessageRecord
+from ..simwire import DELIVERED, MessageKind, MessageRecord, WireTrace
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
 _REQUEST_KIND = MessageKind.REQUEST.value  # a record's kind is a plain string
@@ -114,32 +114,34 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
     """Check every delivered entity write against the stage's owner map.
 
     ``node_services`` maps node ids to the service each node runs, normally
-    ``SystemHandle.node_services()``.
+    ``SystemHandle.node_services()``. A :class:`WireTrace` is read through
+    its plain rows, so the audit builds no records.
     """
     if stage == 0:
         return AuditReport(stage=stage, status=AUDIT_NOT_APPLICABLE)
     report = AuditReport(stage=stage, status=AUDIT_OK)
     # path -> (entity, owner), or None for a path that carries no entity.
     owners: dict[str, Optional[tuple[str, str]]] = {}
-    for rec in records:
-        if rec.kind != _REQUEST_KIND or rec.status != DELIVERED:
+    rows = records.rows() if isinstance(records, WireTrace) else records
+    for tick, message_id, source, destination, kind, method, path, status in rows:
+        if kind != _REQUEST_KIND or status != DELIVERED:
             continue
-        if rec.method not in WRITE_METHODS:
+        if method not in WRITE_METHODS:
             continue
-        hit = owners.get(rec.path, _UNSEEN)
+        hit = owners.get(path, _UNSEEN)
         if hit is _UNSEEN:
-            entity = classify_write(rec.path, stage)
-            hit = owners[rec.path] = \
+            entity = classify_write(path, stage)
+            hit = owners[path] = \
                 None if entity is None else (entity, expected_owner(entity, stage))
         if hit is None:
             continue
         report.writes_checked += 1
         entity, owner = hit
-        actual = node_services.get(rec.destination, rec.destination)
+        actual = node_services.get(destination, destination)
         if actual != owner:
             report.violations.append(Violation(
-                tick=rec.tick, message_id=rec.message_id, source=rec.source,
-                destination=rec.destination, method=rec.method, path=rec.path,
+                tick=tick, message_id=message_id, source=source,
+                destination=destination, method=method, path=path,
                 entity=entity, expected=owner, actual=actual))
     if report.violations:
         report.status = AUDIT_VIOLATIONS

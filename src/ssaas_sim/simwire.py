@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
+from itertools import repeat
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -153,7 +155,8 @@ class MessageRecord(NamedTuple):
     status: str
 
     def line(self) -> str:
-        return f"{self.tick}|{self.message_id}|{self.source}|{self.destination}|{self.kind}|{self.path}|{self.status}"
+        tick, message_id, source, destination, kind, _, path, status = self
+        return f"{tick}|{message_id}|{source}|{destination}|{kind}|{path}|{status}"
 
     def to_json(self) -> str:
         return _CANONICAL.encode(self._asdict())
@@ -169,6 +172,57 @@ _GONE = object()  # step's marker for a destination missing from _live
 DELIVERED = "delivered"
 DROPPED = "dropped"
 FAILED = "failed"
+
+_WIDTH = len(MessageRecord._fields)
+
+
+class WireTrace(Sequence[MessageRecord]):
+    """The delivery trace, read as a sequence of :class:`MessageRecord`.
+
+    The kernel keeps the trace as one flat list of fields, eight per record
+    in field order, so writing a record leaves no object behind for the
+    cyclic garbage collector to track (it never untracks a named tuple).
+    Reading builds each record when it is read, and nothing caches it:
+    :meth:`rows` yields plain tuples instead and builds no record.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: list) -> None:
+        self._fields = fields
+
+    def __len__(self) -> int:
+        return len(self._fields) // _WIDTH
+
+    def __getitem__(self, i: int) -> MessageRecord:  # type: ignore[override]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("wire trace index out of range")
+        start = i * _WIDTH
+        return _new_tuple(MessageRecord, self._fields[start:start + _WIDTH])
+
+    def __iter__(self) -> Iterator[MessageRecord]:
+        return map(_new_tuple, repeat(MessageRecord), self.rows())
+
+    def rows(self) -> Iterator[tuple]:
+        """Each record's fields as a plain tuple, in field order. Builds no
+        :class:`MessageRecord`."""
+        return zip(*[iter(self._fields)] * _WIDTH)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, WireTrace):
+            return self._fields == other._fields
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"WireTrace({list(self)!r})"
+
+    def clear(self) -> None:
+        self._fields.clear()
 
 
 class Simulator:
@@ -192,6 +246,9 @@ class Simulator:
     rule has taken down to its handler, so a send or a delivery checks
     liveness with one lookup. Kills and revives edit it in place: a handler
     may change it for a later event of the tick.
+
+    ``records`` is the delivery trace, a read-only :class:`WireTrace` over
+    the flat list of fields that :meth:`step` and :meth:`_record` extend.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -200,7 +257,9 @@ class Simulator:
         self._nodes: dict[str, Optional[Callable[[Envelope], None]]] = {}
         self.nodes = MappingProxyType(self._nodes)
         self._live: dict[str, Optional[Callable[[Envelope], None]]] = {}
-        self.records: list[MessageRecord] = []
+        # The trace, flat: see WireTrace. Only step and _record extend it.
+        self._trace: list = []
+        self.records = WireTrace(self._trace)
         self.delivered = 0
         self.dropped = 0
         self.failed = 0
@@ -406,7 +465,9 @@ class Simulator:
         """Advance to the next event tick and deliver everything due there.
 
         With an empty queue the clock advances one tick. Node handlers run
-        synchronously; their sends land on later ticks.
+        synchronously; their sends land on later ticks. If a handler raises,
+        the exception propagates and the tick's undelivered events stay
+        queued at this tick, for the next step to deliver.
         """
         if not self._ticks:
             self.now += 1
@@ -417,12 +478,13 @@ class Simulator:
             self._activate_due_faults(tick)
         self.now = tick
         live, timers, buckets = self._live, self._timers, self._buckets
-        records_append = self.records.append
+        trace_extend = self._trace.extend
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
+        events = iter(buckets.pop(tick))
         # Handlers run under their event's flag; the caller's is restored after.
         try:
-            for event in buckets.pop(tick):
+            for event in events:
                 if type(event) is Envelope:
                     destination = event.destination
                     handler = live.get(destination, _GONE)
@@ -430,10 +492,10 @@ class Simulator:
                         self._fail_with_network_error(event)
                         continue
                     kind = event.kind
-                    records_append(_new_tuple(MessageRecord, (
+                    trace_extend((
                         tick, event.message_id or 0, event.source, destination,
                         _KIND_NAMES[kind], event.method, event.path,
-                        (event.status or DELIVERED) if kind is RESPONSE else DELIVERED)))
+                        (event.status or DELIVERED) if kind is RESPONSE else DELIVERED))
                     delivered.append(event)
                     if handler is not None:
                         self._ctx_maintenance = event.maintenance
@@ -457,6 +519,15 @@ class Simulator:
                             bucket = buckets[due] = []
                             heapq.heappush(self._ticks, due)
                         bucket.append(event)
+        except BaseException:
+            # The rest of the tick goes back on the queue, undelivered: every
+            # other event lands at least one tick ahead, so nothing else can
+            # have landed on this tick, and the next step delivers it here.
+            rest = list(events)
+            if rest:
+                buckets[tick] = rest
+                heapq.heappush(self._ticks, tick)
+            raise
         finally:
             self._ctx_maintenance = outer
             # Counted once per tick, so a handler reads the count at the tick's start.
@@ -540,9 +611,9 @@ class Simulator:
         bucket.append(reply)
 
     def _record(self, env: Envelope, status: str) -> None:
-        self.records.append(_new_tuple(MessageRecord, (
+        self._trace.extend((
             self.now, env.message_id or 0, env.source, env.destination,
-            _KIND_NAMES[env.kind], env.method, env.path, status)))
+            _KIND_NAMES[env.kind], env.method, env.path, status))
 
     # -- trace export -----------------------------------------------------
 

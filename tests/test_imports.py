@@ -1,10 +1,12 @@
-"""Every name a source module imports is used in that module.
+"""Every name a source module imports, and every private name it binds at
+module level, is used in that module.
 
 No linter ships with the project, so this parses each module under
 ``src/ssaas_sim/`` with :mod:`ast` and names every imported name the module
-never references. Package ``__init__.py`` files re-export names, so they
-are skipped, and so are ``from __future__`` imports. Names inside string
-annotations count as references.
+never loads, and every module-level ``_name`` bound by an assignment, a
+``def`` or a ``class`` that the module never loads. Package ``__init__.py``
+files re-export names, so they are skipped, and so are ``from __future__``
+imports and dunder names. Names inside string annotations count as loads.
 """
 
 from __future__ import annotations
@@ -27,11 +29,27 @@ def imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def private_bindings(tree: ast.Module) -> set[str]:
+    """Names starting with ``_`` that the module's top level binds with an
+    assignment, a ``def`` or a ``class``; dunder names are left out."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
+    """Names the module loads, string annotations included."""
     names = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
@@ -46,9 +64,18 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def unused_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     return sorted(imported_names(tree) - referenced_names(tree))
+
+
+def unused_private_names(path: Path) -> list[str]:
+    tree = parse(path)
+    return sorted(private_bindings(tree) - referenced_names(tree))
 
 
 def test_reference_detects_unused_and_string_annotation_uses():
@@ -57,9 +84,28 @@ def test_reference_detects_unused_and_string_annotation_uses():
     assert sorted(imported_names(tree) - referenced_names(tree)) == ["Any", "os"]
 
 
-def test_source_modules_use_every_import():
+def test_reference_detects_unused_private_names():
+    tree = ast.parse("_a = 1\n_b, (_c, d) = 2, (3, 4)\n_e: int = 5\n__all__ = []\n"
+                     "def _f(): return _a\nclass _G: pass\nclass H(_G): pass\n"
+                     "def g():\n    _h = 1\n    return _h\n"
+                     "_i = 0\n_i = 1\nx: '_J' = None\nclass _J: pass\n")
+    assert sorted(private_bindings(tree) - referenced_names(tree)) == [
+        "_b", "_c", "_e", "_f", "_i"]
+
+
+def source_modules() -> list[Path]:
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
     assert modules
+    return modules
+
+
+def test_source_modules_use_every_import():
     unused = [f"{path.relative_to(SRC)}: {name}"
-              for path in modules for name in unused_imports(path)]
+              for path in source_modules() for name in unused_imports(path)]
+    assert unused == []
+
+
+def test_source_modules_load_every_private_name():
+    unused = [f"{path.relative_to(SRC)}: {name}"
+              for path in source_modules() for name in unused_private_names(path)]
     assert unused == []

@@ -543,6 +543,19 @@ class TestAudit:
         assert violation.destination == "contentservices-1"
         assert any("violation|" in line for line in report.lines())
 
+    def test_reads_the_wire_trace_like_a_list_of_records(self):
+        handle = build_stage(6)
+        run_workload(handle, parse_workload(load_text("basic.wl")))
+        sim = handle.sim
+        sim.send(Envelope.request("developerservices-1", "contentservices-1",
+                                  "/schema/projects/1/tables/x/columns",
+                                  "POST", {"column": "c", "type": "int"}))
+        sim.run_until_idle(budget=50)
+        services = handle.node_services()
+        report = audit_ownership(sim.records, 6, services)
+        assert report.status == AUDIT_VIOLATIONS and report.writes_checked > 1
+        assert report == audit_ownership(list(sim.records), 6, services)
+
     def test_owner_map_tracks_entity_moves(self):
         assert expected_owner("Developer", 5) == "DeveloperData"
         assert expected_owner("Developer", 6) == "DeveloperInfoServices"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from ssaas_sim.simwire import (
     InvalidEnvelope,
     InvalidFaultRule,
     MessageKind,
+    MessageRecord,
     Simulator,
     SimwireError,
     UnknownNode,
@@ -610,8 +612,8 @@ class _TrackedCounters:
 
     NODES = ("a", "b", "c")
 
-    def __init__(self) -> None:
-        self.sim = Simulator()
+    def __init__(self, sim: Simulator | None = None) -> None:
+        self.sim = Simulator() if sim is None else sim
         for name in self.NODES:
             self.sim.add_node(name, lambda env: None)
         self.pending = 0
@@ -776,8 +778,8 @@ class TestDerivedCounts:
 
     def test_a_raising_handler_leaves_no_phantom_pending_work(self):
         # The handler raises on the tick's first message. The rest of the
-        # tick is lost with it, and nothing is left that could hold up
-        # quiescence.
+        # tick stays queued at that tick, counts as pending, and the next
+        # step delivers it without moving the clock.
         sim = make_sim("a")
 
         def on_b(env: Envelope) -> None:
@@ -786,9 +788,121 @@ class TestDerivedCounts:
 
         sim.add_node("b", on_b)
         sim.send(Envelope.request("a", "b", "/boom"))
-        sim.send(Envelope.request("a", "b", "/after"))
+        after = sim.send(Envelope.request("a", "b", "/after"))
         with pytest.raises(RuntimeError):
             sim.step()
-        assert (sim.queue_depth, sim.pending_external) == (0, 0)
+        assert (sim.queue_depth, sim.pending_external) == (1, 1)
+        assert [r.path for r in sim.records] == ["/boom"]
+        assert [e.path for e in sim.step()] == ["/after"]
+        assert (sim.records[-1].tick, sim.records[-1].message_id,
+                sim.records[-1].status) == (1, after, DELIVERED)
         assert sim.run_until_idle(budget=50)
         assert sim.now == 1
+        assert sim.delivered == 2
+
+
+class _ReferenceTrace(Simulator):
+    """A kernel that also keeps its trace the way it once stored it: a list
+    of :class:`MessageRecord`, each built when its record is written.
+
+    Every node gets a handler, so each delivery reaches the wrapper right
+    after the kernel writes its record; ``_record`` writes all the others.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reference: list[MessageRecord] = []
+
+    def add_node(self, name, handler=None) -> None:
+        def record_then_handle(env: Envelope) -> None:
+            kind = env.kind
+            status = (env.status or DELIVERED) if kind is MessageKind.RESPONSE else DELIVERED
+            self.reference.append(MessageRecord(
+                self.now, env.message_id, env.source, env.destination, kind.value,
+                env.method, env.path, status))
+            if handler is not None:
+                handler(env)
+        super().add_node(name, record_then_handle)
+
+    def _record(self, env: Envelope, status: str) -> None:
+        self.reference.append(MessageRecord(
+            self.now, env.message_id, env.source, env.destination, env.kind.value,
+            env.method, env.path, status))
+        super()._record(env, status)
+
+
+class TestWireTrace:
+    """``Simulator.records`` reads like the list of records it replaced."""
+
+    @given(ops=st.lists(_kernel_op, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_reads_like_a_list_of_records(self, ops):
+        sim = _ReferenceTrace()
+        model = _TrackedCounters(sim)
+        for name, *args in ops:
+            getattr(model, name)(*args)
+        assert sim.run_until_idle(budget=100)
+        reference, records = sim.reference, sim.records
+        n = len(reference)
+        assert len(records) == n
+        assert bool(records) is (n > 0)
+        assert list(records) == reference
+        assert all(type(r) is MessageRecord for r in records)
+        assert list(records) == reference  # a second pass reads the same
+        for i in range(n):
+            assert records[i] == reference[i]
+            assert records[-(i + 1)] == reference[-(i + 1)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[i]
+        assert records == reference
+        assert list(records.rows()) == [tuple(r) for r in reference]
+        records.clear()
+        assert records == [] and len(records) == 0 and not records
+
+    def test_covers_every_fate_and_the_network_error_reply(self):
+        # The example the property must cover: a delivered request, a drop
+        # at a dead source, a failure at a dead destination and the kernel's
+        # delivered network-error reply.
+        sim = _ReferenceTrace()
+        model = _TrackedCounters(sim)
+        model.send("a", "b", None)
+        model.kill("c")
+        model.send("c", "a", None)
+        model.send("a", "c", None)
+        assert sim.run_until_idle(budget=10)
+        assert [(r.kind, r.status) for r in sim.records] == [
+            ("REQUEST", DROPPED), ("REQUEST", FAILED), ("REQUEST", DELIVERED),
+            ("RESPONSE", NETWORK_ERROR_STATUS)]
+        assert sim.records == sim.reference
+
+    def test_two_traces_compare_by_their_records(self):
+        def run(paths):
+            sim = make_sim("a", "b")
+            for path in paths:
+                sim.send(Envelope.request("a", "b", path))
+            sim.run_until_idle()
+            return sim.records
+
+        assert run(["/x", "/y"]) == run(["/x", "/y"])
+        assert run(["/x", "/y"]) != run(["/x", "/z"])
+        assert run(["/x"]) != run(["/x", "/y"])
+
+    def test_writing_records_leaves_nothing_for_the_collector(self):
+        # The trace is kept as plain fields: 1,000 request/response pairs
+        # leave no per-record object tracked by the cyclic collector.
+        sim = make_sim("a")
+        sim.add_node("b", lambda env: sim.send(Envelope.response(env, "200"))
+                     if env.kind is MessageKind.REQUEST else None)
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for _ in range(1000):
+                sim.send(Envelope.request("a", "b", "/ping"))
+                sim.step()
+                sim.step()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(sim.records) == 2000
+        assert added < 100
