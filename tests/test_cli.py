@@ -11,6 +11,59 @@ def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
 
 
+STAGES_LS = """\
+stage 0: single deployable [LIBRARY_CALL]
+  0|client|Client|DIRECT_WIRE
+  0|monolith|Monolith|-
+stage 1: data service split out [DIRECT_WIRE]
+  1|client|Client|DIRECT_WIRE
+  1|contentservices-1|ContentServices|DIRECT_WIRE
+  1|developerdata-1|DeveloperData|DIRECT_WIRE
+  1|developerservices-1|DeveloperServices|DIRECT_WIRE
+stage 2: central configuration [DIRECT_WIRE]
+  2|client|Client|DIRECT_WIRE
+  2|confsvc|ConfigServer|DIRECT_WIRE
+  2|contentservices-1|ContentServices|DIRECT_WIRE
+  2|developerdata-1|DeveloperData|DIRECT_WIRE
+  2|developerservices-1|DeveloperServices|DIRECT_WIRE
+stage 3: edge gateway [DIRECT_WIRE]
+  3|client|Client|DIRECT_WIRE
+  3|confsvc|ConfigServer|DIRECT_WIRE
+  3|contentservices-1|ContentServices|DIRECT_WIRE
+  3|developerdata-1|DeveloperData|DIRECT_WIRE
+  3|developerservices-1|DeveloperServices|DIRECT_WIRE
+  3|gateway|Gateway|DIRECT_WIRE
+stage 4: discovery, balancing, breakers [DISCOVERED]
+  4|client|Client|DIRECT_WIRE
+  4|confsvc|ConfigServer|DIRECT_WIRE
+  4|contentservices-1|ContentServices|DISCOVERED
+  4|developerdata-1|DeveloperData|DISCOVERED
+  4|developerservices-1|DeveloperServices|DISCOVERED
+  4|gateway|Gateway|DISCOVERED
+  4|registry|ServiceRegistry|-
+stage 5: resource manager split out [DISCOVERED]
+  5|client|Client|DIRECT_WIRE
+  5|confsvc|ConfigServer|DIRECT_WIRE
+  5|contentservices-1|ContentServices|DISCOVERED
+  5|developerdata-1|DeveloperData|DISCOVERED
+  5|developerservices-1|DeveloperServices|DISCOVERED
+  5|gateway|Gateway|DISCOVERED
+  5|registry|ServiceRegistry|-
+  5|resourcemanager-1|ResourceManager|DISCOVERED
+stage 6: target topology [DISCOVERED]
+  6|chatservices-1|ChatServices|DISCOVERED
+  6|client|Client|DIRECT_WIRE
+  6|confsvc|ConfigServer|DIRECT_WIRE
+  6|contentservices-1|ContentServices|DISCOVERED
+  6|developerdata-1|DeveloperData|DISCOVERED
+  6|developerinfoservices-1|DeveloperInfoServices|DISCOVERED
+  6|developerservices-1|DeveloperServices|DISCOVERED
+  6|gateway|Gateway|DISCOVERED
+  6|registry|ServiceRegistry|-
+  6|resourcemanager-1|ResourceManager|DISCOVERED
+"""
+
+
 class TestRun:
     def test_trace_to_stdout(self, capsys):
         code = run_cli("run", "--stage", "0", "--workload", "basic.wl")
@@ -169,6 +222,10 @@ class TestStagesListing:
         for stage in range(7):
             assert f"stage {stage}:" in out
         assert "6|chatservices-1|ChatServices|DISCOVERED" in out
+
+    def test_full_listing_is_pinned(self, capsys):
+        assert run_cli("stages", "ls") == 0
+        assert capsys.readouterr().out == STAGES_LS
 
     def test_single_stage(self, capsys):
         assert run_cli("stages", "ls", "--stage", "0") == 0
