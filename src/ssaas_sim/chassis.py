@@ -18,7 +18,11 @@ DEFAULT_BREAKER_THRESHOLD = 5
 DEFAULT_BREAKER_OPEN_TICKS = 30
 DEFAULT_CACHE_TTL_TICKS = 10
 DEFAULT_CALL_DEADLINE_TICKS = 5
-DEFAULT_RENEW_INTERVAL_TICKS = 10
+RENEW_INTERVAL_TICKS = 10
+
+# The infrastructure nodes every node reaches by name.
+CONFSVC_NODE = "confsvc"
+REGISTRY_NODE = "registry"
 
 # A route memo (a node's dispatch memo, a gateway table's resolve memo, the
 # compiled route patterns) is emptied when it holds this many paths, which
@@ -408,6 +412,50 @@ class ServiceNode:
     def on_config_applied(self) -> None:
         """Hook for nodes that derive state from config entries."""
 
+    # -- startup ---------------------------------------------------------
+
+    def pull_config(self) -> None:
+        """Pull the node's config document once; later changes arrive as
+        pushed refresh notifications."""
+        assert self.client is not None, "node needs a client before config pull"
+
+        def on_pull(result: CallResult) -> None:
+            if not result.ok:
+                return
+            try:
+                doc = decode_tolerant(result.body, ["version", "entries"])
+                applied = self.config.apply_refresh(doc["version"], doc["entries"])
+            except DecodeError:
+                return
+            if applied:
+                self.on_config_applied()
+
+        self.client.call_node(CONFSVC_NODE, "GET", f"/config/{self.service}/{self.profile}",
+                              on_result=on_pull)
+
+    def go_live(self) -> None:
+        """Register with the registry and arm the node's own loop, which
+        renews the lease as maintenance traffic. A renew rejected with 404
+        (lease already evicted) triggers one re-registration."""
+        assert self.client is not None, "node needs a client before discovery"
+        client, service, node_id = self.client, self.service, self.node_id
+        reg_body = {"service": service, "instance_id": node_id,
+                    "address": node_id, "port": 0, "status": "UP"}
+
+        def register() -> None:
+            client.call_node(REGISTRY_NODE, "POST", f"/registry/{service}", dict(reg_body))
+
+        def on_renew(result: CallResult) -> None:
+            if result.status is CallStatus.REMOTE_ERROR and result.remote_status == "404":
+                register()
+
+        def beat() -> None:
+            client.call_node(REGISTRY_NODE, "PUT", f"/registry/{service}/{node_id}/renew",
+                             on_result=on_renew)
+
+        register()
+        self.every(RENEW_INTERVAL_TICKS, beat)
+
 
 # -- outbound client ------------------------------------------------------------
 
@@ -458,12 +506,10 @@ class ServiceClient:
     """
 
     def __init__(self, node: ServiceNode, mode: WiringMode,
-                 registry_node: str = "registry",
                  deadline: int = DEFAULT_CALL_DEADLINE_TICKS) -> None:
         self.node = node
         self.sim = node.sim
         self.mode = mode
-        self.registry_node = registry_node
         self.deadline = deadline
         self.peers: dict[str, ServiceNode] = {}
         self.direct: dict[str, str] = {}
@@ -556,7 +602,7 @@ class ServiceClient:
             pending = self._fetch_waiters.pop(service, [])
             for fn in pending:
                 fn(ok)
-        self.call_node(self.registry_node, "GET", f"/registry/{service}",
+        self.call_node(REGISTRY_NODE, "GET", f"/registry/{service}",
                        on_result=on_fetch)
 
     def _attempt(self, service: str, method: str, path: str, body: Body,
@@ -637,55 +683,3 @@ def _classify(status: str, body: Body) -> CallResult:
     if status.startswith("2"):
         return _new_tuple(CallResult, (_OK, body, status))
     return _new_tuple(CallResult, (_REMOTE_ERROR, body, status))
-
-
-# -- lifecycle helpers -----------------------------------------------------------
-
-def enable_discovery(node: ServiceNode, port: int = 0,
-                     renew_interval: int = DEFAULT_RENEW_INTERVAL_TICKS) -> None:
-    """Register the node with the registry and keep its lease renewed.
-
-    Renewals run as maintenance traffic. A renew rejected with 404 (lease
-    already evicted) triggers one re-registration.
-    """
-    assert node.client is not None, "node needs a client before discovery"
-    client = node.client
-    reg_body = {"service": node.service, "instance_id": node.node_id,
-                "address": node.node_id, "port": port, "status": "UP"}
-
-    def register() -> None:
-        client.call_node(client.registry_node, "POST",
-                         f"/registry/{node.service}", dict(reg_body))
-
-    def on_renew(result: CallResult) -> None:
-        if result.status is CallStatus.REMOTE_ERROR and result.remote_status == "404":
-            register()
-
-    def beat() -> None:
-        client.call_node(client.registry_node, "PUT",
-                         f"/registry/{node.service}/{node.node_id}/renew",
-                         on_result=on_renew)
-
-    register()
-    node.every(renew_interval, beat)
-
-
-def enable_config(node: ServiceNode, confsvc_node: str = "confsvc") -> None:
-    """Pull the node's config document once at startup; later changes
-    arrive as pushed refresh notifications."""
-    assert node.client is not None, "node needs a client before config pull"
-
-    def on_pull(result: CallResult) -> None:
-        if not result.ok:
-            return
-        try:
-            doc = decode_tolerant(result.body, ["version", "entries"])
-            applied = node.config.apply_refresh(doc["version"], doc["entries"])
-        except DecodeError:
-            return
-        if applied:
-            node.on_config_applied()
-
-    node.client.call_node(confsvc_node, "GET",
-                          f"/config/{node.service}/{node.profile}",
-                          on_result=on_pull)

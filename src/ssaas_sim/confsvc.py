@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chassis import Request, ServiceClient, ServiceNode, WiringMode
+from .chassis import CONFSVC_NODE, Request, ServiceClient, ServiceNode, WiringMode
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ConfigServer"
@@ -136,7 +136,7 @@ class ConfigServer(ServiceNode):
     profile notifies only the nodes running that profile.
     """
 
-    def __init__(self, sim: Simulator, node_id: str = "confsvc") -> None:
+    def __init__(self, sim: Simulator, node_id: str = CONFSVC_NODE) -> None:
         super().__init__(sim, node_id, SERVICE_NAME)
         self.store = ConfigStore()
         self.subscribers: list[tuple[str, str, str]] = []  # (node, service, profile)

@@ -17,7 +17,7 @@ tick 40 is sent.
 The admin client talks to the infrastructure nodes directly: paths under
 ``/config`` go to the configuration server, paths under ``/registry`` to the
 registry. Everything else enters the system the way ordinary client traffic
-does for the topology's stage: through the gateway from stage 3 on, else
+does for the topology's stage: through the gateway once it runs, else
 routed locally against the same prefix table the gateway would use.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ..chassis import CallResult, CallStatus, ServiceNode, result_reply
+from ..chassis import CONFSVC_NODE, REGISTRY_NODE, CallResult, CallStatus, ServiceNode, result_reply
 from ..simwire import Body, FaultRule, apply_fault_schedule
 from .stages import CLIENT_DEADLINE_TICKS, SystemHandle, wire_client
 from .traces import TraceEntry
@@ -34,7 +34,7 @@ from .traces import TraceEntry
 WORKLOAD_METHODS = ("GET", "POST", "PUT", "DELETE")
 DEFAULT_BUDGET_TICKS = 10_000
 
-_ADMIN_TARGETS = (("/config", "confsvc"), ("/registry", "registry"))
+_ADMIN_TARGETS = (("/config", CONFSVC_NODE), ("/registry", REGISTRY_NODE))
 _ADMIN_PREFIXES = tuple(prefix for prefix, _ in _ADMIN_TARGETS)
 
 
@@ -142,7 +142,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
     if admin_target is not None:
         client.call_node(admin_target, line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
-    elif handle.stage >= 3:
+    elif handle.gateway is not None:
         client.call_node("gateway", line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
     else:

@@ -5,30 +5,20 @@ differ only in which nodes exist and how calls are wired; the service
 implementations and the external request surface stay fixed, which is what
 makes the step-to-step trace comparisons meaningful.
 
-Stage ladder:
-
-* 0: the original single deployable; services are in-process libraries.
-* 1: the data layer runs as its own service over the wire, statically wired.
-* 2: adds the configuration server; nodes pull their documents at startup.
-* 3: adds the edge gateway; external traffic enters through /api prefixes.
-* 4: adds the registry; inter-service calls are discovered, balanced, and
-     guarded by circuit breakers.
-* 5: reservations move from the data service to a resource manager.
-* 6: the target: chat and the developer entity become services of their own.
+The ladder is the :data:`STAGES` table. Each row is the one before it plus
+one migration step: a service split out, or an infrastructure node added.
+Whatever else differs by stage follows from the services a row runs.
+Building a stage, scaling it out and adding a client all go through one
+start path, :meth:`SystemHandle.start`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chassis import (
-    ServiceClient,
-    ServiceNode,
-    WiringMode,
-    enable_config,
-    enable_discovery,
-)
+from ..chassis import ServiceClient, ServiceNode, WiringMode
 from ..confsvc import ConfigServer
+from ..gateway import SERVICE_NAME as GATEWAY_SERVICE
 from ..gateway import Gateway, RouteTable
 from ..registry import RegistryService
 from ..simwire import Simulator
@@ -73,17 +63,35 @@ class StageTopology:
     stage: int
     title: str
     wiring: WiringMode
+    services: tuple[str, ...]
+    infrastructure: tuple[str, ...] = ()
 
+
+_SPLIT = ("DeveloperData", "DeveloperServices", "ContentServices")
+_INFRASTRUCTURE = {"confsvc": ConfigServer, "gateway": Gateway, "registry": RegistryService}
+_CONFSVC, _GATEWAY, _REGISTRY = ("confsvc",), ("confsvc", "gateway"), tuple(_INFRASTRUCTURE)
 
 STAGES: dict[int, StageTopology] = {
-    0: StageTopology(0, "single deployable", WiringMode.LIBRARY_CALL),
-    1: StageTopology(1, "data service split out", WiringMode.DIRECT_WIRE),
-    2: StageTopology(2, "central configuration", WiringMode.DIRECT_WIRE),
-    3: StageTopology(3, "edge gateway", WiringMode.DIRECT_WIRE),
-    4: StageTopology(4, "discovery, balancing, breakers", WiringMode.DISCOVERED),
-    5: StageTopology(5, "resource manager split out", WiringMode.DISCOVERED),
-    6: StageTopology(6, "target topology", WiringMode.DISCOVERED),
+    0: StageTopology(0, "single deployable", WiringMode.LIBRARY_CALL, _SPLIT),
+    1: StageTopology(1, "data service split out", WiringMode.DIRECT_WIRE, _SPLIT),
+    2: StageTopology(2, "central configuration", WiringMode.DIRECT_WIRE, _SPLIT, _CONFSVC),
+    3: StageTopology(3, "edge gateway", WiringMode.DIRECT_WIRE, _SPLIT, _GATEWAY),
+    4: StageTopology(4, "discovery, balancing, breakers", WiringMode.DISCOVERED,
+                     _SPLIT, _REGISTRY),
+    5: StageTopology(5, "resource manager split out", WiringMode.DISCOVERED,
+                     _SPLIT + ("ResourceManager",), _REGISTRY),
+    6: StageTopology(6, "target topology", WiringMode.DISCOVERED,
+                     _SPLIT + ("ResourceManager", "ChatServices", "DeveloperInfoServices"),
+                     _REGISTRY),
 }
+
+# The single deployable hosts the split-out services in-process, by path root.
+_MONOLITH_ROOTS = {"DeveloperData": ["schema", "resources"],
+                   "DeveloperServices": ["developers", "projects"],
+                   "ContentServices": ["content"]}
+
+# Services that keep one instance when a stage scales out.
+_UNSCALED = ("DeveloperData", "ResourceManager")
 
 
 @dataclass
@@ -97,7 +105,8 @@ class Stores:
 
 def route_entries(stage: int) -> dict[str, str]:
     """Gateway route table for a stage, as config entries."""
-    dev_target = "DeveloperInfoServices" if stage >= 6 else "DeveloperServices"
+    dev_target = "DeveloperInfoServices" if "DeveloperInfoServices" in STAGES[stage].services \
+        else "DeveloperServices"
     return {"route.1": f"/api/developers|{dev_target}|1",
             "route.2": "/api/projects|DeveloperServices|1",
             "route.3": "/api/content|ContentServices|1",
@@ -130,51 +139,74 @@ class SystemHandle:
             lines.append(f"{self.stage}|{node_id}|{node.service}|{wiring}")
         return lines
 
+    def direct_map(self) -> dict[str, str]:
+        """Where a statically wired call to each service goes: the service's
+        first instance. The single deployable stands in for every service."""
+        if STAGES[self.stage].wiring is WiringMode.LIBRARY_CALL:
+            return dict.fromkeys(STAGES[LAST_STAGE].services, "monolith")
+        return {service: _node_id(service, 1) for service in STAGES[self.stage].services}
+
+    def start(self, nodes: list[ServiceNode]) -> None:
+        """Start built nodes in three phases, each over every node before the
+        next: (1) bind, and wire the clients of app nodes and the gateway;
+        (2) subscribe those to the configuration server and pull their
+        config; (3) register the app nodes and arm each node's own loops.
+        Settle traffic shows the order: every config pull in node order, then
+        every registration."""
+        topo = STAGES[self.stage]
+        callers = (*topo.services, GATEWAY_SERVICE)
+        direct = self.direct_map() if topo.wiring is WiringMode.DIRECT_WIRE else {}
+        for node in nodes:
+            node.bind()
+            self.nodes[node.node_id] = node
+            if node.service in callers:
+                ServiceClient(node, topo.wiring).direct.update(direct)
+        confsvc, registry = self.confsvc, self.registry
+        for node in nodes:
+            if confsvc is not None and node.service in callers:
+                confsvc.subscribe(node.node_id, node.service)
+                node.pull_config()
+        for node in nodes:
+            if registry is not None and (node.service in topo.services or node is registry):
+                node.go_live()
+
     def add_instance(self, service: str) -> str:
-        """Scale out one more instance of an app service (stage 4 and up),
-        sharing the service's store. Returns the new node id."""
-        if self.stage < 4:
+        """Scale out one more instance of an app service the stage runs
+        (stage 4 and up), sharing the service's store. Returns the new node
+        id."""
+        if self.registry is None:
             raise UnknownStage("scale-out needs the discovery stage")
-        factories = {
-            "ContentServices": lambda nid: ContentServices(self.sim, nid, self.stores.content),
-            "DeveloperServices": lambda nid: _developer_services(self.sim, nid, self.stage),
-            "ChatServices": lambda nid: ChatServices(self.sim, nid, self.stores.chats),
-            "DeveloperInfoServices": lambda nid: DeveloperInfoServices(
-                self.sim, nid, self.stores.developers),
-        }
-        if service not in factories:
-            raise UnknownStage(f"cannot scale {service}")
-        prefix = service.lower()
+        if service not in STAGES[self.stage].services or service in _UNSCALED:
+            raise UnknownStage(f"cannot scale {service} at stage {self.stage}")
         count = sum(1 for n in self.nodes.values() if n.service == service)
-        node_id = f"{prefix}-{count + 1}"
-        node = factories[service](node_id)
-        node.bind()
-        ServiceClient(node, WiringMode.DISCOVERED)
-        self.nodes[node_id] = node
-        if self.confsvc is not None:
-            self.confsvc.subscribe(node_id, service)
-            enable_config(node)
-        enable_discovery(node)
-        return node_id
+        node = _app_node(self, service, _node_id(service, count + 1))
+        self.start([node])
+        return node.node_id
 
 
 def build_stage(stage: int, seed: int = 0) -> SystemHandle:
     """Construct a settled, idle system for one migration stage."""
     if stage not in STAGES:
         raise UnknownStage(str(stage))
+    topo = STAGES[stage]
     sim = Simulator(seed=seed)
     stores = Stores()
     for server_id, flavor, capacity in _SERVER_SPECS:
         stores.pool.register_server(server_id, flavor, capacity)
+    infra = {name: _INFRASTRUCTURE[name](sim) for name in topo.infrastructure}
+    handle = SystemHandle(sim=sim, stage=stage, stores=stores, nodes={},
+                          client_router=RouteTable.from_config_entries(route_entries(stage)),
+                          **infra)  # type: ignore[arg-type]
 
-    nodes: dict[str, ServiceNode] = {}
-    handle = SystemHandle(sim=sim, stage=stage, stores=stores, nodes=nodes,
-                          client_router=RouteTable.from_config_entries(route_entries(stage)))
-
-    if stage == 0:
+    if topo.wiring is WiringMode.LIBRARY_CALL:
         _build_monolith(handle)
     else:
-        _build_split(handle)
+        if handle.confsvc is not None:
+            gateway = (GATEWAY_SERVICE,) if handle.gateway is not None else ()
+            for service in topo.services + gateway:
+                handle.confsvc.store.set_config(service, "default", _service_doc(service, stage))
+        nodes = [_app_node(handle, service, _node_id(service, 1)) for service in topo.services]
+        handle.start(nodes + list(infra.values()))
 
     wire_client(handle, "client")
 
@@ -187,122 +219,58 @@ def build_stage(stage: int, seed: int = 0) -> SystemHandle:
 def wire_client(handle: SystemHandle, name: str) -> ServiceNode:
     """Get or create an external client node wired for the handle's stage.
 
-    Before the gateway exists a client reaches services by static map; the
-    monolith stage points every service at the one node."""
+    Before the gateway exists a client reaches services by the static map."""
     node = handle.nodes.get(name)
-    if node is not None:
-        return node
-    node = ServiceNode(handle.sim, name, "Client").bind()
-    client = ServiceClient(node, WiringMode.DIRECT_WIRE, deadline=CLIENT_DEADLINE_TICKS)
-    if handle.stage == 0:
-        for service in ("DeveloperServices", "ContentServices", "ChatServices",
-                        "DeveloperInfoServices"):
-            client.set_direct(service, "monolith")
-    elif handle.stage < 3:
-        client.set_direct("DeveloperServices", "developerservices-1")
-        client.set_direct("ContentServices", "contentservices-1")
-    handle.nodes[name] = node
+    if node is None:
+        node = ServiceNode(handle.sim, name, "Client")
+        client = ServiceClient(node, WiringMode.DIRECT_WIRE, deadline=CLIENT_DEADLINE_TICKS)
+        client.direct.update(handle.direct_map())
+        handle.start([node])
     return node
 
 
+def _node_id(service: str, instance: int) -> str:
+    return f"{service.lower()}-{instance}"
+
+
+def _app_node(handle: SystemHandle, service: str, node_id: str) -> ServiceNode:
+    """One instance of an app service, calling the upstreams its stage runs:
+    the developer entity and the server pool stay in the data service until
+    their own services exist."""
+    sim, stores, runs = handle.sim, handle.stores, STAGES[handle.stage].services
+    info_split, rm_split = "DeveloperInfoServices" in runs, "ResourceManager" in runs
+    if service == "DeveloperData":
+        return DeveloperData(sim, node_id, stores.schemas,
+                             developers=None if info_split else stores.developers,
+                             pool=None if rm_split else stores.pool)
+    if service == "DeveloperServices":
+        return DeveloperServices(
+            sim, node_id, dev_entity=DEV_ENTITY_SERVICE if info_split else DEV_ENTITY_EMBEDDED,
+            resources_service="ResourceManager" if rm_split else "DeveloperData")
+    if service == "ContentServices":
+        return ContentServices(sim, node_id, stores.content)
+    if service == "ResourceManager":
+        return ResourceManager(sim, node_id, stores.pool)
+    if service == "ChatServices":
+        return ChatServices(sim, node_id, stores.chats)
+    return DeveloperInfoServices(sim, node_id, stores.developers)
+
+
 def _build_monolith(handle: SystemHandle) -> None:
-    sim, stores = handle.sim, handle.stores
-    mono = Monolith(sim)
-    mono.bind()
-    dd = DeveloperData(sim, "monolith", stores.schemas,
-                       developers=stores.developers, pool=stores.pool)
-    ds = DeveloperServices(sim, "monolith")
-    cs = ContentServices(sim, "monolith", stores.content)
-    for virtual in (dd, ds, cs):
+    mono = Monolith(handle.sim)
+    hosted = [_app_node(handle, service, mono.node_id) for service in STAGES[0].services]
+    for virtual in hosted:
         client = ServiceClient(virtual, WiringMode.LIBRARY_CALL)
-        client.add_peer("DeveloperData", dd)
-        client.add_peer("DeveloperServices", ds)
-        client.add_peer("ContentServices", cs)
-    mono.host(ds, ["developers", "projects"])
-    mono.host(cs, ["content"])
-    mono.host(dd, ["schema", "resources"])
-    handle.nodes["monolith"] = mono
+        for peer in hosted:
+            client.add_peer(peer.service, peer)
+        mono.host(virtual, _MONOLITH_ROOTS[virtual.service])
+    handle.start([mono])
 
 
-def _build_split(handle: SystemHandle) -> None:
-    sim, stores, stage = handle.sim, handle.stores, handle.stage
-    discovered = stage >= 4
-    mode = WiringMode.DISCOVERED if discovered else WiringMode.DIRECT_WIRE
-
-    app_nodes: list[ServiceNode] = []
-    dd = DeveloperData(
-        sim, "developerdata-1", stores.schemas,
-        developers=None if stage >= 6 else stores.developers,
-        pool=None if stage >= 5 else stores.pool)
-    app_nodes.append(dd)
-    app_nodes.append(_developer_services(sim, "developerservices-1", stage))
-    app_nodes.append(ContentServices(sim, "contentservices-1", stores.content))
-    if stage >= 5:
-        app_nodes.append(ResourceManager(sim, "resourcemanager-1", stores.pool))
-    if stage >= 6:
-        app_nodes.append(ChatServices(sim, "chatservices-1", stores.chats))
-        app_nodes.append(DeveloperInfoServices(sim, "developerinfoservices-1",
-                                               stores.developers))
-
-    direct_map = {node.service: node.node_id for node in app_nodes}
-    for node in app_nodes:
-        node.bind()
-        client = ServiceClient(node, mode)
-        if not discovered:
-            for service, node_id in direct_map.items():
-                client.set_direct(service, node_id)
-        handle.nodes[node.node_id] = node
-
-    if stage >= 2:
-        confsvc = ConfigServer(sim)
-        confsvc.bind()
-        handle.confsvc = confsvc
-        handle.nodes["confsvc"] = confsvc
-        for node in app_nodes:
-            confsvc.store.set_config(node.service, "default", _service_doc(node.service))
-
-    if stage >= 3:
-        gateway = Gateway(sim)
-        gateway.bind()
-        handle.gateway = gateway
-        handle.nodes["gateway"] = gateway
-        gw_client = ServiceClient(gateway, mode)
-        if not discovered:
-            for service, node_id in direct_map.items():
-                gw_client.set_direct(service, node_id)
-        assert handle.confsvc is not None
-        handle.confsvc.store.set_config("Gateway", "default",
-                                        {**_BREAKER_DOC, **route_entries(stage)})
-
-    if stage >= 4:
-        registry = RegistryService(sim)
-        registry.bind()
-        registry.start_sweeping()
-        handle.registry = registry
-        handle.nodes["registry"] = registry
-
-    # Startup order per node: subscribe + pull config, then register for
-    # discovery. Pulls and registrations drain during the settle phase.
-    for node in app_nodes + ([handle.gateway] if handle.gateway else []):
-        if handle.confsvc is not None:
-            handle.confsvc.subscribe(node.node_id, node.service)
-            enable_config(node)
-    if stage >= 4:
-        for node in app_nodes:
-            enable_discovery(node)
-
-
-def _developer_services(sim: Simulator, node_id: str, stage: int) -> DeveloperServices:
-    """DeveloperServices calling its stage's upstreams: the developer entity
-    is a service of its own from stage 6, reservations from stage 5."""
-    return DeveloperServices(
-        sim, node_id,
-        dev_entity=DEV_ENTITY_SERVICE if stage >= 6 else DEV_ENTITY_EMBEDDED,
-        resources_service="ResourceManager" if stage >= 5 else "DeveloperData")
-
-
-def _service_doc(service: str) -> dict[str, str]:
+def _service_doc(service: str, stage: int) -> dict[str, str]:
     doc = dict(_BREAKER_DOC)
     if service == "ResourceManager":
         doc["rm.policy"] = "least_used"
+    if service == GATEWAY_SERVICE:
+        doc.update(route_entries(stage))
     return doc

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chassis import Request, ServiceNode
+from .chassis import REGISTRY_NODE, Request, ServiceNode
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ServiceRegistry"
@@ -34,7 +34,6 @@ class MalformedInstance(RegistryError):
 @dataclass(frozen=True)
 class LeaseConfig:
     ttl_ticks: int = 30
-    renewal_interval_ticks: int = 10
     eviction_sweep_ticks: int = 5
 
 
@@ -117,7 +116,7 @@ class RegistryStore:
 class RegistryService(ServiceNode):
     """Wire front end for a :class:`RegistryStore` plus the sweep timer."""
 
-    def __init__(self, sim: Simulator, node_id: str = "registry",
+    def __init__(self, sim: Simulator, node_id: str = REGISTRY_NODE,
                  lease: LeaseConfig = LeaseConfig()) -> None:
         super().__init__(sim, node_id, SERVICE_NAME)
         self.store = RegistryStore(lease)
@@ -126,7 +125,9 @@ class RegistryService(ServiceNode):
         self.route("DELETE", "/registry/{service}/{instance_id}", self._deregister)
         self.route("GET", "/registry/{service}", self._query)
 
-    def start_sweeping(self) -> None:
+    def go_live(self) -> None:
+        """Arm the registry's own loop, the eviction sweep. The registry
+        registers with nobody."""
         self.every(self.store.lease.eviction_sweep_ticks,
                    lambda: self.store.sweep(self.sim.now))
 

@@ -23,7 +23,6 @@ from ssaas_sim.chassis import (
     ServiceNode,
     WiringMode,
     decode_tolerant,
-    enable_discovery,
     result_reply,
 )
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator

@@ -14,7 +14,6 @@ from ssaas_sim.chassis import (
     ServiceClient,
     ServiceNode,
     WiringMode,
-    enable_config,
 )
 from ssaas_sim.confsvc import (
     CheckpointError,
@@ -208,7 +207,7 @@ class TestWireApi:
                   {"entries": {"seeded": "yes"}})
         late = ServiceNode(sim, "late-1", "Svc").bind()
         ServiceClient(late, WiringMode.DIRECT_WIRE)
-        enable_config(late)
+        late.pull_config()
         assert sim.run_until_idle(budget=100)
         assert late.config.get("seeded") == "yes"
 
@@ -223,6 +222,6 @@ class TestWireApi:
         fake.route("GET", "/config/{service}/{profile}", lambda req: ("200", doc))
         late = ServiceNode(sim, "late-1", "Svc").bind()
         ServiceClient(late, WiringMode.DIRECT_WIRE)
-        enable_config(late)
+        late.pull_config()
         assert sim.run_until_idle(budget=100)
         assert (late.config.version, late.config.entries) == ((0, 0), {})

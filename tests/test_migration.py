@@ -84,6 +84,15 @@ class TestStageBuilder:
         assert services == {"DeveloperServices", "DeveloperData", "ContentServices",
                             "ResourceManager", "ChatServices", "DeveloperInfoServices"}
 
+    @pytest.mark.parametrize("stage", [4, 5, 6])
+    def test_startup_pulls_every_config_before_any_registration(self, stage):
+        handle = build_stage(stage)
+        first_tick = [(r.source, r.destination) for r in handle.sim.records
+                      if r.kind == "REQUEST" and r.tick == 1]
+        apps = [f"{service.lower()}-1" for service in STAGES[stage].services]
+        assert first_tick == [(n, "confsvc") for n in apps + ["gateway"]] \
+            + [(n, "registry") for n in apps]
+
     def test_scale_out_adds_registered_instance(self):
         handle = build_stage(4)
         node_id = handle.add_instance("ContentServices")
@@ -96,6 +105,46 @@ class TestStageBuilder:
     def test_scale_out_requires_discovery_stage(self):
         with pytest.raises(UnknownStage):
             build_stage(3).add_instance("ContentServices")
+
+    @pytest.mark.parametrize("stage,service", [
+        (4, "ChatServices"), (4, "DeveloperInfoServices"), (4, "ResourceManager"),
+        (5, "ChatServices"), (5, "DeveloperInfoServices"), (5, "ResourceManager"),
+        (6, "DeveloperData"), (6, "Gateway"), (6, "NoSuchService"),
+    ])
+    def test_scale_out_only_adds_services_the_stage_runs(self, stage, service):
+        handle = build_stage(stage)
+        nodes = dict(handle.nodes)
+        registered = handle.registry.store.all_instances()
+        with pytest.raises(UnknownStage):
+            handle.add_instance(service)
+        assert handle.nodes == nodes
+        assert handle.sim.run_until_idle(budget=50)
+        assert [i.instance_id for i in handle.registry.store.all_instances()] \
+            == [i.instance_id for i in registered]
+
+    @pytest.mark.parametrize("stage", [5, 6])
+    def test_scale_out_developer_services(self, stage):
+        handle = build_stage(stage)
+        node_id = handle.add_instance("DeveloperServices")
+        assert node_id == "developerservices-2"
+        first, second = handle.nodes["developerservices-1"], handle.nodes[node_id]
+        assert (second.dev_entity, second.resources_service) \
+            == (first.dev_entity, first.resources_service)
+        assert handle.sim.run_until_idle(budget=50)
+        handle.settle_tick = handle.sim.now
+        assert second.config.version != (0, 0)
+        assert second.config.entries == first.config.entries
+        ids = {i.instance_id for i in
+               handle.registry.store.query("DeveloperServices", handle.sim.now)}
+        assert ids == {"developerservices-1", "developerservices-2"}
+        lines = ('0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+                 + "".join(f'{25 * (i + 1)}|client|POST|/api/projects|'
+                           f'{{"name":"p{i}","owner_developer_id":1}}\n' for i in range(4)))
+        entries = run_workload(handle, wl(lines))
+        assert [e.status for e in entries] == ["200"] * 5
+        hits = [r.destination for r in handle.sim.records
+                if r.kind == "REQUEST" and r.path == "/projects"]
+        assert sorted(hits) == ["developerservices-1"] * 2 + ["developerservices-2"] * 2
 
 
 class TestWorkloadParsing:

@@ -239,7 +239,7 @@ class TestWireApi:
 
     def test_sweeper_evicts_unrenewed_instance(self):
         sim, registry, caller = self._setup()
-        registry.start_sweeping()
+        registry.go_live()
         self._call(sim, caller, "POST", "/registry/Chat",
                    {"instance_id": "chat-1", "address": "chat-1", "port": 0})
         sim.advance_to(sim.now + 40)
@@ -249,5 +249,5 @@ class TestWireApi:
 
     def test_sweep_timer_is_maintenance_traffic(self):
         sim, registry, caller = self._setup()
-        registry.start_sweeping()
+        registry.go_live()
         assert sim.pending_external == 0
