@@ -60,6 +60,9 @@ class UnknownStage(Exception):
 
 @dataclass(frozen=True)
 class StageTopology:
+    """One rung of the ladder: the app services the stage runs, in start
+    order, and its infrastructure nodes, also in start order."""
+
     stage: int
     title: str
     wiring: WiringMode
@@ -69,20 +72,20 @@ class StageTopology:
 
 _SPLIT = ("DeveloperData", "DeveloperServices", "ContentServices")
 _INFRASTRUCTURE = {"confsvc": ConfigServer, "gateway": Gateway, "registry": RegistryService}
-_CONFSVC, _GATEWAY, _REGISTRY = ("confsvc",), ("confsvc", "gateway"), tuple(_INFRASTRUCTURE)
+_INFRA = tuple(_INFRASTRUCTURE)
 
 STAGES: dict[int, StageTopology] = {
     0: StageTopology(0, "single deployable", WiringMode.LIBRARY_CALL, _SPLIT),
     1: StageTopology(1, "data service split out", WiringMode.DIRECT_WIRE, _SPLIT),
-    2: StageTopology(2, "central configuration", WiringMode.DIRECT_WIRE, _SPLIT, _CONFSVC),
-    3: StageTopology(3, "edge gateway", WiringMode.DIRECT_WIRE, _SPLIT, _GATEWAY),
+    2: StageTopology(2, "central configuration", WiringMode.DIRECT_WIRE, _SPLIT, _INFRA[:1]),
+    3: StageTopology(3, "edge gateway", WiringMode.DIRECT_WIRE, _SPLIT, _INFRA[:2]),
     4: StageTopology(4, "discovery, balancing, breakers", WiringMode.DISCOVERED,
-                     _SPLIT, _REGISTRY),
+                     _SPLIT, _INFRA),
     5: StageTopology(5, "resource manager split out", WiringMode.DISCOVERED,
-                     _SPLIT + ("ResourceManager",), _REGISTRY),
+                     _SPLIT + ("ResourceManager",), _INFRA),
     6: StageTopology(6, "target topology", WiringMode.DISCOVERED,
                      _SPLIT + ("ResourceManager", "ChatServices", "DeveloperInfoServices"),
-                     _REGISTRY),
+                     _INFRA),
 }
 
 # The single deployable hosts the split-out services in-process, by path root.
