@@ -9,7 +9,6 @@ decoder used at every service boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .simwire import NETWORK_ERROR_STATUS, REQUEST, RESPONSE, Body, Envelope, Simulator
@@ -59,16 +58,10 @@ def decode_tolerant(body: Body, required: Sequence[str]) -> dict[str, Any]:
 
 # -- circuit breaker ---------------------------------------------------------
 
-class CircuitState(str, Enum):
+class CircuitState:
     CLOSED = "CLOSED"
     OPEN = "OPEN"
     HALF_OPEN = "HALF_OPEN"
-
-
-# Enum member lookups are slow; the hot paths use these.
-_CLOSED = CircuitState.CLOSED
-_OPEN = CircuitState.OPEN
-_HALF_OPEN = CircuitState.HALF_OPEN
 
 
 class CircuitBreaker:
@@ -106,40 +99,40 @@ class CircuitBreaker:
 
     def can_attempt(self, now: int) -> bool:
         """Would :meth:`allow` admit a call right now? Never mutates."""
-        if self.state is _CLOSED:
+        if self.state == CircuitState.CLOSED:
             return True
-        if self.state is _OPEN:
+        if self.state == CircuitState.OPEN:
             assert self.opened_at is not None
             return now - self.opened_at >= self.open_duration
         return self.probe_inflight < 1
 
     def allow(self, now: int) -> bool:
         """Admit a call, moving OPEN to HALF_OPEN when the wait is over."""
-        if self.state is _CLOSED:
+        if self.state == CircuitState.CLOSED:
             return True
         if not self.can_attempt(now):
             return False
-        self.state = _HALF_OPEN
+        self.state = CircuitState.HALF_OPEN
         self.probe_inflight = 1
         return True
 
     def record_result(self, success: bool, now: int) -> None:
-        if self.state is _CLOSED:
+        if self.state == CircuitState.CLOSED:
             if success:
                 self.consecutive_failures = 0
             else:
                 self.consecutive_failures += 1
                 if self.consecutive_failures >= self.threshold:
-                    self.state = _OPEN
+                    self.state = CircuitState.OPEN
                     self.opened_at = now
-        elif self.state is _HALF_OPEN:
+        elif self.state == CircuitState.HALF_OPEN:
             self.probe_inflight = 0
             if success:
-                self.state = _CLOSED
+                self.state = CircuitState.CLOSED
                 self.consecutive_failures = 0
                 self.opened_at = None
             else:
-                self.state = _OPEN
+                self.state = CircuitState.OPEN
                 self.opened_at = now
                 self.consecutive_failures = 0
         # OPEN: late result, ignored.
@@ -323,8 +316,8 @@ def _compile_pattern(pattern: str) -> tuple[int, tuple, tuple]:
 
 
 class ServiceNode:
-    """Base class for every service: route table, reply plumbing, timers,
-    a config view, and an optional outbound client.
+    """Base class for every service: route table, reply plumbing, a config
+    view, and an optional outbound client.
 
     A node is either bound to the wire (one simulator node per instance) or
     hosted in-process by another node that forwards requests to
@@ -359,14 +352,10 @@ class ServiceNode:
         routes.sort(key=lambda r: -len(r.literals))
         self._resolved.clear()
 
-    def every(self, interval: int, fn: Callable[[], None]) -> None:
-        """Run ``fn`` every ``interval`` ticks as maintenance traffic."""
-        self.sim.every(self.node_id, interval, fn)
-
     # -- inbound ---------------------------------------------------------
 
     def _on_envelope(self, env: Envelope) -> None:
-        if env.kind is RESPONSE:
+        if env.kind == RESPONSE:
             if self.client is not None:
                 self.client.handle_response(env)
             return
@@ -446,7 +435,7 @@ class ServiceNode:
             client.call_node(REGISTRY_NODE, "POST", f"/registry/{service}", dict(reg_body))
 
         def on_renew(result: CallResult) -> None:
-            if result.status is CallStatus.REMOTE_ERROR and result.remote_status == "404":
+            if result.status == CallStatus.REMOTE_ERROR and result.remote_status == "404":
                 register()
 
         def beat() -> None:
@@ -454,41 +443,32 @@ class ServiceNode:
                              on_result=on_renew)
 
         register()
-        self.every(RENEW_INTERVAL_TICKS, beat)
+        self.sim.every(node_id, RENEW_INTERVAL_TICKS, beat)
 
 
 # -- outbound client ------------------------------------------------------------
 
-class WiringMode(str, Enum):
+class WiringMode:
     LIBRARY_CALL = "LIBRARY_CALL"
     DIRECT_WIRE = "DIRECT_WIRE"
     DISCOVERED = "DISCOVERED"
 
 
-class CallStatus(str, Enum):
+class CallStatus:
     OK = "OK"
     FAST_FAIL = "FAST_FAIL"
     REMOTE_ERROR = "REMOTE_ERROR"
     TIMEOUT = "TIMEOUT"
 
 
-# Hot-path aliases, as for CircuitState above.
-_LIBRARY_CALL = WiringMode.LIBRARY_CALL
-_DIRECT_WIRE = WiringMode.DIRECT_WIRE
-_OK = CallStatus.OK
-_FAST_FAIL = CallStatus.FAST_FAIL
-_REMOTE_ERROR = CallStatus.REMOTE_ERROR
-_TIMEOUT = CallStatus.TIMEOUT
-
-
 class CallResult(NamedTuple):
-    status: CallStatus
+    status: str
     body: Body = None
     remote_status: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return self.status is _OK
+        return self.status == CallStatus.OK
 
 
 _new_tuple = tuple.__new__  # builds a CallResult without its __new__ frame
@@ -505,7 +485,7 @@ class ServiceClient:
     There are no automatic retries: one call, one attempt, one result.
     """
 
-    def __init__(self, node: ServiceNode, mode: WiringMode,
+    def __init__(self, node: ServiceNode, mode: str,
                  deadline: int = DEFAULT_CALL_DEADLINE_TICKS) -> None:
         self.node = node
         self.sim = node.sim
@@ -525,9 +505,6 @@ class ServiceClient:
     def add_peer(self, service: str, peer: ServiceNode) -> None:
         self.peers[service] = peer
 
-    def set_direct(self, service: str, node_id: str) -> None:
-        self.direct[service] = node_id
-
     def breaker_for(self, instance_id: str) -> CircuitBreaker:
         brk = self.breakers.get(instance_id)
         if brk is None:
@@ -540,15 +517,15 @@ class ServiceClient:
     def call(self, service: str, method: str, path: str, body: Body = None,
              on_result: Optional[Callable[[CallResult], None]] = None,
              deadline: Optional[int] = None) -> None:
-        if self.mode is _LIBRARY_CALL:
+        if self.mode == WiringMode.LIBRARY_CALL:
             self._call_library(service, method, path, body, on_result)
-        elif self.mode is _DIRECT_WIRE:
+        elif self.mode == WiringMode.DIRECT_WIRE:
             target = self.direct.get(service)
             if target is None:
                 self._finish_fast(on_result)
                 return
             breaker = self.breaker_for(target)
-            if breaker.state is not _CLOSED and not breaker.allow(self.sim.now):
+            if breaker.state != CircuitState.CLOSED and not breaker.allow(self.sim.now):
                 self._finish_fast(on_result)
                 return
             self._send_tracked(target, method, path, body, on_result, deadline, breaker)
@@ -615,7 +592,7 @@ class ServiceClient:
             self._finish_fast(on_result)
             return
         breaker = self.breaker_for(endpoint.instance_id)
-        if breaker.state is not _CLOSED and not breaker.allow(now):
+        if breaker.state != CircuitState.CLOSED and not breaker.allow(now):
             self._finish_fast(on_result)
             return
         self._send_tracked(endpoint.node, method, path, body, on_result, deadline, breaker)
@@ -623,7 +600,7 @@ class ServiceClient:
     def _can_attempt(self, endpoint: Endpoint) -> bool:
         # A missing breaker would be created CLOSED, and CLOSED admits.
         brk = self.breakers.get(endpoint.instance_id)
-        return brk is None or brk.state is _CLOSED or brk.can_attempt(self.sim.now)
+        return brk is None or brk.state == CircuitState.CLOSED or brk.can_attempt(self.sim.now)
 
     def _send_tracked(self, target_node: str, method: str, path: str, body: Body,
                       on_result: Optional[Callable[[CallResult], None]],
@@ -643,7 +620,7 @@ class ServiceClient:
         self.sim.cancel_timer(timer)
         result = _classify(env.status or "", env.body)
         if breaker is not None:
-            failure = result.status is _TIMEOUT or (
+            failure = result.status == CallStatus.TIMEOUT or (
                 result.remote_status is not None and result.remote_status.startswith("5"))
             breaker.record_result(not failure, self.sim.now)
         if on_result is not None:
@@ -657,17 +634,17 @@ class ServiceClient:
         if breaker is not None:
             breaker.record_result(False, self.sim.now)
         if on_result is not None:
-            on_result(CallResult(_TIMEOUT))
+            on_result(CallResult(CallStatus.TIMEOUT))
 
     def _finish_fast(self, on_result: Optional[Callable[[CallResult], None]]) -> None:
         if on_result is not None:
-            on_result(CallResult(_FAST_FAIL))
+            on_result(CallResult(CallStatus.FAST_FAIL))
 
 
 def result_reply(result: CallResult) -> tuple[str, Body]:
     """The answer that passes an upstream call's outcome on: an unreachable
     upstream becomes a plain 503, anything it answered goes out as-is."""
-    if result.status is _FAST_FAIL or result.status is _TIMEOUT:
+    if result.status == CallStatus.FAST_FAIL or result.status == CallStatus.TIMEOUT:
         return "503", {"error": "UpstreamUnavailable"}
     return result.remote_status, result.body
 
@@ -679,7 +656,7 @@ def relay_result(req: Request, result: CallResult) -> None:
 
 def _classify(status: str, body: Body) -> CallResult:
     if status == NETWORK_ERROR_STATUS:
-        return _new_tuple(CallResult, (_TIMEOUT, body, status))
+        return _new_tuple(CallResult, (CallStatus.TIMEOUT, body, status))
     if status.startswith("2"):
-        return _new_tuple(CallResult, (_OK, body, status))
-    return _new_tuple(CallResult, (_REMOTE_ERROR, body, status))
+        return _new_tuple(CallResult, (CallStatus.OK, body, status))
+    return _new_tuple(CallResult, (CallStatus.REMOTE_ERROR, body, status))

@@ -201,7 +201,7 @@ def cmd_stages_ls(ns: argparse.Namespace) -> int:
     wanted = [ns.stage] if ns.stage is not None else sorted(STAGES)
     for stage in wanted:
         topo = STAGES[stage]
-        print(f"stage {topo.stage}: {topo.title} [{topo.wiring.value}]")
+        print(f"stage {topo.stage}: {topo.title} [{topo.wiring}]")
         for line in build_stage(stage).manifest_lines():
             print("  " + line)
     return EXIT_OK

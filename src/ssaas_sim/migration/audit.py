@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..chassis import split_path
-from ..simwire import DELIVERED, MessageKind, MessageRecord, WireTrace
+from ..simwire import DELIVERED, REQUEST, MessageRecord, WireTrace
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
-_REQUEST_KIND = MessageKind.REQUEST.value  # a record's kind is a plain string
 _UNSEEN = object()
 
 ENTITY_DEVELOPER = "Developer"
@@ -124,7 +123,7 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
     owners: dict[str, Optional[tuple[str, str]]] = {}
     rows = records.rows() if isinstance(records, WireTrace) else records
     for tick, message_id, source, destination, kind, method, path, status in rows:
-        if kind != _REQUEST_KIND or status != DELIVERED:
+        if kind != REQUEST or status != DELIVERED:
             continue
         if method not in WRITE_METHODS:
             continue

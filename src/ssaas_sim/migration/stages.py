@@ -65,7 +65,7 @@ class StageTopology:
 
     stage: int
     title: str
-    wiring: WiringMode
+    wiring: str
     services: tuple[str, ...]
     infrastructure: tuple[str, ...] = ()
 
@@ -138,14 +138,14 @@ class SystemHandle:
         lines = []
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            wiring = node.client.mode.value if node.client is not None else "-"
+            wiring = node.client.mode if node.client is not None else "-"
             lines.append(f"{self.stage}|{node_id}|{node.service}|{wiring}")
         return lines
 
     def direct_map(self) -> dict[str, str]:
         """Where a statically wired call to each service goes: the service's
         first instance. The single deployable stands in for every service."""
-        if STAGES[self.stage].wiring is WiringMode.LIBRARY_CALL:
+        if STAGES[self.stage].wiring == WiringMode.LIBRARY_CALL:
             return dict.fromkeys(STAGES[LAST_STAGE].services, "monolith")
         return {service: _node_id(service, 1) for service in STAGES[self.stage].services}
 
@@ -158,7 +158,7 @@ class SystemHandle:
         every registration."""
         topo = STAGES[self.stage]
         callers = (*topo.services, GATEWAY_SERVICE)
-        direct = self.direct_map() if topo.wiring is WiringMode.DIRECT_WIRE else {}
+        direct = self.direct_map() if topo.wiring == WiringMode.DIRECT_WIRE else {}
         for node in nodes:
             node.bind()
             self.nodes[node.node_id] = node
@@ -201,7 +201,7 @@ def build_stage(stage: int, seed: int = 0) -> SystemHandle:
                           client_router=RouteTable.from_config_entries(route_entries(stage)),
                           **infra)  # type: ignore[arg-type]
 
-    if topo.wiring is WiringMode.LIBRARY_CALL:
+    if topo.wiring == WiringMode.LIBRARY_CALL:
         _build_monolith(handle)
     else:
         if handle.confsvc is not None:

@@ -128,8 +128,8 @@ class RegistryService(ServiceNode):
     def go_live(self) -> None:
         """Arm the registry's own loop, the eviction sweep. The registry
         registers with nobody."""
-        self.every(self.store.lease.eviction_sweep_ticks,
-                   lambda: self.store.sweep(self.sim.now))
+        self.sim.every(self.node_id, self.store.lease.eviction_sweep_ticks,
+                       lambda: self.store.sweep(self.sim.now))
 
     def _register(self, req: Request) -> tuple[str, Body]:
         body = req.body if isinstance(req.body, dict) else {}

@@ -18,7 +18,6 @@ import heapq
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 from fnmatch import fnmatchcase
 from itertools import repeat
 from types import MappingProxyType
@@ -56,24 +55,20 @@ class FaultScriptError(SimwireError):
     pass
 
 
-class MessageKind(str, Enum):
+class MessageKind:
     REQUEST = "REQUEST"
     RESPONSE = "RESPONSE"
 
 
-# Enum member and ``.value`` lookups are slow; the hot paths use these.
 REQUEST = MessageKind.REQUEST
 RESPONSE = MessageKind.RESPONSE
 
 
-class FaultEffect(str, Enum):
+class FaultEffect:
     DROP = "DROP"
     PARTITION = "PARTITION"
     DELAY = "DELAY"
     KILL_NODE = "KILL_NODE"
-
-
-_DELAY = FaultEffect.DELAY
 
 
 @dataclass(slots=True)
@@ -89,7 +84,7 @@ class Envelope:
 
     source: str
     destination: str
-    kind: MessageKind
+    kind: str
     path: str
     method: str = "GET"
     status: Optional[str] = None
@@ -114,7 +109,7 @@ class FaultRule:
     """A fault selector: DROP and DELAY match (source, destination),
     PARTITION matches either direction, KILL_NODE matches node names only."""
 
-    effect: FaultEffect
+    effect: str
     source: str = "*"
     destination: str = "*"
     node: str = "*"
@@ -125,11 +120,11 @@ class FaultRule:
     def __post_init__(self) -> None:
         if self.delay_ticks < 0:
             raise InvalidFaultRule("delay_ticks must be >= 0")
-        if self.effect is FaultEffect.DELAY and self.delay_ticks <= 0:
+        if self.effect == FaultEffect.DELAY and self.delay_ticks <= 0:
             raise InvalidFaultRule("DELAY requires delay_ticks > 0")
 
     def matches_pair(self, source: str, destination: str) -> bool:
-        if self.effect is FaultEffect.PARTITION:
+        if self.effect == FaultEffect.PARTITION:
             return (fnmatchcase(source, self.source) and fnmatchcase(destination, self.destination)) or \
                    (fnmatchcase(destination, self.source) and fnmatchcase(source, self.destination))
         return fnmatchcase(source, self.source) and fnmatchcase(destination, self.destination)
@@ -165,7 +160,6 @@ class MessageRecord(NamedTuple):
 # json.dumps with options builds a new encoder per call; this one is shared.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-_KIND_NAMES = {REQUEST: "REQUEST", RESPONSE: "RESPONSE"}
 _new_tuple = tuple.__new__  # builds a MessageRecord without _make's overhead
 _GONE = object()  # step's marker for a destination missing from _live
 
@@ -194,7 +188,10 @@ class WireTrace(Sequence[MessageRecord]):
     def __len__(self) -> int:
         return len(self._fields) // _WIDTH
 
-    def __getitem__(self, i: int) -> MessageRecord:  # type: ignore[override]
+    def __getitem__(self, i: int | slice):  # type: ignore[override]
+        """One record, or a list of the records a slice selects."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         n = len(self)
         if i < 0:
             i += n
@@ -234,7 +231,7 @@ class Simulator:
 
     Every event lands at least one tick ahead, so the queue is a FIFO bucket
     per tick under a heap of the distinct ticks: send order within a tick
-    is bucket order.
+    is bucket order. Every event enters the queue through :meth:`_enqueue`.
 
     A bucket holds three kinds of event: an :class:`Envelope` to deliver,
     the id of a one-shot timer (:meth:`set_timer`), or a periodic loop's
@@ -306,7 +303,7 @@ class Simulator:
         if not source_alive and source not in self._nodes:
             raise UnknownNode(f"unknown source node: {source}")
         kind = env.kind
-        if kind is RESPONSE:
+        if kind == RESPONSE:
             if env.correlation_id not in self._awaiting_reply:
                 raise InvalidEnvelope("RESPONSE must answer a REQUEST still awaiting its reply")
             self._awaiting_reply.remove(env.correlation_id)
@@ -329,18 +326,14 @@ class Simulator:
         if self._link_rules:
             for rule in self._link_rules:
                 if rule.active and rule.matches_pair(source, destination):
-                    if rule.effect is not _DELAY:
+                    if rule.effect != FaultEffect.DELAY:
                         self._record(env, DROPPED)
                         self.dropped += 1
                         return mid
                     tick += rule.delay_ticks
-        if kind is REQUEST:
+        if kind == REQUEST:
             self._awaiting_reply.add(mid)
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            bucket = self._buckets[tick] = []
-            heapq.heappush(self._ticks, tick)
-        bucket.append(env)
+        self._enqueue(tick, env)
         return mid
 
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
@@ -359,12 +352,7 @@ class Simulator:
         tid = self._next_timer_id
         self._next_timer_id += 1
         self._timers[tid] = (fn, maintenance, node)
-        tick = self.now + delay
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            bucket = self._buckets[tick] = []
-            heapq.heappush(self._ticks, tick)
-        bucket.append(tid)
+        self._enqueue(self.now + delay, tid)
         return tid
 
     def every(self, node: str, interval: int, fn: Callable[[], None]) -> None:
@@ -378,12 +366,7 @@ class Simulator:
             raise UnknownNode(f"unknown node: {node}")
         if interval < 1:
             raise SimwireError("timer interval must be >= 1 tick")
-        tick = self.now + interval
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            bucket = self._buckets[tick] = []
-            heapq.heappush(self._ticks, tick)
-        bucket.append((fn, node, interval))
+        self._enqueue(self.now + interval, (fn, node, interval))
 
     def cancel_timer(self, timer_id: int) -> None:
         self._timers.pop(timer_id, None)
@@ -401,7 +384,7 @@ class Simulator:
         rule = self._rules.pop(rule_id, None)
         if rule is None:
             raise UnknownRule(f"no such rule: {rule_id}")
-        if rule.effect is FaultEffect.KILL_NODE:
+        if rule.effect == FaultEffect.KILL_NODE:
             self._recompute_dead()
         else:
             self._link_rules.remove(rule)
@@ -426,13 +409,13 @@ class Simulator:
         if rule.rule_id in self._rules:
             raise InvalidFaultRule(f"duplicate rule id: {rule.rule_id}")
         self._rules[rule.rule_id] = rule
-        if rule.effect is not FaultEffect.KILL_NODE:
+        if rule.effect != FaultEffect.KILL_NODE:
             self._link_rules.append(rule)
         return rule.rule_id
 
     def _apply_rule(self, rule: FaultRule) -> None:
         rule.active = True
-        if rule.effect is FaultEffect.KILL_NODE:
+        if rule.effect == FaultEffect.KILL_NODE:
             for name in self._nodes:
                 if rule.matches_node(name):
                     self._live.pop(name, None)
@@ -440,7 +423,7 @@ class Simulator:
     def _recompute_dead(self) -> None:
         """Refill ``_live`` in place: every node no active kill rule matches."""
         kills = [rule for rule in self._rules.values()
-                 if rule.active and rule.effect is FaultEffect.KILL_NODE]
+                 if rule.active and rule.effect == FaultEffect.KILL_NODE]
         live = self._live
         live.clear()
         for name, handler in self._nodes.items():
@@ -455,7 +438,7 @@ class Simulator:
                     self._apply_rule(arg)
             else:  # revive
                 for rule in self._rules.values():
-                    if rule.effect is FaultEffect.KILL_NODE and rule.node == arg:
+                    if rule.effect == FaultEffect.KILL_NODE and rule.node == arg:
                         rule.active = False
                 self._recompute_dead()
 
@@ -494,8 +477,8 @@ class Simulator:
                     kind = event.kind
                     trace_extend((
                         tick, event.message_id or 0, event.source, destination,
-                        _KIND_NAMES[kind], event.method, event.path,
-                        (event.status or DELIVERED) if kind is RESPONSE else DELIVERED))
+                        kind, event.method, event.path,
+                        (event.status or DELIVERED) if kind == RESPONSE else DELIVERED))
                     delivered.append(event)
                     if handler is not None:
                         self._ctx_maintenance = event.maintenance
@@ -513,12 +496,7 @@ class Simulator:
                     if node in live:
                         self._ctx_maintenance = True
                         fn()
-                        due = tick + interval
-                        bucket = buckets.get(due)
-                        if bucket is None:
-                            bucket = buckets[due] = []
-                            heapq.heappush(self._ticks, due)
-                        bucket.append(event)
+                        self._enqueue(tick + interval, event)
         except BaseException:
             # The rest of the tick goes back on the queue, undelivered: every
             # other event lands at least one tick ahead, so nothing else can
@@ -594,7 +572,7 @@ class Simulator:
     def _fail_with_network_error(self, env: Envelope) -> None:
         self._record(env, FAILED)
         self.failed += 1
-        if env.kind is not REQUEST:
+        if env.kind != REQUEST:
             return
         self._awaiting_reply.discard(env.message_id)
         if env.source not in self._live:
@@ -603,17 +581,20 @@ class Simulator:
         reply.message_id = self._next_message_id
         self._next_message_id += 1
         reply.maintenance = env.maintenance
-        tick = self.now + BASE_LATENCY_TICKS
+        self._enqueue(self.now + BASE_LATENCY_TICKS, reply)
+
+    def _enqueue(self, tick: int, event: object) -> None:
+        """Append ``event`` to the bucket of ``tick``."""
         bucket = self._buckets.get(tick)
         if bucket is None:
             bucket = self._buckets[tick] = []
             heapq.heappush(self._ticks, tick)
-        bucket.append(reply)
+        bucket.append(event)
 
     def _record(self, env: Envelope, status: str) -> None:
         self._trace.extend((
             self.now, env.message_id or 0, env.source, env.destination,
-            _KIND_NAMES[env.kind], env.method, env.path, status))
+            env.kind, env.method, env.path, status))
 
     # -- trace export -----------------------------------------------------
 

@@ -27,6 +27,7 @@ from .stores import (
     ContentStore,
     DeveloperStore,
     DomainError,
+    FLAVORS,
     POLICY_LEAST_USED,
     SchemaStore,
     ServerFlavor,
@@ -143,10 +144,9 @@ def mount_resources(node: ServiceNode, pool: ServerPool, rng: random.Random) -> 
     def reserve(req: Request):
         doc = decode_tolerant(req.body, ["flavor", "owner"])
         policy = node.config.get("rm.policy", POLICY_LEAST_USED) or POLICY_LEAST_USED
-        try:
-            flavor = ServerFlavor(_str_arg(doc["flavor"]))
-        except ValueError as exc:
-            raise Malformed(str(doc["flavor"])) from exc
+        flavor = doc["flavor"]
+        if flavor not in FLAVORS:
+            raise Malformed(str(flavor))
         res = pool.reserve(flavor, _str_arg(doc["owner"]), policy=policy, rng=rng)
         return "200", res.to_body()
 
@@ -291,7 +291,7 @@ class DeveloperServices(ServiceNode):
 
         def reserve(_: Body) -> None:
             forward(self, req, self.resources_service, "POST", "/resources/reservations",
-                    {"flavor": ServerFlavor.ORACLE.value, "owner": f"project:{name}"},
+                    {"flavor": ServerFlavor.ORACLE, "owner": f"project:{name}"},
                     then=persist, fields=("reservation_id", "server_id", "database_name"))
 
         def persist(res: dict) -> None:
@@ -421,7 +421,7 @@ class ChatServices(ServiceNode):
 
         def reserve(_: Body) -> None:
             forward(self, req, "ResourceManager", "POST", "/resources/reservations",
-                    {"flavor": ServerFlavor.MYSQL.value, "owner": f"chat:{developer_id}"},
+                    {"flavor": ServerFlavor.MYSQL, "owner": f"chat:{developer_id}"},
                     then=tag, fields=("reservation_id",))
 
         def tag(res: dict) -> None:

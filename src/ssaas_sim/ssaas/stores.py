@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Optional
 
 
@@ -133,20 +132,23 @@ class DeveloperStore:
 
 # -- server pool and reservations -----------------------------------------------
 
-class ServerFlavor(str, Enum):
+class ServerFlavor:
     ORACLE = "ORACLE"
     MYSQL = "MYSQL"
+
+
+FLAVORS = (ServerFlavor.ORACLE, ServerFlavor.MYSQL)
 
 
 @dataclass
 class ServerRecord:
     server_id: str
-    flavor: ServerFlavor
+    flavor: str
     capacity: int
     reserved: int = 0
 
     def to_body(self) -> dict:
-        return {"server_id": self.server_id, "flavor": self.flavor.value,
+        return {"server_id": self.server_id, "flavor": self.flavor,
                 "capacity": self.capacity, "reserved": self.reserved}
 
 
@@ -154,7 +156,7 @@ class ServerRecord:
 class Reservation:
     reservation_id: int
     server_id: str
-    flavor: ServerFlavor
+    flavor: str
     owner: str
     released: bool = False
 
@@ -164,7 +166,7 @@ class Reservation:
 
     def to_body(self) -> dict:
         return {"reservation_id": self.reservation_id, "server_id": self.server_id,
-                "flavor": self.flavor.value, "owner": self.owner,
+                "flavor": self.flavor, "owner": self.owner,
                 "database_name": self.database_name}
 
 
@@ -186,25 +188,24 @@ class ServerPool:
         self._reservations: dict[int, Reservation] = {}
         self._next_id = 1
 
-    def register_server(self, server_id: str, flavor: ServerFlavor, capacity: int) -> ServerRecord:
+    def register_server(self, server_id: str, flavor: str, capacity: int) -> ServerRecord:
         if server_id in self._servers:
             raise DuplicateServer(server_id)
-        if not server_id or capacity < 1:
+        if not server_id or capacity < 1 or flavor not in FLAVORS:
             raise DomainError("bad server record")
-        rec = ServerRecord(server_id, ServerFlavor(flavor), int(capacity))
+        rec = ServerRecord(server_id, flavor, int(capacity))
         self._servers[server_id] = rec
         return rec
 
-    def reserve(self, flavor: ServerFlavor, owner: str,
+    def reserve(self, flavor: str, owner: str,
                 policy: str = POLICY_LEAST_USED,
                 rng: Optional[random.Random] = None) -> Reservation:
-        flavor = ServerFlavor(flavor)
         eligible = sorted(
             (s for s in self._servers.values()
-             if s.flavor is flavor and s.reserved < s.capacity),
+             if s.flavor == flavor and s.reserved < s.capacity),
             key=lambda s: s.server_id)
         if not eligible:
-            raise ResourceExhausted(flavor.value)
+            raise ResourceExhausted(flavor)
         if policy == POLICY_RANDOM and rng is not None:
             server = eligible[rng.randrange(len(eligible))]
         else:

@@ -27,7 +27,7 @@ from ssaas_sim.registry import LeaseConfig, RegistryStore
 from ssaas_sim.simwire import FAILED, Envelope, MessageKind, parse_fault_script
 from ssaas_sim.workloads import load_text
 
-REQUEST = MessageKind.REQUEST.value
+REQUEST = MessageKind.REQUEST
 
 
 # -- 1. circuit breaker vs. brute-force state machine -------------------------
@@ -99,7 +99,7 @@ def test_breaker_state_machine_matches_bruteforce_oracle():
                 break
             breaker.record_result(ok, now)
             oracle.record_result(ok, now)
-            got = (breaker.state.name, breaker.consecutive_failures, breaker.opened_at)
+            got = (breaker.state, breaker.consecutive_failures, breaker.opened_at)
             want = (oracle.state, oracle.failures, oracle.opened_at)
             if got != want:
                 divergences.append((sequence, event, got, want))

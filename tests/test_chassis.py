@@ -272,7 +272,7 @@ class TestClientDirectWire:
         sim = Simulator()
         echo = EchoNode(sim, "echo-1").bind()
         caller = build_caller(sim, WiringMode.DIRECT_WIRE)
-        caller.client.set_direct("Echo", "echo-1")
+        caller.client.direct["Echo"] = "echo-1"
         return sim, caller
 
     def test_ok_round_trip(self):
@@ -466,7 +466,7 @@ class TestCallPathsAgree:
             caller.client.add_peer("Script", script)
         else:
             script.bind()
-            caller.client.set_direct("Script", "script-1")
+            caller.client.direct["Script"] = "script-1"
             FakeRegistry(sim, {"Script": [{"instance_id": "script-1",
                                            "address": "script-1"}]}).bind()
         steps = []

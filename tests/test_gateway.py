@@ -111,7 +111,7 @@ def build_edge():
     gw = Gateway(sim)
     gw.bind()
     client = ServiceClient(gw, WiringMode.DIRECT_WIRE)
-    client.set_direct("DevInfo", "upstream-1")
+    client.direct["DevInfo"] = "upstream-1"
     gw.table = RouteTable()
     gw.table.add_route(RouteRule("/api/developers", "DevInfo", True))
     caller = ServiceNode(sim, "ext", "External").bind()
@@ -177,7 +177,7 @@ class TestGatewayNode:
     def test_refresh_sends_an_already_resolved_path_to_the_new_service(self):
         sim, gw, caller = build_edge()
         UpstreamNode(sim, "upstream-2").bind()
-        gw.client.set_direct("People", "upstream-2")
+        gw.client.direct["People"] = "upstream-2"
         assert through_gateway(sim, caller, "GET", "/api/developers/42").ok
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/developers|People|0"}}

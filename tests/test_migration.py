@@ -76,7 +76,7 @@ class TestStageBuilder:
     def test_direct_stages_use_static_wiring(self):
         handle = build_stage(1)
         node = handle.nodes["developerservices-1"]
-        assert node.client.mode.value == "DIRECT_WIRE"
+        assert node.client.mode == "DIRECT_WIRE"
 
     def test_registry_holds_all_app_services_after_settle(self):
         handle = build_stage(6)

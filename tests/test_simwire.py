@@ -818,7 +818,7 @@ class _ReferenceTrace(Simulator):
             kind = env.kind
             status = (env.status or DELIVERED) if kind is MessageKind.RESPONSE else DELIVERED
             self.reference.append(MessageRecord(
-                self.now, env.message_id, env.source, env.destination, kind.value,
+                self.now, env.message_id, env.source, env.destination, kind,
                 env.method, env.path, status))
             if handler is not None:
                 handler(env)
@@ -826,7 +826,7 @@ class _ReferenceTrace(Simulator):
 
     def _record(self, env: Envelope, status: str) -> None:
         self.reference.append(MessageRecord(
-            self.now, env.message_id, env.source, env.destination, env.kind.value,
+            self.now, env.message_id, env.source, env.destination, env.kind,
             env.method, env.path, status))
         super()._record(env, status)
 
@@ -855,6 +855,11 @@ class TestWireTrace:
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 records[i]
+        for cut in (slice(3), slice(-2, None), slice(1, n - 1), slice(None, None, 2),
+                    slice(None, None, -1), slice(n, None)):
+            got = records[cut]
+            assert type(got) is list and got == reference[cut]
+            assert all(type(r) is MessageRecord for r in got)
         assert records == reference
         assert list(records.rows()) == [tuple(r) for r in reference]
         records.clear()

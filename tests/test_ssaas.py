@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -141,6 +142,13 @@ class TestServerPool:
             for server in pool.servers():
                 assert 0 <= server.reserved <= server.capacity
             assert sum(s.reserved for s in pool.servers()) == len(live)
+
+    def test_register_rejects_an_unknown_flavor(self):
+        pool = ServerPool()
+        for flavor in ("POSTGRES", "oracle", None):
+            with pytest.raises(DomainError):
+                pool.register_server("db-a", flavor, 1)
+        assert pool.servers() == []
 
 
 class TestSchemaStore:
@@ -323,6 +331,40 @@ class TestMonolithRoots:
         assert got == [("200", want) if want else ("404", {"error": "NoRoute"})]
 
 
+class TestReservationRoute:
+    """``/resources/reservations`` as an upstream sees it, with no flow in front."""
+
+    @pytest.mark.parametrize("body, want", [
+        ({"flavor": "POSTGRES", "owner": "o"}, {"error": "Malformed"}),
+        ({"flavor": "oracle", "owner": "o"}, {"error": "Malformed"}),
+        ({"flavor": 1, "owner": "o"}, {"error": "Malformed"}),
+        ({"flavor": ["ORACLE"], "owner": "o"}, {"error": "Malformed"}),
+        ({"flavor": "ORACLE", "owner": 7}, {"error": "Malformed"}),
+        ({"flavor": "ORACLE"}, {"error": "Malformed", "field": "owner"}),
+    ])
+    def test_malformed_reserve_answers_400_and_reserves_nothing(self, body, want):
+        sim, _, ext, pool = build_monolith_world()
+        r = call(sim, ext, "POST", "/resources/reservations", body)
+        assert (r.remote_status, r.body) == ("400", want)
+        assert pool.active_reservations() == []
+        assert all(s.reserved == 0 for s in pool.servers())
+
+    def test_reserve_and_servers_answer_plain_string_flavors(self):
+        sim, _, ext, pool = build_monolith_world()
+        # A flavor decoded from JSON is a str equal to the tag, not the tag itself.
+        body = json.loads('{"flavor": "ORACLE", "owner": "project:x"}')
+        r = call(sim, ext, "POST", "/resources/reservations", body)
+        assert r.remote_status == "200"
+        assert r.body["flavor"] == "ORACLE" and type(r.body["flavor"]) is str
+        assert r.body["server_id"] == "ora-a" and r.body["owner"] == "project:x"
+        assert [res.owner for res in pool.active_reservations()] == ["project:x"]
+        r = call(sim, ext, "GET", "/resources/servers")
+        assert r.remote_status == "200"
+        assert [(s["server_id"], s["flavor"], s["reserved"]) for s in r.body] == [
+            ("ora-a", "ORACLE", 1), ("ora-b", "ORACLE", 0)]
+        assert all(type(s["flavor"]) is str for s in r.body)
+
+
 class TestMonolithFlows:
     def test_register_and_fetch_developer(self):
         sim, mono, ext, _ = build_monolith_world()
@@ -449,9 +491,9 @@ def build_wire_world():
     cs.bind()
     for svc in (dd, ds, cs):
         client = ServiceClient(svc, WiringMode.DIRECT_WIRE)
-        client.set_direct("DeveloperData", "developerdata-1")
-        client.set_direct("DeveloperServices", "developerservices-1")
-        client.set_direct("ContentServices", "contentservices-1")
+        client.direct["DeveloperData"] = "developerdata-1"
+        client.direct["DeveloperServices"] = "developerservices-1"
+        client.direct["ContentServices"] = "contentservices-1"
     ext = ServiceNode(sim, "ext", "External").bind()
     ServiceClient(ext, WiringMode.DIRECT_WIRE)
     return sim, ext, pool
@@ -519,9 +561,9 @@ def build_final_world():
     chat.bind()
     for svc in (dis, rm, chat):
         client = ServiceClient(svc, WiringMode.DIRECT_WIRE)
-        client.set_direct("DeveloperInfoServices", "developerinfoservices-1")
-        client.set_direct("ResourceManager", "resourcemanager-1")
-        client.set_direct("ChatServices", "chatservices-1")
+        client.direct["DeveloperInfoServices"] = "developerinfoservices-1"
+        client.direct["ResourceManager"] = "resourcemanager-1"
+        client.direct["ChatServices"] = "chatservices-1"
     ext = ServiceNode(sim, "ext", "External").bind()
     ServiceClient(ext, WiringMode.DIRECT_WIRE)
     return sim, ext, pool, chats
