@@ -332,7 +332,8 @@ class TestMonolithRoots:
 
 
 class TestReservationRoute:
-    """``/resources/reservations`` as an upstream sees it, with no flow in front."""
+    """``/resources/reservations`` called directly, with no provisioning or chat flow
+    in front of it."""
 
     @pytest.mark.parametrize("body, want", [
         ({"flavor": "POSTGRES", "owner": "o"}, {"error": "Malformed"}),
