@@ -501,10 +501,8 @@ class Simulator:
             # The rest of the tick goes back on the queue, undelivered: every
             # other event lands at least one tick ahead, so nothing else can
             # have landed on this tick, and the next step delivers it here.
-            rest = list(events)
-            if rest:
-                buckets[tick] = rest
-                heapq.heappush(self._ticks, tick)
+            for event in events:
+                self._enqueue(tick, event)
             raise
         finally:
             self._ctx_maintenance = outer
