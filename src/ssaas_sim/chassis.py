@@ -1,7 +1,8 @@
 """Shared service-side building blocks.
 
 Everything a node needs besides the transport lives here: path routing,
-request/reply plumbing, the circuit breaker, client-side discovery with a
+request/reply plumbing with the :class:`Refusal` a handler raises to
+refuse a request, the circuit breaker, client-side discovery with a
 cached round-robin resolver, versioned config handling, and the tolerant
 decoder used at every service boundary.
 """
@@ -29,15 +30,25 @@ REGISTRY_NODE = "registry"
 ROUTE_MEMO_LIMIT = 4096
 
 
-class ChassisError(Exception):
-    pass
-
-
-class NoInstances(ChassisError):
+class NoInstances(Exception):
     """Resolution found no instance eligible for a call."""
 
 
-class DecodeError(ChassisError):
+class Refusal(Exception):
+    """A request a handler refuses: :meth:`ServiceNode.dispatch` answers a
+    raised refusal with ``status`` and :meth:`body`."""
+
+    status = "400"
+    code = "Malformed"
+    field: Optional[str] = None  # the request field at fault, if one is
+
+    def body(self) -> dict:
+        if self.field is None:
+            return {"error": self.code}
+        return {"error": self.code, "field": self.field}
+
+
+class DecodeError(Refusal):
     def __init__(self, fieldname: str) -> None:
         super().__init__(f"missing or malformed field: {fieldname}")
         self.field = fieldname
@@ -320,8 +331,8 @@ class ServiceNode:
     view, and an optional outbound client.
 
     A node is either bound to the wire (one simulator node per instance) or
-    hosted in-process by another node that forwards requests to
-    :meth:`dispatch` directly.
+    hosted in-process by another node that serves its routes, while its
+    peers call its :meth:`dispatch` directly.
     """
 
     def __init__(self, sim: Simulator, node_id: str, service: str,
@@ -347,8 +358,11 @@ class ServiceNode:
 
     def route(self, method: str, pattern: str, handler: Handler) -> None:
         count, literals, params = _compile_pattern(pattern)
-        routes = self._routes.setdefault((method, count), [])
-        routes.append(_Route(literals, params, handler))
+        self._add_routes((method, count), [_Route(literals, params, handler)])
+
+    def _add_routes(self, key: tuple[str, int], added: list[_Route]) -> None:
+        routes = self._routes.setdefault(key, [])
+        routes += added
         routes.sort(key=lambda r: -len(r.literals))
         self._resolved.clear()
 
@@ -380,20 +394,20 @@ class ServiceNode:
                 self._resolved.clear()
             self._resolved[key] = hit
         req.params = hit[1].copy()
-        out = hit[0](req)
+        try:
+            out = hit[0](req)
+        except Refusal as exc:
+            out = exc.status, exc.body()
         if out is not None:
             req.reply(out[0], out[1])
 
     # -- config ----------------------------------------------------------
 
     def _handle_refresh(self, req: Request) -> Optional[tuple[str, Body]]:
-        try:
-            doc = decode_tolerant(req.body, ["service", "profile", "version", "entries"])
-            if doc["service"] != self.service or doc["profile"] != self.profile:
-                return "200", {"applied": False}
-            applied = self.config.apply_refresh(doc["version"], doc["entries"])
-        except DecodeError as exc:
-            return "400", {"error": "Malformed", "field": exc.field}
+        doc = decode_tolerant(req.body, ["service", "profile", "version", "entries"])
+        if doc["service"] != self.service or doc["profile"] != self.profile:
+            return "200", {"applied": False}
+        applied = self.config.apply_refresh(doc["version"], doc["entries"])
         if applied:
             self.on_config_applied()
         return "200", {"applied": applied}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chassis import CONFSVC_NODE, Request, ServiceClient, ServiceNode, WiringMode
+from .chassis import (CONFSVC_NODE, DecodeError, Request, ServiceClient, ServiceNode,
+                      WiringMode, decode_tolerant)
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ConfigServer"
@@ -154,15 +155,14 @@ class ConfigServer(ServiceNode):
         return "200", merged.to_body()
 
     def _set(self, req: Request) -> tuple[str, Body]:
-        body = req.body if isinstance(req.body, dict) else {}
-        entries = body.get("entries")
+        entries = decode_tolerant(req.body, ["entries"])["entries"]
         if not isinstance(entries, dict):
-            return "400", {"error": "Malformed", "field": "entries"}
+            raise DecodeError("entries")
         service, profile = req.params["service"], req.params["profile"]
         try:
             version = self.store.set_config(service, profile, entries)
         except MalformedConfig:
-            return "400", {"error": "Malformed", "field": "entries"}
+            raise DecodeError("entries") from None
         self._notify(service, profile)
         return "200", {"version": [version[0], version[1]]}
 

@@ -113,8 +113,8 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
     nodes = handle.nodes
     for i, line in enumerate(lines):
         sim.advance_to(base + line.tick)
-        # A client is created when its first line is sent, never earlier: a
-        # node added after a kill rule fired is not covered by that rule.
+        # A client is created when its first line is sent. Like any node, it
+        # starts down if an active kill rule matches its name.
         node = nodes.get(line.client)
         if node is None:
             node = wire_client(handle, line.client)

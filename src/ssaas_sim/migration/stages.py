@@ -88,11 +88,6 @@ STAGES: dict[int, StageTopology] = {
                      _INFRA),
 }
 
-# The single deployable hosts the split-out services in-process, by path root.
-_MONOLITH_ROOTS = {"DeveloperData": ["schema", "resources"],
-                   "DeveloperServices": ["developers", "projects"],
-                   "ContentServices": ["content"]}
-
 # Services that keep one instance when a stage scales out.
 _UNSCALED = ("DeveloperData", "ResourceManager")
 
@@ -266,7 +261,7 @@ def _build_monolith(handle: SystemHandle) -> None:
         client = ServiceClient(virtual, WiringMode.LIBRARY_CALL)
         for peer in hosted:
             client.add_peer(peer.service, peer)
-        mono.host(virtual, _MONOLITH_ROOTS[virtual.service])
+        mono.host(virtual)
     handle.start([mono])
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chassis import REGISTRY_NODE, Request, ServiceNode
+from .chassis import REGISTRY_NODE, Refusal, Request, ServiceNode
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ServiceRegistry"
@@ -19,16 +19,17 @@ SERVICE_NAME = "ServiceRegistry"
 STATUS_UP = "UP"
 
 
-class RegistryError(Exception):
+class RegistryError(Refusal):
     pass
 
 
 class UnknownInstance(RegistryError):
-    pass
+    status = "404"
+    code = "UnknownInstance"
 
 
 class MalformedInstance(RegistryError):
-    pass
+    code = "MalformedInstance"
 
 
 @dataclass(frozen=True)
@@ -137,20 +138,13 @@ class RegistryService(ServiceNode):
         port, status = body.get("port", 0), body.get("status", STATUS_UP)
         if not all(isinstance(v, str) for v in (instance_id, address, status)) \
                 or isinstance(port, bool) or not isinstance(port, int):
-            return "400", {"error": "MalformedInstance"}
-        try:
-            inst = self.store.register(req.params["service"], instance_id, address, port,
-                                       self.sim.now, status)
-        except MalformedInstance:
-            return "400", {"error": "MalformedInstance"}
+            raise MalformedInstance("instance_id, address and status are strings, port an int")
+        inst = self.store.register(req.params["service"], instance_id, address, port,
+                                   self.sim.now, status)
         return "200", {"lease_expiry": inst.lease_expiry}
 
     def _renew(self, req: Request) -> tuple[str, Body]:
-        try:
-            inst = self.store.renew(req.params["service"], req.params["instance_id"],
-                                    self.sim.now)
-        except UnknownInstance:
-            return "404", {"error": "UnknownInstance"}
+        inst = self.store.renew(req.params["service"], req.params["instance_id"], self.sim.now)
         return "200", {"lease_expiry": inst.lease_expiry}
 
     def _deregister(self, req: Request) -> tuple[str, Body]:

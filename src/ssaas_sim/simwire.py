@@ -241,7 +241,8 @@ class Simulator:
     ``nodes`` is a read-only view of every registered node's handler:
     :meth:`add_node` is the only way in. ``_live`` maps each node no kill
     rule has taken down to its handler, so a send or a delivery checks
-    liveness with one lookup. Kills and revives edit it in place: a handler
+    liveness with one lookup. A node added while an active kill rule
+    matches it starts down. Kills and revives edit it in place: a handler
     may change it for a later event of the tick.
 
     ``records`` is the delivery trace, a read-only :class:`WireTrace` over
@@ -283,7 +284,8 @@ class Simulator:
         if name in self._nodes:
             raise SimwireError(f"node already registered: {name}")
         self._nodes[name] = handler
-        self._live[name] = handler
+        if not self._killed(name):
+            self._live[name] = handler
 
     def node_alive(self, name: str) -> bool:
         return name in self._live
@@ -420,14 +422,17 @@ class Simulator:
                 if rule.matches_node(name):
                     self._live.pop(name, None)
 
+    def _killed(self, name: str) -> bool:
+        """Does an active kill rule match ``name``? A node is live iff not."""
+        return any(rule.active and rule.effect == FaultEffect.KILL_NODE
+                   and rule.matches_node(name) for rule in self._rules.values())
+
     def _recompute_dead(self) -> None:
         """Refill ``_live`` in place: every node no active kill rule matches."""
-        kills = [rule for rule in self._rules.values()
-                 if rule.active and rule.effect == FaultEffect.KILL_NODE]
         live = self._live
         live.clear()
         for name, handler in self._nodes.items():
-            if not any(rule.matches_node(name) for rule in kills):
+            if not self._killed(name):
                 live[name] = handler
 
     def _activate_due_faults(self, up_to_tick: int) -> None:

@@ -5,6 +5,11 @@ are wired, and who hosts which entity surface is decided by the topology
 builder, not here. Constructor parameters carry the only stage-dependent
 facts: the service name owning the developer entity (and its path prefix)
 and the service name owning resource reservations.
+
+A handler refuses a request by raising a chassis :class:`Refusal`: a
+store's domain error, a :class:`DecodeError`, or a plain 400 ``Malformed``
+for a bad argument. :meth:`ServiceNode.dispatch` answers it with the
+refusal's status and body.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from ..chassis import (
     CallResult,
     CallStatus,
     DecodeError,
+    Refusal,
     Request,
     ServiceNode,
     decode_tolerant,
@@ -26,7 +32,6 @@ from .stores import (
     ChatStore,
     ContentStore,
     DeveloperStore,
-    DomainError,
     FLAVORS,
     POLICY_LEAST_USED,
     SchemaStore,
@@ -46,36 +51,19 @@ DEV_ENTITY_EMBEDDED = ("DeveloperData", "/schema/developers")
 DEV_ENTITY_SERVICE = ("DeveloperInfoServices", "/developers")
 
 
-class Malformed(DomainError):
-    code = "Malformed"
-
-
 def _int_arg(raw: object) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise Malformed(str(raw))
+        raise Refusal(str(raw))
     try:
         return int(raw)
     except ValueError as exc:
-        raise Malformed(str(raw)) from exc
+        raise Refusal(str(raw)) from exc
 
 
 def _str_arg(raw: object) -> str:
     if not isinstance(raw, str):
-        raise Malformed(str(raw))
+        raise Refusal(str(raw))
     return raw
-
-
-def domain_route(fn: Callable[..., Optional[tuple[str, Body]]]):
-    """Translate domain and decode failures into error replies. Works on
-    plain handlers and on methods alike."""
-    def wrapped(*args) -> Optional[tuple[str, Body]]:
-        try:
-            return fn(*args)
-        except DecodeError as exc:
-            return "400", {"error": "Malformed", "field": exc.field}
-        except DomainError as exc:
-            return exc.status, exc.body()
-    return wrapped
 
 
 def forward(node: ServiceNode, req: Request, service: str, method: str, path: str,
@@ -111,17 +99,14 @@ def _release(node: ServiceNode, resources_service: str, reservation_id: object) 
 def mount_developer_entity(node: ServiceNode, store: DeveloperStore, prefix: str) -> None:
     """Expose a developer store under ``prefix`` (create, read, add kind)."""
 
-    @domain_route
     def create(req: Request):
         doc = decode_tolerant(req.body, ["name", "email"])
         dev = store.register_developer(_str_arg(doc["name"]), _str_arg(doc["email"]))
         return "200", dev.to_body()
 
-    @domain_route
     def read(req: Request):
         return "200", store.get(_int_arg(req.params["did"])).to_body()
 
-    @domain_route
     def add_kind(req: Request):
         doc = decode_tolerant(req.body, ["kind"])
         dev = store.add_service_kind(_int_arg(req.params["did"]), _str_arg(doc["kind"]))
@@ -140,22 +125,19 @@ def mount_resources(node: ServiceNode, pool: ServerPool, rng: random.Random) -> 
     restart.
     """
 
-    @domain_route
     def reserve(req: Request):
         doc = decode_tolerant(req.body, ["flavor", "owner"])
         policy = node.config.get("rm.policy", POLICY_LEAST_USED) or POLICY_LEAST_USED
         flavor = doc["flavor"]
         if flavor not in FLAVORS:
-            raise Malformed(str(flavor))
+            raise Refusal(str(flavor))
         res = pool.reserve(flavor, _str_arg(doc["owner"]), policy=policy, rng=rng)
         return "200", res.to_body()
 
-    @domain_route
     def release(req: Request):
         res = pool.release(_int_arg(req.params["rid"]))
         return "200", {"reservation_id": res.reservation_id, "released": True}
 
-    @domain_route
     def servers(req: Request):
         return "200", [s.to_body() for s in pool.servers()]
 
@@ -185,24 +167,20 @@ class DeveloperData(ServiceNode):
         if pool is not None:
             mount_resources(self, pool, rng or policy_rng(sim.seed, "DeveloperData"))
 
-        @domain_route
         def create_project(req: Request):
             doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
             proj = schemas.create_project(_str_arg(doc["name"]),
                                           _int_arg(doc["owner_developer_id"]))
             return "200", proj.to_body()
 
-        @domain_route
         def get_project(req: Request):
             return "200", schemas.get(_int_arg(req.params["pid"])).to_body()
 
-        @domain_route
         def add_table(req: Request):
             doc = decode_tolerant(req.body, ["table"])
             proj = schemas.add_table(_int_arg(req.params["pid"]), _str_arg(doc["table"]))
             return "200", proj.to_body()
 
-        @domain_route
         def add_column(req: Request):
             doc = decode_tolerant(req.body, ["column", "type"])
             proj = schemas.add_column(_int_arg(req.params["pid"]), req.params["table"],
@@ -282,7 +260,6 @@ class DeveloperServices(ServiceNode):
 
     # -- provisioning ---------------------------------------------------------
 
-    @domain_route
     def _provision(self, req: Request) -> None:
         doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
         owner = _int_arg(doc["owner_developer_id"])
@@ -350,7 +327,7 @@ class ContentServices(ServiceNode):
         try:
             pid = _int_arg(req.params["pid"])
             doc = decode_tolerant(req.body, ["values"])
-        except (DomainError, DecodeError):
+        except Refusal:
             req.reply("400", {"error": "Malformed", "field": "values"})
             return
         table = req.params["table"]
@@ -364,7 +341,7 @@ class ContentServices(ServiceNode):
             try:
                 validate_values(tables[table], values)
                 status, body = apply(pid, table, values)
-            except DomainError as exc:
+            except Refusal as exc:
                 req.reply(exc.status, exc.body())
                 return
             req.reply(status, body)
@@ -384,21 +361,18 @@ class ContentServices(ServiceNode):
             return "200", {"record_id": rid, "values": dict(values)}
         self._checked_write(req, apply)
 
-    @domain_route
     def _get(self, req: Request):
         pid = _int_arg(req.params["pid"])
         rid = _int_arg(req.params["rid"])
         values = self.content.get(pid, req.params["table"], rid)
         return "200", {"record_id": rid, "values": values}
 
-    @domain_route
     def _delete(self, req: Request):
         pid = _int_arg(req.params["pid"])
         rid = _int_arg(req.params["rid"])
         self.content.delete(pid, req.params["table"], rid)
         return "200", {"removed": True}
 
-    @domain_route
     def _list(self, req: Request):
         pid = _int_arg(req.params["pid"])
         return "200", self.content.list(pid, req.params["table"])
@@ -413,7 +387,6 @@ class ChatServices(ServiceNode):
         self.route("POST", "/chat", self._create)
         self.route("GET", "/chat/{cid}", self._get)
 
-    @domain_route
     def _create(self, req: Request) -> None:
         doc = decode_tolerant(req.body, ["developer_id"])
         developer_id = _int_arg(doc["developer_id"])
@@ -437,30 +410,24 @@ class ChatServices(ServiceNode):
 
         forward(self, req, dev_svc, "GET", f"{dev_prefix}/{developer_id}", then=reserve)
 
-    @domain_route
     def _get(self, req: Request):
         return "200", self.chats.get(_int_arg(req.params["cid"])).to_body()
 
 
 class Monolith(ServiceNode):
     """Single deployable hosting the in-process services of the original
-    system; requests are fanned to the hosted service by path root."""
+    system: it serves each hosted service's routes as its own."""
 
     def __init__(self, sim: Simulator, node_id: str = "monolith") -> None:
         super().__init__(sim, node_id, "Monolith")
-        self._by_root: dict[str, ServiceNode] = {}
 
-    def host(self, virtual: ServiceNode, roots: list[str]) -> None:
-        for root in roots:
-            self._by_root[root] = virtual
+    def host(self, node: ServiceNode) -> None:
+        # A hosted node's own POST /refresh route sorts after the monolith's,
+        # which was routed first and so keeps answering that path.
+        for key, routes in node._routes.items():
+            self._add_routes(key, routes)
 
     def dispatch(self, req: Request) -> None:
-        if req.method == "POST" and req.path == "/refresh":
-            super().dispatch(req)
-            return
-        # The path's first segment; "" (no segment) is never a hosted root.
-        target = self._by_root.get(req.path.lstrip("/").split("/", 1)[0])
-        if target is None:
-            req.reply("404", {"error": "NoRoute"})
-            return
-        target.dispatch(req)
+        # bench/tracer.py wraps this name to time the monolith's requests
+        # apart from other nodes' dispatch.
+        ServiceNode.dispatch(self, req)

@@ -3,7 +3,9 @@
 Five stores cover the system's entities: developer accounts, the database
 server pool with its reservations, project schemas, per-project content
 records, and chat instances. Service nodes own store instances; nothing
-here knows about nodes, stages, or topology.
+here knows about nodes, stages, or topology. A store refuses an operation
+by raising a :class:`DomainError`, a chassis :class:`Refusal` that carries
+the status and body a node answers it with.
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..chassis import Refusal
 
-class DomainError(Exception):
-    status = "400"
-    code = "Malformed"
 
-    def body(self) -> dict:
-        return {"error": self.code}
+class DomainError(Refusal):
+    """A store's refusal: 400 ``Malformed`` unless a subclass says otherwise."""
 
 
 class MalformedDeveloper(DomainError):
@@ -85,9 +85,6 @@ class SchemaViolation(DomainError):
     def __init__(self, fieldname: str) -> None:
         super().__init__(f"schema violation on field: {fieldname}")
         self.field = fieldname
-
-    def body(self) -> dict:
-        return {"error": self.code, "field": self.field}
 
 
 # -- developers ---------------------------------------------------------------

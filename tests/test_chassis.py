@@ -25,7 +25,9 @@ from ssaas_sim.chassis import (
     decode_tolerant,
     result_reply,
 )
+from ssaas_sim.registry import UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
+from ssaas_sim.ssaas.stores import UnknownProject
 
 
 class TestCircuitBreaker:
@@ -606,6 +608,44 @@ class TestServiceNodeRouting:
         node.dispatch(req)
         assert got == [("400", {"error": "Malformed", "field": field})]
         assert node.config.version == (0, 0)
+
+    @pytest.mark.parametrize("make, status, body", [
+        (lambda: DecodeError("name"), "400", {"error": "Malformed", "field": "name"}),
+        (lambda: UnknownProject("7"), "404", {"error": "UnknownProject"}),
+        (lambda: UnknownInstance("Svc/svc-9"), "404", {"error": "UnknownInstance"}),
+        (lambda: ValueError("a bug, not a refusal"), None, None),
+    ], ids=["decode", "domain", "registry", "other"])
+    def test_dispatch_answers_a_raised_refusal(self, make, status, body):
+        sim = Simulator()
+        node = ServiceNode(sim, "svc-1", "Svc")
+
+        def refuse(req: Request) -> None:
+            raise make()
+
+        node.route("POST", "/refuse", refuse)
+        node.route("POST", "/ok", lambda req: ("200", None))
+        node.bind()
+        wire = build_caller(sim, WiringMode.DIRECT_WIRE).client
+        wire.direct["Svc"] = "svc-1"
+        library = ServiceClient(ServiceNode(sim, "host", "Host"), WiringMode.LIBRARY_CALL)
+        library.add_peer("Svc", node)
+        results: list[CallResult] = []
+        if status is None:
+            with pytest.raises(ValueError):
+                library.call("Svc", "POST", "/refuse", None, results.append)
+            wire.call("Svc", "POST", "/refuse", None, results.append)
+            wire.call("Svc", "POST", "/ok", None, results.append)
+            with pytest.raises(ValueError):
+                sim.step()
+            # The rest of the tick, the /ok request, is still queued there.
+            assert sim.next_event_tick() == 1
+            run_until_idle(sim)
+            assert [r.status for r in results] == [CallStatus.OK, CallStatus.TIMEOUT]
+            return
+        library.call("Svc", "POST", "/refuse", None, results.append)
+        wire.call("Svc", "POST", "/refuse", None, results.append)
+        run_until_idle(sim)
+        assert results == [CallResult(CallStatus.REMOTE_ERROR, body, status)] * 2
 
 
 class TestLibraryMode:

@@ -7,15 +7,18 @@ and no kill rule in force matches it. A kill rule comes into force when it
 is applied (injected, or activated at its scheduled tick); clearing a kill
 rule or a scheduled revive puts exactly the active kill rules in force. So
 a kill rule's ``active`` flag flipped by hand counts only from the next
-clear or revive on. A send's fate is the decision ``send`` used to make:
-two scans over every registered rule, the first for an active drop or
-partition, the second summing active delays. After any sequence of injects,
-clears, scheduled faults and revives, ``active`` flags flipped by hand,
-timers (also on killed nodes), and kills, revives and sends made by
-handlers and timers in the middle of a tick, every send must meet the fate
-the reference predicts (dropped, failed, or delivered on a given tick),
-``node_alive`` must agree with the reference, and ``step()`` must deliver
-exactly the events whose node was up when their turn came.
+clear or revive on. A node added later is up iff no active kill rule
+matches it; the script adds one only while no flipped flag makes the
+active kill rules differ from those in force. A send's fate is the
+decision ``send`` used to make: two scans over every registered rule, the
+first for an active drop or partition, the second summing active delays.
+After any sequence of injects, clears, scheduled faults and revives,
+``active`` flags flipped by hand, nodes added late, timers (also on killed
+nodes), and kills, revives and sends made by handlers and timers in the
+middle of a tick, every send must meet the fate the reference predicts
+(dropped, failed, or delivered on a given tick), ``node_alive`` must agree
+with the reference, and ``step()`` must deliver exactly the events whose
+node was up when their turn came.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from ssaas_sim.simwire import (
 )
 
 NODES = ("a-1", "a-2", "b-1", "reg")
-DESTINATIONS = NODES + ("ghost",)
+LATE = ("a-3", "b-2")  # added by an "add" op, if at all
+DESTINATIONS = NODES + LATE + ("ghost",)
 PATTERNS = ("*", "a-*", "b-1", "?-1", "reg", "c*")
 LINK_EFFECTS = (FaultEffect.DROP, FaultEffect.PARTITION, FaultEffect.DELAY)
 
@@ -100,6 +104,7 @@ ops = st.one_of(
     st.tuples(st.just("advance"), st.integers(0, 4)),
     st.tuples(st.just("step")),
     st.tuples(st.just("toggle"), st.integers(0, 20)),
+    st.tuples(st.just("add"), st.sampled_from(LATE)),
     st.tuples(st.just("timer"), st.sampled_from(NODES), st.integers(1, 4), actions),
     st.tuples(st.just("send"), st.sampled_from(NODES), st.sampled_from(DESTINATIONS),
               actions),
@@ -144,6 +149,14 @@ class Script:
         self.sim.clear(rid)
         if kill:
             self._enforce_active_kills()
+
+    def add_node(self, name: str) -> None:
+        """Add ``name``, unless it is there already or a flipped flag makes
+        the active kill rules differ from those in force."""
+        active = {rid for rid, rule in self.sim._rules.items()
+                  if rule.active and rule.effect is FaultEffect.KILL_NODE}
+        if name not in self.sim.nodes and active == self.in_force:
+            self.sim.add_node(name, self._handler(name))
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> None:
         self.ids.append(self.sim.schedule_fault(tick, rule))
@@ -259,12 +272,18 @@ MID_TICK_REVIVE = [("send", "a-1", "reg", ("revive", 0)), ("send", "a-1", "b-1",
                    ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")), ("step",)]
 MID_TICK_KILL = [("send", "a-1", "reg", ("kill", "b-1")), ("send", "a-1", "b-1", None),
                  ("timer", "b-1", 1, None), ("step",)]
+# a-3 joins under a kill of a-*; an unrelated kill and clear must leave it down.
+LATE_NODE_UNDER_KILL = [("inject", FaultRule(FaultEffect.KILL_NODE, node="a-*")),
+                        ("add", "a-3"),
+                        ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
+                        ("clear", 1), ("send", "reg", "a-3", None)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ops, max_size=40))
 @example(MID_TICK_REVIVE)
 @example(MID_TICK_KILL)
+@example(LATE_NODE_UNDER_KILL)
 def test_send_fate_matches_full_rule_scan(script):
     run = Script()
     sim, ids = run.sim, run.ids
@@ -289,6 +308,8 @@ def test_send_fate_matches_full_rule_scan(script):
             if live:
                 rule = live[op[1] % len(live)]
                 rule.active = not rule.active
+        elif kind == "add":
+            run.add_node(op[1])
         elif kind == "timer":
             run.set_timer(*op[1:])
         else:

@@ -204,6 +204,20 @@ class TestFaults:
         sim.send(Envelope.request("a", "b", "/x"))
         assert [e.path for e in drain(sim)] == ["/x"]
 
+    def test_node_added_under_a_kill_rule_starts_down(self):
+        sim = make_sim("a-1", "b-1")
+        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-*"))
+        sim.add_node("a-2")
+        assert not sim.node_alive("a-2")
+        # An unrelated kill and clear leaves it down, and sends to it fail.
+        sim.clear(sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b-1")))
+        assert not sim.node_alive("a-2") and sim.node_alive("b-1")
+        sim.send(Envelope.request("b-1", "a-2", "/x"))
+        drain(sim)
+        assert sim.failed == 1
+        sim.clear(kill)
+        assert sim.node_alive("a-2")
+
     def test_scheduled_fault_activates_on_time(self):
         sim = make_sim("a", "b")
         sim.schedule_fault(10, FaultRule(FaultEffect.KILL_NODE, node="b"))

@@ -297,9 +297,8 @@ def build_monolith_world():
         client.add_peer("DeveloperData", dd)
         client.add_peer("DeveloperServices", ds)
         client.add_peer("ContentServices", cs)
-    mono.host(ds, ["developers", "projects"])
-    mono.host(cs, ["content"])
-    mono.host(dd, ["schema", "resources"])
+    for svc in (ds, cs, dd):
+        mono.host(svc)
     ext = ServiceNode(sim, "ext", "External").bind()
     ServiceClient(ext, WiringMode.DIRECT_WIRE)
     return sim, mono, ext, pool
@@ -314,8 +313,12 @@ def call(sim, ext, method, path, body=None, target="monolith") -> CallResult:
 
 class TestMonolithRoots:
     class Hosted(ServiceNode):
-        def dispatch(self, req: Request) -> None:
-            req.reply("200", self.service)
+        """Answers its service name on ``/<root>`` and ``/<root>/{a}/{b}``."""
+
+        def __init__(self, sim: Simulator, root: str) -> None:
+            super().__init__(sim, "monolith", root)
+            for pattern in (f"/{root}", f"/{root}/{{a}}/{{b}}"):
+                self.route("GET", pattern, lambda req: ("200", self.service))
 
     @pytest.mark.parametrize("path, want", [
         ("/content", "content"), ("//content/1/t", "content"), ("/schema/", "schema"),
@@ -325,7 +328,7 @@ class TestMonolithRoots:
         sim = Simulator()
         mono = Monolith(sim)
         for root in ("content", "schema"):
-            mono.host(self.Hosted(sim, "monolith", root), [root])
+            mono.host(self.Hosted(sim, root))
         got = []
         mono.dispatch(Request("GET", path, None, _reply=lambda s, b: got.append((s, b))))
         assert got == [("200", want) if want else ("404", {"error": "NoRoute"})]
