@@ -1,5 +1,5 @@
 """Breaker transitions, resolver rotation, tolerant decode, node routing,
-and the client call paths over a live wire."""
+the client call paths over a live wire, and lease renewal."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ssaas_sim.chassis import (
     DEFAULT_BREAKER_OPEN_TICKS,
+    DEFAULT_CALL_DEADLINE_TICKS,
     CallResult,
     CallStatus,
     CircuitBreaker,
@@ -25,7 +26,7 @@ from ssaas_sim.chassis import (
     decode_tolerant,
     result_reply,
 )
-from ssaas_sim.registry import UnknownInstance
+from ssaas_sim.registry import RegistryService, UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas.stores import UnknownProject
 
@@ -668,3 +669,78 @@ class TestLibraryMode:
         results = []
         client.call("Echo", "POST", "/echo", None, results.append)
         assert results[0].status is CallStatus.FAST_FAIL
+
+
+def live_node(deadline: int = DEFAULT_CALL_DEADLINE_TICKS) -> tuple[Simulator, RegistryService, ServiceNode]:
+    """A registry and one app node, ``chat-1``, both gone live at tick 0:
+    the node registers at tick 1 and renews every 10 ticks from tick 10."""
+    sim = Simulator()
+    registry = RegistryService(sim).bind()
+    node = ServiceNode(sim, "chat-1", "Chat").bind()
+    ServiceClient(node, WiringMode.DISCOVERED, deadline=deadline)
+    registry.go_live()
+    node.go_live()
+    return sim, registry, node
+
+
+def registrations(sim: Simulator) -> list[int]:
+    """The ticks at which a registration reached the registry."""
+    return [r.tick for r in sim.records
+            if r.kind == "REQUEST" and r.method == "POST" and r.status == "delivered"]
+
+
+def evict(sim: Simulator, registry: RegistryService) -> None:
+    """Drop the node's renewals from tick 25 until its lease (renewed last at
+    tick 21, so expiring at 51) is swept, then heal the link at tick 65. The
+    next renewal goes out at tick 70."""
+    sim.advance_to(25)
+    drop = sim.inject(FaultRule(FaultEffect.DROP, source="chat-1", destination="registry"))
+    sim.advance_to(65)
+    assert registry.store.all_instances() == []
+    sim.clear(drop)
+
+
+def delay_replies(sim: Simulator, ticks: int) -> int:
+    return sim.inject(FaultRule(FaultEffect.DELAY, source="registry", destination="chat-1",
+                                delay_ticks=ticks))
+
+
+class TestLeaseRenewal:
+    def test_evicted_lease_reregisters_on_the_next_404(self):
+        sim, registry, _ = live_node()
+        evict(sim, registry)
+        sim.advance_to(75)
+        # The renewal of tick 70 is answered 404 at tick 72, and the node
+        # registers again at once.
+        assert registrations(sim) == [1, 73]
+        assert [i.instance_id for i in registry.store.all_instances()] == ["chat-1"]
+
+    @pytest.mark.parametrize("delay", [4, 7])
+    def test_404_at_or_after_the_deadline_is_ignored(self, delay):
+        # A renewal sent at tick t has deadline tick t + 6; delayed by 4 or
+        # more, its 404 lands there or later.
+        sim, registry, _ = live_node()
+        evict(sim, registry)
+        delay_rule = delay_replies(sim, delay)
+        sim.advance_to(105)
+        assert registrations(sim) == [1]
+        sim.clear(delay_rule)
+        sim.advance_to(115)
+        assert registrations(sim) == [1, 113]
+
+    def test_dropped_renewals_leave_at_most_one_pending_entry(self):
+        sim, _, node = live_node()
+        sim.advance_to(25)
+        sim.inject(FaultRule(FaultEffect.DROP, source="chat-1", destination="registry"))
+        while sim.now < 250:  # 22 renewal intervals
+            sim.step()
+            assert len(node.client._pending) <= 1
+
+    def test_deadline_longer_than_the_interval_still_acts_on_a_404(self):
+        # The renewal of tick 70 has deadline tick 96; its 404 lands at
+        # tick 87, after the renewal of tick 80 went out.
+        sim, registry, _ = live_node(deadline=25)
+        evict(sim, registry)
+        delay_replies(sim, 15)
+        sim.advance_to(90)
+        assert registrations(sim) == [1, 88]
