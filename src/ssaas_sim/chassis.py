@@ -439,11 +439,16 @@ class ServiceNode:
     def go_live(self) -> None:
         """Register with the registry and arm the node's own loop, which
         renews the lease as maintenance traffic. A renew rejected with 404
-        (lease already evicted) triggers one re-registration."""
+        (lease already evicted) triggers one re-registration. A renewal
+        arms no deadline timer, whose firing would change nothing: its
+        pending entry holds its deadline tick, past which a reply is ignored
+        and the next beat drops the entry."""
         assert self.client is not None, "node needs a client before discovery"
-        client, service, node_id = self.client, self.service, self.node_id
+        client, service, node_id, sim = self.client, self.service, self.node_id, self.sim
+        pending = client._pending
         reg_body = {"service": service, "instance_id": node_id,
                     "address": node_id, "port": 0, "status": "UP"}
+        path = f"/registry/{service}/{node_id}/renew"
 
         def register() -> None:
             client.call_node(REGISTRY_NODE, "POST", f"/registry/{service}", dict(reg_body))
@@ -453,11 +458,16 @@ class ServiceNode:
                 register()
 
         def beat() -> None:
-            client.call_node(REGISTRY_NODE, "PUT", f"/registry/{service}/{node_id}/renew",
-                             on_result=on_renew)
+            now = sim.now
+            late = [mid for mid, entry in pending.items()
+                    if entry[3] is not None and entry[3] <= now]
+            for mid in late:
+                del pending[mid]
+            mid = sim.send(Envelope(node_id, REGISTRY_NODE, REQUEST, path, "PUT"))
+            pending[mid] = (None, on_renew, None, now + client.deadline + 1)
 
         register()
-        self.sim.every(node_id, RENEW_INTERVAL_TICKS, beat)
+        sim.every(node_id, RENEW_INTERVAL_TICKS, beat)
 
 
 # -- outbound client ------------------------------------------------------------
@@ -509,7 +519,9 @@ class ServiceClient:
         self.direct: dict[str, str] = {}
         self.resolver = Resolver()
         self.breakers: dict[str, CircuitBreaker] = {}
-        # message id -> (breaker or None, on_result, deadline timer id)
+        # message id -> (breaker or None, on_result, timer id, deadline tick).
+        # A tracked call sets a deadline timer and no tick; a lease renewal
+        # (ServiceNode.go_live) sets a deadline tick and no timer.
         self._pending: dict[int, tuple] = {}
         self._fetch_waiters: dict[str, list[Callable[[bool], None]]] = {}
         node.client = self
@@ -624,14 +636,17 @@ class ServiceClient:
         mid = sim.send(Envelope(node_id, target_node, REQUEST, path, method, None, body))
         wait = (deadline if deadline is not None else self.deadline) + 1
         timer = sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
-        self._pending[mid] = (breaker, on_result, timer)
+        self._pending[mid] = (breaker, on_result, timer, None)
 
     def handle_response(self, env: Envelope) -> None:
         pending = self._pending.pop(env.correlation_id, None)
         if pending is None:
             return  # late response: the deadline already decided this call
-        breaker, on_result, timer = pending
-        self.sim.cancel_timer(timer)
+        breaker, on_result, timer, due = pending
+        if timer is not None:
+            self.sim.cancel_timer(timer)
+        elif self.sim.now >= due:
+            return  # a renewal answered on or after its deadline tick
         result = _classify(env.status or "", env.body)
         if breaker is not None:
             failure = result.status == CallStatus.TIMEOUT or (
@@ -644,7 +659,7 @@ class ServiceClient:
         pending = self._pending.pop(message_id, None)
         if pending is None:
             return
-        breaker, on_result, _ = pending
+        breaker, on_result, _, _ = pending
         if breaker is not None:
             breaker.record_result(False, self.sim.now)
         if on_result is not None:

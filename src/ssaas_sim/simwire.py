@@ -343,7 +343,9 @@ class Simulator:
         """Schedule ``fn`` to run on ``node`` after ``delay`` ticks.
 
         Timers are scheduler internals, not wire traffic: they never appear
-        in the trace and are skipped if the node has been killed.
+        in the trace and are skipped if the node has been killed. The
+        chassis sets one per tracked call, as its deadline; a lease renewal
+        sets none.
         """
         if node not in self._nodes:
             raise UnknownNode(f"unknown node: {node}")

@@ -40,16 +40,16 @@ COUNTS = {
 # the run first name them.
 CALLS = {
     "simwire.send": 1469,
-    "simwire.step": 719,
-    "simwire.set_timer": 737,
-    "simwire.cancel_timer": 731,
+    "simwire.step": 687,
+    "simwire.set_timer": 268,
+    "simwire.cancel_timer": 268,
     "simwire.advance_to": 81,
     "simwire.run_until_idle": 6,
     "simwire.envelope": 5,
     "chassis.inbound": 1463,
     "chassis.dispatch": 710,
     "chassis.call": 150,
-    "chassis.call_node": 621,
+    "chassis.call_node": 152,
     "chassis.handle_response": 731,
     "chassis.reply": 762,
     "chassis.relay": 81,
@@ -83,7 +83,7 @@ CALLS = {
     "confsvc.handler": 14,
     "registry.handler": 555,
     "ssaas.handler": 141,
-    "chassis.callback": 551,
+    "chassis.callback": 88,
     "chassis.timer": 0,
     "migration.callback": 81,
     "gateway.callback": 52,

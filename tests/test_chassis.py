@@ -26,6 +26,7 @@ from ssaas_sim.chassis import (
     decode_tolerant,
     result_reply,
 )
+from ssaas_sim.migration import build_stage
 from ssaas_sim.registry import RegistryService, UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas.stores import UnknownProject
@@ -700,6 +701,15 @@ def evict(sim: Simulator, registry: RegistryService) -> None:
     sim.clear(drop)
 
 
+def count_timers(sim: Simulator, monkeypatch) -> list[tuple]:
+    """Record the arguments of every one-shot timer ``sim`` arms from now on."""
+    armed: list[tuple] = []
+    set_timer = sim.set_timer
+    monkeypatch.setattr(sim, "set_timer",
+                        lambda *args: armed.append(args) or set_timer(*args))
+    return armed
+
+
 def delay_replies(sim: Simulator, ticks: int) -> int:
     return sim.inject(FaultRule(FaultEffect.DELAY, source="registry", destination="chat-1",
                                 delay_ticks=ticks))
@@ -744,3 +754,50 @@ class TestLeaseRenewal:
         delay_replies(sim, 15)
         sim.advance_to(90)
         assert registrations(sim) == [1, 88]
+
+    # The tests below pin what a renewal does without a deadline timer.
+
+    def test_an_idle_stage_six_system_arms_no_timer(self, monkeypatch):
+        sim = build_stage(6).sim
+        armed = count_timers(sim, monkeypatch)
+        sent = sim.sent
+        sim.advance_to(sim.now + 100)
+        assert sim.sent - sent == 6 * 10 * 2  # six app nodes renew, 10 round trips each
+        assert armed == []
+
+    @pytest.mark.parametrize("deadline", [1, 2, 3, 5, 9, 10, 11, 25])
+    def test_the_deadline_tick_is_exact(self, deadline, monkeypatch):
+        # The renewal of tick 10 reaches the registry at tick 11, and with
+        # its reply delayed by ``delay`` the 404 lands at tick 12 + delay.
+        # A timer of deadline + 1 ticks, queued at tick 10 ahead of that
+        # reply, would accept it only before tick 11 + deadline.
+        for delay in range(deadline + 3):
+            sim, registry, _ = live_node(deadline)
+            sim.advance_to(5)
+            registry.store.deregister("Chat", "chat-1")
+            if delay:
+                delay_replies(sim, delay)
+            armed = count_timers(sim, monkeypatch)
+            sim.advance_to(12 + delay)
+            assert armed == []
+            sim.advance_to(14 + delay)
+            accepted = 12 + delay < 11 + deadline
+            assert registrations(sim) == ([1, 13 + delay] if accepted else [1]), delay
+
+    @pytest.mark.parametrize("delay", [8, 9])
+    def test_a_node_down_at_the_deadline_ignores_the_late_reply(self, delay):
+        # The renewal of tick 70 has deadline tick 76, and its 404 lands at
+        # tick 72 + delay. The node is down from tick 73 to 78. A deadline
+        # timer would have been skipped at tick 76, so the node would still
+        # have acted on that reply; without one the reply is ignored like any
+        # other that lands after its deadline. No bundled workload gets here.
+        sim, registry, node = live_node()
+        evict(sim, registry)
+        delay_replies(sim, delay)
+        sim.advance_to(73)
+        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="chat-1"))
+        sim.advance_to(78)
+        sim.clear(kill)
+        sim.advance_to(95)
+        assert registrations(sim) == [1]
+        assert len(node.client._pending) == 1  # only the renewal of tick 90
