@@ -36,11 +36,15 @@ class NoInstances(Exception):
 
 class Refusal(Exception):
     """A request a handler refuses: :meth:`ServiceNode.dispatch` answers a
-    raised refusal with ``status`` and :meth:`body`."""
+    raised refusal with ``status`` and :meth:`body`, which names ``field``,
+    the request field at fault, if there is one."""
 
     status = "400"
     code = "Malformed"
-    field: Optional[str] = None  # the request field at fault, if one is
+
+    def __init__(self, message: str = "", field: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.field = field
 
     def body(self) -> dict:
         if self.field is None:
@@ -50,8 +54,7 @@ class Refusal(Exception):
 
 class DecodeError(Refusal):
     def __init__(self, fieldname: str) -> None:
-        super().__init__(f"missing or malformed field: {fieldname}")
-        self.field = fieldname
+        super().__init__(f"missing or malformed field: {fieldname}", fieldname)
 
 
 def decode_tolerant(body: Body, required: Sequence[str]) -> dict[str, Any]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chassis import (CONFSVC_NODE, DecodeError, Request, ServiceClient, ServiceNode,
-                      WiringMode, decode_tolerant)
+from .chassis import (CONFSVC_NODE, Refusal, Request, ServiceClient, ServiceNode, WiringMode,
+                      decode_tolerant)
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ConfigServer"
@@ -29,8 +29,8 @@ class ConfigError(Exception):
     pass
 
 
-class MalformedConfig(ConfigError):
-    pass
+class MalformedConfig(ConfigError, Refusal):
+    """A bad service or profile name, or (``field`` set) bad entries."""
 
 
 class CheckpointError(ConfigError):
@@ -57,10 +57,12 @@ class MergedConfig:
 
 
 def _check_entries(entries: dict[str, str]) -> None:
+    if not isinstance(entries, dict):
+        raise MalformedConfig("entries must be a map", "entries")
     for key, value in entries.items():
         if not isinstance(key, str) or not key or _KEY_FORBIDDEN & set(key) \
                 or not isinstance(value, str) or _VALUE_FORBIDDEN & set(value):
-            raise MalformedConfig(f"bad entry: {key!r}")
+            raise MalformedConfig(f"bad entry: {key!r}", "entries")
 
 
 class ConfigStore:
@@ -156,13 +158,8 @@ class ConfigServer(ServiceNode):
 
     def _set(self, req: Request) -> tuple[str, Body]:
         entries = decode_tolerant(req.body, ["entries"])["entries"]
-        if not isinstance(entries, dict):
-            raise DecodeError("entries")
         service, profile = req.params["service"], req.params["profile"]
-        try:
-            version = self.store.set_config(service, profile, entries)
-        except MalformedConfig:
-            raise DecodeError("entries") from None
+        version = self.store.set_config(service, profile, entries)
         self._notify(service, profile)
         return "200", {"version": [version[0], version[1]]}
 

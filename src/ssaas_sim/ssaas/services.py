@@ -324,14 +324,9 @@ class ContentServices(ServiceNode):
         forward(self, req, "DeveloperData", "GET", f"/schema/projects/{pid}", then=got)
 
     def _checked_write(self, req: Request, apply: Callable[[int, str, dict], tuple[str, Body]]) -> None:
-        try:
-            pid = _int_arg(req.params["pid"])
-            doc = decode_tolerant(req.body, ["values"])
-        except Refusal:
-            req.reply("400", {"error": "Malformed", "field": "values"})
-            return
+        pid = _int_arg(req.params["pid"])
+        values = decode_tolerant(req.body, ["values"])["values"]
         table = req.params["table"]
-        values = doc["values"]
 
         def validated(schema_body: dict) -> None:
             tables = schema_body.get("tables", {}) if isinstance(schema_body, dict) else {}

@@ -83,8 +83,7 @@ class SchemaViolation(DomainError):
     code = "SchemaViolation"
 
     def __init__(self, fieldname: str) -> None:
-        super().__init__(f"schema violation on field: {fieldname}")
-        self.field = fieldname
+        super().__init__(f"schema violation on field: {fieldname}", fieldname)
 
 
 # -- developers ---------------------------------------------------------------

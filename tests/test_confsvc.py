@@ -161,6 +161,20 @@ class TestWireApi:
                       {"entries": "nope"})
         assert r.remote_status == "400"
 
+    @pytest.mark.parametrize("path, entries, body", [
+        ("/config/a|b/default", {"k": "v"}, {"error": "Malformed"}),
+        ("/config/Svc/a|b", {"k": "v"}, {"error": "Malformed"}),
+        ("/config/Svc/default", {"k|": "v"}, {"error": "Malformed", "field": "entries"}),
+        ("/config/Svc/default", {"k": 1}, {"error": "Malformed", "field": "entries"}),
+        ("/config/Svc/default", ["k"], {"error": "Malformed", "field": "entries"}),
+    ], ids=["service", "profile", "key", "value", "not-a-map"])
+    def test_malformed_write_names_entries_only_when_they_are_at_fault(self, path, entries,
+                                                                       body):
+        sim, confsvc, admin = build_world()
+        r = wire_call(sim, admin, "confsvc", "PUT", path, {"entries": entries})
+        assert (r.remote_status, r.body) == ("400", body)
+        assert confsvc.store.services() == []
+
     def test_write_pushes_refresh_to_subscriber(self):
         sim, confsvc, admin = build_world()
         svc = ServiceNode(sim, "svc-1", "Svc").bind()

@@ -504,6 +504,19 @@ def build_wire_world():
 
 
 class TestWireFlows:
+    @pytest.mark.parametrize("method, path", [("POST", "/content/{pid}/posts"),
+                                              ("PUT", "/content/{pid}/posts/1")])
+    @pytest.mark.parametrize("pid, body, want", [
+        ("abc", {"values": {"title": "hi"}}, {"error": "Malformed"}),
+        ("1", {"title": "hi"}, {"error": "Malformed", "field": "values"}),
+    ], ids=["pid", "values"])
+    def test_malformed_content_write_names_its_own_fault(self, method, path, pid, body, want):
+        sim, ext, _ = build_wire_world()
+        r = call(sim, ext, method, path.format(pid=pid), body, target="contentservices-1")
+        assert (r.remote_status, r.body) == ("400", want)
+        # Refused before any schema fetch: only the request and its answer.
+        assert len(sim.records) == 2
+
     def test_provision_over_the_wire(self):
         sim, ext, pool = build_wire_world()
         r = call(sim, ext, "POST", "/developers",
