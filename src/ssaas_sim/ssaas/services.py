@@ -228,35 +228,22 @@ class DeveloperServices(ServiceNode):
         self.dev_entity = dev_entity
         self.resources_service = resources_service
 
-        self.route("POST", "/developers", self._create_developer)
-        self.route("GET", "/developers/{did}", self._get_developer)
-        self.route("POST", "/developers/{did}/kinds", self._add_kind)
+        dev_svc, dev_prefix = dev_entity
+        self._relay("POST", "/developers", dev_svc, dev_prefix)
+        self._relay("GET", "/developers/{did}", dev_svc, dev_prefix + "/{did}")
+        self._relay("POST", "/developers/{did}/kinds", dev_svc, dev_prefix + "/{did}/kinds")
         self.route("POST", "/projects", self._provision)
-        self.route("GET", "/projects/{pid}", self._forward_to_schema("GET", ""))
-        self.route("POST", "/projects/{pid}/tables", self._forward_to_schema("POST", "/tables"))
-        self.route("POST", "/projects/{pid}/tables/{table}/columns",
-                   self._forward_to_schema("POST", "/tables/{table}/columns"))
+        self._relay("GET", "/projects/{pid}", "DeveloperData", "/schema/projects/{pid}")
+        self._relay("POST", "/projects/{pid}/tables", "DeveloperData",
+                    "/schema/projects/{pid}/tables")
+        self._relay("POST", "/projects/{pid}/tables/{table}/columns", "DeveloperData",
+                    "/schema/projects/{pid}/tables/{table}/columns")
 
-    # -- thin passthroughs -------------------------------------------------
-
-    def _create_developer(self, req: Request) -> None:
-        svc, prefix = self.dev_entity
-        forward(self, req, svc, "POST", prefix, req.body)
-
-    def _get_developer(self, req: Request) -> None:
-        svc, prefix = self.dev_entity
-        forward(self, req, svc, "GET", f"{prefix}/{req.params['did']}")
-
-    def _add_kind(self, req: Request) -> None:
-        svc, prefix = self.dev_entity
-        forward(self, req, svc, "POST", f"{prefix}/{req.params['did']}/kinds", req.body)
-
-    def _forward_to_schema(self, method: str, suffix: str):
-        def handler(req: Request) -> None:
-            path = f"/schema/projects/{req.params['pid']}" + suffix.replace(
-                "{table}", req.params.get("table", ""))
-            forward(self, req, "DeveloperData", method, path, req.body)
-        return handler
+    def _relay(self, method: str, pattern: str, service: str, target: str) -> None:
+        """Serve ``pattern`` by forwarding the request, body and all, to
+        ``service`` at ``target`` with the route's params filled in."""
+        self.route(method, pattern, lambda req: forward(
+            self, req, service, method, target.format_map(req.params), req.body))
 
     # -- provisioning ---------------------------------------------------------
 
