@@ -462,10 +462,10 @@ class ServiceNode:
 
         def beat() -> None:
             now = sim.now
-            late = [mid for mid, entry in pending.items()
-                    if entry[3] is not None and entry[3] <= now]
-            for mid in late:
-                del pending[mid]
+            if pending:  # usually empty: the last renewal has been answered
+                for late in [mid for mid, entry in pending.items()
+                             if entry[3] is not None and entry[3] <= now]:
+                    del pending[late]
             mid = sim.send(Envelope(node_id, REGISTRY_NODE, REQUEST, path, "PUT"))
             pending[mid] = (None, on_renew, None, now + client.deadline + 1)
 
