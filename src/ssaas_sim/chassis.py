@@ -522,9 +522,8 @@ class ServiceClient:
         self.direct: dict[str, str] = {}
         self.resolver = Resolver()
         self.breakers: dict[str, CircuitBreaker] = {}
-        # message id -> (breaker or None, on_result, timer id, deadline tick).
-        # A tracked call sets a deadline timer and no tick; a lease renewal
-        # (ServiceNode.go_live) sets a deadline tick and no timer.
+        # message id -> (breaker or None, on_result, deadline timer id, deadline
+        # tick): a tracked call sets the timer, a lease renewal only the tick.
         self._pending: dict[int, tuple] = {}
         self._fetch_waiters: dict[str, list[Callable[[bool], None]]] = {}
         node.client = self

@@ -228,22 +228,24 @@ class DeveloperServices(ServiceNode):
         self.dev_entity = dev_entity
         self.resources_service = resources_service
 
-        dev_svc, dev_prefix = dev_entity
-        self._relay("POST", "/developers", dev_svc, dev_prefix)
-        self._relay("GET", "/developers/{did}", dev_svc, dev_prefix + "/{did}")
-        self._relay("POST", "/developers/{did}/kinds", dev_svc, dev_prefix + "/{did}/kinds")
+        dev_svc, dev = dev_entity
+        self._relay("POST", "/developers", dev_svc, lambda p: dev)
+        self._relay("GET", "/developers/{did}", dev_svc, lambda p: f"{dev}/{p['did']}")
+        self._relay("POST", "/developers/{did}/kinds", dev_svc, lambda p: f"{dev}/{p['did']}/kinds")
         self.route("POST", "/projects", self._provision)
-        self._relay("GET", "/projects/{pid}", "DeveloperData", "/schema/projects/{pid}")
+        self._relay("GET", "/projects/{pid}", "DeveloperData",
+                    lambda p: f"/schema/projects/{p['pid']}")
         self._relay("POST", "/projects/{pid}/tables", "DeveloperData",
-                    "/schema/projects/{pid}/tables")
+                    lambda p: f"/schema/projects/{p['pid']}/tables")
         self._relay("POST", "/projects/{pid}/tables/{table}/columns", "DeveloperData",
-                    "/schema/projects/{pid}/tables/{table}/columns")
+                    lambda p: f"/schema/projects/{p['pid']}/tables/{p['table']}/columns")
 
-    def _relay(self, method: str, pattern: str, service: str, target: str) -> None:
+    def _relay(self, method: str, pattern: str, service: str,
+               target: Callable[[dict[str, str]], str]) -> None:
         """Serve ``pattern`` by forwarding the request, body and all, to
-        ``service`` at ``target`` with the route's params filled in."""
+        ``service`` at the path ``target`` builds from the route's params."""
         self.route(method, pattern, lambda req: forward(
-            self, req, service, method, target.format_map(req.params), req.body))
+            self, req, service, method, target(req.params), req.body))
 
     # -- provisioning ---------------------------------------------------------
 

@@ -672,7 +672,8 @@ class TestLibraryMode:
         assert results[0].status is CallStatus.FAST_FAIL
 
 
-def live_node(deadline: int = DEFAULT_CALL_DEADLINE_TICKS) -> tuple[Simulator, RegistryService, ServiceNode]:
+def live_node(deadline: int = DEFAULT_CALL_DEADLINE_TICKS
+              ) -> tuple[Simulator, RegistryService, ServiceNode]:
     """A registry and one app node, ``chat-1``, both gone live at tick 0:
     the node registers at tick 1 and renews every 10 ticks from tick 10."""
     sim = Simulator()
