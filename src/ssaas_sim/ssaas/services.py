@@ -215,10 +215,10 @@ class DeveloperInfoServices(ServiceNode):
 class DeveloperServices(ServiceNode):
     """Use-case service for developer accounts and project provisioning.
 
-    Provisioning a project is the long flow: validate the developer,
-    reserve an ORACLE database, persist the schema, tag the developer with
-    the RDBMS kind. A failure after the reservation releases it before the
-    error goes back out.
+    Provisioning a project is the long flow: refuse an empty name, validate
+    the developer, reserve an ORACLE database, persist the schema, tag the
+    developer with the RDBMS kind. A failure after the reservation releases
+    it before the error goes back out.
     """
 
     def __init__(self, sim: Simulator, node_id: str,
@@ -253,6 +253,8 @@ class DeveloperServices(ServiceNode):
         doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
         owner = _int_arg(doc["owner_developer_id"])
         name = _str_arg(doc["name"])
+        if not name:  # the schema store would refuse it, after the reservation
+            raise Refusal("project name required")
         dev_svc, dev_prefix = self.dev_entity
 
         def reserve(_: Body) -> None:

@@ -481,23 +481,30 @@ def release_precedes_answer(sim) -> bool:
     return recs[release].tick == recs[answer].tick and release < answer
 
 
-def build_wire_world():
-    """Split services on separate nodes with static wiring."""
+def build_wire_world(own_resource_manager: bool = False):
+    """Split services on separate nodes with static wiring. DeveloperData
+    holds the server pool unless ResourceManager gets a node of its own."""
     sim = Simulator()
     schemas, developers, pool = SchemaStore(), DeveloperStore(), ServerPool()
     pool.register_server("ora-a", ServerFlavor.ORACLE, 2)
     dd = DeveloperData(sim, "developerdata-1", schemas, developers=developers,
-                       pool=pool)
+                       pool=None if own_resource_manager else pool)
     dd.bind()
-    ds = DeveloperServices(sim, "developerservices-1")
+    services = [dd]
+    if own_resource_manager:
+        services.append(ResourceManager(sim, "resourcemanager-1", pool).bind())
+        ds = DeveloperServices(sim, "developerservices-1", resources_service="ResourceManager")
+    else:
+        ds = DeveloperServices(sim, "developerservices-1")
     ds.bind()
     cs = ContentServices(sim, "contentservices-1", ContentStore())
     cs.bind()
-    for svc in (dd, ds, cs):
+    for svc in services + [ds, cs]:
         client = ServiceClient(svc, WiringMode.DIRECT_WIRE)
         client.direct["DeveloperData"] = "developerdata-1"
         client.direct["DeveloperServices"] = "developerservices-1"
         client.direct["ContentServices"] = "contentservices-1"
+        client.direct["ResourceManager"] = "resourcemanager-1"
     ext = ServiceNode(sim, "ext", "External").bind()
     ServiceClient(ext, WiringMode.DIRECT_WIRE)
     return sim, ext, pool
@@ -548,14 +555,36 @@ class TestWireFlows:
         assert r.remote_status == "400"
 
     def test_provision_compensates_before_answering(self):
+        # The reservation succeeds, then DeveloperData dies before the schema
+        # step reaches it: the reservation is released before the 503.
+        sim, ext, pool = build_wire_world(own_resource_manager=True)
+        call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
+             target="developerservices-1")
+        results = []
+        ext.client.call_node("developerservices-1", "POST", "/projects",
+                             {"name": "blog", "owner_developer_id": 1}, results.append,
+                             deadline=60)
+        while not any(rec.source == "resourcemanager-1" for rec in sim.records):
+            sim.step()
+        reserved = next(rec for rec in sim.records if rec.source == "resourcemanager-1")
+        assert (reserved.path, reserved.status) == ("/resources/reservations", "200")
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="developerdata-1"))
+        assert sim.run_until_idle(budget=300)
+        assert results[0].remote_status == "503"
+        assert pool.active_reservations() == []
+        assert release_precedes_answer(sim)
+
+    @pytest.mark.parametrize("owner", [1, 9], ids=["known", "unknown"])
+    def test_empty_project_name_is_refused_before_any_reservation(self, owner):
         sim, ext, pool = build_wire_world()
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
              target="developerservices-1")
-        r = call(sim, ext, "POST", "/projects", {"name": "", "owner_developer_id": 1},
+        before = len(sim.records)
+        r = call(sim, ext, "POST", "/projects", {"name": "", "owner_developer_id": owner},
                  target="developerservices-1")
-        assert r.remote_status == "400"
-        assert pool.active_reservations() == []
-        assert release_precedes_answer(sim)
+        assert (r.remote_status, r.body) == ("400", {"error": "Malformed"})
+        assert not any(rec.path == "/resources/reservations" for rec in sim.records)
+        assert len(sim.records) - before == 2  # only the request and its answer
 
     def test_content_unknown_project_404(self):
         sim, ext, pool = build_wire_world()
