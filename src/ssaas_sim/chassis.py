@@ -441,11 +441,10 @@ class ServiceNode:
 
     def go_live(self) -> None:
         """Register with the registry and arm the node's own loop, which
-        renews the lease as maintenance traffic. A renew rejected with 404
-        (lease already evicted) triggers one re-registration. A renewal
-        arms no deadline timer, whose firing would change nothing: its
-        pending entry holds its deadline tick, past which a reply is ignored
-        and the next beat drops the entry."""
+        renews the lease as maintenance traffic. A renewal arms no deadline
+        timer: its pending entry holds the re-registration, which
+        :meth:`ServiceClient.handle_response` runs on a 404 (lease evicted)
+        delivered before the entry's tick; the next beat drops stale entries."""
         assert self.client is not None, "node needs a client before discovery"
         client, service, node_id, sim = self.client, self.service, self.node_id, self.sim
         pending = client._pending
@@ -456,10 +455,6 @@ class ServiceNode:
         def register() -> None:
             client.call_node(REGISTRY_NODE, "POST", f"/registry/{service}", dict(reg_body))
 
-        def on_renew(result: CallResult) -> None:
-            if result.status == CallStatus.REMOTE_ERROR and result.remote_status == "404":
-                register()
-
         def beat() -> None:
             now = sim.now
             if pending:  # usually empty: the last renewal has been answered
@@ -467,7 +462,7 @@ class ServiceNode:
                              if entry[3] is not None and entry[3] <= now]:
                     del pending[late]
             mid = sim.send(Envelope(node_id, REGISTRY_NODE, REQUEST, path, "PUT"))
-            pending[mid] = (None, on_renew, None, now + client.deadline + 1)
+            pending[mid] = (None, register, None, now + client.deadline + 1)
 
         register()
         sim.every(node_id, RENEW_INTERVAL_TICKS, beat)
@@ -522,8 +517,8 @@ class ServiceClient:
         self.direct: dict[str, str] = {}
         self.resolver = Resolver()
         self.breakers: dict[str, CircuitBreaker] = {}
-        # message id -> (breaker or None, on_result, deadline timer id, deadline
-        # tick): a tracked call sets the timer, a lease renewal only the tick.
+        # message id -> (breaker or None, on_result, deadline timer id, deadline tick).
+        # A renewal has no timer: only a 404 landing before its tick runs on_result().
         self._pending: dict[int, tuple] = {}
         self._fetch_waiters: dict[str, list[Callable[[bool], None]]] = {}
         node.client = self
@@ -645,10 +640,11 @@ class ServiceClient:
         if pending is None:
             return  # late response: the deadline already decided this call
         breaker, on_result, timer, due = pending
-        if timer is not None:
-            self.sim.cancel_timer(timer)
-        elif self.sim.now >= due:
-            return  # a renewal answered on or after its deadline tick
+        if timer is None:  # a lease renewal: only an in-time 404 is acted on
+            if env.status == "404" and self.sim.now < due:
+                on_result()
+            return
+        self.sim.cancel_timer(timer)
         result = _classify(env.status or "", env.body)
         if breaker is not None:
             failure = result.status == CallStatus.TIMEOUT or (

@@ -26,6 +26,7 @@ from ssaas_sim.chassis import (
     decode_tolerant,
     result_reply,
 )
+from ssaas_sim import chassis
 from ssaas_sim.migration import build_stage
 from ssaas_sim.registry import RegistryService, UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
@@ -756,15 +757,34 @@ class TestLeaseRenewal:
         sim.advance_to(90)
         assert registrations(sim) == [1, 88]
 
+    def test_network_errors_from_a_dead_registry_are_ignored(self):
+        # Each renewal from tick 30 on is sent to a dead registry, so the
+        # kernel answers it with a network error that lands a tick later.
+        sim, registry, node = live_node()
+        sim.advance_to(25)
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
+        sim.advance_to(95)
+        errors = [r.tick for r in sim.records
+                  if r.destination == "chat-1" and r.status == "network-error"]
+        assert errors == [31, 41, 51, 61, 71, 81, 91]
+        # No re-registration went out, not even one that failed.
+        assert [r.tick for r in sim.records if r.kind == "REQUEST" and r.method == "POST"] == [1]
+        assert node.client._pending == {}
+
     # The tests below pin what a renewal does without a deadline timer.
 
     def test_an_idle_stage_six_system_arms_no_timer(self, monkeypatch):
         sim = build_stage(6).sim
         armed = count_timers(sim, monkeypatch)
+        classified = []
+        classify = chassis._classify
+        monkeypatch.setattr(chassis, "_classify",
+                            lambda *args: classified.append(args) or classify(*args))
         sent = sim.sent
         sim.advance_to(sim.now + 100)
         assert sim.sent - sent == 6 * 10 * 2  # six app nodes renew, 10 round trips each
         assert armed == []
+        assert classified == []  # a renewal reply is settled on its pending entry
 
     @pytest.mark.parametrize("deadline", [1, 2, 3, 5, 9, 10, 11, 25])
     def test_the_deadline_tick_is_exact(self, deadline, monkeypatch):
