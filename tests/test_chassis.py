@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssaas_sim import chassis
 from ssaas_sim.chassis import (
     DEFAULT_BREAKER_OPEN_TICKS,
     DEFAULT_CALL_DEADLINE_TICKS,
@@ -26,7 +27,6 @@ from ssaas_sim.chassis import (
     decode_tolerant,
     result_reply,
 )
-from ssaas_sim import chassis
 from ssaas_sim.migration import build_stage
 from ssaas_sim.registry import RegistryService, UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator

@@ -490,16 +490,15 @@ def build_wire_world(own_resource_manager: bool = False):
     dd = DeveloperData(sim, "developerdata-1", schemas, developers=developers,
                        pool=None if own_resource_manager else pool)
     dd.bind()
-    services = [dd]
-    if own_resource_manager:
-        services.append(ResourceManager(sim, "resourcemanager-1", pool).bind())
-        ds = DeveloperServices(sim, "developerservices-1", resources_service="ResourceManager")
-    else:
-        ds = DeveloperServices(sim, "developerservices-1")
+    ds = DeveloperServices(sim, "developerservices-1", resources_service=(
+        "ResourceManager" if own_resource_manager else "DeveloperData"))
     ds.bind()
     cs = ContentServices(sim, "contentservices-1", ContentStore())
     cs.bind()
-    for svc in services + [ds, cs]:
+    services = [dd, ds, cs]
+    if own_resource_manager:
+        services.append(ResourceManager(sim, "resourcemanager-1", pool).bind())
+    for svc in services:
         client = ServiceClient(svc, WiringMode.DIRECT_WIRE)
         client.direct["DeveloperData"] = "developerdata-1"
         client.direct["DeveloperServices"] = "developerservices-1"
