@@ -52,6 +52,12 @@ class Refusal(Exception):
         return {"error": self.code, "field": self.field}
 
 
+def refusal(code: str, status: str = "400", base: type[Refusal] = Refusal) -> type[Refusal]:
+    """A subclass of ``base``, named ``code`` and living in ``base``'s module,
+    that only sets ``status`` and ``code``."""
+    return type(code, (base,), {"status": status, "code": code, "__module__": base.__module__})
+
+
 class DecodeError(Refusal):
     def __init__(self, fieldname: str) -> None:
         super().__init__(f"missing or malformed field: {fieldname}", fieldname)

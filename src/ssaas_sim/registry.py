@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chassis import REGISTRY_NODE, Refusal, Request, ServiceNode
+from .chassis import REGISTRY_NODE, Refusal, Request, ServiceNode, refusal
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ServiceRegistry"
@@ -23,13 +23,8 @@ class RegistryError(Refusal):
     pass
 
 
-class UnknownInstance(RegistryError):
-    status = "404"
-    code = "UnknownInstance"
-
-
-class MalformedInstance(RegistryError):
-    code = "MalformedInstance"
+UnknownInstance = refusal("UnknownInstance", "404", RegistryError)
+MalformedInstance = refusal("MalformedInstance", base=RegistryError)
 
 
 @dataclass(frozen=True)

@@ -627,6 +627,8 @@ def parse_fault_script(text: str) -> list[tuple[int, str, FaultRule | str]]:
         parts = line.split()
         try:
             tick = int(parts[0])
+            if tick < 0:
+                raise ValueError("negative tick")
             action = parts[1]
             if action == "kill":
                 entry: FaultRule | str = FaultRule(FaultEffect.KILL_NODE, node=parts[2])

@@ -9,7 +9,8 @@ and the service name owning resource reservations.
 A handler refuses a request by raising a chassis :class:`Refusal`: a
 store's domain error, a :class:`DecodeError`, or a plain 400 ``Malformed``
 for a bad argument. :meth:`ServiceNode.dispatch` answers it with the
-refusal's status and body.
+refusal's status and body, and so does :func:`forward` for one raised in a
+continuation that runs after an upstream call.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .stores import (
     SchemaStore,
     ServerFlavor,
     ServerPool,
+    UnknownTable,
     validate_values,
 )
 
@@ -72,7 +74,9 @@ def forward(node: ServiceNode, req: Request, service: str, method: str, path: st
     """Make one upstream call, one step of the flow that answers ``req``.
 
     Without ``then`` the upstream's outcome is relayed as it is. With it, a
-    success's body goes to ``then``, decoded to ``fields`` first when given.
+    success's body goes to ``then``, decoded to ``fields`` first when given,
+    and a :class:`Refusal` that ``then`` raises is answered with its own
+    status and body, as :meth:`ServiceNode.dispatch` answers a handler's.
     A failure, or a success lacking ``fields``, runs ``undo`` and is then
     answered, so a compensating call goes out before the reply does.
     """
@@ -83,7 +87,10 @@ def forward(node: ServiceNode, req: Request, service: str, method: str, path: st
             except DecodeError:
                 result = CallResult(CallStatus.FAST_FAIL)  # as good as unreachable
             else:
-                then(out)
+                try:
+                    then(out)
+                except Refusal as exc:
+                    req.reply(exc.status, exc.body())
                 return
         if undo is not None:
             undo()
@@ -158,14 +165,13 @@ class DeveloperData(ServiceNode):
 
     def __init__(self, sim: Simulator, node_id: str, schemas: SchemaStore,
                  developers: Optional[DeveloperStore] = None,
-                 pool: Optional[ServerPool] = None,
-                 rng: Optional[random.Random] = None) -> None:
+                 pool: Optional[ServerPool] = None) -> None:
         super().__init__(sim, node_id, "DeveloperData")
         self.schemas = schemas
         if developers is not None:
             mount_developer_entity(self, developers, "/schema/developers")
         if pool is not None:
-            mount_resources(self, pool, rng or policy_rng(sim.seed, "DeveloperData"))
+            mount_resources(self, pool, policy_rng(sim.seed, "DeveloperData"))
 
         def create_project(req: Request):
             doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
@@ -196,11 +202,10 @@ class DeveloperData(ServiceNode):
 class ResourceManager(ServiceNode):
     """Owns the server pool once reservations move out of DeveloperData."""
 
-    def __init__(self, sim: Simulator, node_id: str, pool: ServerPool,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, sim: Simulator, node_id: str, pool: ServerPool) -> None:
         super().__init__(sim, node_id, "ResourceManager")
         self.pool = pool
-        mount_resources(self, pool, rng or policy_rng(sim.seed, "ResourceManager"))
+        mount_resources(self, pool, policy_rng(sim.seed, "ResourceManager"))
 
 
 class DeveloperInfoServices(ServiceNode):
@@ -322,15 +327,9 @@ class ContentServices(ServiceNode):
         def validated(schema_body: dict) -> None:
             tables = schema_body.get("tables", {}) if isinstance(schema_body, dict) else {}
             if table not in tables:
-                req.reply("404", {"error": "UnknownTable"})
-                return
-            try:
-                validate_values(tables[table], values)
-                status, body = apply(pid, table, values)
-            except Refusal as exc:
-                req.reply(exc.status, exc.body())
-                return
-            req.reply(status, body)
+                raise UnknownTable(table)
+            validate_values(tables[table], values)
+            req.reply(*apply(pid, table, values))
 
         self._with_schema(req, pid, validated)
 

@@ -5,7 +5,9 @@ server pool with its reservations, project schemas, per-project content
 records, and chat instances. Service nodes own store instances; nothing
 here knows about nodes, stages, or topology. A store refuses an operation
 by raising a :class:`DomainError`, a chassis :class:`Refusal` that carries
-the status and body a node answers it with.
+the status and body a node answers it with. Each domain error that only
+sets a status and a code is declared in one line by the chassis
+:func:`refusal` factory, and is still a class of its own.
 """
 
 from __future__ import annotations
@@ -14,69 +16,25 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..chassis import Refusal
+from ..chassis import Refusal, refusal
 
 
 class DomainError(Refusal):
     """A store's refusal: 400 ``Malformed`` unless a subclass says otherwise."""
 
 
-class MalformedDeveloper(DomainError):
-    code = "MalformedDeveloper"
-
-
-class UnknownDeveloper(DomainError):
-    status = "404"
-    code = "UnknownDeveloper"
-
-
-class DuplicateServer(DomainError):
-    status = "409"
-    code = "DuplicateServer"
-
-
-class ResourceExhausted(DomainError):
-    status = "409"
-    code = "ResourceExhausted"
-
-
-class UnknownReservation(DomainError):
-    status = "404"
-    code = "UnknownReservation"
-
-
-class UnknownProject(DomainError):
-    status = "404"
-    code = "UnknownProject"
-
-
-class DuplicateTable(DomainError):
-    status = "409"
-    code = "DuplicateTable"
-
-
-class UnknownTable(DomainError):
-    status = "404"
-    code = "UnknownTable"
-
-
-class DuplicateColumn(DomainError):
-    status = "409"
-    code = "DuplicateColumn"
-
-
-class MalformedColumn(DomainError):
-    code = "MalformedColumn"
-
-
-class UnknownRecord(DomainError):
-    status = "404"
-    code = "UnknownRecord"
-
-
-class UnknownChat(DomainError):
-    status = "404"
-    code = "UnknownChat"
+MalformedDeveloper = refusal("MalformedDeveloper", base=DomainError)
+UnknownDeveloper = refusal("UnknownDeveloper", "404", DomainError)
+DuplicateServer = refusal("DuplicateServer", "409", DomainError)
+ResourceExhausted = refusal("ResourceExhausted", "409", DomainError)
+UnknownReservation = refusal("UnknownReservation", "404", DomainError)
+UnknownProject = refusal("UnknownProject", "404", DomainError)
+DuplicateTable = refusal("DuplicateTable", "409", DomainError)
+UnknownTable = refusal("UnknownTable", "404", DomainError)
+DuplicateColumn = refusal("DuplicateColumn", "409", DomainError)
+MalformedColumn = refusal("MalformedColumn", base=DomainError)
+UnknownRecord = refusal("UnknownRecord", "404", DomainError)
+UnknownChat = refusal("UnknownChat", "404", DomainError)
 
 
 class SchemaViolation(DomainError):
@@ -326,23 +284,21 @@ class ContentStore:
         bucket[rid] = dict(values)
         return rid
 
-    def get(self, project_id: int, table: str, record_id: int) -> dict:
+    def _holding(self, project_id: int, table: str, record_id: int) -> dict[int, dict]:
+        """The bucket holding ``record_id``; raises :class:`UnknownRecord` if none."""
         bucket = self._records.get((project_id, table), {})
         if record_id not in bucket:
             raise UnknownRecord(str(record_id))
-        return dict(bucket[record_id])
+        return bucket
+
+    def get(self, project_id: int, table: str, record_id: int) -> dict:
+        return dict(self._holding(project_id, table, record_id)[record_id])
 
     def update(self, project_id: int, table: str, record_id: int, values: dict) -> None:
-        bucket = self._records.get((project_id, table), {})
-        if record_id not in bucket:
-            raise UnknownRecord(str(record_id))
-        bucket[record_id] = dict(values)
+        self._holding(project_id, table, record_id)[record_id] = dict(values)
 
     def delete(self, project_id: int, table: str, record_id: int) -> None:
-        bucket = self._records.get((project_id, table), {})
-        if record_id not in bucket:
-            raise UnknownRecord(str(record_id))
-        del bucket[record_id]
+        del self._holding(project_id, table, record_id)[record_id]
 
     def list(self, project_id: int, table: str) -> list[dict]:
         bucket = self._records.get((project_id, table), {})

@@ -3,6 +3,8 @@ the client call paths over a live wire, and lease renewal."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from ssaas_sim.chassis import (
     DecodeError,
     Endpoint,
     NoInstances,
+    Refusal,
     Request,
     Resolver,
     ServiceClient,
@@ -31,6 +34,26 @@ from ssaas_sim.migration import build_stage
 from ssaas_sim.registry import RegistryService, UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas.stores import UnknownProject
+
+STORES, REGISTRY = "ssaas_sim.ssaas.stores", "ssaas_sim.registry"
+# Every refusal declared in one line by chassis.refusal:
+# (name, status, code, base, module).
+DECLARED_REFUSALS = [
+    ("MalformedDeveloper", "400", "MalformedDeveloper", "DomainError", STORES),
+    ("UnknownDeveloper", "404", "UnknownDeveloper", "DomainError", STORES),
+    ("DuplicateServer", "409", "DuplicateServer", "DomainError", STORES),
+    ("ResourceExhausted", "409", "ResourceExhausted", "DomainError", STORES),
+    ("UnknownReservation", "404", "UnknownReservation", "DomainError", STORES),
+    ("UnknownProject", "404", "UnknownProject", "DomainError", STORES),
+    ("DuplicateTable", "409", "DuplicateTable", "DomainError", STORES),
+    ("UnknownTable", "404", "UnknownTable", "DomainError", STORES),
+    ("DuplicateColumn", "409", "DuplicateColumn", "DomainError", STORES),
+    ("MalformedColumn", "400", "MalformedColumn", "DomainError", STORES),
+    ("UnknownRecord", "404", "UnknownRecord", "DomainError", STORES),
+    ("UnknownChat", "404", "UnknownChat", "DomainError", STORES),
+    ("UnknownInstance", "404", "UnknownInstance", "RegistryError", REGISTRY),
+    ("MalformedInstance", "400", "MalformedInstance", "RegistryError", REGISTRY),
+]
 
 
 class TestCircuitBreaker:
@@ -649,6 +672,37 @@ class TestServiceNodeRouting:
         wire.call("Svc", "POST", "/refuse", None, results.append)
         run_until_idle(sim)
         assert results == [CallResult(CallStatus.REMOTE_ERROR, body, status)] * 2
+
+    @pytest.mark.parametrize("name, status, code, base, module", DECLARED_REFUSALS,
+                             ids=[row[0] for row in DECLARED_REFUSALS])
+    def test_a_declared_refusal_is_a_class_answered_by_dispatch(self, name, status, code,
+                                                                base, module):
+        mod = importlib.import_module(module)
+        cls = getattr(mod, name)
+        assert isinstance(cls, type)
+        assert (cls.__name__, cls.__qualname__, cls.__module__) == (name, name, module)
+        assert cls.__bases__ == (getattr(mod, base),)
+        assert issubclass(cls, Refusal)
+        node = ServiceNode(Simulator(), "svc-1", "Svc")
+
+        def refuse(req: Request) -> None:
+            raise cls("detail")
+
+        node.route("POST", "/refuse", refuse)
+        got = []
+        node.dispatch(Request("POST", "/refuse", None, _reply=lambda s, b: got.append((s, b))))
+        assert got == [(status, {"error": code})]
+
+    @pytest.mark.parametrize("module, written", [
+        (STORES, {"DomainError", "SchemaViolation"}),
+        (REGISTRY, {"RegistryError"}),
+    ])
+    def test_the_table_lists_every_declared_refusal(self, module, written):
+        mod = importlib.import_module(module)
+        refusals = {name for name, value in vars(mod).items()
+                    if isinstance(value, type) and issubclass(value, Refusal)
+                    and value.__module__ == module}
+        assert refusals - written == {row[0] for row in DECLARED_REFUSALS if row[4] == module}
 
 
 class TestLibraryMode:

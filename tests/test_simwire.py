@@ -372,6 +372,8 @@ class TestFaultScript:
             parse_fault_script("nan kill chat-1")
         with pytest.raises(FaultScriptError):
             parse_fault_script("5 delay a b 0")
+        with pytest.raises(FaultScriptError):
+            parse_fault_script("-5 kill chatservices-1")
 
 
 class TestReferenceQueueOracle:

@@ -553,6 +553,35 @@ class TestWireFlows:
                  target="contentservices-1")
         assert r.remote_status == "400"
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
+    @pytest.mark.parametrize("table, values, want", [
+        ("ghosts", {"n": 3}, ("404", {"error": "UnknownTable"})),
+        ("posts", {"n": "three"}, ("400", {"error": "SchemaViolation", "field": "n"})),
+    ], ids=["unknown-table", "bad-value"])
+    def test_content_write_refusal_is_answered_on_either_schema_path(self, cached, table,
+                                                                     values, want):
+        # On a cache miss the check runs in the schema fetch's continuation,
+        # on a hit inside the handler: both answer the same refusal.
+        sim, ext, _ = build_wire_world()
+        call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
+             target="developerservices-1")
+        call(sim, ext, "POST", "/projects", {"name": "blog", "owner_developer_id": 1},
+             target="developerservices-1")
+        call(sim, ext, "POST", "/projects/1/tables", {"table": "posts"},
+             target="developerservices-1")
+        call(sim, ext, "POST", "/projects/1/tables/posts/columns",
+             {"column": "n", "type": "int"}, target="developerservices-1")
+        sim.advance_to(sim.now + 20)  # get past the schema cache window
+        if cached:
+            assert call(sim, ext, "POST", "/content/1/posts", {"values": {"n": 1}},
+                        target="contentservices-1").ok
+        before = len(sim.records)
+        r = call(sim, ext, "POST", f"/content/1/{table}", {"values": values},
+                 target="contentservices-1")
+        assert (r.remote_status, r.body) == want
+        # A miss fetches the schema first; a hit sends only the answer.
+        assert len(sim.records) - before == (2 if cached else 4)
+
     def test_provision_compensates_before_answering(self):
         # The reservation succeeds, then DeveloperData dies before the schema
         # step reaches it: the reservation is released before the 503.
