@@ -88,10 +88,10 @@ class CircuitBreaker:
     """Consecutive-failure breaker guarding one downstream instance.
 
     CLOSED counts consecutive failures and trips at the threshold. OPEN
-    rejects everything until ``open_duration`` ticks have passed, then the
-    next admission becomes the single HALF_OPEN probe: success closes the
-    circuit, failure reopens it with a fresh timer. Results that arrive
-    while OPEN (late responses from before the trip) change nothing.
+    rejects everything until ``open_duration`` ticks have passed; then the
+    next admission is the one HALF_OPEN probe, and HALF_OPEN admits nothing
+    until its result: success closes the circuit, failure reopens it with a
+    fresh timer. Late results that arrive while OPEN change nothing.
     """
 
     def __init__(self, threshold: int = DEFAULT_BREAKER_THRESHOLD,
@@ -103,7 +103,6 @@ class CircuitBreaker:
         self.state = CircuitState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[int] = None
-        self.probe_inflight = 0
 
     @property
     def threshold(self) -> int:
@@ -119,12 +118,10 @@ class CircuitBreaker:
 
     def can_attempt(self, now: int) -> bool:
         """Would :meth:`allow` admit a call right now? Never mutates."""
-        if self.state == CircuitState.CLOSED:
-            return True
         if self.state == CircuitState.OPEN:
             assert self.opened_at is not None
             return now - self.opened_at >= self.open_duration
-        return self.probe_inflight < 1
+        return self.state == CircuitState.CLOSED  # HALF_OPEN: a probe is out
 
     def allow(self, now: int) -> bool:
         """Admit a call, moving OPEN to HALF_OPEN when the wait is over."""
@@ -133,7 +130,6 @@ class CircuitBreaker:
         if not self.can_attempt(now):
             return False
         self.state = CircuitState.HALF_OPEN
-        self.probe_inflight = 1
         return True
 
     def record_result(self, success: bool, now: int) -> None:
@@ -146,15 +142,13 @@ class CircuitBreaker:
                     self.state = CircuitState.OPEN
                     self.opened_at = now
         elif self.state == CircuitState.HALF_OPEN:
-            self.probe_inflight = 0
+            self.consecutive_failures = 0
             if success:
                 self.state = CircuitState.CLOSED
-                self.consecutive_failures = 0
                 self.opened_at = None
             else:
                 self.state = CircuitState.OPEN
                 self.opened_at = now
-                self.consecutive_failures = 0
         # OPEN: late result, ignored.
 
 
@@ -237,15 +231,15 @@ class ConfigView:
 
     def apply_refresh(self, version: Any, entries: Any) -> bool:
         """Apply a document that is newer than the current one. Raises
-        :class:`DecodeError` naming a malformed ``version`` or ``entries``."""
-        try:
-            version = tuple(version)
-            version = (int(version[0]), int(version[1]))
-        except (TypeError, ValueError, IndexError):
-            raise DecodeError("version") from None
+        :class:`DecodeError`, changing nothing, naming malformed ``entries`` or
+        a ``version`` other than a list or tuple of two ints (bools excluded)."""
+        if not isinstance(version, (list, tuple)) or len(version) != 2 \
+                or type(version[0]) is not int or type(version[1]) is not int:
+            raise DecodeError("version")
         if not isinstance(entries, dict) or \
                 not all(isinstance(value, str) for value in entries.values()):
             raise DecodeError("entries")
+        version = (version[0], version[1])
         if version <= self.version:
             return False
         self.version = version
@@ -412,14 +406,19 @@ class ServiceNode:
 
     # -- config ----------------------------------------------------------
 
-    def _handle_refresh(self, req: Request) -> Optional[tuple[str, Body]]:
-        doc = decode_tolerant(req.body, ["service", "profile", "version", "entries"])
+    def _apply_config(self, body: Body) -> bool:
+        """Apply a config document that names this node's service and profile
+        and is newer than its own. Raises :class:`DecodeError` on a bad field."""
+        doc = decode_tolerant(body, ["service", "profile", "version", "entries"])
         if doc["service"] != self.service or doc["profile"] != self.profile:
-            return "200", {"applied": False}
+            return False
         applied = self.config.apply_refresh(doc["version"], doc["entries"])
         if applied:
             self.on_config_applied()
-        return "200", {"applied": applied}
+        return applied
+
+    def _handle_refresh(self, req: Request) -> Optional[tuple[str, Body]]:
+        return "200", {"applied": self._apply_config(req.body)}
 
     def on_config_applied(self) -> None:
         """Hook for nodes that derive state from config entries."""
@@ -427,20 +426,16 @@ class ServiceNode:
     # -- startup ---------------------------------------------------------
 
     def pull_config(self) -> None:
-        """Pull the node's config document once; later changes arrive as
-        pushed refresh notifications."""
+        """Pull the node's config document once and apply it as a pushed one is
+        applied, ignoring a failed or malformed reply. Later changes are pushed."""
         assert self.client is not None, "node needs a client before config pull"
 
         def on_pull(result: CallResult) -> None:
-            if not result.ok:
-                return
             try:
-                doc = decode_tolerant(result.body, ["version", "entries"])
-                applied = self.config.apply_refresh(doc["version"], doc["entries"])
+                if result.ok:
+                    self._apply_config(result.body)
             except DecodeError:
-                return
-            if applied:
-                self.on_config_applied()
+                pass  # a malformed reply is ignored, as a failed one is
 
         self.client.call_node(CONFSVC_NODE, "GET", f"/config/{self.service}/{self.profile}",
                               on_result=on_pull)

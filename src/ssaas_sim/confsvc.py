@@ -18,11 +18,12 @@ from .simwire import Body, Simulator
 SERVICE_NAME = "ConfigServer"
 DEFAULT_PROFILE = "default"
 
-# Keys sit between "," and "=" in a checkpoint line, so they can hold
-# neither; values are only ever bounded by "," so pipes and equals signs
-# are fine there (the parsers split once, from the left).
-_KEY_FORBIDDEN = set("|,=\n")
-_VALUE_FORBIDDEN = set(",\n")
+# A checkpoint line ends at "\n" or "\r" and holds "|"-separated names and
+# ","-separated "key=value" entries. The parsers split once, from the left,
+# so values may hold "|" and "=".
+_NAME_FORBIDDEN = set("|\n\r")
+_KEY_FORBIDDEN = set("|,=\n\r")
+_VALUE_FORBIDDEN = set(",\n\r")
 
 
 class ConfigError(Exception):
@@ -41,6 +42,9 @@ class CheckpointError(ConfigError):
 class _Doc:
     version: int = 0
     entries: dict[str, str] = field(default_factory=dict)
+
+
+_NO_DOC = _Doc()  # what a missing document reads as; nothing writes to it
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class ConfigStore:
         self._docs: dict[tuple[str, str], _Doc] = {}
 
     def set_config(self, service: str, profile: str, entries: dict[str, str]) -> tuple[int, int]:
-        if not service or "|" in service or not profile or "|" in profile:
+        if not service or not profile or _NAME_FORBIDDEN & set(service + profile):
             raise MalformedConfig("bad service or profile name")
         _check_entries(entries)
         doc = self._docs.setdefault((service, profile), _Doc())
@@ -81,13 +85,10 @@ class ConfigStore:
         return self.get_config(service, profile).version
 
     def get_config(self, service: str, profile: str) -> MergedConfig:
-        """Profile entries overlaid on the default profile; unknown
-        documents read as version 0 with nothing in them."""
-        base = self._docs.get((service, DEFAULT_PROFILE), _Doc())
-        if profile == DEFAULT_PROFILE:
-            return MergedConfig(service, profile, (base.version, base.version),
-                                dict(base.entries))
-        over = self._docs.get((service, profile), _Doc())
+        """Profile entries overlaid on the default profile (``default`` on
+        itself); unknown documents read as version 0 with nothing in them."""
+        base = self._docs.get((service, DEFAULT_PROFILE), _NO_DOC)
+        over = self._docs.get((service, profile), _NO_DOC)
         merged = dict(base.entries)
         merged.update(over.entries)
         return MergedConfig(service, profile, (base.version, over.version), merged)

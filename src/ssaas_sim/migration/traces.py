@@ -1,7 +1,8 @@
 """External request traces: what the workload client saw, step to step.
 
 A trace records one entry per workload line: the request as sent and the
-response as observed, with send and completion ticks. Two topologies are
+response as observed, with send and completion ticks. A trace file holds
+one entry per line, as tab-separated text or as JSON. Two topologies are
 behaviorally equivalent for a workload when their traces match after
 normalization, which replaces generated identifiers with placeholders
 (numbering is an implementation artifact) and drops tick columns (latency
@@ -75,76 +76,56 @@ def serialize_trace(entries: Iterable[TraceEntry], fmt: str = TEXT_FORMAT) -> st
 
 
 def parse_trace(text: str) -> list[TraceEntry]:
-    """Parse a trace in either format; the format is detected per file."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_ndjson(text)
-    return _parse_text(text)
-
-
-def _parse_text(text: str) -> list[TraceEntry]:
+    """Parse a trace in the format its first non-blank character shows, skipping
+    blank lines. A bad line raises :class:`TraceFormatError` naming its number."""
+    read = _ndjson_entry if text.lstrip().startswith("{") else _text_entry
     entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != _TEXT_COLUMNS:
-            raise TraceFormatError(f"line {line_no}: expected {_TEXT_COLUMNS} "
-                                   f"columns, got {len(cols)}")
         try:
-            entries.append(TraceEntry(
-                seq=int(cols[0]), client=cols[1], method=cols[2], path=cols[3],
-                sent_tick=int(cols[4]), done_tick=int(cols[5]), status=cols[6],
-                request_body=json.loads(cols[7]), response_body=json.loads(cols[8])))
-        except (ValueError, json.JSONDecodeError) as exc:
+            if line.strip():
+                entries.append(read(line))
+        except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"line {line_no}: {exc}") from exc
     return entries
 
 
-def _parse_ndjson(text: str) -> list[TraceEntry]:
-    entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            entries.append(TraceEntry(
-                seq=int(doc["seq"]), client=doc["client"], method=doc["method"],
-                path=doc["path"], sent_tick=int(doc["sent_tick"]),
-                done_tick=int(doc["done_tick"]), status=doc["status"],
-                request_body=doc["request"], response_body=doc["response"]))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise TraceFormatError(f"line {line_no}: {exc}") from exc
-    return entries
+def _text_entry(line: str) -> TraceEntry:
+    cols = line.split("\t")
+    if len(cols) != _TEXT_COLUMNS:
+        raise ValueError(f"expected {_TEXT_COLUMNS} columns, got {len(cols)}")
+    return TraceEntry(
+        seq=int(cols[0]), client=cols[1], method=cols[2], path=cols[3],
+        sent_tick=int(cols[4]), done_tick=int(cols[5]), status=cols[6],
+        request_body=json.loads(cols[7]), response_body=json.loads(cols[8]))
 
 
-class _Placeholders:
-    def __init__(self) -> None:
-        self._maps: dict[str, dict[Any, str]] = {}
-
-    def get(self, family: str, value: Any) -> str:
-        seen = self._maps.setdefault(family, {})
-        if value not in seen:
-            seen[value] = f"<{family}#{len(seen) + 1}>"
-        return seen[value]
+def _ndjson_entry(line: str) -> TraceEntry:
+    doc = json.loads(line)
+    return TraceEntry(
+        seq=int(doc["seq"]), client=doc["client"], method=doc["method"],
+        path=doc["path"], sent_tick=int(doc["sent_tick"]),
+        done_tick=int(doc["done_tick"]), status=doc["status"],
+        request_body=doc["request"], response_body=doc["response"])
 
 
-def _normalize_value(value: Any, key: Optional[str], ids: _Placeholders) -> Any:
+def _normalize_value(value: Any, key: Optional[str], ids: dict[str, dict[Any, str]]) -> Any:
     if isinstance(value, dict):
         return {k: _normalize_value(value[k], k, ids) for k in sorted(value)}
     if isinstance(value, list):
         return [_normalize_value(v, key, ids) for v in value]
-    if key in ID_FAMILIES and isinstance(value, int) and not isinstance(value, bool):
-        return ids.get(key, value)
-    if key == "database_name" and isinstance(value, str) and _DB_NAME_RE.fullmatch(value):
-        return ids.get("database_name", value)
+    if (key in ID_FAMILIES and isinstance(value, int) and not isinstance(value, bool)) or \
+            (key == "database_name" and isinstance(value, str) and _DB_NAME_RE.fullmatch(value)):
+        seen = ids.setdefault(key, {})
+        if value not in seen:
+            seen[value] = f"<{key}#{len(seen) + 1}>"
+        return seen[value]
     return value
 
 
 def normalize_trace(entries: Iterable[TraceEntry]) -> list[dict]:
     """Project entries onto the comparable surface: ticks dropped, generated
     ids replaced with per-family placeholders in order of first appearance."""
-    ids = _Placeholders()
+    ids: dict[str, dict[Any, str]] = {}
     out = []
     for entry in entries:
         out.append({

@@ -55,13 +55,8 @@ class FaultScriptError(SimwireError):
     pass
 
 
-class MessageKind:
-    REQUEST = "REQUEST"
-    RESPONSE = "RESPONSE"
-
-
-REQUEST = MessageKind.REQUEST
-RESPONSE = MessageKind.RESPONSE
+REQUEST = "REQUEST"
+RESPONSE = "RESPONSE"
 
 
 class FaultEffect:
@@ -217,9 +212,6 @@ class WireTrace(Sequence[MessageRecord]):
 
     def __repr__(self) -> str:
         return f"WireTrace({list(self)!r})"
-
-    def clear(self) -> None:
-        self._fields.clear()
 
 
 class Simulator:

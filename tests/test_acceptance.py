@@ -24,10 +24,8 @@ from ssaas_sim.migration import (
     run_workload,
 )
 from ssaas_sim.registry import LeaseConfig, RegistryStore
-from ssaas_sim.simwire import FAILED, Envelope, MessageKind, parse_fault_script
+from ssaas_sim.simwire import FAILED, REQUEST, Envelope, parse_fault_script
 from ssaas_sim.workloads import load_text
-
-REQUEST = MessageKind.REQUEST
 
 
 # -- 1. circuit breaker vs. brute-force state machine -------------------------

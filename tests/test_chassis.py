@@ -89,6 +89,9 @@ class TestCircuitBreaker:
         assert brk.state is CircuitState.HALF_OPEN
         assert not brk.allow(40)  # probe slot taken
         assert not brk.can_attempt(40)
+        # still taken however long the probe's result takes
+        assert not brk.allow(10_000)
+        assert not brk.can_attempt(10_000)
 
     def test_probe_success_closes(self):
         brk = CircuitBreaker()
@@ -232,6 +235,10 @@ class TestConfigView:
         (5, {}, "version"),
         (None, {}, "version"),
         ([1, "y"], {}, "version"),
+        ("12", {}, "version"),
+        ([2, 0, 7], {}, "version"),
+        ([True, True], {}, "version"),
+        (["1", "2"], {}, "version"),
         ([1, 0], [["k", "v"]], "entries"),
         ([1, 0], "k=v", "entries"),
         ([1, 0], {"k": 1}, "entries"),
@@ -506,8 +513,7 @@ class TestCallPathsAgree:
                                deadline=self.DEADLINE)
             run_until_idle(sim)
             brk = caller.client.breakers.get("script-1")
-            steps.append((results, brk and (brk.state, brk.consecutive_failures,
-                                            brk.probe_inflight)))
+            steps.append((results, brk and (brk.state, brk.consecutive_failures)))
         return steps
 
     def test_modes_agree(self):
@@ -519,8 +525,8 @@ class TestCallPathsAgree:
             [want for _, want in self.SCRIPT] + [CallStatus.OK]
         assert direct[3][0][0] == CallResult(CallStatus.TIMEOUT, {"error": "NetworkError"},
                                              "network-error")
-        assert direct[-2][1] == (CircuitState.OPEN, 5, 0)
-        assert direct[-1][1] == (CircuitState.CLOSED, 0, 0)
+        assert direct[-2][1] == (CircuitState.OPEN, 5)
+        assert direct[-1][1] == (CircuitState.CLOSED, 0)
         for (path, _), (wire, _), (lib, brk) in zip(self.SCRIPT, direct, library):
             assert brk is None
             if path in self.LATE:

@@ -281,6 +281,11 @@ class TestConfigStoreCommands:
         assert run_cli("config", "set", "--store", str(tmp_path / "c.ckpt"),
                        "Svc", "default", "justakey") == 64
 
-    def test_set_rejects_forbidden_key_characters(self, tmp_path):
-        assert run_cli("config", "set", "--store", str(tmp_path / "c.ckpt"),
-                       "Svc", "default", "a,b=1") == 64
+    @pytest.mark.parametrize("service, pair", [
+        ("Svc", "a,b=1"), ("Svc", "k=a\rb"), ("Svc", "k\r=1"), ("S\nvc", "a=1"),
+        ("S\rvc", "a=1"),
+    ], ids=["comma-in-key", "cr-in-value", "cr-in-key", "lf-in-service", "cr-in-service"])
+    def test_set_rejects_forbidden_key_characters(self, tmp_path, service, pair):
+        store = tmp_path / "c.ckpt"
+        assert run_cli("config", "set", "--store", str(store), service, "default", pair) == 64
+        assert not store.exists()

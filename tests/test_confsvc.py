@@ -53,11 +53,16 @@ class TestStore:
 
     def test_delimiters_rejected(self):
         store = ConfigStore()
-        for bad in ({"a|b": "1"}, {"a": "1,2"}, {"a=b": "1"}, {"a": "x\ny"}):
+        for bad in ({"a|b": "1"}, {"a": "1,2"}, {"a=b": "1"}, {"a": "x\ny"},
+                    {"a": "x\ry"}, {"a\rb": "1"}):
             with pytest.raises(MalformedConfig):
                 store.set_config("Svc", "default", bad)
-        with pytest.raises(MalformedConfig):
-            store.set_config("Sv|c", "default", {})
+        for service, profile in (("Sv|c", "default"), ("S\nvc", "default"),
+                                 ("S\rvc", "default"), ("Svc", "de\nfault"),
+                                 ("Svc", "de\rfault")):
+            with pytest.raises(MalformedConfig):
+                store.set_config(service, profile, {})
+        assert store.services() == []
 
     def test_non_string_values_rejected(self):
         store = ConfigStore()
@@ -225,12 +230,18 @@ class TestWireApi:
         assert sim.run_until_idle(budget=100)
         assert late.config.get("seeded") == "yes"
 
-    @pytest.mark.parametrize("doc", [
-        {"version": "x", "entries": {}},
-        {"version": [1], "entries": {}},
-        {"version": [1, 1], "entries": ["seeded"]},
-    ])
-    def test_malformed_startup_pull_ignored(self, doc):
+    @pytest.mark.parametrize("doc, pushed", [
+        ({"service": "Svc", "profile": "default", "version": "x", "entries": {}},
+         ("400", {"error": "Malformed", "field": "version"})),
+        ({"service": "Svc", "profile": "default", "version": [1], "entries": {}},
+         ("400", {"error": "Malformed", "field": "version"})),
+        ({"service": "Svc", "profile": "default", "version": [1, 1], "entries": ["seeded"]},
+         ("400", {"error": "Malformed", "field": "entries"})),
+        ({"service": "Other", "profile": "default", "version": [1, 1],
+          "entries": {"seeded": "yes"}},
+         ("200", {"applied": False})),
+    ], ids=["version-text", "version-short", "entries-list", "other-service"])
+    def test_malformed_startup_pull_ignored(self, doc, pushed):
         sim = Simulator()
         fake = ServiceNode(sim, "confsvc", "ConfigServer").bind()
         fake.route("GET", "/config/{service}/{profile}", lambda req: ("200", doc))
@@ -238,4 +249,9 @@ class TestWireApi:
         ServiceClient(late, WiringMode.DIRECT_WIRE)
         late.pull_config()
         assert sim.run_until_idle(budget=100)
+        assert (late.config.version, late.config.entries) == ((0, 0), {})
+        # pushed, the same document is refused the same way
+        ServiceClient(fake, WiringMode.DIRECT_WIRE)
+        r = wire_call(sim, fake, "late-1", "POST", "/refresh", doc)
+        assert (r.remote_status, r.body) == pushed
         assert (late.config.version, late.config.entries) == ((0, 0), {})

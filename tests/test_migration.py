@@ -218,15 +218,21 @@ class TestTraceSerialization:
         assert parse_trace(serialize_trace(entries, "text")) == entries
 
     def test_bad_column_count_rejected(self):
-        with pytest.raises(TraceFormatError):
-            parse_trace("1\t2\t3\n")
+        # a valid line and a blank line come first: the error names line 3
+        head = serialize_trace([self.entry()], "text") + "\n"
+        with pytest.raises(TraceFormatError, match=r"^line 3: expected 9 columns, got 3$"):
+            parse_trace(head + "1\t2\t3\n")
 
     def test_bad_json_rejected(self):
         line = "0\tclient\tGET\t/x\t1\t2\t200\t{bad\tnull"
-        with pytest.raises(TraceFormatError):
-            parse_trace(line + "\n")
-        with pytest.raises(TraceFormatError):
-            parse_trace('{"seq": 0}\n')
+        head = serialize_trace([self.entry()], "text") + "\n"
+        with pytest.raises(TraceFormatError, match=re.escape(
+                "line 3: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)")):
+            parse_trace(head + line + "\n")
+        head = serialize_trace([self.entry()], "ndjson") + "\n"
+        with pytest.raises(TraceFormatError, match=r"^line 3: 'client'$"):
+            parse_trace(head + '{"seq": 0}\n')
 
     def test_unknown_format_rejected(self):
         with pytest.raises(TraceFormatError):
