@@ -20,6 +20,7 @@ from ssaas_sim.migration import (
     TraceFormatError,
     UnknownStage,
     WorkloadError,
+    WorkloadLine,
     audit_ownership,
     build_stage,
     classify_write,
@@ -522,6 +523,26 @@ class TestHarness:
     def test_admin_paths_match_whole_segments(self, path, target):
         handle = build_stage(6)
         run_workload(handle, wl(f"0|admin|GET|{path}|\n"))
+        sent = [r.destination for r in handle.sim.records
+                if r.source == "admin" and r.kind == "REQUEST"]
+        assert sent == [target]
+
+    @pytest.mark.parametrize("path, target", [
+        ("/config", "confsvc"),
+        ("/config/x", "confsvc"),
+        ("/configx", "gateway"),
+        ("//config", "gateway"),
+        ("/registry", "registry"),
+        ("/registry/S", "registry"),
+        ("/registryx", "gateway"),
+        ("config/ResourceManager/default", "gateway"),
+    ])
+    def test_admin_routing_at_the_edges(self, path, target):
+        # The line is built by hand, so a path without a leading "/", which
+        # parse_workload refuses, reaches the router too. At stage 6 the
+        # ordinary route is the gateway.
+        handle = build_stage(6)
+        run_workload(handle, [WorkloadLine(0, "admin", "GET", path, None)])
         sent = [r.destination for r in handle.sim.records
                 if r.source == "admin" and r.kind == "REQUEST"]
         assert sent == [target]
