@@ -10,6 +10,7 @@ decoder used at every service boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .simwire import NETWORK_ERROR_STATUS, REQUEST, RESPONSE, Body, Envelope, Simulator
@@ -19,14 +20,15 @@ DEFAULT_BREAKER_OPEN_TICKS = 30
 DEFAULT_CACHE_TTL_TICKS = 10
 DEFAULT_CALL_DEADLINE_TICKS = 5
 RENEW_INTERVAL_TICKS = 10
+DEFAULT_PROFILE = "default"  # the config profile every node runs
 
 # The infrastructure nodes every node reaches by name.
 CONFSVC_NODE = "confsvc"
 REGISTRY_NODE = "registry"
 
-# A route memo (a node's dispatch memo, a gateway table's resolve memo, the
-# compiled route patterns) is emptied when it holds this many paths, which
-# bounds its memory.
+# A route memo (a node's dispatch memo, a gateway table's resolve memo) is
+# emptied when it holds this many paths, and the compiled route patterns keep
+# the most recently used this many, which bounds their memory.
 ROUTE_MEMO_LIMIT = 4096
 
 
@@ -94,11 +96,7 @@ class CircuitBreaker:
     fresh timer. Late results that arrive while OPEN change nothing.
     """
 
-    def __init__(self, threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 open_duration: int = DEFAULT_BREAKER_OPEN_TICKS,
-                 config: Optional["ConfigView"] = None) -> None:
-        self._threshold = threshold
-        self._open_duration = open_duration
+    def __init__(self, config: "ConfigView") -> None:
         self._config = config
         self.state = CircuitState.CLOSED
         self.consecutive_failures = 0
@@ -106,15 +104,11 @@ class CircuitBreaker:
 
     @property
     def threshold(self) -> int:
-        if self._config is not None:
-            return self._config.get_int("breaker.threshold", self._threshold)
-        return self._threshold
+        return self._config.get_int("breaker.threshold", DEFAULT_BREAKER_THRESHOLD)
 
     @property
     def open_duration(self) -> int:
-        if self._config is not None:
-            return self._config.get_int("breaker.open_ticks", self._open_duration)
-        return self._open_duration
+        return self._config.get_int("breaker.open_ticks", DEFAULT_BREAKER_OPEN_TICKS)
 
     def can_attempt(self, now: int) -> bool:
         """Would :meth:`allow` admit a call right now? Never mutates."""
@@ -191,23 +185,21 @@ class Resolver:
         entry.endpoints = list(endpoints)
         entry.fetched_at = now
 
-    def resolve(self, service: str, now: int,
-                allowed: Optional[Callable[[Endpoint], bool]] = None) -> Endpoint:
+    def resolve(self, service: str, now: int, allowed: Callable[[Endpoint], bool]) -> Endpoint:
         entry = self._services.get(service)
         if entry is None or not entry.endpoints:
             raise NoInstances(service)
         eligible = entry.endpoints
-        if allowed is not None:
-            # Ask about every endpoint; copy only once one is refused.
-            kept: Optional[list[Endpoint]] = None
-            for i, endpoint in enumerate(eligible):
-                if allowed(endpoint):
-                    if kept is not None:
-                        kept.append(endpoint)
-                elif kept is None:
-                    kept = eligible[:i]
-            if kept is not None:
-                eligible = kept
+        # Ask about every endpoint; copy only once one is refused.
+        kept: Optional[list[Endpoint]] = None
+        for i, endpoint in enumerate(eligible):
+            if allowed(endpoint):
+                if kept is not None:
+                    kept.append(endpoint)
+            elif kept is None:
+                kept = eligible[:i]
+        if kept is not None:
+            eligible = kept
         if not eligible:
             raise NoInstances(service)
         pick = eligible[entry.rotation % len(eligible)]
@@ -236,8 +228,8 @@ class ConfigView:
         if not isinstance(version, (list, tuple)) or len(version) != 2 \
                 or type(version[0]) is not int or type(version[1]) is not int:
             raise DecodeError("version")
-        if not isinstance(entries, dict) or \
-                not all(isinstance(value, str) for value in entries.values()):
+        if not isinstance(entries, dict) or not all(
+                isinstance(key, str) and isinstance(value, str) for key, value in entries.items()):
             raise DecodeError("entries")
         version = (version[0], version[1])
         if version <= self.version:
@@ -308,25 +300,19 @@ class _Route(NamedTuple):
     handler: Handler
 
 
-# pattern -> (segment count, literals, params). Every node of every stage
-# registers the same few dozen patterns, so each is compiled once per process.
-_compiled_patterns: dict[str, tuple[int, tuple, tuple]] = {}
-
-
+# Every node of every stage registers the same few dozen patterns, so each
+# is compiled once per process.
+@lru_cache(maxsize=ROUTE_MEMO_LIMIT)
 def _compile_pattern(pattern: str) -> tuple[int, tuple, tuple]:
-    hit = _compiled_patterns.get(pattern)
-    if hit is None:
-        segments = split_path(pattern)
-        literals, params = [], []
-        for i, seg in enumerate(segments):
-            if seg.startswith("{") and seg.endswith("}"):
-                params.append((i, seg[1:-1]))
-            else:
-                literals.append((i, seg))
-        if len(_compiled_patterns) >= ROUTE_MEMO_LIMIT:
-            _compiled_patterns.clear()
-        hit = _compiled_patterns[pattern] = (len(segments), tuple(literals), tuple(params))
-    return hit
+    """(segment count, literals, params) of a route pattern."""
+    segments = split_path(pattern)
+    literals, params = [], []
+    for i, seg in enumerate(segments):
+        if seg.startswith("{") and seg.endswith("}"):
+            params.append((i, seg[1:-1]))
+        else:
+            literals.append((i, seg))
+    return len(segments), tuple(literals), tuple(params)
 
 
 class ServiceNode:
@@ -338,12 +324,10 @@ class ServiceNode:
     peers call its :meth:`dispatch` directly.
     """
 
-    def __init__(self, sim: Simulator, node_id: str, service: str,
-                 profile: str = "default") -> None:
+    def __init__(self, sim: Simulator, node_id: str, service: str) -> None:
         self.sim = sim
         self.node_id = node_id
         self.service = service
-        self.profile = profile
         self.config = ConfigView()
         self.client: Optional[ServiceClient] = None
         # (method, segment count) -> routes, most literal segments first and
@@ -407,10 +391,10 @@ class ServiceNode:
     # -- config ----------------------------------------------------------
 
     def _apply_config(self, body: Body) -> bool:
-        """Apply a config document that names this node's service and profile
-        and is newer than its own. Raises :class:`DecodeError` on a bad field."""
+        """Apply a ``default`` config document of this node's service that is
+        newer than its own. Raises :class:`DecodeError` on a bad field."""
         doc = decode_tolerant(body, ["service", "profile", "version", "entries"])
-        if doc["service"] != self.service or doc["profile"] != self.profile:
+        if doc["service"] != self.service or doc["profile"] != DEFAULT_PROFILE:
             return False
         applied = self.config.apply_refresh(doc["version"], doc["entries"])
         if applied:
@@ -437,7 +421,7 @@ class ServiceNode:
             except DecodeError:
                 pass  # a malformed reply is ignored, as a failed one is
 
-        self.client.call_node(CONFSVC_NODE, "GET", f"/config/{self.service}/{self.profile}",
+        self.client.call_node(CONFSVC_NODE, "GET", f"/config/{self.service}/{DEFAULT_PROFILE}",
                               on_result=on_pull)
 
     def go_live(self) -> None:
@@ -532,7 +516,7 @@ class ServiceClient:
     def breaker_for(self, instance_id: str) -> CircuitBreaker:
         brk = self.breakers.get(instance_id)
         if brk is None:
-            brk = CircuitBreaker(config=self.node.config)
+            brk = CircuitBreaker(self.node.config)
             self.breakers[instance_id] = brk
         return brk
 

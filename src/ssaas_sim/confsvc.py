@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chassis import (CONFSVC_NODE, Refusal, Request, ServiceClient, ServiceNode, WiringMode,
-                      decode_tolerant)
+from .chassis import (CONFSVC_NODE, DEFAULT_PROFILE, Refusal, Request, ServiceClient, ServiceNode,
+                      WiringMode, decode_tolerant)
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "ConfigServer"
-DEFAULT_PROFILE = "default"
 
 # A checkpoint line ends at "\n" or "\r" and holds "|"-separated names and
 # ","-separated "key=value" entries. The parsers split once, from the left,
@@ -26,15 +25,11 @@ _KEY_FORBIDDEN = set("|,=\n\r")
 _VALUE_FORBIDDEN = set(",\n\r")
 
 
-class ConfigError(Exception):
-    pass
-
-
-class MalformedConfig(ConfigError, Refusal):
+class MalformedConfig(Refusal):
     """A bad service or profile name, or (``field`` set) bad entries."""
 
 
-class CheckpointError(ConfigError):
+class CheckpointError(Exception):
     pass
 
 
@@ -60,6 +55,11 @@ class MergedConfig:
                 "entries": dict(self.entries)}
 
 
+def _check_names(service: str, profile: str) -> None:
+    if not service or not profile or _NAME_FORBIDDEN & set(service + profile):
+        raise MalformedConfig("bad service or profile name")
+
+
 def _check_entries(entries: dict[str, str]) -> None:
     if not isinstance(entries, dict):
         raise MalformedConfig("entries must be a map", "entries")
@@ -76,8 +76,7 @@ class ConfigStore:
         self._docs: dict[tuple[str, str], _Doc] = {}
 
     def set_config(self, service: str, profile: str, entries: dict[str, str]) -> tuple[int, int]:
-        if not service or not profile or _NAME_FORBIDDEN & set(service + profile):
-            raise MalformedConfig("bad service or profile name")
+        _check_names(service, profile)
         _check_entries(entries)
         doc = self._docs.setdefault((service, profile), _Doc())
         doc.version += 1
@@ -118,6 +117,7 @@ class ConfigStore:
                     raise CheckpointError(f"line {lineno}: expected 4 fields")
                 service, profile, version, body = parts
                 try:
+                    _check_names(service, profile)
                     entries = {}
                     if body:
                         for pair in body.split(","):
@@ -126,7 +126,7 @@ class ConfigStore:
                                 raise ValueError(pair)
                             entries[key] = value
                     doc = _Doc(version=int(version), entries=entries)
-                except ValueError as exc:
+                except (ValueError, MalformedConfig) as exc:
                     raise CheckpointError(f"line {lineno}: {exc}") from exc
                 store._docs[(service, profile)] = doc
         return store
@@ -135,21 +135,21 @@ class ConfigStore:
 class ConfigServer(ServiceNode):
     """Wire front end plus push notifications to subscribed nodes.
 
-    Writing a service's ``default`` profile notifies every subscriber of
-    that service (each gets its own profile's merged view); writing a named
-    profile notifies only the nodes running that profile.
+    Every node runs its service's ``default`` profile, so writing that
+    document pushes it to every subscriber of the service. Named profiles
+    live only in the store and the CLI: writing one notifies no node.
     """
 
     def __init__(self, sim: Simulator, node_id: str = CONFSVC_NODE) -> None:
         super().__init__(sim, node_id, SERVICE_NAME)
         self.store = ConfigStore()
-        self.subscribers: list[tuple[str, str, str]] = []  # (node, service, profile)
+        self.subscribers: list[tuple[str, str]] = []  # (node, service)
         ServiceClient(self, WiringMode.DIRECT_WIRE)
         self.route("GET", "/config/{service}/{profile}", self._get)
         self.route("PUT", "/config/{service}/{profile}", self._set)
 
-    def subscribe(self, node_id: str, service: str, profile: str = DEFAULT_PROFILE) -> None:
-        entry = (node_id, service, profile)
+    def subscribe(self, node_id: str, service: str) -> None:
+        entry = (node_id, service)
         if entry not in self.subscribers:
             self.subscribers.append(entry)
 
@@ -161,15 +161,13 @@ class ConfigServer(ServiceNode):
         entries = decode_tolerant(req.body, ["entries"])["entries"]
         service, profile = req.params["service"], req.params["profile"]
         version = self.store.set_config(service, profile, entries)
-        self._notify(service, profile)
+        if profile == DEFAULT_PROFILE:
+            self._notify(service)
         return "200", {"version": [version[0], version[1]]}
 
-    def _notify(self, service: str, written_profile: str) -> None:
+    def _notify(self, service: str) -> None:
         assert self.client is not None
-        for node_id, sub_service, sub_profile in self.subscribers:
-            if sub_service != service:
-                continue
-            if written_profile != DEFAULT_PROFILE and sub_profile != written_profile:
-                continue
-            merged = self.store.get_config(service, sub_profile)
-            self.client.call_node(node_id, "POST", "/refresh", merged.to_body())
+        for node_id, sub_service in self.subscribers:
+            if sub_service == service:
+                merged = self.store.get_config(service, DEFAULT_PROFILE)
+                self.client.call_node(node_id, "POST", "/refresh", merged.to_body())

@@ -21,15 +21,11 @@ UPSTREAM_DEADLINE_TICKS = 40
 ROUTE_KEY_PREFIX = "route."
 
 
-class GatewayError(Exception):
+class DuplicatePrefix(Exception):
     pass
 
 
-class DuplicatePrefix(GatewayError):
-    pass
-
-
-class InvalidRoute(GatewayError):
+class InvalidRoute(Exception):
     pass
 
 
@@ -49,16 +45,15 @@ class RouteRule:
 class RouteTable:
     """Ordered prefix rules with longest-match lookup and strip rewriting.
 
-    Each prefix is split once, when the table changes. Lookup probes a dict
-    keyed by segment tuples, longest prefix length first; of two prefixes
-    that split alike (``/api`` and ``//api``) the first added wins.
+    Each prefix is split once, when it is added. Lookup probes a dict keyed
+    by segment tuples, longest prefix length first; of two prefixes that
+    split alike (``/api`` and ``//api``) the first added wins.
     :meth:`resolve` remembers each path it has matched until the table
     changes; a config refresh builds a new table, with nothing remembered.
     """
 
     def __init__(self) -> None:
         self._rules: dict[str, RouteRule] = {}
-        self._segments: dict[str, tuple[str, ...]] = {}
         self._by_segments: dict[tuple[str, ...], RouteRule] = {}
         self._lengths: list[int] = []  # distinct prefix lengths, longest first
         self._resolved: dict[str, tuple[RouteRule, str]] = {}
@@ -67,18 +62,9 @@ class RouteTable:
         if rule.prefix in self._rules:
             raise DuplicatePrefix(rule.prefix)
         self._rules[rule.prefix] = rule
-        self._segments[rule.prefix] = split_path(rule.prefix)
-        self._reindex()
-
-    def _reindex(self) -> None:
-        self._by_segments = {}
-        for prefix, rule in self._rules.items():
-            self._by_segments.setdefault(self._segments[prefix], rule)
+        self._by_segments.setdefault(split_path(rule.prefix), rule)
         self._lengths = sorted({len(pre) for pre in self._by_segments}, reverse=True)
         self._resolved.clear()
-
-    def rules(self) -> list[RouteRule]:
-        return [self._rules[p] for p in sorted(self._rules)]
 
     def match(self, parts: tuple[str, ...]) -> RouteRule | None:
         """Longest rule whose prefix covers whole leading segments of a path
@@ -97,7 +83,7 @@ class RouteTable:
         as /developers/42. ``parts`` is ``path`` split."""
         if not rule.strip:
             return path
-        pre = self._segments.get(rule.prefix) or split_path(rule.prefix)
+        pre = split_path(rule.prefix)
         return "/" + "/".join(pre[-1:] + parts[len(pre):])
 
     def resolve(self, path: str) -> tuple[RouteRule, str] | None:

@@ -24,7 +24,7 @@ routed locally against the same prefix table the gateway would use.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..chassis import CONFSVC_NODE, REGISTRY_NODE, CallResult, CallStatus, ServiceNode, result_reply
 from ..simwire import Body, FaultRule, apply_fault_schedule
@@ -34,8 +34,8 @@ from .traces import TraceEntry
 WORKLOAD_METHODS = ("GET", "POST", "PUT", "DELETE")
 DEFAULT_BUDGET_TICKS = 10_000
 
-_ADMIN_TARGETS = (("/config", CONFSVC_NODE), ("/registry", REGISTRY_NODE))
-_ADMIN_PREFIXES = tuple(prefix for prefix, _ in _ADMIN_TARGETS)
+# The admin node of each first path segment.
+_ADMIN_TARGETS = {"config": CONFSVC_NODE, "registry": REGISTRY_NODE}
 
 
 class WorkloadError(Exception):
@@ -46,17 +46,13 @@ class BudgetExceeded(Exception):
     """The system did not go quiescent within the tick budget."""
 
 
-class WorkloadLine:
-    __slots__ = ("tick", "client", "method", "path", "body", "line_no")
-
-    def __init__(self, tick: int, client: str, method: str, path: str,
-                 body: Body, line_no: int = 0) -> None:
-        self.tick = tick
-        self.client = client
-        self.method = method
-        self.path = path
-        self.body = body
-        self.line_no = line_no
+class WorkloadLine(NamedTuple):
+    tick: int
+    client: str
+    method: str
+    path: str
+    body: Body
+    line_no: int = 0
 
 
 def parse_workload(text: str) -> list[WorkloadLine]:
@@ -138,7 +134,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
 
     client = node.client
     assert client is not None
-    admin_target = _admin_target(line.path)
+    admin_target = _ADMIN_TARGETS.get(line.path.split("/", 2)[1]) if line.path[:1] == "/" else None
     if admin_target is not None:
         client.call_node(admin_target, line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
@@ -155,11 +151,3 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
         client.call(rule.service, line.method, inner_path, line.body,
                     finish, deadline=CLIENT_DEADLINE_TICKS)
 
-
-def _admin_target(path: str) -> Optional[str]:
-    if not path.startswith(_ADMIN_PREFIXES):  # ordinary traffic
-        return None
-    for prefix, node_id in _ADMIN_TARGETS:
-        if path == prefix or path.startswith(prefix + "/"):
-            return node_id
-    return None

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chassis import ServiceClient, ServiceNode, WiringMode
+from ..chassis import (DEFAULT_BREAKER_OPEN_TICKS, DEFAULT_BREAKER_THRESHOLD, DEFAULT_PROFILE,
+                       ServiceClient, ServiceNode, WiringMode)
 from ..confsvc import ConfigServer
 from ..gateway import SERVICE_NAME as GATEWAY_SERVICE
 from ..gateway import Gateway, RouteTable
@@ -46,7 +47,8 @@ LAST_STAGE = 6
 SETTLE_BUDGET_TICKS = 200
 CLIENT_DEADLINE_TICKS = 60
 
-_BREAKER_DOC = {"breaker.threshold": "5", "breaker.open_ticks": "30"}
+_BREAKER_DOC = {"breaker.threshold": str(DEFAULT_BREAKER_THRESHOLD),
+                "breaker.open_ticks": str(DEFAULT_BREAKER_OPEN_TICKS)}
 
 _SERVER_SPECS = (("oracle-a", ServerFlavor.ORACLE, 4),
                  ("oracle-b", ServerFlavor.ORACLE, 4),
@@ -202,7 +204,8 @@ def build_stage(stage: int, seed: int = 0) -> SystemHandle:
         if handle.confsvc is not None:
             gateway = (GATEWAY_SERVICE,) if handle.gateway is not None else ()
             for service in topo.services + gateway:
-                handle.confsvc.store.set_config(service, "default", _service_doc(service, stage))
+                handle.confsvc.store.set_config(service, DEFAULT_PROFILE,
+                                                _service_doc(service, stage))
         nodes = [_app_node(handle, service, _node_id(service, 1)) for service in topo.services]
         handle.start(nodes + list(infra.values()))
 

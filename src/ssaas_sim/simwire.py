@@ -156,7 +156,6 @@ class MessageRecord(NamedTuple):
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 _new_tuple = tuple.__new__  # builds a MessageRecord without _make's overhead
-_GONE = object()  # step's marker for a destination missing from _live
 
 DELIVERED = "delivered"
 DROPPED = "dropped"
@@ -244,9 +243,9 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.now = 0
-        self._nodes: dict[str, Optional[Callable[[Envelope], None]]] = {}
+        self._nodes: dict[str, Callable[[Envelope], None]] = {}
         self.nodes = MappingProxyType(self._nodes)
-        self._live: dict[str, Optional[Callable[[Envelope], None]]] = {}
+        self._live: dict[str, Callable[[Envelope], None]] = {}
         # The trace, flat: see WireTrace. Only step and _record extend it.
         self._trace: list = []
         self.records = WireTrace(self._trace)
@@ -272,7 +271,7 @@ class Simulator:
 
     # -- nodes ------------------------------------------------------------
 
-    def add_node(self, name: str, handler: Optional[Callable[[Envelope], None]] = None) -> None:
+    def add_node(self, name: str, handler: Callable[[Envelope], None]) -> None:
         if name in self._nodes:
             raise SimwireError(f"node already registered: {name}")
         self._nodes[name] = handler
@@ -469,8 +468,8 @@ class Simulator:
             for event in events:
                 if type(event) is Envelope:
                     destination = event.destination
-                    handler = live.get(destination, _GONE)
-                    if handler is _GONE:
+                    handler = live.get(destination)
+                    if handler is None:
                         self._fail_with_network_error(event)
                         continue
                     kind = event.kind
@@ -479,9 +478,8 @@ class Simulator:
                         kind, event.method, event.path,
                         (event.status or DELIVERED) if kind == RESPONSE else DELIVERED))
                     delivered.append(event)
-                    if handler is not None:
-                        self._ctx_maintenance = event.maintenance
-                        handler(event)
+                    self._ctx_maintenance = event.maintenance
+                    handler(event)
                 elif type(event) is int:
                     entry = timers.pop(event, None)
                     if entry is None:

@@ -14,7 +14,7 @@ import time
 from collections import Counter
 
 from ssaas_sim import cli
-from ssaas_sim.chassis import CircuitBreaker, CircuitState, Endpoint, Resolver
+from ssaas_sim.chassis import CircuitBreaker, CircuitState, ConfigView, Endpoint, Resolver
 from ssaas_sim.migration import (
     AUDIT_OK,
     audit_ownership,
@@ -78,6 +78,14 @@ class BruteForceBreaker:
         # OPEN: a late result from before the trip changes nothing.
 
 
+def breaker_config(threshold: int, open_duration: int) -> ConfigView:
+    """A node's config view carrying the two breaker entries."""
+    cfg = ConfigView()
+    cfg.apply_refresh((1, 0), {"breaker.threshold": str(threshold),
+                               "breaker.open_ticks": str(open_duration)})
+    return cfg
+
+
 def test_breaker_state_machine_matches_bruteforce_oracle():
     rng = random.Random(1001)
     started = time.monotonic()
@@ -85,7 +93,7 @@ def test_breaker_state_machine_matches_bruteforce_oracle():
     for sequence in range(1000):
         threshold = rng.randint(1, 5)
         open_duration = rng.randint(1, 12)
-        breaker = CircuitBreaker(threshold, open_duration)
+        breaker = CircuitBreaker(breaker_config(threshold, open_duration))
         oracle = BruteForceBreaker(threshold, open_duration)
         now = 0
         for event in range(100):
@@ -150,7 +158,7 @@ def test_round_robin_shares_calls_evenly():
     resolver = Resolver(cache_ttl=10_000)
     endpoints = [Endpoint(f"svc-{i}", f"svc-{i}") for i in (1, 2, 3)]
     resolver.update("Svc", endpoints, now=0)
-    breakers = {e.instance_id: CircuitBreaker(threshold=5, open_duration=10_000)
+    breakers = {e.instance_id: CircuitBreaker(breaker_config(5, 10_000))
                 for e in endpoints}
 
     def healthy(endpoint: Endpoint) -> bool:

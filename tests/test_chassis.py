@@ -58,12 +58,12 @@ DECLARED_REFUSALS = [
 
 class TestCircuitBreaker:
     def test_starts_closed_and_admits(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         assert brk.state is CircuitState.CLOSED
         assert brk.allow(0)
 
     def test_opens_after_five_consecutive_failures(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for i in range(4):
             brk.record_result(False, now=i)
             assert brk.state is CircuitState.CLOSED
@@ -72,7 +72,7 @@ class TestCircuitBreaker:
         assert not brk.allow(5)
 
     def test_success_resets_failure_count(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for i in range(4):
             brk.record_result(False, now=i)
         brk.record_result(True, now=4)
@@ -81,7 +81,7 @@ class TestCircuitBreaker:
         assert brk.state is CircuitState.CLOSED
 
     def test_half_open_after_wait_admits_single_probe(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for i in range(5):
             brk.record_result(False, now=10)
         assert not brk.allow(39)  # 29 elapsed
@@ -94,7 +94,7 @@ class TestCircuitBreaker:
         assert not brk.can_attempt(10_000)
 
     def test_probe_success_closes(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for _ in range(5):
             brk.record_result(False, now=0)
         assert brk.allow(30)
@@ -103,7 +103,7 @@ class TestCircuitBreaker:
         assert brk.consecutive_failures == 0
 
     def test_probe_failure_reopens_with_fresh_timer(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for _ in range(5):
             brk.record_result(False, now=0)
         assert brk.allow(30)
@@ -113,7 +113,7 @@ class TestCircuitBreaker:
         assert brk.allow(61)
 
     def test_late_results_while_open_ignored(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for _ in range(5):
             brk.record_result(False, now=0)
         brk.record_result(True, now=3)
@@ -132,7 +132,7 @@ class TestCircuitBreaker:
         assert brk.allow(7)
 
     def test_can_attempt_never_mutates(self):
-        brk = CircuitBreaker()
+        brk = CircuitBreaker(ConfigView())
         for _ in range(5):
             brk.record_result(False, now=0)
         assert brk.can_attempt(30)
@@ -147,7 +147,7 @@ class TestResolver:
 
     def test_round_robin_cycles_in_order(self):
         r = self._resolver_with("a", "b", "c")
-        picks = [r.resolve("svc", 0).instance_id for _ in range(6)]
+        picks = [r.resolve("svc", 0, allowed=lambda e: True).instance_id for _ in range(6)]
         assert picks == ["a", "b", "c", "a", "b", "c"]
 
     def test_filter_excludes_instances(self):
@@ -161,20 +161,20 @@ class TestResolver:
         with pytest.raises(NoInstances):
             r.resolve("svc", 0, allowed=lambda e: False)
         with pytest.raises(NoInstances):
-            r.resolve("other", 0)
+            r.resolve("other", 0, allowed=lambda e: True)
 
     def test_rotation_survives_refresh_with_same_membership(self):
         r = self._resolver_with("a", "b", "c")
-        assert r.resolve("svc", 0).instance_id == "a"
+        assert r.resolve("svc", 0, allowed=lambda e: True).instance_id == "a"
         r.update("svc", [Endpoint(i, i) for i in ("a", "b", "c")], now=5)
-        assert r.resolve("svc", 5).instance_id == "b"
+        assert r.resolve("svc", 5, allowed=lambda e: True).instance_id == "b"
 
     def test_rotation_resets_on_membership_change(self):
         r = self._resolver_with("a", "b", "c")
-        r.resolve("svc", 0)
-        r.resolve("svc", 0)
+        r.resolve("svc", 0, allowed=lambda e: True)
+        r.resolve("svc", 0, allowed=lambda e: True)
         r.update("svc", [Endpoint(i, i) for i in ("a", "b")], now=5)
-        assert r.resolve("svc", 5).instance_id == "a"
+        assert r.resolve("svc", 5, allowed=lambda e: True).instance_id == "a"
 
     def test_cache_ttl_boundary(self):
         r = self._resolver_with("a", now=100)
@@ -189,7 +189,7 @@ class TestResolver:
         r.update("svc", [Endpoint(i, i) for i in ids], 0)
         counts = {i: 0 for i in ids}
         for _ in range(n * cycles):
-            counts[r.resolve("svc", 0).instance_id] += 1
+            counts[r.resolve("svc", 0, allowed=lambda e: True).instance_id] += 1
         assert set(counts.values()) == {cycles}
 
 
@@ -242,6 +242,7 @@ class TestConfigView:
         ([1, 0], [["k", "v"]], "entries"),
         ([1, 0], "k=v", "entries"),
         ([1, 0], {"k": 1}, "entries"),
+        ([99, 99], {1: "x", "route.1": "/a|B|0"}, "entries"),
     ])
     def test_malformed_document_rejected_unchanged(self, version, entries, field):
         cfg = ConfigView()

@@ -277,6 +277,12 @@ class TestConfigStoreCommands:
         assert run_cli("config", "get", "--store", str(tmp_path / "none.ckpt"),
                        "Svc", "default") == 66
 
+    def test_get_refuses_a_store_with_an_empty_service_name(self, tmp_path, capsys):
+        store = tmp_path / "c.ckpt"
+        store.write_text("Svc|default|1|a=1\n|default|1|a=1\n")
+        assert run_cli("config", "get", "--store", str(store), "Svc", "default") == 65
+        assert "line 2: bad service or profile name" in capsys.readouterr().err
+
     def test_set_rejects_bad_pair_syntax(self, tmp_path):
         assert run_cli("config", "set", "--store", str(tmp_path / "c.ckpt"),
                        "Svc", "default", "justakey") == 64

@@ -114,6 +114,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             ConfigStore.load(str(path))
 
+    @pytest.mark.parametrize("line", ["|default|1|a=1", "Svc||1|a=1"])
+    def test_load_refuses_names_that_set_config_refuses(self, tmp_path, line):
+        path = tmp_path / "conf.ckpt"
+        path.write_text(f"Svc|default|1|a=1\n{line}\n")
+        with pytest.raises(CheckpointError, match="^line 2: bad service or profile name$"):
+            ConfigStore.load(str(path))
+
     @given(st.dictionaries(config_keys, config_values, max_size=6),
            st.dictionaries(config_keys, config_values, max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -187,17 +194,6 @@ class TestWireApi:
         wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
                   {"entries": {"mode": "fast"}})
         assert svc.config.get("mode") == "fast"
-        assert svc.config.version == (1, 1)
-
-    def test_default_write_refreshes_profiled_subscriber_with_merge(self):
-        sim, confsvc, admin = build_world()
-        svc = ServiceNode(sim, "svc-1", "Svc", profile="prod").bind()
-        confsvc.subscribe("svc-1", "Svc", profile="prod")
-        wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/prod",
-                  {"entries": {"b": "2"}})
-        wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
-                  {"entries": {"a": "1", "b": "0"}})
-        assert svc.config.entries == {"a": "1", "b": "2"}
         assert svc.config.version == (1, 1)
 
     def test_profile_write_skips_other_profiles(self):

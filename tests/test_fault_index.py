@@ -324,7 +324,7 @@ def test_send_fate_matches_full_rule_scan(script):
 def test_no_link_rule_means_nothing_scanned():
     sim = Simulator()
     for name in NODES:
-        sim.add_node(name)
+        sim.add_node(name, lambda env: None)
     sim.schedule_fault(1, FaultRule(FaultEffect.KILL_NODE, node="b-1"))
     sim.inject(FaultRule(FaultEffect.KILL_NODE, node="reg"))
     assert sim._link_rules == []

@@ -86,7 +86,8 @@ class TestRouteTable:
             "route.1": "/api/developers|DevSvc|1",
             "unrelated": "x",
         })
-        assert [r.prefix for r in table.rules()] == ["/api/developers", "/api/projects"]
+        assert [table.resolve(p)[0] for p in ("/api/developers/1", "/api/projects/1")] == \
+            [RouteRule("/api/developers", "DevSvc", True), RouteRule("/api/projects", "DevSvc", True)]
 
     def test_from_config_entries_rejects_garbage(self):
         with pytest.raises(InvalidRoute):
@@ -169,8 +170,8 @@ class TestGatewayNode:
                     "entries": {"route.1": "/api/people|DevInfo|1"}}
         r = through_gateway(sim, caller, "POST", "/refresh", req_body)
         assert r.ok
-        assert [ (ru.prefix, ru.service, ru.strip) for ru in gw.table.rules()] == \
-            [("/api/people", "DevInfo", True)]
+        assert gw.table.resolve("/api/people/1") == \
+            (RouteRule("/api/people", "DevInfo", True), "/people/1")
         # old prefix is gone, new one forwards with its last segment kept
         assert through_gateway(sim, caller, "GET", "/api/developers/42").remote_status == "404"
 

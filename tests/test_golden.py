@@ -45,7 +45,7 @@ def test_bundled_combinations_all_pinned():
 
 def test_ndjson_trace_bytes(tmp_path):
     sim = Simulator()
-    sim.add_node("a")
+    sim.add_node("a", lambda env: None)
     sim.add_node("b", lambda env: sim.send(Envelope.response(env, "201")))
     sim.send(Envelope.request("a", "b", "/x/1", method="POST", body={"k": 1}))
     sim.step()

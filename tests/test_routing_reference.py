@@ -226,7 +226,7 @@ class TestMemoLimit:
             for name, (_, pattern) in enumerate(routes):
                 path = pattern.replace("{x}", "7")
                 assert node_dispatch(node, "GET", path) == (name, {"x": "7"})
-            assert len(chassis._compiled_patterns) <= ROUTE_MEMO_LIMIT
+            assert chassis._compile_pattern.cache_info().currsize <= ROUTE_MEMO_LIMIT
 
     def test_table_memo_stays_bounded(self):
         table, rules = build_table([("/api", True), ("/api/dev", False)])

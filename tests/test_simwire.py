@@ -35,7 +35,7 @@ from ssaas_sim.simwire import (
 def make_sim(*nodes: str, seed: int = 0) -> Simulator:
     sim = Simulator(seed=seed)
     for n in nodes:
-        sim.add_node(n)
+        sim.add_node(n, lambda env: None)
     return sim
 
 
@@ -171,7 +171,7 @@ class TestFaults:
         sim = Simulator()
         got: list[str] = []
         sim.add_node("a", lambda env: got.append(env.status or ""))
-        sim.add_node("b")
+        sim.add_node("b", lambda env: None)
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
         sim.send(Envelope.request("a", "b", "/x"))
         sim.step()
@@ -208,7 +208,7 @@ class TestFaults:
     def test_node_added_under_a_kill_rule_starts_down(self):
         sim = make_sim("a-1", "b-1")
         kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-*"))
-        sim.add_node("a-2")
+        sim.add_node("a-2", lambda env: None)
         assert not sim.node_alive("a-2")
         # An unrelated kill and clear leaves it down, and sends to it fail.
         sim.clear(sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b-1")))
@@ -461,8 +461,8 @@ class TestMaintenanceFlag:
                 sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
 
         sim.add_node("a", on_reply)
-        sim.add_node("b")
-        sim.add_node("c")
+        sim.add_node("b", lambda env: None)
+        sim.add_node("c", lambda env: None)
         if kill_before_send:
             sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
         sim.set_timer("a", 1, beat, maintenance=True)
@@ -482,7 +482,7 @@ class TestTickBuckets:
         # tick 3 all land on tick 4; cancelled timers leave tombstones.
         sim = Simulator()
         order: list[str] = []
-        sim.add_node("a")
+        sim.add_node("a", lambda env: None)
         sim.add_node("b", lambda env: order.append(env.path))
         rid = sim.inject(FaultRule(FaultEffect.DELAY, source="a", destination="b",
                                    delay_ticks=3))
