@@ -4,7 +4,7 @@ Documents are keyed by (service, profile). Reads return the profile
 document overlaid on the service's ``default`` profile, with a two-part
 version (default version, profile version) so stale refreshes are
 detectable no matter which half changed. Writes replace a document
-wholesale and push refresh notifications to subscribed nodes.
+wholesale; a ``default`` write pushes it to the service's subscribed nodes.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class ConfigServer(ServiceNode):
     """Wire front end plus push notifications to subscribed nodes.
 
     Every node runs its service's ``default`` profile, so writing that
-    document pushes it to every subscriber of the service. Named profiles
-    live only in the store and the CLI: writing one notifies no node.
+    document pushes it to every subscriber of the service. A named profile
+    is only read (by the CLI, or a GET), so writing one pushes nothing.
     """
 
     def __init__(self, sim: Simulator, node_id: str = CONFSVC_NODE) -> None:

@@ -34,7 +34,6 @@ from .traces import TraceEntry
 WORKLOAD_METHODS = ("GET", "POST", "PUT", "DELETE")
 DEFAULT_BUDGET_TICKS = 10_000
 
-# The admin node of each first path segment.
 _ADMIN_TARGETS = {"config": CONFSVC_NODE, "registry": REGISTRY_NODE}
 
 
