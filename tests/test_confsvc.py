@@ -37,6 +37,14 @@ class TestStore:
         assert merged.version == (0, 0)
         assert merged.entries == {}
 
+    def test_writes_leave_unknown_documents_empty(self):
+        store = ConfigStore()
+        store.set_config("Svc", "default", {"a": "1"})
+        store.get_config("Other", "default").entries["b"] = "2"
+        merged = store.get_config("Other", "prod")
+        assert merged.version == (0, 0)
+        assert merged.entries == {}
+
     def test_profile_overlays_default(self):
         store = ConfigStore()
         store.set_config("Svc", "default", {"a": "1", "b": "1"})

@@ -632,6 +632,12 @@ class TestAudit:
         assert report.status == AUDIT_VIOLATIONS and report.writes_checked > 1
         assert report == audit_ownership(list(sim.records), 6, services)
 
+    def test_clean_reports_do_not_share_a_violations_list(self):
+        for stage in (0, 6):
+            first, second = audit_ownership([], stage, {}), audit_ownership([], stage, {})
+            assert first.violations == second.violations == []
+            assert first.violations is not second.violations
+
     def test_owner_map_tracks_entity_moves(self):
         assert expected_owner("Developer", 5) == "DeveloperData"
         assert expected_owner("Developer", 6) == "DeveloperInfoServices"

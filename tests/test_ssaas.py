@@ -71,6 +71,13 @@ class TestDeveloperStore:
         store.add_service_kind(dev.developer_id, "CHAT")
         assert store.get(dev.developer_id).service_kinds == ["RDBMS", "CHAT"]
 
+    def test_developers_do_not_share_service_kinds(self):
+        store = DeveloperStore()
+        ann = store.register_developer("Ann", "a@example.test")
+        ben = store.register_developer("Ben", "b@example.test")
+        store.add_service_kind(ann.developer_id, "RDBMS")
+        assert store.get(ben.developer_id).service_kinds == []
+
 
 class TestServerPool:
     def _pool(self, *specs: tuple[str, ServerFlavor, int]) -> ServerPool:
