@@ -9,7 +9,6 @@ decoder used at every service boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -148,17 +147,16 @@ class CircuitBreaker:
 
 # -- discovery cache + round robin -------------------------------------------
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     instance_id: str
     node: str
 
 
-@dataclass
 class _ServiceCache:
-    endpoints: list[Endpoint] = field(default_factory=list)
-    fetched_at: Optional[int] = None
-    rotation: int = 0
+    def __init__(self) -> None:
+        self.endpoints: list[Endpoint] = []
+        self.fetched_at: Optional[int] = None
+        self.rotation = 0
 
 
 class Resolver:
@@ -260,21 +258,26 @@ def split_path(path: str) -> tuple[str, ...]:
     return tuple(filter(None, parts)) if "" in parts else tuple(parts)
 
 
-@dataclass(slots=True)
 class Request:
     """One inbound request. A request that arrived on the wire (``env``)
     answers with a RESPONSE on ``wire``; an in-process one calls ``_reply``.
     ``params`` are the values the matched route bound: only
     :meth:`ServiceNode.dispatch` sets them, before it calls the handler."""
 
-    method: str
-    path: str
-    body: Body
-    params: Optional[dict[str, str]] = None
-    env: Optional[Envelope] = None
-    wire: Optional[Simulator] = None
-    replied: bool = False
-    _reply: Optional[Callable[[str, Body], None]] = None
+    __slots__ = ("method", "path", "body", "params", "env", "wire", "replied", "_reply")
+
+    def __init__(self, method: str, path: str, body: Body,
+                 params: Optional[dict[str, str]] = None, env: Optional[Envelope] = None,
+                 wire: Optional[Simulator] = None,
+                 _reply: Optional[Callable[[str, Body], None]] = None) -> None:
+        self.method = method
+        self.path = path
+        self.body = body
+        self.params = params
+        self.env = env
+        self.wire = wire
+        self.replied = False
+        self._reply = _reply
 
     def reply(self, status: str, body: Body = None) -> None:
         if self.replied:

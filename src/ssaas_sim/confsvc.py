@@ -9,7 +9,7 @@ wholesale; a ``default`` write pushes it to the service's subscribed nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chassis import (CONFSVC_NODE, DEFAULT_PROFILE, Refusal, Request, ServiceClient, ServiceNode,
                       WiringMode, decode_tolerant)
@@ -33,17 +33,15 @@ class CheckpointError(Exception):
     pass
 
 
-@dataclass
-class _Doc:
-    version: int = 0
-    entries: dict[str, str] = field(default_factory=dict)
+class _Doc(NamedTuple):
+    version: int
+    entries: dict[str, str]
 
 
-_NO_DOC = _Doc()  # what a missing document reads as; nothing writes to it
+_NO_DOC = _Doc(0, {})  # what a missing document reads as; nothing writes to it
 
 
-@dataclass(frozen=True)
-class MergedConfig:
+class MergedConfig(NamedTuple):
     service: str
     profile: str
     version: tuple[int, int]
@@ -78,9 +76,8 @@ class ConfigStore:
     def set_config(self, service: str, profile: str, entries: dict[str, str]) -> tuple[int, int]:
         _check_names(service, profile)
         _check_entries(entries)
-        doc = self._docs.setdefault((service, profile), _Doc())
-        doc.version += 1
-        doc.entries = dict(entries)
+        doc = self._docs.get((service, profile), _NO_DOC)
+        self._docs[(service, profile)] = _Doc(doc.version + 1, dict(entries))
         return self.get_config(service, profile).version
 
     def get_config(self, service: str, profile: str) -> MergedConfig:
@@ -122,10 +119,9 @@ class ConfigStore:
                     if body:
                         for pair in body.split(","):
                             key, _, value = pair.partition("=")
-                            if not key:
-                                raise ValueError(pair)
                             entries[key] = value
-                    doc = _Doc(version=int(version), entries=entries)
+                    _check_entries(entries)
+                    doc = _Doc(int(version), entries)
                 except (ValueError, MalformedConfig) as exc:
                     raise CheckpointError(f"line {lineno}: {exc}") from exc
                 store._docs[(service, profile)] = doc

@@ -9,7 +9,7 @@ internal failure detail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chassis import ROUTE_MEMO_LIMIT, CallResult, Request, ServiceNode, relay_result, split_path
 from .simwire import Simulator
@@ -29,17 +29,21 @@ class InvalidRoute(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RouteRule:
+class _RouteFields(NamedTuple):
     prefix: str
     service: str
     strip: bool
 
-    def __post_init__(self) -> None:
-        if not self.prefix.startswith("/") or (self.prefix != "/" and self.prefix.endswith("/")):
-            raise InvalidRoute(f"bad prefix: {self.prefix!r}")
-        if not self.service:
+
+class RouteRule(_RouteFields):
+    __slots__ = ()
+
+    def __new__(cls, prefix: str, service: str, strip: bool) -> "RouteRule":
+        if not prefix.startswith("/") or (prefix != "/" and prefix.endswith("/")):
+            raise InvalidRoute(f"bad prefix: {prefix!r}")
+        if not service:
             raise InvalidRoute("empty service")
+        return super().__new__(cls, prefix, service, strip)
 
 
 class RouteTable:

@@ -12,8 +12,7 @@ audit is not applicable there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..chassis import split_path
 from ..simwire import DELIVERED, REQUEST, MessageRecord, WireTrace
@@ -73,8 +72,7 @@ def expected_owner(entity: str, stage: int) -> str:
     raise ValueError(f"unknown entity: {entity}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     tick: int
     message_id: int
     source: str
@@ -91,12 +89,13 @@ class Violation:
                 f"|expected={self.expected}|actual={self.actual}")
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
+    """Immutable: :func:`audit_ownership` builds it once, after the scan."""
+
     stage: int
     status: str
-    writes_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    writes_checked: int
+    violations: list[Violation]
 
     @property
     def ok(self) -> bool:
@@ -117,8 +116,9 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
     its plain rows, so the audit builds no records.
     """
     if stage == 0:
-        return AuditReport(stage=stage, status=AUDIT_NOT_APPLICABLE)
-    report = AuditReport(stage=stage, status=AUDIT_OK)
+        return AuditReport(stage, AUDIT_NOT_APPLICABLE, 0, [])
+    writes = 0
+    violations: list[Violation] = []
     # path -> (entity, owner), or None for a path that carries no entity.
     owners: dict[str, Optional[tuple[str, str]]] = {}
     rows = records.rows() if isinstance(records, WireTrace) else records
@@ -134,14 +134,12 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
                 None if entity is None else (entity, expected_owner(entity, stage))
         if hit is None:
             continue
-        report.writes_checked += 1
+        writes += 1
         entity, owner = hit
         actual = node_services.get(destination, destination)
         if actual != owner:
-            report.violations.append(Violation(
+            violations.append(Violation(
                 tick=tick, message_id=message_id, source=source,
                 destination=destination, method=method, path=path,
                 entity=entity, expected=owner, actual=actual))
-    if report.violations:
-        report.status = AUDIT_VIOLATIONS
-    return report
+    return AuditReport(stage, AUDIT_VIOLATIONS if violations else AUDIT_OK, writes, violations)

@@ -14,7 +14,7 @@ start path, :meth:`SystemHandle.start`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..chassis import (DEFAULT_BREAKER_OPEN_TICKS, DEFAULT_BREAKER_THRESHOLD, DEFAULT_PROFILE,
                        ServiceClient, ServiceNode, WiringMode)
@@ -60,8 +60,7 @@ class UnknownStage(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StageTopology:
+class StageTopology(NamedTuple):
     """One rung of the ladder: the app services the stage runs, in start
     order, and its infrastructure nodes, also in start order."""
 
@@ -94,13 +93,13 @@ STAGES: dict[int, StageTopology] = {
 _UNSCALED = ("DeveloperData", "ResourceManager")
 
 
-@dataclass
 class Stores:
-    schemas: SchemaStore = field(default_factory=SchemaStore)
-    developers: DeveloperStore = field(default_factory=DeveloperStore)
-    pool: ServerPool = field(default_factory=ServerPool)
-    content: ContentStore = field(default_factory=ContentStore)
-    chats: ChatStore = field(default_factory=ChatStore)
+    def __init__(self) -> None:
+        self.schemas = SchemaStore()
+        self.developers = DeveloperStore()
+        self.pool = ServerPool()
+        self.content = ContentStore()
+        self.chats = ChatStore()
 
 
 def route_entries(stage: int) -> dict[str, str]:
@@ -113,20 +112,23 @@ def route_entries(stage: int) -> dict[str, str]:
             "route.4": "/api/chat|ChatServices|1"}
 
 
-@dataclass
 class SystemHandle:
     """A built topology: the simulator plus everything tests and the
-    harness need to drive and inspect it."""
+    harness need to drive and inspect it. Fixed once built, except that
+    :meth:`start` adds to ``nodes`` and the build sets ``settle_tick``."""
 
-    sim: Simulator
-    stage: int
-    stores: Stores
-    nodes: dict[str, ServiceNode]
-    client_router: RouteTable
-    confsvc: ConfigServer | None = None
-    registry: RegistryService | None = None
-    gateway: Gateway | None = None
-    settle_tick: int = 0
+    def __init__(self, sim: Simulator, stage: int, stores: Stores, client_router: RouteTable,
+                 confsvc: ConfigServer | None = None, registry: RegistryService | None = None,
+                 gateway: Gateway | None = None) -> None:
+        self.sim = sim
+        self.stage = stage
+        self.stores = stores
+        self.nodes: dict[str, ServiceNode] = {}
+        self.client_router = client_router
+        self.confsvc = confsvc
+        self.registry = registry
+        self.gateway = gateway
+        self.settle_tick = 0
 
     def node_services(self) -> dict[str, str]:
         return {node_id: node.service for node_id, node in self.nodes.items()}
@@ -194,7 +196,7 @@ def build_stage(stage: int, seed: int = 0) -> SystemHandle:
     for server_id, flavor, capacity in _SERVER_SPECS:
         stores.pool.register_server(server_id, flavor, capacity)
     infra = {name: _INFRASTRUCTURE[name](sim) for name in topo.infrastructure}
-    handle = SystemHandle(sim=sim, stage=stage, stores=stores, nodes={},
+    handle = SystemHandle(sim=sim, stage=stage, stores=stores,
                           client_router=RouteTable.from_config_entries(route_entries(stage)),
                           **infra)  # type: ignore[arg-type]
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Iterable, NamedTuple, Optional
 
@@ -139,8 +138,7 @@ def normalize_trace(entries: Iterable[TraceEntry]) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
-class TraceDiff:
+class TraceDiff(NamedTuple):
     equal: bool
     index: int = -1
     field: str = ""

@@ -8,7 +8,6 @@ gone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chassis import REGISTRY_NODE, Refusal, Request, ServiceNode, refusal
@@ -27,8 +26,7 @@ UnknownInstance = refusal("UnknownInstance", "404", RegistryError)
 MalformedInstance = refusal("MalformedInstance", base=RegistryError)
 
 
-@dataclass(frozen=True)
-class LeaseConfig:
+class LeaseConfig(NamedTuple):
     ttl_ticks: int = 30
     eviction_sweep_ticks: int = 5
 

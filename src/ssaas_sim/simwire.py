@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from itertools import repeat
 from types import MappingProxyType
@@ -66,7 +65,6 @@ class FaultEffect:
     KILL_NODE = "KILL_NODE"
 
 
-@dataclass(slots=True)
 class Envelope:
     """One message on the wire.
 
@@ -74,19 +72,25 @@ class Envelope:
     increases in send order. A RESPONSE echoes its request's id in
     ``correlation_id`` and carries its status code in ``status``. The send
     also sets ``maintenance``, the flag its receiving handler runs under.
-    The chassis builds its envelopes positionally, in this field order.
+    The chassis builds its envelopes positionally, in ``__init__``'s order.
     """
 
-    source: str
-    destination: str
-    kind: str
-    path: str
-    method: str = "GET"
-    status: Optional[str] = None
-    body: Body = None
-    correlation_id: Optional[int] = None
-    message_id: Optional[int] = None
-    maintenance: bool = False
+    __slots__ = ("source", "destination", "kind", "path", "method", "status", "body",
+                 "correlation_id", "message_id", "maintenance")
+
+    def __init__(self, source: str, destination: str, kind: str, path: str,
+                 method: str = "GET", status: Optional[str] = None, body: Body = None,
+                 correlation_id: Optional[int] = None) -> None:
+        self.source = source
+        self.destination = destination
+        self.kind = kind
+        self.path = path
+        self.method = method
+        self.status = status
+        self.body = body
+        self.correlation_id = correlation_id
+        self.message_id: Optional[int] = None
+        self.maintenance = False
 
     @staticmethod
     def request(source: str, destination: str, path: str, method: str = "GET",
@@ -99,24 +103,23 @@ class Envelope:
                         status, body, to.message_id)
 
 
-@dataclass
 class FaultRule:
     """A fault selector: DROP and DELAY match (source, destination),
     PARTITION matches either direction, KILL_NODE matches node names only."""
 
-    effect: str
-    source: str = "*"
-    destination: str = "*"
-    node: str = "*"
-    delay_ticks: int = 0
-    active: bool = True
-    rule_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.delay_ticks < 0:
+    def __init__(self, effect: str, source: str = "*", destination: str = "*",
+                 node: str = "*", delay_ticks: int = 0) -> None:
+        if delay_ticks < 0:
             raise InvalidFaultRule("delay_ticks must be >= 0")
-        if self.effect == FaultEffect.DELAY and self.delay_ticks <= 0:
+        if effect == FaultEffect.DELAY and delay_ticks <= 0:
             raise InvalidFaultRule("DELAY requires delay_ticks > 0")
+        self.effect = effect
+        self.source = source
+        self.destination = destination
+        self.node = node
+        self.delay_ticks = delay_ticks
+        self.active = True
+        self.rule_id: Optional[int] = None
 
     def matches_pair(self, source: str, destination: str) -> bool:
         if self.effect == FaultEffect.PARTITION:

@@ -13,8 +13,7 @@ sets a status and a code is declared in one line by the chassis
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..chassis import Refusal, refusal
 
@@ -46,12 +45,13 @@ class SchemaViolation(DomainError):
 
 # -- developers ---------------------------------------------------------------
 
-@dataclass
-class Developer:
+class Developer(NamedTuple):
+    """A developer account. Its service kinds grow in place."""
+
     developer_id: int
     name: str
     email: str
-    service_kinds: list[str] = field(default_factory=list)
+    service_kinds: list[str]
 
     def to_body(self) -> dict:
         return {"developer_id": self.developer_id, "name": self.name,
@@ -66,7 +66,7 @@ class DeveloperStore:
     def register_developer(self, name: str, email: str) -> Developer:
         if not name or not email:
             raise MalformedDeveloper("name and email are required")
-        dev = Developer(self._next_id, name, email)
+        dev = Developer(self._next_id, name, email, [])
         self._next_id += 1
         self._developers[dev.developer_id] = dev
         return dev
@@ -94,25 +94,23 @@ class ServerFlavor:
 FLAVORS = (ServerFlavor.ORACLE, ServerFlavor.MYSQL)
 
 
-@dataclass
 class ServerRecord:
-    server_id: str
-    flavor: str
-    capacity: int
-    reserved: int = 0
+    def __init__(self, server_id: str, flavor: str, capacity: int) -> None:
+        self.server_id = server_id
+        self.flavor = flavor
+        self.capacity = capacity
+        self.reserved = 0
 
     def to_body(self) -> dict:
         return {"server_id": self.server_id, "flavor": self.flavor,
                 "capacity": self.capacity, "reserved": self.reserved}
 
 
-@dataclass
-class Reservation:
+class Reservation(NamedTuple):
     reservation_id: int
     server_id: str
     flavor: str
     owner: str
-    released: bool = False
 
     @property
     def database_name(self) -> str:
@@ -171,10 +169,9 @@ class ServerPool:
         return res
 
     def release(self, reservation_id: int) -> Reservation:
-        res = self._reservations.get(reservation_id)
-        if res is None or res.released:
+        res = self._reservations.pop(reservation_id, None)
+        if res is None:
             raise UnknownReservation(str(reservation_id))
-        res.released = True
         self._servers[res.server_id].reserved -= 1
         return res
 
@@ -182,8 +179,7 @@ class ServerPool:
         return sorted(self._servers.values(), key=lambda s: s.server_id)
 
     def active_reservations(self) -> list[Reservation]:
-        return sorted((r for r in self._reservations.values() if not r.released),
-                      key=lambda r: r.reservation_id)
+        return sorted(self._reservations.values(), key=lambda r: r.reservation_id)
 
 
 # -- project schemas --------------------------------------------------------------
@@ -191,13 +187,13 @@ class ServerPool:
 COLUMN_TYPES = ("int", "text", "bool")
 
 
-@dataclass
 class ProjectSchema:
-    project_id: int
-    name: str
-    owner_developer_id: int
-    version: int = 1
-    tables: dict[str, dict[str, str]] = field(default_factory=dict)  # table -> column -> type
+    def __init__(self, project_id: int, name: str, owner_developer_id: int) -> None:
+        self.project_id = project_id
+        self.name = name
+        self.owner_developer_id = owner_developer_id
+        self.version = 1
+        self.tables: dict[str, dict[str, str]] = {}  # table -> column -> type
 
     def to_body(self) -> dict:
         return {"project_id": self.project_id, "name": self.name,
@@ -311,8 +307,7 @@ class ContentStore:
 CHAT_ACTIVE = "ACTIVE"
 
 
-@dataclass
-class ChatInstance:
+class ChatInstance(NamedTuple):
     chat_id: int
     developer_id: int
     reservation_id: int

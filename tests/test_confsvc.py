@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 
 import pytest
@@ -127,6 +128,13 @@ class TestCheckpoint:
         path = tmp_path / "conf.ckpt"
         path.write_text(f"Svc|default|1|a=1\n{line}\n")
         with pytest.raises(CheckpointError, match="^line 2: bad service or profile name$"):
+            ConfigStore.load(str(path))
+
+    @pytest.mark.parametrize("body, key", [("a|b=1", "'a|b'"), ("a=1,=2", "''")])
+    def test_load_refuses_keys_that_set_config_refuses(self, tmp_path, body, key):
+        path = tmp_path / "conf.ckpt"
+        path.write_text(f"Svc|default|1|{body}\n")
+        with pytest.raises(CheckpointError, match=f"^line 1: bad entry: {re.escape(key)}$"):
             ConfigStore.load(str(path))
 
     @given(st.dictionaries(config_keys, config_values, max_size=6),

@@ -1,5 +1,6 @@
 """Every name a source module imports, and every private name it binds at
-module level, is used in that module.
+module level, is used in that module; and importing the program generates
+no code.
 
 No linter ships with the project, so this parses each module under
 ``src/ssaas_sim/`` with :mod:`ast` and names every imported name the module
@@ -12,6 +13,9 @@ imports and dunder names. Names inside string annotations count as loads.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ssaas_sim"
@@ -109,3 +113,15 @@ def test_source_modules_load_every_private_name():
     unused = [f"{path.relative_to(SRC)}: {name}"
               for path in source_modules() for name in unused_private_names(path)]
     assert unused == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A @dataclass generates and execs its methods when its module is
+    # imported, which made up most of the program's start-up time. -S keeps
+    # site hooks from importing either module before the program does.
+    code = ("import sys, ssaas_sim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
