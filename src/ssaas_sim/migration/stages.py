@@ -115,7 +115,7 @@ def route_entries(stage: int) -> dict[str, str]:
 class SystemHandle:
     """A built topology: the simulator plus everything tests and the
     harness need to drive and inspect it. Fixed once built, except that
-    :meth:`start` adds to ``nodes`` and the build sets ``settle_tick``."""
+    :meth:`start` adds to ``nodes`` and ``settle_tick`` is set on settling."""
 
     def __init__(self, sim: Simulator, stage: int, stores: Stores, client_router: RouteTable,
                  confsvc: ConfigServer | None = None, registry: RegistryService | None = None,

@@ -117,8 +117,8 @@ def test_source_modules_load_every_private_name():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # A @dataclass generates and execs its methods when its module is
-    # imported, which made up most of the program's start-up time. -S keeps
-    # site hooks from importing either module before the program does.
+    # imported, which every process pays for at start-up. -S keeps site
+    # hooks from importing either module before the program does.
     code = ("import sys, ssaas_sim.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
