@@ -2,9 +2,10 @@
 
 Everything a node needs besides the transport lives here: path routing,
 request/reply plumbing with the :class:`Refusal` a handler raises to
-refuse a request, the circuit breaker, client-side discovery with a
-cached round-robin resolver, versioned config handling, and the tolerant
-decoder used at every service boundary.
+refuse a request, the outbound client, the circuit breaker, client-side
+discovery with a cached round-robin resolver, versioned config handling,
+and the tolerant decoder used at every service boundary. Every answer is a
+status and a body, whether a handler returns it or a call hands it on.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ class Request:
     def __init__(self, method: str, path: str, body: Body,
                  params: Optional[dict[str, str]] = None, env: Optional[Envelope] = None,
                  wire: Optional[Simulator] = None,
-                 _reply: Optional[Callable[[str, Body], None]] = None) -> None:
+                 _reply: Optional[Reply] = None) -> None:
         self.method = method
         self.path = path
         self.body = body
@@ -291,6 +292,7 @@ class Request:
                                     env.method, str(status), body, env.message_id))
 
 
+Reply = Callable[[str, Body], None]  # an in-process reply, and every call's on_result
 Handler = Callable[[Request], Optional[tuple[str, Body]]]
 
 
@@ -417,10 +419,10 @@ class ServiceNode:
         applied, ignoring a failed or malformed reply. Later changes are pushed."""
         assert self.client is not None, "node needs a client before config pull"
 
-        def on_pull(result: CallResult) -> None:
+        def on_pull(status: str, body: Body) -> None:
             try:
-                if result.ok:
-                    self._apply_config(result.body)
+                if status.startswith("2"):
+                    self._apply_config(body)
             except DecodeError:
                 pass  # a malformed reply is ignored, as a failed one is
 
@@ -464,26 +466,6 @@ class WiringMode:
     DISCOVERED = "DISCOVERED"
 
 
-class CallStatus:
-    OK = "OK"
-    FAST_FAIL = "FAST_FAIL"
-    REMOTE_ERROR = "REMOTE_ERROR"
-    TIMEOUT = "TIMEOUT"
-
-
-class CallResult(NamedTuple):
-    status: str
-    body: Body = None
-    remote_status: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == CallStatus.OK
-
-
-_new_tuple = tuple.__new__  # builds a CallResult without its __new__ frame
-
-
 class ServiceClient:
     """Outbound call port for a node, in one of three wiring modes.
 
@@ -492,7 +474,9 @@ class ServiceClient:
     DISCOVERED resolves instances through the registry with a ttl cache,
     round-robin rotation, and one circuit breaker per instance.
 
-    There are no automatic retries: one call, one attempt, one result.
+    Every call ends in one ``on_result(status, body)``: the upstream's
+    answer, or 503 with a fresh ``UpstreamUnavailable`` body when it could
+    not be reached. There are no automatic retries: one call, one attempt.
     """
 
     def __init__(self, node: ServiceNode, mode: str,
@@ -526,7 +510,7 @@ class ServiceClient:
     # -- calls -------------------------------------------------------------
 
     def call(self, service: str, method: str, path: str, body: Body = None,
-             on_result: Optional[Callable[[CallResult], None]] = None,
+             on_result: Optional[Reply] = None,
              deadline: Optional[int] = None) -> None:
         if self.mode == WiringMode.LIBRARY_CALL:
             self._call_library(service, method, path, body, on_result)
@@ -551,22 +535,19 @@ class ServiceClient:
             self._fetch_instances(service, after_fetch)
 
     def call_node(self, target_node: str, method: str, path: str, body: Body = None,
-                  on_result: Optional[Callable[[CallResult], None]] = None,
+                  on_result: Optional[Reply] = None,
                   deadline: Optional[int] = None, track_breaker: bool = False) -> None:
         """Send straight to a named node, bypassing resolution."""
         breaker = self.breaker_for(target_node) if track_breaker else None
         self._send_tracked(target_node, method, path, body, on_result, deadline, breaker)
 
     def _call_library(self, service: str, method: str, path: str, body: Body,
-                      on_result: Optional[Callable[[CallResult], None]]) -> None:
+                      on_result: Optional[Reply]) -> None:
         peer = self.peers.get(service)
         if peer is None:
             self._finish_fast(on_result)
             return
-        def reply(status: str, rbody: Body) -> None:
-            if on_result is not None:
-                on_result(_classify(status, rbody))
-        peer.dispatch(Request(method, path, body, _reply=reply))
+        peer.dispatch(Request(method, path, body, _reply=on_result))
 
     def _fetch_instances(self, service: str, waiter: Callable[[bool], None]) -> None:
         waiters = self._fetch_waiters.get(service)
@@ -574,12 +555,12 @@ class ServiceClient:
             waiters.append(waiter)
             return
         self._fetch_waiters[service] = [waiter]
-        def on_fetch(result: CallResult) -> None:
+        def on_fetch(status: str, body: Body) -> None:
             ok = False
-            if result.ok and isinstance(result.body, list):
+            if status.startswith("2") and isinstance(body, list):
                 endpoints = []
                 try:
-                    for item in result.body:
+                    for item in body:
                         rec = decode_tolerant(item, ["instance_id", "address"])
                         endpoints.append(Endpoint(str(rec["instance_id"]), str(rec["address"])))
                 except DecodeError:
@@ -594,7 +575,7 @@ class ServiceClient:
                        on_result=on_fetch)
 
     def _attempt(self, service: str, method: str, path: str, body: Body,
-                 on_result: Optional[Callable[[CallResult], None]],
+                 on_result: Optional[Reply],
                  deadline: Optional[int]) -> None:
         now = self.sim.now
         try:
@@ -614,7 +595,7 @@ class ServiceClient:
         return brk is None or brk.state == CircuitState.CLOSED or brk.can_attempt(self.sim.now)
 
     def _send_tracked(self, target_node: str, method: str, path: str, body: Body,
-                      on_result: Optional[Callable[[CallResult], None]],
+                      on_result: Optional[Reply],
                       deadline: Optional[int], breaker: Optional[CircuitBreaker]) -> None:
         node_id, sim = self.node.node_id, self.sim
         # Envelope.request, inlined: every tracked call sends one.
@@ -633,13 +614,13 @@ class ServiceClient:
                 on_result()
             return
         self.sim.cancel_timer(timer)
-        result = _classify(env.status or "", env.body)
+        status, body = env.status, env.body
+        if status == NETWORK_ERROR_STATUS:  # the kernel's: the target is down
+            status, body = "503", {"error": "UpstreamUnavailable"}
         if breaker is not None:
-            failure = result.status == CallStatus.TIMEOUT or (
-                result.remote_status is not None and result.remote_status.startswith("5"))
-            breaker.record_result(not failure, self.sim.now)
+            breaker.record_result(not status.startswith("5"), self.sim.now)
         if on_result is not None:
-            on_result(result)
+            on_result(status, body)
 
     def _on_deadline(self, message_id: int) -> None:
         pending = self._pending.pop(message_id, None)
@@ -649,29 +630,15 @@ class ServiceClient:
         if breaker is not None:
             breaker.record_result(False, self.sim.now)
         if on_result is not None:
-            on_result(CallResult(CallStatus.TIMEOUT))
+            on_result("503", {"error": "UpstreamUnavailable"})
 
-    def _finish_fast(self, on_result: Optional[Callable[[CallResult], None]]) -> None:
+    def _finish_fast(self, on_result: Optional[Reply]) -> None:
         if on_result is not None:
-            on_result(CallResult(CallStatus.FAST_FAIL))
+            on_result("503", {"error": "UpstreamUnavailable"})
 
 
-def result_reply(result: CallResult) -> tuple[str, Body]:
-    """The answer that passes an upstream call's outcome on: an unreachable
-    upstream becomes a plain 503, anything it answered goes out as-is."""
-    if result.status == CallStatus.FAST_FAIL or result.status == CallStatus.TIMEOUT:
-        return "503", {"error": "UpstreamUnavailable"}
-    return result.remote_status, result.body
-
-
-def relay_result(req: Request, result: CallResult) -> None:
-    """Answer ``req`` with the outcome of an upstream call."""
-    req.reply(*result_reply(result))
-
-
-def _classify(status: str, body: Body) -> CallResult:
-    if status == NETWORK_ERROR_STATUS:
-        return _new_tuple(CallResult, (CallStatus.TIMEOUT, body, status))
-    if status.startswith("2"):
-        return _new_tuple(CallResult, (CallStatus.OK, body, status))
-    return _new_tuple(CallResult, (CallStatus.REMOTE_ERROR, body, status))
+def relay_result(req: Request, status: str, body: Body) -> None:
+    """Answer ``req`` with the outcome of an upstream call. ``gateway`` and
+    ``ssaas.services`` call it by this module-level name, so that
+    bench/tracer.py can wrap it there to time the relaying of answers."""
+    req.reply(status, body)

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (diff: traces equal; audit: clean), 1 divergence or
 violations, 2 unreadable workload or fault script, 3 tick budget exhausted,
-64 usage errors, 65 unparseable trace file, 66 missing snapshot file.
+64 usage errors, 65 unreadable trace file or config store, 66 missing store
+or unreadable snapshot file.
 
 ``--format`` picks ``text`` or ``ndjson`` output; the ``SSAAS_SIM_FORMAT``
 environment variable, when set, wins over the flag. Workload and fault
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Optional
 
 from . import workloads
@@ -169,9 +171,8 @@ def cmd_diff(ns: argparse.Namespace) -> int:
     sides = []
     for path in (ns.left, ns.right):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                sides.append(parse_trace(fh.read()))
-        except OSError as exc:
+            sides.append(parse_trace(Path(path).read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"ssaas-sim: {exc}", file=sys.stderr)
             return EXIT_BAD_TRACE
         except TraceFormatError as exc:
@@ -209,9 +210,8 @@ def cmd_stages_ls(ns: argparse.Namespace) -> int:
 
 def cmd_registry_ls(ns: argparse.Namespace) -> int:
     try:
-        with open(ns.snapshot, "r", encoding="utf-8") as fh:
-            content = fh.read()
-    except OSError as exc:
+        content = Path(ns.snapshot).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ssaas-sim: {exc}", file=sys.stderr)
         return EXIT_NO_SNAPSHOT
     print(content, end="" if content.endswith("\n") or not content else "\n")
@@ -263,8 +263,7 @@ def _resolve_format(flag: Optional[str]) -> Optional[str]:
 
 def _load_script(arg: str) -> str:
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return Path(arg).read_text(encoding="utf-8")
     if arg in workloads.BUNDLED:
         return workloads.load_text(arg)
     raise FileNotFoundError(f"no such file or bundled script: {arg}")
@@ -276,7 +275,7 @@ def _prepare_run(ns: argparse.Namespace):
         lines = parse_workload(_load_script(ns.workload))
         faults = (parse_fault_script(_load_script(ns.faults))
                   if ns.faults else None)
-    except (FileNotFoundError, WorkloadError, FaultScriptError) as exc:
+    except (OSError, UnicodeDecodeError, WorkloadError, FaultScriptError) as exc:
         print(f"ssaas-sim: {exc}", file=sys.stderr)
         return EXIT_BAD_SCRIPT
     try:
@@ -286,6 +285,9 @@ def _prepare_run(ns: argparse.Namespace):
         return EXIT_USAGE
     try:
         entries = run_workload(handle, lines, faults=faults, budget=ns.budget)
+    except WorkloadError as exc:
+        print(f"ssaas-sim: {exc}", file=sys.stderr)
+        return EXIT_BAD_SCRIPT
     except BudgetExceeded as exc:
         print(f"ssaas-sim: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -296,7 +298,7 @@ def _open_store(path: str, must_exist: bool):
     if os.path.exists(path):
         try:
             return ConfigStore.load(path), EXIT_OK
-        except CheckpointError as exc:
+        except (OSError, UnicodeDecodeError, CheckpointError) as exc:
             print(f"ssaas-sim: {path}: {exc}", file=sys.stderr)
             return None, EXIT_BAD_TRACE
     if must_exist:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chassis import ROUTE_MEMO_LIMIT, CallResult, Request, ServiceNode, relay_result, split_path
-from .simwire import Simulator
+from .chassis import ROUTE_MEMO_LIMIT, Request, ServiceNode, relay_result, split_path
+from .simwire import Body, Simulator
 
 SERVICE_NAME = "Gateway"
 
@@ -149,8 +149,8 @@ class Gateway(ServiceNode):
         assert self.client is not None, "gateway needs a client"
         rule, inner_path = hit
 
-        def relay(result: CallResult) -> None:
-            relay_result(req, result)
+        def relay(status: str, body: Body) -> None:
+            relay_result(req, status, body)
 
         self.client.call(rule.service, req.method, inner_path, req.body,
                          on_result=relay, deadline=UPSTREAM_DEADLINE_TICKS)

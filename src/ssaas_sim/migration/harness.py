@@ -8,6 +8,7 @@ Workload files are line based, one request per line::
   after startup traffic has drained) and must be non-decreasing.
 * ``client`` names the sending node; ``client`` is created with every
   topology, other names (by convention ``admin``) are created on first use.
+  A name of one of the topology's own nodes is refused.
 * ``body`` is a JSON document, or empty for no body.
 
 Blank lines and ``#`` comments are skipped. Fault scripts ride the same
@@ -26,9 +27,9 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional
 
-from ..chassis import CONFSVC_NODE, REGISTRY_NODE, CallResult, CallStatus, ServiceNode, result_reply
+from ..chassis import CONFSVC_NODE, REGISTRY_NODE, ServiceNode
 from ..simwire import Body, FaultRule, apply_fault_schedule
-from .stages import CLIENT_DEADLINE_TICKS, SystemHandle, wire_client
+from .stages import CLIENT_DEADLINE_TICKS, CLIENT_SERVICE, SystemHandle, wire_client
 from .traces import TraceEntry
 
 WORKLOAD_METHODS = ("GET", "POST", "PUT", "DELETE")
@@ -97,8 +98,14 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
     """Replay a workload, returning one trace entry per line, in line order.
 
     Raises BudgetExceeded if the system is still busy ``budget`` ticks after
-    the last line was sent.
+    the last line was sent, and WorkloadError, before anything is sent, if a
+    line's client names a node of the topology other than a client.
     """
+    for line in lines:
+        node = handle.nodes.get(line.client)
+        if node is not None and node.service != CLIENT_SERVICE:
+            raise WorkloadError(f"line {line.line_no}: client {line.client!r} is a "
+                                f"{node.service} node")
     sim = handle.sim
     base = handle.settle_tick
     if faults:
@@ -126,8 +133,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
     sim = handle.sim
     sent_tick = sim.now
 
-    def finish(result: CallResult) -> None:
-        status, body = result_reply(result)
+    def finish(status: str, body: Body) -> None:
         entries[seq] = TraceEntry(seq, line.client, line.method, line.path, line.body,
                                   sent_tick, status, body, sim.now)
 
@@ -143,8 +149,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
     else:
         hit = handle.client_router.resolve(line.path)
         if hit is None:
-            finish(CallResult(CallStatus.REMOTE_ERROR, {"error": "NoRoute"},
-                              remote_status="404"))
+            finish("404", {"error": "NoRoute"})
             return
         rule, inner_path = hit
         client.call(rule.service, line.method, inner_path, line.body,

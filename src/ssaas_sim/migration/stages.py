@@ -46,6 +46,7 @@ LAST_STAGE = 6
 
 SETTLE_BUDGET_TICKS = 200
 CLIENT_DEADLINE_TICKS = 60
+CLIENT_SERVICE = "Client"  # the service of every node a workload line sends from
 
 _BREAKER_DOC = {"breaker.threshold": str(DEFAULT_BREAKER_THRESHOLD),
                 "breaker.open_ticks": str(DEFAULT_BREAKER_OPEN_TICKS)}
@@ -225,7 +226,7 @@ def wire_client(handle: SystemHandle, name: str) -> ServiceNode:
     Before the gateway exists a client reaches services by the static map."""
     node = handle.nodes.get(name)
     if node is None:
-        node = ServiceNode(handle.sim, name, "Client")
+        node = ServiceNode(handle.sim, name, CLIENT_SERVICE)
         client = ServiceClient(node, WiringMode.DIRECT_WIRE, deadline=CLIENT_DEADLINE_TICKS)
         client.direct.update(handle.direct_map())
         handle.start([node])

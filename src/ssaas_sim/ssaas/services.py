@@ -10,7 +10,8 @@ A handler refuses a request by raising a chassis :class:`Refusal`: a
 store's domain error, a :class:`DecodeError`, or a plain 400 ``Malformed``
 for a bad argument. :meth:`ServiceNode.dispatch` answers it with the
 refusal's status and body, and so does :func:`forward` for one raised in a
-continuation that runs after an upstream call.
+continuation that runs after an upstream call. :func:`forward` passes an
+upstream call's (status, body) on as it is, or a 2xx body to the next step.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import random
 from typing import Any, Callable, Optional
 
 from ..chassis import (
-    CallResult,
-    CallStatus,
     DecodeError,
     Refusal,
     Request,
@@ -80,12 +79,12 @@ def forward(node: ServiceNode, req: Request, service: str, method: str, path: st
     A failure, or a success lacking ``fields``, runs ``undo`` and is then
     answered, so a compensating call goes out before the reply does.
     """
-    def done(result: CallResult) -> None:
-        if then is not None and result.ok:
+    def done(status: str, rbody: Body) -> None:
+        if then is not None and status.startswith("2"):
             try:
-                out = decode_tolerant(result.body, fields) if fields else result.body
-            except DecodeError:
-                result = CallResult(CallStatus.FAST_FAIL)  # as good as unreachable
+                out = decode_tolerant(rbody, fields) if fields else rbody
+            except DecodeError:  # as good as unreachable
+                status, rbody = "503", {"error": "UpstreamUnavailable"}
             else:
                 try:
                     then(out)
@@ -94,7 +93,7 @@ def forward(node: ServiceNode, req: Request, service: str, method: str, path: st
                 return
         if undo is not None:
             undo()
-        relay_result(req, result)
+        relay_result(req, status, rbody)
 
     node.client.call(service, method, path, body, on_result=done)
 
@@ -169,7 +168,7 @@ class DeveloperData(ServiceNode):
         super().__init__(sim, node_id, "DeveloperData")
         self.schemas = schemas
         if developers is not None:
-            mount_developer_entity(self, developers, "/schema/developers")
+            mount_developer_entity(self, developers, DEV_ENTITY_EMBEDDED[1])
         if pool is not None:
             mount_resources(self, pool, policy_rng(sim.seed, "DeveloperData"))
 
@@ -214,7 +213,7 @@ class DeveloperInfoServices(ServiceNode):
     def __init__(self, sim: Simulator, node_id: str, developers: DeveloperStore) -> None:
         super().__init__(sim, node_id, "DeveloperInfoServices")
         self.developers = developers
-        mount_developer_entity(self, developers, "/developers")
+        mount_developer_entity(self, developers, DEV_ENTITY_SERVICE[1])
 
 
 class DeveloperServices(ServiceNode):

@@ -4,6 +4,7 @@ the client call paths over a live wire, and lease renewal."""
 from __future__ import annotations
 
 import importlib
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from ssaas_sim import chassis
 from ssaas_sim.chassis import (
     DEFAULT_BREAKER_OPEN_TICKS,
     DEFAULT_CALL_DEADLINE_TICKS,
-    CallResult,
-    CallStatus,
     CircuitBreaker,
     CircuitState,
     ConfigView,
@@ -28,7 +27,6 @@ from ssaas_sim.chassis import (
     ServiceNode,
     WiringMode,
     decode_tolerant,
-    result_reply,
 )
 from ssaas_sim.migration import build_stage
 from ssaas_sim.registry import RegistryService, UnknownInstance
@@ -253,19 +251,6 @@ class TestConfigView:
         assert (cfg.version, cfg.entries) == ((1, 0), {"k": "1"})
 
 
-class TestResultReply:
-    @pytest.mark.parametrize("status", [CallStatus.FAST_FAIL, CallStatus.TIMEOUT])
-    def test_unreachable_is_a_fresh_503(self, status):
-        first, second = result_reply(CallResult(status)), result_reply(CallResult(status))
-        assert first == second == ("503", {"error": "UpstreamUnavailable"})
-        assert first[1] is not second[1]
-
-    def test_answers_pass_through(self):
-        body = {"error": "Nope"}
-        assert result_reply(CallResult(CallStatus.REMOTE_ERROR, body, "404")) == ("404", body)
-        assert result_reply(CallResult(CallStatus.OK, [1], "201")) == ("201", [1])
-
-
 class EchoNode(ServiceNode):
     """Replies 200 with the request body; /fail replies 500; /sluggish never replies."""
 
@@ -303,6 +288,16 @@ def run_until_idle(sim: Simulator) -> None:
     assert sim.run_until_idle(budget=500)
 
 
+# What a caller gets from an upstream it could not reach.
+UNAVAILABLE = ("503", {"error": "UpstreamUnavailable"})
+
+
+def answers() -> tuple[list[tuple[str, object]], Callable[[str, object], None]]:
+    """A list, and an ``on_result`` that appends each (status, body) to it."""
+    got: list[tuple[str, object]] = []
+    return got, lambda status, body: got.append((status, body))
+
+
 class TestClientDirectWire:
     def _setup(self):
         sim = Simulator()
@@ -313,83 +308,120 @@ class TestClientDirectWire:
 
     def test_ok_round_trip(self):
         sim, caller = self._setup()
-        results: list[CallResult] = []
-        caller.client.call("Echo", "POST", "/echo", {"v": 1}, results.append)
+        results, on_result = answers()
+        caller.client.call("Echo", "POST", "/echo", {"v": 1}, on_result)
         run_until_idle(sim)
-        assert results[0].status is CallStatus.OK
-        assert results[0].body == {"v": 1}
+        assert results == [("200", {"v": 1})]
 
-    def test_unconfigured_service_fast_fails(self):
+    def test_unconfigured_service_fast_fails(self, monkeypatch):
         sim, caller = self._setup()
-        results: list[CallResult] = []
-        caller.client.call("Nowhere", "POST", "/x", None, results.append)
-        assert results[0].status is CallStatus.FAST_FAIL
+        armed = count_timers(sim, monkeypatch)
+        results, on_result = answers()
+        caller.client.call("Nowhere", "POST", "/x", None, on_result)
+        # Answered at once, with nothing put on the wire and no deadline armed.
+        assert results == [UNAVAILABLE]
+        assert (len(sim.records), sim.sent, armed) == (0, 0, [])
 
-    def test_remote_4xx_is_remote_error_not_breaker_failure(self):
+    def test_remote_4xx_is_relayed_and_not_a_breaker_failure(self):
         sim, caller = self._setup()
-        results: list[CallResult] = []
+        results, on_result = answers()
         for _ in range(8):
-            caller.client.call("Echo", "POST", "/reject", None, results.append)
+            caller.client.call("Echo", "POST", "/reject", None, on_result)
             run_until_idle(sim)
-        assert all(r.status is CallStatus.REMOTE_ERROR and r.remote_status == "400"
-                   for r in results)
+        assert results == [("400", {"error": "Malformed"})] * 8
         assert caller.client.breaker_for("echo-1").state is CircuitState.CLOSED
 
-    def test_remote_5xx_trips_breaker(self):
+    def test_remote_5xx_trips_breaker(self, monkeypatch):
         sim, caller = self._setup()
-        results: list[CallResult] = []
-        for _ in range(6):
-            caller.client.call("Echo", "POST", "/fail", None, results.append)
+        results, on_result = answers()
+        for _ in range(5):
+            caller.client.call("Echo", "POST", "/fail", None, on_result)
             run_until_idle(sim)
-        assert results[4].status is CallStatus.REMOTE_ERROR
-        # breaker opened on the 5th failure; the 6th call never hit the wire
-        assert results[5].status is CallStatus.FAST_FAIL
+        assert results == [("500", {"error": "boom"})] * 5
         assert caller.client.breaker_for("echo-1").state is CircuitState.OPEN
+        # The breaker opened on the 5th failure, so the 6th call is answered
+        # at once and never hits the wire.
+        sent, armed = len(sim.records), count_timers(sim, monkeypatch)
+        caller.client.call("Echo", "POST", "/fail", None, on_result)
+        assert results[5:] == [UNAVAILABLE]
+        assert (len(sim.records), armed) == (sent, [])
 
     def test_missing_response_times_out_at_deadline(self):
         sim, caller = self._setup()
-        results: list[CallResult] = []
-        caller.client.call("Echo", "POST", "/sluggish", None, results.append)
+        got = []
+        caller.client.call("Echo", "POST", "/sluggish", None,
+                           lambda status, body: got.append((status, body, sim.now)))
         start = sim.now
         run_until_idle(sim)
-        assert results[0].status is CallStatus.TIMEOUT
-        assert results[0].remote_status is None
+        # The request went out, and its deadline answered it.
+        assert [(r.kind, r.destination, r.path) for r in sim.records] == \
+            [("REQUEST", "echo-1", "/sluggish")]
+        assert got == [UNAVAILABLE + (start + caller.client.deadline + 1,)]
         assert sim.now == start + caller.client.deadline + 1
+        assert caller.client._pending == {}
 
-    def test_killed_target_maps_to_timeout(self):
+    def test_killed_target_answers_unavailable(self):
         sim, caller = self._setup()
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="echo-1"))
-        results: list[CallResult] = []
-        caller.client.call("Echo", "POST", "/echo", {"v": 1}, results.append)
+        results, on_result = answers()
+        caller.client.call("Echo", "POST", "/echo", {"v": 1}, on_result)
         run_until_idle(sim)
-        assert results[0].status is CallStatus.TIMEOUT
+        # The kernel's network-error reply (body {"error": "NetworkError"})
+        # reaches the caller as a plain 503.
+        assert [(r.kind, r.status) for r in sim.records] == [
+            ("REQUEST", "failed"), ("RESPONSE", "network-error")]
+        assert results == [UNAVAILABLE]
+
+    @pytest.mark.parametrize("path, kill, failures", [
+        ("/echo", False, 0), ("/reject", False, 0), ("/fail", False, 1),
+        ("/sluggish", False, 1), ("/echo", True, 1),
+    ], ids=["2xx", "4xx", "5xx", "timeout", "network-error"])
+    def test_what_counts_as_a_breaker_failure(self, path, kill, failures):
+        sim, caller = self._setup()
+        if kill:
+            sim.inject(FaultRule(FaultEffect.KILL_NODE, node="echo-1"))
+        caller.client.call("Echo", "POST", path, None, answers()[1])
+        run_until_idle(sim)
+        assert caller.client.breakers["echo-1"].consecutive_failures == failures
+
+    @pytest.mark.parametrize("service, path, kill", [
+        ("Nowhere", "/x", False), ("Echo", "/sluggish", False), ("Echo", "/echo", True),
+    ], ids=["fast-fail", "timeout", "network-error"])
+    def test_unreachable_answers_share_no_body(self, service, path, kill):
+        sim, caller = self._setup()
+        if kill:
+            sim.inject(FaultRule(FaultEffect.KILL_NODE, node="echo-1"))
+        results, on_result = answers()
+        for _ in range(2):
+            caller.client.call(service, "POST", path, None, on_result)
+            run_until_idle(sim)
+        assert results == [UNAVAILABLE] * 2
+        assert results[0][1] is not results[1][1]
 
     def test_response_on_deadline_tick_still_counts(self):
         sim, caller = self._setup()
         sim.inject(FaultRule(FaultEffect.DELAY, source="echo-1", destination="caller",
                              delay_ticks=3))
-        results: list[CallResult] = []
-        caller.client.call("Echo", "POST", "/echo", {"v": 2}, results.append,
-                           deadline=5)
+        results, on_result = answers()
+        caller.client.call("Echo", "POST", "/echo", {"v": 2}, on_result, deadline=5)
         run_until_idle(sim)
-        assert results[0].status is CallStatus.OK
+        assert results == [("200", {"v": 2})]
 
-    @pytest.mark.parametrize("delay, status, failures", [
-        (3, CallStatus.OK, 0),
-        (4, CallStatus.TIMEOUT, 1),
+    @pytest.mark.parametrize("delay, answer, failures", [
+        (3, ("200", {"v": 3}), 0),
+        (4, UNAVAILABLE, 1),
     ])
-    def test_deadline_fires_before_reply_on_same_tick(self, delay, status, failures):
+    def test_deadline_fires_before_reply_on_same_tick(self, delay, answer, failures):
         # The deadline timer (deadline + 1 ticks) is queued at call time, the
         # reply one tick later, so on a shared tick the deadline runs first.
         sim, caller = self._setup()
         sim.inject(FaultRule(FaultEffect.DELAY, source="echo-1", destination="caller",
                              delay_ticks=delay))
-        results: list[CallResult] = []
+        results, on_result = answers()
         start = sim.now
-        caller.client.call("Echo", "POST", "/echo", {"v": 3}, results.append,
-                           deadline=5)
+        caller.client.call("Echo", "POST", "/echo", {"v": 3}, on_result, deadline=5)
         run_until_idle(sim)
-        assert [r.status for r in results] == [status]
+        assert results == [answer]
         assert caller.client.breakers["echo-1"].consecutive_failures == failures
         assert caller.client._pending == {}
         reply = sim.records[-1]
@@ -410,17 +442,16 @@ class TestClientDiscovered:
         return sim, caller, registry
 
     def _call(self, sim, caller, path="/echo", body=None):
-        results: list[CallResult] = []
-        caller.client.call("Echo", "POST", path, body, results.append)
+        results, on_result = answers()
+        caller.client.call("Echo", "POST", path, body, on_result)
         run_until_idle(sim)
-        return results[0]
+        [answer] = results
+        return answer
 
     def test_discovers_then_round_robins(self):
         sim, caller, registry = self._setup()
-        hit: list[str] = []
         for i in range(6):
-            r = self._call(sim, caller, body={"n": i})
-            assert r.ok
+            assert self._call(sim, caller, body={"n": i}) == ("200", {"n": i})
         sends = [rec.destination for rec in sim.records
                  if rec.kind == "REQUEST" and rec.path == "/echo"]
         assert sends == ["echo-1", "echo-2", "echo-3"] * 2
@@ -434,11 +465,12 @@ class TestClientDiscovered:
 
     def test_empty_registry_fast_fails(self):
         sim, caller, registry = self._setup()
-        assert self._call(sim, caller).ok
+        assert self._call(sim, caller) == ("200", None)
         registry.instances["Echo"] = []
         sim.advance_to(sim.now + caller.client.resolver.cache_ttl)
-        r = self._call(sim, caller)
-        assert r.status is CallStatus.FAST_FAIL
+        sent = sim.sent
+        assert self._call(sim, caller) == UNAVAILABLE
+        assert sim.sent == sent + 2  # the registry query and its answer only
 
     def test_open_breaker_instance_skipped(self):
         sim, caller, registry = self._setup()
@@ -456,8 +488,8 @@ class TestClientDiscovered:
     def test_registry_down_fast_fails(self):
         sim, caller, registry = self._setup()
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
-        r = self._call(sim, caller)
-        assert r.status is CallStatus.FAST_FAIL
+        assert self._call(sim, caller) == UNAVAILABLE
+        assert [r.path for r in sim.records if r.path == "/echo"] == []
 
 
 class ScriptNode(ServiceNode):
@@ -481,18 +513,20 @@ class ScriptNode(ServiceNode):
 class TestCallPathsAgree:
     """One answer script through every wiring mode. The wire modes keep
     separate send paths (a configured node, or a resolved instance), so they
-    must agree on every result and every breaker state. A library call has
-    no deadline: answers that come late over the wire come back as OK."""
+    must agree on every answer and every breaker state. A library call
+    hands its callback the same (status, body) wherever it gets the same
+    status."""
 
     DEADLINE = 5
-    # (path, what the wire modes get); /after/3 lands on the deadline tick,
-    # /after/4 one tick past it, /after/12 long after the deadline fired.
-    SCRIPT = [("/ok", CallStatus.OK), ("/reject", CallStatus.REMOTE_ERROR),
-              ("/fail", CallStatus.REMOTE_ERROR), ("/neterr", CallStatus.TIMEOUT),
-              ("/after/3", CallStatus.OK), ("/after/4", CallStatus.TIMEOUT),
-              ("/after/12", CallStatus.TIMEOUT)] + \
-        [("/fail", CallStatus.REMOTE_ERROR)] * 3 + [("/ok", CallStatus.FAST_FAIL)]
-    LATE = ("/after/4", "/after/12")
+    # (path, the status the wire modes get); /after/3 lands on the deadline
+    # tick, /after/4 one tick past it, /after/12 long after the deadline fired.
+    SCRIPT = [("/ok", "200"), ("/reject", "400"), ("/fail", "500"), ("/neterr", "503"),
+              ("/after/3", "200"), ("/after/4", "503"), ("/after/12", "503")] + \
+        [("/fail", "500")] * 3 + [("/ok", "503")]
+    # What a library call gets instead. It has no deadline, so late answers
+    # arrive; it has no breaker, so the last /ok is served; and it never
+    # crosses the kernel, so a network-error status is passed on as it is.
+    LIBRARY = ["200", "400", "500", "network-error", "200", "200", "200"] + ["500"] * 3 + ["200"]
 
     def _run(self, mode: WiringMode):
         sim = Simulator()
@@ -509,8 +543,8 @@ class TestCallPathsAgree:
         for i, (path, _) in enumerate(self.SCRIPT + [("/ok", None)]):
             if i == len(self.SCRIPT):
                 sim.advance_to(sim.now + DEFAULT_BREAKER_OPEN_TICKS)  # probe
-            results: list[CallResult] = []
-            caller.client.call("Script", "POST", path, {"n": i}, results.append,
+            results, on_result = answers()
+            caller.client.call("Script", "POST", path, {"n": i}, on_result,
                                deadline=self.DEADLINE)
             run_until_idle(sim)
             brk = caller.client.breakers.get("script-1")
@@ -522,18 +556,18 @@ class TestCallPathsAgree:
         discovered = self._run(WiringMode.DISCOVERED)
         library = self._run(WiringMode.LIBRARY_CALL)
         assert direct == discovered
-        assert [r[0].status for r, _ in direct] == \
-            [want for _, want in self.SCRIPT] + [CallStatus.OK]
-        assert direct[3][0][0] == CallResult(CallStatus.TIMEOUT, {"error": "NetworkError"},
-                                             "network-error")
+        assert [r[0][0] for r, _ in direct] == [want for _, want in self.SCRIPT] + ["200"]
+        assert direct[3][0] == [UNAVAILABLE]
         assert direct[-2][1] == (CircuitState.OPEN, 5)
         assert direct[-1][1] == (CircuitState.CLOSED, 0)
-        for (path, _), (wire, _), (lib, brk) in zip(self.SCRIPT, direct, library):
+        assert [r[0][0] for r, _ in library] == self.LIBRARY + ["200"]
+        same = 0
+        for (wire, _), (lib, brk) in zip(direct, library):
             assert brk is None
-            if path in self.LATE:
-                assert lib[0].status is CallStatus.OK
-            elif wire[0].status is not CallStatus.FAST_FAIL:
+            if lib[0][0] == wire[0][0]:
                 assert lib == wire
+                same += 1
+        assert same == 8
 
 
 class TestServiceNodeRouting:
@@ -662,23 +696,24 @@ class TestServiceNodeRouting:
         wire.direct["Svc"] = "svc-1"
         library = ServiceClient(ServiceNode(sim, "host", "Host"), WiringMode.LIBRARY_CALL)
         library.add_peer("Svc", node)
-        results: list[CallResult] = []
+        results, on_result = answers()
         if status is None:
             with pytest.raises(ValueError):
-                library.call("Svc", "POST", "/refuse", None, results.append)
-            wire.call("Svc", "POST", "/refuse", None, results.append)
-            wire.call("Svc", "POST", "/ok", None, results.append)
+                library.call("Svc", "POST", "/refuse", None, on_result)
+            wire.call("Svc", "POST", "/refuse", None, on_result)
+            wire.call("Svc", "POST", "/ok", None, on_result)
             with pytest.raises(ValueError):
                 sim.step()
             # The rest of the tick, the /ok request, is still queued there.
             assert sim.next_event_tick() == 1
             run_until_idle(sim)
-            assert [r.status for r in results] == [CallStatus.OK, CallStatus.TIMEOUT]
+            # The /ok answer, then the /refuse request's deadline.
+            assert results == [("200", None), UNAVAILABLE]
             return
-        library.call("Svc", "POST", "/refuse", None, results.append)
-        wire.call("Svc", "POST", "/refuse", None, results.append)
+        library.call("Svc", "POST", "/refuse", None, on_result)
+        wire.call("Svc", "POST", "/refuse", None, on_result)
         run_until_idle(sim)
-        assert results == [CallResult(CallStatus.REMOTE_ERROR, body, status)] * 2
+        assert results == [(status, body)] * 2
 
     @pytest.mark.parametrize("name, status, code, base, module", DECLARED_REFUSALS,
                              ids=[row[0] for row in DECLARED_REFUSALS])
@@ -720,18 +755,19 @@ class TestLibraryMode:
         client = ServiceClient(host, WiringMode.LIBRARY_CALL)
         peer = EchoNode(sim, "virtual-echo")  # never bound to the wire
         client.add_peer("Echo", peer)
-        results = []
-        client.call("Echo", "POST", "/echo", {"x": 1}, results.append)
-        assert results and results[0].ok and results[0].body == {"x": 1}
+        results, on_result = answers()
+        client.call("Echo", "POST", "/echo", {"x": 1}, on_result)
+        assert results == [("200", {"x": 1})]
         assert sim.records == []  # nothing touched the wire
 
     def test_unknown_peer_fast_fails(self):
         sim = Simulator()
         host = ServiceNode(sim, "host", "Host").bind()
         client = ServiceClient(host, WiringMode.LIBRARY_CALL)
-        results = []
-        client.call("Echo", "POST", "/echo", None, results.append)
-        assert results[0].status is CallStatus.FAST_FAIL
+        results, on_result = answers()
+        client.call("Echo", "POST", "/echo", None, on_result)
+        assert results == [UNAVAILABLE]
+        assert sim.records == []
 
 
 def live_node(deadline: int = DEFAULT_CALL_DEADLINE_TICKS
@@ -837,15 +873,15 @@ class TestLeaseRenewal:
     def test_an_idle_stage_six_system_arms_no_timer(self, monkeypatch):
         sim = build_stage(6).sim
         armed = count_timers(sim, monkeypatch)
-        classified = []
-        classify = chassis._classify
-        monkeypatch.setattr(chassis, "_classify",
-                            lambda *args: classified.append(args) or classify(*args))
+        cancelled = []
+        cancel_timer = sim.cancel_timer
+        monkeypatch.setattr(sim, "cancel_timer",
+                            lambda *args: cancelled.append(args) or cancel_timer(*args))
         sent = sim.sent
         sim.advance_to(sim.now + 100)
         assert sim.sent - sent == 6 * 10 * 2  # six app nodes renew, 10 round trips each
         assert armed == []
-        assert classified == []  # a renewal reply is settled on its pending entry
+        assert cancelled == []  # a renewal reply is settled on its pending entry
 
     @pytest.mark.parametrize("deadline", [1, 2, 3, 5, 9, 10, 11, 25])
     def test_the_deadline_tick_is_exact(self, deadline, monkeypatch):

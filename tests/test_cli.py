@@ -11,6 +11,19 @@ def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
 
 
+def unreadable(tmp_path, kind: str) -> str:
+    """A path ``open(..., encoding="utf-8").read()`` fails on: a directory,
+    or a file that is not UTF-8."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0|client|GET|/caf\xe9|\n")
+    return str(path)
+
+
+UNREADABLE = ["directory", "undecodable"]
+
+
 STAGES_LS = """\
 stage 0: single deployable [LIBRARY_CALL]
   0|client|Client|DIRECT_WIRE
@@ -156,6 +169,25 @@ class TestRun:
         fields = capsys.readouterr().out.strip().split("\t")
         assert [fields[6], fields[8]] == answer
 
+    @pytest.mark.parametrize("flag", ["--workload", "--faults"])
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_script_is_a_bad_script(self, tmp_path, capsys, flag, kind):
+        argv = {"--workload": "basic.wl", "--faults": None}
+        argv[flag] = unreadable(tmp_path, kind)
+        args = [arg for key, value in argv.items() if value for arg in (key, value)]
+        assert run_cli("run", "--stage", "1", *args) == 2
+        assert capsys.readouterr().err.startswith("ssaas-sim: ")
+
+    @pytest.mark.parametrize("client, stage", [
+        ("registry", 4), ("gateway", 3), ("developerservices-1", 6), ("monolith", 0),
+    ])
+    def test_a_client_naming_a_topology_node_is_a_bad_script(self, tmp_path, capsys,
+                                                            client, stage):
+        script = tmp_path / "one.wl"
+        script.write_text(f"0|client|GET|/api/developers/1|\n0|{client}|GET|/api/developers/1|\n")
+        assert run_cli("run", "--stage", str(stage), "--workload", str(script)) == 2
+        assert capsys.readouterr().err.startswith("ssaas-sim: line 2: ")
+
     def test_budget_exhaustion_exit(self, tmp_path):
         assert run_cli("run", "--stage", "1", "--workload", "basic.wl",
                        "--budget", "1") == 3
@@ -201,6 +233,12 @@ class TestDiff:
         assert run_cli("diff", str(bad), str(bad)) == 65
         assert run_cli("diff", str(tmp_path / "none"), str(bad)) == 65
 
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_undecodable_or_directory_trace(self, tmp_path, capsys, kind):
+        path = unreadable(tmp_path, kind)
+        assert run_cli("diff", path, path) == 65
+        assert capsys.readouterr().err.startswith("ssaas-sim: ")
+
 
 class TestAuditCommand:
     def test_clean_stage_six_run(self, capsys):
@@ -213,6 +251,12 @@ class TestAuditCommand:
     def test_stage_zero_reports_not_applicable(self, capsys):
         assert run_cli("audit", "--stage", "0", "--workload", "basic.wl") == 0
         assert "NOT_APPLICABLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_workload_is_a_bad_script_not_violations(self, tmp_path, capsys,
+                                                                 kind):
+        assert run_cli("audit", "--stage", "1", "--workload", unreadable(tmp_path, kind)) == 2
+        assert capsys.readouterr().err.startswith("ssaas-sim: ")
 
 
 class TestStagesListing:
@@ -251,6 +295,11 @@ class TestRegistryListing:
         assert run_cli("registry", "ls",
                        "--snapshot", str(tmp_path / "none.snap")) == 66
 
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_snapshot(self, tmp_path, capsys, kind):
+        assert run_cli("registry", "ls", "--snapshot", unreadable(tmp_path, kind)) == 66
+        assert capsys.readouterr().err.startswith("ssaas-sim: ")
+
 
 class TestConfigStoreCommands:
     def test_set_then_get(self, tmp_path, capsys):
@@ -282,6 +331,13 @@ class TestConfigStoreCommands:
         store.write_text("Svc|default|1|a=1\n|default|1|a=1\n")
         assert run_cli("config", "get", "--store", str(store), "Svc", "default") == 65
         assert "line 2: bad service or profile name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entries", [("get", []), ("set", ["a=1"])])
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_store(self, tmp_path, capsys, command, entries, kind):
+        store = unreadable(tmp_path, kind)
+        assert run_cli("config", command, "--store", store, "Svc", "default", *entries) == 65
+        assert capsys.readouterr().err.startswith("ssaas-sim: ")
 
     def test_set_rejects_bad_pair_syntax(self, tmp_path):
         assert run_cli("config", "set", "--store", str(tmp_path / "c.ckpt"),

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssaas_sim.chassis import (
-    CallResult,
     ServiceClient,
     ServiceNode,
     WiringMode,
@@ -22,7 +21,7 @@ from ssaas_sim.confsvc import (
     ConfigStore,
     MalformedConfig,
 )
-from ssaas_sim.simwire import Simulator
+from ssaas_sim.simwire import Body, Simulator
 
 
 class TestStore:
@@ -166,28 +165,31 @@ def build_world():
     return sim, confsvc, admin
 
 
-def wire_call(sim, node, target, method, path, body=None) -> CallResult:
-    results: list[CallResult] = []
-    node.client.call_node(target, method, path, body, results.append)
+def wire_call(sim, node, target, method, path, body=None) -> tuple[str, Body]:
+    """The (status, body) ``node`` gets for one call to ``target``."""
+    results: list[tuple[str, Body]] = []
+    node.client.call_node(target, method, path, body,
+                          lambda status, reply: results.append((status, reply)))
     assert sim.run_until_idle(budget=200)
-    return results[0]
+    [answer] = results
+    return answer
 
 
 class TestWireApi:
     def test_get_and_set_round_trip(self):
         sim, confsvc, admin = build_world()
-        r = wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
-                      {"entries": {"k": "v"}})
-        assert r.ok and r.body == {"version": [1, 1]}
-        r = wire_call(sim, admin, "confsvc", "GET", "/config/Svc/default")
-        assert r.body["entries"] == {"k": "v"}
-        assert r.body["version"] == [1, 1]
+        status, reply = wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
+                                  {"entries": {"k": "v"}})
+        assert (status, reply) == ("200", {"version": [1, 1]})
+        status, reply = wire_call(sim, admin, "confsvc", "GET", "/config/Svc/default")
+        assert reply["entries"] == {"k": "v"}
+        assert reply["version"] == [1, 1]
 
     def test_set_without_entries_mapping_is_400(self):
         sim, confsvc, admin = build_world()
-        r = wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
-                      {"entries": "nope"})
-        assert r.remote_status == "400"
+        status, reply = wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
+                                  {"entries": "nope"})
+        assert status == "400"
 
     @pytest.mark.parametrize("path, entries, body", [
         ("/config/a|b/default", {"k": "v"}, {"error": "Malformed"}),
@@ -199,8 +201,8 @@ class TestWireApi:
     def test_malformed_write_names_entries_only_when_they_are_at_fault(self, path, entries,
                                                                        body):
         sim, confsvc, admin = build_world()
-        r = wire_call(sim, admin, "confsvc", "PUT", path, {"entries": entries})
-        assert (r.remote_status, r.body) == ("400", body)
+        status, reply = wire_call(sim, admin, "confsvc", "PUT", path, {"entries": entries})
+        assert (status, reply) == ("400", body)
         assert confsvc.store.services() == []
 
     def test_write_pushes_refresh_to_subscriber(self):
@@ -264,6 +266,6 @@ class TestWireApi:
         assert (late.config.version, late.config.entries) == ((0, 0), {})
         # pushed, the same document is refused the same way
         ServiceClient(fake, WiringMode.DIRECT_WIRE)
-        r = wire_call(sim, fake, "late-1", "POST", "/refresh", doc)
-        assert (r.remote_status, r.body) == pushed
+        status, reply = wire_call(sim, fake, "late-1", "POST", "/refresh", doc)
+        assert (status, reply) == pushed
         assert (late.config.version, late.config.entries) == ((0, 0), {})

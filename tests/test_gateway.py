@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ssaas_sim.chassis import CallResult, ServiceClient, ServiceNode, WiringMode, split_path
+from ssaas_sim.chassis import ServiceClient, ServiceNode, WiringMode, split_path
 from ssaas_sim.gateway import (
     DuplicatePrefix,
     Gateway,
@@ -12,7 +12,7 @@ from ssaas_sim.gateway import (
     RouteRule,
     RouteTable,
 )
-from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
+from ssaas_sim.simwire import Body, Envelope, FaultEffect, FaultRule, Simulator
 
 
 def table_with(*rules: tuple[str, str, bool]) -> RouteTable:
@@ -120,19 +120,22 @@ def build_edge():
     return sim, gw, caller
 
 
-def through_gateway(sim, caller, method, path, body=None) -> CallResult:
-    results: list[CallResult] = []
-    caller.client.call_node("gateway", method, path, body, results.append,
+def through_gateway(sim, caller, method, path, body=None) -> tuple[str, Body]:
+    """The (status, body) an external caller gets through the gateway."""
+    results: list[tuple[str, Body]] = []
+    caller.client.call_node("gateway", method, path, body,
+                            lambda status, reply: results.append((status, reply)),
                             deadline=60)
     assert sim.run_until_idle(budget=200)
-    return results[0]
+    [answer] = results
+    return answer
 
 
 class TestGatewayNode:
     def test_routes_and_strips(self):
         sim, gw, caller = build_edge()
-        r = through_gateway(sim, caller, "GET", "/api/developers/42")
-        assert r.ok and r.body == {"developer_id": 42}
+        status, reply = through_gateway(sim, caller, "GET", "/api/developers/42")
+        assert (status, reply) == ("200", {"developer_id": 42})
         inner = [rec for rec in sim.records
                  if rec.source == "gateway" and rec.kind == "REQUEST"]
         assert inner[0].path == "/developers/42"
@@ -140,52 +143,52 @@ class TestGatewayNode:
     def test_upstream_error_relayed_with_status(self):
         sim, gw, caller = build_edge()
         gw.table.add_route(RouteRule("/edge/missing", "DevInfo", True))
-        r = through_gateway(sim, caller, "GET", "/edge/missing")
-        assert r.remote_status == "404"
-        assert r.body == {"error": "UnknownThing"}
+        status, reply = through_gateway(sim, caller, "GET", "/edge/missing")
+        assert status == "404"
+        assert reply == {"error": "UnknownThing"}
 
     def test_unrouted_path_is_404(self):
         sim, gw, caller = build_edge()
-        r = through_gateway(sim, caller, "GET", "/elsewhere/1")
-        assert r.remote_status == "404"
-        assert r.body == {"error": "NoRoute"}
+        status, reply = through_gateway(sim, caller, "GET", "/elsewhere/1")
+        assert status == "404"
+        assert reply == {"error": "NoRoute"}
 
     def test_dead_upstream_becomes_503(self):
         sim, gw, caller = build_edge()
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="upstream-1"))
-        r = through_gateway(sim, caller, "GET", "/api/developers/42")
-        assert r.remote_status == "503"
-        assert r.body == {"error": "UpstreamUnavailable"}
+        status, reply = through_gateway(sim, caller, "GET", "/api/developers/42")
+        assert status == "503"
+        assert reply == {"error": "UpstreamUnavailable"}
 
     def test_unconfigured_service_becomes_503(self):
         sim, gw, caller = build_edge()
         gw.table.add_route(RouteRule("/api/ghost", "GhostSvc", True))
-        r = through_gateway(sim, caller, "GET", "/api/ghost/1")
-        assert r.remote_status == "503"
-        assert r.body == {"error": "UpstreamUnavailable"}
+        status, reply = through_gateway(sim, caller, "GET", "/api/ghost/1")
+        assert status == "503"
+        assert reply == {"error": "UpstreamUnavailable"}
 
     def test_refresh_rebuilds_route_table(self):
         sim, gw, caller = build_edge()
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/people|DevInfo|1"}}
-        r = through_gateway(sim, caller, "POST", "/refresh", req_body)
-        assert r.ok
+        status, reply = through_gateway(sim, caller, "POST", "/refresh", req_body)
+        assert status == "200"
         assert gw.table.resolve("/api/people/1") == \
             (RouteRule("/api/people", "DevInfo", True), "/people/1")
         # old prefix is gone, new one forwards with its last segment kept
-        assert through_gateway(sim, caller, "GET", "/api/developers/42").remote_status == "404"
+        assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "404"
 
     def test_refresh_sends_an_already_resolved_path_to_the_new_service(self):
         sim, gw, caller = build_edge()
         UpstreamNode(sim, "upstream-2").bind()
         gw.client.direct["People"] = "upstream-2"
-        assert through_gateway(sim, caller, "GET", "/api/developers/42").ok
+        assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "200"
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/developers|People|0"}}
-        assert through_gateway(sim, caller, "POST", "/refresh", req_body).ok
+        assert through_gateway(sim, caller, "POST", "/refresh", req_body)[0] == "200"
         mark = len(sim.records)
         # the new rule forwards the path unstripped, which upstream-2 has no route for
-        assert through_gateway(sim, caller, "GET", "/api/developers/42").remote_status == "404"
+        assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "404"
         inner = [(rec.destination, rec.path) for rec in sim.records[mark:]
                  if rec.source == "gateway" and rec.kind == "REQUEST"]
         assert inner == [("upstream-2", "/api/developers/42")]
@@ -195,5 +198,5 @@ class TestGatewayNode:
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "broken"}}
         through_gateway(sim, caller, "POST", "/refresh", req_body)
-        r = through_gateway(sim, caller, "GET", "/api/developers/7")
-        assert r.ok and r.body == {"developer_id": 7}
+        status, reply = through_gateway(sim, caller, "GET", "/api/developers/7")
+        assert (status, reply) == ("200", {"developer_id": 7})

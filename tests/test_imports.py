@@ -1,6 +1,6 @@
 """Every name a source module imports, and every private name it binds at
-module level, is used in that module; and importing the program generates
-no code.
+module level, is used in that module; every public name is used somewhere;
+and importing the program generates no code.
 
 No linter ships with the project, so this parses each module under
 ``src/ssaas_sim/`` with :mod:`ast` and names every imported name the module
@@ -8,6 +8,12 @@ never loads, and every module-level ``_name`` bound by an assignment, a
 ``def`` or a ``class`` that the module never loads. Package ``__init__.py``
 files re-export names, so they are skipped, and so are ``from __future__``
 imports and dunder names. Names inside string annotations count as loads.
+
+A public name (a module-level binding, or a method of a module-level class,
+not starting with ``_``) must be loaded somewhere in ``src/``, ``bench/`` or
+``tests/``: as a name, an attribute, an imported name, or a string constant,
+since the benchmark's tracer patches attributes by their names. Neither a
+package ``__init__.py``'s re-export nor an ``__all__`` entry is a use.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ssaas_sim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ssaas_sim"
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -33,9 +40,9 @@ def imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def private_bindings(tree: ast.Module) -> set[str]:
-    """Names starting with ``_`` that the module's top level binds with an
-    assignment, a ``def`` or a ``class``; dunder names are left out."""
+def top_level_bindings(tree: ast.Module) -> set[str]:
+    """Names the module's top level binds with an assignment, a ``def`` or a
+    ``class``."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -44,8 +51,48 @@ def private_bindings(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-    return {name for name in names
+    return names
+
+
+def private_bindings(tree: ast.Module) -> set[str]:
+    """Top-level bindings starting with ``_``; dunder names are left out."""
+    return {name for name in top_level_bindings(tree)
             if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    """Top-level bindings, and methods of top-level classes, that do not
+    start with ``_``."""
+    names = set(top_level_bindings(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return {name for name in names if not name.startswith("_")}
+
+
+def used_names(tree: ast.Module, reexports: bool) -> set[str]:
+    """Names, attributes, imported names and string constants the module
+    loads, leaving out ``__all__`` and, for a package that ``reexports``,
+    its imports."""
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(target, ast.Name)
+                                                and target.id == "__all__"
+                                                for target in node.targets):
+            listed.update(id(item) for item in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias) and not reexports:
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in listed:
+            names.add(node.value)
+    return names
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -97,6 +144,18 @@ def test_reference_detects_unused_private_names():
         "_b", "_c", "_e", "_f", "_i"]
 
 
+def test_reference_detects_dead_public_names():
+    defining = ast.parse("A = 1\nB, _c = 2, 3\ndef f(): pass\ndef g(): pass\n"
+                         "class K:\n    x = 1\n    def used(self): pass\n"
+                         "    def patched(self): pass\n    def dead(self): pass\n"
+                         "    def _private(self): pass\n")
+    using = ast.parse("from m import A\nk.used()\npatch(K, 'patched')\n"
+                      "__all__ = ['B', 'g']\n")
+    package = ast.parse("from .m import B, f\n")
+    loaded = used_names(using, reexports=False) | used_names(package, reexports=True)
+    assert sorted(public_definitions(defining) - loaded) == ["B", "dead", "f", "g"]
+
+
 def source_modules() -> list[Path]:
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
     assert modules
@@ -113,6 +172,16 @@ def test_source_modules_load_every_private_name():
     unused = [f"{path.relative_to(SRC)}: {name}"
               for path in source_modules() for name in unused_private_names(path)]
     assert unused == []
+
+
+def test_every_public_name_is_used_somewhere():
+    loaded = set()
+    for folder in ("src", "bench", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            loaded |= used_names(parse(path), reexports=path.name == "__init__.py")
+    dead = [f"{path.relative_to(SRC)}: {name}" for path in source_modules()
+            for name in sorted(public_definitions(parse(path)) - loaded)]
+    assert dead == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

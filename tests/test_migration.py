@@ -553,6 +553,22 @@ class TestHarness:
             "0|admin|GET|/config/ResourceManager/default|\n"))
         assert entries[0].status == "503"
 
+    @pytest.mark.parametrize("stage, client, service", [
+        (0, "monolith", "Monolith"), (3, "gateway", "Gateway"), (4, "registry", "ServiceRegistry"),
+        (6, "developerservices-1", "DeveloperServices"), (6, "confsvc", "ConfigServer"),
+    ])
+    def test_a_client_naming_a_topology_node_is_refused_before_any_send(self, stage, client,
+                                                                         service):
+        handle = build_stage(stage)
+        sim = handle.sim
+        before = (sim.sent, sim.now, sim.queue_depth)
+        with pytest.raises(WorkloadError) as err:
+            run_workload(handle, wl("0|client|GET|/api/developers/1|\n"
+                                    f"# a comment\n5|{client}|GET|/api/developers/1|\n"),
+                         faults=parse_fault_script("0 kill gateway\n"))
+        assert str(err.value) == f"line 3: client {client!r} is a {service} node"
+        assert (sim.sent, sim.now, sim.queue_depth) == before
+
     def test_faults_activate_before_same_tick_sends(self):
         handle = build_stage(1)
         entries = run_workload(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssaas_sim.chassis import CallResult, ServiceClient, ServiceNode, WiringMode
+from ssaas_sim.chassis import ServiceClient, ServiceNode, WiringMode
 from ssaas_sim.registry import (
     LeaseConfig,
     MalformedInstance,
@@ -176,51 +176,53 @@ class TestWireApi:
         return sim, registry, caller
 
     def _call(self, sim, caller, method, path, body=None):
-        results: list[CallResult] = []
-        caller.client.call_node("registry", method, path, body, results.append)
+        results = []
+        caller.client.call_node("registry", method, path, body,
+                                lambda status, reply: results.append((status, reply)))
         assert sim.run_until_idle(budget=100)
-        return results[0]
+        [answer] = results
+        return answer
 
     def test_register_renew_query_deregister_flow(self):
         sim, registry, caller = self._setup()
-        r = self._call(sim, caller, "POST", "/registry/Chat",
-                       {"instance_id": "chat-1", "address": "chat-1", "port": 0,
-                        "status": "UP"})
-        assert r.ok and r.body["lease_expiry"] == sim.now - 1 + 30
+        status, reply = self._call(sim, caller, "POST", "/registry/Chat",
+                                   {"instance_id": "chat-1", "address": "chat-1", "port": 0,
+                                    "status": "UP"})
+        assert status == "200" and reply["lease_expiry"] == sim.now - 1 + 30
 
-        r = self._call(sim, caller, "GET", "/registry/Chat")
-        assert [i["instance_id"] for i in r.body] == ["chat-1"]
-        assert set(r.body[0]) >= {"service", "instance_id", "address", "port",
-                                  "status", "lease_expiry"}
+        status, reply = self._call(sim, caller, "GET", "/registry/Chat")
+        assert [i["instance_id"] for i in reply] == ["chat-1"]
+        assert set(reply[0]) >= {"service", "instance_id", "address", "port",
+                                 "status", "lease_expiry"}
 
-        r = self._call(sim, caller, "PUT", "/registry/Chat/chat-1/renew")
-        assert r.ok
+        status, reply = self._call(sim, caller, "PUT", "/registry/Chat/chat-1/renew")
+        assert status == "200"
 
-        r = self._call(sim, caller, "DELETE", "/registry/Chat/chat-1")
-        assert r.ok and r.body == {"removed": True}
+        status, reply = self._call(sim, caller, "DELETE", "/registry/Chat/chat-1")
+        assert (status, reply) == ("200", {"removed": True})
 
-        r = self._call(sim, caller, "GET", "/registry/Chat")
-        assert r.body == []
+        status, reply = self._call(sim, caller, "GET", "/registry/Chat")
+        assert reply == []
 
     def test_renew_unknown_is_404(self):
         sim, registry, caller = self._setup()
-        r = self._call(sim, caller, "PUT", "/registry/Chat/ghost/renew")
-        assert r.remote_status == "404"
-        assert r.body == {"error": "UnknownInstance"}
+        status, reply = self._call(sim, caller, "PUT", "/registry/Chat/ghost/renew")
+        assert status == "404"
+        assert reply == {"error": "UnknownInstance"}
 
     def test_register_missing_fields_is_400(self):
         sim, registry, caller = self._setup()
-        r = self._call(sim, caller, "POST", "/registry/Chat", {"port": 1})
-        assert r.remote_status == "400"
-        assert r.body == {"error": "MalformedInstance"}
+        status, reply = self._call(sim, caller, "POST", "/registry/Chat", {"port": 1})
+        assert status == "400"
+        assert reply == {"error": "MalformedInstance"}
 
     @pytest.mark.parametrize("port", [[1], {"p": 1}])
     def test_register_non_scalar_port_is_400(self, port):
         sim, registry, caller = self._setup()
-        r = self._call(sim, caller, "POST", "/registry/X",
-                       {"instance_id": "x-1", "address": "x-1", "port": port})
-        assert r.remote_status == "400"
-        assert r.body == {"error": "MalformedInstance"}
+        status, reply = self._call(sim, caller, "POST", "/registry/X",
+                                   {"instance_id": "x-1", "address": "x-1", "port": port})
+        assert status == "400"
+        assert reply == {"error": "MalformedInstance"}
         assert registry.store.all_instances() == []
 
     @pytest.mark.parametrize("body", [
@@ -232,9 +234,9 @@ class TestWireApi:
     ], ids=["null-id", "list-address", "null-status", "bool-port", "string-port"])
     def test_register_wrong_field_types_are_400(self, body):
         sim, registry, caller = self._setup()
-        r = self._call(sim, caller, "POST", "/registry/X", body)
-        assert r.remote_status == "400"
-        assert r.body == {"error": "MalformedInstance"}
+        status, reply = self._call(sim, caller, "POST", "/registry/X", body)
+        assert status == "400"
+        assert reply == {"error": "MalformedInstance"}
         assert registry.store.all_instances() == []
 
     def test_sweeper_evicts_unrenewed_instance(self):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssaas_sim.chassis import CallResult, Request, ServiceClient, ServiceNode, WiringMode
-from ssaas_sim.simwire import FaultEffect, FaultRule, Simulator
+from ssaas_sim.chassis import Request, ServiceClient, ServiceNode, WiringMode
+from ssaas_sim.simwire import Body, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas import (
     ChatServices,
     ChatStore,
@@ -311,11 +311,14 @@ def build_monolith_world():
     return sim, mono, ext, pool
 
 
-def call(sim, ext, method, path, body=None, target="monolith") -> CallResult:
-    results: list[CallResult] = []
-    ext.client.call_node(target, method, path, body, results.append, deadline=60)
+def call(sim, ext, method, path, body=None, target="monolith") -> tuple[str, Body]:
+    """The (status, body) the external node ``ext`` gets for one request."""
+    results: list[tuple[str, Body]] = []
+    ext.client.call_node(target, method, path, body,
+                         lambda status, reply: results.append((status, reply)), deadline=60)
     assert sim.run_until_idle(budget=300)
-    return results[0]
+    [answer] = results
+    return answer
 
 
 class TestMonolithRoots:
@@ -355,8 +358,8 @@ class TestReservationRoute:
     ])
     def test_malformed_reserve_answers_400_and_reserves_nothing(self, body, want):
         sim, _, ext, pool = build_monolith_world()
-        r = call(sim, ext, "POST", "/resources/reservations", body)
-        assert (r.remote_status, r.body) == ("400", want)
+        status, reply = call(sim, ext, "POST", "/resources/reservations", body)
+        assert (status, reply) == ("400", want)
         assert pool.active_reservations() == []
         assert all(s.reserved == 0 for s in pool.servers())
 
@@ -364,61 +367,61 @@ class TestReservationRoute:
         sim, _, ext, pool = build_monolith_world()
         # A flavor decoded from JSON is a str equal to the tag, not the tag itself.
         body = json.loads('{"flavor": "ORACLE", "owner": "project:x"}')
-        r = call(sim, ext, "POST", "/resources/reservations", body)
-        assert r.remote_status == "200"
-        assert r.body["flavor"] == "ORACLE" and type(r.body["flavor"]) is str
-        assert r.body["server_id"] == "ora-a" and r.body["owner"] == "project:x"
+        status, reply = call(sim, ext, "POST", "/resources/reservations", body)
+        assert status == "200"
+        assert reply["flavor"] == "ORACLE" and type(reply["flavor"]) is str
+        assert reply["server_id"] == "ora-a" and reply["owner"] == "project:x"
         assert [res.owner for res in pool.active_reservations()] == ["project:x"]
-        r = call(sim, ext, "GET", "/resources/servers")
-        assert r.remote_status == "200"
-        assert [(s["server_id"], s["flavor"], s["reserved"]) for s in r.body] == [
+        status, reply = call(sim, ext, "GET", "/resources/servers")
+        assert status == "200"
+        assert [(s["server_id"], s["flavor"], s["reserved"]) for s in reply] == [
             ("ora-a", "ORACLE", 1), ("ora-b", "ORACLE", 0)]
-        assert all(type(s["flavor"]) is str for s in r.body)
+        assert all(type(s["flavor"]) is str for s in reply)
 
 
 class TestMonolithFlows:
     def test_register_and_fetch_developer(self):
         sim, mono, ext, _ = build_monolith_world()
-        r = call(sim, ext, "POST", "/developers",
-                 {"name": "Ann", "email": "ann@example.test"})
-        assert r.ok
-        assert r.body == {"developer_id": 1, "name": "Ann",
-                          "email": "ann@example.test", "service_kinds": []}
-        r = call(sim, ext, "GET", "/developers/1")
-        assert r.ok and r.body["name"] == "Ann"
+        status, reply = call(sim, ext, "POST", "/developers",
+                             {"name": "Ann", "email": "ann@example.test"})
+        assert status == "200"
+        assert reply == {"developer_id": 1, "name": "Ann",
+                         "email": "ann@example.test", "service_kinds": []}
+        status, reply = call(sim, ext, "GET", "/developers/1")
+        assert status == "200" and reply["name"] == "Ann"
 
     def test_get_unknown_developer_404(self):
         sim, mono, ext, _ = build_monolith_world()
-        r = call(sim, ext, "GET", "/developers/9")
-        assert r.remote_status == "404"
-        assert r.body == {"error": "UnknownDeveloper"}
+        status, reply = call(sim, ext, "GET", "/developers/9")
+        assert status == "404"
+        assert reply == {"error": "UnknownDeveloper"}
 
     def test_provision_project_full_flow(self):
         sim, mono, ext, pool = build_monolith_world()
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"})
-        r = call(sim, ext, "POST", "/projects",
-                 {"name": "blog", "owner_developer_id": 1})
-        assert r.ok
-        assert r.body == {"project_id": 1, "reservation_id": 1,
-                          "database_name": "db_1", "server_id": "ora-a"}
+        status, reply = call(sim, ext, "POST", "/projects",
+                             {"name": "blog", "owner_developer_id": 1})
+        assert status == "200"
+        assert reply == {"project_id": 1, "reservation_id": 1,
+                         "database_name": "db_1", "server_id": "ora-a"}
         # provisioning tagged the developer with the database kind
-        r = call(sim, ext, "GET", "/developers/1")
-        assert r.body["service_kinds"] == ["RDBMS"]
+        status, reply = call(sim, ext, "GET", "/developers/1")
+        assert reply["service_kinds"] == ["RDBMS"]
         assert len(pool.active_reservations()) == 1
 
     def test_provision_for_unknown_developer_404_and_no_reservation(self):
         sim, mono, ext, pool = build_monolith_world()
-        r = call(sim, ext, "POST", "/projects",
-                 {"name": "blog", "owner_developer_id": 3})
-        assert r.remote_status == "404"
+        status, reply = call(sim, ext, "POST", "/projects",
+                             {"name": "blog", "owner_developer_id": 3})
+        assert status == "404"
         assert pool.active_reservations() == []
 
     def test_provision_compensates_reservation_on_schema_failure(self):
         sim, mono, ext, pool = build_monolith_world()
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"})
-        r = call(sim, ext, "POST", "/projects",
-                 {"name": "", "owner_developer_id": 1})
-        assert r.remote_status == "400"
+        status, reply = call(sim, ext, "POST", "/projects",
+                             {"name": "", "owner_developer_id": 1})
+        assert status == "400"
         assert pool.active_reservations() == []
 
     def test_provision_exhaustion_409(self):
@@ -426,33 +429,33 @@ class TestMonolithFlows:
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"})
         for i in range(4):
             assert call(sim, ext, "POST", "/projects",
-                        {"name": f"p{i}", "owner_developer_id": 1}).ok
-        r = call(sim, ext, "POST", "/projects",
-                 {"name": "p4", "owner_developer_id": 1})
-        assert r.remote_status == "409"
-        assert r.body == {"error": "ResourceExhausted"}
+                        {"name": f"p{i}", "owner_developer_id": 1})[0] == "200"
+        status, reply = call(sim, ext, "POST", "/projects",
+                             {"name": "p4", "owner_developer_id": 1})
+        assert status == "409"
+        assert reply == {"error": "ResourceExhausted"}
 
     def test_schema_editing_and_content_crud(self):
         sim, mono, ext, _ = build_monolith_world()
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"})
         call(sim, ext, "POST", "/projects", {"name": "blog", "owner_developer_id": 1})
-        r = call(sim, ext, "POST", "/projects/1/tables", {"table": "posts"})
-        assert r.ok and "posts" in r.body["tables"]
-        r = call(sim, ext, "POST", "/projects/1/tables/posts/columns",
-                 {"column": "title", "type": "text"})
-        assert r.ok and r.body["version"] == 3
+        status, reply = call(sim, ext, "POST", "/projects/1/tables", {"table": "posts"})
+        assert status == "200" and "posts" in reply["tables"]
+        status, reply = call(sim, ext, "POST", "/projects/1/tables/posts/columns",
+                             {"column": "title", "type": "text"})
+        assert status == "200" and reply["version"] == 3
 
-        r = call(sim, ext, "POST", "/content/1/posts", {"values": {"title": "hi"}})
-        assert r.ok and r.body == {"record_id": 1}
-        r = call(sim, ext, "GET", "/content/1/posts/1")
-        assert r.body == {"record_id": 1, "values": {"title": "hi"}}
-        r = call(sim, ext, "PUT", "/content/1/posts/1", {"values": {"title": "ho"}})
-        assert r.ok
-        r = call(sim, ext, "GET", "/content/1/posts")
-        assert r.body == [{"record_id": 1, "values": {"title": "ho"}}]
-        r = call(sim, ext, "DELETE", "/content/1/posts/1")
-        assert r.body == {"removed": True}
-        assert call(sim, ext, "GET", "/content/1/posts").body == []
+        status, reply = call(sim, ext, "POST", "/content/1/posts", {"values": {"title": "hi"}})
+        assert (status, reply) == ("200", {"record_id": 1})
+        status, reply = call(sim, ext, "GET", "/content/1/posts/1")
+        assert reply == {"record_id": 1, "values": {"title": "hi"}}
+        status, reply = call(sim, ext, "PUT", "/content/1/posts/1", {"values": {"title": "ho"}})
+        assert status == "200"
+        status, reply = call(sim, ext, "GET", "/content/1/posts")
+        assert reply == [{"record_id": 1, "values": {"title": "ho"}}]
+        status, reply = call(sim, ext, "DELETE", "/content/1/posts/1")
+        assert reply == {"removed": True}
+        assert call(sim, ext, "GET", "/content/1/posts") == ("200", [])
 
     def test_content_write_rejects_schema_violation(self):
         sim, mono, ext, _ = build_monolith_world()
@@ -461,20 +464,20 @@ class TestMonolithFlows:
         call(sim, ext, "POST", "/projects/1/tables", {"table": "posts"})
         call(sim, ext, "POST", "/projects/1/tables/posts/columns",
              {"column": "n", "type": "int"})
-        r = call(sim, ext, "POST", "/content/1/posts", {"values": {"n": "three"}})
-        assert r.remote_status == "400"
-        assert r.body == {"error": "SchemaViolation", "field": "n"}
-        r = call(sim, ext, "POST", "/content/1/ghosts", {"values": {}})
-        assert r.remote_status == "404"
-        assert r.body == {"error": "UnknownTable"}
+        status, reply = call(sim, ext, "POST", "/content/1/posts", {"values": {"n": "three"}})
+        assert status == "400"
+        assert reply == {"error": "SchemaViolation", "field": "n"}
+        status, reply = call(sim, ext, "POST", "/content/1/ghosts", {"values": {}})
+        assert status == "404"
+        assert reply == {"error": "UnknownTable"}
 
     def test_get_project_passthrough(self):
         sim, mono, ext, _ = build_monolith_world()
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"})
         call(sim, ext, "POST", "/projects", {"name": "blog", "owner_developer_id": 1})
-        r = call(sim, ext, "GET", "/projects/1")
-        assert r.ok and r.body["name"] == "blog"
-        assert r.body["owner_developer_id"] == 1
+        status, reply = call(sim, ext, "GET", "/projects/1")
+        assert status == "200" and reply["name"] == "blog"
+        assert reply["owner_developer_id"] == 1
 
 
 def release_precedes_answer(sim) -> bool:
@@ -525,22 +528,23 @@ class TestWireFlows:
     ], ids=["pid", "values"])
     def test_malformed_content_write_names_its_own_fault(self, method, path, pid, body, want):
         sim, ext, _ = build_wire_world()
-        r = call(sim, ext, method, path.format(pid=pid), body, target="contentservices-1")
-        assert (r.remote_status, r.body) == ("400", want)
+        status, reply = call(sim, ext, method, path.format(pid=pid), body,
+                             target="contentservices-1")
+        assert (status, reply) == ("400", want)
         # Refused before any schema fetch: only the request and its answer.
         assert len(sim.records) == 2
 
     def test_provision_over_the_wire(self):
         sim, ext, pool = build_wire_world()
-        r = call(sim, ext, "POST", "/developers",
-                 {"name": "Ann", "email": "a@x.test"}, target="developerservices-1")
-        assert r.ok and r.body["developer_id"] == 1
-        r = call(sim, ext, "POST", "/projects",
-                 {"name": "blog", "owner_developer_id": 1},
-                 target="developerservices-1")
-        assert r.ok
-        assert r.body == {"project_id": 1, "reservation_id": 1,
-                          "database_name": "db_1", "server_id": "ora-a"}
+        status, reply = call(sim, ext, "POST", "/developers",
+                             {"name": "Ann", "email": "a@x.test"}, target="developerservices-1")
+        assert status == "200" and reply["developer_id"] == 1
+        status, reply = call(sim, ext, "POST", "/projects",
+                             {"name": "blog", "owner_developer_id": 1},
+                             target="developerservices-1")
+        assert status == "200"
+        assert reply == {"project_id": 1, "reservation_id": 1,
+                         "database_name": "db_1", "server_id": "ora-a"}
 
     def test_content_write_validates_via_schema_fetch(self):
         sim, ext, pool = build_wire_world()
@@ -553,12 +557,12 @@ class TestWireFlows:
         call(sim, ext, "POST", "/projects/1/tables/posts/columns",
              {"column": "title", "type": "text"}, target="developerservices-1")
         sim.advance_to(sim.now + 20)  # get past the schema cache window
-        r = call(sim, ext, "POST", "/content/1/posts", {"values": {"title": "hi"}},
-                 target="contentservices-1")
-        assert r.ok and r.body == {"record_id": 1}
-        r = call(sim, ext, "POST", "/content/1/posts", {"values": {"oops": 1}},
-                 target="contentservices-1")
-        assert r.remote_status == "400"
+        status, reply = call(sim, ext, "POST", "/content/1/posts", {"values": {"title": "hi"}},
+                             target="contentservices-1")
+        assert (status, reply) == ("200", {"record_id": 1})
+        status, reply = call(sim, ext, "POST", "/content/1/posts", {"values": {"oops": 1}},
+                             target="contentservices-1")
+        assert status == "400"
 
     @pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
     @pytest.mark.parametrize("table, values, want", [
@@ -581,11 +585,11 @@ class TestWireFlows:
         sim.advance_to(sim.now + 20)  # get past the schema cache window
         if cached:
             assert call(sim, ext, "POST", "/content/1/posts", {"values": {"n": 1}},
-                        target="contentservices-1").ok
+                        target="contentservices-1")[0] == "200"
         before = len(sim.records)
-        r = call(sim, ext, "POST", f"/content/1/{table}", {"values": values},
-                 target="contentservices-1")
-        assert (r.remote_status, r.body) == want
+        status, reply = call(sim, ext, "POST", f"/content/1/{table}", {"values": values},
+                             target="contentservices-1")
+        assert (status, reply) == want
         # A miss fetches the schema first; a hit sends only the answer.
         assert len(sim.records) - before == (2 if cached else 4)
 
@@ -597,7 +601,8 @@ class TestWireFlows:
              target="developerservices-1")
         results = []
         ext.client.call_node("developerservices-1", "POST", "/projects",
-                             {"name": "blog", "owner_developer_id": 1}, results.append,
+                             {"name": "blog", "owner_developer_id": 1},
+                             lambda status, reply: results.append((status, reply)),
                              deadline=60)
         while not any(rec.source == "resourcemanager-1" for rec in sim.records):
             sim.step()
@@ -605,7 +610,7 @@ class TestWireFlows:
         assert (reserved.path, reserved.status) == ("/resources/reservations", "200")
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="developerdata-1"))
         assert sim.run_until_idle(budget=300)
-        assert results[0].remote_status == "503"
+        assert results == [("503", {"error": "UpstreamUnavailable"})]
         assert pool.active_reservations() == []
         assert release_precedes_answer(sim)
 
@@ -615,18 +620,19 @@ class TestWireFlows:
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
              target="developerservices-1")
         before = len(sim.records)
-        r = call(sim, ext, "POST", "/projects", {"name": "", "owner_developer_id": owner},
-                 target="developerservices-1")
-        assert (r.remote_status, r.body) == ("400", {"error": "Malformed"})
+        status, reply = call(sim, ext, "POST", "/projects",
+                             {"name": "", "owner_developer_id": owner},
+                             target="developerservices-1")
+        assert (status, reply) == ("400", {"error": "Malformed"})
         assert not any(rec.path == "/resources/reservations" for rec in sim.records)
         assert len(sim.records) - before == 2  # only the request and its answer
 
     def test_content_unknown_project_404(self):
         sim, ext, pool = build_wire_world()
-        r = call(sim, ext, "POST", "/content/9/posts", {"values": {}},
-                 target="contentservices-1")
-        assert r.remote_status == "404"
-        assert r.body == {"error": "UnknownProject"}
+        status, reply = call(sim, ext, "POST", "/content/9/posts", {"values": {}},
+                             target="contentservices-1")
+        assert status == "404"
+        assert reply == {"error": "UnknownProject"}
 
 
 def build_final_world():
@@ -655,21 +661,21 @@ class TestChatFlows:
         sim, ext, pool, chats = build_final_world()
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
              target="developerinfoservices-1")
-        r = call(sim, ext, "POST", "/chat", {"developer_id": 1},
-                 target="chatservices-1")
-        assert r.ok
-        assert r.body == {"chat_id": 1, "developer_id": 1, "reservation_id": 1,
-                          "status": "ACTIVE"}
-        r = call(sim, ext, "GET", "/developers/1", target="developerinfoservices-1")
-        assert r.body["service_kinds"] == ["CHAT"]
-        r = call(sim, ext, "GET", "/chat/1", target="chatservices-1")
-        assert r.ok and r.body["status"] == "ACTIVE"
+        status, reply = call(sim, ext, "POST", "/chat", {"developer_id": 1},
+                             target="chatservices-1")
+        assert status == "200"
+        assert reply == {"chat_id": 1, "developer_id": 1, "reservation_id": 1,
+                         "status": "ACTIVE"}
+        status, reply = call(sim, ext, "GET", "/developers/1", target="developerinfoservices-1")
+        assert reply["service_kinds"] == ["CHAT"]
+        status, reply = call(sim, ext, "GET", "/chat/1", target="chatservices-1")
+        assert status == "200" and reply["status"] == "ACTIVE"
 
     def test_chat_for_unknown_developer_404(self):
         sim, ext, pool, chats = build_final_world()
-        r = call(sim, ext, "POST", "/chat", {"developer_id": 5},
-                 target="chatservices-1")
-        assert r.remote_status == "404"
+        status, reply = call(sim, ext, "POST", "/chat", {"developer_id": 5},
+                             target="chatservices-1")
+        assert status == "404"
         assert pool.active_reservations() == []
 
     def test_chat_compensates_when_kind_tag_is_unreachable(self):
@@ -680,8 +686,9 @@ class TestChatFlows:
         # sent then finds its target dead.
         sim.schedule_fault(sim.now + 5, FaultRule(FaultEffect.KILL_NODE,
                                                   node="developerinfoservices-1"))
-        r = call(sim, ext, "POST", "/chat", {"developer_id": 1}, target="chatservices-1")
-        assert (r.remote_status, r.body) == ("503", {"error": "UpstreamUnavailable"})
+        status, reply = call(sim, ext, "POST", "/chat", {"developer_id": 1},
+                             target="chatservices-1")
+        assert (status, reply) == ("503", {"error": "UpstreamUnavailable"})
         with pytest.raises(DomainError):
             chats.get(1)
         assert pool.active_reservations() == []
@@ -692,11 +699,11 @@ class TestChatFlows:
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
              target="developerinfoservices-1")
         assert call(sim, ext, "POST", "/chat", {"developer_id": 1},
-                    target="chatservices-1").ok
-        r = call(sim, ext, "POST", "/chat", {"developer_id": 1},
-                 target="chatservices-1")
-        assert r.remote_status == "409"
-        assert r.body == {"error": "ResourceExhausted"}
+                    target="chatservices-1")[0] == "200"
+        status, reply = call(sim, ext, "POST", "/chat", {"developer_id": 1},
+                             target="chatservices-1")
+        assert status == "409"
+        assert reply == {"error": "ResourceExhausted"}
 
     def test_rm_policy_flip_goes_live_and_replays_seeded_oracle(self):
         sim, ext, pool, chats = build_final_world()
@@ -704,14 +711,14 @@ class TestChatFlows:
         pool.register_server("my-c", ServerFlavor.MYSQL, 99)
         call(sim, ext, "POST", "/developers", {"name": "Ann", "email": "a@x.test"},
              target="developerinfoservices-1")
-        r = call(sim, ext, "POST", "/refresh",
-                 {"service": "ResourceManager", "profile": "default",
-                  "version": [1, 1], "entries": {"rm.policy": "random"}},
-                 target="resourcemanager-1")
-        assert r.ok and r.body == {"applied": True}
+        status, reply = call(sim, ext, "POST", "/refresh",
+                             {"service": "ResourceManager", "profile": "default",
+                              "version": [1, 1], "entries": {"rm.policy": "random"}},
+                             target="resourcemanager-1")
+        assert (status, reply) == ("200", {"applied": True})
         for _ in range(6):
             assert call(sim, ext, "POST", "/chat", {"developer_id": 1},
-                        target="chatservices-1").ok
+                        target="chatservices-1")[0] == "200"
         oracle = random.Random(f"{sim.seed}:ResourceManager:policy")
         capacity = {"my-a": 1, "my-b": 99, "my-c": 99}
         used = {"my-a": 0, "my-b": 0, "my-c": 0}
