@@ -410,7 +410,7 @@ class TestClientDirectWire:
     @pytest.mark.parametrize("delay, answer, failures", [
         (3, ("200", {"v": 3}), 0),
         (4, UNAVAILABLE, 1),
-    ])
+    ], ids=["in-time", "late"])
     def test_deadline_fires_before_reply_on_same_tick(self, delay, answer, failures):
         # The deadline timer (deadline + 1 ticks) is queued at call time, the
         # reply one tick later, so on a shared tick the deadline runs first.
@@ -489,7 +489,7 @@ class TestClientDiscovered:
         sim, caller, registry = self._setup()
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
         assert self._call(sim, caller) == UNAVAILABLE
-        assert [r.path for r in sim.records if r.path == "/echo"] == []
+        assert not any(r.path == "/echo" for r in sim.records)
 
 
 class ScriptNode(ServiceNode):
