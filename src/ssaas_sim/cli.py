@@ -12,7 +12,7 @@ Subcommands:
 Exit codes: 0 success (diff: traces equal; audit: clean), 1 divergence or
 violations, 2 unreadable workload or fault script, 3 tick budget exhausted,
 64 usage errors, 65 unreadable trace file or config store, 66 missing store
-or unreadable snapshot file.
+or unreadable snapshot file, 73 an output file could not be written.
 
 ``--format`` picks ``text`` or ``ndjson`` output; the ``SSAAS_SIM_FORMAT``
 environment variable, when set, wins over the flag. Workload and fault
@@ -26,8 +26,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import workloads
 from .confsvc import ConfigStore, CheckpointError, MalformedConfig
@@ -59,8 +60,22 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_BAD_TRACE = 65
 EXIT_NO_SNAPSHOT = 66
+EXIT_CANT_CREATE = 73
 
 FORMAT_ENV = "SSAAS_SIM_FORMAT"
+
+
+class _Exit(Exception):
+    """``_Exit(code, message)``: ``main`` prints the message and returns the code."""
+
+
+@contextmanager
+def _exit_on(code: int, *errors: type[Exception], prefix: str = "") -> Iterator[None]:
+    """Turn any of ``errors`` raised in the block into ``_Exit(code)``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, f"{prefix}{exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,9 +149,13 @@ def _add_run_args(cmd: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    return ns.func(ns)
+    ns = build_parser().parse_args(argv)
+    try:
+        return ns.func(ns)
+    except _Exit as exc:
+        code, message = exc.args
+        print(f"ssaas-sim: {message}", file=sys.stderr)
+        return code
 
 
 # -- commands ---------------------------------------------------------------------
@@ -144,50 +163,37 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def cmd_run(ns: argparse.Namespace) -> int:
     fmt = _resolve_format(ns.format)
-    if fmt is None:
-        print(f"ssaas-sim: unknown format in ${FORMAT_ENV}", file=sys.stderr)
-        return EXIT_USAGE
-    prepared = _prepare_run(ns)
-    if isinstance(prepared, int):
-        return prepared
-    handle, entries = prepared
+    handle, entries = _prepare_run(ns)
     text = serialize_trace(entries, fmt)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not ns.out:
         print(text, end="")
-    if ns.wire_out:
-        handle.sim.write_trace(ns.wire_out, fmt)
-    if ns.registry_snapshot:
-        lines = (handle.registry.store.snapshot_lines()
-                 if handle.registry is not None else [])
-        with open(ns.registry_snapshot, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
+    with _exit_on(EXIT_CANT_CREATE, OSError):
+        if ns.out:
+            Path(ns.out).write_text(text, encoding="utf-8")
+        if ns.wire_out:
+            handle.sim.write_trace(ns.wire_out, fmt)
+        if ns.registry_snapshot:
+            lines = (handle.registry.store.snapshot_lines()
+                     if handle.registry is not None else [])
+            with open(ns.registry_snapshot, "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for line in lines)
     return EXIT_OK
 
 
 def cmd_diff(ns: argparse.Namespace) -> int:
     sides = []
     for path in (ns.left, ns.right):
-        try:
-            sides.append(parse_trace(Path(path).read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"ssaas-sim: {exc}", file=sys.stderr)
-            return EXIT_BAD_TRACE
-        except TraceFormatError as exc:
-            print(f"ssaas-sim: {path}: {exc}", file=sys.stderr)
-            return EXIT_BAD_TRACE
+        with _exit_on(EXIT_BAD_TRACE, OSError, UnicodeDecodeError):
+            text = Path(path).read_text(encoding="utf-8")
+        with _exit_on(EXIT_BAD_TRACE, TraceFormatError, prefix=f"{path}: "):
+            sides.append(parse_trace(text))
     outcome = compare_traces(sides[0], sides[1])
     print(outcome.summary())
     return EXIT_OK if outcome.equal else EXIT_DIVERGED
 
 
 def cmd_audit(ns: argparse.Namespace) -> int:
-    prepared = _prepare_run(ns)
-    if isinstance(prepared, int):
-        return prepared
-    handle, _ = prepared
+    handle, _ = _prepare_run(ns)
     report = audit_ownership(handle.sim.records, handle.stage,
                              handle.node_services())
     for line in report.lines():
@@ -197,8 +203,7 @@ def cmd_audit(ns: argparse.Namespace) -> int:
 
 def cmd_stages_ls(ns: argparse.Namespace) -> int:
     if ns.stage is not None and ns.stage not in STAGES:
-        print(f"ssaas-sim: unknown stage {ns.stage}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"unknown stage {ns.stage}")
     wanted = [ns.stage] if ns.stage is not None else sorted(STAGES)
     for stage in wanted:
         topo = STAGES[stage]
@@ -209,20 +214,14 @@ def cmd_stages_ls(ns: argparse.Namespace) -> int:
 
 
 def cmd_registry_ls(ns: argparse.Namespace) -> int:
-    try:
+    with _exit_on(EXIT_NO_SNAPSHOT, OSError, UnicodeDecodeError):
         content = Path(ns.snapshot).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"ssaas-sim: {exc}", file=sys.stderr)
-        return EXIT_NO_SNAPSHOT
     print(content, end="" if content.endswith("\n") or not content else "\n")
     return EXIT_OK
 
 
 def cmd_config_get(ns: argparse.Namespace) -> int:
-    store, code = _open_store(ns.store, must_exist=True)
-    if store is None:
-        return code
-    merged = store.get_config(ns.service, ns.profile)
+    merged = _open_store(ns.store, must_exist=True).get_config(ns.service, ns.profile)
     print(f"{merged.service}|{merged.profile}|{merged.version[0]},{merged.version[1]}")
     for key in sorted(merged.entries):
         print(f"{key}={merged.entries[key]}")
@@ -230,23 +229,17 @@ def cmd_config_get(ns: argparse.Namespace) -> int:
 
 
 def cmd_config_set(ns: argparse.Namespace) -> int:
-    store, code = _open_store(ns.store, must_exist=False)
-    if store is None:
-        return code
+    store = _open_store(ns.store, must_exist=False)
     entries = {}
     for raw in ns.entries:
         key, sep, value = raw.partition("=")
         if not sep or not key:
-            print(f"ssaas-sim: entries must look like KEY=VALUE, got {raw!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, f"entries must look like KEY=VALUE, got {raw!r}")
         entries[key] = value
-    try:
+    with _exit_on(EXIT_USAGE, MalformedConfig):
         version = store.set_config(ns.service, ns.profile, entries)
-    except MalformedConfig as exc:
-        print(f"ssaas-sim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    store.save(ns.store)
+    with _exit_on(EXIT_CANT_CREATE, OSError):
+        store.save(ns.store)
     print(f"{ns.service}|{ns.profile}|{version[0]},{version[1]}")
     return EXIT_OK
 
@@ -254,11 +247,11 @@ def cmd_config_set(ns: argparse.Namespace) -> int:
 # -- shared plumbing ---------------------------------------------------------------
 
 
-def _resolve_format(flag: Optional[str]) -> Optional[str]:
+def _resolve_format(flag: Optional[str]) -> str:
     env = os.environ.get(FORMAT_ENV)
-    if env:
-        return env if env in FORMATS else None
-    return flag or TEXT_FORMAT
+    if env and env not in FORMATS:
+        raise _Exit(EXIT_USAGE, f"unknown format in ${FORMAT_ENV}")
+    return env or flag or TEXT_FORMAT
 
 
 def _load_script(arg: str) -> str:
@@ -270,41 +263,26 @@ def _load_script(arg: str) -> str:
 
 
 def _prepare_run(ns: argparse.Namespace):
-    """Build the stage and replay the workload; an int is an exit code."""
-    try:
+    """Build the stage and replay the workload: ``(handle, entries)``."""
+    with _exit_on(EXIT_BAD_SCRIPT, OSError, UnicodeDecodeError, WorkloadError,
+                  FaultScriptError):
         lines = parse_workload(_load_script(ns.workload))
         faults = (parse_fault_script(_load_script(ns.faults))
                   if ns.faults else None)
-    except (OSError, UnicodeDecodeError, WorkloadError, FaultScriptError) as exc:
-        print(f"ssaas-sim: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
-    try:
+    with _exit_on(EXIT_USAGE, UnknownStage, prefix="unknown stage "):
         handle = build_stage(ns.stage, ns.seed)
-    except UnknownStage as exc:
-        print(f"ssaas-sim: unknown stage {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _exit_on(EXIT_BAD_SCRIPT, WorkloadError), _exit_on(EXIT_BUDGET, BudgetExceeded):
         entries = run_workload(handle, lines, faults=faults, budget=ns.budget)
-    except WorkloadError as exc:
-        print(f"ssaas-sim: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
-    except BudgetExceeded as exc:
-        print(f"ssaas-sim: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     return handle, entries
 
 
-def _open_store(path: str, must_exist: bool):
+def _open_store(path: str, must_exist: bool) -> ConfigStore:
     if os.path.exists(path):
-        try:
-            return ConfigStore.load(path), EXIT_OK
-        except (OSError, UnicodeDecodeError, CheckpointError) as exc:
-            print(f"ssaas-sim: {path}: {exc}", file=sys.stderr)
-            return None, EXIT_BAD_TRACE
+        with _exit_on(EXIT_BAD_TRACE, OSError, CheckpointError, prefix=f"{path}: "):
+            return ConfigStore.load(path)
     if must_exist:
-        print(f"ssaas-sim: no such store: {path}", file=sys.stderr)
-        return None, EXIT_NO_SNAPSHOT
-    return ConfigStore(), EXIT_OK
+        raise _Exit(EXIT_NO_SNAPSHOT, f"no such store: {path}")
+    return ConfigStore()
 
 
 if __name__ == "__main__":

@@ -105,26 +105,29 @@ class ConfigStore:
     def load(cls, path: str) -> "ConfigStore":
         store = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("|", 3)
-                if len(parts) != 4:
-                    raise CheckpointError(f"line {lineno}: expected 4 fields")
-                service, profile, version, body = parts
-                try:
-                    _check_names(service, profile)
-                    entries = {}
-                    if body:
-                        for pair in body.split(","):
-                            key, _, value = pair.partition("=")
-                            entries[key] = value
-                    _check_entries(entries)
-                    doc = _Doc(int(version), entries)
-                except (ValueError, MalformedConfig) as exc:
-                    raise CheckpointError(f"line {lineno}: {exc}") from exc
-                store._docs[(service, profile)] = doc
+            try:  # decode it all here, so that a bad byte is refused like a bad line
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"not UTF-8: {exc}") from exc
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if not line:
+                continue
+            parts = line.split("|", 3)
+            if len(parts) != 4:
+                raise CheckpointError(f"line {lineno}: expected 4 fields")
+            service, profile, version, body = parts
+            try:
+                _check_names(service, profile)
+                entries = {}
+                if body:
+                    for pair in body.split(","):
+                        key, _, value = pair.partition("=")
+                        entries[key] = value
+                _check_entries(entries)
+                doc = _Doc(int(version), entries)
+            except (ValueError, MalformedConfig) as exc:
+                raise CheckpointError(f"line {lineno}: {exc}") from exc
+            store._docs[(service, profile)] = doc
         return store
 
 

@@ -166,7 +166,6 @@ class DeveloperData(ServiceNode):
                  developers: Optional[DeveloperStore] = None,
                  pool: Optional[ServerPool] = None) -> None:
         super().__init__(sim, node_id, "DeveloperData")
-        self.schemas = schemas
         if developers is not None:
             mount_developer_entity(self, developers, DEV_ENTITY_EMBEDDED[1])
         if pool is not None:
@@ -203,7 +202,6 @@ class ResourceManager(ServiceNode):
 
     def __init__(self, sim: Simulator, node_id: str, pool: ServerPool) -> None:
         super().__init__(sim, node_id, "ResourceManager")
-        self.pool = pool
         mount_resources(self, pool, policy_rng(sim.seed, "ResourceManager"))
 
 
@@ -212,7 +210,6 @@ class DeveloperInfoServices(ServiceNode):
 
     def __init__(self, sim: Simulator, node_id: str, developers: DeveloperStore) -> None:
         super().__init__(sim, node_id, "DeveloperInfoServices")
-        self.developers = developers
         mount_developer_entity(self, developers, DEV_ENTITY_SERVICE[1])
 
 

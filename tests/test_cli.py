@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from ssaas_sim import cli
@@ -351,3 +353,76 @@ class TestConfigStoreCommands:
         store = tmp_path / "c.ckpt"
         assert run_cli("config", "set", "--store", str(store), service, "default", pair) == 64
         assert not store.exists()
+
+
+# Every argument that names a file, per subcommand, with the documented exit
+# code for a directory and for a path under a missing directory.
+FILE_ARGUMENTS = {
+    ("run", "workload"): (2, 2),
+    ("run", "faults"): (2, 2),
+    ("run", "out"): (73, 73),
+    ("run", "wire_out"): (73, 73),
+    ("run", "registry_snapshot"): (73, 73),
+    ("diff", "left"): (65, 65),
+    ("diff", "right"): (65, 65),
+    ("audit", "workload"): (2, 2),
+    ("audit", "faults"): (2, 2),
+    ("registry ls", "snapshot"): (66, 66),
+    ("config get", "store"): (65, 66),
+    ("config set", "store"): (65, 73),
+}
+# String arguments that name something other than a file.
+NOT_FILES = {"service", "profile", "entries"}
+
+
+def leaf_parsers(parser, prefix=""):
+    """(command, parser) for every subcommand that takes no further one."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from leaf_parsers(child, f"{prefix} {name}".strip())
+
+
+def file_arguments():
+    """(command, action) for every free-form string argument not in NOT_FILES."""
+    return [(command, action)
+            for command, parser in leaf_parsers(cli.build_parser())
+            for action in parser._actions
+            if isinstance(action, argparse._StoreAction) and action.type is None
+            and action.choices is None and action.dest not in NOT_FILES]
+
+
+class TestFileArguments:
+    def test_every_file_argument_is_covered(self):
+        found = {(command, action.dest) for command, action in file_arguments()}
+        assert found == set(FILE_ARGUMENTS)
+
+    @pytest.mark.parametrize("command, action", file_arguments(),
+                             ids=lambda v: v if isinstance(v, str) else v.dest)
+    @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+    def test_a_bad_path_exits_with_its_code(self, tmp_path, capsys, command, action, kind):
+        trace = tmp_path / "good.trace"
+        assert run_cli("run", "--stage", "0", "--workload", "basic.wl",
+                       "--out", str(trace)) == 0
+        bases = {
+            "run": ["run", "--stage", "1", "--workload", "basic.wl"],
+            "audit": ["audit", "--stage", "1", "--workload", "basic.wl"],
+            "diff": ["diff", str(trace), str(trace)],
+            "registry ls": ["registry", "ls"],
+            "config get": ["config", "get", "Svc", "default"],
+            "config set": ["config", "set", "Svc", "default", "a=1"],
+        }
+        argv = bases[command]
+        path = str(tmp_path if kind == "directory" else tmp_path / "nodir" / "file")
+        if action.option_strings:
+            argv = argv + [action.option_strings[0], path]
+        else:  # diff's left or right
+            argv[1 + ("left", "right").index(action.dest)] = path
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        directory_code, missing_code = FILE_ARGUMENTS[command, action.dest]
+        assert code == (directory_code if kind == "directory" else missing_code)
+        assert err.startswith("ssaas-sim: ") and err.count("\n") == 1, err

@@ -136,6 +136,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"^line 1: bad entry: {re.escape(key)}$"):
             ConfigStore.load(str(path))
 
+    def test_load_refuses_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "conf.ckpt"
+        path.write_bytes(b"Svc|default|1|a=1\nSvc|prod|1|city=Montr\xe9al\n")
+        with pytest.raises(CheckpointError, match="^not UTF-8: .* byte 0xe9 in position 39: "):
+            ConfigStore.load(str(path))
+
     @given(st.dictionaries(config_keys, config_values, max_size=6),
            st.dictionaries(config_keys, config_values, max_size=6))
     @settings(max_examples=50, deadline=None)

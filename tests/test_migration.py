@@ -679,3 +679,36 @@ class TestCrossStageEquality:
         for stage in (0, 4):
             outcome = compare_traces(reference, run_workload(build_stage(stage), lines))
             assert outcome.equal, (stage, outcome.summary())
+
+    def test_adding_a_service_kind_agrees_at_every_stage(self):
+        # No bundled workload sends this route. Stages 1-5 relay it through
+        # DeveloperServices; stage 6 sends it to DeveloperInfoServices.
+        lines = wl(
+            '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+            '25|client|POST|/api/developers/1/kinds|{"kind":"CHAT"}\n'
+            '50|client|POST|/api/developers/1/kinds|{"kind":"CHAT"}\n'
+            '75|client|POST|/api/developers/1/kinds|{"kind":"RDBMS"}\n'
+            '100|client|POST|/api/developers/99/kinds|{"kind":"CHAT"}\n'
+            '125|client|POST|/api/developers/1/kinds|{"label":"CHAT"}\n'
+            "150|client|GET|/api/developers/1|\n")
+        reference = run_workload(build_stage(0), lines)
+        kinds = [e.response_body.get("service_kinds") for e in reference]
+        assert kinds == [[], ["CHAT"], ["CHAT"], ["CHAT", "RDBMS"], None, None,
+                         ["CHAT", "RDBMS"]]
+        assert [(e.status, e.response_body) for e in reference[4:6]] == [
+            ("404", {"error": "UnknownDeveloper"}),
+            ("400", {"error": "Malformed", "field": "kind"})]
+        for stage in range(1, 7):
+            outcome = compare_traces(reference, run_workload(build_stage(stage), lines))
+            assert outcome.equal, (stage, outcome.summary())
+
+    @pytest.mark.parametrize("owner", ["true", "1.5"])
+    @pytest.mark.parametrize("stage", [0, 6])
+    def test_a_non_integer_owner_id_is_malformed(self, stage, owner):
+        # Developer 1 exists, so reading ``true`` or ``1.5`` as 1 would provision.
+        handle = build_stage(stage)
+        entries = run_workload(handle, wl(
+            '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+            f'25|client|POST|/api/projects|{{"name":"blog","owner_developer_id":{owner}}}\n'))
+        assert (entries[1].status, entries[1].response_body) == ("400", {"error": "Malformed"})
+        assert handle.stores.pool.active_reservations() == []
