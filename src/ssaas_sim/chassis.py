@@ -584,8 +584,8 @@ class ServiceClient:
             self._finish_fast(on_result)
             return
         breaker = self.breaker_for(endpoint.instance_id)
-        if breaker.state != CircuitState.CLOSED:  # move OPEN to HALF_OPEN
-            breaker.allow(now)  # no fast fail: the resolver admitted this endpoint at now
+        if breaker.state != CircuitState.CLOSED:  # moves OPEN to HALF_OPEN; never refuses,
+            breaker.allow(now)  # as the resolver admitted this endpoint at this tick
         self._send_tracked(endpoint.node, method, path, body, on_result, deadline, breaker)
 
     def _can_attempt(self, endpoint: Endpoint) -> bool:
