@@ -22,9 +22,11 @@ DEFAULT_CALL_DEADLINE_TICKS = 5
 RENEW_INTERVAL_TICKS = 10
 DEFAULT_PROFILE = "default"  # the config profile every node runs
 
-# The infrastructure nodes every node reaches by name.
+# Fixed node names: the infrastructure nodes, and stage 0's single deployable.
 CONFSVC_NODE = "confsvc"
 REGISTRY_NODE = "registry"
+GATEWAY_NODE = "gateway"
+MONOLITH_NODE = "monolith"
 
 # A route memo (a node's dispatch memo, a gateway table's resolve memo) is
 # emptied when it holds this many paths, and the compiled route patterns keep

@@ -139,8 +139,8 @@ class ConfigServer(ServiceNode):
     is only read (by the CLI, or a GET), so writing one pushes nothing.
     """
 
-    def __init__(self, sim: Simulator, node_id: str = CONFSVC_NODE) -> None:
-        super().__init__(sim, node_id, SERVICE_NAME)
+    def __init__(self, sim: Simulator) -> None:
+        super().__init__(sim, CONFSVC_NODE, SERVICE_NAME)
         self.store = ConfigStore()
         self.subscribers: list[tuple[str, str]] = []  # (node, service)
         ServiceClient(self, WiringMode.DIRECT_WIRE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chassis import ROUTE_MEMO_LIMIT, Request, ServiceNode, relay_result, split_path
+from .chassis import GATEWAY_NODE, ROUTE_MEMO_LIMIT, Request, ServiceNode, relay_result, split_path
 from .simwire import Body, Simulator
 
 SERVICE_NAME = "Gateway"
@@ -128,8 +128,8 @@ class RouteTable:
 class Gateway(ServiceNode):
     """Edge node: everything but its own /refresh is proxied by prefix."""
 
-    def __init__(self, sim: Simulator, node_id: str = "gateway") -> None:
-        super().__init__(sim, node_id, SERVICE_NAME)
+    def __init__(self, sim: Simulator) -> None:
+        super().__init__(sim, GATEWAY_NODE, SERVICE_NAME)
         self.table = RouteTable()
 
     def on_config_applied(self) -> None:

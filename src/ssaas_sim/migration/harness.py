@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional
 
-from ..chassis import CONFSVC_NODE, REGISTRY_NODE, ServiceNode
-from ..simwire import Body, FaultRule, apply_fault_schedule
+from ..chassis import CONFSVC_NODE, GATEWAY_NODE, REGISTRY_NODE, ServiceNode
+from ..simwire import Body, FaultRule
 from .stages import CLIENT_DEADLINE_TICKS, CLIENT_SERVICE, SystemHandle, wire_client
 from .traces import TraceEntry
 
@@ -93,7 +93,7 @@ def parse_workload(text: str) -> list[WorkloadLine]:
 
 
 def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
-                 faults: Optional[list[tuple[int, str, FaultRule | str]]] = None,
+                 faults: Optional[list[tuple[int, FaultRule]]] = None,
                  budget: int = DEFAULT_BUDGET_TICKS) -> list[TraceEntry]:
     """Replay a workload, returning one trace entry per line, in line order.
 
@@ -108,9 +108,8 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
                                 f"{node.service} node")
     sim = handle.sim
     base = handle.settle_tick
-    if faults:
-        apply_fault_schedule(sim, [(base + tick, action, entry)
-                                   for tick, action, entry in faults])
+    for tick, rule in faults or ():
+        sim.schedule_fault(base + tick, rule)
     entries: list[Optional[TraceEntry]] = [None] * len(lines)
     nodes = handle.nodes
     for i, line in enumerate(lines):
@@ -144,7 +143,7 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
         client.call_node(admin_target, line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
     elif handle.gateway is not None:
-        client.call_node("gateway", line.method, line.path, line.body,
+        client.call_node(GATEWAY_NODE, line.method, line.path, line.body,
                          finish, deadline=CLIENT_DEADLINE_TICKS)
     else:
         hit = handle.client_router.resolve(line.path)

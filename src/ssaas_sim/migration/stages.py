@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..chassis import (DEFAULT_BREAKER_OPEN_TICKS, DEFAULT_BREAKER_THRESHOLD, DEFAULT_PROFILE,
-                       ServiceClient, ServiceNode, WiringMode)
+                       MONOLITH_NODE, ServiceClient, ServiceNode, WiringMode)
 from ..confsvc import ConfigServer
 from ..gateway import SERVICE_NAME as GATEWAY_SERVICE
 from ..gateway import Gateway, RouteTable
@@ -146,7 +146,7 @@ class SystemHandle:
         """Where a statically wired call to each service goes: the service's
         first instance. The single deployable stands in for every service."""
         if STAGES[self.stage].wiring == WiringMode.LIBRARY_CALL:
-            return dict.fromkeys(STAGES[LAST_STAGE].services, "monolith")
+            return dict.fromkeys(STAGES[LAST_STAGE].services, MONOLITH_NODE)
         return {service: _node_id(service, 1) for service in STAGES[self.stage].services}
 
     def start(self, nodes: list[ServiceNode]) -> None:

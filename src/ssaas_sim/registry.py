@@ -110,9 +110,8 @@ class RegistryStore:
 class RegistryService(ServiceNode):
     """Wire front end for a :class:`RegistryStore` plus the sweep timer."""
 
-    def __init__(self, sim: Simulator, node_id: str = REGISTRY_NODE,
-                 lease: LeaseConfig = LeaseConfig()) -> None:
-        super().__init__(sim, node_id, SERVICE_NAME)
+    def __init__(self, sim: Simulator, lease: LeaseConfig = LeaseConfig()) -> None:
+        super().__init__(sim, REGISTRY_NODE, SERVICE_NAME)
         self.store = RegistryStore(lease)
         self.route("POST", "/registry/{service}", self._register)
         self.route("PUT", "/registry/{service}/{instance_id}/renew", self._renew)

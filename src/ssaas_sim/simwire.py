@@ -19,7 +19,6 @@ import json
 from collections.abc import Sequence
 from fnmatch import fnmatchcase
 from itertools import repeat
-from types import MappingProxyType
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 Body = Any  # maps, lists, strings, ints, booleans, None
@@ -63,6 +62,7 @@ class FaultEffect:
     PARTITION = "PARTITION"
     DELAY = "DELAY"
     KILL_NODE = "KILL_NODE"
+    REVIVE = "REVIVE"
 
 
 class Envelope:
@@ -105,7 +105,8 @@ class Envelope:
 
 class FaultRule:
     """A fault selector: DROP and DELAY match (source, destination),
-    PARTITION matches either direction, KILL_NODE matches node names only."""
+    PARTITION matches either direction, KILL_NODE and REVIVE match node
+    names only. A REVIVE lifts the kill rules in force with its node pattern."""
 
     def __init__(self, effect: str, source: str = "*", destination: str = "*",
                  node: str = "*", delay_ticks: int = 0) -> None:
@@ -118,7 +119,6 @@ class FaultRule:
         self.destination = destination
         self.node = node
         self.delay_ticks = delay_ticks
-        self.active = True
         self.rule_id: Optional[int] = None
 
     def matches_pair(self, source: str, destination: str) -> bool:
@@ -232,12 +232,12 @@ class Simulator:
     ``(fn, node, interval)`` entry (:meth:`every`), which :meth:`step`
     re-arms as soon as ``fn`` returns.
 
-    ``nodes`` is a read-only view of every registered node's handler:
-    :meth:`add_node` is the only way in. ``_live`` maps each node no kill
-    rule has taken down to its handler, so a send or a delivery checks
-    liveness with one lookup. A node added while an active kill rule
-    matches it starts down. Kills and revives edit it in place: a handler
-    may change it for a later event of the tick.
+    ``_nodes`` maps every registered node to its handler: :meth:`add_node`
+    is the only way in. ``_live`` maps each node no kill rule in force
+    matches to its handler, so a send or a delivery checks liveness with
+    one lookup. A node added while a kill rule in force matches it starts
+    down. Kills and lifts edit it in place: a handler may change it for a
+    later event of the tick.
 
     ``records`` is the delivery trace, a read-only :class:`WireTrace` over
     the flat list of fields that :meth:`step` and :meth:`_record` extend.
@@ -247,21 +247,20 @@ class Simulator:
         self.seed = seed
         self.now = 0
         self._nodes: dict[str, Callable[[Envelope], None]] = {}
-        self.nodes = MappingProxyType(self._nodes)
         self._live: dict[str, Callable[[Envelope], None]] = {}
         # The trace, flat: see WireTrace. Only step and _record extend it.
         self._trace: list = []
         self.records = WireTrace(self._trace)
-        self.delivered = 0
         self.dropped = 0
         self.failed = 0
         self._buckets: dict[int, list] = {}  # one entry per event, see above
         self._ticks: list[int] = []  # heap of the keys of _buckets
-        self._fault_schedule: list[tuple[int, int, FaultRule]] = []
-        self._rules: dict[int, FaultRule] = {}
-        # The DROP, PARTITION and DELAY rules of _rules, in registration
-        # order: the only rules a send consults. Kill rules act via _live.
-        self._link_rules: list[FaultRule] = []
+        self._fault_schedule: list[tuple[int, int, FaultRule]] = []  # a heap
+        self._rules: dict[int, FaultRule] = {}  # registered and not cleared
+        # The rules in force by id, in the order they came into force. A send
+        # consults only _link_rules, whose order never changes its fate.
+        self._kills: dict[int, FaultRule] = {}
+        self._link_rules: dict[int, FaultRule] = {}
         self._awaiting_reply: set[int] = set()
         # Pending timers by id; cancelling one removes it here and leaves
         # its queue entry behind as a tombstone.
@@ -320,8 +319,8 @@ class Simulator:
             return mid
         tick = self.now + BASE_LATENCY_TICKS
         if self._link_rules:
-            for rule in self._link_rules:
-                if rule.active and rule.matches_pair(source, destination):
+            for rule in self._link_rules.values():
+                if rule.matches_pair(source, destination):
                     if rule.effect != FaultEffect.DELAY:
                         self._record(env, DROPPED)
                         self.dropped += 1
@@ -372,33 +371,24 @@ class Simulator:
     # -- faults -----------------------------------------------------------
 
     def inject(self, rule: FaultRule) -> int:
-        """Activate a fault rule now; already-enqueued deliveries keep the
+        """Apply a fault rule now; already-enqueued deliveries keep the
         latency and drop decisions made when they were scheduled."""
         rid = self._register_rule(rule)
         self._apply_rule(rule)
         return rid
 
     def clear(self, rule_id: int) -> None:
-        rule = self._rules.pop(rule_id, None)
-        if rule is None:
+        if self._rules.pop(rule_id, None) is None:
             raise UnknownRule(f"no such rule: {rule_id}")
-        if rule.effect == FaultEffect.KILL_NODE:
-            self._recompute_dead()
-        else:
-            self._link_rules.remove(rule)
+        self._link_rules.pop(rule_id, None)
+        self._lift([rule_id])
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> int:
-        """Register a rule that activates when the clock reaches ``tick``."""
+        """Register a rule to apply when the clock reaches ``tick``, unless cleared first."""
         rid = self._register_rule(rule)
-        rule.active = False
         self._seq += 1
-        heapq.heappush(self._fault_schedule, (tick, self._seq, ("activate", rule)))
+        heapq.heappush(self._fault_schedule, (tick, self._seq, rule))
         return rid
-
-    def schedule_revive(self, tick: int, node_pattern: str) -> None:
-        """Lift any kill rules matching ``node_pattern`` at ``tick``."""
-        self._seq += 1
-        heapq.heappush(self._fault_schedule, (tick, self._seq, ("revive", node_pattern)))
 
     def _register_rule(self, rule: FaultRule) -> int:
         if rule.rule_id is None:
@@ -407,24 +397,29 @@ class Simulator:
         if rule.rule_id in self._rules:
             raise InvalidFaultRule(f"duplicate rule id: {rule.rule_id}")
         self._rules[rule.rule_id] = rule
-        if rule.effect != FaultEffect.KILL_NODE:
-            self._link_rules.append(rule)
         return rule.rule_id
 
     def _apply_rule(self, rule: FaultRule) -> None:
-        rule.active = True
+        """Put ``rule`` in force; a REVIVE lifts instead."""
         if rule.effect == FaultEffect.KILL_NODE:
+            self._kills[rule.rule_id] = rule
             for name in self._nodes:
                 if rule.matches_node(name):
                     self._live.pop(name, None)
+        elif rule.effect == FaultEffect.REVIVE:
+            self._lift([rid for rid, kill in self._kills.items() if kill.node == rule.node])
+        else:
+            self._link_rules[rule.rule_id] = rule
 
     def _killed(self, name: str) -> bool:
-        """Does an active kill rule match ``name``? A node is live iff not."""
-        return any(rule.active and rule.effect == FaultEffect.KILL_NODE
-                   and rule.matches_node(name) for rule in self._rules.values())
+        """Does a kill rule in force match ``name``? A node is live iff not."""
+        return any(rule.matches_node(name) for rule in self._kills.values())
 
-    def _recompute_dead(self) -> None:
-        """Refill ``_live`` in place: every node no active kill rule matches."""
+    def _lift(self, rule_ids: list[int]) -> None:
+        """Take the kill rules of ``rule_ids`` out of force, then refill
+        ``_live`` in place; no other code recomputes ``_live``."""
+        for rid in rule_ids:
+            self._kills.pop(rid, None)
         live = self._live
         live.clear()
         for name, handler in self._nodes.items():
@@ -433,15 +428,9 @@ class Simulator:
 
     def _activate_due_faults(self, up_to_tick: int) -> None:
         while self._fault_schedule and self._fault_schedule[0][0] <= up_to_tick:
-            _, _, (action, arg) = heapq.heappop(self._fault_schedule)
-            if action == "activate":
-                if self._rules.get(arg.rule_id) is arg:  # not cleared meanwhile
-                    self._apply_rule(arg)
-            else:  # revive
-                for rule in self._rules.values():
-                    if rule.effect == FaultEffect.KILL_NODE and rule.node == arg:
-                        rule.active = False
-                self._recompute_dead()
+            rule = heapq.heappop(self._fault_schedule)[2]
+            if self._rules.get(rule.rule_id) is rule:  # not cleared meanwhile
+                self._apply_rule(rule)
 
     # -- stepping ---------------------------------------------------------
 
@@ -506,8 +495,6 @@ class Simulator:
             raise
         finally:
             self._ctx_maintenance = outer
-            # Counted once per tick, so a handler reads the count at the tick's start.
-            self.delivered += len(delivered)
         return delivered
 
     def advance_to(self, tick: int) -> None:
@@ -550,6 +537,11 @@ class Simulator:
             for event in bucket:
                 if type(event) is Envelope and not event.maintenance:
                     yield 1
+
+    @property
+    def delivered(self) -> int:
+        """Messages delivered so far: every trace record not dropped or failed."""
+        return len(self.records) - self.dropped - self.failed
 
     @property
     def sent(self) -> int:
@@ -605,14 +597,24 @@ class Simulator:
 
 # -- fault scripts ---------------------------------------------------------
 
-def parse_fault_script(text: str) -> list[tuple[int, str, FaultRule | str]]:
-    """Parse a line-based fault script: ``tick action args``.
+# Each script action: the effect of its rule, and the rule fields its
+# arguments fill, in order.
+_ACTIONS = {"kill": (FaultEffect.KILL_NODE, ("node",)),
+            "revive": (FaultEffect.REVIVE, ("node",)),
+            "drop": (FaultEffect.DROP, ("source", "destination")),
+            "partition": (FaultEffect.PARTITION, ("source", "destination")),
+            "delay": (FaultEffect.DELAY, ("source", "destination", "delay_ticks"))}
+
+
+def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
+    """Parse a line-based fault script, ``tick action args`` per line, into
+    ``(tick, rule)`` pairs.
 
     Actions: ``kill <node>``, ``revive <node>``, ``drop <src> <dst>``,
-    ``partition <a> <b>``, ``delay <src> <dst> <ticks>``. ``revive`` undoes
-    the kill rules whose node pattern matches exactly.
+    ``partition <a> <b>``, ``delay <src> <dst> <ticks>``. ``revive`` lifts
+    the kill rules whose node pattern equals its own.
     """
-    out: list[tuple[int, str, FaultRule | str]] = []
+    out: list[tuple[int, FaultRule]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -622,35 +624,24 @@ def parse_fault_script(text: str) -> list[tuple[int, str, FaultRule | str]]:
             tick = int(parts[0])
             if tick < 0:
                 raise ValueError("negative tick")
-            action = parts[1]
-            if action == "kill":
-                entry: FaultRule | str = FaultRule(FaultEffect.KILL_NODE, node=parts[2])
-            elif action == "revive":
-                entry = parts[2]
-            elif action == "drop":
-                entry = FaultRule(FaultEffect.DROP, source=parts[2], destination=parts[3])
-            elif action == "partition":
-                entry = FaultRule(FaultEffect.PARTITION, source=parts[2], destination=parts[3])
-            elif action == "delay":
-                entry = FaultRule(FaultEffect.DELAY, source=parts[2], destination=parts[3],
-                                  delay_ticks=int(parts[4]))
-            else:
+            action, args = parts[1], parts[2:]
+            if action not in _ACTIONS:
                 raise ValueError(f"unknown action {action!r}")
-            if len(parts) > (5 if action == "delay" else 4 if action in ("drop", "partition") else 3):
-                raise ValueError("trailing arguments")
+            effect, fields = _ACTIONS[action]
+            if len(args) != len(fields):
+                raise ValueError(f"{action} takes {len(fields)} argument(s), got {len(args)}")
+            rule = FaultRule(effect, **{field: int(arg) if field == "delay_ticks" else arg
+                                        for field, arg in zip(fields, args)})
         except (IndexError, ValueError, InvalidFaultRule) as exc:
             raise FaultScriptError(f"line {lineno}: {exc}") from exc
-        out.append((tick, action, entry))
+        out.append((tick, rule))
     return out
 
 
-def apply_fault_schedule(sim: Simulator, schedule: list[tuple[int, str, FaultRule | str]]) -> None:
+def apply_fault_schedule(sim: Simulator, schedule: list[tuple[int, FaultRule]]) -> None:
     """Install a parsed fault script onto the simulator's clock."""
-    for tick, action, entry in schedule:
-        if action == "revive":
-            sim.schedule_revive(tick, entry)  # type: ignore[arg-type]
-        else:
-            sim.schedule_fault(tick, entry)  # type: ignore[arg-type]
+    for tick, rule in schedule:
+        sim.schedule_fault(tick, rule)
 
 
 def canonical_json(body: Body) -> str:

@@ -20,6 +20,7 @@ import random
 from typing import Any, Callable, Optional
 
 from ..chassis import (
+    MONOLITH_NODE,
     DecodeError,
     Refusal,
     Request,
@@ -144,12 +145,8 @@ def mount_resources(node: ServiceNode, pool: ServerPool, rng: random.Random) -> 
         res = pool.release(_int_arg(req.params["rid"]))
         return "200", {"reservation_id": res.reservation_id, "released": True}
 
-    def servers(req: Request):
-        return "200", [s.to_body() for s in pool.servers()]
-
     node.route("POST", "/resources/reservations", reserve)
     node.route("DELETE", "/resources/reservations/{rid}", release)
-    node.route("GET", "/resources/servers", servers)
 
 
 def policy_rng(seed: int, service: str) -> random.Random:
@@ -399,8 +396,8 @@ class Monolith(ServiceNode):
     """Single deployable hosting the in-process services of the original
     system: it serves each hosted service's routes as its own."""
 
-    def __init__(self, sim: Simulator, node_id: str = "monolith") -> None:
-        super().__init__(sim, node_id, "Monolith")
+    def __init__(self, sim: Simulator) -> None:
+        super().__init__(sim, MONOLITH_NODE, "Monolith")
 
     def host(self, node: ServiceNode) -> None:
         # A hosted node's own POST /refresh route sorts after the monolith's,

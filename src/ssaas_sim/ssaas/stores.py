@@ -101,10 +101,6 @@ class ServerRecord:
         self.capacity = capacity
         self.reserved = 0
 
-    def to_body(self) -> dict:
-        return {"server_id": self.server_id, "flavor": self.flavor,
-                "capacity": self.capacity, "reserved": self.reserved}
-
 
 class Reservation(NamedTuple):
     reservation_id: int

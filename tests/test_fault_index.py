@@ -1,24 +1,24 @@
 """Send fates and node liveness against references built from the rules.
 
-``send`` only looks at the DROP, PARTITION and DELAY rules, kept in
-registration order; KILL_NODE rules act through the kernel's live-node map.
-The references below read neither index. A node is up when it is registered
-and no kill rule in force matches it. A kill rule comes into force when it
-is applied (injected, or activated at its scheduled tick); clearing a kill
-rule or a scheduled revive puts exactly the active kill rules in force. So
-a kill rule's ``active`` flag flipped by hand counts only from the next
-clear or revive on. A node added later is up iff no active kill rule
-matches it; the script adds one only while no flipped flag makes the
-active kill rules differ from those in force. A send's fate is the
-decision ``send`` used to make: two scans over every registered rule, the
-first for an active drop or partition, the second summing active delays.
-After any sequence of injects, clears, scheduled faults and revives,
-``active`` flags flipped by hand, nodes added late, timers (also on killed
-nodes), and kills, revives and sends made by handlers and timers in the
-middle of a tick, every send must meet the fate the reference predicts
-(dropped, failed, or delivered on a given tick), ``node_alive`` must agree
-with the reference, and ``step()`` must deliver exactly the events whose
-node was up when their turn came.
+``send`` only looks at the DROP, PARTITION and DELAY rules in force;
+KILL_NODE rules act through the kernel's live-node map. The references
+below read neither. The script keeps its own record of the rules it
+registered and of those in force. A rule comes into force when it is
+applied: injected, or reached at its scheduled tick while still
+registered. A REVIVE is in force for no time: applied, it lifts the kill
+rules in force whose node pattern equals its own. Clearing a rule takes it
+out of force, and a scheduled rule cleared before its tick is never
+applied. A node is up when it is registered and no kill rule in force
+matches it. A send's fate is the decision ``send`` used to make: two scans
+over the link rules in force, the first for a drop or partition, the
+second summing delays. After any sequence of injects, clears, scheduled
+faults and revives, nodes added late, timers (also on killed nodes), and
+kills, revives and sends made by handlers and timers in the middle of a
+tick, every send must meet the fate the reference predicts (dropped,
+failed, or delivered on a given tick), ``node_alive`` must agree with the
+reference, the kernel's rules in force must be the script's, and
+``step()`` must deliver exactly the events whose node was up when their
+turn came.
 """
 
 from __future__ import annotations
@@ -47,25 +47,23 @@ PATTERNS = ("*", "a-*", "b-1", "?-1", "reg", "c*")
 LINK_EFFECTS = (FaultEffect.DROP, FaultEffect.PARTITION, FaultEffect.DELAY)
 
 
-def reference_fate(sim: Simulator, alive: frozenset[str], source: str,
+def reference_fate(now: int, alive: frozenset[str], links: list[FaultRule], source: str,
                    destination: str) -> tuple[str, Optional[int]]:
-    """("dropped" | "failed" | "queued", delivery tick) by the old double scan."""
+    """("dropped" | "failed" | "queued", delivery tick) by the old double scan
+    over the link rules in force."""
     if source not in alive:
         return DROPPED, None
     if destination not in alive:
         return FAILED, None
     latency = BASE_LATENCY_TICKS
-    for rule in sim._rules.values():
-        if not rule.active:
-            continue
+    for rule in links:
         if rule.effect in (FaultEffect.DROP, FaultEffect.PARTITION) and \
                 rule.matches_pair(source, destination):
             return DROPPED, None
-    for rule in sim._rules.values():
-        if rule.active and rule.effect is FaultEffect.DELAY and \
-                rule.matches_pair(source, destination):
+    for rule in links:
+        if rule.effect is FaultEffect.DELAY and rule.matches_pair(source, destination):
             latency += rule.delay_ticks
-    return "queued", sim.now + latency
+    return "queued", now + latency
 
 
 def observed_fate(sim: Simulator, env: Envelope, mid: int) -> tuple[str, Optional[int]]:
@@ -84,7 +82,8 @@ rules = st.one_of(
         delay_ticks=delay if effect is FaultEffect.DELAY else 0),
         st.sampled_from(LINK_EFFECTS), st.sampled_from(PATTERNS),
         st.sampled_from(PATTERNS), st.integers(1, 4)),
-    st.builds(lambda node: FaultRule(FaultEffect.KILL_NODE, node=node),
+    st.builds(lambda effect, node: FaultRule(effect, node=node),
+              st.sampled_from((FaultEffect.KILL_NODE, FaultEffect.REVIVE)),
               st.sampled_from(PATTERNS)),
 )
 
@@ -93,6 +92,7 @@ actions = st.one_of(
     st.none(),
     st.tuples(st.just("kill"), st.sampled_from(PATTERNS)),
     st.tuples(st.just("revive"), st.integers(0, 20)),
+    st.tuples(st.just("lift"), st.sampled_from(PATTERNS)),
     st.tuples(st.just("send"), st.sampled_from(DESTINATIONS)),
 )
 
@@ -103,7 +103,6 @@ ops = st.one_of(
     st.tuples(st.just("revive"), st.integers(0, 6), st.sampled_from(PATTERNS)),
     st.tuples(st.just("advance"), st.integers(0, 4)),
     st.tuples(st.just("step")),
-    st.tuples(st.just("toggle"), st.integers(0, 20)),
     st.tuples(st.just("add"), st.sampled_from(LATE)),
     st.tuples(st.just("timer"), st.sampled_from(NODES), st.integers(1, 4), actions),
     st.tuples(st.just("send"), st.sampled_from(NODES), st.sampled_from(DESTINATIONS),
@@ -114,77 +113,69 @@ ops = st.one_of(
 class Script:
     """A simulator whose handlers and timers run drawn actions and log, for
     every event they run, the reference's live set before and after. Every
-    fault goes through the script, which keeps the kill rules in force and
-    its own copy of the fault schedule."""
+    fault goes through the script, which keeps the rules registered, the
+    rules in force and its own copy of the fault schedule."""
 
     def __init__(self) -> None:
         self.sim = Simulator()
         self.ids: list[int] = []
         self.log: list[tuple[object, frozenset[str], frozenset[str]]] = []
         self.timer_nodes: dict[int, str] = {}
-        self.in_force: set[int] = set()  # ids of the kill rules in force
-        self.schedule: list[tuple[int, int, str, object]] = []
+        self.names: set[str] = set()  # the nodes registered
+        self.rules: dict[int, FaultRule] = {}  # registered and not cleared
+        self.kills: set[int] = set()  # ids of the kill rules in force
+        self.links: dict[int, FaultRule] = {}  # link rules in force, in that order
+        self.schedule: list[tuple[int, int, FaultRule]] = []
         self.seq = 0
         for name in NODES:
-            self.sim.add_node(name, self._handler(name))
+            self.add_node(name)
 
     def alive(self) -> frozenset[str]:
         """Registered, and matched by no kill rule in force."""
-        rules = self.sim._rules
-        return frozenset(name for name in DESTINATIONS if name in self.sim.nodes and not any(
-            rules[rid].matches_node(name) for rid in self.in_force))
+        return frozenset(name for name in self.names if not any(
+            self.rules[rid].matches_node(name) for rid in self.kills))
 
-    def _enforce_active_kills(self) -> None:
-        self.in_force = {rid for rid, rule in self.sim._rules.items()
-                         if rule.active and rule.effect is FaultEffect.KILL_NODE}
+    def _apply(self, rule: FaultRule) -> None:
+        rid = rule.rule_id
+        if rule.effect is FaultEffect.KILL_NODE:
+            self.kills.add(rid)
+        elif rule.effect is FaultEffect.REVIVE:
+            self.kills = {kid for kid in self.kills if self.rules[kid].node != rule.node}
+        else:
+            self.links[rid] = rule
 
     def inject(self, rule: FaultRule) -> None:
         rid = self.sim.inject(rule)
         self.ids.append(rid)
-        if rule.effect is FaultEffect.KILL_NODE:
-            self.in_force.add(rid)
+        self.rules[rid] = rule
+        self._apply(rule)
 
     def clear(self, rid: int) -> None:
-        kill = self.sim._rules[rid].effect is FaultEffect.KILL_NODE
         self.sim.clear(rid)
-        if kill:
-            self._enforce_active_kills()
+        del self.rules[rid]
+        self.kills.discard(rid)
+        self.links.pop(rid, None)
 
     def add_node(self, name: str) -> None:
-        """Add ``name``, unless it is there already or a flipped flag makes
-        the active kill rules differ from those in force."""
-        active = {rid for rid, rule in self.sim._rules.items()
-                  if rule.active and rule.effect is FaultEffect.KILL_NODE}
-        if name not in self.sim.nodes and active == self.in_force:
+        """Add ``name``, unless it is there already."""
+        if name not in self.names:
             self.sim.add_node(name, self._handler(name))
+            self.names.add(name)
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> None:
-        self.ids.append(self.sim.schedule_fault(tick, rule))
+        rid = self.sim.schedule_fault(tick, rule)
+        self.ids.append(rid)
+        self.rules[rid] = rule
         self.seq += 1
-        heapq.heappush(self.schedule, (tick, self.seq, "activate", rule))
-
-    def schedule_revive(self, tick: int, pattern: str) -> None:
-        self.sim.schedule_revive(tick, pattern)
-        self.seq += 1
-        heapq.heappush(self.schedule, (tick, self.seq, "revive", pattern))
+        heapq.heappush(self.schedule, (tick, self.seq, rule))
 
     def fire_due(self, tick: int) -> None:
-        """Bring the kill rules in force to where the scheduled faults due by
-        ``tick`` put them; called just before the kernel fires them."""
-        # The kill rules' active flags as the scheduled actions leave them.
-        active = {rid: rule.active for rid, rule in self.sim._rules.items()
-                  if rule.effect is FaultEffect.KILL_NODE}
+        """Apply the scheduled rules due by ``tick`` that are still
+        registered; called just before the kernel fires them."""
         while self.schedule and self.schedule[0][0] <= tick:
-            _, _, action, arg = heapq.heappop(self.schedule)
-            if action == "activate":
-                if arg.rule_id in active and self.sim._rules[arg.rule_id] is arg:
-                    active[arg.rule_id] = True
-                    self.in_force.add(arg.rule_id)
-            else:  # a revive lifts the kill rules naming exactly that pattern
-                for rid in active:
-                    if self.sim._rules[rid].node == arg:
-                        active[rid] = False
-                self.in_force = {rid for rid, on in active.items() if on}
+            rule = heapq.heappop(self.schedule)[2]
+            if self.rules.get(rule.rule_id) is rule:
+                self._apply(rule)
 
     def advance(self, ticks: int) -> None:
         """``advance_to``, one checked step at a time."""
@@ -206,9 +197,11 @@ class Script:
             kind, arg = action
             if kind == "kill":
                 self.inject(FaultRule(FaultEffect.KILL_NODE, node=arg))
+            elif kind == "lift":
+                self.inject(FaultRule(FaultEffect.REVIVE, node=arg))
             elif kind == "revive":
-                kills = [rid for rid in self.ids if rid in self.sim._rules
-                         and self.sim._rules[rid].effect is FaultEffect.KILL_NODE]
+                kills = [rid for rid in self.ids if rid in self.rules
+                         and self.rules[rid].effect is FaultEffect.KILL_NODE]
                 if kills:
                     self.clear(kills[arg % len(kills)])
             else:
@@ -217,7 +210,8 @@ class Script:
 
     def send(self, source: str, destination: str, action) -> None:
         sim = self.sim
-        want = reference_fate(sim, self.alive(), source, destination)
+        want = reference_fate(sim.now, self.alive(), list(self.links.values()),
+                              source, destination)
         env = Envelope.request(source, destination, "/x", body=action)
         mid = sim.send(env)
         assert observed_fate(sim, env, mid) == want
@@ -277,6 +271,10 @@ LATE_NODE_UNDER_KILL = [("inject", FaultRule(FaultEffect.KILL_NODE, node="a-*"))
                         ("add", "a-3"),
                         ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
                         ("clear", 1), ("send", "reg", "a-3", None)]
+# A revive of b-1 scheduled under a kill of b-1, then cleared before its tick.
+CLEARED_REVIVE = [("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
+                  ("revive", 2, "b-1"), ("clear", 1), ("advance", 3),
+                  ("send", "a-1", "b-1", None)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,6 +282,7 @@ LATE_NODE_UNDER_KILL = [("inject", FaultRule(FaultEffect.KILL_NODE, node="a-*"))
 @example(MID_TICK_REVIVE)
 @example(MID_TICK_KILL)
 @example(LATE_NODE_UNDER_KILL)
+@example(CLEARED_REVIVE)
 def test_send_fate_matches_full_rule_scan(script):
     run = Script()
     sim, ids = run.sim, run.ids
@@ -292,30 +291,26 @@ def test_send_fate_matches_full_rule_scan(script):
         if kind == "inject":
             run.inject(op[1])
         elif kind == "clear":
-            live = [rid for rid in ids if rid in sim._rules]
+            live = [rid for rid in ids if rid in run.rules]
             if live:
                 run.clear(live[op[1] % len(live)])
         elif kind == "schedule":
             run.schedule_fault(sim.now + op[1], op[2])
         elif kind == "revive":
-            run.schedule_revive(sim.now + op[1], op[2])
+            run.schedule_fault(sim.now + op[1], FaultRule(FaultEffect.REVIVE, node=op[2]))
         elif kind == "advance":
             run.advance(op[1])
         elif kind == "step":
             run.step()
-        elif kind == "toggle":
-            live = [sim._rules[rid] for rid in ids if rid in sim._rules]
-            if live:
-                rule = live[op[1] % len(live)]
-                rule.active = not rule.active
         elif kind == "add":
             run.add_node(op[1])
         elif kind == "timer":
             run.set_timer(*op[1:])
         else:
             run.send(*op[1:])
-        assert sim._link_rules == [rule for rule in sim._rules.values()
-                                   if rule.effect is not FaultEffect.KILL_NODE]
+        assert sim._rules == run.rules
+        assert set(sim._kills) == run.kills
+        assert sim._link_rules == run.links and list(sim._link_rules) == list(run.links)
         alive = run.alive()
         for name in DESTINATIONS:
             assert sim.node_alive(name) == (name in alive)
@@ -327,9 +322,9 @@ def test_no_link_rule_means_nothing_scanned():
         sim.add_node(name, lambda env: None)
     sim.schedule_fault(1, FaultRule(FaultEffect.KILL_NODE, node="b-1"))
     sim.inject(FaultRule(FaultEffect.KILL_NODE, node="reg"))
-    assert sim._link_rules == []
+    assert sim._link_rules == {}
     rid = sim.inject(FaultRule(FaultEffect.DELAY, source="a-*", destination="*",
                                delay_ticks=2))
-    assert [rule.rule_id for rule in sim._link_rules] == [rid]
+    assert list(sim._link_rules) == [rid]
     sim.clear(rid)
-    assert sim._link_rules == []
+    assert sim._link_rules == {}

@@ -9,11 +9,13 @@ never loads, and every module-level ``_name`` bound by an assignment, a
 files re-export names, so they are skipped, and so are ``from __future__``
 imports and dunder names. Names inside string annotations count as loads.
 
-A public name (a module-level binding, or a method of a module-level class,
-not starting with ``_``) must be loaded somewhere in ``src/``, ``bench/`` or
-``tests/``: as a name, an attribute, an imported name, or a string constant,
-since the benchmark's tracer patches attributes by their names. Neither a
-package ``__init__.py``'s re-export nor an ``__all__`` entry is a use.
+A public name (a module-level binding, a method of a module-level class, or
+an attribute such a class's ``__init__`` assigns on ``self``, not starting
+with ``_``) must be loaded somewhere in ``src/``, ``bench/`` or ``tests/``:
+as a name, an attribute, an imported name, or a string constant, since the
+benchmark's tracer patches attributes by their names. Neither a package
+``__init__.py``'s re-export nor an ``__all__`` entry is a use, and neither
+is an assignment to the attribute.
 """
 
 from __future__ import annotations
@@ -60,14 +62,27 @@ def private_bindings(tree: ast.Module) -> set[str]:
             if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
 
 
+def init_attributes(cls: ast.ClassDef) -> set[str]:
+    """The attributes the class's ``__init__`` assigns on ``self``."""
+    names = set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__" and item.args.args:
+            this = item.args.args[0].arg
+            names.update(node.attr for node in ast.walk(item)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == this)
+    return names
+
+
 def public_definitions(tree: ast.Module) -> set[str]:
-    """Top-level bindings, and methods of top-level classes, that do not
-    start with ``_``."""
+    """Top-level bindings, and methods of top-level classes and attributes
+    their ``__init__`` assigns, that do not start with ``_``."""
     names = set(top_level_bindings(tree))
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             names.update(item.name for item in node.body
                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            names |= init_attributes(node)
     return {name for name in names if not name.startswith("_")}
 
 
@@ -146,14 +161,17 @@ def test_reference_detects_unused_private_names():
 
 def test_reference_detects_dead_public_names():
     defining = ast.parse("A = 1\nB, _c = 2, 3\ndef f(): pass\ndef g(): pass\n"
-                         "class K:\n    x = 1\n    def used(self): pass\n"
+                         "class K:\n    x = 1\n    def __init__(me, v):\n"
+                         "        me.read = me.stored = v\n        me._own = v\n"
+                         "        other.elsewhere = v\n"
+                         "    def used(self): pass\n"
                          "    def patched(self): pass\n    def dead(self): pass\n"
                          "    def _private(self): pass\n")
     using = ast.parse("from m import A\nk.used()\npatch(K, 'patched')\n"
-                      "__all__ = ['B', 'g']\n")
+                      "k.read + 1\nk.stored = 2\n__all__ = ['B', 'g']\n")
     package = ast.parse("from .m import B, f\n")
     loaded = used_names(using, reexports=False) | used_names(package, reexports=True)
-    assert sorted(public_definitions(defining) - loaded) == ["B", "dead", "f", "g"]
+    assert sorted(public_definitions(defining) - loaded) == ["B", "dead", "f", "g", "stored"]
 
 
 def source_modules() -> list[Path]:

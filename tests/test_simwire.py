@@ -357,8 +357,13 @@ class TestFaultScript:
         20 delay a b 5
         """
         schedule = parse_fault_script(text)
-        assert [(t, a) for t, a, _ in schedule] == [
-            (40, "kill"), (55, "revive"), (10, "drop"), (12, "partition"), (20, "delay")]
+        assert [(t, r.effect, r.source, r.destination, r.node, r.delay_ticks)
+                for t, r in schedule] == [
+            (40, FaultEffect.KILL_NODE, "*", "*", "chat-1", 0),
+            (55, FaultEffect.REVIVE, "*", "*", "chat-1", 0),
+            (10, FaultEffect.DROP, "a", "b", "*", 0),
+            (12, FaultEffect.PARTITION, "a", "c", "*", 0),
+            (20, FaultEffect.DELAY, "a", "b", "*", 5)]
         sim = make_sim("a", "b", "c", "chat-1")
         apply_fault_schedule(sim, schedule)
         sim.advance_to(41)
@@ -375,6 +380,28 @@ class TestFaultScript:
             parse_fault_script("5 delay a b 0")
         with pytest.raises(FaultScriptError):
             parse_fault_script("-5 kill chatservices-1")
+
+    @pytest.mark.parametrize("line", [
+        "5 kill", "5 kill a b",
+        "5 revive", "5 revive a b",
+        "5 drop a", "5 drop a b c",
+        "5 partition a", "5 partition a b c",
+        "5 delay a b", "5 delay a b 3 4",
+    ])
+    def test_parse_refuses_one_argument_too_few_or_too_many(self, line):
+        with pytest.raises(FaultScriptError, match="^line 2: "):
+            parse_fault_script("# arity\n" + line)
+
+    def test_revive_cleared_before_its_tick_never_fires(self):
+        sim = make_sim("a", "b")
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        revive = sim.schedule_fault(10, FaultRule(FaultEffect.REVIVE, node="b"))
+        sim.clear(revive)
+        sim.advance_to(20)
+        assert not sim.node_alive("b")
+        sim.send(Envelope.request("a", "b", "/x"))
+        drain(sim)
+        assert sim.failed == 1
 
 
 class TestReferenceQueueOracle:
