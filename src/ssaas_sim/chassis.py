@@ -170,14 +170,13 @@ class Resolver:
     appear or disappear so the cycle stays well defined.
     """
 
-    def __init__(self, cache_ttl: int = DEFAULT_CACHE_TTL_TICKS) -> None:
-        self.cache_ttl = cache_ttl
+    def __init__(self) -> None:
         self._services: dict[str, _ServiceCache] = {}
 
     def fresh(self, service: str, now: int) -> bool:
         entry = self._services.get(service)
         return entry is not None and entry.fetched_at is not None \
-            and now - entry.fetched_at < self.cache_ttl
+            and now - entry.fetched_at < DEFAULT_CACHE_TTL_TICKS
 
     def update(self, service: str, endpoints: list[Endpoint], now: int) -> None:
         entry = self._services.setdefault(service, _ServiceCache())

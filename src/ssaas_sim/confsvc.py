@@ -127,6 +127,8 @@ class ConfigStore:
                 doc = _Doc(int(version), entries)
             except (ValueError, MalformedConfig) as exc:
                 raise CheckpointError(f"line {lineno}: {exc}") from exc
+            if (service, profile) in store._docs:  # save writes each document once
+                raise CheckpointError(f"line {lineno}: duplicate document {service}|{profile}")
             store._docs[(service, profile)] = doc
         return store
 

@@ -106,7 +106,9 @@ class Envelope:
 class FaultRule:
     """A fault selector: DROP and DELAY match (source, destination),
     PARTITION matches either direction, KILL_NODE and REVIVE match node
-    names only. A REVIVE lifts the kill rules in force with its node pattern."""
+    names only. A REVIVE lifts the kill rules in force with its node pattern.
+    A rule is a value no simulator writes to: every registration of it gets a
+    fresh id, so one parsed script runs on any number of simulators."""
 
     def __init__(self, effect: str, source: str = "*", destination: str = "*",
                  node: str = "*", delay_ticks: int = 0) -> None:
@@ -119,7 +121,6 @@ class FaultRule:
         self.destination = destination
         self.node = node
         self.delay_ticks = delay_ticks
-        self.rule_id: Optional[int] = None
 
     def matches_pair(self, source: str, destination: str) -> bool:
         if self.effect == FaultEffect.PARTITION:
@@ -255,8 +256,8 @@ class Simulator:
         self.failed = 0
         self._buckets: dict[int, list] = {}  # one entry per event, see above
         self._ticks: list[int] = []  # heap of the keys of _buckets
-        self._fault_schedule: list[tuple[int, int, FaultRule]] = []  # a heap
-        self._rules: dict[int, FaultRule] = {}  # registered and not cleared
+        self._fault_schedule: list[tuple[int, int]] = []  # heap of (tick, rule id)
+        self._rules: dict[int, FaultRule] = {}  # registered and not cleared, by id
         # The rules in force by id, in the order they came into force. A send
         # consults only _link_rules, whose order never changes its fate.
         self._kills: dict[int, FaultRule] = {}
@@ -268,7 +269,6 @@ class Simulator:
         self._next_message_id = 1
         self._next_rule_id = 1
         self._next_timer_id = 1
-        self._seq = 0
         self._ctx_maintenance = False
 
     # -- nodes ------------------------------------------------------------
@@ -371,10 +371,11 @@ class Simulator:
     # -- faults -----------------------------------------------------------
 
     def inject(self, rule: FaultRule) -> int:
-        """Apply a fault rule now; already-enqueued deliveries keep the
-        latency and drop decisions made when they were scheduled."""
+        """Apply a fault rule now and return the fresh id it is registered
+        under; already-enqueued deliveries keep the latency and drop
+        decisions made when they were scheduled."""
         rid = self._register_rule(rule)
-        self._apply_rule(rule)
+        self._apply_rule(rid, rule)
         return rid
 
     def clear(self, rule_id: int) -> None:
@@ -384,32 +385,30 @@ class Simulator:
         self._lift([rule_id])
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> int:
-        """Register a rule to apply when the clock reaches ``tick``, unless cleared first."""
+        """Register a rule to apply when the clock reaches ``tick``, unless
+        cleared first, and return its fresh id. Rules due on one tick apply
+        in the order they were registered."""
         rid = self._register_rule(rule)
-        self._seq += 1
-        heapq.heappush(self._fault_schedule, (tick, self._seq, rule))
+        heapq.heappush(self._fault_schedule, (tick, rid))
         return rid
 
     def _register_rule(self, rule: FaultRule) -> int:
-        if rule.rule_id is None:
-            rule.rule_id = self._next_rule_id
-            self._next_rule_id += 1
-        if rule.rule_id in self._rules:
-            raise InvalidFaultRule(f"duplicate rule id: {rule.rule_id}")
-        self._rules[rule.rule_id] = rule
-        return rule.rule_id
+        rid = self._next_rule_id
+        self._next_rule_id = rid + 1
+        self._rules[rid] = rule
+        return rid
 
-    def _apply_rule(self, rule: FaultRule) -> None:
-        """Put ``rule`` in force; a REVIVE lifts instead."""
+    def _apply_rule(self, rid: int, rule: FaultRule) -> None:
+        """Put ``rule`` in force under ``rid``; a REVIVE lifts instead."""
         if rule.effect == FaultEffect.KILL_NODE:
-            self._kills[rule.rule_id] = rule
+            self._kills[rid] = rule
             for name in self._nodes:
                 if rule.matches_node(name):
                     self._live.pop(name, None)
         elif rule.effect == FaultEffect.REVIVE:
-            self._lift([rid for rid, kill in self._kills.items() if kill.node == rule.node])
+            self._lift([kid for kid, kill in self._kills.items() if kill.node == rule.node])
         else:
-            self._link_rules[rule.rule_id] = rule
+            self._link_rules[rid] = rule
 
     def _killed(self, name: str) -> bool:
         """Does a kill rule in force match ``name``? A node is live iff not."""
@@ -428,9 +427,9 @@ class Simulator:
 
     def _activate_due_faults(self, up_to_tick: int) -> None:
         while self._fault_schedule and self._fault_schedule[0][0] <= up_to_tick:
-            rule = heapq.heappop(self._fault_schedule)[2]
-            if self._rules.get(rule.rule_id) is rule:  # not cleared meanwhile
-                self._apply_rule(rule)
+            _, rid = heapq.heappop(self._fault_schedule)
+            if rid in self._rules:  # not cleared meanwhile
+                self._apply_rule(rid, self._rules[rid])
 
     # -- stepping ---------------------------------------------------------
 
@@ -636,12 +635,6 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
             raise FaultScriptError(f"line {lineno}: {exc}") from exc
         out.append((tick, rule))
     return out
-
-
-def apply_fault_schedule(sim: Simulator, schedule: list[tuple[int, FaultRule]]) -> None:
-    """Install a parsed fault script onto the simulator's clock."""
-    for tick, rule in schedule:
-        sim.schedule_fault(tick, rule)
 
 
 def canonical_json(body: Body) -> str:

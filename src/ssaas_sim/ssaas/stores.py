@@ -204,6 +204,9 @@ class SchemaStore:
         self._next_id = 1
 
     def create_project(self, name: str, owner_developer_id: int) -> ProjectSchema:
+        """Refuses an empty name. DeveloperData, a deployable of its own,
+        checks its own input here; DeveloperServices' provisioning refuses
+        the empty name too, first, so that it makes no reservation."""
         if not name:
             raise DomainError("project name required")
         proj = ProjectSchema(self._next_id, name, int(owner_developer_id))

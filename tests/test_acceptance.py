@@ -155,7 +155,7 @@ def test_registry_leases_match_expiry_oracle():
 # -- 3. round-robin fairness ----------------------------------------------------
 
 def test_round_robin_shares_calls_evenly():
-    resolver = Resolver(cache_ttl=10_000)
+    resolver = Resolver()
     endpoints = [Endpoint(f"svc-{i}", f"svc-{i}") for i in (1, 2, 3)]
     resolver.update("Svc", endpoints, now=0)
     breakers = {e.instance_id: CircuitBreaker(breaker_config(5, 10_000))

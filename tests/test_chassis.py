@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ssaas_sim import chassis
 from ssaas_sim.chassis import (
     DEFAULT_BREAKER_OPEN_TICKS,
+    DEFAULT_CACHE_TTL_TICKS,
     DEFAULT_CALL_DEADLINE_TICKS,
     CircuitBreaker,
     CircuitState,
@@ -467,7 +468,7 @@ class TestClientDiscovered:
         sim, caller, registry = self._setup()
         assert self._call(sim, caller) == ("200", None)
         registry.instances["Echo"] = []
-        sim.advance_to(sim.now + caller.client.resolver.cache_ttl)
+        sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
         sent = sim.sent
         assert self._call(sim, caller) == UNAVAILABLE
         assert sim.sent == sent + 2  # the registry query and its answer only

@@ -328,11 +328,16 @@ class TestConfigStoreCommands:
         assert run_cli("config", "get", "--store", str(tmp_path / "none.ckpt"),
                        "Svc", "default") == 66
 
-    def test_get_refuses_a_store_with_an_empty_service_name(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, refusal", [
+        ("|default|1|a=1", "line 2: bad service or profile name"),
+        ("Svc|default|2|a=2", "line 2: duplicate document Svc|default"),
+    ], ids=["empty-service-name", "document-stated-twice"])
+    def test_get_refuses_a_store_save_never_writes(self, tmp_path, capsys, line, refusal):
         store = tmp_path / "c.ckpt"
-        store.write_text("Svc|default|1|a=1\n|default|1|a=1\n")
+        store.write_text(f"Svc|default|1|a=1\n{line}\n")
         assert run_cli("config", "get", "--store", str(store), "Svc", "default") == 65
-        assert "line 2: bad service or profile name" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and refusal in err
 
     @pytest.mark.parametrize("command, entries", [("get", []), ("set", ["a=1"])])
     @pytest.mark.parametrize("kind", UNREADABLE)

@@ -136,6 +136,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"^line 1: bad entry: {re.escape(key)}$"):
             ConfigStore.load(str(path))
 
+    def test_load_refuses_a_document_stated_twice(self, tmp_path):
+        path = tmp_path / "conf.ckpt"
+        path.write_text("Svc|default|1|a=1\nSvc|prod|1|b=1\nSvc|default|2|a=2\n")
+        with pytest.raises(CheckpointError,
+                           match=r"^line 3: duplicate document Svc\|default$"):
+            ConfigStore.load(str(path))
+
     def test_load_refuses_a_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "conf.ckpt"
         path.write_bytes(b"Svc|default|1|a=1\nSvc|prod|1|city=Montr\xe9al\n")

@@ -125,7 +125,7 @@ class Script:
         self.rules: dict[int, FaultRule] = {}  # registered and not cleared
         self.kills: set[int] = set()  # ids of the kill rules in force
         self.links: dict[int, FaultRule] = {}  # link rules in force, in that order
-        self.schedule: list[tuple[int, int, FaultRule]] = []
+        self.schedule: list[tuple[int, int, int]] = []  # (tick, seq, rule id)
         self.seq = 0
         for name in NODES:
             self.add_node(name)
@@ -135,8 +135,7 @@ class Script:
         return frozenset(name for name in self.names if not any(
             self.rules[rid].matches_node(name) for rid in self.kills))
 
-    def _apply(self, rule: FaultRule) -> None:
-        rid = rule.rule_id
+    def _apply(self, rid: int, rule: FaultRule) -> None:
         if rule.effect is FaultEffect.KILL_NODE:
             self.kills.add(rid)
         elif rule.effect is FaultEffect.REVIVE:
@@ -148,7 +147,7 @@ class Script:
         rid = self.sim.inject(rule)
         self.ids.append(rid)
         self.rules[rid] = rule
-        self._apply(rule)
+        self._apply(rid, rule)
 
     def clear(self, rid: int) -> None:
         self.sim.clear(rid)
@@ -167,15 +166,15 @@ class Script:
         self.ids.append(rid)
         self.rules[rid] = rule
         self.seq += 1
-        heapq.heappush(self.schedule, (tick, self.seq, rule))
+        heapq.heappush(self.schedule, (tick, self.seq, rid))
 
     def fire_due(self, tick: int) -> None:
         """Apply the scheduled rules due by ``tick`` that are still
         registered; called just before the kernel fires them."""
         while self.schedule and self.schedule[0][0] <= tick:
-            rule = heapq.heappop(self.schedule)[2]
-            if self.rules.get(rule.rule_id) is rule:
-                self._apply(rule)
+            rid = heapq.heappop(self.schedule)[2]
+            if rid in self.rules:
+                self._apply(rid, self.rules[rid])
 
     def advance(self, ticks: int) -> None:
         """``advance_to``, one checked step at a time."""

@@ -27,7 +27,6 @@ from ssaas_sim.simwire import (
     SimwireError,
     UnknownNode,
     UnknownRule,
-    apply_fault_schedule,
     parse_fault_script,
 )
 
@@ -365,7 +364,8 @@ class TestFaultScript:
             (12, FaultEffect.PARTITION, "a", "c", "*", 0),
             (20, FaultEffect.DELAY, "a", "b", "*", 5)]
         sim = make_sim("a", "b", "c", "chat-1")
-        apply_fault_schedule(sim, schedule)
+        for tick, rule in schedule:
+            sim.schedule_fault(tick, rule)
         sim.advance_to(41)
         assert not sim.node_alive("chat-1")
         sim.advance_to(56)
@@ -391,6 +391,33 @@ class TestFaultScript:
     def test_parse_refuses_one_argument_too_few_or_too_many(self, line):
         with pytest.raises(FaultScriptError, match="^line 2: "):
             parse_fault_script("# arity\n" + line)
+
+    def test_one_parsed_script_runs_on_two_simulators(self):
+        from ssaas_sim.migration import build_stage, parse_workload, run_workload
+        from ssaas_sim.workloads import load_text
+
+        lines = parse_workload(load_text("chat_resilience.wl"))
+        schedule = parse_fault_script(load_text("faults_kill_chat.fs"))
+        for _ in range(2):
+            handle = build_stage(6, 1)
+            run_workload(handle, lines, faults=schedule)
+        sim = handle.sim
+        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="gateway"))
+        assert rid == len(schedule) + 1
+        assert not sim.node_alive("gateway")
+
+    def test_one_rule_scheduled_twice_is_two_rules(self):
+        sim = make_sim("a", "b")
+        rule = FaultRule(FaultEffect.DROP, source="a", destination="b")
+        first, second = sim.schedule_fault(5, rule), sim.schedule_fault(5, rule)
+        assert first != second
+        sim.clear(first)
+        sim.advance_to(5)
+        sim.send(Envelope.request("a", "b", "/x"))
+        assert sim.dropped == 1
+        sim.clear(second)
+        sim.send(Envelope.request("a", "b", "/y"))
+        assert [e.path for e in drain(sim)] == ["/y"]
 
     def test_revive_cleared_before_its_tick_never_fires(self):
         sim = make_sim("a", "b")

@@ -515,6 +515,16 @@ def build_wire_world(own_resource_manager: bool = False):
 
 
 class TestWireFlows:
+    def test_schema_store_refuses_an_empty_project_name(self):
+        sim, ext, _ = build_wire_world()
+        status, reply = call(sim, ext, "POST", "/schema/projects",
+                             {"name": "", "owner_developer_id": 1}, target="developerdata-1")
+        assert (status, reply) == ("400", {"error": "Malformed"})
+        assert call(sim, ext, "GET", "/schema/projects/1", target="developerdata-1")[0] == "404"
+        status, reply = call(sim, ext, "POST", "/schema/projects",
+                             {"name": "blog", "owner_developer_id": 1}, target="developerdata-1")
+        assert (status, reply["project_id"]) == ("200", 1)
+
     @pytest.mark.parametrize("method, path", [("POST", "/content/{pid}/posts"),
                                               ("PUT", "/content/{pid}/posts/1")])
     @pytest.mark.parametrize("pid, body, want", [
