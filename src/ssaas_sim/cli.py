@@ -32,25 +32,12 @@ from typing import Iterator, Optional
 
 from . import workloads
 from .confsvc import ConfigStore, CheckpointError, MalformedConfig
-from .migration import (
-    BudgetExceeded,
-    DEFAULT_BUDGET_TICKS,
-    FIRST_STAGE,
-    FORMATS,
-    LAST_STAGE,
-    STAGES,
-    TEXT_FORMAT,
-    TraceFormatError,
-    UnknownStage,
-    WorkloadError,
-    audit_ownership,
-    build_stage,
-    compare_traces,
-    parse_trace,
-    parse_workload,
-    run_workload,
-    serialize_trace,
-)
+from .migration.audit import audit_ownership
+from .migration.harness import (DEFAULT_BUDGET_TICKS, BudgetExceeded, WorkloadError,
+                                parse_workload, run_workload)
+from .migration.stages import FIRST_STAGE, LAST_STAGE, STAGES, UnknownStage, build_stage
+from .migration.traces import (FORMATS, TEXT_FORMAT, TraceFormatError, compare_traces,
+                               parse_trace, serialize_trace)
 from .simwire import FaultScriptError, parse_fault_script
 
 EXIT_OK = 0

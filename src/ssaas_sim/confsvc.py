@@ -168,7 +168,7 @@ class ConfigServer(ServiceNode):
 
     def _notify(self, service: str) -> None:
         assert self.client is not None
+        merged = self.store.get_config(service, DEFAULT_PROFILE)
         for node_id, sub_service in self.subscribers:
             if sub_service == service:
-                merged = self.store.get_config(service, DEFAULT_PROFILE)
                 self.client.call_node(node_id, "POST", "/refresh", merged.to_body())

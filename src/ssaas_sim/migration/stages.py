@@ -23,23 +23,11 @@ from ..gateway import SERVICE_NAME as GATEWAY_SERVICE
 from ..gateway import Gateway, RouteTable
 from ..registry import RegistryService
 from ..simwire import Simulator
-from ..ssaas import (
-    ChatServices,
-    ChatStore,
-    ContentServices,
-    ContentStore,
-    DEV_ENTITY_EMBEDDED,
-    DEV_ENTITY_SERVICE,
-    DeveloperData,
-    DeveloperInfoServices,
-    DeveloperServices,
-    DeveloperStore,
-    Monolith,
-    ResourceManager,
-    SchemaStore,
-    ServerFlavor,
-    ServerPool,
-)
+from ..ssaas.services import (DEV_ENTITY_EMBEDDED, DEV_ENTITY_SERVICE, ChatServices,
+                              ContentServices, DeveloperData, DeveloperInfoServices,
+                              DeveloperServices, Monolith, ResourceManager)
+from ..ssaas.stores import (ChatStore, ContentStore, DeveloperStore, SchemaStore, ServerFlavor,
+                            ServerPool)
 
 FIRST_STAGE = 0
 LAST_STAGE = 6

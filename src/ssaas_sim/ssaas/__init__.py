@@ -1,40 +1,1 @@
 """Reference application: domain stores and service nodes."""
-
-from .services import (
-    ChatServices,
-    ContentServices,
-    DEV_ENTITY_EMBEDDED,
-    DEV_ENTITY_SERVICE,
-    DeveloperData,
-    DeveloperInfoServices,
-    DeveloperServices,
-    Monolith,
-    ResourceManager,
-    policy_rng,
-)
-from .stores import (
-    ChatInstance,
-    ChatStore,
-    ContentStore,
-    Developer,
-    DeveloperStore,
-    DomainError,
-    ProjectSchema,
-    Reservation,
-    ResourceExhausted,
-    SchemaStore,
-    SchemaViolation,
-    ServerFlavor,
-    ServerPool,
-    ServerRecord,
-    validate_values,
-)
-
-__all__ = [
-    "ChatInstance", "ChatServices", "ChatStore", "ContentServices", "ContentStore",
-    "DEV_ENTITY_EMBEDDED", "DEV_ENTITY_SERVICE", "Developer", "DeveloperData",
-    "DeveloperInfoServices", "DeveloperServices", "DeveloperStore", "DomainError",
-    "Monolith", "ProjectSchema", "Reservation", "ResourceExhausted", "ResourceManager",
-    "SchemaStore", "SchemaViolation", "ServerFlavor", "ServerPool", "ServerRecord",
-    "policy_rng", "validate_values",
-]

@@ -57,9 +57,12 @@ def _int_arg(raw: object) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise Refusal(str(raw))
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise Refusal(str(raw)) from exc
+    if isinstance(raw, str) and str(value) != raw:
+        raise Refusal(raw)  # one spelling per id: no "+", space, "_", leading 0 or non-ASCII
+    return value
 
 
 def _str_arg(raw: object) -> str:

@@ -13,6 +13,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from ssaas_sim import cli
 from ssaas_sim.chassis import CircuitBreaker, CircuitState, ConfigView, Endpoint, Resolver
 from ssaas_sim.migration import (
@@ -349,3 +351,30 @@ def test_identical_runs_produce_byte_identical_traces(tmp_path):
         assert first.read_bytes() == second.read_bytes()
         assert (first.with_suffix(".wire").read_bytes()
                 == second.with_suffix(".wire").read_bytes())
+
+
+# -- 9. recovery once faults heal (ROADMAP item 2: both fail today) ------------
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_chat_serves_again_after_its_node_is_revived():
+    # A chat POST every 10 ticks; chatservices-1 is down from tick 40 to 100.
+    text = '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n' + "".join(
+        f'{tick}|client|POST|/api/chat|{{"developer_id":1}}\n' for tick in range(10, 600, 10))
+    lines = parse_workload(text)
+    faults = parse_fault_script("40 kill chatservices-1\n100 revive chatservices-1\n")
+    entries = run_workload(build_stage(6), lines, faults=faults)
+    late = [entry.status for line, entry in zip(lines, entries) if line.tick >= 100 + 60]
+    assert late == ["200"] * 44
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_no_reservation_outlives_its_flow():
+    # The reservation is made, but its reply arrives after the caller's
+    # deadline, so the provision fails and must not keep the server.
+    handle = build_stage(5)
+    entries = run_workload(handle, parse_workload(
+        '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+        '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'),
+        faults=parse_fault_script("15 delay resourcemanager-1 developerservices-1 8\n"))
+    owners = [res.owner for res in handle.stores.pool.active_reservations()]
+    assert owners == (["project:p"] if entries[1].status == "200" else [])

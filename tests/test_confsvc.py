@@ -227,6 +227,23 @@ class TestWireApi:
         assert svc.config.get("mode") == "fast"
         assert svc.config.version == (1, 1)
 
+    def test_write_reads_the_store_once_for_all_subscribers(self, monkeypatch):
+        sim, confsvc, admin = build_world()
+        nodes = [ServiceNode(sim, name, service).bind()
+                 for name, service in [("svc-1", "Svc"), ("svc-2", "Svc"), ("other-1", "Other")]]
+        for node in nodes:
+            confsvc.subscribe(node.node_id, node.service)
+        reads = []
+        get_config = confsvc.store.get_config
+        monkeypatch.setattr(confsvc.store, "get_config",
+                            lambda *args: reads.append(args) or get_config(*args))
+        wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
+                  {"entries": {"mode": "fast"}})
+        # One read for the version set_config returns, one for both pushes.
+        assert reads == [("Svc", "default")] * 2
+        assert [(n.config.get("mode"), n.config.version) for n in nodes] == [
+            ("fast", (1, 1)), ("fast", (1, 1)), (None, (0, 0))]
+
     def test_profile_write_skips_other_profiles(self):
         sim, confsvc, admin = build_world()
         svc = ServiceNode(sim, "svc-1", "Svc").bind()

@@ -17,6 +17,11 @@ benchmark's tracer patches attributes by their names. Neither a package
 ``__init__.py``'s re-export nor an ``__all__`` entry is a use, and neither
 is an assignment to the attribute. A public name that only ``tests/`` loads
 must be on :data:`TEST_ONLY_API`, the API kept on purpose for tests.
+
+Each name has one home: code imports it from the module that defines it.
+``ssaas/__init__.py`` binds no names, ``migration/__init__.py`` re-exports
+exactly the names the benchmark reads as ``migration.<name>``, and no module
+assigns ``__all__``.
 """
 
 from __future__ import annotations
@@ -225,6 +230,25 @@ def test_public_names_only_tests_load_are_the_kept_api():
                 unlisted.append(f"{path.relative_to(SRC)}: {name}")
     assert unlisted == []
     assert listed == TEST_ONLY_API  # no entry outlives its test-only use
+
+
+def test_the_ssaas_package_binds_no_names():
+    tree = parse(SRC / "ssaas" / "__init__.py")
+    assert top_level_bindings(tree) | imported_names(tree) == set()
+
+
+def test_the_migration_package_reexports_what_the_benchmark_reads():
+    read = {node.attr for path in (ROOT / "bench").rglob("*.py") for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "migration"}
+    assert imported_names(parse(SRC / "migration" / "__init__.py")) == read
+
+
+def test_no_module_assigns_dunder_all():
+    assigning = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                 if any(isinstance(node, ast.Name) and node.id == "__all__"
+                        and isinstance(node.ctx, ast.Store) for node in ast.walk(parse(path)))]
+    assert assigning == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -9,30 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssaas_sim.migration import (
-    AUDIT_NOT_APPLICABLE,
-    AUDIT_OK,
-    AUDIT_VIOLATIONS,
-    BudgetExceeded,
-    STAGES,
-    TraceDiff,
-    TraceEntry,
-    TraceFormatError,
-    UnknownStage,
-    WorkloadError,
-    WorkloadLine,
-    audit_ownership,
-    build_stage,
-    classify_write,
-    compare_traces,
-    expected_owner,
-    normalize_trace,
-    parse_trace,
-    parse_workload,
-    run_workload,
-    serialize_trace,
-)
-from ssaas_sim.migration.traces import ID_FAMILIES
+from ssaas_sim.migration.audit import (AUDIT_NOT_APPLICABLE, AUDIT_OK, AUDIT_VIOLATIONS,
+                                      audit_ownership, classify_write, expected_owner)
+from ssaas_sim.migration.harness import (BudgetExceeded, WorkloadError, WorkloadLine,
+                                        parse_workload, run_workload)
+from ssaas_sim.migration.stages import STAGES, UnknownStage, build_stage
+from ssaas_sim.migration.traces import (ID_FAMILIES, TraceDiff, TraceEntry, TraceFormatError,
+                                       compare_traces, normalize_trace, parse_trace,
+                                       serialize_trace)
 from ssaas_sim.simwire import Envelope, parse_fault_script
 from ssaas_sim.workloads import load_text
 
@@ -701,6 +685,20 @@ class TestCrossStageEquality:
         for stage in range(1, 7):
             outcome = compare_traces(reference, run_workload(build_stage(stage), lines))
             assert outcome.equal, (stage, outcome.summary())
+
+    @pytest.mark.parametrize("spelling, want", [
+        ("1", ("200", 1)), ("-1", ("404", None)), (" 1", ("400", None)), ("+1", ("400", None)),
+        ("0_1", ("400", None)), ("01", ("400", None)), ("\u0661", ("400", None))],
+        ids=["canonical", "negative", "space", "plus", "underscore", "zero", "arabic-indic"])
+    @pytest.mark.parametrize("stage", [0, 6])
+    def test_an_id_has_one_spelling(self, stage, spelling, want):
+        # int() reads every refused spelling here as 1, and developer 1 exists.
+        entries = run_workload(build_stage(stage), wl(
+            '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+            f"25|client|GET|/api/developers/{spelling}|\n"))
+        assert (entries[1].status, entries[1].response_body.get("developer_id")) == want
+        if want[0] == "400":
+            assert entries[1].response_body == {"error": "Malformed"}
 
     @pytest.mark.parametrize("owner", ["true", "1.5"])
     @pytest.mark.parametrize("stage", [0, 6])

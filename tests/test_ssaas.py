@@ -11,38 +11,15 @@ from hypothesis import strategies as st
 
 from ssaas_sim.chassis import Request, ServiceClient, ServiceNode, WiringMode
 from ssaas_sim.simwire import Body, FaultEffect, FaultRule, Simulator
-from ssaas_sim.ssaas import (
-    ChatServices,
-    ChatStore,
-    ContentServices,
-    ContentStore,
-    DeveloperData,
-    DeveloperInfoServices,
-    DeveloperServices,
-    DeveloperStore,
-    DomainError,
-    Monolith,
-    ResourceManager,
-    SchemaStore,
-    SchemaViolation,
-    ServerFlavor,
-    ServerPool,
-    policy_rng,
-    validate_values,
-)
-from ssaas_sim.ssaas.stores import (
-    DuplicateColumn,
-    DuplicateTable,
-    MalformedColumn,
-    MalformedDeveloper,
-    ResourceExhausted,
-    UnknownDeveloper,
-    UnknownProject,
-    UnknownRecord,
-    UnknownReservation,
-    UnknownTable,
-)
-from ssaas_sim.ssaas.services import forward
+from ssaas_sim.ssaas.services import (ChatServices, ContentServices, DeveloperData,
+                                     DeveloperInfoServices, DeveloperServices, Monolith,
+                                     ResourceManager, forward, policy_rng, validate_values)
+from ssaas_sim.ssaas.stores import (ChatStore, ContentStore, DeveloperStore, DomainError,
+                                   DuplicateColumn, DuplicateTable, MalformedColumn,
+                                   MalformedDeveloper, ResourceExhausted, SchemaStore,
+                                   SchemaViolation, ServerFlavor, ServerPool, UnknownDeveloper,
+                                   UnknownProject, UnknownRecord, UnknownReservation,
+                                   UnknownTable)
 
 
 class TestDeveloperStore:
