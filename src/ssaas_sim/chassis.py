@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .simwire import NETWORK_ERROR_STATUS, REQUEST, RESPONSE, Body, Envelope, Simulator
+from .simwire import NETWORK_ERROR_STATUS, REQUEST, RESPONSE, Body, Envelope, Simulator, read_int
 
 DEFAULT_BREAKER_THRESHOLD = 5
 DEFAULT_BREAKER_OPEN_TICKS = 30
@@ -242,11 +242,8 @@ class ConfigView:
         return self.entries.get(key, default)
 
     def get_int(self, key: str, default: int) -> int:
-        raw = self.entries.get(key)
-        if raw is None:
-            return default
         try:
-            return int(raw)
+            return read_int(self.entries.get(key, default))
         except ValueError:
             return default
 

@@ -38,7 +38,7 @@ from .migration.harness import (DEFAULT_BUDGET_TICKS, BudgetExceeded, WorkloadEr
 from .migration.stages import FIRST_STAGE, LAST_STAGE, STAGES, UnknownStage, build_stage
 from .migration.traces import (FORMATS, TEXT_FORMAT, TraceFormatError, compare_traces,
                                parse_trace, serialize_trace)
-from .simwire import FaultScriptError, parse_fault_script
+from .simwire import FaultScriptError, parse_fault_script, read_int
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
     stages = sub.add_parser("stages", help="stage topology listing")
     stages_sub = stages.add_subparsers(dest="stages_command", required=True)
     ls = stages_sub.add_parser("ls", help="list stages, nodes, and wiring")
-    ls.add_argument("--stage", type=int, default=None,
+    ls.add_argument("--stage", type=read_int, default=None,
                     help="limit to one stage")
     ls.set_defaults(func=cmd_stages_ls)
 
@@ -124,14 +124,14 @@ def build_parser() -> _Parser:
 
 
 def _add_run_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--stage", type=int, required=True,
+    cmd.add_argument("--stage", type=read_int, required=True,
                      help=f"migration stage, {FIRST_STAGE}..{LAST_STAGE}")
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--seed", type=read_int, default=0)
     cmd.add_argument("--workload", required=True,
                      help="workload file (or a bundled script name)")
     cmd.add_argument("--faults", default=None,
                      help="fault script file (or a bundled script name)")
-    cmd.add_argument("--budget", type=int, default=DEFAULT_BUDGET_TICKS,
+    cmd.add_argument("--budget", type=read_int, default=DEFAULT_BUDGET_TICKS,
                      help="quiescence budget in ticks")
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .chassis import (CONFSVC_NODE, DEFAULT_PROFILE, Refusal, Request, ServiceClient, ServiceNode,
                       WiringMode, decode_tolerant)
-from .simwire import Body, Simulator
+from .simwire import Body, Simulator, read_int
 
 SERVICE_NAME = "ConfigServer"
 
@@ -78,7 +78,7 @@ class ConfigStore:
         _check_entries(entries)
         doc = self._docs.get((service, profile), _NO_DOC)
         self._docs[(service, profile)] = _Doc(doc.version + 1, dict(entries))
-        return self.get_config(service, profile).version
+        return self._docs.get((service, DEFAULT_PROFILE), _NO_DOC).version, doc.version + 1
 
     def get_config(self, service: str, profile: str) -> MergedConfig:
         """Profile entries overlaid on the default profile (``default`` on
@@ -124,7 +124,7 @@ class ConfigStore:
                         key, _, value = pair.partition("=")
                         entries[key] = value
                 _check_entries(entries)
-                doc = _Doc(int(version), entries)
+                doc = _Doc(read_int(version), entries)
             except (ValueError, MalformedConfig) as exc:
                 raise CheckpointError(f"line {lineno}: {exc}") from exc
             if (service, profile) in store._docs:  # save writes each document once

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chassis import GATEWAY_NODE, ROUTE_MEMO_LIMIT, Request, ServiceNode, relay_result, split_path
-from .simwire import Body, Simulator
+from .simwire import Body, Simulator, read_int
 
 SERVICE_NAME = "Gateway"
 
@@ -114,7 +114,7 @@ class RouteTable:
             if not key.startswith(ROUTE_KEY_PREFIX):
                 continue
             try:
-                keyed.append((int(key[len(ROUTE_KEY_PREFIX):]), value))
+                keyed.append((read_int(key[len(ROUTE_KEY_PREFIX):]), value))
             except ValueError as exc:
                 raise InvalidRoute(f"bad route key: {key}") from exc
         for _, value in sorted(keyed):

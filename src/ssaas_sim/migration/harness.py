@@ -5,7 +5,9 @@ Workload files are line based, one request per line::
     tick|client|METHOD|path|body
 
 * ``tick`` is relative to the settled topology (tick 0 is the first instant
-  after startup traffic has drained) and must be non-decreasing.
+  after startup traffic has drained) and must be non-decreasing. It has one
+  spelling, the one :func:`~ssaas_sim.simwire.read_int` takes: ``5``, not
+  ``05``, ``+5`` or ``5 ``.
 * ``client`` names the sending node; ``client`` is created with every
   topology, other names (by convention ``admin``) are created on first use.
   A name of one of the topology's own nodes is refused.
@@ -28,7 +30,7 @@ import json
 from typing import NamedTuple, Optional
 
 from ..chassis import CONFSVC_NODE, GATEWAY_NODE, REGISTRY_NODE, ServiceNode
-from ..simwire import Body, FaultRule
+from ..simwire import Body, FaultRule, read_int
 from .stages import CLIENT_DEADLINE_TICKS, CLIENT_SERVICE, SystemHandle, wire_client
 from .traces import TraceEntry
 
@@ -56,6 +58,7 @@ class WorkloadLine(NamedTuple):
 
 
 def parse_workload(text: str) -> list[WorkloadLine]:
+    """Parse workload text in the format above; a bad line raises :class:`WorkloadError`."""
     lines: list[WorkloadLine] = []
     last_tick = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -67,7 +70,7 @@ def parse_workload(text: str) -> list[WorkloadLine]:
             raise WorkloadError(f"line {line_no}: expected 5 |-separated fields")
         tick_s, client, method, path, body_s = parts
         try:
-            tick = int(tick_s)
+            tick = read_int(tick_s)
         except ValueError:
             raise WorkloadError(f"line {line_no}: bad tick {tick_s!r}") from None
         if tick < 0:

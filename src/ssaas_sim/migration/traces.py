@@ -16,7 +16,7 @@ import re
 from operator import attrgetter
 from typing import Any, Iterable, NamedTuple, Optional
 
-from ..simwire import Body, canonical_json
+from ..simwire import Body, canonical_json, read_int
 
 TEXT_FORMAT = "text"
 NDJSON_FORMAT = "ndjson"
@@ -93,17 +93,19 @@ def _text_entry(line: str) -> TraceEntry:
     if len(cols) != _TEXT_COLUMNS:
         raise ValueError(f"expected {_TEXT_COLUMNS} columns, got {len(cols)}")
     return TraceEntry(
-        seq=int(cols[0]), client=cols[1], method=cols[2], path=cols[3],
-        sent_tick=int(cols[4]), done_tick=int(cols[5]), status=cols[6],
+        seq=read_int(cols[0]), client=cols[1], method=cols[2], path=cols[3],
+        sent_tick=read_int(cols[4]), done_tick=read_int(cols[5]), status=cols[6],
         request_body=json.loads(cols[7]), response_body=json.loads(cols[8]))
 
 
 def _ndjson_entry(line: str) -> TraceEntry:
     doc = json.loads(line)
+    # An integer field's JSON text is its one spelling, so true, 1.9 and "3" are refused.
     return TraceEntry(
-        seq=int(doc["seq"]), client=doc["client"], method=doc["method"],
-        path=doc["path"], sent_tick=int(doc["sent_tick"]),
-        done_tick=int(doc["done_tick"]), status=doc["status"],
+        seq=read_int(canonical_json(doc["seq"])), client=doc["client"],
+        method=doc["method"], path=doc["path"],
+        sent_tick=read_int(canonical_json(doc["sent_tick"])),
+        done_tick=read_int(canonical_json(doc["done_tick"])), status=doc["status"],
         request_body=doc["request"], response_body=doc["response"])
 
 

@@ -63,7 +63,7 @@ class RegistryStore:
         if not service or not instance_id or not address:
             raise MalformedInstance("service, instance_id and address are required")
         inst = Instance(service=service, instance_id=instance_id, address=address,
-                        port=int(port), status=status,
+                        port=port, status=status,
                         lease_expiry=now + self.lease.ttl_ticks)
         self._instances[(service, instance_id)] = inst
         return inst

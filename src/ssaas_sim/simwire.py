@@ -611,7 +611,8 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
 
     Actions: ``kill <node>``, ``revive <node>``, ``drop <src> <dst>``,
     ``partition <a> <b>``, ``delay <src> <dst> <ticks>``. ``revive`` lifts
-    the kill rules whose node pattern equals its own.
+    the kill rules whose node pattern equals its own. Ticks and delays are
+    read by :func:`read_int`, so each has one spelling: ``5``, not ``05``.
     """
     out: list[tuple[int, FaultRule]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -620,7 +621,7 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
             continue
         parts = line.split()
         try:
-            tick = int(parts[0])
+            tick = read_int(parts[0])
             if tick < 0:
                 raise ValueError("negative tick")
             action, args = parts[1], parts[2:]
@@ -629,8 +630,8 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
             effect, fields = _ACTIONS[action]
             if len(args) != len(fields):
                 raise ValueError(f"{action} takes {len(fields)} argument(s), got {len(args)}")
-            rule = FaultRule(effect, **{field: int(arg) if field == "delay_ticks" else arg
-                                        for field, arg in zip(fields, args)})
+            rule = FaultRule(effect, **{field: read_int(arg) if field == "delay_ticks"
+                                        else arg for field, arg in zip(fields, args)})
         except (IndexError, ValueError, InvalidFaultRule) as exc:
             raise FaultScriptError(f"line {lineno}: {exc}") from exc
         out.append((tick, rule))
@@ -640,3 +641,14 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
 def canonical_json(body: Body) -> str:
     """Stable serialization for bodies: sorted keys, no whitespace."""
     return _CANONICAL.encode(body)
+
+
+def read_int(value: object) -> int:
+    """The one integer rule for input: an ``int`` that is not a ``bool``, or
+    a ``str`` that is ``str()`` of its value, so no sign but ``-``, no leading
+    zero, space, ``_`` or non-ASCII digit, and no ``-0``. Else ``ValueError``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and str(number := int(value)) == value:
+        return number
+    raise ValueError(f"not an integer: {value!r}")

@@ -28,7 +28,7 @@ from ..chassis import (
     decode_tolerant,
     relay_result,
 )
-from ..simwire import Body, Simulator
+from ..simwire import Body, Simulator, read_int
 from .stores import (
     ChatStore,
     ContentStore,
@@ -54,15 +54,10 @@ DEV_ENTITY_SERVICE = ("DeveloperInfoServices", "/developers")
 
 
 def _int_arg(raw: object) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise Refusal(str(raw))
     try:
-        value = int(raw)
+        return read_int(raw)
     except ValueError as exc:
         raise Refusal(str(raw)) from exc
-    if isinstance(raw, str) and str(value) != raw:
-        raise Refusal(raw)  # one spelling per id: no "+", space, "_", leading 0 or non-ASCII
-    return value
 
 
 def _str_arg(raw: object) -> str:

@@ -141,7 +141,7 @@ class ServerPool:
             raise DuplicateServer(server_id)
         if not server_id or capacity < 1 or flavor not in FLAVORS:
             raise DomainError("bad server record")
-        rec = ServerRecord(server_id, flavor, int(capacity))
+        rec = ServerRecord(server_id, flavor, capacity)
         self._servers[server_id] = rec
         return rec
 
@@ -209,7 +209,7 @@ class SchemaStore:
         the empty name too, first, so that it makes no reservation."""
         if not name:
             raise DomainError("project name required")
-        proj = ProjectSchema(self._next_id, name, int(owner_developer_id))
+        proj = ProjectSchema(self._next_id, name, owner_developer_id)
         self._next_id += 1
         self._projects[proj.project_id] = proj
         return proj
@@ -323,7 +323,7 @@ class ChatStore:
         self._next_id = 1
 
     def create(self, developer_id: int, reservation_id: int) -> ChatInstance:
-        inst = ChatInstance(self._next_id, int(developer_id), int(reservation_id))
+        inst = ChatInstance(self._next_id, developer_id, reservation_id)
         self._next_id += 1
         self._instances[inst.chat_id] = inst
         return inst

@@ -66,7 +66,7 @@ CALLS = {
     "registry.query": 74,
     "registry.renew": 469,
     "registry.sweep": 159,
-    "confsvc.store": 42,
+    "confsvc.store": 28,
     "ssaas.store": 142,
     "ssaas.validate": 13,
     "ssaas.schema_cache": 15,

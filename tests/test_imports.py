@@ -21,7 +21,8 @@ must be on :data:`TEST_ONLY_API`, the API kept on purpose for tests.
 Each name has one home: code imports it from the module that defines it.
 ``ssaas/__init__.py`` binds no names, ``migration/__init__.py`` re-exports
 exactly the names the benchmark reads as ``migration.<name>``, and no module
-assigns ``__all__``.
+assigns ``__all__``. So has the integer rule: no code under ``src/`` calls
+``int(...)`` or passes ``type=int`` outside ``simwire.read_int``.
 """
 
 from __future__ import annotations
@@ -141,6 +142,25 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def int_conversions(tree: ast.Module) -> list[int]:
+    """Lines that call ``int(...)`` or pass ``type=int``, outside a top-level
+    function named ``read_int``."""
+    home = {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == "read_int"
+            for node in ast.walk(top)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in home:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "int":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg == "type" \
+                and isinstance(node.value, ast.Name) and node.value.id == "int":
+            lines.append(node.value.lineno)
+    return sorted(lines)
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -185,6 +205,13 @@ def test_reference_detects_dead_public_names():
     assert sorted(public_definitions(defining) - loaded) == ["B", "dead", "f", "g", "stored"]
 
 
+def test_reference_detects_int_conversions():
+    tree = ast.parse("a = int(x)\np.add_argument('--n', type=int)\n"
+                     "def read_int(v):\n    return int(v)\n"
+                     "b: int = 0\nisinstance(b, int)\nc = read_int('1') + int('2')\n")
+    assert int_conversions(tree) == [1, 2, 7]
+
+
 def source_modules() -> list[Path]:
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
     assert modules
@@ -201,6 +228,12 @@ def test_source_modules_load_every_private_name():
     unused = [f"{path.relative_to(SRC)}: {name}"
               for path in source_modules() for name in unused_private_names(path)]
     assert unused == []
+
+
+def test_read_int_is_the_only_int_conversion():
+    found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in int_conversions(parse(path))]
+    assert found == []
 
 
 def loaded_names(*folders: str) -> set[str]:
