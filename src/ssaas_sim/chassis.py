@@ -185,15 +185,17 @@ class Resolver:
         entry.endpoints = list(endpoints)
         entry.fetched_at = now
 
-    def resolve(self, service: str, now: int, allowed: Callable[[Endpoint], bool]) -> Endpoint:
+    def resolve(self, service: str, now: int, breakers: dict[str, CircuitBreaker]) -> Endpoint:
         entry = self._services.get(service)
         if entry is None or not entry.endpoints:
             raise NoInstances(service)
         eligible = entry.endpoints
-        # Ask about every endpoint; copy only once one is refused.
+        # Admit an endpoint with no breaker, a CLOSED one, or one whose open
+        # wait is over, as allow() would; copy only once one is refused.
         kept: Optional[list[Endpoint]] = None
         for i, endpoint in enumerate(eligible):
-            if allowed(endpoint):
+            brk = breakers.get(endpoint.instance_id)
+            if brk is None or brk.state == CircuitState.CLOSED or brk.can_attempt(now):
                 if kept is not None:
                     kept.append(endpoint)
             elif kept is None:
@@ -490,7 +492,7 @@ class ServiceClient:
         # message id -> (breaker or None, on_result, deadline timer id, deadline tick).
         # A renewal has no timer: only a 404 landing before its tick runs on_result().
         self._pending: dict[int, tuple] = {}
-        self._fetch_waiters: dict[str, list[Callable[[bool], None]]] = {}
+        self._fetch_waiters: dict[str, list[Callable[[], None]]] = {}
         node.client = self
 
     # -- wiring setup ------------------------------------------------------
@@ -525,12 +527,8 @@ class ServiceClient:
         elif self.resolver.fresh(service, self.sim.now):
             self._attempt(service, method, path, body, on_result, deadline)
         else:
-            def after_fetch(fetched: bool) -> None:
-                if not fetched:
-                    self._finish_fast(on_result)
-                    return
-                self._attempt(service, method, path, body, on_result, deadline)
-            self._fetch_instances(service, after_fetch)
+            self._fetch_instances(service, lambda: self._attempt(service, method, path, body,
+                                                                 on_result, deadline))
 
     def call_node(self, target_node: str, method: str, path: str, body: Body = None,
                   on_result: Optional[Reply] = None,
@@ -547,28 +545,25 @@ class ServiceClient:
             return
         peer.dispatch(Request(method, path, body, _reply=on_result))
 
-    def _fetch_instances(self, service: str, waiter: Callable[[bool], None]) -> None:
+    def _fetch_instances(self, service: str, waiter: Callable[[], None]) -> None:
+        """Fetch ``service``'s endpoints, then run the waiters on what the resolver holds."""
         waiters = self._fetch_waiters.get(service)
         if waiters is not None:
             waiters.append(waiter)
             return
         self._fetch_waiters[service] = [waiter]
         def on_fetch(status: str, body: Body) -> None:
-            ok = False
-            if status.startswith("2") and isinstance(body, list):
-                endpoints = []
-                try:
+            try:
+                if status.startswith("2") and isinstance(body, list):
+                    endpoints = []
                     for item in body:
                         rec = decode_tolerant(item, ["instance_id", "address"])
                         endpoints.append(Endpoint(str(rec["instance_id"]), str(rec["address"])))
-                except DecodeError:
-                    endpoints = []
-                else:
                     self.resolver.update(service, endpoints, self.sim.now)
-                    ok = True
-            pending = self._fetch_waiters.pop(service, [])
-            for fn in pending:
-                fn(ok)
+            except DecodeError:
+                pass  # stale-if-error: a malformed list, as a failed fetch, keeps the last one
+            for fn in self._fetch_waiters.pop(service, []):
+                fn()
         self.call_node(REGISTRY_NODE, "GET", f"/registry/{service}",
                        on_result=on_fetch)
 
@@ -577,7 +572,7 @@ class ServiceClient:
                  deadline: Optional[int]) -> None:
         now = self.sim.now
         try:
-            endpoint = self.resolver.resolve(service, now, allowed=self._can_attempt)
+            endpoint = self.resolver.resolve(service, now, self.breakers)
         except NoInstances:
             self._finish_fast(on_result)
             return
@@ -585,11 +580,6 @@ class ServiceClient:
         if breaker.state != CircuitState.CLOSED:  # moves OPEN to HALF_OPEN; never refuses,
             breaker.allow(now)  # as the resolver admitted this endpoint at this tick
         self._send_tracked(endpoint.node, method, path, body, on_result, deadline, breaker)
-
-    def _can_attempt(self, endpoint: Endpoint) -> bool:
-        # A missing breaker would be created CLOSED, and CLOSED admits.
-        brk = self.breakers.get(endpoint.instance_id)
-        return brk is None or brk.state == CircuitState.CLOSED or brk.can_attempt(self.sim.now)
 
     def _send_tracked(self, target_node: str, method: str, path: str, body: Body,
                       on_result: Optional[Reply],

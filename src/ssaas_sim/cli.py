@@ -65,6 +65,10 @@ def _exit_on(code: int, *errors: type[Exception], prefix: str = "") -> Iterator[
         raise _Exit(code, f"{prefix}{exc}") from exc
 
 
+def integer(text: str) -> int:  # read_int, named for argparse's "invalid integer value"
+    return read_int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -96,7 +100,7 @@ def build_parser() -> _Parser:
     stages = sub.add_parser("stages", help="stage topology listing")
     stages_sub = stages.add_subparsers(dest="stages_command", required=True)
     ls = stages_sub.add_parser("ls", help="list stages, nodes, and wiring")
-    ls.add_argument("--stage", type=read_int, default=None,
+    ls.add_argument("--stage", type=integer, default=None,
                     help="limit to one stage")
     ls.set_defaults(func=cmd_stages_ls)
 
@@ -124,14 +128,14 @@ def build_parser() -> _Parser:
 
 
 def _add_run_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--stage", type=read_int, required=True,
+    cmd.add_argument("--stage", type=integer, required=True,
                      help=f"migration stage, {FIRST_STAGE}..{LAST_STAGE}")
-    cmd.add_argument("--seed", type=read_int, default=0)
+    cmd.add_argument("--seed", type=integer, default=0)
     cmd.add_argument("--workload", required=True,
                      help="workload file (or a bundled script name)")
     cmd.add_argument("--faults", default=None,
                      help="fault script file (or a bundled script name)")
-    cmd.add_argument("--budget", type=read_int, default=DEFAULT_BUDGET_TICKS,
+    cmd.add_argument("--budget", type=integer, default=DEFAULT_BUDGET_TICKS,
                      help="quiescence budget in ticks")
 
 

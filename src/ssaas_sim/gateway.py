@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chassis import GATEWAY_NODE, ROUTE_MEMO_LIMIT, Request, ServiceNode, relay_result, split_path
+from .chassis import (CONFSVC_NODE, GATEWAY_NODE, ROUTE_MEMO_LIMIT, Request, ServiceNode,
+                      relay_result, split_path)
 from .simwire import Body, Simulator, read_int
 
 SERVICE_NAME = "Gateway"
@@ -126,7 +127,7 @@ class RouteTable:
 
 
 class Gateway(ServiceNode):
-    """Edge node: everything but its own /refresh is proxied by prefix."""
+    """Edge node: confsvc's pushes reach its own /refresh; all else is proxied by prefix."""
 
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim, GATEWAY_NODE, SERVICE_NAME)
@@ -139,8 +140,8 @@ class Gateway(ServiceNode):
             pass  # keep serving with the last good table
 
     def dispatch(self, req: Request) -> None:
-        if req.method == "POST" and req.path == "/refresh":
-            super().dispatch(req)
+        if req.env is not None and req.env.source == CONFSVC_NODE:
+            super().dispatch(req)  # a config push, to the gateway's own /refresh
             return
         hit = self.table.resolve(req.path)
         if hit is None:

@@ -163,10 +163,7 @@ def test_round_robin_shares_calls_evenly():
     breakers = {e.instance_id: CircuitBreaker(breaker_config(5, 10_000))
                 for e in endpoints}
 
-    def healthy(endpoint: Endpoint) -> bool:
-        return breakers[endpoint.instance_id].can_attempt(0)
-
-    picks = Counter(resolver.resolve("Svc", 0, allowed=healthy).instance_id
+    picks = Counter(resolver.resolve("Svc", 0, breakers).instance_id
                     for _ in range(300))
     assert picks == {"svc-1": 100, "svc-2": 100, "svc-3": 100}
 
@@ -174,7 +171,7 @@ def test_round_robin_shares_calls_evenly():
         breakers["svc-2"].record_result(False, now=0)
     assert breakers["svc-2"].state is CircuitState.OPEN
 
-    picks = Counter(resolver.resolve("Svc", 0, allowed=healthy).instance_id
+    picks = Counter(resolver.resolve("Svc", 0, breakers).instance_id
                     for _ in range(300))
     assert picks == {"svc-1": 150, "svc-3": 150}
 
@@ -203,6 +200,23 @@ def test_end_user_trace_stable_across_stages(tmp_path):
                 code = cli.main(["diff", str(tmp_path / f"stage{left}.trace"),
                                  str(tmp_path / f"stage{right}.trace")])
                 assert code == 0, (left, right)
+
+
+def test_client_breaker_stands_in_for_the_gateway_breaker():
+    # Before the gateway exists (stages 1-2), the external client's own
+    # breaker guards developerservices-1; at stage 3 the gateway's does. A GET
+    # every 4 ticks sees the node die at tick 10 and come back at tick 60.
+    text = '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n' + "".join(
+        f"{tick}|client|GET|/api/developers/1|\n" for tick in range(1, 160, 4))
+    lines = parse_workload(text)
+    faults = parse_fault_script("10 kill developerservices-1\n60 revive developerservices-1\n")
+    traces = {stage: run_workload(build_stage(stage), lines, faults=faults) for stage in (1, 2, 3)}
+    statuses = [entry.status for entry in traces[1]]
+    assert statuses[:3] == ["200"] * 3 and statuses[-10:] == ["200"] * 10
+    assert statuses.count("503") >= 10
+    for stage in (2, 3):
+        diff = compare_traces(traces[1], traces[stage])
+        assert diff.equal, (stage, diff.summary())
 
 
 # -- 5. chat outage: fast failure without collateral damage --------------------
@@ -360,11 +374,19 @@ def test_chat_serves_again_after_its_node_is_revived():
     # A chat POST every 10 ticks; chatservices-1 is down from tick 40 to 100.
     text = '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n' + "".join(
         f'{tick}|client|POST|/api/chat|{{"developer_id":1}}\n' for tick in range(10, 600, 10))
+    # Every chat reserves a MYSQL database and stage 6 has 8, so the late POSTs
+    # are refused even without faults: once healed, the run must answer them
+    # as the fault-free run does.
     lines = parse_workload(text)
     faults = parse_fault_script("40 kill chatservices-1\n100 revive chatservices-1\n")
-    entries = run_workload(build_stage(6), lines, faults=faults)
-    late = [entry.status for line, entry in zip(lines, entries) if line.tick >= 100 + 60]
-    assert late == ["200"] * 44
+
+    def late_statuses(faults=None) -> list[str]:
+        entries = run_workload(build_stage(6), lines, faults=faults)
+        return [entry.status for line, entry in zip(lines, entries) if line.tick >= 100 + 60]
+
+    clean = late_statuses()
+    assert len(clean) == 44
+    assert late_statuses(faults) == clean
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ssaas_sim import chassis
 from ssaas_sim.chassis import (
     DEFAULT_BREAKER_OPEN_TICKS,
+    DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CACHE_TTL_TICKS,
     DEFAULT_CALL_DEADLINE_TICKS,
     CircuitBreaker,
@@ -138,6 +139,15 @@ class TestCircuitBreaker:
         assert brk.state is CircuitState.OPEN  # still OPEN until allow()
 
 
+def open_breaker(now: int = 0) -> CircuitBreaker:
+    """A breaker that opened at ``now``."""
+    brk = CircuitBreaker(ConfigView())
+    for _ in range(DEFAULT_BREAKER_THRESHOLD):
+        brk.record_result(False, now)
+    assert brk.state is CircuitState.OPEN
+    return brk
+
+
 class TestResolver:
     def _resolver_with(self, *ids: str, now: int = 0) -> Resolver:
         r = Resolver()
@@ -146,34 +156,44 @@ class TestResolver:
 
     def test_round_robin_cycles_in_order(self):
         r = self._resolver_with("a", "b", "c")
-        picks = [r.resolve("svc", 0, allowed=lambda e: True).instance_id for _ in range(6)]
+        picks = [r.resolve("svc", 0, {}).instance_id for _ in range(6)]
         assert picks == ["a", "b", "c", "a", "b", "c"]
 
     def test_filter_excludes_instances(self):
         r = self._resolver_with("a", "b", "c")
-        picks = [r.resolve("svc", 0, allowed=lambda e: e.instance_id != "b").instance_id
-                 for _ in range(4)]
+        breakers = {"a": CircuitBreaker(ConfigView()), "b": open_breaker()}
+        picks = [r.resolve("svc", 0, breakers).instance_id for _ in range(4)]
         assert picks == ["a", "c", "a", "c"]
+
+    def test_open_breaker_admits_once_its_wait_is_over(self):
+        r = self._resolver_with("a", "b")
+        breakers = {"b": open_breaker(now=0)}
+        early = [r.resolve("svc", DEFAULT_BREAKER_OPEN_TICKS - 1, breakers).instance_id
+                 for _ in range(2)]
+        late = [r.resolve("svc", DEFAULT_BREAKER_OPEN_TICKS, breakers).instance_id
+                for _ in range(2)]
+        assert (early, late) == (["a", "a"], ["a", "b"])
+        assert breakers["b"].state is CircuitState.OPEN  # resolving never mutates
 
     def test_no_eligible_raises(self):
         r = self._resolver_with("a")
         with pytest.raises(NoInstances):
-            r.resolve("svc", 0, allowed=lambda e: False)
+            r.resolve("svc", 0, {"a": open_breaker()})
         with pytest.raises(NoInstances):
-            r.resolve("other", 0, allowed=lambda e: True)
+            r.resolve("other", 0, {})
 
     def test_rotation_survives_refresh_with_same_membership(self):
         r = self._resolver_with("a", "b", "c")
-        assert r.resolve("svc", 0, allowed=lambda e: True).instance_id == "a"
+        assert r.resolve("svc", 0, {}).instance_id == "a"
         r.update("svc", [Endpoint(i, i) for i in ("a", "b", "c")], now=5)
-        assert r.resolve("svc", 5, allowed=lambda e: True).instance_id == "b"
+        assert r.resolve("svc", 5, {}).instance_id == "b"
 
     def test_rotation_resets_on_membership_change(self):
         r = self._resolver_with("a", "b", "c")
-        r.resolve("svc", 0, allowed=lambda e: True)
-        r.resolve("svc", 0, allowed=lambda e: True)
+        r.resolve("svc", 0, {})
+        r.resolve("svc", 0, {})
         r.update("svc", [Endpoint(i, i) for i in ("a", "b")], now=5)
-        assert r.resolve("svc", 5, allowed=lambda e: True).instance_id == "a"
+        assert r.resolve("svc", 5, {}).instance_id == "a"
 
     def test_cache_ttl_boundary(self):
         r = self._resolver_with("a", now=100)
@@ -188,7 +208,7 @@ class TestResolver:
         r.update("svc", [Endpoint(i, i) for i in ids], 0)
         counts = {i: 0 for i in ids}
         for _ in range(n * cycles):
-            counts[r.resolve("svc", 0, allowed=lambda e: True).instance_id] += 1
+            counts[r.resolve("svc", 0, {}).instance_id] += 1
         assert set(counts.values()) == {cycles}
 
 
@@ -491,6 +511,47 @@ class TestClientDiscovered:
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
         assert self._call(sim, caller) == UNAVAILABLE
         assert not any(r.path == "/echo" for r in sim.records)
+        # With no endpoint stored, only the failed registry query went out.
+        assert [(r.kind, r.destination, r.path) for r in sim.records] == [
+            ("REQUEST", "registry", "/registry/Echo"), ("RESPONSE", "caller", "/registry/Echo")]
+
+    def test_registry_down_sends_to_the_endpoints_stored_last(self):
+        sim, caller, registry = self._setup()
+        assert self._call(sim, caller, body={"n": 0}) == ("200", {"n": 0})
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
+        sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
+        mark = len(sim.records)
+        for i in range(1, 4):
+            assert self._call(sim, caller, body={"n": i}) == ("200", {"n": i})
+        # Each call's fetch fails, so the stale list stays stale and rotates on.
+        sends = [r.destination for r in sim.records[mark:] if r.kind == "REQUEST"]
+        assert sends == ["registry", "echo-2", "registry", "echo-3", "registry", "echo-1"]
+        assert not caller.client.resolver.fresh("Echo", sim.now)
+
+    def test_stale_endpoint_with_an_open_breaker_is_skipped(self):
+        sim, caller, registry = self._setup(instance_ids=("echo-1", "echo-2"))
+        self._call(sim, caller)  # warm cache
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
+        brk = caller.client.breaker_for("echo-2")
+        for _ in range(DEFAULT_BREAKER_THRESHOLD):
+            brk.record_result(False, sim.now)
+        sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
+        mark = len(sim.records)
+        for i in range(2):
+            assert self._call(sim, caller, body={"n": i}) == ("200", {"n": i})
+        sends = [r.destination for r in sim.records[mark:] if r.kind == "REQUEST"]
+        assert sends == ["registry", "echo-1"] * 2
+
+    def test_malformed_registry_list_keeps_the_endpoints_stored_last(self):
+        sim, caller, registry = self._setup()
+        self._call(sim, caller)  # warm cache, rotation now at echo-2
+        registry.instances["Echo"] = [{"instance_id": "echo-9"}]  # no address
+        sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
+        mark = len(sim.records)
+        assert self._call(sim, caller, body={"n": 1}) == ("200", {"n": 1})
+        sends = [r.destination for r in sim.records[mark:] if r.kind == "REQUEST"]
+        assert sends == ["registry", "echo-2"]
+        assert not caller.client.resolver.fresh("Echo", sim.now)
 
 
 class ScriptNode(ServiceNode):

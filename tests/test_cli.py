@@ -144,13 +144,9 @@ class TestRun:
         assert run_cli("run", "--stage", "1", "--workload", "basic.wl",
                        "--faults", str(bad)) == 2
 
+    # A malformed config push to the gateway is covered in test_gateway.py: a
+    # workload line cannot come from the configuration server.
     @pytest.mark.parametrize("line, answer", [
-        ('0|client|POST|/refresh|{"service":"Gateway","profile":"default",'
-         '"version":"x","entries":{}}',
-         ["400", '{"error":"Malformed","field":"version"}']),
-        ('0|client|POST|/refresh|{"service":"Gateway","profile":"default",'
-         '"version":[9,9],"entries":{"route.1":5}}',
-         ["400", '{"error":"Malformed","field":"entries"}']),
         ('0|admin|POST|/registry/X|{"instance_id":"x-1","address":"x-1","port":[1]}',
          ["400", '{"error":"MalformedInstance"}']),
         ('0|admin|POST|/registry/X|{"instance_id":null,"address":null,"port":1}',
@@ -162,7 +158,7 @@ class TestRun:
         ('0|admin|PUT|/config/ResourceManager/default|'
          '{"entries":{"rm.policy":null,"breaker.threshold":["x"]}}',
          ["400", '{"error":"Malformed","field":"entries"}']),
-    ], ids=["refresh-version", "refresh-entry-value", "registry-port", "registry-null-id",
+    ], ids=["registry-port", "registry-null-id",
             "developer-null-name", "project-null-name", "config-non-string-entries"])
     def test_malformed_body_is_answered_not_fatal(self, tmp_path, capsys, line, answer):
         script = tmp_path / "one.wl"

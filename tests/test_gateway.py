@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ssaas_sim.chassis import ServiceClient, ServiceNode, WiringMode, split_path
+from ssaas_sim.chassis import CONFSVC_NODE, ServiceClient, ServiceNode, WiringMode, split_path
 from ssaas_sim.gateway import (
     DuplicatePrefix,
     Gateway,
@@ -12,7 +12,8 @@ from ssaas_sim.gateway import (
     RouteRule,
     RouteTable,
 )
-from ssaas_sim.simwire import Body, Envelope, FaultEffect, FaultRule, Simulator
+from ssaas_sim.migration import build_stage, parse_workload, run_workload
+from ssaas_sim.simwire import Body, Envelope, FaultEffect, FaultRule, Simulator, canonical_json
 
 
 def table_with(*rules: tuple[str, str, bool]) -> RouteTable:
@@ -131,6 +132,14 @@ def through_gateway(sim, caller, method, path, body=None) -> tuple[str, Body]:
     return answer
 
 
+def push_config(sim, body) -> tuple[str, Body]:
+    """The (status, body) the gateway answers a config push with, sent from a
+    node named as the configuration server is."""
+    pusher = ServiceNode(sim, CONFSVC_NODE, "ConfigServer").bind()
+    ServiceClient(pusher, WiringMode.DIRECT_WIRE)
+    return through_gateway(sim, pusher, "POST", "/refresh", body)
+
+
 class TestGatewayNode:
     def test_routes_and_strips(self):
         sim, gw, caller = build_edge()
@@ -171,7 +180,7 @@ class TestGatewayNode:
         sim, gw, caller = build_edge()
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/people|DevInfo|1"}}
-        status, reply = through_gateway(sim, caller, "POST", "/refresh", req_body)
+        status, reply = push_config(sim, req_body)
         assert status == "200"
         assert gw.table.resolve("/api/people/1") == \
             (RouteRule("/api/people", "DevInfo", True), "/people/1")
@@ -185,7 +194,7 @@ class TestGatewayNode:
         assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "200"
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/developers|People|0"}}
-        assert through_gateway(sim, caller, "POST", "/refresh", req_body)[0] == "200"
+        assert push_config(sim, req_body)[0] == "200"
         mark = len(sim.records)
         # the new rule forwards the path unstripped, which upstream-2 has no route for
         assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "404"
@@ -197,6 +206,48 @@ class TestGatewayNode:
         sim, gw, caller = build_edge()
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "broken"}}
-        through_gateway(sim, caller, "POST", "/refresh", req_body)
+        assert push_config(sim, req_body) == ("200", {"applied": True})
         status, reply = through_gateway(sim, caller, "GET", "/api/developers/7")
         assert (status, reply) == ("200", {"developer_id": 7})
+
+    @pytest.mark.parametrize("req_body, answer", [
+        ({"service": "Gateway", "profile": "default", "version": "x", "entries": {}},
+         ["400", '{"error":"Malformed","field":"version"}']),
+        ({"service": "Gateway", "profile": "default", "version": [9, 9],
+          "entries": {"route.1": 5}},
+         ["400", '{"error":"Malformed","field":"entries"}']),
+    ], ids=["refresh-version", "refresh-entry-value"])
+    def test_malformed_push_is_answered_not_fatal(self, req_body, answer):
+        handle = build_stage(6)
+        status, reply = through_gateway(handle.sim, handle.confsvc, "POST", "/refresh", req_body)
+        assert [status, canonical_json(reply)] == answer
+        assert handle.gateway.config.version == (1, 1)
+
+    def test_a_client_refresh_is_proxied_not_applied(self):
+        sim, gw, caller = build_edge()
+        table = gw.table
+        req_body = {"service": "Gateway", "profile": "default", "version": [99, 99],
+                    "entries": {"route.1": "/api/developers|Elsewhere|1"}}
+        assert through_gateway(sim, caller, "POST", "/refresh", req_body) == \
+            ("404", {"error": "NoRoute"})
+        assert (gw.config.version, gw.table) == ((0, 0), table)
+        assert through_gateway(sim, caller, "GET", "/api/developers/7") == \
+            ("200", {"developer_id": 7})
+
+
+# A client's attempt to take over the gateway's routing, at the stages that run one.
+HIJACK = ('0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+          '5|client|POST|/refresh|{"service":"Gateway","profile":"default","version":[99,99],'
+          '"entries":{"route.1":"/api/developers|ContentServices|1"}}\n'
+          '10|client|GET|/api/developers/1|\n')
+
+
+@pytest.mark.parametrize("stage", [3, 6])
+def test_a_client_cannot_reconfigure_the_staged_gateway(stage):
+    handle = build_stage(stage)
+    gw = handle.gateway
+    version, table = gw.config.version, gw.table
+    entries = run_workload(handle, parse_workload(HIJACK))
+    assert [(e.status, e.response_body) for e in entries[1:]] == [
+        ("404", {"error": "NoRoute"}), ("200", entries[0].response_body)]
+    assert (version, gw.config.version, gw.table) == ((1, 1), (1, 1), table)

@@ -196,6 +196,46 @@ def test_read_int_takes_an_int_or_its_one_text():
             read_int(value)
 
 
+def test_a_cli_integer_option_names_its_type_in_its_usage_error(capsys):
+    assert run_cli("stages", "ls", "--stage=+5")[0] == 64
+    err = capsys.readouterr().err
+    assert "argument --stage: invalid integer value: '+5'" in err
+    assert "read_int" not in err
+
+
+# Every JSON number a trace holds, a field or one inside a body, is read by
+# the one rule too; -0 is JSON's one other spelling of an integer.
+TRACE_JSON_NUMBERS = [("ndjson", field) for field in
+                      ("seq", "sent_tick", "done_tick", "request", "response")] + \
+                     [("text", field) for field in ("request", "response")]
+TRACE_ATTRS = {"request": "request_body", "response": "response_body"}
+
+
+def trace_with_number(fmt, field, literal):
+    """A one-line trace whose ``field`` holds the JSON number ``literal`` as
+    written: the field itself, or a body's ``n``."""
+    row = {"seq": 0, "client": "client", "method": "GET", "path": "/x", "sent_tick": 0,
+           "done_tick": 1, "status": "200", "request": None, "response": None}
+    row[field] = {"n": "@"} if field in TRACE_ATTRS else "@"
+    if fmt == "ndjson":
+        text = json.dumps(row)
+    else:
+        text = "\t".join([*(str(row[k]) for k in ("seq", "client", "method", "path",
+                                                  "sent_tick", "done_tick", "status")),
+                          json.dumps(row["request"]), json.dumps(row["response"])])
+    return text.replace('"@"', literal) + "\n"
+
+
+@pytest.mark.parametrize("fmt, field", TRACE_JSON_NUMBERS)
+def test_a_trace_reads_its_json_numbers_by_the_one_rule(fmt, field, tmp_path):
+    path = tmp_path / f"trace.{fmt}"
+    path.write_text(trace_with_number(fmt, field, "-0"), encoding="utf-8")
+    assert run_cli("diff", str(path), str(path))[0] == 65
+    [entry] = parse_trace(trace_with_number(fmt, field, "-1"))
+    value = getattr(entry, TRACE_ATTRS.get(field, field))
+    assert value == ({"n": -1} if field in TRACE_ATTRS else -1)
+
+
 # -- one text per schedule -------------------------------------------------------
 
 FAULT_FIELDS = {FaultEffect.KILL_NODE: ("kill", ("node",)),
