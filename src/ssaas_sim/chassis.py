@@ -178,11 +178,15 @@ class Resolver:
         return entry is not None and entry.fetched_at is not None \
             and now - entry.fetched_at < DEFAULT_CACHE_TTL_TICKS
 
-    def update(self, service: str, endpoints: list[Endpoint], now: int) -> None:
+    def update(self, service: str, endpoints: Optional[list[Endpoint]], now: int) -> None:
+        """Store a fetched list as fresh from ``now``. ``None``, for a failed
+        fetch, keeps the stored list (or none) and marks it fresh all the
+        same, so the next fetch waits one ttl, as a Eureka client backs off."""
         entry = self._services.setdefault(service, _ServiceCache())
-        if {e.instance_id for e in entry.endpoints} != {e.instance_id for e in endpoints}:
-            entry.rotation = 0
-        entry.endpoints = list(endpoints)
+        if endpoints is not None:
+            if {e.instance_id for e in entry.endpoints} != {e.instance_id for e in endpoints}:
+                entry.rotation = 0
+            entry.endpoints = list(endpoints)
         entry.fetched_at = now
 
     def resolve(self, service: str, now: int, breakers: dict[str, CircuitBreaker]) -> Endpoint:
@@ -553,15 +557,16 @@ class ServiceClient:
             return
         self._fetch_waiters[service] = [waiter]
         def on_fetch(status: str, body: Body) -> None:
+            endpoints: Optional[list[Endpoint]] = None
             try:
                 if status.startswith("2") and isinstance(body, list):
                     endpoints = []
                     for item in body:
                         rec = decode_tolerant(item, ["instance_id", "address"])
                         endpoints.append(Endpoint(str(rec["instance_id"]), str(rec["address"])))
-                    self.resolver.update(service, endpoints, self.sim.now)
             except DecodeError:
-                pass  # stale-if-error: a malformed list, as a failed fetch, keeps the last one
+                endpoints = None  # stale-if-error: a malformed list, as a failed fetch, keeps the last one
+            self.resolver.update(service, endpoints, self.sim.now)
             for fn in self._fetch_waiters.pop(service, []):
                 fn()
         self.call_node(REGISTRY_NODE, "GET", f"/registry/{service}",

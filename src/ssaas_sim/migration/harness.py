@@ -26,11 +26,10 @@ routed locally against the same prefix table the gateway would use.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Optional
 
 from ..chassis import CONFSVC_NODE, GATEWAY_NODE, REGISTRY_NODE, ServiceNode
-from ..simwire import Body, FaultRule, read_int
+from ..simwire import Body, FaultRule, read_int, read_json
 from .stages import CLIENT_DEADLINE_TICKS, CLIENT_SERVICE, SystemHandle, wire_client
 from .traces import TraceEntry
 
@@ -86,8 +85,8 @@ def parse_workload(text: str) -> list[WorkloadLine]:
             raise WorkloadError(f"line {line_no}: path must start with /")
         if body_s:
             try:
-                body = json.loads(body_s)
-            except json.JSONDecodeError as exc:
+                body = read_json(body_s)
+            except ValueError as exc:
                 raise WorkloadError(f"line {line_no}: bad body: {exc}") from None
         else:
             body = None

@@ -11,12 +11,11 @@ profiles legitimately differ between topologies).
 
 from __future__ import annotations
 
-import json
 import re
 from operator import attrgetter
 from typing import Any, Iterable, NamedTuple, Optional
 
-from ..simwire import Body, canonical_json, read_int
+from ..simwire import Body, canonical_json, read_int, read_json
 
 TEXT_FORMAT = "text"
 NDJSON_FORMAT = "ndjson"
@@ -30,7 +29,6 @@ ID_FAMILIES = ("developer_id", "project_id", "reservation_id", "record_id", "cha
 _DB_NAME_RE = re.compile(r"db_\d+")
 
 _TEXT_COLUMNS = 9
-_read_json = json.JSONDecoder(parse_int=read_int).decode
 
 
 class TraceFormatError(Exception):
@@ -96,11 +94,11 @@ def _text_entry(line: str) -> TraceEntry:
     return TraceEntry(
         seq=read_int(cols[0]), client=cols[1], method=cols[2], path=cols[3],
         sent_tick=read_int(cols[4]), done_tick=read_int(cols[5]), status=cols[6],
-        request_body=_read_json(cols[7]), response_body=_read_json(cols[8]))
+        request_body=read_json(cols[7]), response_body=read_json(cols[8]))
 
 
 def _ndjson_entry(line: str) -> TraceEntry:
-    doc = _read_json(line)
+    doc = read_json(line)
     # An integer field's JSON text is its one spelling, so true, 1.9 and "3" are refused.
     return TraceEntry(
         seq=read_int(canonical_json(doc["seq"])), client=doc["client"],

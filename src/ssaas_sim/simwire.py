@@ -153,11 +153,8 @@ class MessageRecord(NamedTuple):
         return f"{tick}|{message_id}|{source}|{destination}|{kind}|{path}|{status}"
 
     def to_json(self) -> str:
-        return _CANONICAL.encode(self._asdict())
+        return canonical_json(self._asdict())
 
-
-# json.dumps with options builds a new encoder per call; this one is shared.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 _new_tuple = tuple.__new__  # builds a MessageRecord without _make's overhead
 
@@ -638,9 +635,24 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
     return out
 
 
-def canonical_json(body: Body) -> str:
-    """Stable serialization for bodies: sorted keys, no whitespace."""
-    return _CANONICAL.encode(body)
+# The canonical text of a body is json.dumps(body, sort_keys=True,
+# separators=(",", ":")). JSONEncoder.encode builds a new C encoder for every
+# call, so canonical_json uses one built here from the same settings, as
+# JSONEncoder.iterencode builds it, with the circular-reference check off
+# (check_circular=False): a body is a tree.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+if json.encoder.c_make_encoder is None:  # no _json accelerator
+    canonical_json = _CANONICAL.encode
+else:
+    _encode = json.encoder.c_make_encoder(
+        None, _CANONICAL.default, json.encoder.encode_basestring_ascii, None,
+        _CANONICAL.key_separator, _CANONICAL.item_separator, _CANONICAL.sort_keys,
+        _CANONICAL.skipkeys, _CANONICAL.allow_nan)
+
+    def canonical_json(body: Body) -> str:
+        """Stable serialization for bodies: sorted keys, no whitespace."""
+        return "".join(_encode(body, 0))
 
 
 def read_int(value: object) -> int:
@@ -652,3 +664,8 @@ def read_int(value: object) -> int:
     if isinstance(value, str) and str(number := int(value)) == value:
         return number
     raise ValueError(f"not an integer: {value!r}")
+
+
+# The one JSON reader for input: every integer it reads goes through read_int,
+# so -0 is refused. A bad text raises ValueError (JSONDecodeError included).
+read_json = json.JSONDecoder(parse_int=read_int).decode

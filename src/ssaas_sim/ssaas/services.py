@@ -68,7 +68,8 @@ def _str_arg(raw: object) -> str:
 
 def forward(node: ServiceNode, req: Request, service: str, method: str, path: str,
             body: Body = None, then: Optional[Callable[[Any], None]] = None,
-            fields: tuple[str, ...] = (), undo: Optional[Callable[[], None]] = None) -> None:
+            fields: tuple[str, ...] = (), undo: Optional[Callable[[], None]] = None,
+            if_unknown: bool = False) -> None:
     """Make one upstream call, one step of the flow that answers ``req``.
 
     Without ``then`` the upstream's outcome is relayed as it is. With it, a
@@ -76,7 +77,9 @@ def forward(node: ServiceNode, req: Request, service: str, method: str, path: st
     and a :class:`Refusal` that ``then`` raises is answered with its own
     status and body, as :meth:`ServiceNode.dispatch` answers a handler's.
     A failure, or a success lacking ``fields``, runs ``undo`` and is then
-    answered, so a compensating call goes out before the reply does.
+    answered, so a compensating call goes out before the reply does. With
+    ``if_unknown``, ``undo`` compensates this call's own effect, so a refusal
+    (4xx), which had none, skips it: only a 5xx runs it, the deadline's too.
     """
     def done(status: str, rbody: Body) -> None:
         if then is not None and status.startswith("2"):
@@ -90,15 +93,15 @@ def forward(node: ServiceNode, req: Request, service: str, method: str, path: st
                 except Refusal as exc:
                     req.reply(exc.status, exc.body())
                 return
-        if undo is not None:
+        if undo is not None and not (if_unknown and status.startswith("4")):
             undo()
         relay_result(req, status, rbody)
 
     node.client.call(service, method, path, body, on_result=done)
 
 
-def _release(node: ServiceNode, resources_service: str, reservation_id: object) -> None:
-    node.client.call(resources_service, "DELETE", f"/resources/reservations/{reservation_id}")
+def _release(node: ServiceNode, resources_service: str, owner: str) -> None:
+    node.client.call(resources_service, "DELETE", f"/resources/reservations/{owner}")
 
 
 def mount_developer_entity(node: ServiceNode, store: DeveloperStore, prefix: str) -> None:
@@ -140,11 +143,12 @@ def mount_resources(node: ServiceNode, pool: ServerPool, rng: random.Random) -> 
         return "200", res.to_body()
 
     def release(req: Request):
-        res = pool.release(_int_arg(req.params["rid"]))
-        return "200", {"reservation_id": res.reservation_id, "released": True}
+        owner = req.params["owner"]
+        return "200", {"owner": owner,
+                       "released": [res.reservation_id for res in pool.release(owner)]}
 
     node.route("POST", "/resources/reservations", reserve)
-    node.route("DELETE", "/resources/reservations/{rid}", release)
+    node.route("DELETE", "/resources/reservations/{owner}", release)
 
 
 def policy_rng(seed: int, service: str) -> random.Random:
@@ -213,8 +217,10 @@ class DeveloperServices(ServiceNode):
 
     Provisioning a project is the long flow: refuse an empty name, validate
     the developer, reserve an ORACLE database, persist the schema, tag the
-    developer with the RDBMS kind. A failure after the reservation releases
-    it before the error goes back out.
+    developer with the RDBMS kind. The reservation's owner is a key unique
+    to the request, its message id. A failure after the reservation, or a
+    reserve whose outcome is unknown, releases by that key before the error
+    goes back out.
     """
 
     def __init__(self, sim: Simulator, node_id: str,
@@ -252,16 +258,18 @@ class DeveloperServices(ServiceNode):
         if not name:  # the schema store would refuse it, after the reservation
             raise Refusal("project name required")
         dev_svc, dev_prefix = self.dev_entity
+        key = f"project:{req.env.message_id}"
+
+        def release() -> None:
+            _release(self, self.resources_service, key)
 
         def reserve(_: Body) -> None:
             forward(self, req, self.resources_service, "POST", "/resources/reservations",
-                    {"flavor": ServerFlavor.ORACLE, "owner": f"project:{name}"},
-                    then=persist, fields=("reservation_id", "server_id", "database_name"))
+                    {"flavor": ServerFlavor.ORACLE, "owner": key}, then=persist,
+                    fields=("reservation_id", "server_id", "database_name"),
+                    undo=release, if_unknown=True)
 
         def persist(res: dict) -> None:
-            def release() -> None:
-                _release(self, self.resources_service, res["reservation_id"])
-
             def tag(proj: dict) -> None:
                 forward(self, req, dev_svc, "POST", f"{dev_prefix}/{owner}/kinds",
                         {"kind": KIND_RDBMS}, undo=release,
@@ -367,18 +375,22 @@ class ChatServices(ServiceNode):
         doc = decode_tolerant(req.body, ["developer_id"])
         developer_id = _int_arg(doc["developer_id"])
         dev_svc, dev_prefix = DEV_ENTITY_SERVICE
+        key = f"chat:{req.env.message_id}"  # the owner key, as in provisioning
+
+        def release() -> None:
+            _release(self, "ResourceManager", key)
 
         def reserve(_: Body) -> None:
             forward(self, req, "ResourceManager", "POST", "/resources/reservations",
-                    {"flavor": ServerFlavor.MYSQL, "owner": f"chat:{developer_id}"},
-                    then=tag, fields=("reservation_id",))
+                    {"flavor": ServerFlavor.MYSQL, "owner": key}, then=tag,
+                    fields=("reservation_id",), undo=release, if_unknown=True)
 
         def tag(res: dict) -> None:
             inst = self.chats.create(developer_id, res["reservation_id"])
 
             def undo() -> None:
                 self.chats.remove(inst.chat_id)
-                _release(self, "ResourceManager", res["reservation_id"])
+                release()
 
             forward(self, req, dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds",
                     {"kind": KIND_CHAT}, undo=undo,

@@ -26,7 +26,7 @@ MalformedDeveloper = refusal("MalformedDeveloper", base=DomainError)
 UnknownDeveloper = refusal("UnknownDeveloper", "404", DomainError)
 DuplicateServer = refusal("DuplicateServer", "409", DomainError)
 ResourceExhausted = refusal("ResourceExhausted", "409", DomainError)
-UnknownReservation = refusal("UnknownReservation", "404", DomainError)
+ReleasedOwner = refusal("ReleasedOwner", "409", DomainError)
 UnknownProject = refusal("UnknownProject", "404", DomainError)
 DuplicateTable = refusal("DuplicateTable", "409", DomainError)
 UnknownTable = refusal("UnknownTable", "404", DomainError)
@@ -129,11 +129,16 @@ class ServerPool:
     reservations, breaking ties toward the lexicographically smallest id;
     ``random`` picks uniformly from the eligible servers (sorted by id)
     using the supplied generator, so a seeded generator replays exactly.
+
+    Reservations are released by owner. A release leaves a tombstone for its
+    owner, and a reserve under a tombstoned owner is refused, so a release
+    that overtakes its reserve still undoes it.
     """
 
     def __init__(self) -> None:
         self._servers: dict[str, ServerRecord] = {}
         self._reservations: dict[int, Reservation] = {}
+        self._released: set[str] = set()  # the tombstones, one per owner released
         self._next_id = 1
 
     def register_server(self, server_id: str, flavor: str, capacity: int) -> ServerRecord:
@@ -148,6 +153,8 @@ class ServerPool:
     def reserve(self, flavor: str, owner: str,
                 policy: str = POLICY_LEAST_USED,
                 rng: Optional[random.Random] = None) -> Reservation:
+        if owner in self._released:
+            raise ReleasedOwner(owner)
         eligible = sorted(
             (s for s in self._servers.values()
              if s.flavor == flavor and s.reserved < s.capacity),
@@ -164,12 +171,15 @@ class ServerPool:
         self._reservations[res.reservation_id] = res
         return res
 
-    def release(self, reservation_id: int) -> Reservation:
-        res = self._reservations.pop(reservation_id, None)
-        if res is None:
-            raise UnknownReservation(str(reservation_id))
-        self._servers[res.server_id].reserved -= 1
-        return res
+    def release(self, owner: str) -> list[Reservation]:
+        """Release the reservations ``owner`` holds, none or more, and
+        tombstone ``owner``."""
+        self._released.add(owner)
+        held = [res for res in self._reservations.values() if res.owner == owner]
+        for res in held:
+            del self._reservations[res.reservation_id]
+            self._servers[res.server_id].reserved -= 1
+        return held
 
     def servers(self) -> list[ServerRecord]:
         return sorted(self._servers.values(), key=lambda s: s.server_id)

@@ -26,7 +26,8 @@ from ssaas_sim.migration import (
     run_workload,
 )
 from ssaas_sim.registry import LeaseConfig, RegistryStore
-from ssaas_sim.simwire import FAILED, REQUEST, Envelope, parse_fault_script
+from ssaas_sim.simwire import (FAILED, REQUEST, Envelope, FaultEffect, FaultRule,
+                               parse_fault_script)
 from ssaas_sim.workloads import load_text
 
 
@@ -367,7 +368,7 @@ def test_identical_runs_produce_byte_identical_traces(tmp_path):
                 == second.with_suffix(".wire").read_bytes())
 
 
-# -- 9. recovery once faults heal (ROADMAP item 2: both fail today) ------------
+# -- 9. recovery once faults heal (ROADMAP item 2a's repro fails today) --------
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_chat_serves_again_after_its_node_is_revived():
@@ -389,14 +390,53 @@ def test_chat_serves_again_after_its_node_is_revived():
     assert late_statuses(faults) == clean
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+ANN = '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
+
+
 def test_no_reservation_outlives_its_flow():
     # The reservation is made, but its reply arrives after the caller's
     # deadline, so the provision fails and must not keep the server.
     handle = build_stage(5)
     entries = run_workload(handle, parse_workload(
-        '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
-        '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'),
+        ANN + '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'),
         faults=parse_fault_script("15 delay resourcemanager-1 developerservices-1 8\n"))
-    owners = [res.owner for res in handle.stores.pool.active_reservations()]
-    assert owners == (["project:p"] if entries[1].status == "200" else [])
+    assert entries[1].status == "503"
+    assert handle.stores.pool.active_reservations() == []
+
+
+def test_a_release_that_overtakes_its_reserve_still_undoes_it():
+    # The reserve is delayed past the caller's deadline, and the delay is
+    # lifted before the release goes out, so the release lands first.
+    handle = build_stage(5)
+    sim = handle.sim
+    delay = sim.schedule_fault(handle.settle_tick + 15, FaultRule(
+        FaultEffect.DELAY, "developerservices-1", "resourcemanager-1", delay_ticks=8))
+    sim.add_node("ops", lambda env: None)
+    sim.set_timer("ops", 112, lambda: sim.clear(delay))  # after the reserve is sent
+    entries = run_workload(handle, parse_workload(
+        ANN + '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'))
+    assert entries[1].status == "503"
+    to_rm = [r for r in sim.records if r.destination == "resourcemanager-1"
+             and r.kind == REQUEST and r.path.startswith("/resources/")]
+    assert [(r.method, r.path) for r in to_rm] == [
+        ("DELETE", "/resources/reservations/" + to_rm[0].path.rpartition("/")[2]),
+        ("POST", "/resources/reservations")]
+    [answer] = [r for r in sim.records if r.source == "resourcemanager-1"
+                and r.path == "/resources/reservations"]
+    assert answer.status == "409"  # ReleasedOwner
+    assert handle.stores.pool.active_reservations() == []
+
+
+def test_two_chats_of_one_developer_reserve_under_distinct_keys():
+    # The second chat's reply is delayed past its deadline, so its release
+    # goes out; it must free only the second chat's database.
+    handle = build_stage(6)
+    entries = run_workload(handle, parse_workload(
+        ANN + '100|client|POST|/api/chat|{"developer_id":1}\n'
+              '200|client|POST|/api/chat|{"developer_id":1}\n'),
+        faults=parse_fault_script("150 delay resourcemanager-1 chatservices-1 8\n"))
+    assert [entry.status for entry in entries] == ["200", "200", "503"]
+    [kept] = handle.stores.pool.active_reservations()
+    assert kept.reservation_id == entries[1].response_body["reservation_id"]
+    releases = [r.path for r in handle.sim.records if r.method == "DELETE" and r.kind == REQUEST]
+    assert len(releases) == 1 and not releases[0].endswith("/" + kept.owner)

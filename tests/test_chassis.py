@@ -43,7 +43,7 @@ DECLARED_REFUSALS = [
     ("UnknownDeveloper", "404", "UnknownDeveloper", "DomainError", STORES),
     ("DuplicateServer", "409", "DuplicateServer", "DomainError", STORES),
     ("ResourceExhausted", "409", "ResourceExhausted", "DomainError", STORES),
-    ("UnknownReservation", "404", "UnknownReservation", "DomainError", STORES),
+    ("ReleasedOwner", "409", "ReleasedOwner", "DomainError", STORES),
     ("UnknownProject", "404", "UnknownProject", "DomainError", STORES),
     ("DuplicateTable", "409", "DuplicateTable", "DomainError", STORES),
     ("UnknownTable", "404", "UnknownTable", "DomainError", STORES),
@@ -521,12 +521,16 @@ class TestClientDiscovered:
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="registry"))
         sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
         mark = len(sim.records)
-        for i in range(1, 4):
+        for i in range(1, 8):
             assert self._call(sim, caller, body={"n": i}) == ("200", {"n": i})
-        # Each call's fetch fails, so the stale list stays stale and rotates on.
-        sends = [r.destination for r in sim.records[mark:] if r.kind == "REQUEST"]
-        assert sends == ["registry", "echo-2", "registry", "echo-3", "registry", "echo-1"]
-        assert not caller.client.resolver.fresh("Echo", sim.now)
+        # A failed fetch marks the stored list fresh, so the next fetch waits
+        # one ttl from the failure, and the list rotates on meanwhile.
+        sends = [(r.tick, r.destination) for r in sim.records[mark:] if r.kind == "REQUEST"]
+        assert [node for _, node in sends] == ["registry", "echo-2", "echo-3", "echo-1",
+                                               "echo-2", "echo-3", "registry", "echo-1", "echo-2"]
+        first, second = [tick for tick, node in sends if node == "registry"]
+        assert second == first + 1 + DEFAULT_CACHE_TTL_TICKS  # the failure came a tick later
+        assert caller.client.resolver.fresh("Echo", sim.now)
 
     def test_stale_endpoint_with_an_open_breaker_is_skipped(self):
         sim, caller, registry = self._setup(instance_ids=("echo-1", "echo-2"))
@@ -537,10 +541,10 @@ class TestClientDiscovered:
             brk.record_result(False, sim.now)
         sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
         mark = len(sim.records)
-        for i in range(2):
+        for i in range(6):
             assert self._call(sim, caller, body={"n": i}) == ("200", {"n": i})
         sends = [r.destination for r in sim.records[mark:] if r.kind == "REQUEST"]
-        assert sends == ["registry", "echo-1"] * 2
+        assert sends == ["registry"] + ["echo-1"] * 5 + ["registry", "echo-1"]
 
     def test_malformed_registry_list_keeps_the_endpoints_stored_last(self):
         sim, caller, registry = self._setup()
@@ -548,10 +552,12 @@ class TestClientDiscovered:
         registry.instances["Echo"] = [{"instance_id": "echo-9"}]  # no address
         sim.advance_to(sim.now + DEFAULT_CACHE_TTL_TICKS)
         mark = len(sim.records)
-        assert self._call(sim, caller, body={"n": 1}) == ("200", {"n": 1})
+        for i in range(1, 3):
+            assert self._call(sim, caller, body={"n": i}) == ("200", {"n": i})
+        # The malformed list backs off as a failed fetch does: one fetch per ttl.
         sends = [r.destination for r in sim.records[mark:] if r.kind == "REQUEST"]
-        assert sends == ["registry", "echo-2"]
-        assert not caller.client.resolver.fresh("Echo", sim.now)
+        assert sends == ["registry", "echo-2", "echo-3"]
+        assert caller.client.resolver.fresh("Echo", sim.now)
 
 
 class ScriptNode(ServiceNode):

@@ -64,6 +64,16 @@ def workload_tick(text, tmp_path):
         return "WorkloadError"
 
 
+def workload_body(text, tmp_path):
+    """``ssaas-sim run`` of a workload whose one body holds ``text`` as a JSON
+    number, then that number as parsed."""
+    line = f'0|client|POST|/api/projects|{{"name":"p","owner_developer_id":{text}}}\n'
+    path = tmp_path / "body.wl"
+    path.write_text(line, encoding="utf-8")
+    code, _ = run_cli("run", "--stage=0", f"--workload={path}")
+    return code if code else parse_workload(line)[0].body["owner_developer_id"]
+
+
 def fault_tick(text, tmp_path):
     try:
         return parse_fault_script(f"{text} kill x\n")[0][0]
@@ -142,6 +152,8 @@ READERS = {
     # A line is stripped before it is split, so " 5" is indentation.
     "workload tick": (workload_tick, "WorkloadError",
                       {"0": 0, "5": 5, "-1": "WorkloadError"}, (" 5",)),
+    # Spaces around a JSON number are whitespace, and 5.0 is a float's text.
+    "workload body": (workload_body, 2, {"0": 0, "5": 5, "-1": -1}, (" 5", "5 ", "5.0")),
     # Spaces separate the fields of a fault-script line.
     "fault tick": (fault_tick, "FaultScriptError",
                    {"0": 0, "5": 5, "-1": "FaultScriptError"}, (" 5", "5 ")),

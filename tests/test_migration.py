@@ -267,6 +267,14 @@ class TestNormalization:
         assert outcome.field == "response.values.x"
         assert "DIVERGED" in outcome.summary()
 
+    @pytest.mark.parametrize("left, right, want", [
+        ({}, {"k": 1}, ("response.k", "<absent>", 1)),
+        ({"xs": [1]}, {"xs": [1, 2]}, ("response.xs.<length>", 1, 2)),
+    ])
+    def test_divergence_names_an_absent_key_or_a_longer_list(self, left, right, want):
+        outcome = compare_traces([self.entry(0, left)], [self.entry(0, right)])
+        assert (outcome.index, outcome.field, outcome.left, outcome.right) == (0, *want)
+
     def test_length_mismatch_reported(self):
         entries = [self.entry(0, {})]
         outcome = compare_traces(entries, entries + [self.entry(1, {})])
@@ -654,6 +662,8 @@ class TestAudit:
         assert classify_write("/registry/Svc", 6) is None
         assert classify_write("/refresh", 6) is None
         assert classify_write("/content/1/posts", 3) == "ContentRecord"
+        assert classify_write("/", 6) is None
+        assert classify_write("/schema/other", 6) is None
 
 
 class TestCrossStageEquality:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
+import json
 import random
 
 import pytest
@@ -27,6 +29,7 @@ from ssaas_sim.simwire import (
     SimwireError,
     UnknownNode,
     UnknownRule,
+    canonical_json,
     parse_fault_script,
 )
 
@@ -78,6 +81,11 @@ class TestSendAndStep:
         sim = make_sim("a")
         with pytest.raises(UnknownNode):
             sim.send(Envelope.request("ghost", "a", "/x"))
+
+    def test_a_node_name_is_registered_once(self):
+        sim = make_sim("a")
+        with pytest.raises(SimwireError):
+            sim.add_node("a", lambda env: None)
 
     def test_response_requires_known_correlation(self):
         sim = make_sim("a", "b")
@@ -244,6 +252,14 @@ class TestFaults:
         drain(sim)
         assert fired == [3]
         assert sim.records == []
+
+    def test_timer_arming_is_checked(self):
+        sim = make_sim("a")
+        with pytest.raises(UnknownNode):
+            sim.set_timer("ghost", 1, lambda: None)
+        with pytest.raises(SimwireError):
+            sim.set_timer("a", 0, lambda: None)
+        assert sim.queue_depth == 0
 
     def test_timer_skipped_on_dead_node(self):
         sim = make_sim("a")
@@ -980,3 +996,29 @@ class TestWireTrace:
             gc.enable()
         assert len(sim.records) == 2000
         assert added < 100
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestCanonicalJson:
+    @given(_json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_is_json_dumps_with_sorted_keys_and_no_whitespace(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    def test_without_the_json_accelerator_it_is_the_shared_encoder(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.find_spec("ssaas_sim.simwire")
+        fallback = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fallback)
+        assert fallback.canonical_json == fallback._CANONICAL.encode
+        body = {"b": [1, 2.5, float("nan"), None, True], "a": "\u00e9\t",
+                "c": {"z": -0.0, "y": float("-inf")}}
+        assert fallback.canonical_json(body) == canonical_json(body)
+        assert canonical_json(body) == (
+            '{"a":"\\u00e9\\t","b":[1,2.5,NaN,null,true],"c":{"y":-Infinity,"z":-0.0}}')

@@ -15,10 +15,10 @@ from ssaas_sim.ssaas.services import (ChatServices, ContentServices, DeveloperDa
                                      DeveloperInfoServices, DeveloperServices, Monolith,
                                      ResourceManager, forward, policy_rng, validate_values)
 from ssaas_sim.ssaas.stores import (ChatStore, ContentStore, DeveloperStore, DomainError,
-                                   DuplicateColumn, DuplicateTable, MalformedColumn,
-                                   MalformedDeveloper, ResourceExhausted, SchemaStore,
-                                   SchemaViolation, ServerFlavor, ServerPool, UnknownDeveloper,
-                                   UnknownProject, UnknownRecord, UnknownReservation,
+                                   DuplicateColumn, DuplicateServer, DuplicateTable,
+                                   MalformedColumn, MalformedDeveloper, ReleasedOwner,
+                                   ResourceExhausted, SchemaStore, SchemaViolation, ServerFlavor,
+                                   ServerPool, UnknownDeveloper, UnknownProject, UnknownRecord,
                                    UnknownTable)
 
 
@@ -91,10 +91,21 @@ class TestServerPool:
     def test_release_frees_capacity_and_is_single_shot(self):
         pool = self._pool(("ora-a", ServerFlavor.ORACLE, 1))
         res = pool.reserve(ServerFlavor.ORACLE, "o")
-        pool.release(res.reservation_id)
-        with pytest.raises(UnknownReservation):
-            pool.release(res.reservation_id)
-        assert pool.reserve(ServerFlavor.ORACLE, "o").server_id == "ora-a"
+        assert pool.release("o") == [res]
+        assert pool.release("o") == []
+        assert pool.reserve(ServerFlavor.ORACLE, "p").server_id == "ora-a"
+
+    def test_a_released_owner_is_tombstoned(self):
+        # A release that overtakes its reserve still undoes it.
+        pool = self._pool(("ora-a", ServerFlavor.ORACLE, 2))
+        assert pool.release("early") == []
+        pool.reserve(ServerFlavor.ORACLE, "late")
+        pool.release("late")
+        for owner in ("early", "late"):
+            with pytest.raises(ReleasedOwner):
+                pool.reserve(ServerFlavor.ORACLE, owner)
+        assert pool.active_reservations() == []
+        assert [s.reserved for s in pool.servers()] == [0]
 
     def test_random_policy_replays_with_seeded_rng(self):
         specs = [("s1", ServerFlavor.MYSQL, 99), ("s2", ServerFlavor.MYSQL, 99),
@@ -115,10 +126,10 @@ class TestServerPool:
         pool.register_server("a", ServerFlavor.ORACLE, cap)
         pool.register_server("b", ServerFlavor.ORACLE, cap)
         live = []
-        for op in ops:
+        for n, op in enumerate(ops):
             if op == "reserve":
                 try:
-                    live.append(pool.reserve(ServerFlavor.ORACLE, "o").reservation_id)
+                    live.append(pool.reserve(ServerFlavor.ORACLE, f"o{n}").owner)
                 except ResourceExhausted:
                     assert len(live) == 2 * cap
             elif live:
@@ -133,6 +144,13 @@ class TestServerPool:
             with pytest.raises(DomainError):
                 pool.register_server("db-a", flavor, 1)
         assert pool.servers() == []
+
+    def test_register_rejects_a_taken_server_id(self):
+        pool = self._pool(("ora-a", ServerFlavor.ORACLE, 1))
+        with pytest.raises(DuplicateServer):
+            pool.register_server("ora-a", ServerFlavor.MYSQL, 2)
+        [server] = pool.servers()
+        assert (server.flavor, server.capacity) == (ServerFlavor.ORACLE, 1)
 
 
 class TestSchemaStore:
@@ -165,6 +183,13 @@ class TestSchemaStore:
         with pytest.raises(MalformedColumn):
             store.add_column(proj.project_id, "posts", "c", "float")
 
+    def test_an_empty_table_name_is_refused(self):
+        store = SchemaStore()
+        proj = store.create_project("blog", 1)
+        with pytest.raises(DomainError):
+            store.add_table(proj.project_id, "")
+        assert store.get(proj.project_id).tables == {} and proj.version == 1
+
 
 class TestValidateValues:
     COLS = {"n": "int", "title": "text", "done": "bool"}
@@ -185,6 +210,12 @@ class TestValidateValues:
             validate_values(self.COLS, {"title": 3})
         with pytest.raises(SchemaViolation):
             validate_values(self.COLS, {"done": 1})
+
+    def test_values_must_be_a_map(self):
+        for values in (None, [], ["n"], "n", 3):
+            with pytest.raises(SchemaViolation) as err:
+                validate_values(self.COLS, values)
+            assert err.value.field == "<values>"
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(SchemaViolation):
