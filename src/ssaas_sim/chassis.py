@@ -550,7 +550,8 @@ class ServiceClient:
         peer.dispatch(Request(method, path, body, _reply=on_result))
 
     def _fetch_instances(self, service: str, waiter: Callable[[], None]) -> None:
-        """Fetch ``service``'s endpoints, then run the waiters on what the resolver holds."""
+        """Fetch ``service``'s endpoints, then run the waiters on what the resolver
+        holds. A failed or malformed fetch keeps what it holds, fresh for a ttl."""
         waiters = self._fetch_waiters.get(service)
         if waiters is not None:
             waiters.append(waiter)
@@ -564,8 +565,8 @@ class ServiceClient:
                     for item in body:
                         rec = decode_tolerant(item, ["instance_id", "address"])
                         endpoints.append(Endpoint(str(rec["instance_id"]), str(rec["address"])))
-            except DecodeError:
-                endpoints = None  # stale-if-error: a malformed list, as a failed fetch, keeps the last one
+            except DecodeError:  # stale-if-error: a malformed list, as a failed fetch,
+                endpoints = None  # keeps the last one
             self.resolver.update(service, endpoints, self.sim.now)
             for fn in self._fetch_waiters.pop(service, []):
                 fn()

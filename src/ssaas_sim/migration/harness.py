@@ -11,7 +11,9 @@ Workload files are line based, one request per line::
 * ``client`` names the sending node; ``client`` is created with every
   topology, other names (by convention ``admin``) are created on first use.
   A name of one of the topology's own nodes is refused.
-* ``body`` is a JSON document, or empty for no body.
+* ``body`` is a JSON document, or empty for no body. Its integers have the
+  same one spelling: :func:`~ssaas_sim.simwire.read_json` reads it, so
+  ``-0`` is refused.
 
 Blank lines and ``#`` comments are skipped. Fault scripts ride the same
 relative clock: a fault at tick 40 activates before any workload line at
