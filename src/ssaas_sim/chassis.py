@@ -436,12 +436,12 @@ class ServiceNode:
     def go_live(self) -> None:
         """Register with the registry and arm the node's own loop, which
         renews the lease as maintenance traffic. A renewal arms no deadline
-        timer: its pending entry holds the re-registration, which
-        :meth:`ServiceClient.handle_response` runs on a 404 (lease evicted)
-        delivered before the entry's tick; the next beat drops stale entries."""
+        timer: each beat overwrites the client's renewal slot, and a 404
+        (lease evicted) to the slot's renewal, delivered before its deadline
+        tick, re-registers. So once a newer renewal is sent, an older one's
+        404 no longer counts, whatever the deadline."""
         assert self.client is not None, "node needs a client before discovery"
         client, service, node_id, sim = self.client, self.service, self.node_id, self.sim
-        pending = client._pending
         reg_body = {"service": service, "instance_id": node_id,
                     "address": node_id, "port": 0, "status": "UP"}
         path = f"/registry/{service}/{node_id}/renew"
@@ -450,13 +450,8 @@ class ServiceNode:
             client.call_node(REGISTRY_NODE, "POST", f"/registry/{service}", dict(reg_body))
 
         def beat() -> None:
-            now = sim.now
-            if pending:  # usually empty: the last renewal has been answered
-                for late in [mid for mid, entry in pending.items()
-                             if entry[3] is not None and entry[3] <= now]:
-                    del pending[late]
             mid = sim.send(Envelope(node_id, REGISTRY_NODE, REQUEST, path, "PUT"))
-            pending[mid] = (None, register, None, now + client.deadline + 1)
+            client._renewal = (mid, sim.now + client.deadline + 1, register)
 
         register()
         sim.every(node_id, RENEW_INTERVAL_TICKS, beat)
@@ -491,13 +486,19 @@ class ServiceClient:
         self.deadline = deadline
         self.peers: dict[str, ServiceNode] = {}
         self.direct: dict[str, str] = {}
+        self.reset()
+        node.client = self
+
+    def reset(self) -> None:
+        """Start the volatile state afresh, as a restarted process does: a
+        revive runs this, so nothing in flight at the kill stays pending."""
         self.resolver = Resolver()
         self.breakers: dict[str, CircuitBreaker] = {}
-        # message id -> (breaker or None, on_result, deadline timer id, deadline tick).
-        # A renewal has no timer: only a 404 landing before its tick runs on_result().
+        # message id -> (breaker or None, on_result, deadline timer id)
         self._pending: dict[int, tuple] = {}
         self._fetch_waiters: dict[str, list[Callable[[], None]]] = {}
-        node.client = self
+        # (message id, deadline tick, re-registration) of the last lease renewal
+        self._renewal: tuple = (None, 0, None)
 
     # -- wiring setup ------------------------------------------------------
 
@@ -595,17 +596,16 @@ class ServiceClient:
         mid = sim.send(Envelope(node_id, target_node, REQUEST, path, method, None, body))
         wait = (deadline if deadline is not None else self.deadline) + 1
         timer = sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
-        self._pending[mid] = (breaker, on_result, timer, None)
+        self._pending[mid] = (breaker, on_result, timer)
 
     def handle_response(self, env: Envelope) -> None:
         pending = self._pending.pop(env.correlation_id, None)
-        if pending is None:
-            return  # late response: the deadline already decided this call
-        breaker, on_result, timer, due = pending
-        if timer is None:  # a lease renewal: only an in-time 404 is acted on
-            if env.status == "404" and self.sim.now < due:
-                on_result()
+        if pending is None:  # a renewal's, or late: the deadline decided the call
+            mid, due, register = self._renewal
+            if env.correlation_id == mid and env.status == "404" and self.sim.now < due:
+                register()
             return
+        breaker, on_result, timer = pending
         self.sim.cancel_timer(timer)
         status, body = env.status, env.body
         if status == NETWORK_ERROR_STATUS:  # the kernel's: the target is down
@@ -619,7 +619,7 @@ class ServiceClient:
         pending = self._pending.pop(message_id, None)
         if pending is None:
             return
-        breaker, on_result, _, _ = pending
+        breaker, on_result, _ = pending
         if breaker is not None:
             breaker.record_result(False, self.sim.now)
         if on_result is not None:

@@ -139,11 +139,11 @@ class SystemHandle:
 
     def start(self, nodes: list[ServiceNode]) -> None:
         """Start built nodes in three phases, each over every node before the
-        next: (1) bind, and wire the clients of app nodes and the gateway;
-        (2) subscribe those to the configuration server and pull their
-        config; (3) register the app nodes and arm each node's own loops.
-        Settle traffic shows the order: every config pull in node order, then
-        every registration."""
+        next: (1) bind, wire the clients of app nodes and the gateway, and
+        have a revive reset each node's client; (2) subscribe those to the
+        configuration server and pull their config; (3) register the app
+        nodes and arm each node's own loops. Settle traffic shows the order:
+        every config pull in node order, then every registration."""
         topo = STAGES[self.stage]
         callers = (*topo.services, GATEWAY_SERVICE)
         direct = self.direct_map() if topo.wiring == WiringMode.DIRECT_WIRE else {}
@@ -152,6 +152,8 @@ class SystemHandle:
             self.nodes[node.node_id] = node
             if node.service in callers:
                 ServiceClient(node, topo.wiring).direct.update(direct)
+            if node.client is not None:
+                self.sim.on_revive(node.node_id, node.client.reset)
         confsvc, registry = self.confsvc, self.registry
         for node in nodes:
             if confsvc is not None and node.service in callers:

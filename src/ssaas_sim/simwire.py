@@ -246,6 +246,7 @@ class Simulator:
         self.now = 0
         self._nodes: dict[str, Callable[[Envelope], None]] = {}
         self._live: dict[str, Callable[[Envelope], None]] = {}
+        self._revive_hooks: dict[str, Callable[[], None]] = {}
         # The trace, flat: see WireTrace. Only step and _record extend it.
         self._trace: list = []
         self.records = WireTrace(self._trace)
@@ -279,6 +280,12 @@ class Simulator:
 
     def node_alive(self, name: str) -> bool:
         return name in self._live
+
+    def on_revive(self, name: str, fn: Callable[[], None]) -> None:
+        """Run ``fn`` each time ``name`` goes from down to live."""
+        if name not in self._nodes:
+            raise UnknownNode(f"unknown node: {name}")
+        self._revive_hooks[name] = fn
 
     # -- sending ----------------------------------------------------------
 
@@ -413,14 +420,18 @@ class Simulator:
 
     def _lift(self, rule_ids: list[int]) -> None:
         """Take the kill rules of ``rule_ids`` out of force, then refill
-        ``_live`` in place; no other code recomputes ``_live``."""
+        ``_live`` in place; no other code recomputes ``_live``. Then run the
+        revive hook of each node that came back, in registration order."""
         for rid in rule_ids:
             self._kills.pop(rid, None)
         live = self._live
+        was_live = live.copy()
         live.clear()
         for name, handler in self._nodes.items():
             if not self._killed(name):
                 live[name] = handler
+        for name in [n for n in live if n not in was_live and n in self._revive_hooks]:
+            self._revive_hooks[name]()
 
     def _activate_due_faults(self, up_to_tick: int) -> None:
         while self._fault_schedule and self._fault_schedule[0][0] <= up_to_tick:

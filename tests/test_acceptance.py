@@ -393,6 +393,39 @@ def test_chat_serves_again_after_its_node_is_revived():
 ANN = '0|client|POST|/api/developers|{"name":"ann","email":"ann@example.dev"}\n'
 
 
+def read_ann(stage: int, ticks: range, faults: str) -> tuple:
+    """Create ann at tick 0, then read her back at each of ``ticks``, on a
+    seed-1 build of ``stage`` under ``faults``."""
+    handle = build_stage(stage, seed=1)
+    lines = parse_workload(ANN + "".join(f"{tick}|client|GET|/api/developers/1|\n"
+                                         for tick in ticks))
+    entries = run_workload(handle, lines, faults=parse_fault_script(faults))
+    return handle, [(line.tick, entry.status) for line, entry in zip(lines, entries)]
+
+
+def test_a_gateway_killed_with_its_probe_out_serves_again_once_revived():
+    # developerservices-1 is down from tick 10, so the gateway's breaker for
+    # it opens; the gateway dies at tick 57 with its half-open probe in
+    # flight, and both come back at tick 117. The probe's answer is never
+    # delivered, so only a revive that resets the client unsticks the
+    # HALF_OPEN breaker.
+    handle, statuses = read_ann(3, range(20, 400), "10 kill developerservices-1\n"
+                                "57 kill gateway\n117 revive gateway\n"
+                                "117 revive developerservices-1\n")
+    late = [status for tick, status in statuses if tick >= 200]
+    assert late == ["200"] * 200
+    assert handle.gateway.client._pending == {}
+
+
+def test_a_gateway_killed_mid_fetch_serves_again_once_revived():
+    # The gateway dies at tick 22 with a registry fetch in flight. Without a
+    # reset, every later call would queue behind that fetch forever.
+    handle, statuses = read_ann(6, range(20, 397, 4), "22 kill gateway\n62 revive gateway\n")
+    late = [status for tick, status in statuses if tick >= 62]
+    assert late == ["200"] * 84
+    assert handle.gateway.client._fetch_waiters == {}
+
+
 def test_no_reservation_outlives_its_flow():
     # The reservation is made, but its reply arrives after the caller's
     # deadline, so the provision fails and must not keep the server.

@@ -16,6 +16,7 @@ from ssaas_sim.chassis import (
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CACHE_TTL_TICKS,
     DEFAULT_CALL_DEADLINE_TICKS,
+    RENEW_INTERVAL_TICKS,
     CircuitBreaker,
     CircuitState,
     ConfigView,
@@ -857,6 +858,12 @@ def registrations(sim: Simulator) -> list[int]:
             if r.kind == "REQUEST" and r.method == "POST" and r.status == "delivered"]
 
 
+def renewal_ids(sim: Simulator) -> list[int]:
+    """The message ids of chat-1's renewals so far, in send order."""
+    return [r.message_id for r in sim.records
+            if r.kind == "REQUEST" and r.source == "chat-1" and r.method == "PUT"]
+
+
 def evict(sim: Simulator, registry: RegistryService) -> None:
     """Drop the node's renewals from tick 25 until its lease (renewed last at
     tick 21, so expiring at 51) is swept, then heal the link at tick 65. The
@@ -906,21 +913,39 @@ class TestLeaseRenewal:
         assert registrations(sim) == [1, 113]
 
     def test_dropped_renewals_leave_at_most_one_pending_entry(self):
+        # A renewal is never a pending call: the client keeps only the last
+        # one sent, in its renewal slot, which each beat overwrites.
         sim, _, node = live_node()
         sim.advance_to(25)
         sim.inject(FaultRule(FaultEffect.DROP, source="chat-1", destination="registry"))
         while sim.now < 250:  # 22 renewal intervals
             sim.step()
-            assert len(node.client._pending) <= 1
+            assert node.client._pending == {}
+            assert node.client._renewal[0] == renewal_ids(sim)[-1]
+        assert [r.status for r in sim.records if r.message_id in renewal_ids(sim)[2:]] \
+            == ["dropped"] * 23
 
     def test_deadline_longer_than_the_interval_still_acts_on_a_404(self):
-        # The renewal of tick 70 has deadline tick 96; its 404 lands at
-        # tick 87, after the renewal of tick 80 went out.
+        # The renewal of tick 70 has deadline tick 96; delayed by 5, its
+        # 404 lands at tick 77, before the renewal of tick 80 goes out.
         sim, registry, _ = live_node(deadline=25)
         evict(sim, registry)
-        delay_replies(sim, 15)
-        sim.advance_to(90)
-        assert registrations(sim) == [1, 88]
+        delay_replies(sim, 5)
+        sim.advance_to(80)
+        assert registrations(sim) == [1, 78]
+
+    def test_a_newer_renewal_voids_an_older_ones_404(self):
+        # Delayed by 15, the 404 of the renewal of tick 70 lands at tick 87:
+        # before its deadline tick 96, but after the renewal of tick 80 went
+        # out, so it no longer counts. Neither does any later one.
+        sim, registry, _ = live_node(deadline=25)
+        evict(sim, registry)
+        delay_rule = delay_replies(sim, 15)
+        sim.advance_to(105)
+        assert registrations(sim) == [1]
+        sim.clear(delay_rule)
+        sim.advance_to(115)
+        assert registrations(sim) == [1, 113]
 
     def test_network_errors_from_a_dead_registry_are_ignored(self):
         # Each renewal from tick 30 on is sent to a dead registry, so the
@@ -949,14 +974,17 @@ class TestLeaseRenewal:
         sim.advance_to(sim.now + 100)
         assert sim.sent - sent == 6 * 10 * 2  # six app nodes renew, 10 round trips each
         assert armed == []
-        assert cancelled == []  # a renewal reply is settled on its pending entry
+        assert cancelled == []  # a renewal reply is settled on the renewal slot
 
     @pytest.mark.parametrize("deadline", [1, 2, 3, 5, 9, 10, 11, 25])
     def test_the_deadline_tick_is_exact(self, deadline, monkeypatch):
         # The renewal of tick 10 reaches the registry at tick 11, and with
         # its reply delayed by ``delay`` the 404 lands at tick 12 + delay.
         # A timer of deadline + 1 ticks, queued at tick 10 ahead of that
-        # reply, would accept it only before tick 11 + deadline.
+        # reply, would accept it only before tick 11 + deadline. The renewal
+        # of tick 20, queued ahead of it too, takes over the slot, so for a
+        # deadline of at least the interval the 404 must also land before
+        # that next beat.
         for delay in range(deadline + 3):
             sim, registry, _ = live_node(deadline)
             sim.advance_to(5)
@@ -967,7 +995,7 @@ class TestLeaseRenewal:
             sim.advance_to(12 + delay)
             assert armed == []
             sim.advance_to(14 + delay)
-            accepted = 12 + delay < 11 + deadline
+            accepted = 12 + delay < min(11 + deadline, 10 + RENEW_INTERVAL_TICKS)
             assert registrations(sim) == ([1, 13 + delay] if accepted else [1]), delay
 
     @pytest.mark.parametrize("delay", [8, 9])
@@ -977,6 +1005,8 @@ class TestLeaseRenewal:
         # timer would have been skipped at tick 76, so the node would still
         # have acted on that reply; without one the reply is ignored like any
         # other that lands after its deadline. No bundled workload gets here.
+        # The node is built by hand, with no revive hook, so its renewal
+        # loop keeps running and the revive leaves its client as it was.
         sim, registry, node = live_node()
         evict(sim, registry)
         delay_replies(sim, delay)
@@ -986,4 +1016,5 @@ class TestLeaseRenewal:
         sim.clear(kill)
         sim.advance_to(95)
         assert registrations(sim) == [1]
-        assert len(node.client._pending) == 1  # only the renewal of tick 90
+        assert node.client._pending == {}
+        assert node.client._renewal[0] == renewal_ids(sim)[-1]  # the renewal of tick 90

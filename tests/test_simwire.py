@@ -270,6 +270,66 @@ class TestFaults:
         assert fired == []
 
 
+def revive_log(sim: Simulator, *nodes: str) -> list[str]:
+    """Register a revive hook on each of ``nodes`` that logs the node's name."""
+    log: list[str] = []
+    for node in nodes:
+        sim.on_revive(node, lambda node=node: log.append(node))
+    return log
+
+
+class TestReviveHook:
+    def test_runs_once_on_a_scripted_revive(self):
+        sim = make_sim("a", "b")
+        log = revive_log(sim, "a", "b")
+        sim.schedule_fault(5, FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.schedule_fault(10, FaultRule(FaultEffect.REVIVE, node="b"))
+        sim.advance_to(9)
+        assert log == []
+        sim.advance_to(10)
+        assert log == ["b"] and sim.node_alive("b")
+        sim.advance_to(20)
+        assert log == ["b"]
+
+    def test_runs_on_the_clear_of_a_kill(self):
+        sim = make_sim("a", "b")
+        log = revive_log(sim, "a", "b")
+        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        assert log == []
+        sim.clear(kill)
+        assert log == ["b"]
+
+    def test_overlapping_kills_run_it_when_the_last_is_lifted(self):
+        sim = make_sim("a-1", "b-1")
+        log = revive_log(sim, "a-1", "b-1")
+        wide = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="*"))
+        narrow = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-1"))
+        sim.clear(wide)
+        assert log == ["b-1"]  # a-1 is still down under the narrow kill
+        sim.clear(narrow)
+        assert log == ["b-1", "a-1"]
+
+    def test_never_runs_for_a_node_that_stayed_live(self):
+        sim = make_sim("a", "b")
+        log = revive_log(sim, "a", "b")
+        sim.clear(sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b")))
+        sim.clear(sim.inject(FaultRule(FaultEffect.DROP, source="a", destination="b")))
+        sim.inject(FaultRule(FaultEffect.REVIVE, node="a"))
+        assert log == ["b"]
+
+    def test_runs_in_node_registration_order(self):
+        sim = make_sim("c", "a", "b")
+        log = revive_log(sim, "b", "a", "c")
+        sim.schedule_fault(1, FaultRule(FaultEffect.KILL_NODE, node="*"))
+        sim.schedule_fault(2, FaultRule(FaultEffect.REVIVE, node="*"))
+        sim.advance_to(2)
+        assert log == ["c", "a", "b"]
+
+    def test_registering_is_checked(self):
+        with pytest.raises(UnknownNode):
+            make_sim("a").on_revive("ghost", lambda: None)
+
+
 class TestConservation:
     """Every sent message reaches exactly one fate."""
 
