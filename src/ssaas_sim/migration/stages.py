@@ -140,7 +140,8 @@ class SystemHandle:
     def start(self, nodes: list[ServiceNode]) -> None:
         """Start built nodes in three phases, each over every node before the
         next: (1) bind, wire the clients of app nodes and the gateway, and
-        have a revive reset each node's client; (2) subscribe those to the
+        have a revive reset the client of every node but a workload client,
+        whose calls must each end in an answer; (2) subscribe those to the
         configuration server and pull their config; (3) register the app
         nodes and arm each node's own loops. Settle traffic shows the order:
         every config pull in node order, then every registration."""
@@ -152,7 +153,7 @@ class SystemHandle:
             self.nodes[node.node_id] = node
             if node.service in callers:
                 ServiceClient(node, topo.wiring).direct.update(direct)
-            if node.client is not None:
+            if node.client is not None and node.service != CLIENT_SERVICE:
                 self.sim.on_revive(node.node_id, node.client.reset)
         confsvc, registry = self.confsvc, self.registry
         for node in nodes:

@@ -426,6 +426,13 @@ def test_a_gateway_killed_mid_fetch_serves_again_once_revived():
     assert handle.gateway.client._fetch_waiters == {}
 
 
+def test_a_workload_client_revived_within_its_deadline_still_answers_every_line():
+    # The reads sent from tick 10 to 18 are lost with the client, and each
+    # times out once it is back: a revive resets only the system's clients.
+    _, statuses = read_ann(6, range(10, 60, 2), "11 kill client\n20 revive client\n")
+    assert [tick for tick, status in statuses if status != "200"] == [10, 12, 14, 16, 18]
+
+
 def test_no_reservation_outlives_its_flow():
     # The reservation is made, but its reply arrives after the caller's
     # deadline, so the provision fails and must not keep the server.

@@ -922,8 +922,8 @@ class TestLeaseRenewal:
             sim.step()
             assert node.client._pending == {}
             assert node.client._renewal[0] == renewal_ids(sim)[-1]
-        assert [r.status for r in sim.records if r.message_id in renewal_ids(sim)[2:]] \
-            == ["dropped"] * 23
+        dropped = [r.message_id for r in sim.records if r.status == "dropped"]
+        assert dropped == renewal_ids(sim)[2:] and len(dropped) == 23  # ticks 30 to 250
 
     def test_deadline_longer_than_the_interval_still_acts_on_a_404(self):
         # The renewal of tick 70 has deadline tick 96; delayed by 5, its
@@ -933,19 +933,6 @@ class TestLeaseRenewal:
         delay_replies(sim, 5)
         sim.advance_to(80)
         assert registrations(sim) == [1, 78]
-
-    def test_a_newer_renewal_voids_an_older_ones_404(self):
-        # Delayed by 15, the 404 of the renewal of tick 70 lands at tick 87:
-        # before its deadline tick 96, but after the renewal of tick 80 went
-        # out, so it no longer counts. Neither does any later one.
-        sim, registry, _ = live_node(deadline=25)
-        evict(sim, registry)
-        delay_rule = delay_replies(sim, 15)
-        sim.advance_to(105)
-        assert registrations(sim) == [1]
-        sim.clear(delay_rule)
-        sim.advance_to(115)
-        assert registrations(sim) == [1, 113]
 
     def test_network_errors_from_a_dead_registry_are_ignored(self):
         # Each renewal from tick 30 on is sent to a dead registry, so the
