@@ -992,8 +992,8 @@ class TestLeaseRenewal:
         # timer would have been skipped at tick 76, so the node would still
         # have acted on that reply; without one the reply is ignored like any
         # other that lands after its deadline. No bundled workload gets here.
-        # The node is built by hand, with no revive hook, so its renewal
-        # loop keeps running and the revive leaves its client as it was.
+        # The node is built by hand, with no revive hook, so the revive
+        # leaves its client as it was.
         sim, registry, node = live_node()
         evict(sim, registry)
         delay_replies(sim, delay)
