@@ -349,7 +349,7 @@ class ServiceNode:
         self.route("POST", "/refresh", self._handle_refresh)
 
     def bind(self) -> "ServiceNode":
-        self.sim.add_node(self.node_id, self._on_envelope)
+        self.sim.add_node(self.node_id, self._on_envelope, self._on_timeout)
         return self
 
     def route(self, method: str, pattern: str, handler: Handler) -> None:
@@ -370,6 +370,11 @@ class ServiceNode:
                 self.client.handle_response(env)
             return
         self.dispatch(Request(env.method, env.path, env.body, None, env, self.sim))
+
+    def _on_timeout(self, message_id: int) -> None:
+        """A call of this node reached its deadline. The client's method is
+        looked up at each timeout, so a patch of the class is seen."""
+        self.client._on_deadline(message_id)  # type: ignore[union-attr]
 
     def dispatch(self, req: Request) -> None:
         key = (req.method, req.path)
@@ -435,8 +440,8 @@ class ServiceNode:
 
     def go_live(self) -> None:
         """Register with the registry and arm the node's own loop, which
-        renews the lease as maintenance traffic. A renewal arms no deadline
-        timer: each beat overwrites the client's renewal slot, and a 404
+        renews the lease as maintenance traffic. A renewal is a plain send,
+        not a call: each beat overwrites the client's renewal slot, and a 404
         (lease evicted) to the slot's renewal, delivered before its deadline
         tick, re-registers. So once a newer renewal is sent, an older one's
         404 no longer counts, whatever the deadline."""
@@ -494,7 +499,7 @@ class ServiceClient:
         revive runs this, so nothing in flight at the kill stays pending."""
         self.resolver = Resolver()
         self.breakers: dict[str, CircuitBreaker] = {}
-        # message id -> (breaker or None, on_result, deadline timer id)
+        # message id -> (breaker or None, on_result); the kernel keeps the deadline
         self._pending: dict[int, tuple] = {}
         self._fetch_waiters: dict[str, list[Callable[[], None]]] = {}
         # (message id, deadline tick, re-registration) of the last lease renewal
@@ -591,12 +596,11 @@ class ServiceClient:
     def _send_tracked(self, target_node: str, method: str, path: str, body: Body,
                       on_result: Optional[Reply],
                       deadline: Optional[int], breaker: Optional[CircuitBreaker]) -> None:
-        node_id, sim = self.node.node_id, self.sim
         # Envelope.request, inlined: every tracked call sends one.
-        mid = sim.send(Envelope(node_id, target_node, REQUEST, path, method, None, body))
-        wait = (deadline if deadline is not None else self.deadline) + 1
-        timer = sim.set_timer(node_id, wait, lambda: self._on_deadline(mid))
-        self._pending[mid] = (breaker, on_result, timer)
+        mid = self.sim.call(Envelope(self.node.node_id, target_node, REQUEST, path, method,
+                                     None, body),
+                            (deadline if deadline is not None else self.deadline) + 1)
+        self._pending[mid] = (breaker, on_result)
 
     def handle_response(self, env: Envelope) -> None:
         pending = self._pending.pop(env.correlation_id, None)
@@ -605,8 +609,7 @@ class ServiceClient:
             if env.correlation_id == mid and env.status == "404" and self.sim.now < due:
                 register()
             return
-        breaker, on_result, timer = pending
-        self.sim.cancel_timer(timer)
+        breaker, on_result = pending
         status, body = env.status, env.body
         if status == NETWORK_ERROR_STATUS:  # the kernel's: the target is down
             status, body = "503", {"error": "UpstreamUnavailable"}
@@ -619,7 +622,7 @@ class ServiceClient:
         pending = self._pending.pop(message_id, None)
         if pending is None:
             return
-        breaker, on_result, _ = pending
+        breaker, on_result = pending
         if breaker is not None:
             breaker.record_result(False, self.sim.now)
         if on_result is not None:

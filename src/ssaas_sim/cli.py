@@ -10,9 +10,10 @@ Subcommands:
 * ``config``    read or write a checkpoint-backed config store
 
 Exit codes: 0 success (diff: traces equal; audit: clean), 1 divergence or
-violations, 2 unreadable workload or fault script, 3 tick budget exhausted,
-64 usage errors, 65 unreadable trace file or config store, 66 missing store
-or unreadable snapshot file, 73 an output file could not be written.
+violations, 2 unreadable workload or fault script, or workload lines left
+unanswered, 3 tick budget exhausted, 64 usage errors, 65 unreadable trace
+file or config store, 66 missing store or unreadable snapshot file, 73 an
+output file could not be written.
 
 ``--format`` picks ``text`` or ``ndjson`` output; the ``SSAAS_SIM_FORMAT``
 environment variable, when set, wins over the flag. Workload and fault

@@ -42,7 +42,7 @@ _ADMIN_TARGETS = {"config": CONFSVC_NODE, "registry": REGISTRY_NODE}
 
 
 class WorkloadError(Exception):
-    """A workload file could not be parsed."""
+    """A workload could not be parsed, or a line of it was left unanswered."""
 
 
 class BudgetExceeded(Exception):
@@ -103,7 +103,10 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
 
     Raises BudgetExceeded if the system is still busy ``budget`` ticks after
     the last line was sent, and WorkloadError, before anything is sent, if a
-    line's client names a node of the topology other than a client.
+    line's client names a node of the topology other than a client. It also
+    raises WorkloadError, naming the lines, if the system goes quiet with
+    lines unanswered: a client killed and not revived within its deadline
+    never hears back.
     """
     for line in lines:
         node = handle.nodes.get(line.client)
@@ -126,9 +129,10 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
         _send(handle, node, line, i, entries)
     if not sim.run_until_idle(budget=budget):
         raise BudgetExceeded(f"still busy after {budget} ticks")
-    done = [e for e in entries if e is not None]
-    assert len(done) == len(lines), "every request must complete or fail"
-    return done
+    unanswered = [line.line_no for line, e in zip(lines, entries) if e is None]
+    if unanswered:
+        raise WorkloadError(f"lines left unanswered: {', '.join(map(str, unanswered))}")
+    return entries  # type: ignore[return-value]
 
 
 def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,

@@ -223,12 +223,14 @@ class Simulator:
 
     Every event lands at least one tick ahead, so the queue is a FIFO bucket
     per tick under a heap of the distinct ticks: send order within a tick
-    is bucket order. Every event enters the queue through :meth:`_enqueue`.
+    is bucket order. Every event enters the queue through :meth:`_enqueue`,
+    or through :meth:`call`'s inlined copy of it.
 
-    A bucket holds three kinds of event: an :class:`Envelope` to deliver,
-    the id of a one-shot timer (:meth:`set_timer`), or a periodic loop's
-    ``(fn, node, interval)`` entry (:meth:`every`), which :meth:`step`
-    re-arms as soon as ``fn`` returns.
+    A bucket holds four kinds of event: an :class:`Envelope` to deliver,
+    a call's deadline marker (:meth:`call`; its request's message id, a
+    positive int), the id of a one-shot timer (:meth:`set_timer`; a
+    negative int), or a periodic loop's ``(fn, node, interval)`` entry
+    (:meth:`every`), which :meth:`step` re-arms as soon as ``fn`` returns.
 
     ``_nodes`` maps every registered node to its handler: :meth:`add_node`
     is the only way in. ``_live`` maps each node no kill rule in force
@@ -264,17 +266,24 @@ class Simulator:
         # Pending timers by id; cancelling one removes it here and leaves
         # its queue entry behind as a tombstone.
         self._timers: dict[int, tuple[Callable[[], None], bool, str]] = {}
+        self._calls: dict[int, Envelope] = {}  # pending calls' requests, by message id
+        self._timeouts: dict[str, Callable[[int], None]] = {}  # by node
         self._next_message_id = 1
         self._next_rule_id = 1
-        self._next_timer_id = 1
+        self._next_timer_id = -1  # timer ids count down, so none is a message id
         self._ctx_maintenance = False
 
     # -- nodes ------------------------------------------------------------
 
-    def add_node(self, name: str, handler: Callable[[Envelope], None]) -> None:
+    def add_node(self, name: str, handler: Callable[[Envelope], None],
+                 on_timeout: Optional[Callable[[int], None]] = None) -> None:
+        """Register ``name``. ``on_timeout``, if given, runs with a call's
+        message id when one of the node's calls reaches its deadline."""
         if name in self._nodes:
             raise SimwireError(f"node already registered: {name}")
         self._nodes[name] = handler
+        if on_timeout is not None:
+            self._timeouts[name] = on_timeout
         if not self._killed(name):
             self._live[name] = handler
 
@@ -335,14 +344,36 @@ class Simulator:
         self._enqueue(tick, env)
         return mid
 
+    def call(self, env: Envelope, wait: int) -> int:
+        """Send the request ``env`` with a deadline ``wait`` ticks ahead and
+        return its message id. A reply delivered to the live source ends the
+        call. At the deadline a call still pending ends, and the source's
+        timeout handler (:meth:`add_node`) runs with the id under the request's
+        flag, unless the source is down. The deadline's marker is the id
+        itself, in the queue slot a timer set after the send would take."""
+        if env.kind != REQUEST:
+            raise InvalidEnvelope("a call sends a REQUEST")
+        if wait < 1:
+            raise SimwireError("call wait must be >= 1 tick")
+        if env.source not in self._timeouts:
+            raise UnknownNode(f"no timeout handler for node: {env.source}")
+        mid = self.send(env)
+        self._calls[mid] = env
+        tick = self.now + wait
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            self._enqueue(tick, mid)
+        else:  # _enqueue, inlined: every tracked call arms a deadline
+            bucket.append(mid)
+        return mid
+
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
                   maintenance: Optional[bool] = None) -> int:
         """Schedule ``fn`` to run on ``node`` after ``delay`` ticks.
 
         Timers are scheduler internals, not wire traffic: they never appear
         in the trace and are skipped if the node has been killed. The
-        chassis sets one per tracked call, as its deadline; a lease renewal
-        sets none.
+        chassis sets none: a call's deadline is kept by :meth:`call`.
         """
         if node not in self._nodes:
             raise UnknownNode(f"unknown node: {node}")
@@ -351,7 +382,7 @@ class Simulator:
         if maintenance is None:
             maintenance = self._ctx_maintenance
         tid = self._next_timer_id
-        self._next_timer_id += 1
+        self._next_timer_id -= 1
         self._timers[tid] = (fn, maintenance, node)
         self._enqueue(self.now + delay, tid)
         return tid
@@ -457,7 +488,7 @@ class Simulator:
         if self._fault_schedule:
             self._activate_due_faults(tick)
         self.now = tick
-        live, timers, buckets = self._live, self._timers, self._buckets
+        live, timers, buckets, calls = self._live, self._timers, self._buckets, self._calls
         trace_extend = self._trace.extend
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
@@ -472,14 +503,23 @@ class Simulator:
                         self._fail_with_network_error(event)
                         continue
                     kind = event.kind
-                    trace_extend((
-                        tick, event.message_id or 0, event.source, destination,
-                        kind, event.method, event.path,
-                        (event.status or DELIVERED) if kind == RESPONSE else DELIVERED))
+                    if kind == RESPONSE:
+                        status = event.status or DELIVERED
+                        calls.pop(event.correlation_id, None)  # the reply ends its call
+                    else:
+                        status = DELIVERED
+                    trace_extend((tick, event.message_id or 0, event.source, destination,
+                                  kind, event.method, event.path, status))
                     delivered.append(event)
                     self._ctx_maintenance = event.maintenance
                     handler(event)
                 elif type(event) is int:
+                    if event > 0:  # a call's deadline, if the call is still pending
+                        request = calls.pop(event, None)
+                        if request is not None and request.source in live:
+                            self._ctx_maintenance = request.maintenance
+                            self._timeouts[request.source](event)
+                        continue
                     entry = timers.pop(event, None)
                     if entry is None:
                         continue  # cancelled
@@ -525,7 +565,8 @@ class Simulator:
 
     @property
     def pending_external(self) -> int:
-        """Queued work that is not maintenance, counted from the queue itself.
+        """Work that is not maintenance: queued messages, pending calls and
+        pending one-shot timers, counted from the kernel's own records.
 
         While a tick is being delivered, the messages of the rest of that
         tick are no longer counted: :meth:`step` has taken its bucket off the
@@ -534,9 +575,13 @@ class Simulator:
         return sum(self._pending_work())
 
     def _pending_work(self) -> Iterator[int]:
-        """Yield 1 per queued message and per pending one-shot timer that is
-        not flagged maintenance. A cancelled or fired timer has left
-        ``_timers``; a periodic loop is always maintenance."""
+        """Yield 1 per queued message, per pending call and per pending
+        one-shot timer that is not flagged maintenance. An answered or
+        timed-out call has left ``_calls``, a cancelled or fired timer has
+        left ``_timers``; a periodic loop is always maintenance."""
+        for request in self._calls.values():
+            if not request.maintenance:
+                yield 1
         for _, maintenance, _ in self._timers.values():
             if not maintenance:
                 yield 1

@@ -25,6 +25,7 @@ from ssaas_sim.migration import (
     parse_workload,
     run_workload,
 )
+from ssaas_sim.migration.harness import WorkloadError
 from ssaas_sim.registry import LeaseConfig, RegistryStore
 from ssaas_sim.simwire import (FAILED, REQUEST, Envelope, FaultEffect, FaultRule,
                                parse_fault_script)
@@ -431,6 +432,14 @@ def test_a_workload_client_revived_within_its_deadline_still_answers_every_line(
     # times out once it is back: a revive resets only the system's clients.
     _, statuses = read_ann(6, range(10, 60, 2), "11 kill client\n20 revive client\n")
     assert [tick for tick, status in statuses if status != "200"] == [10, 12, 14, 16, 18]
+
+
+def test_a_workload_client_killed_for_good_is_a_workload_error():
+    # The read of tick 10 is in flight at the kill, and every later one is
+    # dropped at the dead client; none is answered, and no deadline fires
+    # on a dead node. Lines 2-26 are the reads; line 1 creates ann.
+    with pytest.raises(WorkloadError, match=r"^lines left unanswered: 2, 3, .*, 25, 26$"):
+        read_ann(6, range(10, 60, 2), "11 kill client\n")
 
 
 def test_no_reservation_outlives_its_flow():

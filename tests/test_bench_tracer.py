@@ -41,8 +41,8 @@ COUNTS = {
 CALLS = {
     "simwire.send": 1469,
     "simwire.step": 687,
-    "simwire.set_timer": 268,
-    "simwire.cancel_timer": 268,
+    "simwire.set_timer": 0,
+    "simwire.cancel_timer": 0,
     "simwire.advance_to": 81,
     "simwire.run_until_idle": 6,
     "simwire.envelope": 5,
@@ -84,7 +84,6 @@ CALLS = {
     "registry.handler": 555,
     "ssaas.handler": 141,
     "chassis.callback": 88,
-    "chassis.timer": 0,
     "migration.callback": 81,
     "gateway.callback": 52,
     "ssaas.callback": 69,

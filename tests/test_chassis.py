@@ -344,6 +344,38 @@ class TestClientDirectWire:
         assert results == [UNAVAILABLE]
         assert (len(sim.records), sim.sent, armed) == (0, 0, [])
 
+    def test_a_tracked_call_arms_its_deadline_in_the_kernel(self, monkeypatch):
+        sim, caller = self._setup()
+        armed = count_timers(sim, monkeypatch)
+        caller.client.call("Echo", "POST", "/echo", {"v": 1}, answers()[1], deadline=7)
+        # One deadline of deadline + 1 ticks, kept by the kernel with the
+        # request; the pending entry holds the breaker and the continuation.
+        [(env, wait)] = armed
+        assert (env.path, wait) == ("/echo", 8)
+        assert sim._calls == {env.message_id: env}
+        assert list(caller.client._pending) == [env.message_id]
+        assert len(caller.client._pending[env.message_id]) == 2
+
+    def test_a_reply_to_a_revived_node_ends_its_old_call(self):
+        # The reply is sent at tick 1 and lands at tick 5. The caller is
+        # killed at tick 2 and revived, with a fresh client, at tick 3. The
+        # reply ends the old call in the kernel, so nothing waits for its
+        # deadline at tick 11.
+        sim, caller = self._setup()
+        sim.on_revive("caller", caller.client.reset)
+        sim.inject(FaultRule(FaultEffect.DELAY, source="echo-1", destination="caller",
+                             delay_ticks=3))
+        results, on_result = answers()
+        caller.client.call("Echo", "POST", "/echo", {"v": 1}, on_result, deadline=10)
+        sim.advance_to(2)
+        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="caller"))
+        sim.advance_to(3)
+        sim.clear(kill)
+        assert caller.client._pending == {} and sim.pending_external == 2
+        run_until_idle(sim)
+        assert sim.now == 5 and sim.records[-1][4:] == ("RESPONSE", "POST", "/echo", "200")
+        assert sim._calls == {} and results == []
+
     def test_remote_4xx_is_relayed_and_not_a_breaker_failure(self):
         sim, caller = self._setup()
         results, on_result = answers()
@@ -876,11 +908,12 @@ def evict(sim: Simulator, registry: RegistryService) -> None:
 
 
 def count_timers(sim: Simulator, monkeypatch) -> list[tuple]:
-    """Record the arguments of every one-shot timer ``sim`` arms from now on."""
+    """Record the arguments of every one-shot timer and every call deadline
+    ``sim`` arms from now on."""
     armed: list[tuple] = []
-    set_timer = sim.set_timer
-    monkeypatch.setattr(sim, "set_timer",
-                        lambda *args: armed.append(args) or set_timer(*args))
+    for name in ("set_timer", "call"):
+        arm = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *args, arm=arm: armed.append(args) or arm(*args))
     return armed
 
 

@@ -186,6 +186,17 @@ class TestRun:
         assert run_cli("run", "--stage", str(stage), "--workload", str(script)) == 2
         assert capsys.readouterr().err.startswith("ssaas-sim: line 2: ")
 
+    def test_a_line_left_unanswered_is_a_bad_script(self, tmp_path, capsys):
+        # The client is killed for good with its first read in flight.
+        script = tmp_path / "reads.wl"
+        script.write_text("".join(f"{tick}|client|GET|/api/developers/1|\n"
+                                  for tick in (10, 12, 14)))
+        faults = tmp_path / "kill.fs"
+        faults.write_text("11 kill client\n")
+        assert run_cli("run", "--stage", "6", "--workload", str(script),
+                       "--faults", str(faults)) == 2
+        assert capsys.readouterr().err == "ssaas-sim: lines left unanswered: 1, 2, 3\n"
+
     def test_budget_exhaustion_exit(self, tmp_path):
         assert run_cli("run", "--stage", "1", "--workload", "basic.wl",
                        "--budget", "1") == 3

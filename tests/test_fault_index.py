@@ -12,13 +12,14 @@ applied. A node is up when it is registered and no kill rule in force
 matches it. A send's fate is the decision ``send`` used to make: two scans
 over the link rules in force, the first for a drop or partition, the
 second summing delays. After any sequence of injects, clears, scheduled
-faults and revives, nodes added late, timers (also on killed nodes), and
-kills, revives and sends made by handlers and timers in the middle of a
-tick, every send must meet the fate the reference predicts (dropped,
-failed, or delivered on a given tick), ``node_alive`` must agree with the
-reference, the kernel's rules in force must be the script's, and
-``step()`` must deliver exactly the events whose node was up when their
-turn came.
+faults and revives, nodes added late, timers and calls (also on killed
+nodes), and kills, revives and sends made by handlers, timers and call
+timeouts in the middle of a tick, every send must meet the fate the
+reference predicts (dropped, failed, or delivered on a given tick),
+``node_alive`` must agree with the reference, the kernel's rules in force
+must be the script's, and ``step()`` must deliver exactly the events whose
+node was up when their turn came. A call's deadline is such an event, on
+its source, unless a reply delivered before it ended the call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from ssaas_sim.simwire import (
     DROPPED,
     FAILED,
     REQUEST,
+    RESPONSE,
     Envelope,
     FaultEffect,
     FaultRule,
@@ -105,6 +107,8 @@ ops = st.one_of(
     st.tuples(st.just("step")),
     st.tuples(st.just("add"), st.sampled_from(LATE)),
     st.tuples(st.just("timer"), st.sampled_from(NODES), st.integers(1, 4), actions),
+    st.tuples(st.just("call"), st.sampled_from(NODES), st.sampled_from(DESTINATIONS),
+              st.integers(1, 4), actions),
     st.tuples(st.just("send"), st.sampled_from(NODES), st.sampled_from(DESTINATIONS),
               actions),
 )
@@ -121,6 +125,7 @@ class Script:
         self.ids: list[int] = []
         self.log: list[tuple[object, frozenset[str], frozenset[str]]] = []
         self.timer_nodes: dict[int, str] = {}
+        self.calls: dict[int, tuple[str, object]] = {}  # message id -> (source, action)
         self.names: set[str] = set()  # the nodes registered
         self.rules: dict[int, FaultRule] = {}  # registered and not cleared
         self.kills: set[int] = set()  # ids of the kill rules in force
@@ -158,7 +163,8 @@ class Script:
     def add_node(self, name: str) -> None:
         """Add ``name``, unless it is there already."""
         if name not in self.names:
-            self.sim.add_node(name, self._handler(name))
+            self.sim.add_node(name, self._handler(name),
+                              lambda mid: self._run(mid, name, self.calls[mid][1]))
             self.names.add(name)
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> None:
@@ -215,6 +221,16 @@ class Script:
         mid = sim.send(env)
         assert observed_fate(sim, env, mid) == want
 
+    def call(self, source: str, destination: str, wait: int, action) -> None:
+        """A call whose timeout runs ``action``; its request carries none."""
+        sim = self.sim
+        want = reference_fate(sim.now, self.alive(), list(self.links.values()),
+                              source, destination)
+        env = Envelope.request(source, destination, "/call")
+        mid = sim.call(env, wait)
+        self.calls[mid] = (source, action)
+        assert observed_fate(sim, env, mid) == want
+
     def set_timer(self, node: str, delay: int, action) -> None:
         box: list[int] = []
         tid = self.sim.set_timer(node, delay, lambda: self._run(box[0], node, action))
@@ -227,7 +243,7 @@ class Script:
         sim = self.sim
         tick = sim.next_event_tick()
         bucket = list(sim._buckets[tick]) if tick is not None else []
-        pending_timers = set(sim._timers)
+        pending_timers, pending_calls = set(sim._timers), set(sim._calls)
         self.log.clear()
         self.fire_due(tick if tick is not None else sim.now + 1)
         delivered = sim.step()
@@ -236,7 +252,11 @@ class Script:
         state: Optional[frozenset[str]] = None  # live set between two runs
         ran = 0
         for event in bucket:
-            if type(event) is int:
+            if type(event) is int and event > 0:  # a call's deadline
+                if event not in pending_calls:
+                    continue  # a reply ended the call
+                node = self.calls[event][0]
+            elif type(event) is int:
                 if event not in pending_timers:
                     continue  # cancelled
                 node = self.timer_nodes[event]
@@ -250,6 +270,8 @@ class Script:
                 state = state_after
                 if type(event) is not int:
                     expected.append(event)
+                    if event.kind is RESPONSE:
+                        pending_calls.discard(event.correlation_id)
             else:
                 now = state if state is not None else \
                     self.log[ran][1] if ran < len(self.log) else after
@@ -270,6 +292,16 @@ LATE_NODE_UNDER_KILL = [("inject", FaultRule(FaultEffect.KILL_NODE, node="a-*"))
                         ("add", "a-3"),
                         ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
                         ("clear", 1), ("send", "reg", "a-3", None)]
+# Calls to a dead a-3 and to b-1, which a handler kills first thing at tick
+# 1. There a-2's call is ended by its network-error reply before its
+# deadline, the reply to b-1's call fails, b-1's deadlines (ticks 1 and 2)
+# are skipped, and a-1's call to b-1 times out.
+CALLS_MID_TICK_KILL = [("send", "a-1", "reg", ("kill", "b-1")), ("add", "a-3"),
+                       ("inject", FaultRule(FaultEffect.KILL_NODE, node="a-3")),
+                       ("call", "a-2", "a-3", 1, ("kill", "reg")),
+                       ("call", "b-1", "a-3", 2, ("kill", "reg")),
+                       ("call", "b-1", "a-2", 1, ("kill", "reg")),
+                       ("call", "a-1", "b-1", 1, None), ("step",), ("step",)]
 # A revive of b-1 scheduled under a kill of b-1, then cleared before its tick.
 CLEARED_REVIVE = [("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
                   ("revive", 2, "b-1"), ("clear", 1), ("advance", 3),
@@ -282,6 +314,7 @@ CLEARED_REVIVE = [("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
 @example(MID_TICK_KILL)
 @example(LATE_NODE_UNDER_KILL)
 @example(CLEARED_REVIVE)
+@example(CALLS_MID_TICK_KILL)
 def test_send_fate_matches_full_rule_scan(script):
     run = Script()
     sim, ids = run.sim, run.ids
@@ -305,6 +338,8 @@ def test_send_fate_matches_full_rule_scan(script):
             run.add_node(op[1])
         elif kind == "timer":
             run.set_timer(*op[1:])
+        elif kind == "call":
+            run.call(*op[1:])
         else:
             run.send(*op[1:])
         assert sim._rules == run.rules

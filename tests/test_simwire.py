@@ -330,6 +330,127 @@ class TestReviveHook:
             make_sim("a").on_revive("ghost", lambda: None)
 
 
+def call_sim(reply_delay: int | None = None) -> tuple[Simulator, list]:
+    """Nodes ``a`` and ``b``: ``a`` logs its log as ``(tick, message
+    id)`` and its replies as ``(tick, status)``; ``b`` answers 200,
+    ``reply_delay`` ticks late, or never if None."""
+    sim = Simulator()
+    log: list[tuple] = []
+    sim.add_node("a", lambda env: log.append((sim.now, env.status)),
+                 lambda mid: log.append((sim.now, mid)))
+    if reply_delay is None:
+        sim.add_node("b", lambda env: None)
+    else:
+        sim.add_node("b", lambda env: sim.send(Envelope.response(env, "200")))
+        if reply_delay:
+            sim.inject(FaultRule(FaultEffect.DELAY, source="b", destination="a",
+                                 delay_ticks=reply_delay))
+    return sim, log
+
+
+class TestCall:
+    """``Simulator.call``: a request whose deadline the kernel keeps."""
+
+    def test_a_deadline_fires_in_the_slot_of_a_timer_armed_with_it(self):
+        # On tick 3: a timer armed before the call, the call's deadline, a
+        # loop armed after it, then a timer armed last; the request itself
+        # landed on tick 1.
+        sim, log = call_sim()
+        order: list = []
+        sim.add_node("c", lambda env: None, lambda mid: order.append(("deadline", mid)))
+        sim.set_timer("c", 3, lambda: order.append("timer-before"))
+        mid = sim.call(Envelope.request("c", "b", "/x"), 3)
+        sim.every("c", 3, lambda: order.append("loop"))
+        sim.set_timer("c", 3, lambda: order.append("timer-after"))
+        sim.advance_to(4)
+        assert order == ["timer-before", ("deadline", mid), "loop", "timer-after"]
+        assert log == [] and sim._calls == {}
+
+    def test_a_deadline_and_a_timer_keep_apart(self):
+        # Timer ids and message ids never collide: cancelling the timer
+        # armed right before the call leaves the call's deadline armed.
+        sim, log = call_sim()
+        fired: list[int] = []
+        tid = sim.set_timer("a", 2, lambda: fired.append(sim.now))
+        mid = sim.call(Envelope.request("a", "b", "/x"), 2)
+        assert tid < 0 < mid
+        sim.cancel_timer(tid)
+        sim.advance_to(5)
+        assert (fired, log) == ([], [(2, mid)])
+
+    def test_a_reply_delivered_first_ends_the_call(self):
+        sim, log = call_sim(reply_delay=0)
+        mid = sim.call(Envelope.request("a", "b", "/x"), 5)
+        assert sim._calls == {mid: sim._calls[mid]} and sim.pending_external == 2
+        sim.step()
+        sim.step()
+        assert sim.records[-1][4:] == ("RESPONSE", "GET", "/x", "200")
+        assert sim._calls == {} and sim.pending_external == 0
+        assert sim.run_until_idle() and sim.now == 2
+        sim.advance_to(10)
+        assert log == [(2, "200")]
+
+    def test_a_late_reply_is_traced_and_ignored(self):
+        sim, log = call_sim(reply_delay=5)
+        mid = sim.call(Envelope.request("a", "b", "/x"), 3)
+        assert sim.run_until_idle() and sim.now == 7
+        # The reply is traced and handed to a's handler, after the timeout.
+        assert log == [(3, mid), (7, "200")]
+        assert [(r.tick, r.kind, r.status) for r in sim.records] == [
+            (1, "REQUEST", DELIVERED), (7, "RESPONSE", "200")]
+        assert sim._calls == {}
+
+    def test_a_dead_sources_deadline_is_skipped(self):
+        sim, log = call_sim()
+        sim.call(Envelope.request("a", "b", "/x"), 3)
+        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a"))
+        sim.advance_to(4)
+        assert log == [] and sim._calls == {}
+        sim.clear(kill)
+        sim.advance_to(10)
+        assert log == [] and sim.pending_external == 0
+
+    def test_a_pending_call_keeps_run_until_idle_busy(self):
+        sim, log = call_sim()
+        mid = sim.call(Envelope.request("a", "b", "/x"), 4)
+        sim.step()
+        assert (sim.pending_external, sim.queue_depth) == (1, 1)  # only the deadline is left
+        assert sim.run_until_idle() and sim.now == 4
+        assert log == [(4, mid)] and sim.pending_external == 0
+
+    def test_a_maintenance_call_is_not_pending_work(self):
+        sim, log = call_sim()
+        sim.every("a", 1, lambda: sim.call(Envelope.request("a", "b", "/beat"), 4)
+                  if sim.now == 1 else None)
+        sim.step()
+        assert len(sim._calls) == 1 and sim.pending_external == 0
+        sim.advance_to(6)
+        assert log == [(5, 1)]
+
+    def test_a_network_error_reply_ends_the_call(self):
+        sim, log = call_sim()
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.call(Envelope.request("a", "b", "/x"), 1)
+        sim.advance_to(5)
+        assert [(r.tick, r.kind, r.status) for r in sim.records] == [
+            (0, "REQUEST", FAILED), (1, "RESPONSE", NETWORK_ERROR_STATUS)]
+        assert log == [(1, NETWORK_ERROR_STATUS)] and sim._calls == {}
+
+    def test_calling_is_checked(self):
+        sim, _ = call_sim(reply_delay=0)
+        with pytest.raises(UnknownNode):  # b registered no timeout handler
+            sim.call(Envelope.request("b", "a", "/x"), 3)
+        with pytest.raises(UnknownNode):
+            sim.call(Envelope.request("ghost", "a", "/x"), 3)
+        with pytest.raises(SimwireError):
+            sim.call(Envelope.request("a", "b", "/x"), 0)
+        reply = Envelope(source="a", destination="b", kind=RESPONSE, path="/x",
+                         correlation_id=1)
+        with pytest.raises(InvalidEnvelope):
+            sim.call(reply, 3)
+        assert (sim.sent, sim.queue_depth, sim._calls) == (0, 0, {})
+
+
 class TestConservation:
     """Every sent message reaches exactly one fate."""
 
