@@ -329,8 +329,8 @@ class ServiceNode:
     view, and an optional outbound client.
 
     A node is either bound to the wire (one simulator node per instance) or
-    hosted in-process by another node that serves its routes, while its
-    peers call its :meth:`dispatch` directly.
+    hosted in-process by another node (:meth:`host`), which serves its
+    routes as its own and lends it its client.
     """
 
     def __init__(self, sim: Simulator, node_id: str, service: str) -> None:
@@ -361,6 +361,14 @@ class ServiceNode:
         routes += added
         routes.sort(key=lambda r: -len(r.literals))
         self._resolved.clear()
+
+    def host(self, node: "ServiceNode") -> None:
+        """Serve ``node``'s routes as this node's own, and lend it this node's client."""
+        # A hosted node's own POST /refresh route sorts after the host's,
+        # which was routed first and so keeps answering that path.
+        for key, routes in node._routes.items():
+            self._add_routes(key, routes)
+        node.client = self.client
 
     # -- inbound ---------------------------------------------------------
 
@@ -473,7 +481,7 @@ class WiringMode:
 class ServiceClient:
     """Outbound call port for a node, in one of three wiring modes.
 
-    LIBRARY_CALL dispatches to co-resident peer nodes synchronously, in
+    LIBRARY_CALL dispatches synchronously on its own node's route table, in
     process. DIRECT_WIRE sends to a statically configured node per service.
     DISCOVERED resolves instances through the registry with a ttl cache,
     round-robin rotation, and one circuit breaker per instance.
@@ -489,7 +497,6 @@ class ServiceClient:
         self.sim = node.sim
         self.mode = mode
         self.deadline = deadline
-        self.peers: dict[str, ServiceNode] = {}
         self.direct: dict[str, str] = {}
         self.reset()
         node.client = self
@@ -505,11 +512,6 @@ class ServiceClient:
         # (message id, deadline tick, re-registration) of the last lease renewal
         self._renewal: tuple = (None, 0, None)
 
-    # -- wiring setup ------------------------------------------------------
-
-    def add_peer(self, service: str, peer: ServiceNode) -> None:
-        self.peers[service] = peer
-
     def breaker_for(self, instance_id: str) -> CircuitBreaker:
         brk = self.breakers.get(instance_id)
         if brk is None:
@@ -523,7 +525,8 @@ class ServiceClient:
              on_result: Optional[Reply] = None,
              deadline: Optional[int] = None) -> None:
         if self.mode == WiringMode.LIBRARY_CALL:
-            self._call_library(service, method, path, body, on_result)
+            # Not Monolith.dispatch, which bench/tracer.py times as wire requests.
+            ServiceNode.dispatch(self.node, Request(method, path, body, _reply=on_result))
         elif self.mode == WiringMode.DIRECT_WIRE:
             target = self.direct.get(service)
             if target is None:
@@ -546,14 +549,6 @@ class ServiceClient:
         """Send straight to a named node, bypassing resolution."""
         breaker = self.breaker_for(target_node) if track_breaker else None
         self._send_tracked(target_node, method, path, body, on_result, deadline, breaker)
-
-    def _call_library(self, service: str, method: str, path: str, body: Body,
-                      on_result: Optional[Reply]) -> None:
-        peer = self.peers.get(service)
-        if peer is None:
-            self._finish_fast(on_result)
-            return
-        peer.dispatch(Request(method, path, body, _reply=on_result))
 
     def _fetch_instances(self, service: str, waiter: Callable[[], None]) -> None:
         """Fetch ``service``'s endpoints, then run the waiters on what the resolver

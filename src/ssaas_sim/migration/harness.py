@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from ..chassis import CONFSVC_NODE, GATEWAY_NODE, REGISTRY_NODE, ServiceNode
 from ..simwire import Body, FaultRule, read_int, read_json
-from .stages import CLIENT_DEADLINE_TICKS, CLIENT_SERVICE, SystemHandle, wire_client
+from .stages import CLIENT_SERVICE, SystemHandle, wire_client
 from .traces import TraceEntry
 
 WORKLOAD_METHODS = ("GET", "POST", "PUT", "DELETE")
@@ -146,19 +146,16 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
 
     client = node.client
     assert client is not None
-    admin_target = _ADMIN_TARGETS.get(line.path.split("/", 2)[1]) if line.path[:1] == "/" else None
-    if admin_target is not None:
-        client.call_node(admin_target, line.method, line.path, line.body,
-                         finish, deadline=CLIENT_DEADLINE_TICKS)
-    elif handle.gateway is not None:
-        client.call_node(GATEWAY_NODE, line.method, line.path, line.body,
-                         finish, deadline=CLIENT_DEADLINE_TICKS)
+    target = _ADMIN_TARGETS.get(line.path.split("/", 2)[1]) if line.path[:1] == "/" else None
+    if target is None and handle.gateway is not None:
+        target = GATEWAY_NODE
+    if target is not None:
+        client.call_node(target, line.method, line.path, line.body, finish)
     else:
         hit = handle.client_router.resolve(line.path)
         if hit is None:
             finish("404", {"error": "NoRoute"})
             return
         rule, inner_path = hit
-        client.call(rule.service, line.method, inner_path, line.body,
-                    finish, deadline=CLIENT_DEADLINE_TICKS)
+        client.call(rule.service, line.method, inner_path, line.body, finish)
 

@@ -252,13 +252,11 @@ def _app_node(handle: SystemHandle, service: str, node_id: str) -> ServiceNode:
 
 
 def _build_monolith(handle: SystemHandle) -> None:
+    """Stage 0: one node, hosting every service, with one in-process client."""
     mono = Monolith(handle.sim)
-    hosted = [_app_node(handle, service, mono.node_id) for service in STAGES[0].services]
-    for virtual in hosted:
-        client = ServiceClient(virtual, WiringMode.LIBRARY_CALL)
-        for peer in hosted:
-            client.add_peer(peer.service, peer)
-        mono.host(virtual)
+    ServiceClient(mono, WiringMode.LIBRARY_CALL)
+    for service in STAGES[0].services:
+        mono.host(_app_node(handle, service, mono.node_id))
     handle.start([mono])
 
 

@@ -403,17 +403,11 @@ class ChatServices(ServiceNode):
 
 
 class Monolith(ServiceNode):
-    """Single deployable hosting the in-process services of the original
-    system: it serves each hosted service's routes as its own."""
+    """Single deployable hosting the services of the original system in
+    process (:meth:`ServiceNode.host`), with one LIBRARY_CALL client for all."""
 
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim, MONOLITH_NODE, "Monolith")
-
-    def host(self, node: ServiceNode) -> None:
-        # A hosted node's own POST /refresh route sorts after the monolith's,
-        # which was routed first and so keeps answering that path.
-        for key, routes in node._routes.items():
-            self._add_routes(key, routes)
 
     def dispatch(self, req: Request) -> None:
         # bench/tracer.py wraps this name to time the monolith's requests

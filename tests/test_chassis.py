@@ -634,7 +634,7 @@ class TestCallPathsAgree:
         caller = build_caller(sim, mode)
         script = ScriptNode(sim, "script-1", "caller")
         if mode is WiringMode.LIBRARY_CALL:
-            caller.client.add_peer("Script", script)
+            caller.host(script)
         else:
             script.bind()
             caller.client.direct["Script"] = "script-1"
@@ -795,8 +795,9 @@ class TestServiceNodeRouting:
         node.bind()
         wire = build_caller(sim, WiringMode.DIRECT_WIRE).client
         wire.direct["Svc"] = "svc-1"
-        library = ServiceClient(ServiceNode(sim, "host", "Host"), WiringMode.LIBRARY_CALL)
-        library.add_peer("Svc", node)
+        host = ServiceNode(sim, "host", "Host")
+        library = ServiceClient(host, WiringMode.LIBRARY_CALL)
+        host.host(node)
         results, on_result = answers()
         if status is None:
             with pytest.raises(ValueError):
@@ -854,21 +855,62 @@ class TestLibraryMode:
         host = ServiceNode(sim, "host", "Host")
         host.bind()
         client = ServiceClient(host, WiringMode.LIBRARY_CALL)
-        peer = EchoNode(sim, "virtual-echo")  # never bound to the wire
-        client.add_peer("Echo", peer)
+        host.host(EchoNode(sim, "virtual-echo"))  # never bound to the wire
         results, on_result = answers()
         client.call("Echo", "POST", "/echo", {"x": 1}, on_result)
         assert results == [("200", {"x": 1})]
+        # The host's route table decides; the service name plays no part.
+        client.call("Elsewhere", "POST", "/echo", {"x": 2}, on_result)
+        assert results == [("200", {"x": 1}), ("200", {"x": 2})]
         assert sim.records == []  # nothing touched the wire
 
-    def test_unknown_peer_fast_fails(self):
+    def test_a_path_its_node_does_not_serve_is_404_in_process(self):
         sim = Simulator()
         host = ServiceNode(sim, "host", "Host").bind()
         client = ServiceClient(host, WiringMode.LIBRARY_CALL)
         results, on_result = answers()
         client.call("Echo", "POST", "/echo", None, on_result)
-        assert results == [UNAVAILABLE]
+        assert results == [("404", {"error": "NoRoute"})]
         assert sim.records == []
+
+    def test_host_serves_the_hosted_routes_and_lends_its_client(self):
+        sim = Simulator()
+        host = ServiceNode(sim, "host", "Host")
+        client = ServiceClient(host, WiringMode.LIBRARY_CALL)
+        echo = EchoNode(sim, "virtual-echo")
+        host.host(echo)
+        assert echo.client is client and host.client is client
+        got = []
+        host.dispatch(Request("POST", "/fail", None, _reply=lambda s, b: got.append((s, b))))
+        assert got == [("500", {"error": "boom"})]
+        # Both nodes route POST /refresh; the host's, routed first, answers it.
+        doc = {"service": "Host", "profile": "default", "version": [1, 0],
+               "entries": {"k": "v"}}
+        host.dispatch(Request("POST", "/refresh", doc, _reply=lambda s, b: got.append((s, b))))
+        assert got[-1] == ("200", {"applied": True})
+        assert (host.config.get("k"), echo.config.get("k")) == ("v", None)
+
+    def test_stage_0_is_one_node_with_one_client(self, monkeypatch):
+        modes = []
+        init = ServiceClient.__init__
+
+        def counted(self, node, mode, *args, **kwargs):
+            modes.append((node.node_id, mode))
+            init(self, node, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceClient, "__init__", counted)
+        handle = build_stage(0)
+        mono = handle.nodes["monolith"]
+        assert modes == [("monolith", WiringMode.LIBRARY_CALL),
+                         ("client", WiringMode.DIRECT_WIRE)]
+        assert mono.client is not None and mono.client.mode == WiringMode.LIBRARY_CALL
+        # Each hosted node is the owner of some handler in the monolith's table.
+        owners = {getattr(route.handler, "__self__", None) for routes in mono._routes.values()
+                  for route in routes}
+        hosted = {node for node in owners if isinstance(node, ServiceNode)} - {mono}
+        assert sorted(node.service for node in hosted) == [
+            "ContentServices", "DeveloperData", "DeveloperServices"]
+        assert all(node.client is mono.client for node in hosted)
 
 
 def live_node(deadline: int = DEFAULT_CALL_DEADLINE_TICKS

@@ -29,7 +29,7 @@ UNREADABLE = ["directory", "undecodable"]
 STAGES_LS = """\
 stage 0: single deployable [LIBRARY_CALL]
   0|client|Client|DIRECT_WIRE
-  0|monolith|Monolith|-
+  0|monolith|Monolith|LIBRARY_CALL
 stage 1: data service split out [DIRECT_WIRE]
   1|client|Client|DIRECT_WIRE
   1|contentservices-1|ContentServices|DIRECT_WIRE

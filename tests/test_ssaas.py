@@ -257,16 +257,17 @@ class TestForward:
     """``forward`` over an in-process upstream: each outcome, and ``undo``
     always before the answer."""
 
-    def _forward(self, path, steps=True, fields=(), peer=True):
+    def _forward(self, path, steps=True, fields=()):
         """The log of one step: what ``then`` got, ``undo``, and the reply."""
         sim = Simulator()
         caller = ServiceNode(sim, "caller", "Caller")
-        client = ServiceClient(caller, WiringMode.LIBRARY_CALL)
-        if peer:  # without one the call fast-fails
-            upstream = ServiceNode(sim, "up", "Up")
-            upstream.route("GET", "/ok", lambda req: ("200", {"a": 1, "extra": 2}))
-            upstream.route("GET", "/missing", lambda req: ("404", {"error": "Nope"}))
-            client.add_peer("Up", upstream)
+        ServiceClient(caller, WiringMode.LIBRARY_CALL)
+        upstream = ServiceNode(sim, "up", "Up")
+        upstream.route("GET", "/ok", lambda req: ("200", {"a": 1, "extra": 2}))
+        upstream.route("GET", "/missing", lambda req: ("404", {"error": "Nope"}))
+        # What a client answers for an upstream it could not reach.
+        upstream.route("GET", "/down", lambda req: ("503", {"error": "UpstreamUnavailable"}))
+        caller.host(upstream)
         log: list = []
         req = Request("GET", "/x", None, _reply=lambda s, b: log.append((s, b)))
         kw = {"then": lambda body: log.append(("then", body)),
@@ -277,7 +278,7 @@ class TestForward:
     def test_without_steps_relays_the_outcome(self):
         assert self._forward("/ok", steps=False) == [("200", {"a": 1, "extra": 2})]
         assert self._forward("/missing", steps=False) == [("404", {"error": "Nope"})]
-        assert self._forward("/ok", steps=False, peer=False) == [
+        assert self._forward("/down", steps=False) == [
             ("503", {"error": "UpstreamUnavailable"})]
 
     def test_success_goes_to_then_decoded_to_fields(self):
@@ -286,7 +287,7 @@ class TestForward:
 
     def test_failure_runs_undo_then_relays(self):
         assert self._forward("/missing") == ["undo", ("404", {"error": "Nope"})]
-        assert self._forward("/ok", peer=False) == [
+        assert self._forward("/down") == [
             "undo", ("503", {"error": "UpstreamUnavailable"})]
 
     def test_success_lacking_fields_runs_undo_then_503(self):
@@ -301,17 +302,13 @@ def build_monolith_world():
     sim = Simulator()
     mono = Monolith(sim)
     mono.bind()
+    ServiceClient(mono, WiringMode.LIBRARY_CALL)
     schemas, developers, pool = SchemaStore(), DeveloperStore(), ServerPool()
     pool.register_server("ora-a", ServerFlavor.ORACLE, 2)
     pool.register_server("ora-b", ServerFlavor.ORACLE, 2)
     dd = DeveloperData(sim, "monolith", schemas, developers=developers, pool=pool)
     ds = DeveloperServices(sim, "monolith")
     cs = ContentServices(sim, "monolith", ContentStore())
-    for svc in (dd, ds, cs):
-        client = ServiceClient(svc, WiringMode.LIBRARY_CALL)
-        client.add_peer("DeveloperData", dd)
-        client.add_peer("DeveloperServices", ds)
-        client.add_peer("ContentServices", cs)
     for svc in (ds, cs, dd):
         mono.host(svc)
     ext = ServiceNode(sim, "ext", "External").bind()
