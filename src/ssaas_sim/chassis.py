@@ -155,6 +155,9 @@ class Endpoint(NamedTuple):
     node: str
 
 
+_new_tuple = tuple.__new__  # builds a fetched Endpoint without its __new__ frame
+
+
 class _ServiceCache:
     def __init__(self) -> None:
         self.endpoints: list[Endpoint] = []
@@ -346,7 +349,6 @@ class ServiceNode:
         # far; route() empties it, and paths that match no route stay out.
         # A request gets a copy of the params, so the memo's own never leaks.
         self._resolved: dict[tuple[str, str], tuple[Handler, dict[str, str]]] = {}
-        self.route("POST", "/refresh", self._handle_refresh)
 
     def bind(self) -> "ServiceNode":
         self.sim.add_node(self.node_id, self._on_envelope, self._on_timeout)
@@ -364,8 +366,6 @@ class ServiceNode:
 
     def host(self, node: "ServiceNode") -> None:
         """Serve ``node``'s routes as this node's own, and lend it this node's client."""
-        # A hosted node's own POST /refresh route sorts after the host's,
-        # which was routed first and so keeps answering that path.
         for key, routes in node._routes.items():
             self._add_routes(key, routes)
         node.client = self.client
@@ -423,7 +423,8 @@ class ServiceNode:
             self.on_config_applied()
         return applied
 
-    def _handle_refresh(self, req: Request) -> Optional[tuple[str, Body]]:
+    def handle_refresh(self, req: Request) -> Optional[tuple[str, Body]]:
+        """``POST /refresh``, routed on a node that ``ConfigServer.subscribe`` subscribes."""
         return "200", {"applied": self._apply_config(req.body)}
 
     def on_config_applied(self) -> None:
@@ -524,24 +525,26 @@ class ServiceClient:
     def call(self, service: str, method: str, path: str, body: Body = None,
              on_result: Optional[Reply] = None,
              deadline: Optional[int] = None) -> None:
-        if self.mode == WiringMode.LIBRARY_CALL:
-            # Not Monolith.dispatch, which bench/tracer.py times as wire requests.
-            ServiceNode.dispatch(self.node, Request(method, path, body, _reply=on_result))
-        elif self.mode == WiringMode.DIRECT_WIRE:
+        mode = self.mode
+        if mode == WiringMode.DISCOVERED:
+            if self.resolver.fresh(service, self.sim.now):
+                self._attempt(service, method, path, body, on_result, deadline)
+            else:
+                self._fetch_instances(service, lambda: self._attempt(service, method, path,
+                                                                     body, on_result, deadline))
+        elif mode == WiringMode.DIRECT_WIRE:
             target = self.direct.get(service)
             if target is None:
                 self._finish_fast(on_result)
                 return
-            breaker = self.breaker_for(target)
+            breaker = self.breakers.get(target) or self.breaker_for(target)
             if breaker.state != CircuitState.CLOSED and not breaker.allow(self.sim.now):
                 self._finish_fast(on_result)
                 return
             self._send_tracked(target, method, path, body, on_result, deadline, breaker)
-        elif self.resolver.fresh(service, self.sim.now):
-            self._attempt(service, method, path, body, on_result, deadline)
-        else:
-            self._fetch_instances(service, lambda: self._attempt(service, method, path, body,
-                                                                 on_result, deadline))
+        else:  # LIBRARY_CALL; not Monolith.dispatch, which bench/tracer.py times as wire requests
+            request = Request(method, path, body, None, None, None, on_result)
+            ServiceNode.dispatch(self.node, request)
 
     def call_node(self, target_node: str, method: str, path: str, body: Body = None,
                   on_result: Optional[Reply] = None,
@@ -565,7 +568,8 @@ class ServiceClient:
                     endpoints = []
                     for item in body:
                         rec = decode_tolerant(item, ["instance_id", "address"])
-                        endpoints.append(Endpoint(str(rec["instance_id"]), str(rec["address"])))
+                        endpoints.append(_new_tuple(Endpoint, (str(rec["instance_id"]),
+                                                               str(rec["address"]))))
             except DecodeError:  # stale-if-error: a malformed list, as a failed fetch,
                 endpoints = None  # keeps the last one
             self.resolver.update(service, endpoints, self.sim.now)
@@ -583,7 +587,7 @@ class ServiceClient:
         except NoInstances:
             self._finish_fast(on_result)
             return
-        breaker = self.breaker_for(endpoint.instance_id)
+        breaker = self.breakers.get(endpoint.instance_id) or self.breaker_for(endpoint.instance_id)
         if breaker.state != CircuitState.CLOSED:  # moves OPEN to HALF_OPEN; never refuses,
             breaker.allow(now)  # as the resolver admitted this endpoint at this tick
         self._send_tracked(endpoint.node, method, path, body, on_result, deadline, breaker)

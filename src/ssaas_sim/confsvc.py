@@ -149,9 +149,12 @@ class ConfigServer(ServiceNode):
         self.route("GET", "/config/{service}/{profile}", self._get)
         self.route("PUT", "/config/{service}/{profile}", self._set)
 
-    def subscribe(self, node_id: str, service: str) -> None:
-        entry = (node_id, service)
+    def subscribe(self, node: ServiceNode) -> None:
+        """Push ``node`` its service's ``default`` document on every write, to
+        the ``POST /refresh`` route this gives it: no other node has one."""
+        entry = (node.node_id, node.service)
         if entry not in self.subscribers:
+            node.route("POST", "/refresh", node.handle_refresh)
             self.subscribers.append(entry)
 
     def _get(self, req: Request) -> tuple[str, Body]:

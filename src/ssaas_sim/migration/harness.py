@@ -58,6 +58,9 @@ class WorkloadLine(NamedTuple):
     line_no: int = 0
 
 
+_new_tuple = tuple.__new__  # builds a WorkloadLine or TraceEntry without its __new__ frame
+
+
 def parse_workload(text: str) -> list[WorkloadLine]:
     """Parse workload text in the format above; a bad line raises :class:`WorkloadError`."""
     lines: list[WorkloadLine] = []
@@ -92,7 +95,7 @@ def parse_workload(text: str) -> list[WorkloadLine]:
                 raise WorkloadError(f"line {line_no}: bad body: {exc}") from None
         else:
             body = None
-        lines.append(WorkloadLine(tick, client, method, path, body, line_no))
+        lines.append(_new_tuple(WorkloadLine, (tick, client, method, path, body, line_no)))
     return lines
 
 
@@ -141,8 +144,8 @@ def _send(handle: SystemHandle, node: ServiceNode, line: WorkloadLine,
     sent_tick = sim.now
 
     def finish(status: str, body: Body) -> None:
-        entries[seq] = TraceEntry(seq, line.client, line.method, line.path, line.body,
-                                  sent_tick, status, body, sim.now)
+        entries[seq] = _new_tuple(TraceEntry, (seq, line.client, line.method, line.path,
+                                               line.body, sent_tick, status, body, sim.now))
 
     client = node.client
     assert client is not None

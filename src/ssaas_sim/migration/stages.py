@@ -158,7 +158,7 @@ class SystemHandle:
         confsvc, registry = self.confsvc, self.registry
         for node in nodes:
             if confsvc is not None and node.service in callers:
-                confsvc.subscribe(node.node_id, node.service)
+                confsvc.subscribe(node)
                 node.pull_config()
         for node in nodes:
             if registry is not None and (node.service in topo.services or node is registry):

@@ -56,6 +56,8 @@ class FaultScriptError(SimwireError):
 REQUEST = "REQUEST"
 RESPONSE = "RESPONSE"
 
+_UNAWAITED = "RESPONSE must answer a REQUEST still awaiting its reply"
+
 
 class FaultEffect:
     DROP = "DROP"
@@ -223,14 +225,20 @@ class Simulator:
 
     Every event lands at least one tick ahead, so the queue is a FIFO bucket
     per tick under a heap of the distinct ticks: send order within a tick
-    is bucket order. Every event enters the queue through :meth:`_enqueue`,
-    or through :meth:`call`'s inlined copy of it.
+    is bucket order. A new tick's first event enters through
+    :meth:`_enqueue`, which makes its bucket. Three hot paths append to a
+    bucket that exists without it: :meth:`send` when both ends are live and
+    no link rule is in force, :meth:`call` for a deadline, and :meth:`step`
+    when it re-arms a loop.
 
     A bucket holds four kinds of event: an :class:`Envelope` to deliver,
     a call's deadline marker (:meth:`call`; its request's message id, a
     positive int), the id of a one-shot timer (:meth:`set_timer`; a
     negative int), or a periodic loop's ``(fn, node, interval)`` entry
     (:meth:`every`), which :meth:`step` re-arms as soon as ``fn`` returns.
+    The delivered reply that ends a call takes the call's marker out of its
+    bucket, so only the markers of calls still pending are stepped; a
+    bucket emptied so is still stepped at its tick.
 
     ``_nodes`` maps every registered node to its handler: :meth:`add_node`
     is the only way in. ``_live`` maps each node no kill rule in force
@@ -266,7 +274,8 @@ class Simulator:
         # Pending timers by id; cancelling one removes it here and leaves
         # its queue entry behind as a tombstone.
         self._timers: dict[int, tuple[Callable[[], None], bool, str]] = {}
-        self._calls: dict[int, Envelope] = {}  # pending calls' requests, by message id
+        # Pending calls by message id: the request, and the bucket holding its deadline
+        self._calls: dict[int, tuple[Envelope, list]] = {}
         self._timeouts: dict[str, Callable[[int], None]] = {}  # by node
         self._next_message_id = 1
         self._next_rule_id = 1
@@ -307,13 +316,33 @@ class Simulator:
         """
         source, destination = env.source, env.destination
         live = self._live
+        kind = env.kind
+        if source in live and destination in live and not self._link_rules:
+            # The common case, one branch: both ends up and no rule to consult.
+            if kind == RESPONSE:
+                try:
+                    self._awaiting_reply.remove(env.correlation_id)
+                except KeyError:
+                    raise InvalidEnvelope(_UNAWAITED) from None
+            mid = self._next_message_id
+            self._next_message_id = mid + 1
+            env.message_id = mid
+            env.maintenance = self._ctx_maintenance if maintenance is None else maintenance
+            if kind == REQUEST:
+                self._awaiting_reply.add(mid)
+            tick = self.now + BASE_LATENCY_TICKS
+            bucket = self._buckets.get(tick)
+            if bucket is None:
+                self._enqueue(tick, env)
+            else:  # _enqueue, inlined
+                bucket.append(env)
+            return mid
         source_alive = source in live
         if not source_alive and source not in self._nodes:
             raise UnknownNode(f"unknown source node: {source}")
-        kind = env.kind
         if kind == RESPONSE:
             if env.correlation_id not in self._awaiting_reply:
-                raise InvalidEnvelope("RESPONSE must answer a REQUEST still awaiting its reply")
+                raise InvalidEnvelope(_UNAWAITED)
             self._awaiting_reply.remove(env.correlation_id)
         mid = self._next_message_id
         self._next_message_id = mid + 1
@@ -331,14 +360,13 @@ class Simulator:
             self._fail_with_network_error(env)
             return mid
         tick = self.now + BASE_LATENCY_TICKS
-        if self._link_rules:
-            for rule in self._link_rules.values():
-                if rule.matches_pair(source, destination):
-                    if rule.effect != FaultEffect.DELAY:
-                        self._record(env, DROPPED)
-                        self.dropped += 1
-                        return mid
-                    tick += rule.delay_ticks
+        for rule in self._link_rules.values():  # some are in force, or the branch above ran
+            if rule.matches_pair(source, destination):
+                if rule.effect != FaultEffect.DELAY:
+                    self._record(env, DROPPED)
+                    self.dropped += 1
+                    return mid
+                tick += rule.delay_ticks
         if kind == REQUEST:
             self._awaiting_reply.add(mid)
         self._enqueue(tick, env)
@@ -347,10 +375,12 @@ class Simulator:
     def call(self, env: Envelope, wait: int) -> int:
         """Send the request ``env`` with a deadline ``wait`` ticks ahead and
         return its message id. A reply delivered to the live source ends the
-        call. At the deadline a call still pending ends, and the source's
-        timeout handler (:meth:`add_node`) runs with the id under the request's
-        flag, unless the source is down. The deadline's marker is the id
-        itself, in the queue slot a timer set after the send would take."""
+        call and takes its deadline's marker out of the queue. At the
+        deadline a call still pending ends, and the source's timeout handler
+        (:meth:`add_node`) runs with the id under the request's flag, unless
+        the source is down. The deadline's marker is the id itself, appended
+        to its tick's bucket in the slot a timer set after the send would
+        take; the call's record keeps that bucket."""
         if env.kind != REQUEST:
             raise InvalidEnvelope("a call sends a REQUEST")
         if wait < 1:
@@ -358,13 +388,13 @@ class Simulator:
         if env.source not in self._timeouts:
             raise UnknownNode(f"no timeout handler for node: {env.source}")
         mid = self.send(env)
-        self._calls[mid] = env
         tick = self.now + wait
         bucket = self._buckets.get(tick)
-        if bucket is None:
-            self._enqueue(tick, mid)
-        else:  # _enqueue, inlined: every tracked call arms a deadline
-            bucket.append(mid)
+        if bucket is None:  # _enqueue, inlined: every tracked call arms a deadline
+            bucket = self._buckets[tick] = []
+            heapq.heappush(self._ticks, tick)
+        bucket.append(mid)
+        self._calls[mid] = (env, bucket)
         return mid
 
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
@@ -492,6 +522,7 @@ class Simulator:
         trace_extend = self._trace.extend
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
+        deliver = delivered.append
         events = iter(buckets.pop(tick))
         # Handlers run under their event's flag; the caller's is restored after.
         try:
@@ -505,18 +536,20 @@ class Simulator:
                     kind = event.kind
                     if kind == RESPONSE:
                         status = event.status or DELIVERED
-                        calls.pop(event.correlation_id, None)  # the reply ends its call
+                        call = calls.pop(event.correlation_id, None)
+                        if call is not None:  # the reply ends its call, deadline and all
+                            call[1].remove(event.correlation_id)
                     else:
                         status = DELIVERED
-                    trace_extend((tick, event.message_id or 0, event.source, destination,
+                    trace_extend((tick, event.message_id, event.source, destination,
                                   kind, event.method, event.path, status))
-                    delivered.append(event)
+                    deliver(event)
                     self._ctx_maintenance = event.maintenance
                     handler(event)
                 elif type(event) is int:
                     if event > 0:  # a call's deadline, if the call is still pending
-                        request = calls.pop(event, None)
-                        if request is not None and request.source in live:
+                        call = calls.pop(event, None)
+                        if call is not None and (request := call[0]).source in live:
                             self._ctx_maintenance = request.maintenance
                             self._timeouts[request.source](event)
                         continue
@@ -532,7 +565,11 @@ class Simulator:
                     if node in live:
                         self._ctx_maintenance = True
                         fn()
-                        self._enqueue(tick + interval, event)
+                        bucket = buckets.get(tick + interval)
+                        if bucket is None:
+                            self._enqueue(tick + interval, event)
+                        else:  # _enqueue, inlined
+                            bucket.append(event)
         except BaseException:
             # The rest of the tick goes back on the queue, undelivered: every
             # other event lands at least one tick ahead, so nothing else can
@@ -579,7 +616,7 @@ class Simulator:
         one-shot timer that is not flagged maintenance. An answered or
         timed-out call has left ``_calls``, a cancelled or fired timer has
         left ``_timers``; a periodic loop is always maintenance."""
-        for request in self._calls.values():
+        for request, _ in self._calls.values():
             if not request.maintenance:
                 yield 1
         for _, maintenance, _ in self._timers.values():

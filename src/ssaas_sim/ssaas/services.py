@@ -172,9 +172,16 @@ class DeveloperData(ServiceNode):
 
         def create_project(req: Request):
             doc = decode_tolerant(req.body, ["name", "owner_developer_id"])
+            key = req.body.get("key")  # optional: the creating request's key
             proj = schemas.create_project(_str_arg(doc["name"]),
-                                          _int_arg(doc["owner_developer_id"]))
+                                          _int_arg(doc["owner_developer_id"]),
+                                          None if key is None else _str_arg(key))
             return "200", proj.to_body()
+
+        def delete_keyed(req: Request):
+            key = req.params["key"]
+            return "200", {"key": key, "deleted": [proj.project_id
+                                                   for proj in schemas.delete_keyed(key)]}
 
         def get_project(req: Request):
             return "200", schemas.get(_int_arg(req.params["pid"])).to_body()
@@ -191,6 +198,7 @@ class DeveloperData(ServiceNode):
             return "200", proj.to_body()
 
         self.route("POST", "/schema/projects", create_project)
+        self.route("DELETE", "/schema/projects/keys/{key}", delete_keyed)
         self.route("GET", "/schema/projects/{pid}", get_project)
         self.route("POST", "/schema/projects/{pid}/tables", add_table)
         self.route("POST", "/schema/projects/{pid}/tables/{table}/columns", add_column)
@@ -217,10 +225,11 @@ class DeveloperServices(ServiceNode):
 
     Provisioning a project is the long flow: refuse an empty name, validate
     the developer, reserve an ORACLE database, persist the schema, tag the
-    developer with the RDBMS kind. The reservation's owner is a key unique
-    to the request, its message id. A failure after the reservation, or a
-    reserve whose outcome is unknown, releases by that key before the error
-    goes back out.
+    developer with the RDBMS kind. The reservation and the project are made
+    under one key unique to the request, its message id. A reserve whose
+    outcome is unknown releases by that key before the error goes back out;
+    a failed persist or tag first deletes the project made under the key,
+    then releases.
     """
 
     def __init__(self, sim: Simulator, node_id: str,
@@ -263,6 +272,10 @@ class DeveloperServices(ServiceNode):
         def release() -> None:
             _release(self, self.resources_service, key)
 
+        def unpersist() -> None:
+            self.client.call("DeveloperData", "DELETE", f"/schema/projects/keys/{key}")
+            release()
+
         def reserve(_: Body) -> None:
             forward(self, req, self.resources_service, "POST", "/resources/reservations",
                     {"flavor": ServerFlavor.ORACLE, "owner": key}, then=persist,
@@ -272,7 +285,7 @@ class DeveloperServices(ServiceNode):
         def persist(res: dict) -> None:
             def tag(proj: dict) -> None:
                 forward(self, req, dev_svc, "POST", f"{dev_prefix}/{owner}/kinds",
-                        {"kind": KIND_RDBMS}, undo=release,
+                        {"kind": KIND_RDBMS}, undo=unpersist,
                         then=lambda _: req.reply("200", {
                             "project_id": proj["project_id"],
                             "reservation_id": res["reservation_id"],
@@ -280,8 +293,8 @@ class DeveloperServices(ServiceNode):
                             "server_id": res["server_id"]}))
 
             forward(self, req, "DeveloperData", "POST", "/schema/projects",
-                    {"name": name, "owner_developer_id": owner},
-                    then=tag, fields=("project_id",), undo=release)
+                    {"name": name, "owner_developer_id": owner, "key": key},
+                    then=tag, fields=("project_id",), undo=unpersist)
 
         forward(self, req, dev_svc, "GET", f"{dev_prefix}/{owner}", then=reserve)
 

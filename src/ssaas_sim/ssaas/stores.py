@@ -194,10 +194,12 @@ COLUMN_TYPES = ("int", "text", "bool")
 
 
 class ProjectSchema:
-    def __init__(self, project_id: int, name: str, owner_developer_id: int) -> None:
+    def __init__(self, project_id: int, name: str, owner_developer_id: int,
+                 key: Optional[str] = None) -> None:
         self.project_id = project_id
         self.name = name
         self.owner_developer_id = owner_developer_id
+        self.key = key  # the key of the request that made it, if any; not in the body
         self.version = 1
         self.tables: dict[str, dict[str, str]] = {}  # table -> column -> type
 
@@ -209,20 +211,37 @@ class ProjectSchema:
 
 
 class SchemaStore:
+    """Project schemas. A delete by key leaves a tombstone, as
+    :meth:`ServerPool.release` does: a create under a tombstoned key is
+    refused, so a delete that overtakes its create still undoes it."""
+
     def __init__(self) -> None:
         self._projects: dict[int, ProjectSchema] = {}
+        self._deleted: set[str] = set()  # the tombstones, one per key deleted
         self._next_id = 1
 
-    def create_project(self, name: str, owner_developer_id: int) -> ProjectSchema:
+    def create_project(self, name: str, owner_developer_id: int,
+                       key: Optional[str] = None) -> ProjectSchema:
         """Refuses an empty name. DeveloperData, a deployable of its own,
         checks its own input here; DeveloperServices' provisioning refuses
         the empty name too, first, so that it makes no reservation."""
+        if key in self._deleted:
+            raise ReleasedOwner(key)
         if not name:
             raise DomainError("project name required")
-        proj = ProjectSchema(self._next_id, name, owner_developer_id)
+        proj = ProjectSchema(self._next_id, name, owner_developer_id, key)
         self._next_id += 1
         self._projects[proj.project_id] = proj
         return proj
+
+    def delete_keyed(self, key: str) -> list[ProjectSchema]:
+        """Delete the projects made under ``key``, none or more, and
+        tombstone ``key``."""
+        self._deleted.add(key)
+        held = [proj for proj in self._projects.values() if proj.key == key]
+        for proj in held:
+            del self._projects[proj.project_id]
+        return held
 
     def get(self, project_id: int) -> ProjectSchema:
         proj = self._projects.get(project_id)

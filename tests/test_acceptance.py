@@ -27,8 +27,9 @@ from ssaas_sim.migration import (
 )
 from ssaas_sim.migration.harness import WorkloadError
 from ssaas_sim.registry import LeaseConfig, RegistryStore
-from ssaas_sim.simwire import (FAILED, REQUEST, Envelope, FaultEffect, FaultRule,
+from ssaas_sim.simwire import (DELIVERED, FAILED, REQUEST, Envelope, FaultEffect, FaultRule,
                                parse_fault_script)
+from ssaas_sim.ssaas.stores import UnknownProject
 from ssaas_sim.workloads import load_text
 
 
@@ -472,6 +473,61 @@ def test_a_release_that_overtakes_its_reserve_still_undoes_it():
     [answer] = [r for r in sim.records if r.source == "resourcemanager-1"
                 and r.path == "/resources/reservations"]
     assert answer.status == "409"  # ReleasedOwner
+    assert handle.stores.pool.active_reservations() == []
+
+
+PROVISION = ANN + '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'
+
+
+def schema_writes(sim) -> list[tuple[str, str, str]]:
+    """(method, path, fate) of every request that reached for DeveloperData's
+    project schemas."""
+    return [(r.method, r.path, r.status) for r in sim.records
+            if r.kind == REQUEST and r.path.startswith("/schema/projects")]
+
+
+@pytest.mark.parametrize("faults", [
+    # The persist's reply is delayed past the caller's deadline: its outcome
+    # is unknown, and the project was made.
+    "15 delay developerdata-1 developerservices-1 8\n",
+    # The project was made, and the tag step after it finds its target down.
+    "108 kill developerinfoservices-1\n",
+], ids=["persist-unknown", "tag-failed"])
+def test_a_failed_provision_leaves_no_project(faults):
+    handle = build_stage(6)
+    entries = run_workload(handle, parse_workload(PROVISION),
+                           faults=parse_fault_script(faults))
+    assert entries[1].status == "503"
+    key = f"project:{next(r.message_id for r in handle.sim.records if r.path == '/projects')}"
+    # Made, then deleted by the request's key before the release.
+    assert schema_writes(handle.sim) == [
+        ("POST", "/schema/projects", DELIVERED),
+        ("DELETE", f"/schema/projects/keys/{key}", DELIVERED)]
+    with pytest.raises(UnknownProject):
+        handle.stores.schemas.get(1)
+    assert handle.stores.pool.active_reservations() == []
+
+
+def test_a_delete_that_overtakes_its_create_still_undoes_it():
+    # The persist is delayed past the caller's deadline, and the delay is
+    # lifted before the delete goes out, so the delete lands first and the
+    # create after it is refused.
+    handle = build_stage(6)
+    sim = handle.sim
+    delay = sim.schedule_fault(handle.settle_tick + 15, FaultRule(
+        FaultEffect.DELAY, "developerservices-1", "developerdata-1", delay_ticks=8))
+    sim.add_node("ops", lambda env: None)
+    # Lift the delay after the persist went out, before its deadline.
+    sim.set_timer("ops", 118, lambda: sim.clear(delay))
+    entries = run_workload(handle, parse_workload(PROVISION))
+    assert entries[1].status == "503"
+    assert [(method, fate) for method, _, fate in schema_writes(sim)] == [
+        ("DELETE", DELIVERED), ("POST", DELIVERED)]
+    [answer] = [r for r in sim.records if r.source == "developerdata-1"
+                and r.path == "/schema/projects"]
+    assert answer.status == "409"  # ReleasedOwner: the key is tombstoned
+    with pytest.raises(UnknownProject):
+        handle.stores.schemas.get(1)
     assert handle.stores.pool.active_reservations() == []
 
 

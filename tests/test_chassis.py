@@ -31,6 +31,7 @@ from ssaas_sim.chassis import (
     WiringMode,
     decode_tolerant,
 )
+from ssaas_sim.confsvc import ConfigServer
 from ssaas_sim.migration import build_stage
 from ssaas_sim.registry import RegistryService, UnknownInstance
 from ssaas_sim.simwire import Envelope, FaultEffect, FaultRule, Simulator
@@ -349,10 +350,12 @@ class TestClientDirectWire:
         armed = count_timers(sim, monkeypatch)
         caller.client.call("Echo", "POST", "/echo", {"v": 1}, answers()[1], deadline=7)
         # One deadline of deadline + 1 ticks, kept by the kernel with the
-        # request; the pending entry holds the breaker and the continuation.
+        # request and the bucket its marker waits in; the pending entry
+        # holds the breaker and the continuation.
         [(env, wait)] = armed
         assert (env.path, wait) == ("/echo", 8)
-        assert sim._calls == {env.message_id: env}
+        assert sim._calls == {env.message_id: (env, [env.message_id])}
+        assert sim._calls[env.message_id][1] is sim._buckets[8]
         assert list(caller.client._pending) == [env.message_id]
         assert len(caller.client._pending[env.message_id]) == 2
 
@@ -375,6 +378,8 @@ class TestClientDirectWire:
         run_until_idle(sim)
         assert sim.now == 5 and sim.records[-1][4:] == ("RESPONSE", "POST", "/echo", "200")
         assert sim._calls == {} and results == []
+        # The reply took the deadline's marker with it: tick 11 has nothing left.
+        assert sim._buckets == {11: []} and sim.queue_depth == 0
 
     def test_remote_4xx_is_relayed_and_not_a_breaker_failure(self):
         sim, caller = self._setup()
@@ -671,6 +676,13 @@ class TestCallPathsAgree:
         assert same == 8
 
 
+def subscribed_node(sim: Simulator) -> ServiceNode:
+    """A node ``n`` of service ``Svc``, subscribed to a configuration server."""
+    node = ServiceNode(sim, "n", "Svc")
+    ConfigServer(sim).subscribe(node)
+    return node
+
+
 class TestServiceNodeRouting:
     def test_params_bound_from_pattern(self):
         sim = Simulator()
@@ -740,7 +752,7 @@ class TestServiceNodeRouting:
 
     def test_refresh_route_applies_matching_doc(self):
         sim = Simulator()
-        node = ServiceNode(sim, "n", "Svc")
+        node = subscribed_node(sim)
         got = []
         req = Request(method="POST", path="/refresh",
                       body={"service": "Svc", "profile": "default",
@@ -752,13 +764,15 @@ class TestServiceNodeRouting:
 
     def test_refresh_for_other_service_not_applied(self):
         sim = Simulator()
-        node = ServiceNode(sim, "n", "Svc")
+        node = subscribed_node(sim)
+        got = []
         req = Request(method="POST", path="/refresh",
                       body={"service": "Other", "profile": "default",
                             "version": [1, 0], "entries": {"k": "v"}},
-                      _reply=lambda s, b: None)
+                      _reply=lambda s, b: got.append((s, b)))
         node.dispatch(req)
         assert node.config.get("k") is None
+        assert got == [("200", {"applied": False})]
 
     @pytest.mark.parametrize("version, entries, field", [
         ("x", {}, "version"),
@@ -767,7 +781,7 @@ class TestServiceNodeRouting:
     ])
     def test_malformed_refresh_is_400(self, version, entries, field):
         sim = Simulator()
-        node = ServiceNode(sim, "n", "Svc")
+        node = subscribed_node(sim)
         got = []
         req = Request(method="POST", path="/refresh",
                       body={"service": "Svc", "profile": "default",
@@ -883,12 +897,13 @@ class TestLibraryMode:
         got = []
         host.dispatch(Request("POST", "/fail", None, _reply=lambda s, b: got.append((s, b))))
         assert got == [("500", {"error": "boom"})]
-        # Both nodes route POST /refresh; the host's, routed first, answers it.
+        # Neither node is subscribed to a configuration server, so neither
+        # routes POST /refresh: the host answers 404 and applies nothing.
         doc = {"service": "Host", "profile": "default", "version": [1, 0],
                "entries": {"k": "v"}}
         host.dispatch(Request("POST", "/refresh", doc, _reply=lambda s, b: got.append((s, b))))
-        assert got[-1] == ("200", {"applied": True})
-        assert (host.config.get("k"), echo.config.get("k")) == ("v", None)
+        assert got[-1] == ("404", {"error": "NoRoute"})
+        assert (host.config.version, echo.config.version) == ((0, 0), (0, 0))
 
     def test_stage_0_is_one_node_with_one_client(self, monkeypatch):
         modes = []
@@ -899,15 +914,18 @@ class TestLibraryMode:
             init(self, node, mode, *args, **kwargs)
 
         monkeypatch.setattr(ServiceClient, "__init__", counted)
+        hosted: list[ServiceNode] = []
+        host = ServiceNode.host
+        monkeypatch.setattr(ServiceNode, "host",
+                            lambda self, node: hosted.append(node) or host(self, node))
         handle = build_stage(0)
         mono = handle.nodes["monolith"]
         assert modes == [("monolith", WiringMode.LIBRARY_CALL),
                          ("client", WiringMode.DIRECT_WIRE)]
         assert mono.client is not None and mono.client.mode == WiringMode.LIBRARY_CALL
-        # Each hosted node is the owner of some handler in the monolith's table.
-        owners = {getattr(route.handler, "__self__", None) for routes in mono._routes.values()
-                  for route in routes}
-        hosted = {node for node in owners if isinstance(node, ServiceNode)} - {mono}
+        # Every route of each hosted node is in the monolith's table.
+        assert all(route in mono._routes[key] for node in hosted
+                   for key, routes in node._routes.items() for route in routes)
         assert sorted(node.service for node in hosted) == [
             "ContentServices", "DeveloperData", "DeveloperServices"]
         assert all(node.client is mono.client for node in hosted)

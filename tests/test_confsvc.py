@@ -221,7 +221,7 @@ class TestWireApi:
     def test_write_pushes_refresh_to_subscriber(self):
         sim, confsvc, admin = build_world()
         svc = ServiceNode(sim, "svc-1", "Svc").bind()
-        confsvc.subscribe("svc-1", "Svc")
+        confsvc.subscribe(svc)
         wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
                   {"entries": {"mode": "fast"}})
         assert svc.config.get("mode") == "fast"
@@ -232,7 +232,7 @@ class TestWireApi:
         nodes = [ServiceNode(sim, name, service).bind()
                  for name, service in [("svc-1", "Svc"), ("svc-2", "Svc"), ("other-1", "Other")]]
         for node in nodes:
-            confsvc.subscribe(node.node_id, node.service)
+            confsvc.subscribe(node)
         reads = []
         get_config = confsvc.store.get_config
         monkeypatch.setattr(confsvc.store, "get_config",
@@ -247,7 +247,7 @@ class TestWireApi:
     def test_profile_write_skips_other_profiles(self):
         sim, confsvc, admin = build_world()
         svc = ServiceNode(sim, "svc-1", "Svc").bind()
-        confsvc.subscribe("svc-1", "Svc")
+        confsvc.subscribe(svc)
         wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/canary",
                   {"entries": {"x": "1"}})
         assert svc.config.version == (0, 0)
@@ -255,7 +255,7 @@ class TestWireApi:
     def test_stale_refresh_cannot_roll_back(self):
         sim, confsvc, admin = build_world()
         svc = ServiceNode(sim, "svc-1", "Svc").bind()
-        confsvc.subscribe("svc-1", "Svc")
+        confsvc.subscribe(svc)
         wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
                   {"entries": {"v": "first"}})
         wire_call(sim, admin, "confsvc", "PUT", "/config/Svc/default",
@@ -294,7 +294,9 @@ class TestWireApi:
         late.pull_config()
         assert sim.run_until_idle(budget=100)
         assert (late.config.version, late.config.entries) == ((0, 0), {})
-        # pushed, the same document is refused the same way
+        # pushed, the same document is refused the same way; the route is
+        # the one ConfigServer.subscribe adds
+        late.route("POST", "/refresh", late.handle_refresh)
         ServiceClient(fake, WiringMode.DIRECT_WIRE)
         status, reply = wire_call(sim, fake, "late-1", "POST", "/refresh", doc)
         assert (status, reply) == pushed

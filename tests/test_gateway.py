@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ssaas_sim.chassis import CONFSVC_NODE, ServiceClient, ServiceNode, WiringMode, split_path
+from ssaas_sim.confsvc import ConfigServer
 from ssaas_sim.gateway import (
     DuplicatePrefix,
     Gateway,
@@ -132,12 +133,13 @@ def through_gateway(sim, caller, method, path, body=None) -> tuple[str, Body]:
     return answer
 
 
-def push_config(sim, body) -> tuple[str, Body]:
+def push_config(gw: Gateway, body) -> tuple[str, Body]:
     """The (status, body) the gateway answers a config push with, sent from a
-    node named as the configuration server is."""
-    pusher = ServiceNode(sim, CONFSVC_NODE, "ConfigServer").bind()
-    ServiceClient(pusher, WiringMode.DIRECT_WIRE)
-    return through_gateway(sim, pusher, "POST", "/refresh", body)
+    configuration server the gateway is subscribed to."""
+    pusher = ConfigServer(gw.sim).bind()
+    assert pusher.node_id == CONFSVC_NODE
+    pusher.subscribe(gw)
+    return through_gateway(gw.sim, pusher, "POST", "/refresh", body)
 
 
 class TestGatewayNode:
@@ -180,7 +182,7 @@ class TestGatewayNode:
         sim, gw, caller = build_edge()
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/people|DevInfo|1"}}
-        status, reply = push_config(sim, req_body)
+        status, reply = push_config(gw, req_body)
         assert status == "200"
         assert gw.table.resolve("/api/people/1") == \
             (RouteRule("/api/people", "DevInfo", True), "/people/1")
@@ -194,7 +196,7 @@ class TestGatewayNode:
         assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "200"
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "/api/developers|People|0"}}
-        assert push_config(sim, req_body)[0] == "200"
+        assert push_config(gw, req_body)[0] == "200"
         mark = len(sim.records)
         # the new rule forwards the path unstripped, which upstream-2 has no route for
         assert through_gateway(sim, caller, "GET", "/api/developers/42")[0] == "404"
@@ -206,7 +208,7 @@ class TestGatewayNode:
         sim, gw, caller = build_edge()
         req_body = {"service": "Gateway", "profile": "default", "version": [1, 1],
                     "entries": {"route.1": "broken"}}
-        assert push_config(sim, req_body) == ("200", {"applied": True})
+        assert push_config(gw, req_body) == ("200", {"applied": True})
         status, reply = through_gateway(sim, caller, "GET", "/api/developers/7")
         assert (status, reply) == ("200", {"developer_id": 7})
 

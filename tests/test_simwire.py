@@ -380,12 +380,18 @@ class TestCall:
 
     def test_a_reply_delivered_first_ends_the_call(self):
         sim, log = call_sim(reply_delay=0)
-        mid = sim.call(Envelope.request("a", "b", "/x"), 5)
-        assert sim._calls == {mid: sim._calls[mid]} and sim.pending_external == 2
+        env = Envelope.request("a", "b", "/x")
+        mid = sim.call(env, 5)
+        # The call's record: its request, and the bucket its marker waits in.
+        assert sim._calls == {mid: (env, [mid])} and sim.pending_external == 2
+        assert sim._calls[mid][1] is sim._buckets[5]
         sim.step()
         sim.step()
         assert sim.records[-1][4:] == ("RESPONSE", "GET", "/x", "200")
         assert sim._calls == {} and sim.pending_external == 0
+        # The reply took the marker out; its tick is still stepped, empty.
+        assert sim._buckets == {5: []} and sim.queue_depth == 0
+        assert sim.next_event_tick() == 5
         assert sim.run_until_idle() and sim.now == 2
         sim.advance_to(10)
         assert log == [(2, "200")]
@@ -428,13 +434,37 @@ class TestCall:
         assert log == [(5, 1)]
 
     def test_a_network_error_reply_ends_the_call(self):
+        # The reply and the deadline share tick 1, the reply first: it takes
+        # the marker out of the bucket being stepped.
         sim, log = call_sim()
         sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
-        sim.call(Envelope.request("a", "b", "/x"), 1)
+        mid = sim.call(Envelope.request("a", "b", "/x"), 1)
+        [reply, marker] = sim._buckets[1]
+        assert (reply.correlation_id, marker) == (mid, mid)
         sim.advance_to(5)
         assert [(r.tick, r.kind, r.status) for r in sim.records] == [
             (0, "REQUEST", FAILED), (1, "RESPONSE", NETWORK_ERROR_STATUS)]
         assert log == [(1, NETWORK_ERROR_STATUS)] and sim._calls == {}
+
+    def test_a_reply_requeued_by_a_raise_still_ends_its_call(self):
+        # A timer raises ahead of the reply and the marker of tick 1, so both
+        # go back on the queue in a new bucket; the reply still ends the call
+        # and the marker it leaves behind finds no call.
+        sim, log = call_sim()
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+
+        def boom() -> None:
+            raise RuntimeError("boom")
+
+        sim.set_timer("a", 1, boom)
+        mid = sim.call(Envelope.request("a", "b", "/x"), 1)
+        with pytest.raises(RuntimeError):
+            sim.step()
+        [reply, marker] = sim._buckets[1]
+        assert (reply.correlation_id, marker) == (mid, mid)
+        sim.step()
+        assert log == [(1, NETWORK_ERROR_STATUS)] and sim._calls == {}
+        assert sim.run_until_idle() and sim.now == 1
 
     def test_calling_is_checked(self):
         sim, _ = call_sim(reply_delay=0)

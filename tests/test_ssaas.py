@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssaas_sim.chassis import Request, ServiceClient, ServiceNode, WiringMode
+from ssaas_sim.confsvc import ConfigServer
 from ssaas_sim.simwire import Body, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas.services import (ChatServices, ContentServices, DeveloperData,
                                      DeveloperInfoServices, DeveloperServices, Monolith,
@@ -189,6 +190,22 @@ class TestSchemaStore:
         with pytest.raises(DomainError):
             store.add_table(proj.project_id, "")
         assert store.get(proj.project_id).tables == {} and proj.version == 1
+
+    def test_a_deleted_key_is_tombstoned(self):
+        # A delete that overtakes its create still undoes it; the key stays
+        # out of the body, and a project made under no key is never deleted.
+        store = SchemaStore()
+        plain = store.create_project("plain", 1)
+        assert store.delete_keyed("early") == []
+        late = store.create_project("blog", 1, "late")
+        assert "key" not in late.to_body()
+        assert store.delete_keyed("late") == [late]
+        for key in ("early", "late"):
+            with pytest.raises(ReleasedOwner):
+                store.create_project("blog", 1, key)
+        with pytest.raises(UnknownProject):
+            store.get(late.project_id)
+        assert store.get(plain.project_id) is plain
 
 
 class TestValidateValues:
@@ -379,6 +396,24 @@ class TestReservationRoute:
         assert [res.owner for res in pool.active_reservations()] == ["project:x"]
 
 
+class TestKeyedProjectRoute:
+    """``/schema/projects`` under a key, and its delete by that key, called
+    directly."""
+
+    def test_a_keyed_project_is_deleted_by_its_key(self):
+        sim, _, ext, _ = build_monolith_world()
+        body = {"name": "blog", "owner_developer_id": 1, "key": "project:x"}
+        status, made = call(sim, ext, "POST", "/schema/projects", body)
+        assert status == "200" and "key" not in made
+        assert call(sim, ext, "DELETE", "/schema/projects/keys/project:x") == (
+            "200", {"key": "project:x", "deleted": [made["project_id"]]})
+        assert call(sim, ext, "GET", f"/schema/projects/{made['project_id']}")[0] == "404"
+        assert call(sim, ext, "POST", "/schema/projects", body) == (
+            "409", {"error": "ReleasedOwner"})
+        assert call(sim, ext, "POST", "/schema/projects", dict(body, key=7)) == (
+            "400", {"error": "Malformed"})
+
+
 class TestMonolithFlows:
     def test_register_and_fetch_developer(self):
         sim, mono, ext, _ = build_monolith_world()
@@ -485,7 +520,8 @@ def release_precedes_answer(sim) -> bool:
     both leave in the same handler, so they arrive in send order."""
     recs = sim.records
     release = next(i for i, rec in enumerate(recs)
-                   if rec.kind == "REQUEST" and rec.method == "DELETE")
+                   if rec.kind == "REQUEST" and rec.method == "DELETE"
+                   and rec.path.startswith("/resources/reservations/"))
     answer = max(i for i, rec in enumerate(recs)
                  if rec.kind == "RESPONSE" and rec.destination == "ext")
     return recs[release].tick == recs[answer].tick and release < answer
@@ -623,6 +659,13 @@ class TestWireFlows:
         assert results == [("503", {"error": "UpstreamUnavailable"})]
         assert pool.active_reservations() == []
         assert release_precedes_answer(sim)
+        # The undo deletes by the request's key first (DeveloperData is down,
+        # so that send fails), then releases under the same key.
+        deletes = [(r.path.rsplit("/", 1), r.status) for r in sim.records
+                   if r.kind == "REQUEST" and r.method == "DELETE"]
+        [((schema, key), schema_fate), ((reservations, owner), _)] = deletes
+        assert (schema, schema_fate) == ("/schema/projects/keys", "failed")
+        assert (reservations, owner) == ("/resources/reservations", key)
 
     @pytest.mark.parametrize("owner", [1, 9], ids=["known", "unknown"])
     def test_empty_project_name_is_refused_before_any_reservation(self, owner):
@@ -656,7 +699,9 @@ def build_final_world():
     rm.bind()
     chat = ChatServices(sim, "chatservices-1", chats)
     chat.bind()
+    confsvc = ConfigServer(sim).bind()
     for svc in (dis, rm, chat):
+        confsvc.subscribe(svc)
         client = ServiceClient(svc, WiringMode.DIRECT_WIRE)
         client.direct["DeveloperInfoServices"] = "developerinfoservices-1"
         client.direct["ResourceManager"] = "resourcemanager-1"
