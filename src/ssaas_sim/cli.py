@@ -256,6 +256,8 @@ def _load_script(arg: str) -> str:
 
 def _prepare_run(ns: argparse.Namespace):
     """Build the stage and replay the workload: ``(handle, entries)``."""
+    if ns.budget < 0:
+        raise _Exit(EXIT_USAGE, f"--budget must be >= 0, got {ns.budget}")
     with _exit_on(EXIT_BAD_SCRIPT, OSError, UnicodeDecodeError, WorkloadError,
                   FaultScriptError):
         lines = parse_workload(_load_script(ns.workload))

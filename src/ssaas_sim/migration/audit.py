@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from ..chassis import split_path
 from ..simwire import DELIVERED, REQUEST, MessageRecord, WireTrace
+from .stages import STAGES
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
 _UNSEEN = object()
@@ -31,6 +32,12 @@ AUDIT_VIOLATIONS = "VIOLATIONS"
 AUDIT_NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
+# The entity a write path names by its first segment; a /schema path names
+# it by its second.
+_ROOT_ENTITIES = {"resources": ENTITY_SERVER, "chat": ENTITY_CHAT, "content": ENTITY_CONTENT}
+_SCHEMA_ENTITIES = {"developers": ENTITY_DEVELOPER, "projects": ENTITY_PROJECT_SCHEMA}
+
+
 def classify_write(path: str, stage: int) -> Optional[str]:
     """Name the entity a write path touches, or None for paths that carry
     no entity data (use-case surfaces, infrastructure traffic)."""
@@ -39,32 +46,24 @@ def classify_write(path: str, stage: int) -> Optional[str]:
         return None
     root = parts[0]
     if root == "schema":
-        sub = parts[1] if len(parts) > 1 else ""
-        if sub == "developers":
-            return ENTITY_DEVELOPER
-        if sub == "projects":
-            return ENTITY_PROJECT_SCHEMA
-        return None
-    if root == "resources":
-        return ENTITY_SERVER
-    if root == "chat":
-        return ENTITY_CHAT
-    if root == "content":
-        return ENTITY_CONTENT
+        return _SCHEMA_ENTITIES.get(parts[1]) if len(parts) > 1 else None
     if root == "developers":
-        # Before the developer entity moves out it lives behind /schema, and
-        # /developers is only the use-case surface.
-        return ENTITY_DEVELOPER if stage >= 6 else None
-    return None
+        # Until the stage runs DeveloperInfoServices the developer entity
+        # lives behind /schema, and /developers is only the use-case surface.
+        return ENTITY_DEVELOPER if "DeveloperInfoServices" in STAGES[stage].services else None
+    return _ROOT_ENTITIES.get(root)
 
 
 def expected_owner(entity: str, stage: int) -> str:
+    """The service that owns ``entity`` at ``stage``. An entity that leaves
+    DeveloperData moves at the first stage that runs its own service."""
+    runs = STAGES[stage].services
     if entity == ENTITY_DEVELOPER:
-        return "DeveloperInfoServices" if stage >= 6 else "DeveloperData"
+        return "DeveloperInfoServices" if "DeveloperInfoServices" in runs else "DeveloperData"
     if entity == ENTITY_PROJECT_SCHEMA:
         return "DeveloperData"
     if entity == ENTITY_SERVER:
-        return "ResourceManager" if stage >= 5 else "DeveloperData"
+        return "ResourceManager" if "ResourceManager" in runs else "DeveloperData"
     if entity == ENTITY_CHAT:
         return "ChatServices"
     if entity == ENTITY_CONTENT:

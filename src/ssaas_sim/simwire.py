@@ -56,8 +56,6 @@ class FaultScriptError(SimwireError):
 REQUEST = "REQUEST"
 RESPONSE = "RESPONSE"
 
-_UNAWAITED = "RESPONSE must answer a REQUEST still awaiting its reply"
-
 
 class FaultEffect:
     DROP = "DROP"
@@ -227,9 +225,8 @@ class Simulator:
     per tick under a heap of the distinct ticks: send order within a tick
     is bucket order. A new tick's first event enters through
     :meth:`_enqueue`, which makes its bucket. Three hot paths append to a
-    bucket that exists without it: :meth:`send` when both ends are live and
-    no link rule is in force, :meth:`call` for a deadline, and :meth:`step`
-    when it re-arms a loop.
+    bucket that exists without it: :meth:`send`, :meth:`call` for a
+    deadline, and :meth:`step` when it re-arms a loop.
 
     A bucket holds four kinds of event: an :class:`Envelope` to deliver,
     a call's deadline marker (:meth:`call`; its request's message id, a
@@ -310,48 +307,27 @@ class Simulator:
     def send(self, env: Envelope, maintenance: Optional[bool] = None) -> int:
         """Schedule ``env`` for delivery; returns the assigned message id.
 
-        The envelope's fate is decided here for drop/partition rules and for
-        dead or unknown destinations; DELAY rules stretch the latency. A
-        RESPONSE must answer a REQUEST that has had no reply yet.
+        One path, in this order: an unknown source raises, and so does a
+        RESPONSE that answers no REQUEST awaiting its reply; the numbered
+        message is then dropped at a dead source, failed at a dead
+        destination, and dropped or delayed by any link rule in force.
         """
         source, destination = env.source, env.destination
         live = self._live
-        kind = env.kind
-        if source in live and destination in live and not self._link_rules:
-            # The common case, one branch: both ends up and no rule to consult.
-            if kind == RESPONSE:
-                try:
-                    self._awaiting_reply.remove(env.correlation_id)
-                except KeyError:
-                    raise InvalidEnvelope(_UNAWAITED) from None
-            mid = self._next_message_id
-            self._next_message_id = mid + 1
-            env.message_id = mid
-            env.maintenance = self._ctx_maintenance if maintenance is None else maintenance
-            if kind == REQUEST:
-                self._awaiting_reply.add(mid)
-            tick = self.now + BASE_LATENCY_TICKS
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._enqueue(tick, env)
-            else:  # _enqueue, inlined
-                bucket.append(env)
-            return mid
-        source_alive = source in live
-        if not source_alive and source not in self._nodes:
+        if source not in live and source not in self._nodes:
             raise UnknownNode(f"unknown source node: {source}")
+        kind = env.kind
         if kind == RESPONSE:
-            if env.correlation_id not in self._awaiting_reply:
-                raise InvalidEnvelope(_UNAWAITED)
-            self._awaiting_reply.remove(env.correlation_id)
+            try:
+                self._awaiting_reply.remove(env.correlation_id)
+            except KeyError:
+                raise InvalidEnvelope(
+                    "RESPONSE must answer a REQUEST still awaiting its reply") from None
         mid = self._next_message_id
         self._next_message_id = mid + 1
         env.message_id = mid
-        if maintenance is None:
-            maintenance = self._ctx_maintenance
-        env.maintenance = maintenance
-
-        if not source_alive:
+        env.maintenance = self._ctx_maintenance if maintenance is None else maintenance
+        if source not in live:
             # Dead nodes cannot put traffic on the wire.
             self._record(env, DROPPED)
             self.dropped += 1
@@ -360,16 +336,21 @@ class Simulator:
             self._fail_with_network_error(env)
             return mid
         tick = self.now + BASE_LATENCY_TICKS
-        for rule in self._link_rules.values():  # some are in force, or the branch above ran
-            if rule.matches_pair(source, destination):
-                if rule.effect != FaultEffect.DELAY:
-                    self._record(env, DROPPED)
-                    self.dropped += 1
-                    return mid
-                tick += rule.delay_ticks
+        if self._link_rules:
+            for rule in self._link_rules.values():
+                if rule.matches_pair(source, destination):
+                    if rule.effect != FaultEffect.DELAY:
+                        self._record(env, DROPPED)
+                        self.dropped += 1
+                        return mid
+                    tick += rule.delay_ticks
         if kind == REQUEST:
             self._awaiting_reply.add(mid)
-        self._enqueue(tick, env)
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            self._enqueue(tick, env)
+        else:  # _enqueue, inlined
+            bucket.append(env)
         return mid
 
     def call(self, env: Envelope, wait: int) -> int:
@@ -672,7 +653,7 @@ class Simulator:
 
     def _record(self, env: Envelope, status: str) -> None:
         self._trace.extend((
-            self.now, env.message_id or 0, env.source, env.destination,
+            self.now, env.message_id, env.source, env.destination,
             env.kind, env.method, env.path, status))
 
     # -- trace export -----------------------------------------------------

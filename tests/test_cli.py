@@ -201,6 +201,20 @@ class TestRun:
         assert run_cli("run", "--stage", "1", "--workload", "basic.wl",
                        "--budget", "1") == 3
 
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_a_negative_budget_is_a_usage_error(self, tmp_path, capsys, command):
+        assert run_cli(command, "--stage", "6", "--workload", "basic.wl",
+                       "--budget", "-5") == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "ssaas-sim: --budget must be >= 0, got -5\n"
+        # A zero budget still means no tick to spare: an idle run passes, a
+        # busy one runs out.
+        empty = tmp_path / "empty.wl"
+        empty.write_text("")
+        assert run_cli(command, "--stage", "6", "--workload", str(empty), "--budget", "0") == 0
+        assert run_cli(command, "--stage", "6", "--workload", "basic.wl", "--budget", "0") == 3
+
     def test_usage_error_on_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--workload", "basic.wl")

@@ -307,6 +307,13 @@ CLEARED_REVIVE = [("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
                   ("revive", 2, "b-1"), ("clear", 1), ("advance", 3),
                   ("send", "a-1", "b-1", None)]
 
+# Under a DROP of every pair, a-1 and b-1 killed: a-2's send to b-1 fails at
+# its dead destination before any link rule drops it, and a-1's send is
+# dropped at its dead source before its dead destination fails it.
+DEAD_ENDS_UNDER_A_DROP = [("inject", FaultRule(FaultEffect.DROP)),
+                          ("inject", FaultRule(FaultEffect.KILL_NODE, node="?-1")),
+                          ("send", "a-2", "b-1", None), ("send", "a-1", "b-1", None)]
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ops, max_size=40))
@@ -315,6 +322,7 @@ CLEARED_REVIVE = [("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
 @example(LATE_NODE_UNDER_KILL)
 @example(CLEARED_REVIVE)
 @example(CALLS_MID_TICK_KILL)
+@example(DEAD_ENDS_UNDER_A_DROP)
 def test_send_fate_matches_full_rule_scan(script):
     run = Script()
     sim, ids = run.sim, run.ids

@@ -171,7 +171,7 @@ READERS = {
     "--stage": (cli_stage, 64,
                 {"0": "stage 0", "5": "stage 5", "-1": 64}, ()),
     "--seed": (run_option("--seed"), 64, {"0": 0, "5": 0, "-1": 0}, ()),
-    "--budget": (run_option("--budget"), 64, {"0": 3, "5": 0, "-1": 3}, ()),
+    "--budget": (run_option("--budget"), 64, {"0": 3, "5": 0, "-1": 64}, ()),
 }
 # The ndjson fields are JSON-typed: a spelling there is a JSON string, a good
 # value a JSON number. A wire id is JSON-typed too, but one rule reads it in

@@ -87,12 +87,26 @@ class TestSendAndStep:
         with pytest.raises(SimwireError):
             sim.add_node("a", lambda env: None)
 
-    def test_response_requires_known_correlation(self):
+    @pytest.mark.parametrize("rule", [
+        pytest.param(None, id="both-live"),
+        pytest.param(FaultRule(FaultEffect.DELAY, source="a", destination="b", delay_ticks=3),
+                     id="delay-rule"),
+        pytest.param(FaultRule(FaultEffect.KILL_NODE, node="a"), id="dead-source"),
+        pytest.param(FaultRule(FaultEffect.KILL_NODE, node="b"), id="dead-destination"),
+    ])
+    def test_response_requires_known_correlation(self, rule):
+        # Every branch a send can take refuses an unawaited RESPONSE before
+        # it numbers or records the message.
         sim = make_sim("a", "b")
+        if rule is not None:
+            sim.inject(rule)
+        sent, records = sim.sent, len(sim.records)
         bogus = Envelope(source="a", destination="b", kind=RESPONSE,
                          path="/x", correlation_id=999)
         with pytest.raises(InvalidEnvelope):
             sim.send(bogus)
+        assert sim.sent == sent
+        assert len(sim.records) == records
 
     def test_handler_send_lands_next_tick(self):
         sim = Simulator()
