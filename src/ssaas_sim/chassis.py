@@ -161,7 +161,7 @@ _new_tuple = tuple.__new__  # builds a fetched Endpoint without its __new__ fram
 class _ServiceCache:
     def __init__(self) -> None:
         self.endpoints: list[Endpoint] = []
-        self.fetched_at: Optional[int] = None
+        self.fresh_until = 0  # set by the update that makes the entry
         self.rotation = 0
 
 
@@ -178,8 +178,7 @@ class Resolver:
 
     def fresh(self, service: str, now: int) -> bool:
         entry = self._services.get(service)
-        return entry is not None and entry.fetched_at is not None \
-            and now - entry.fetched_at < DEFAULT_CACHE_TTL_TICKS
+        return entry is not None and now < entry.fresh_until
 
     def update(self, service: str, endpoints: Optional[list[Endpoint]], now: int) -> None:
         """Store a fetched list as fresh from ``now``. ``None``, for a failed
@@ -190,7 +189,7 @@ class Resolver:
             if {e.instance_id for e in entry.endpoints} != {e.instance_id for e in endpoints}:
                 entry.rotation = 0
             entry.endpoints = list(endpoints)
-        entry.fetched_at = now
+        entry.fresh_until = now + DEFAULT_CACHE_TTL_TICKS
 
     def resolve(self, service: str, now: int, breakers: dict[str, CircuitBreaker]) -> Endpoint:
         entry = self._services.get(service)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from ..chassis import CONFSVC_NODE, GATEWAY_NODE, REGISTRY_NODE, ServiceNode
-from ..simwire import Body, FaultRule, read_int, read_json
+from ..simwire import Body, FaultRule, SimwireError, read_int, read_json
 from .stages import CLIENT_SERVICE, SystemHandle, wire_client
 from .traces import TraceEntry
 
@@ -105,12 +105,14 @@ def run_workload(handle: SystemHandle, lines: list[WorkloadLine],
     """Replay a workload, returning one trace entry per line, in line order.
 
     Raises BudgetExceeded if the system is still busy ``budget`` ticks after
-    the last line was sent, and WorkloadError, before anything is sent, if a
-    line's client names a node of the topology other than a client. It also
-    raises WorkloadError, naming the lines, if the system goes quiet with
-    lines unanswered: a client killed and not revived within its deadline
-    never hears back.
+    the last line was sent. Before anything is sent, it raises SimwireError
+    if ``budget`` is negative, and WorkloadError if a line's client names a
+    node of the topology other than a client. It also raises WorkloadError,
+    naming the lines, if the system goes quiet with lines unanswered: a
+    client killed and not revived within its deadline never hears back.
     """
+    if budget < 0:
+        raise SimwireError(f"budget must be >= 0 ticks, got {budget}")
     for line in lines:
         node = handle.nodes.get(line.client)
         if node is not None and node.service != CLIENT_SERVICE:

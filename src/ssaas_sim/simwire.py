@@ -18,7 +18,7 @@ import heapq
 import json
 from collections.abc import Sequence
 from fnmatch import fnmatchcase
-from itertools import repeat
+from itertools import count, repeat
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 Body = Any  # maps, lists, strings, ints, booleans, None
@@ -34,10 +34,6 @@ class SimwireError(Exception):
 
 
 class UnknownNode(SimwireError):
-    pass
-
-
-class UnknownRule(SimwireError):
     pass
 
 
@@ -63,6 +59,7 @@ class FaultEffect:
     DELAY = "DELAY"
     KILL_NODE = "KILL_NODE"
     REVIVE = "REVIVE"
+    HEAL = "HEAL"
 
 
 class Envelope:
@@ -106,9 +103,10 @@ class Envelope:
 class FaultRule:
     """A fault selector: DROP and DELAY match (source, destination),
     PARTITION matches either direction, KILL_NODE and REVIVE match node
-    names only. A REVIVE lifts the kill rules in force with its node pattern.
-    A rule is a value no simulator writes to: every registration of it gets a
-    fresh id, so one parsed script runs on any number of simulators."""
+    names only. A REVIVE lifts the kill rules in force with its node
+    pattern, a HEAL the link rules in force with its pair of patterns (a
+    PARTITION's in either order). A rule is a value no simulator writes to,
+    so one parsed script runs on any number of simulators."""
 
     def __init__(self, effect: str, source: str = "*", destination: str = "*",
                  node: str = "*", delay_ticks: int = 0) -> None:
@@ -261,12 +259,12 @@ class Simulator:
         self.failed = 0
         self._buckets: dict[int, list] = {}  # one entry per event, see above
         self._ticks: list[int] = []  # heap of the keys of _buckets
-        self._fault_schedule: list[tuple[int, int]] = []  # heap of (tick, rule id)
-        self._rules: dict[int, FaultRule] = {}  # registered and not cleared, by id
-        # The rules in force by id, in the order they came into force. A send
+        self._fault_schedule: list[tuple[int, int, FaultRule]] = []  # heap of (tick, seq, rule)
+        self._fault_seq = count()
+        # The rules in force, in the order they came into force. A send
         # consults only _link_rules, whose order never changes its fate.
-        self._kills: dict[int, FaultRule] = {}
-        self._link_rules: dict[int, FaultRule] = {}
+        self._kills: list[FaultRule] = []
+        self._link_rules: list[FaultRule] = []
         self._awaiting_reply: set[int] = set()
         # Pending timers by id; cancelling one removes it here and leaves
         # its queue entry behind as a tombstone.
@@ -275,7 +273,6 @@ class Simulator:
         self._calls: dict[int, tuple[Envelope, list]] = {}
         self._timeouts: dict[str, Callable[[int], None]] = {}  # by node
         self._next_message_id = 1
-        self._next_rule_id = 1
         self._next_timer_id = -1  # timer ids count down, so none is a message id
         self._ctx_maintenance = False
 
@@ -337,7 +334,7 @@ class Simulator:
             return mid
         tick = self.now + BASE_LATENCY_TICKS
         if self._link_rules:
-            for rule in self._link_rules.values():
+            for rule in self._link_rules:
                 if rule.matches_pair(source, destination):
                     if rule.effect != FaultEffect.DELAY:
                         self._record(env, DROPPED)
@@ -416,56 +413,43 @@ class Simulator:
 
     # -- faults -----------------------------------------------------------
 
-    def inject(self, rule: FaultRule) -> int:
-        """Apply a fault rule now and return the fresh id it is registered
-        under; already-enqueued deliveries keep the latency and drop
-        decisions made when they were scheduled."""
-        rid = self._register_rule(rule)
-        self._apply_rule(rid, rule)
-        return rid
+    def inject(self, rule: FaultRule) -> None:
+        """Apply a fault rule now; already-enqueued deliveries keep the
+        latency and drop decisions made when they were scheduled."""
+        self._apply_rule(rule)
 
-    def clear(self, rule_id: int) -> None:
-        if self._rules.pop(rule_id, None) is None:
-            raise UnknownRule(f"no such rule: {rule_id}")
-        self._link_rules.pop(rule_id, None)
-        self._lift([rule_id])
+    def schedule_fault(self, tick: int, rule: FaultRule) -> None:
+        """Apply ``rule`` when the clock reaches ``tick``. Rules due on one
+        tick apply in the order they were scheduled."""
+        heapq.heappush(self._fault_schedule, (tick, next(self._fault_seq), rule))
 
-    def schedule_fault(self, tick: int, rule: FaultRule) -> int:
-        """Register a rule to apply when the clock reaches ``tick``, unless
-        cleared first, and return its fresh id. Rules due on one tick apply
-        in the order they were registered."""
-        rid = self._register_rule(rule)
-        heapq.heappush(self._fault_schedule, (tick, rid))
-        return rid
-
-    def _register_rule(self, rule: FaultRule) -> int:
-        rid = self._next_rule_id
-        self._next_rule_id = rid + 1
-        self._rules[rid] = rule
-        return rid
-
-    def _apply_rule(self, rid: int, rule: FaultRule) -> None:
-        """Put ``rule`` in force under ``rid``; a REVIVE lifts instead."""
-        if rule.effect == FaultEffect.KILL_NODE:
-            self._kills[rid] = rule
+    def _apply_rule(self, rule: FaultRule) -> None:
+        """Put ``rule`` in force; a REVIVE or a HEAL lifts instead."""
+        effect = rule.effect
+        if effect == FaultEffect.KILL_NODE:
+            self._kills.append(rule)
             for name in self._nodes:
                 if rule.matches_node(name):
                     self._live.pop(name, None)
-        elif rule.effect == FaultEffect.REVIVE:
-            self._lift([kid for kid, kill in self._kills.items() if kill.node == rule.node])
+        elif effect == FaultEffect.REVIVE:
+            self._kills = [kill for kill in self._kills if kill.node != rule.node]
+            self._lift()
+        elif effect == FaultEffect.HEAL:
+            pair, back = (rule.source, rule.destination), (rule.destination, rule.source)
+            self._link_rules = [link for link in self._link_rules
+                                if (ends := (link.source, link.destination)) != pair
+                                and (ends != back or link.effect != FaultEffect.PARTITION)]
         else:
-            self._link_rules[rid] = rule
+            self._link_rules.append(rule)
 
     def _killed(self, name: str) -> bool:
         """Does a kill rule in force match ``name``? A node is live iff not."""
-        return any(rule.matches_node(name) for rule in self._kills.values())
+        return any(rule.matches_node(name) for rule in self._kills)
 
-    def _lift(self, rule_ids: list[int]) -> None:
-        """Take the kill rules of ``rule_ids`` out of force, then refill
-        ``_live`` in place; no other code recomputes ``_live``. Then run the
-        revive hook of each node that came back, in registration order."""
-        for rid in rule_ids:
-            self._kills.pop(rid, None)
+    def _lift(self) -> None:
+        """Refill ``_live`` in place from the kill rules in force; no other
+        code recomputes ``_live``. Then run the revive hook of each node that
+        came back, in registration order."""
         live = self._live
         was_live = live.copy()
         live.clear()
@@ -476,10 +460,9 @@ class Simulator:
             self._revive_hooks[name]()
 
     def _activate_due_faults(self, up_to_tick: int) -> None:
-        while self._fault_schedule and self._fault_schedule[0][0] <= up_to_tick:
-            _, rid = heapq.heappop(self._fault_schedule)
-            if rid in self._rules:  # not cleared meanwhile
-                self._apply_rule(rid, self._rules[rid])
+        schedule = self._fault_schedule
+        while schedule and schedule[0][0] <= up_to_tick:
+            self._apply_rule(heapq.heappop(schedule)[2])
 
     # -- stepping ---------------------------------------------------------
 
@@ -495,10 +478,10 @@ class Simulator:
             self.now += 1
             self._activate_due_faults(self.now)
             return []
-        tick = heapq.heappop(self._ticks)
+        # The clock moves first, so a revive hook's sends carry this tick.
+        tick = self.now = heapq.heappop(self._ticks)
         if self._fault_schedule:
             self._activate_due_faults(tick)
-        self.now = tick
         live, timers, buckets, calls = self._live, self._timers, self._buckets, self._calls
         trace_extend = self._trace.extend
         outer = self._ctx_maintenance
@@ -574,6 +557,8 @@ class Simulator:
     def run_until_idle(self, budget: int = 10_000) -> bool:
         """Step until no non-maintenance work is pending. Returns False if
         the tick budget ran out first."""
+        if budget < 0:
+            raise SimwireError(f"budget must be >= 0 ticks, got {budget}")
         deadline = self.now + budget
         while any(self._pending_work()):
             if self.now >= deadline:
@@ -671,6 +656,7 @@ class Simulator:
 # arguments fill, in order.
 _ACTIONS = {"kill": (FaultEffect.KILL_NODE, ("node",)),
             "revive": (FaultEffect.REVIVE, ("node",)),
+            "heal": (FaultEffect.HEAL, ("source", "destination")),
             "drop": (FaultEffect.DROP, ("source", "destination")),
             "partition": (FaultEffect.PARTITION, ("source", "destination")),
             "delay": (FaultEffect.DELAY, ("source", "destination", "delay_ticks"))}
@@ -680,10 +666,12 @@ def parse_fault_script(text: str) -> list[tuple[int, FaultRule]]:
     """Parse a line-based fault script, ``tick action args`` per line, into
     ``(tick, rule)`` pairs.
 
-    Actions: ``kill <node>``, ``revive <node>``, ``drop <src> <dst>``,
-    ``partition <a> <b>``, ``delay <src> <dst> <ticks>``. ``revive`` lifts
-    the kill rules whose node pattern equals its own. Ticks and delays are
-    read by :func:`read_int`, so each has one spelling: ``5``, not ``05``.
+    Actions: ``kill <node>``, ``revive <node>``, ``heal <src> <dst>``,
+    ``drop <src> <dst>``, ``partition <a> <b>``, ``delay <src> <dst>
+    <ticks>``. ``revive`` lifts the kill rules whose node pattern equals its
+    own, and ``heal`` the link rules whose pair of patterns equals its own
+    (a partition's in either order). Ticks and delays are read by
+    :func:`read_int`, so each has one spelling: ``5``, not ``05``.
     """
     out: list[tuple[int, FaultRule]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

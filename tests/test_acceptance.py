@@ -459,11 +459,11 @@ def test_a_release_that_overtakes_its_reserve_still_undoes_it():
     # lifted before the release goes out, so the release lands first.
     handle = build_stage(5)
     sim = handle.sim
-    delay = sim.schedule_fault(handle.settle_tick + 15, FaultRule(
+    sim.schedule_fault(handle.settle_tick + 15, FaultRule(
         FaultEffect.DELAY, "developerservices-1", "resourcemanager-1", delay_ticks=8))
-    sim.add_node("ops", lambda env: None)
     # Lift the delay after the reserve went out, before the reserve's deadline.
-    sim.set_timer("ops", 112, lambda: sim.clear(delay))
+    sim.schedule_fault(handle.settle_tick + 112, FaultRule(
+        FaultEffect.HEAL, "developerservices-1", "resourcemanager-1"))
     entries = run_workload(handle, parse_workload(
         ANN + '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'))
     assert entries[1].status == "503"
@@ -514,11 +514,11 @@ def test_a_delete_that_overtakes_its_create_still_undoes_it():
     # create after it is refused.
     handle = build_stage(6)
     sim = handle.sim
-    delay = sim.schedule_fault(handle.settle_tick + 15, FaultRule(
+    sim.schedule_fault(handle.settle_tick + 15, FaultRule(
         FaultEffect.DELAY, "developerservices-1", "developerdata-1", delay_ticks=8))
-    sim.add_node("ops", lambda env: None)
     # Lift the delay after the persist went out, before its deadline.
-    sim.set_timer("ops", 118, lambda: sim.clear(delay))
+    sim.schedule_fault(handle.settle_tick + 118, FaultRule(
+        FaultEffect.HEAL, "developerservices-1", "developerdata-1"))
     entries = run_workload(handle, parse_workload(PROVISION))
     assert entries[1].status == "503"
     assert [(method, fate) for method, _, fate in schema_writes(sim)] == [

@@ -371,9 +371,9 @@ class TestClientDirectWire:
         results, on_result = answers()
         caller.client.call("Echo", "POST", "/echo", {"v": 1}, on_result, deadline=10)
         sim.advance_to(2)
-        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="caller"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="caller"))
         sim.advance_to(3)
-        sim.clear(kill)
+        sim.inject(FaultRule(FaultEffect.REVIVE, node="caller"))
         assert caller.client._pending == {} and sim.pending_external == 2
         run_until_idle(sim)
         assert sim.now == 5 and sim.records[-1][4:] == ("RESPONSE", "POST", "/echo", "200")
@@ -961,10 +961,10 @@ def evict(sim: Simulator, registry: RegistryService) -> None:
     tick 21, so expiring at 51) is swept, then heal the link at tick 65. The
     next renewal goes out at tick 70."""
     sim.advance_to(25)
-    drop = sim.inject(FaultRule(FaultEffect.DROP, source="chat-1", destination="registry"))
+    sim.inject(FaultRule(FaultEffect.DROP, source="chat-1", destination="registry"))
     sim.advance_to(65)
     assert registry.store.all_instances() == []
-    sim.clear(drop)
+    sim.inject(FaultRule(FaultEffect.HEAL, source="chat-1", destination="registry"))
 
 
 def count_timers(sim: Simulator, monkeypatch) -> list[tuple]:
@@ -977,9 +977,9 @@ def count_timers(sim: Simulator, monkeypatch) -> list[tuple]:
     return armed
 
 
-def delay_replies(sim: Simulator, ticks: int) -> int:
-    return sim.inject(FaultRule(FaultEffect.DELAY, source="registry", destination="chat-1",
-                                delay_ticks=ticks))
+def delay_replies(sim: Simulator, ticks: int) -> None:
+    sim.inject(FaultRule(FaultEffect.DELAY, source="registry", destination="chat-1",
+                         delay_ticks=ticks))
 
 
 class TestLeaseRenewal:
@@ -998,10 +998,10 @@ class TestLeaseRenewal:
         # more, its 404 lands there or later.
         sim, registry, _ = live_node()
         evict(sim, registry)
-        delay_rule = delay_replies(sim, delay)
+        delay_replies(sim, delay)
         sim.advance_to(105)
         assert registrations(sim) == [1]
-        sim.clear(delay_rule)
+        sim.inject(FaultRule(FaultEffect.HEAL, source="registry", destination="chat-1"))
         sim.advance_to(115)
         assert registrations(sim) == [1, 113]
 
@@ -1091,9 +1091,9 @@ class TestLeaseRenewal:
         evict(sim, registry)
         delay_replies(sim, delay)
         sim.advance_to(73)
-        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="chat-1"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="chat-1"))
         sim.advance_to(78)
-        sim.clear(kill)
+        sim.inject(FaultRule(FaultEffect.REVIVE, node="chat-1"))
         sim.advance_to(95)
         assert registrations(sim) == [1]
         assert node.client._pending == {}

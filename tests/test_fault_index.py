@@ -2,24 +2,24 @@
 
 ``send`` only looks at the DROP, PARTITION and DELAY rules in force;
 KILL_NODE rules act through the kernel's live-node map. The references
-below read neither. The script keeps its own record of the rules it
-registered and of those in force. A rule comes into force when it is
-applied: injected, or reached at its scheduled tick while still
-registered. A REVIVE is in force for no time: applied, it lifts the kill
-rules in force whose node pattern equals its own. Clearing a rule takes it
-out of force, and a scheduled rule cleared before its tick is never
-applied. A node is up when it is registered and no kill rule in force
-matches it. A send's fate is the decision ``send`` used to make: two scans
-over the link rules in force, the first for a drop or partition, the
-second summing delays. After any sequence of injects, clears, scheduled
-faults and revives, nodes added late, timers and calls (also on killed
-nodes), and kills, revives and sends made by handlers, timers and call
-timeouts in the middle of a tick, every send must meet the fate the
-reference predicts (dropped, failed, or delivered on a given tick),
-``node_alive`` must agree with the reference, the kernel's rules in force
-must be the script's, and ``step()`` must deliver exactly the events whose
-node was up when their turn came. A call's deadline is such an event, on
-its source, unless a reply delivered before it ended the call.
+below read neither. The script keeps its own list of the rules in force, in
+the order they came into force. A rule comes into force when it is applied:
+injected, or reached at its scheduled tick. A REVIVE is in force for no
+time: applied, it lifts the kill rules in force whose node pattern equals
+its own. So is a HEAL: it lifts the link rules in force whose pair of
+patterns equals its own, a PARTITION's in either order. A node is up when
+it is registered and no kill rule in force matches it. A send's fate is the
+decision ``send`` used to make: two scans over the link rules in force, the
+first for a drop or partition, the second summing delays. After any
+sequence of injects, revives, heals and scheduled faults, nodes added late,
+timers and calls (also on killed nodes), and kills, revives, heals and sends
+made by handlers, timers and call timeouts in the middle of a tick, every
+send must meet the fate the reference predicts (dropped, failed, or
+delivered on a given tick), ``node_alive`` must agree with the reference,
+the kernel's rules in force must be the script's, in the same order, and
+``step()`` must deliver exactly the events whose node was up when their
+turn came. A call's deadline is such an event, on its source, unless a
+reply delivered before it ended the call.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ rules = st.one_of(
     st.builds(lambda effect, node: FaultRule(effect, node=node),
               st.sampled_from((FaultEffect.KILL_NODE, FaultEffect.REVIVE)),
               st.sampled_from(PATTERNS)),
+    st.builds(lambda src, dst: FaultRule(FaultEffect.HEAL, source=src, destination=dst),
+              st.sampled_from(PATTERNS), st.sampled_from(PATTERNS)),
 )
 
 # What a handler or a timer does when it runs.
@@ -95,14 +97,16 @@ actions = st.one_of(
     st.tuples(st.just("kill"), st.sampled_from(PATTERNS)),
     st.tuples(st.just("revive"), st.integers(0, 20)),
     st.tuples(st.just("lift"), st.sampled_from(PATTERNS)),
+    st.tuples(st.just("heal"), st.integers(0, 20)),
     st.tuples(st.just("send"), st.sampled_from(DESTINATIONS)),
 )
 
 ops = st.one_of(
     st.tuples(st.just("inject"), rules),
-    st.tuples(st.just("clear"), st.integers(0, 20)),
+    st.tuples(st.just("revive"), st.integers(0, 20)),
+    st.tuples(st.just("heal"), st.integers(0, 20), st.booleans()),
     st.tuples(st.just("schedule"), st.integers(0, 6), rules),
-    st.tuples(st.just("revive"), st.integers(0, 6), st.sampled_from(PATTERNS)),
+    st.tuples(st.just("later"), st.integers(0, 6), st.sampled_from(PATTERNS)),
     st.tuples(st.just("advance"), st.integers(0, 4)),
     st.tuples(st.just("step")),
     st.tuples(st.just("add"), st.sampled_from(LATE)),
@@ -114,23 +118,30 @@ ops = st.one_of(
 )
 
 
+def heals(heal: FaultRule, link: FaultRule) -> bool:
+    """Does ``heal`` lift ``link``? Its pair of patterns is one of the
+    link's: (source, destination), and for a PARTITION also the reverse."""
+    pairs = [(link.source, link.destination)]
+    if link.effect is FaultEffect.PARTITION:
+        pairs.append((link.destination, link.source))
+    return (heal.source, heal.destination) in pairs
+
+
 class Script:
     """A simulator whose handlers and timers run drawn actions and log, for
     every event they run, the reference's live set before and after. Every
-    fault goes through the script, which keeps the rules registered, the
-    rules in force and its own copy of the fault schedule."""
+    fault goes through the script, which keeps the rules in force and its
+    own copy of the fault schedule."""
 
     def __init__(self) -> None:
         self.sim = Simulator()
-        self.ids: list[int] = []
         self.log: list[tuple[object, frozenset[str], frozenset[str]]] = []
         self.timer_nodes: dict[int, str] = {}
         self.calls: dict[int, tuple[str, object]] = {}  # message id -> (source, action)
         self.names: set[str] = set()  # the nodes registered
-        self.rules: dict[int, FaultRule] = {}  # registered and not cleared
-        self.kills: set[int] = set()  # ids of the kill rules in force
-        self.links: dict[int, FaultRule] = {}  # link rules in force, in that order
-        self.schedule: list[tuple[int, int, int]] = []  # (tick, seq, rule id)
+        self.kills: list[FaultRule] = []  # kill rules in force, in that order
+        self.links: list[FaultRule] = []  # link rules in force, in that order
+        self.schedule: list[tuple[int, int, FaultRule]] = []  # (tick, seq, rule)
         self.seq = 0
         for name in NODES:
             self.add_node(name)
@@ -138,27 +149,33 @@ class Script:
     def alive(self) -> frozenset[str]:
         """Registered, and matched by no kill rule in force."""
         return frozenset(name for name in self.names if not any(
-            self.rules[rid].matches_node(name) for rid in self.kills))
+            rule.matches_node(name) for rule in self.kills))
 
-    def _apply(self, rid: int, rule: FaultRule) -> None:
+    def _apply(self, rule: FaultRule) -> None:
         if rule.effect is FaultEffect.KILL_NODE:
-            self.kills.add(rid)
+            self.kills.append(rule)
         elif rule.effect is FaultEffect.REVIVE:
-            self.kills = {kid for kid in self.kills if self.rules[kid].node != rule.node}
+            self.kills = [kill for kill in self.kills if kill.node != rule.node]
+        elif rule.effect is FaultEffect.HEAL:
+            self.links = [link for link in self.links if not heals(rule, link)]
         else:
-            self.links[rid] = rule
+            self.links.append(rule)
 
     def inject(self, rule: FaultRule) -> None:
-        rid = self.sim.inject(rule)
-        self.ids.append(rid)
-        self.rules[rid] = rule
-        self._apply(rid, rule)
+        self.sim.inject(rule)
+        self._apply(rule)
 
-    def clear(self, rid: int) -> None:
-        self.sim.clear(rid)
-        del self.rules[rid]
-        self.kills.discard(rid)
-        self.links.pop(rid, None)
+    def revive(self, k: int) -> None:
+        """Revive the node pattern of the ``k``-th kill rule in force."""
+        if self.kills:
+            self.inject(FaultRule(FaultEffect.REVIVE, node=self.kills[k % len(self.kills)].node))
+
+    def heal(self, k: int, flip: bool = False) -> None:
+        """Heal the pair of the ``k``-th link rule in force, or its reverse."""
+        if self.links:
+            link = self.links[k % len(self.links)]
+            ends = (link.destination, link.source) if flip else (link.source, link.destination)
+            self.inject(FaultRule(FaultEffect.HEAL, *ends))
 
     def add_node(self, name: str) -> None:
         """Add ``name``, unless it is there already."""
@@ -168,19 +185,15 @@ class Script:
             self.names.add(name)
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> None:
-        rid = self.sim.schedule_fault(tick, rule)
-        self.ids.append(rid)
-        self.rules[rid] = rule
+        self.sim.schedule_fault(tick, rule)
         self.seq += 1
-        heapq.heappush(self.schedule, (tick, self.seq, rid))
+        heapq.heappush(self.schedule, (tick, self.seq, rule))
 
     def fire_due(self, tick: int) -> None:
-        """Apply the scheduled rules due by ``tick`` that are still
-        registered; called just before the kernel fires them."""
+        """Apply the scheduled rules due by ``tick``; called just before the
+        kernel fires them."""
         while self.schedule and self.schedule[0][0] <= tick:
-            rid = heapq.heappop(self.schedule)[2]
-            if rid in self.rules:
-                self._apply(rid, self.rules[rid])
+            self._apply(heapq.heappop(self.schedule)[2])
 
     def advance(self, ticks: int) -> None:
         """``advance_to``, one checked step at a time."""
@@ -205,18 +218,16 @@ class Script:
             elif kind == "lift":
                 self.inject(FaultRule(FaultEffect.REVIVE, node=arg))
             elif kind == "revive":
-                kills = [rid for rid in self.ids if rid in self.rules
-                         and self.rules[rid].effect is FaultEffect.KILL_NODE]
-                if kills:
-                    self.clear(kills[arg % len(kills)])
+                self.revive(arg)
+            elif kind == "heal":
+                self.heal(arg)
             else:
                 self.send(node, arg, None)
         self.log.append((event, before, self.alive()))
 
     def send(self, source: str, destination: str, action) -> None:
         sim = self.sim
-        want = reference_fate(sim.now, self.alive(), list(self.links.values()),
-                              source, destination)
+        want = reference_fate(sim.now, self.alive(), self.links, source, destination)
         env = Envelope.request(source, destination, "/x", body=action)
         mid = sim.send(env)
         assert observed_fate(sim, env, mid) == want
@@ -224,8 +235,7 @@ class Script:
     def call(self, source: str, destination: str, wait: int, action) -> None:
         """A call whose timeout runs ``action``; its request carries none."""
         sim = self.sim
-        want = reference_fate(sim.now, self.alive(), list(self.links.values()),
-                              source, destination)
+        want = reference_fate(sim.now, self.alive(), self.links, source, destination)
         env = Envelope.request(source, destination, "/call")
         mid = sim.call(env, wait)
         self.calls[mid] = (source, action)
@@ -287,11 +297,11 @@ MID_TICK_REVIVE = [("send", "a-1", "reg", ("revive", 0)), ("send", "a-1", "b-1",
                    ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")), ("step",)]
 MID_TICK_KILL = [("send", "a-1", "reg", ("kill", "b-1")), ("send", "a-1", "b-1", None),
                  ("timer", "b-1", 1, None), ("step",)]
-# a-3 joins under a kill of a-*; an unrelated kill and clear must leave it down.
+# a-3 joins under a kill of a-*; an unrelated kill and revive must leave it down.
 LATE_NODE_UNDER_KILL = [("inject", FaultRule(FaultEffect.KILL_NODE, node="a-*")),
                         ("add", "a-3"),
                         ("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
-                        ("clear", 1), ("send", "reg", "a-3", None)]
+                        ("revive", 1), ("send", "reg", "a-3", None)]
 # Calls to a dead a-3 and to b-1, which a handler kills first thing at tick
 # 1. There a-2's call is ended by its network-error reply before its
 # deadline, the reply to b-1's call fails, b-1's deadlines (ticks 1 and 2)
@@ -302,10 +312,15 @@ CALLS_MID_TICK_KILL = [("send", "a-1", "reg", ("kill", "b-1")), ("add", "a-3"),
                        ("call", "b-1", "a-3", 2, ("kill", "reg")),
                        ("call", "b-1", "a-2", 1, ("kill", "reg")),
                        ("call", "a-1", "b-1", 1, None), ("step",), ("step",)]
-# A revive of b-1 scheduled under a kill of b-1, then cleared before its tick.
-CLEARED_REVIVE = [("inject", FaultRule(FaultEffect.KILL_NODE, node="b-1")),
-                  ("revive", 2, "b-1"), ("clear", 1), ("advance", 3),
-                  ("send", "a-1", "b-1", None)]
+# A handler at tick 1 heals a-* -> b-1, the pair of the first link rule: the
+# delay on it and the partition declared b-1 -> a-* go, the drop of
+# b-1 -> a-* stays.
+HEAL_MID_TICK = [("inject", FaultRule(FaultEffect.DELAY, source="a-*", destination="b-1",
+                                      delay_ticks=2)),
+                 ("inject", FaultRule(FaultEffect.PARTITION, source="b-1", destination="a-*")),
+                 ("inject", FaultRule(FaultEffect.DROP, source="b-1", destination="a-*")),
+                 ("send", "reg", "reg", ("heal", 0)), ("step",),
+                 ("send", "a-1", "b-1", None), ("send", "b-1", "a-2", None)]
 
 # Under a DROP of every pair, a-1 and b-1 killed: a-2's send to b-1 fails at
 # its dead destination before any link rule drops it, and a-1's send is
@@ -320,23 +335,23 @@ DEAD_ENDS_UNDER_A_DROP = [("inject", FaultRule(FaultEffect.DROP)),
 @example(MID_TICK_REVIVE)
 @example(MID_TICK_KILL)
 @example(LATE_NODE_UNDER_KILL)
-@example(CLEARED_REVIVE)
+@example(HEAL_MID_TICK)
 @example(CALLS_MID_TICK_KILL)
 @example(DEAD_ENDS_UNDER_A_DROP)
 def test_send_fate_matches_full_rule_scan(script):
     run = Script()
-    sim, ids = run.sim, run.ids
+    sim = run.sim
     for op in script:
         kind = op[0]
         if kind == "inject":
             run.inject(op[1])
-        elif kind == "clear":
-            live = [rid for rid in ids if rid in run.rules]
-            if live:
-                run.clear(live[op[1] % len(live)])
+        elif kind == "revive":
+            run.revive(op[1])
+        elif kind == "heal":
+            run.heal(*op[1:])
         elif kind == "schedule":
             run.schedule_fault(sim.now + op[1], op[2])
-        elif kind == "revive":
+        elif kind == "later":
             run.schedule_fault(sim.now + op[1], FaultRule(FaultEffect.REVIVE, node=op[2]))
         elif kind == "advance":
             run.advance(op[1])
@@ -350,9 +365,8 @@ def test_send_fate_matches_full_rule_scan(script):
             run.call(*op[1:])
         else:
             run.send(*op[1:])
-        assert sim._rules == run.rules
-        assert set(sim._kills) == run.kills
-        assert sim._link_rules == run.links and list(sim._link_rules) == list(run.links)
+        assert sim._kills == run.kills
+        assert sim._link_rules == run.links
         alive = run.alive()
         for name in DESTINATIONS:
             assert sim.node_alive(name) == (name in alive)
@@ -364,9 +378,9 @@ def test_no_link_rule_means_nothing_scanned():
         sim.add_node(name, lambda env: None)
     sim.schedule_fault(1, FaultRule(FaultEffect.KILL_NODE, node="b-1"))
     sim.inject(FaultRule(FaultEffect.KILL_NODE, node="reg"))
-    assert sim._link_rules == {}
-    rid = sim.inject(FaultRule(FaultEffect.DELAY, source="a-*", destination="*",
-                               delay_ticks=2))
-    assert list(sim._link_rules) == [rid]
-    sim.clear(rid)
-    assert sim._link_rules == {}
+    assert sim._link_rules == []
+    delay = FaultRule(FaultEffect.DELAY, source="a-*", destination="*", delay_ticks=2)
+    sim.inject(delay)
+    assert sim._link_rules == [delay]
+    sim.inject(FaultRule(FaultEffect.HEAL, source="a-*", destination="*"))
+    assert sim._link_rules == []

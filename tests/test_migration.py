@@ -17,7 +17,7 @@ from ssaas_sim.migration.stages import STAGES, UnknownStage, build_stage
 from ssaas_sim.migration.traces import (ID_FAMILIES, TraceDiff, TraceEntry, TraceFormatError,
                                        compare_traces, normalize_trace, parse_trace,
                                        serialize_trace)
-from ssaas_sim.simwire import Envelope, parse_fault_script
+from ssaas_sim.simwire import Envelope, SimwireError, parse_fault_script
 from ssaas_sim.workloads import load_text
 
 
@@ -576,6 +576,13 @@ class TestHarness:
         with pytest.raises(BudgetExceeded):
             run_workload(handle, wl("0|client|GET|/api/developers/1|\n"),
                          budget=1)
+
+    def test_a_negative_budget_is_refused_before_any_line_is_sent(self):
+        handle = build_stage(1)
+        sent = handle.sim.sent
+        with pytest.raises(SimwireError, match=r"^budget must be >= 0 ticks, got -5$"):
+            run_workload(handle, wl("0|client|GET|/api/developers/1|\n"), budget=-5)
+        assert handle.sim.sent == sent
 
     def test_round_robin_spreads_over_scaled_out_instances(self):
         handle = build_stage(4)

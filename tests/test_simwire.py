@@ -6,6 +6,8 @@ import gc
 import importlib.util
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +30,12 @@ from ssaas_sim.simwire import (
     Simulator,
     SimwireError,
     UnknownNode,
-    UnknownRule,
+    _ACTIONS,
     canonical_json,
     parse_fault_script,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_sim(*nodes: str, seed: int = 0) -> Simulator:
@@ -39,6 +43,14 @@ def make_sim(*nodes: str, seed: int = 0) -> Simulator:
     for n in nodes:
         sim.add_node(n, lambda env: None)
     return sim
+
+
+def revive(sim: Simulator, node: str) -> None:
+    sim.inject(FaultRule(FaultEffect.REVIVE, node=node))
+
+
+def heal(sim: Simulator, source: str, destination: str) -> None:
+    sim.inject(FaultRule(FaultEffect.HEAL, source=source, destination=destination))
 
 
 def drain(sim: Simulator, max_steps: int = 50) -> list[Envelope]:
@@ -123,6 +135,13 @@ class TestSendAndStep:
         assert order == [(1, "b got /ping"), (2, "a got 200")]
 
 
+    def test_run_until_idle_refuses_a_negative_budget(self):
+        sim = make_sim("a", "b")
+        with pytest.raises(SimwireError, match=r"^budget must be >= 0 ticks, got -5$"):
+            sim.run_until_idle(budget=-5)
+        assert sim.run_until_idle(budget=0)
+
+
 class TestFaults:
     def test_drop_rule_drops_matching(self):
         sim = make_sim("a", "b")
@@ -167,18 +186,13 @@ class TestFaults:
         with pytest.raises(InvalidFaultRule):
             FaultRule(FaultEffect.DELAY, delay_ticks=0)
 
-    def test_clear_restores_traffic(self):
+    def test_heal_restores_traffic(self):
         sim = make_sim("a", "b")
-        rid = sim.inject(FaultRule(FaultEffect.DROP, source="a", destination="b"))
+        sim.inject(FaultRule(FaultEffect.DROP, source="a", destination="b"))
         sim.send(Envelope.request("a", "b", "/1"))
-        sim.clear(rid)
+        heal(sim, "a", "b")
         sim.send(Envelope.request("a", "b", "/2"))
         assert [e.path for e in drain(sim)] == ["/2"]
-
-    def test_clear_unknown_rule(self):
-        sim = make_sim("a")
-        with pytest.raises(UnknownRule):
-            sim.clear(42)
 
     def test_already_enqueued_delivery_unaffected_by_new_drop(self):
         sim = make_sim("a", "b")
@@ -217,27 +231,28 @@ class TestFaults:
         assert drain(sim) == []
         assert sim.dropped == 1
 
-    def test_clear_kill_revives(self):
+    def test_revive_lifts_a_kill(self):
         sim = make_sim("a", "b")
-        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
         assert not sim.node_alive("b")
-        sim.clear(rid)
+        revive(sim, "b")
         assert sim.node_alive("b")
         sim.send(Envelope.request("a", "b", "/x"))
         assert [e.path for e in drain(sim)] == ["/x"]
 
     def test_node_added_under_a_kill_rule_starts_down(self):
         sim = make_sim("a-1", "b-1")
-        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-*"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-*"))
         sim.add_node("a-2", lambda env: None)
         assert not sim.node_alive("a-2")
-        # An unrelated kill and clear leaves it down, and sends to it fail.
-        sim.clear(sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b-1")))
+        # An unrelated kill and revive leaves it down, and sends to it fail.
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b-1"))
+        revive(sim, "b-1")
         assert not sim.node_alive("a-2") and sim.node_alive("b-1")
         sim.send(Envelope.request("b-1", "a-2", "/x"))
         drain(sim)
         assert sim.failed == 1
-        sim.clear(kill)
+        revive(sim, "a-*")
         assert sim.node_alive("a-2")
 
     def test_scheduled_fault_activates_on_time(self):
@@ -247,17 +262,6 @@ class TestFaults:
         assert sim.node_alive("b")
         sim.advance_to(10)
         assert not sim.node_alive("b")
-
-    def test_scheduled_fault_cleared_before_its_tick_never_activates(self):
-        sim = make_sim("a", "b")
-        kill = sim.schedule_fault(10, FaultRule(FaultEffect.KILL_NODE, node="b"))
-        drop = sim.schedule_fault(10, FaultRule(FaultEffect.DROP, source="a", destination="b"))
-        sim.clear(kill)
-        sim.clear(drop)
-        sim.advance_to(10)
-        assert sim.node_alive("b")
-        sim.send(Envelope.request("a", "b", "/x"))
-        assert [e.path for e in drain(sim)] == ["/x"]
 
     def test_timer_fires_and_is_not_traced(self):
         sim = make_sim("a")
@@ -305,30 +309,32 @@ class TestReviveHook:
         sim.advance_to(20)
         assert log == ["b"]
 
-    def test_runs_on_the_clear_of_a_kill(self):
+    def test_runs_on_an_injected_revive(self):
         sim = make_sim("a", "b")
         log = revive_log(sim, "a", "b")
-        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
         assert log == []
-        sim.clear(kill)
+        revive(sim, "b")
         assert log == ["b"]
 
     def test_overlapping_kills_run_it_when_the_last_is_lifted(self):
         sim = make_sim("a-1", "b-1")
         log = revive_log(sim, "a-1", "b-1")
-        wide = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="*"))
-        narrow = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-1"))
-        sim.clear(wide)
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="*"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a-1"))
+        revive(sim, "*")
         assert log == ["b-1"]  # a-1 is still down under the narrow kill
-        sim.clear(narrow)
+        revive(sim, "a-1")
         assert log == ["b-1", "a-1"]
 
     def test_never_runs_for_a_node_that_stayed_live(self):
         sim = make_sim("a", "b")
         log = revive_log(sim, "a", "b")
-        sim.clear(sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b")))
-        sim.clear(sim.inject(FaultRule(FaultEffect.DROP, source="a", destination="b")))
-        sim.inject(FaultRule(FaultEffect.REVIVE, node="a"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        revive(sim, "b")
+        sim.inject(FaultRule(FaultEffect.DROP, source="a", destination="b"))
+        heal(sim, "a", "b")
+        revive(sim, "a")
         assert log == ["b"]
 
     def test_runs_in_node_registration_order(self):
@@ -342,6 +348,72 @@ class TestReviveHook:
     def test_registering_is_checked(self):
         with pytest.raises(UnknownNode):
             make_sim("a").on_revive("ghost", lambda: None)
+
+    def test_a_hook_that_sends_stamps_the_tick_it_runs_at(self):
+        # The kill and the revive fall due while the clock jumps to the
+        # loop's tick 12, so the hook runs at 12 and its send lands at 13.
+        sim = make_sim("a", "b")
+        sim.every("b", 12, lambda: None)
+        sim.on_revive("a", lambda: sim.send(Envelope.request("a", "b", "/hello")))
+        sim.schedule_fault(1, FaultRule(FaultEffect.KILL_NODE, node="a"))
+        sim.schedule_fault(10, FaultRule(FaultEffect.REVIVE, node="a"))
+        clock = []
+        for _ in range(4):
+            sim.step()
+            clock.append(sim.now)
+        assert clock == [12, 13, 24, 36]
+        assert [(r.tick, r.path, r.status) for r in sim.records] == [(13, "/hello", DELIVERED)]
+
+
+class TestHeal:
+    """A HEAL lifts the link rules in force with its pair of patterns, as a
+    REVIVE lifts the kill rules with its node pattern."""
+
+    def test_a_scripted_heal_ends_a_delay(self):
+        sim = make_sim("a", "b")
+        for tick, rule in parse_fault_script("10 delay a b 5\n20 heal a b\n"):
+            sim.schedule_fault(tick, rule)
+        for tick in range(5, 30):
+            sim.advance_to(tick)
+            sim.send(Envelope.request("a", "b", f"/{tick}"))
+        assert sim.run_until_idle()
+        latency = {int(r.path[1:]): r.tick - int(r.path[1:]) for r in sim.records}
+        assert latency == {sent: 6 if 10 <= sent < 20 else 1 for sent in range(5, 30)}
+
+    @pytest.mark.parametrize("declared", [("a", "b"), ("b", "a")], ids=["a-b", "b-a"])
+    def test_it_lifts_a_partition_declared_either_way(self, declared):
+        sim = make_sim("a", "b")
+        sim.inject(FaultRule(FaultEffect.PARTITION, *declared))
+        heal(sim, "a", "b")
+        assert sim._link_rules == []
+        sim.send(Envelope.request("a", "b", "/there"))
+        sim.send(Envelope.request("b", "a", "/back"))
+        assert [e.path for e in drain(sim)] == ["/there", "/back"]
+
+    def test_it_lifts_only_its_own_pair_and_no_kill(self):
+        sim = make_sim("a", "b", "c")
+        kill = FaultRule(FaultEffect.KILL_NODE, node="c")
+        drop = FaultRule(FaultEffect.DROP, "a", "b")
+        delay = FaultRule(FaultEffect.DELAY, "a", "b", delay_ticks=3)
+        kept = [FaultRule(FaultEffect.DROP, "b", "a"),  # a DROP is one way
+                FaultRule(FaultEffect.DELAY, "a", "*", delay_ticks=2),
+                FaultRule(FaultEffect.PARTITION, "a", "c"),
+                FaultRule(FaultEffect.DROP, "a", "b*")]
+        for rule in [drop, kept[0], delay, kill, *kept[1:]]:
+            sim.inject(rule)
+        heal(sim, "a", "b")
+        assert sim._link_rules == kept
+        assert sim._kills == [kill] and not sim.node_alive("c")
+
+    def test_with_nothing_to_lift_it_does_nothing(self):
+        sim = make_sim("a", "b")
+        log = revive_log(sim, "a", "b")
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
+        sim.inject(FaultRule(FaultEffect.DROP, "b", "a"))
+        kills, links, live = list(sim._kills), list(sim._link_rules), dict(sim._live)
+        heal(sim, "a", "b")
+        heal(sim, "b", "*")
+        assert (sim._kills, sim._link_rules, sim._live, log) == (kills, links, live, [])
 
 
 def call_sim(reply_delay: int | None = None) -> tuple[Simulator, list]:
@@ -423,10 +495,10 @@ class TestCall:
     def test_a_dead_sources_deadline_is_skipped(self):
         sim, log = call_sim()
         sim.call(Envelope.request("a", "b", "/x"), 3)
-        kill = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a"))
         sim.advance_to(4)
         assert log == [] and sim._calls == {}
-        sim.clear(kill)
+        revive(sim, "a")
         sim.advance_to(10)
         assert log == [] and sim.pending_external == 0
 
@@ -595,6 +667,7 @@ class TestFaultScript:
         10 drop a b
         12 partition a c
         20 delay a b 5
+        30 heal a b
         """
         schedule = parse_fault_script(text)
         assert [(t, r.effect, r.source, r.destination, r.node, r.delay_ticks)
@@ -603,7 +676,8 @@ class TestFaultScript:
             (55, FaultEffect.REVIVE, "*", "*", "chat-1", 0),
             (10, FaultEffect.DROP, "a", "b", "*", 0),
             (12, FaultEffect.PARTITION, "a", "c", "*", 0),
-            (20, FaultEffect.DELAY, "a", "b", "*", 5)]
+            (20, FaultEffect.DELAY, "a", "b", "*", 5),
+            (30, FaultEffect.HEAL, "a", "b", "*", 0)]
         sim = make_sim("a", "b", "c", "chat-1")
         for tick, rule in schedule:
             sim.schedule_fault(tick, rule)
@@ -628,10 +702,20 @@ class TestFaultScript:
         "5 drop a", "5 drop a b c",
         "5 partition a", "5 partition a b c",
         "5 delay a b", "5 delay a b 3 4",
+        "5 heal a", "5 heal a b c",
     ])
     def test_parse_refuses_one_argument_too_few_or_too_many(self, line):
         with pytest.raises(FaultScriptError, match="^line 2: "):
             parse_fault_script("# arity\n" + line)
+
+    def test_readme_lists_exactly_the_actions_with_their_arguments(self):
+        # Each bullet of README's action list opens with `action <arg> ...`.
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Workloads and faults\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `([a-z]+)((?: <[a-z]+>)*)`", section, re.MULTILINE)
+        assert sorted(action for action, _ in listed) == sorted(_ACTIONS)
+        for action, args in listed:
+            assert args.count("<") == len(_ACTIONS[action][1]), action
 
     def test_one_parsed_script_runs_on_two_simulators(self):
         from ssaas_sim.migration import build_stage, parse_workload, run_workload
@@ -643,33 +727,21 @@ class TestFaultScript:
             handle = build_stage(6, 1)
             run_workload(handle, lines, faults=schedule)
         sim = handle.sim
-        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="gateway"))
-        assert rid == len(schedule) + 1
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="gateway"))
         assert not sim.node_alive("gateway")
 
     def test_one_rule_scheduled_twice_is_two_rules(self):
         sim = make_sim("a", "b")
         rule = FaultRule(FaultEffect.DROP, source="a", destination="b")
-        first, second = sim.schedule_fault(5, rule), sim.schedule_fault(5, rule)
-        assert first != second
-        sim.clear(first)
+        sim.schedule_fault(5, rule)
+        sim.schedule_fault(5, rule)
         sim.advance_to(5)
+        assert sim._link_rules == [rule, rule]
         sim.send(Envelope.request("a", "b", "/x"))
         assert sim.dropped == 1
-        sim.clear(second)
+        heal(sim, "a", "b")  # lifts both
         sim.send(Envelope.request("a", "b", "/y"))
         assert [e.path for e in drain(sim)] == ["/y"]
-
-    def test_revive_cleared_before_its_tick_never_fires(self):
-        sim = make_sim("a", "b")
-        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="b"))
-        revive = sim.schedule_fault(10, FaultRule(FaultEffect.REVIVE, node="b"))
-        sim.clear(revive)
-        sim.advance_to(20)
-        assert not sim.node_alive("b")
-        sim.send(Envelope.request("a", "b", "/x"))
-        drain(sim)
-        assert sim.failed == 1
 
 
 class TestReferenceQueueOracle:
@@ -779,10 +851,9 @@ class TestTickBuckets:
         order: list[str] = []
         sim.add_node("a", lambda env: None)
         sim.add_node("b", lambda env: order.append(env.path))
-        rid = sim.inject(FaultRule(FaultEffect.DELAY, source="a", destination="b",
-                                   delay_ticks=3))
+        sim.inject(FaultRule(FaultEffect.DELAY, source="a", destination="b", delay_ticks=3))
         sim.send(Envelope.request("a", "b", "/early"))
-        sim.clear(rid)
+        heal(sim, "a", "b")
         sim.set_timer("b", 4, lambda: order.append("timer-0"))
         sim.cancel_timer(sim.set_timer("b", 4, lambda: order.append("cancelled-0")))
         sim.advance_to(3)
@@ -807,10 +878,10 @@ class TestTickBuckets:
 
     def test_revive_by_an_earlier_handler_applies_within_the_tick(self):
         sim = make_sim("a", "c")
-        sim.add_node("b", lambda env: sim.clear(rid))
+        sim.add_node("b", lambda env: revive(sim, "c"))
         sim.send(Envelope.request("a", "b", "/revive-c"))
         sim.send(Envelope.request("a", "c", "/to-c"))
-        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="c"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="c"))
         assert [e.path for e in sim.step()] == ["/revive-c", "/to-c"]
         assert sim.failed == 0
 
@@ -895,9 +966,9 @@ class TestEvery:
         sim.every("a", 2, lambda: fired.append(sim.now))
         sim.advance_to(3)
         assert fired == [2]
-        rid = sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a"))
+        sim.inject(FaultRule(FaultEffect.KILL_NODE, node="a"))
         sim.advance_to(5)
-        sim.clear(rid)
+        revive(sim, "a")
         assert sim.node_alive("a")
         sim.advance_to(20)
         assert fired == [2]
@@ -935,8 +1006,7 @@ class _TrackedCounters:
         self.queue: dict[int, list[tuple]] = {}
         self.timers: dict[int, bool] = {}  # live timer id -> maintenance
         self.timer_ids: list[int] = []
-        self.kills: dict[str, list[int]] = {}
-        self.drops: list[tuple[int, str, str]] = []
+        self.drops: list[tuple[str, str]] = []  # DROP rules in force
         self.ctx = False  # the flag the kernel runs the current callback under
 
     def _other(self, node: str) -> str:
@@ -965,7 +1035,7 @@ class _TrackedCounters:
         elif not sim.node_alive(destination):
             self.ids += 1  # the kernel's network-error reply
             item = ("msg", flag, destination, source, False)
-        elif any((s, d) == (source, destination) for _, s, d in self.drops):
+        elif (source, destination) in self.drops:
             item = None
         else:
             item = ("msg", flag, source, destination, True)
@@ -1004,21 +1074,21 @@ class _TrackedCounters:
             True, lambda: self.send(node, self._other(node))))
 
     def kill(self, node: str) -> None:
-        rid = self.sim.inject(FaultRule(FaultEffect.KILL_NODE, node=node))
-        self.kills.setdefault(node, []).append(rid)
+        self.sim.inject(FaultRule(FaultEffect.KILL_NODE, node=node))
 
     def revive(self, node: str) -> None:
-        for rid in self.kills.pop(node, []):
-            self.sim.clear(rid)
+        revive(self.sim, node)
 
     def drop(self, source: str, destination: str) -> None:
-        rid = self.sim.inject(FaultRule(FaultEffect.DROP, source=source,
-                                        destination=destination))
-        self.drops.append((rid, source, destination))
+        self.sim.inject(FaultRule(FaultEffect.DROP, source=source, destination=destination))
+        self.drops.append((source, destination))
 
     def undrop(self, k: int) -> None:
+        """Heal the pair of the ``k``-th drop, which lifts every drop of it."""
         if self.drops:
-            self.sim.clear(self.drops.pop(k % len(self.drops))[0])
+            pair = self.drops[k % len(self.drops)]
+            heal(self.sim, *pair)
+            self.drops = [drop for drop in self.drops if drop != pair]
 
     def step(self) -> None:
         self.sim.step()
