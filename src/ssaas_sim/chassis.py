@@ -11,6 +11,7 @@ status and a body, whether a handler returns it or a call hands it on.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .simwire import NETWORK_ERROR_STATUS, REQUEST, RESPONSE, Body, Envelope, Simulator, read_int
@@ -28,9 +29,9 @@ REGISTRY_NODE = "registry"
 GATEWAY_NODE = "gateway"
 MONOLITH_NODE = "monolith"
 
-# A route memo (a node's dispatch memo, a gateway table's resolve memo) is
-# emptied when it holds this many paths, and the compiled route patterns keep
-# the most recently used this many, which bounds their memory.
+# A route memo (a route table's dispatch memo, a gateway table's resolve memo)
+# is emptied when it holds this many paths, and the compiled patterns and route
+# tables keep the most recently used this many, which bounds their memory.
 ROUTE_MEMO_LIMIT = 4096
 
 
@@ -156,6 +157,7 @@ class Endpoint(NamedTuple):
 
 
 _new_tuple = tuple.__new__  # builds a fetched Endpoint without its __new__ frame
+_instance_id = itemgetter(0)  # an Endpoint's instance_id, read with no Python frame
 
 
 class _ServiceCache:
@@ -186,7 +188,7 @@ class Resolver:
         same, so the next fetch waits one ttl, as a Eureka client backs off."""
         entry = self._services.setdefault(service, _ServiceCache())
         if endpoints is not None:
-            if {e.instance_id for e in entry.endpoints} != {e.instance_id for e in endpoints}:
+            if set(map(_instance_id, entry.endpoints)) != set(map(_instance_id, endpoints)):
                 entry.rotation = 0
             entry.endpoints = list(endpoints)
         entry.fresh_until = now + DEFAULT_CACHE_TTL_TICKS
@@ -302,15 +304,6 @@ Reply = Callable[[str, Body], None]  # an in-process reply, and every call's on_
 Handler = Callable[[Request], Optional[tuple[str, Body]]]
 
 
-class _Route(NamedTuple):
-    """A compiled route pattern: the literal segments a path must repeat
-    and the positions bound to ``{param}`` names."""
-
-    literals: tuple[tuple[int, str], ...]
-    params: tuple[tuple[int, str], ...]
-    handler: Handler
-
-
 # Every node of every stage registers the same few dozen patterns, so each
 # is compiled once per process.
 @lru_cache(maxsize=ROUTE_MEMO_LIMIT)
@@ -324,6 +317,22 @@ def _compile_pattern(pattern: str) -> tuple[int, tuple, tuple]:
         else:
             literals.append((i, seg))
     return len(segments), tuple(literals), tuple(params)
+
+
+@lru_cache(maxsize=ROUTE_MEMO_LIMIT)
+def _route_table(patterns: tuple[tuple[str, str], ...]) -> tuple[dict, dict]:
+    """(index, memo) of a node's ordered (method, pattern) pairs, shared by
+    every node, instance and build that registers the same pairs. The index
+    maps (method, segment count) to (literals, params, position) rows, most
+    literals first, else in order: the first match is the best. The memo maps
+    (method, path) to the (position, params) of each path matched so far."""
+    index: dict[tuple[str, int], list] = {}
+    for position, (method, pattern) in enumerate(patterns):
+        count, literals, params = _compile_pattern(pattern)
+        index.setdefault((method, count), []).append((literals, params, position))
+    for rows in index.values():
+        rows.sort(key=lambda row: -len(row[0]))
+    return index, {}
 
 
 class ServiceNode:
@@ -341,32 +350,27 @@ class ServiceNode:
         self.service = service
         self.config = ConfigView()
         self.client: Optional[ServiceClient] = None
-        # (method, segment count) -> routes, most literal segments first and
-        # in registration order among equals: the first match is the best.
-        self._routes: dict[tuple[str, int], list[_Route]] = {}
-        # (method, path) -> (handler, bound params) of every path matched so
-        # far; route() empties it, and paths that match no route stay out.
-        # A request gets a copy of the params, so the memo's own never leaks.
-        self._resolved: dict[tuple[str, str], tuple[Handler, dict[str, str]]] = {}
+        # The (method, pattern) of each route in registration order, its
+        # handler at the same position, and the shared table they compile to.
+        # A request gets a copy of the memo's params, so they never leak.
+        self._patterns: tuple[tuple[str, str], ...] = ()
+        self._handlers: list[Handler] = []
+        self._table = _route_table(())
 
     def bind(self) -> "ServiceNode":
         self.sim.add_node(self.node_id, self._on_envelope, self._on_timeout)
         return self
 
     def route(self, method: str, pattern: str, handler: Handler) -> None:
-        count, literals, params = _compile_pattern(pattern)
-        self._add_routes((method, count), [_Route(literals, params, handler)])
-
-    def _add_routes(self, key: tuple[str, int], added: list[_Route]) -> None:
-        routes = self._routes.setdefault(key, [])
-        routes += added
-        routes.sort(key=lambda r: -len(r.literals))
-        self._resolved.clear()
+        self._patterns += ((method, pattern),)
+        self._handlers.append(handler)
+        self._table = _route_table(self._patterns)
 
     def host(self, node: "ServiceNode") -> None:
-        """Serve ``node``'s routes as this node's own, and lend it this node's client."""
-        for key, routes in node._routes.items():
-            self._add_routes(key, routes)
+        """Serve ``node``'s routes after this node's own, and lend it this node's client."""
+        self._patterns += node._patterns
+        self._handlers += node._handlers
+        self._table = _route_table(self._patterns)
         node.client = self.client
 
     # -- inbound ---------------------------------------------------------
@@ -385,25 +389,26 @@ class ServiceNode:
 
     def dispatch(self, req: Request) -> None:
         key = (req.method, req.path)
-        hit = self._resolved.get(key)
+        index, memo = self._table
+        hit = memo.get(key)
         if hit is None:
             parts = split_path(req.path)
-            for literals, params, handler in self._routes.get((req.method, len(parts)), ()):
+            for literals, params, position in index.get((req.method, len(parts)), ()):
                 for i, seg in literals:
                     if parts[i] != seg:
                         break
                 else:
-                    hit = (handler, {name: parts[i] for i, name in params})
+                    hit = (position, {name: parts[i] for i, name in params})
                     break
             else:
                 req.reply("404", {"error": "NoRoute"})
                 return
-            if len(self._resolved) >= ROUTE_MEMO_LIMIT:
-                self._resolved.clear()
-            self._resolved[key] = hit
+            if len(memo) >= ROUTE_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = hit
         req.params = hit[1].copy()
         try:
-            out = hit[0](req)
+            out = self._handlers[hit[0]](req)
         except Refusal as exc:
             out = exc.status, exc.body()
         if out is not None:

@@ -8,6 +8,7 @@ gone.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 from .chassis import REGISTRY_NODE, Refusal, Request, ServiceNode, refusal
@@ -48,6 +49,7 @@ class Instance(NamedTuple):
 
 
 _new_tuple = tuple.__new__  # builds a renewed Instance without its __new__ frame
+_by_id, _expiry = attrgetter("instance_id"), attrgetter("lease_expiry")
 
 
 class RegistryStore:
@@ -56,6 +58,9 @@ class RegistryStore:
     def __init__(self, lease: LeaseConfig = LeaseConfig()) -> None:
         self.lease = lease
         self._instances: dict[tuple[str, str], Instance] = {}
+        # No lease expires before this tick: register and renew lower it, so
+        # it holds whichever way ticks move, and only a full scan raises it.
+        self._earliest: float = float("inf")
 
     def register(self, service: str, instance_id: str, address: str, port: int,
                  now: int, status: str = STATUS_UP) -> Instance:
@@ -66,6 +71,7 @@ class RegistryStore:
                         port=port, status=status,
                         lease_expiry=now + self.lease.ttl_ticks)
         self._instances[(service, instance_id)] = inst
+        self._earliest = min(self._earliest, inst.lease_expiry)
         return inst
 
     def renew(self, service: str, instance_id: str, now: int) -> Instance:
@@ -73,9 +79,9 @@ class RegistryStore:
         inst = self._instances.get(key)
         if inst is None:
             raise UnknownInstance(f"{service}/{instance_id}")
-        inst = _new_tuple(Instance, (inst.service, inst.instance_id, inst.address,
-                                     inst.port, inst.status, now + self.lease.ttl_ticks))
+        inst = _new_tuple(Instance, inst[:5] + (now + self.lease.ttl_ticks,))
         self._instances[key] = inst
+        self._earliest = min(self._earliest, inst.lease_expiry)
         return inst
 
     def deregister(self, service: str, instance_id: str) -> bool:
@@ -84,19 +90,20 @@ class RegistryStore:
     def query(self, service: str, now: int) -> list[Instance]:
         """Live UP instances of a service, ordered by instance id.
         A lease expiring exactly now no longer counts as live."""
-        return sorted(
-            (inst for inst in self._instances.values()
-             if inst.service == service and inst.status == STATUS_UP
-             and inst.lease_expiry > now),
-            key=lambda inst: inst.instance_id)
+        live = [inst for inst in self._instances.values()
+                if inst.service == service and inst.status == STATUS_UP and inst.lease_expiry > now]
+        live.sort(key=_by_id)
+        return live
 
     def sweep(self, now: int) -> list[Instance]:
-        """Evict every record whose lease has expired (expiry <= now)."""
+        """Evict every record whose lease has expired (expiry <= now). Scans
+        only once ``now`` reaches the earliest expiry's lower bound."""
+        if now < self._earliest:
+            return []
         evicted = [inst for inst in self._instances.values() if inst.lease_expiry <= now]
-        if not evicted:
-            return evicted
         for inst in evicted:
             del self._instances[(inst.service, inst.instance_id)]
+        self._earliest = min(map(_expiry, self._instances.values()), default=float("inf"))
         return sorted(evicted, key=lambda i: (i.service, i.instance_id))
 
     def all_instances(self) -> list[Instance]:

@@ -14,10 +14,10 @@ RESPONSE to the same request is rejected.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections.abc import Sequence
 from fnmatch import fnmatchcase
+from heapq import heappop, heappush
 from itertools import count, repeat
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -110,6 +110,8 @@ class FaultRule:
 
     def __init__(self, effect: str, source: str = "*", destination: str = "*",
                  node: str = "*", delay_ticks: int = 0) -> None:
+        if getattr(FaultEffect, effect, None) != effect:  # each effect's value is its name
+            raise InvalidFaultRule(f"unknown effect: {effect!r}")
         if delay_ticks < 0:
             raise InvalidFaultRule("delay_ticks must be >= 0")
         if effect == FaultEffect.DELAY and delay_ticks <= 0:
@@ -221,10 +223,10 @@ class Simulator:
 
     Every event lands at least one tick ahead, so the queue is a FIFO bucket
     per tick under a heap of the distinct ticks: send order within a tick
-    is bucket order. A new tick's first event enters through
-    :meth:`_enqueue`, which makes its bucket. Three hot paths append to a
-    bucket that exists without it: :meth:`send`, :meth:`call` for a
-    deadline, and :meth:`step` when it re-arms a loop.
+    is bucket order. A new tick's first event makes its bucket and pushes
+    the tick on the heap. The three hot paths, :meth:`send`, :meth:`call`
+    for a deadline and :meth:`step` when it re-arms a loop, do so inline;
+    the rest enter through :meth:`_enqueue`.
 
     A bucket holds four kinds of event: an :class:`Envelope` to deliver,
     a call's deadline marker (:meth:`call`; its request's message id, a
@@ -344,9 +346,10 @@ class Simulator:
         if kind == REQUEST:
             self._awaiting_reply.add(mid)
         bucket = self._buckets.get(tick)
-        if bucket is None:
-            self._enqueue(tick, env)
-        else:  # _enqueue, inlined
+        if bucket is None:  # a new tick: its bucket, and its key on the heap
+            self._buckets[tick] = [env]
+            heappush(self._ticks, tick)
+        else:
             bucket.append(env)
         return mid
 
@@ -368,9 +371,9 @@ class Simulator:
         mid = self.send(env)
         tick = self.now + wait
         bucket = self._buckets.get(tick)
-        if bucket is None:  # _enqueue, inlined: every tracked call arms a deadline
+        if bucket is None:
             bucket = self._buckets[tick] = []
-            heapq.heappush(self._ticks, tick)
+            heappush(self._ticks, tick)
         bucket.append(mid)
         self._calls[mid] = (env, bucket)
         return mid
@@ -421,7 +424,7 @@ class Simulator:
     def schedule_fault(self, tick: int, rule: FaultRule) -> None:
         """Apply ``rule`` when the clock reaches ``tick``. Rules due on one
         tick apply in the order they were scheduled."""
-        heapq.heappush(self._fault_schedule, (tick, next(self._fault_seq), rule))
+        heappush(self._fault_schedule, (tick, next(self._fault_seq), rule))
 
     def _apply_rule(self, rule: FaultRule) -> None:
         """Put ``rule`` in force; a REVIVE or a HEAL lifts instead."""
@@ -462,7 +465,7 @@ class Simulator:
     def _activate_due_faults(self, up_to_tick: int) -> None:
         schedule = self._fault_schedule
         while schedule and schedule[0][0] <= up_to_tick:
-            self._apply_rule(heapq.heappop(schedule)[2])
+            self._apply_rule(heappop(schedule)[2])
 
     # -- stepping ---------------------------------------------------------
 
@@ -479,14 +482,13 @@ class Simulator:
             self._activate_due_faults(self.now)
             return []
         # The clock moves first, so a revive hook's sends carry this tick.
-        tick = self.now = heapq.heappop(self._ticks)
+        tick = self.now = heappop(self._ticks)
         if self._fault_schedule:
             self._activate_due_faults(tick)
-        live, timers, buckets, calls = self._live, self._timers, self._buckets, self._calls
-        trace_extend = self._trace.extend
+        # Most ticks only run loops: bind what every event reads, no more.
+        live, buckets = self._live, self._buckets
         outer = self._ctx_maintenance
         delivered: list[Envelope] = []
-        deliver = delivered.append
         events = iter(buckets.pop(tick))
         # Handlers run under their event's flag; the caller's is restored after.
         try:
@@ -500,24 +502,24 @@ class Simulator:
                     kind = event.kind
                     if kind == RESPONSE:
                         status = event.status or DELIVERED
-                        call = calls.pop(event.correlation_id, None)
+                        call = self._calls.pop(event.correlation_id, None)
                         if call is not None:  # the reply ends its call, deadline and all
                             call[1].remove(event.correlation_id)
                     else:
                         status = DELIVERED
-                    trace_extend((tick, event.message_id, event.source, destination,
-                                  kind, event.method, event.path, status))
-                    deliver(event)
+                    self._trace.extend((tick, event.message_id, event.source, destination,
+                                        kind, event.method, event.path, status))
+                    delivered.append(event)
                     self._ctx_maintenance = event.maintenance
                     handler(event)
                 elif type(event) is int:
                     if event > 0:  # a call's deadline, if the call is still pending
-                        call = calls.pop(event, None)
+                        call = self._calls.pop(event, None)
                         if call is not None and (request := call[0]).source in live:
                             self._ctx_maintenance = request.maintenance
                             self._timeouts[request.source](event)
                         continue
-                    entry = timers.pop(event, None)
+                    entry = self._timers.pop(event, None)
                     if entry is None:
                         continue  # cancelled
                     fn, maintenance, node = entry
@@ -531,8 +533,9 @@ class Simulator:
                         fn()
                         bucket = buckets.get(tick + interval)
                         if bucket is None:
-                            self._enqueue(tick + interval, event)
-                        else:  # _enqueue, inlined
+                            buckets[tick + interval] = [event]
+                            heappush(self._ticks, tick + interval)
+                        else:
                             bucket.append(event)
         except BaseException:
             # The rest of the tick goes back on the queue, undelivered: every
@@ -633,7 +636,7 @@ class Simulator:
         bucket = self._buckets.get(tick)
         if bucket is None:
             bucket = self._buckets[tick] = []
-            heapq.heappush(self._ticks, tick)
+            heappush(self._ticks, tick)
         bucket.append(event)
 
     def _record(self, env: Envelope, status: str) -> None:

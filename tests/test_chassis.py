@@ -733,6 +733,41 @@ class TestServiceNodeRouting:
                                   _reply=lambda s, b: got.append(b)))
         assert got == [("n1", "n1"), ("n2", "n2")]
 
+    def test_nodes_with_the_same_patterns_share_one_table(self):
+        sim = Simulator()
+        nodes = [ServiceNode(sim, name, "N") for name in ("shared-1", "shared-2")]
+        for node in nodes:
+            node.route("GET", "/shared/{sid}",
+                       lambda req, name=node.node_id: ("200", (name, req.params["sid"])))
+            node.route("POST", "/shared", lambda req: ("200", None))
+        assert nodes[0]._table is nodes[1]._table
+        got = []
+        for node in nodes:
+            node.dispatch(Request("GET", "/shared/7", None, _reply=lambda s, b: got.append(b)))
+        # One memo entry serves both nodes, and each answers with its own handler.
+        assert got == [("shared-1", "7"), ("shared-2", "7")]
+        assert nodes[0]._table[1][("GET", "/shared/7")] == (0, {"sid": "7"})
+
+    def test_a_route_added_after_a_dispatch_moves_only_its_node(self):
+        sim = Simulator()
+        nodes = [ServiceNode(sim, name, "N") for name in ("moved", "kept")]
+        for node in nodes:
+            node.route("GET", "/moves/{mid}", lambda req: ("200", {"which": "param"}))
+        got = []
+
+        def get(node: ServiceNode, path: str) -> None:
+            node.dispatch(Request("GET", path, None, _reply=lambda s, b: got.append(b)))
+
+        get(nodes[0], "/moves/special")
+        shared = nodes[1]._table
+        nodes[0].route("GET", "/moves/special", lambda req: ("200", {"which": "literal"}))
+        assert nodes[0]._table is not shared and nodes[1]._table is shared
+        get(nodes[0], "/moves/special")
+        get(nodes[1], "/moves/special")
+        assert got == [{"which": "param"}, {"which": "literal"}, {"which": "param"}]
+        assert nodes[0]._patterns == (("GET", "/moves/{mid}"), ("GET", "/moves/special"))
+        assert nodes[1]._patterns == (("GET", "/moves/{mid}"),)
+
     def test_unmatched_path_is_404(self):
         sim = Simulator()
         node = ServiceNode(sim, "n", "N")
@@ -924,11 +959,32 @@ class TestLibraryMode:
                          ("client", WiringMode.DIRECT_WIRE)]
         assert mono.client is not None and mono.client.mode == WiringMode.LIBRARY_CALL
         # Every route of each hosted node is in the monolith's table.
-        assert all(route in mono._routes[key] for node in hosted
-                   for key, routes in node._routes.items() for route in routes)
+        served = list(zip(mono._patterns, mono._handlers))
+        assert all(route in served for node in hosted
+                   for route in zip(node._patterns, node._handlers))
         assert sorted(node.service for node in hosted) == [
             "ContentServices", "DeveloperData", "DeveloperServices"]
         assert all(node.client is mono.client for node in hosted)
+
+
+    def test_the_monolith_serves_each_hosted_route_with_its_node_s_handler(self, monkeypatch):
+        hosted: list[ServiceNode] = []
+        host = ServiceNode.host
+        monkeypatch.setattr(ServiceNode, "host",
+                            lambda self, node: hosted.append(node) or host(self, node))
+        mono = build_stage(0).nodes["monolith"]
+        handlers = list(mono._handlers)
+        # Answer with the position dispatch picked, instead of running the handler.
+        mono._handlers[:] = [lambda req, i=i: ("200", i) for i in range(len(handlers))]
+        routes = [(method, pattern, handler) for node in hosted
+                  for (method, pattern), handler in zip(node._patterns, node._handlers)]
+        assert len(routes) == len(mono._patterns) == 22
+        for method, pattern, handler in routes:
+            path = "/".join("1" if seg.startswith("{") else seg for seg in pattern.split("/"))
+            got = []
+            mono.dispatch(Request(method, path, None, _reply=lambda s, b: got.append((s, b))))
+            assert got[0][0] == "200", (method, pattern)
+            assert handlers[got[0][1]] == handler, (method, pattern)
 
 
 def live_node(deadline: int = DEFAULT_CALL_DEADLINE_TICKS

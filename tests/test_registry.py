@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssaas_sim.chassis import ServiceClient, ServiceNode, WiringMode
@@ -164,6 +164,47 @@ def test_store_matches_lease_oracle(ops):
             oracle.sweep(now)
         assert [i.instance_id for i in store.query("S", now=now)] == oracle.live(now)
         assert sorted(i.instance_id for i in store.all_instances()) == sorted(oracle.expiry)
+
+
+@given(st.integers(min_value=1, max_value=12),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                          st.sampled_from(["register", "renew", "deregister", "sweep"]),
+                          st.sampled_from(["S", "T"]), st.sampled_from(["i1", "i2", "i3"])),
+                max_size=60))
+# A register, then a renew, at a tick before the bound: each must lower it.
+@example(1, [(30, "register", "S", "i1"), (0, "sweep", "S", "i1"),
+             (5, "register", "S", "i2"), (10, "sweep", "S", "i2")])
+@example(1, [(30, "register", "S", "i1"), (40, "register", "S", "i2"),
+             (35, "sweep", "S", "i1"), (2, "renew", "S", "i2"), (5, "sweep", "S", "i2")])
+@settings(max_examples=300, deadline=None)
+def test_bounded_sweep_evicts_what_a_full_scan_evicts(ttl, ops):
+    """Each operation runs at its own tick, so ticks also go backwards. A
+    sweep may return before it scans, but it evicts exactly the records a
+    full scan of every lease evicts, in the same order."""
+    store = RegistryStore(LeaseConfig(ttl_ticks=ttl))
+    expiry: dict[tuple[str, str], int] = {}
+    for now, op, service, iid in ops:
+        key = (service, iid)
+        if op == "register":
+            store.register(service, iid, iid, 0, now=now)
+            expiry[key] = now + ttl
+        elif op == "renew":
+            if key in expiry:
+                store.renew(service, iid, now=now)
+                expiry[key] = now + ttl
+            else:
+                with pytest.raises(UnknownInstance):
+                    store.renew(service, iid, now=now)
+        elif op == "deregister":
+            store.deregister(service, iid)
+            expiry.pop(key, None)
+        else:
+            scanned = sorted(key + (due,) for key, due in expiry.items() if due <= now)
+            evicted = store.sweep(now=now)
+            assert [(i.service, i.instance_id, i.lease_expiry) for i in evicted] == scanned
+            expiry = {key: due for key, due in expiry.items() if due > now}
+        assert sorted(store.all_instances()) == sorted(
+            (service, iid, iid, 0, "UP", due) for (service, iid), due in expiry.items())
 
 
 class TestWireApi:

@@ -3,11 +3,13 @@ replaced.
 
 ``ServiceNode.dispatch`` finds routes through an index keyed by method and
 segment count, and ``RouteTable`` probes pre-split prefixes longest first.
-Both remember each path they have resolved. The reference implementations
-below are the plain scans: every route scored by its literal segments, every
-prefix split and compared on each lookup. Both sides must pick the same
-route, bind the same params and rewrite to the same path, whether the memo
-is cold or warm.
+Both remember each path they have resolved; a node's index and memo live in
+a route table shared by every node that registers the same patterns. The
+reference implementations below are the plain scans: every route scored by
+its literal segments, every prefix split and compared on each lookup. Both
+sides must pick the same route, bind the same params and rewrite to the same
+path, whether the memo is cold or warm, and whether the node built its table
+or found it built.
 """
 
 from __future__ import annotations
@@ -141,12 +143,17 @@ class TestServiceNodeIndex:
     @settings(max_examples=200, deadline=None)
     def test_same_route_and_params_as_linear_scan(self, routes, requests):
         ref_routes = [RefRoute(m, p, name) for name, (m, p) in enumerate(routes)]
-        node = routed_node(routes)
-        for method, path in requests:
-            want = ref_dispatch(ref_routes, method, path)
-            # a path's first dispatch fills the memo, the second reads it
-            assert node_dispatch(node, method, path) == want
-            assert node_dispatch(node, method, path) == want
+        chassis._route_table.cache_clear()
+        # Two builds: the first compiles the table cold, the second finds it
+        # compiled, with the memo the first filled.
+        for node in (routed_node(routes), routed_node(routes)):
+            for method, path in requests:
+                want = ref_dispatch(ref_routes, method, path)
+                # a path's first dispatch fills the memo, the second reads it
+                assert node_dispatch(node, method, path) == want
+                assert node_dispatch(node, method, path) == want
+                assert len(node._table[1]) <= ROUTE_MEMO_LIMIT
+        assert chassis._route_table.cache_info().misses == len(routes) + 1
 
     @pytest.mark.parametrize("routes, path, want", [
         # a literal beats a param, in either registration order
@@ -214,7 +221,7 @@ class TestMemoLimit:
         for i in range(ROUTE_MEMO_LIMIT + 300):
             path = f"/t/{i}" if i % 2 else f"/t/{i}/x"
             assert node_dispatch(node, "GET", path) == ref_dispatch(ref_routes, "GET", path)
-            assert len(node._resolved) <= ROUTE_MEMO_LIMIT
+            assert len(node._table[1]) <= ROUTE_MEMO_LIMIT
         # paths seen before the memo was emptied still resolve
         assert node_dispatch(node, "GET", "/t/1") == (0, {"a": "1"})
 
@@ -227,6 +234,7 @@ class TestMemoLimit:
                 path = pattern.replace("{x}", "7")
                 assert node_dispatch(node, "GET", path) == (name, {"x": "7"})
             assert chassis._compile_pattern.cache_info().currsize <= ROUTE_MEMO_LIMIT
+            assert chassis._route_table.cache_info().currsize <= ROUTE_MEMO_LIMIT
 
     def test_table_memo_stays_bounded(self):
         table, rules = build_table([("/api", True), ("/api/dev", False)])

@@ -186,6 +186,21 @@ class TestFaults:
         with pytest.raises(InvalidFaultRule):
             FaultRule(FaultEffect.DELAY, delay_ticks=0)
 
+    @pytest.mark.parametrize("args, kwargs", [
+        (("PARTITON", "a", "b"), {}),  # a misspelt PARTITION
+        (("KILL",), {"node": "b"}),  # KILL_NODE's script action, not its effect
+        (("drop", "a", "b"), {}),
+        (("",), {}),
+    ], ids=["misspelt", "action-name", "lower-case", "empty"])
+    def test_an_effect_fault_effect_does_not_name_is_refused(self, args, kwargs):
+        with pytest.raises(InvalidFaultRule, match="unknown effect"):
+            FaultRule(*args, **kwargs)
+
+    def test_every_fault_effect_makes_a_rule(self):
+        effects = [value for name, value in vars(FaultEffect).items() if name.isupper()]
+        assert len(effects) == 6
+        assert [FaultRule(effect, delay_ticks=1).effect for effect in effects] == effects
+
     def test_heal_restores_traffic(self):
         sim = make_sim("a", "b")
         sim.inject(FaultRule(FaultEffect.DROP, source="a", destination="b"))

@@ -3,10 +3,12 @@
 Wall time on a shared host is noisy, but the number of Python-level calls
 the program makes while it replays a workload is exact: it repeats in any
 process under any hash seed. Each test here counts the calls into
-``src/ssaas_sim`` that ``run_workload`` makes, with a profile hook set and
-restored inside the test, and holds the count at or under its bound. A
-change that makes the program do more per message fails here; one that
-must add calls raises the bound and says why in CHANGES.md.
+``src/ssaas_sim`` that ``run_workload`` makes, or that a warm
+``build_stage`` or an idle stretch of a settled system makes, with a profile
+hook set and restored inside the test, and holds the count at or under its
+bound. A change that makes the program do more per message, per build or
+per idle tick fails here; one that must add calls raises the bound and says
+why in CHANGES.md.
 
 The seed-1 mix-s6 inputs come from the benchmark's generator, loaded
 read-only from ``bench/`` as ``tests/test_bench_workloads.py`` loads it.
@@ -20,7 +22,7 @@ import sys
 import pytest
 
 import ssaas_sim
-from ssaas_sim import migration, workloads
+from ssaas_sim import chassis, migration, workloads
 
 from test_bench_workloads import load
 
@@ -30,14 +32,17 @@ PROGRAM = os.path.dirname(ssaas_sim.__file__) + os.sep
 # (workload, stage) -> the most calls its run may make. Measured with
 # CPython 3.11; an interpreter that inlines comprehensions counts fewer.
 BOUNDS = {
-    ("basic.wl", 0): 1420,
-    ("basic.wl", 6): 10378,
-    ("mix-s6", 6): 105482,
+    ("basic.wl", 0): 1296,
+    ("basic.wl", 6): 9581,
+    ("mix-s6", 6): 102404,
+    # A warm build_stage(6), and 700 idle ticks of a settled stage 6 system.
+    ("build", 6): 606,
+    ("idle-700", 6): 6044,
 }
 
 
-def calls_into_program(handle, lines) -> int:
-    """Python-level calls into the program while ``lines`` run on ``handle``."""
+def calls_into_program(fn, *args) -> int:
+    """Python-level calls into the program while ``fn(*args)`` runs."""
     count = 0
 
     def profile(frame, event, arg) -> None:
@@ -48,17 +53,24 @@ def calls_into_program(handle, lines) -> int:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        migration.run_workload(handle, lines)
+        fn(*args)
     finally:
         sys.setprofile(previous)
     return count
 
 
-def counted(stage: int, lines) -> int:
-    # A first run fills the process-wide caches (compiled route patterns),
-    # so the counted run does not depend on what ran before it.
+def warmed_up(stage: int, lines=()) -> None:
+    """Start the process-wide caches (compiled route patterns and route
+    tables) empty and fill them with one run, so a count does not depend on
+    which tests ran earlier in the process."""
+    chassis._compile_pattern.cache_clear()
+    chassis._route_table.cache_clear()
     migration.run_workload(migration.build_stage(stage, 1), lines)
-    return calls_into_program(migration.build_stage(stage, 1), lines)
+
+
+def counted(stage: int, lines) -> int:
+    warmed_up(stage, lines)
+    return calls_into_program(migration.run_workload, migration.build_stage(stage, 1), lines)
 
 
 @pytest.mark.parametrize("stage", [0, 6])
@@ -71,3 +83,14 @@ def test_generated_mix_stays_within_its_call_count(monkeypatch):
     gen = load(monkeypatch, "gen")
     lines = migration.parse_workload(gen.generate(1, 1500).workload_text())
     assert counted(6, lines) <= BOUNDS[("mix-s6", 6)]
+
+
+def test_a_warm_build_stays_within_its_call_count():
+    warmed_up(6)
+    assert calls_into_program(migration.build_stage, 6, 1) <= BOUNDS[("build", 6)]
+
+
+def test_an_idle_stretch_stays_within_its_call_count():
+    warmed_up(6)
+    sim = migration.build_stage(6, 1).sim
+    assert calls_into_program(sim.advance_to, sim.now + 700) <= BOUNDS[("idle-700", 6)]
