@@ -30,8 +30,8 @@ GATEWAY_NODE = "gateway"
 MONOLITH_NODE = "monolith"
 
 # A route memo (a route table's dispatch memo, a gateway table's resolve memo)
-# is emptied when it holds this many paths, and the compiled patterns and route
-# tables keep the most recently used this many, which bounds their memory.
+# is emptied when it holds this many paths, and each per-process compile cache
+# keeps the most recently used this many, which bounds their memory.
 ROUTE_MEMO_LIMIT = 4096
 
 
@@ -304,21 +304,6 @@ Reply = Callable[[str, Body], None]  # an in-process reply, and every call's on_
 Handler = Callable[[Request], Optional[tuple[str, Body]]]
 
 
-# Every node of every stage registers the same few dozen patterns, so each
-# is compiled once per process.
-@lru_cache(maxsize=ROUTE_MEMO_LIMIT)
-def _compile_pattern(pattern: str) -> tuple[int, tuple, tuple]:
-    """(segment count, literals, params) of a route pattern."""
-    segments = split_path(pattern)
-    literals, params = [], []
-    for i, seg in enumerate(segments):
-        if seg.startswith("{") and seg.endswith("}"):
-            params.append((i, seg[1:-1]))
-        else:
-            literals.append((i, seg))
-    return len(segments), tuple(literals), tuple(params)
-
-
 @lru_cache(maxsize=ROUTE_MEMO_LIMIT)
 def _route_table(patterns: tuple[tuple[str, str], ...]) -> tuple[dict, dict]:
     """(index, memo) of a node's ordered (method, pattern) pairs, shared by
@@ -326,12 +311,20 @@ def _route_table(patterns: tuple[tuple[str, str], ...]) -> tuple[dict, dict]:
     maps (method, segment count) to (literals, params, position) rows, most
     literals first, else in order: the first match is the best. The memo maps
     (method, path) to the (position, params) of each path matched so far."""
-    index: dict[tuple[str, int], list] = {}
+    rows = []
     for position, (method, pattern) in enumerate(patterns):
-        count, literals, params = _compile_pattern(pattern)
-        index.setdefault((method, count), []).append((literals, params, position))
-    for rows in index.values():
-        rows.sort(key=lambda row: -len(row[0]))
+        segments = split_path(pattern)
+        literals, params = [], []
+        for i, seg in enumerate(segments):
+            if seg.startswith("{") and seg.endswith("}"):
+                params.append((i, seg[1:-1]))
+            else:
+                literals.append((i, seg))
+        rows.append((-len(literals), position, (method, len(segments)),
+                     (tuple(literals), tuple(params), position)))
+    index: dict[tuple[str, int], list] = {}
+    for _, _, key, row in sorted(rows):  # most literals first, then by position
+        index.setdefault(key, []).append(row)
     return index, {}
 
 
@@ -351,26 +344,28 @@ class ServiceNode:
         self.config = ConfigView()
         self.client: Optional[ServiceClient] = None
         # The (method, pattern) of each route in registration order, its
-        # handler at the same position, and the shared table they compile to.
+        # handler at the same position, and the shared table they compile to,
+        # looked up at bind() or, after a later route(), at the next dispatch.
         # A request gets a copy of the memo's params, so they never leak.
         self._patterns: tuple[tuple[str, str], ...] = ()
         self._handlers: list[Handler] = []
-        self._table = _route_table(())
+        self._table: Optional[tuple[dict, dict]] = None
 
     def bind(self) -> "ServiceNode":
         self.sim.add_node(self.node_id, self._on_envelope, self._on_timeout)
+        self._table = _route_table(self._patterns)
         return self
 
     def route(self, method: str, pattern: str, handler: Handler) -> None:
         self._patterns += ((method, pattern),)
         self._handlers.append(handler)
-        self._table = _route_table(self._patterns)
+        self._table = None
 
     def host(self, node: "ServiceNode") -> None:
         """Serve ``node``'s routes after this node's own, and lend it this node's client."""
         self._patterns += node._patterns
         self._handlers += node._handlers
-        self._table = _route_table(self._patterns)
+        self._table = None
         node.client = self.client
 
     # -- inbound ---------------------------------------------------------
@@ -389,7 +384,10 @@ class ServiceNode:
 
     def dispatch(self, req: Request) -> None:
         key = (req.method, req.path)
-        index, memo = self._table
+        try:
+            index, memo = self._table  # type: ignore[misc]
+        except TypeError:  # None: a route came after bind(), or there was no bind()
+            index, memo = self._table = _route_table(self._patterns)
         hit = memo.get(key)
         if hit is None:
             parts = split_path(req.path)

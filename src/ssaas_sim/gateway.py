@@ -9,6 +9,7 @@ internal failure detail.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .chassis import (CONFSVC_NODE, GATEWAY_NODE, ROUTE_MEMO_LIMIT, Request, ServiceNode,
@@ -52,9 +53,9 @@ class RouteTable:
 
     Each prefix is split once, when it is added. Lookup probes a dict keyed
     by segment tuples, longest prefix length first; of two prefixes that
-    split alike (``/api`` and ``//api``) the first added wins.
-    :meth:`resolve` remembers each path it has matched until the table
-    changes; a config refresh builds a new table, with nothing remembered.
+    split alike (``/api`` and ``//api``) the first added wins. :meth:`resolve`
+    remembers each path it matched. Tables from the same route entries share
+    one compiled table and memo, per process, until :meth:`add_route` copies.
     """
 
     def __init__(self) -> None:
@@ -66,10 +67,10 @@ class RouteTable:
     def add_route(self, rule: RouteRule) -> None:
         if rule.prefix in self._rules:
             raise DuplicatePrefix(rule.prefix)
-        self._rules[rule.prefix] = rule
-        self._by_segments.setdefault(split_path(rule.prefix), rule)
-        self._lengths = sorted({len(pre) for pre in self._by_segments}, reverse=True)
-        self._resolved.clear()
+        self._rules = {**self._rules, rule.prefix: rule}
+        self._by_segments = {split_path(rule.prefix): rule, **self._by_segments}
+        self._lengths = sorted(set(map(len, self._by_segments)), reverse=True)
+        self._resolved = {}
 
     def match(self, parts: tuple[str, ...]) -> RouteRule | None:
         """Longest rule whose prefix covers whole leading segments of a path
@@ -109,21 +110,31 @@ class RouteTable:
     def from_config_entries(cls, entries: dict[str, str]) -> "RouteTable":
         """Build a table from ``route.N`` config keys, lowest N first.
         Each value is ``prefix|service|strip`` with strip as 0 or 1."""
-        table = cls()
-        keyed: list[tuple[int, str]] = []
-        for key, value in entries.items():
-            if not key.startswith(ROUTE_KEY_PREFIX):
-                continue
-            try:
-                keyed.append((read_int(key[len(ROUTE_KEY_PREFIX):]), value))
-            except ValueError as exc:
-                raise InvalidRoute(f"bad route key: {key}") from exc
-        for _, value in sorted(keyed):
-            parts = value.split("|")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise InvalidRoute(f"bad route value: {value!r}")
-            table.add_route(RouteRule(parts[0], parts[1], parts[2] == "1"))
+        shared = _prefix_table(frozenset(
+            [item for item in entries.items() if item[0].startswith(ROUTE_KEY_PREFIX)]))
+        # A shallow copy with no Python call; vars() would slow its attribute loads.
+        table = cls.__new__(cls)
+        table._rules, table._by_segments = shared._rules, shared._by_segments
+        table._lengths, table._resolved = shared._lengths, shared._resolved
         return table
+
+
+@lru_cache(maxsize=ROUTE_MEMO_LIMIT)
+def _prefix_table(routes: frozenset[tuple[str, str]]) -> RouteTable:
+    """The one table of a set of ``route.N`` entries; every table built from them copies it."""
+    table = RouteTable()
+    keyed: list[tuple[int, str]] = []
+    for key, value in routes:
+        try:
+            keyed.append((read_int(key[len(ROUTE_KEY_PREFIX):]), value))
+        except ValueError as exc:
+            raise InvalidRoute(f"bad route key: {key}") from exc
+    for _, value in sorted(keyed):
+        parts = value.split("|")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise InvalidRoute(f"bad route value: {value!r}")
+        table.add_route(RouteRule(parts[0], parts[1], parts[2] == "1"))
+    return table
 
 
 class Gateway(ServiceNode):

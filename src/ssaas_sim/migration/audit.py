@@ -12,14 +12,14 @@ audit is not applicable there.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from ..chassis import split_path
+from ..chassis import ROUTE_MEMO_LIMIT, split_path
 from ..simwire import DELIVERED, REQUEST, MessageRecord, WireTrace
 from .stages import STAGES
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
-_UNSEEN = object()
 
 ENTITY_DEVELOPER = "Developer"
 ENTITY_PROJECT_SCHEMA = "ProjectSchema"
@@ -71,6 +71,13 @@ def expected_owner(entity: str, stage: int) -> str:
     raise ValueError(f"unknown entity: {entity}")
 
 
+@lru_cache(maxsize=ROUTE_MEMO_LIMIT)
+def _write_class(path: str, stage: int) -> Optional[tuple[str, str]]:
+    """(entity, owner) of a write to ``path`` at ``stage``, fixed by STAGES, or None."""
+    entity = classify_write(path, stage)
+    return None if entity is None else (entity, expected_owner(entity, stage))
+
+
 class Violation(NamedTuple):
     tick: int
     message_id: int
@@ -118,19 +125,11 @@ def audit_ownership(records: Iterable[MessageRecord], stage: int,
         return AuditReport(stage, AUDIT_NOT_APPLICABLE, 0, [])
     writes = 0
     violations: list[Violation] = []
-    # path -> (entity, owner), or None for a path that carries no entity.
-    owners: dict[str, Optional[tuple[str, str]]] = {}
     rows = records.rows() if isinstance(records, WireTrace) else records
     for tick, message_id, source, destination, kind, method, path, status in rows:
-        if kind != REQUEST or status != DELIVERED:
+        if kind != REQUEST or status != DELIVERED or method not in WRITE_METHODS:
             continue
-        if method not in WRITE_METHODS:
-            continue
-        hit = owners.get(path, _UNSEEN)
-        if hit is _UNSEEN:
-            entity = classify_write(path, stage)
-            hit = owners[path] = \
-                None if entity is None else (entity, expected_owner(entity, stage))
+        hit = _write_class(path, stage)
         if hit is None:
             continue
         writes += 1

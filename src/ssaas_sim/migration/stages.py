@@ -139,26 +139,28 @@ class SystemHandle:
 
     def start(self, nodes: list[ServiceNode]) -> None:
         """Start built nodes in three phases, each over every node before the
-        next: (1) bind, wire the clients of app nodes and the gateway, and
-        have a revive reset the client of every node but a workload client,
-        whose calls must each end in an answer; (2) subscribe those to the
-        configuration server and pull their config; (3) register the app
-        nodes and arm each node's own loops. Settle traffic shows the order:
-        every config pull in node order, then every registration."""
+        next: (1) subscribe app nodes and the gateway to the configuration
+        server, which adds their last route, and bind every node, which
+        compiles its routes; wire the clients of those, and have a revive
+        reset the client of every node but a workload client, whose calls
+        must each end in an answer; (2) pull their config; (3) register the
+        app nodes and arm each node's own loops. Settle traffic shows the
+        order: every config pull in node order, then every registration."""
         topo = STAGES[self.stage]
         callers = (*topo.services, GATEWAY_SERVICE)
         direct = self.direct_map() if topo.wiring == WiringMode.DIRECT_WIRE else {}
+        confsvc, registry = self.confsvc, self.registry
         for node in nodes:
+            if confsvc is not None and node.service in callers:
+                confsvc.subscribe(node)
             node.bind()
             self.nodes[node.node_id] = node
             if node.service in callers:
                 ServiceClient(node, topo.wiring).direct.update(direct)
             if node.client is not None and node.service != CLIENT_SERVICE:
                 self.sim.on_revive(node.node_id, node.client.reset)
-        confsvc, registry = self.confsvc, self.registry
         for node in nodes:
             if confsvc is not None and node.service in callers:
-                confsvc.subscribe(node)
                 node.pull_config()
         for node in nodes:
             if registry is not None and (node.service in topo.services or node is registry):

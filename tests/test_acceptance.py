@@ -32,6 +32,8 @@ from ssaas_sim.simwire import (DELIVERED, FAILED, REQUEST, Envelope, FaultEffect
 from ssaas_sim.ssaas.stores import UnknownProject
 from ssaas_sim.workloads import load_text
 
+from test_reservation_invariant import assert_reservations_held
+
 
 # -- 1. circuit breaker vs. brute-force state machine -------------------------
 
@@ -452,6 +454,7 @@ def test_no_reservation_outlives_its_flow():
         faults=parse_fault_script("15 delay resourcemanager-1 developerservices-1 8\n"))
     assert entries[1].status == "503"
     assert handle.stores.pool.active_reservations() == []
+    assert_reservations_held(handle.stores)
 
 
 def test_a_release_that_overtakes_its_reserve_still_undoes_it():
@@ -474,6 +477,7 @@ def test_a_release_that_overtakes_its_reserve_still_undoes_it():
                 and r.path == "/resources/reservations"]
     assert answer.status == "409"  # ReleasedOwner
     assert handle.stores.pool.active_reservations() == []
+    assert_reservations_held(handle.stores)
 
 
 PROVISION = ANN + '100|client|POST|/api/projects|{"name":"p","owner_developer_id":1}\n'
@@ -506,6 +510,7 @@ def test_a_failed_provision_leaves_no_project(faults):
     with pytest.raises(UnknownProject):
         handle.stores.schemas.get(1)
     assert handle.stores.pool.active_reservations() == []
+    assert_reservations_held(handle.stores)
 
 
 def test_a_delete_that_overtakes_its_create_still_undoes_it():
@@ -529,6 +534,7 @@ def test_a_delete_that_overtakes_its_create_still_undoes_it():
     with pytest.raises(UnknownProject):
         handle.stores.schemas.get(1)
     assert handle.stores.pool.active_reservations() == []
+    assert_reservations_held(handle.stores)
 
 
 def test_two_chats_of_one_developer_reserve_under_distinct_keys():
@@ -545,3 +551,4 @@ def test_two_chats_of_one_developer_reserve_under_distinct_keys():
     releases = [r.path for r in handle.sim.records
                 if r.method == "DELETE" and r.kind == REQUEST]
     assert len(releases) == 1 and not releases[0].endswith("/" + kept.owner)
+    assert_reservations_held(handle.stores)

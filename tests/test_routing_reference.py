@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from ssaas_sim import chassis
 from ssaas_sim.chassis import ROUTE_MEMO_LIMIT, Request, ServiceNode, split_path
-from ssaas_sim.gateway import DuplicatePrefix, InvalidRoute, RouteRule, RouteTable
+from ssaas_sim.gateway import DuplicatePrefix, Gateway, InvalidRoute, RouteRule, RouteTable
 from ssaas_sim.simwire import Simulator
 
 
@@ -127,6 +127,23 @@ def build_table(prefixes: list[tuple[str, bool]]):
     return table, rules
 
 
+def config_of(prefixes: list[tuple[str, bool]]):
+    """The ``route.N`` entries of the prefixes that :func:`build_table` keeps,
+    the private table it builds route by route, and its rules."""
+    table, rules = build_table(prefixes)
+    entries = {f"route.{n}": f"{rule.prefix}|{rule.service}|{int(rule.strip)}"
+               for n, rule in enumerate(rules, start=1)}
+    return entries, table, rules
+
+
+def push(gateway: Gateway, version: int, entries: dict[str, str]) -> None:
+    """Apply a config document to ``gateway`` as a push from confsvc does.
+    Like any gateway's, it holds more than its routes."""
+    assert gateway._apply_config({"service": "Gateway", "profile": "default",
+                                  "version": [version, 0],
+                                  "entries": {"breaker.threshold": "5", **entries}})
+
+
 METHODS = st.sampled_from(["GET", "POST"])
 ROUTE_SEGMENT = st.sampled_from(["a", "b", "c", "{x}", "{y}"])
 PATH_SEGMENT = st.sampled_from(["a", "b", "c", "d", ""])
@@ -153,7 +170,9 @@ class TestServiceNodeIndex:
                 assert node_dispatch(node, method, path) == want
                 assert node_dispatch(node, method, path) == want
                 assert len(node._table[1]) <= ROUTE_MEMO_LIMIT
-        assert chassis._route_table.cache_info().misses == len(routes) + 1
+        # One compile for the one pattern list, at the first build's first
+        # dispatch: a node looks its table up once its routes are in.
+        assert chassis._route_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("routes, path, want", [
         # a literal beats a param, in either registration order
@@ -233,7 +252,6 @@ class TestMemoLimit:
             for name, (_, pattern) in enumerate(routes):
                 path = pattern.replace("{x}", "7")
                 assert node_dispatch(node, "GET", path) == (name, {"x": "7"})
-            assert chassis._compile_pattern.cache_info().currsize <= ROUTE_MEMO_LIMIT
             assert chassis._route_table.cache_info().currsize <= ROUTE_MEMO_LIMIT
 
     def test_table_memo_stays_bounded(self):
@@ -243,3 +261,67 @@ class TestMemoLimit:
             assert table_resolve(table, path) == ref_resolve(rules, path)
             assert len(table._resolved) <= ROUTE_MEMO_LIMIT
         assert table_resolve(table, "/api/1") == ("/api", "/api/1")
+
+
+PREFIX_RULE = st.tuples(joined(PREFIX_SEGMENT, 3), st.booleans())
+TABLE_PATHS = st.lists(joined(st.sampled_from(["api", "dev", "x", "y", ""]), 4),
+                       min_size=1, max_size=8)
+
+
+class TestSharedPrefixTables:
+    """Every table built from one set of route entries (a client router, and
+    a gateway in each of two builds) shares one compiled table and resolve
+    memo. Each still answers as a private table built route by route, and an
+    add_route or a config push on one leaves the others' answers alone."""
+
+    @given(st.lists(PREFIX_RULE, max_size=6), PREFIX_RULE, st.lists(PREFIX_RULE, max_size=6),
+           TABLE_PATHS)
+    @settings(max_examples=200, deadline=None)
+    def test_shared_tables_answer_as_private_ones(self, prefixes, extra, pushed, paths):
+        entries, private, rules = config_of(prefixes)
+        want = [table_resolve(private, path) for path in paths]
+        assert want == [ref_resolve(rules, path) for path in paths]
+
+        def answers(table: RouteTable) -> list:
+            got = [table_resolve(table, path) for path in paths]
+            assert len(table._resolved) <= ROUTE_MEMO_LIMIT
+            return got
+
+        router = RouteTable.from_config_entries(entries)
+        gateways = [Gateway(Simulator()), Gateway(Simulator())]
+        for gateway in gateways:
+            push(gateway, 1, entries)
+        assert router._resolved is gateways[0].table._resolved is gateways[1].table._resolved
+        assert answers(router) == answers(gateways[0].table) == answers(gateways[1].table) == want
+
+        # An add_route on the router: it alone answers as a private table grown alike.
+        grown = config_of(prefixes)[1]
+        try:
+            rule = RouteRule(extra[0], "extra", extra[1])
+            grown.add_route(rule)
+        except (InvalidRoute, DuplicatePrefix):
+            rule = None
+        if rule is not None:
+            router.add_route(rule)
+        grown_answers = answers(grown)
+        assert answers(router) == grown_answers
+        assert answers(gateways[0].table) == answers(gateways[1].table) == want
+        assert answers(RouteTable.from_config_entries(entries)) == want
+
+        # A config push that rebuilds the first gateway's table moves only it.
+        pushed_entries, pushed_private, _ = config_of(pushed)
+        push(gateways[0], 2, pushed_entries)
+        assert answers(gateways[0].table) == answers(pushed_private)
+        assert answers(gateways[1].table) == want
+        assert answers(router) == grown_answers
+
+    def test_a_shared_memo_stays_bounded(self):
+        entries, _, rules = config_of([("/api", True), ("/api/dev", False)])
+        tables = [RouteTable.from_config_entries(entries) for _ in range(2)]
+        for i in range(ROUTE_MEMO_LIMIT + 300):
+            path = f"/api/{i}" if i % 2 else f"/api/dev/{i}"
+            table = tables[i % 2]
+            assert table_resolve(table, path) == ref_resolve(rules, path)
+            assert len(table._resolved) <= ROUTE_MEMO_LIMIT
+        assert tables[0]._resolved is tables[1]._resolved
+        assert table_resolve(tables[1], "/api/1") == ("/api", "/api/1")
