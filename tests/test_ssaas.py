@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ssaas_sim.chassis import Request, ServiceClient, ServiceNode, WiringMode
 from ssaas_sim.confsvc import ConfigServer
-from ssaas_sim.simwire import Body, FaultEffect, FaultRule, Simulator
+from ssaas_sim.simwire import Body, Envelope, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas.services import (ChatServices, ContentServices, DeveloperData,
                                      DeveloperInfoServices, DeveloperServices, Monolith,
                                      ResourceManager, forward, policy_rng, validate_values)
@@ -310,6 +310,126 @@ class TestForward:
     def test_success_lacking_fields_runs_undo_then_503(self):
         assert self._forward("/ok", fields=("a", "b")) == [
             "undo", ("503", {"error": "UpstreamUnavailable"})]
+
+
+# -- the compensation matrix of both sagas ---------------------------------------
+
+REFUSED = ("409", {"error": "Refused"})
+DOWN = ("503", {"error": "UpstreamUnavailable"})  # also what a deadline answers
+BARE = ("200", {})  # a success lacking every field
+OUTCOMES = {"refused": REFUSED, "5xx": DOWN, "bare": BARE}
+RESERVATION = {"reservation_id": 3, "server_id": "ora-a", "database_name": "db-3"}
+
+
+class LoggedChats(ChatStore):
+    """A chat store that logs the saga's local create and its undo."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self.log = log
+
+    def create(self, developer_id: int, reservation_id: int):
+        self.log.append(("chats.create", reservation_id))
+        return super().create(developer_id, reservation_id)
+
+    def remove(self, chat_id: int) -> None:
+        self.log.append(("chats.remove", chat_id))
+        super().remove(chat_id)
+
+
+def stub_handler(log: list, answer: tuple[str, Body]):
+    def handle(req: Request) -> tuple[str, Body]:
+        log.append((req.method, req.path))
+        return answer
+    return handle
+
+
+def run_saga(saga: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> list:
+    """The log of one saga, run in process against stub upstreams: every
+    upstream call, the chat store's create and remove, and the reply last.
+    The upstream route ``fail`` answers ``outcome``; every other succeeds."""
+    sim = Simulator()
+    caller = ServiceNode(sim, "caller", "Caller")
+    ServiceClient(caller, WiringMode.LIBRARY_CALL)
+    log: list = []
+    if saga == "provision":
+        node, prefix = DeveloperServices(sim, "ds"), "/schema/developers"
+        path, body = "/projects", {"name": "blog", "owner_developer_id": 1}
+    else:
+        node, prefix = ChatServices(sim, "chat", LoggedChats(log)), "/developers"
+        path, body = "/chat", {"developer_id": 1}
+    stub = ServiceNode(sim, "stub", "Stub")
+    for route, ok in {("GET", prefix + "/{did}"): {"developer_id": 1},
+                      ("POST", "/resources/reservations"): RESERVATION,
+                      ("POST", "/schema/projects"): {"project_id": 4},
+                      ("POST", prefix + "/{did}/kinds"): {"developer_id": 1},
+                      ("DELETE", "/schema/projects/keys/{key}"): {},
+                      ("DELETE", "/resources/reservations/{owner}"): {}}.items():
+        stub.route(*route, stub_handler(log, outcome if route == fail else ("200", ok)))
+    caller.host(node)
+    caller.host(stub)
+    env = Envelope("ext", "caller", "REQUEST", path, "POST", body=body)
+    env.message_id = 7  # the saga's key
+    caller.dispatch(Request("POST", path, body, env=env,
+                            _reply=lambda status, reply: log.append((status, reply))))
+    return log
+
+
+DEV_GET, RESERVE, PERSIST, TAG, RELEASE, UNPERSIST = (
+    ("GET", "/schema/developers/1"), ("POST", "/resources/reservations"),
+    ("POST", "/schema/projects"), ("POST", "/schema/developers/1/kinds"),
+    ("DELETE", "/resources/reservations/project:7"),
+    ("DELETE", "/schema/projects/keys/project:7"))
+PROVISION_STEPS = (DEV_GET, RESERVE, PERSIST, TAG)
+PROVISIONED = ("200", {"project_id": 4, "reservation_id": 3, "database_name": "db-3",
+                       "server_id": "ora-a"})
+
+CHAT_DEV_GET, CHAT_TAG, CHAT_RELEASE, CREATE, REMOVE = (
+    ("GET", "/developers/1"), ("POST", "/developers/1/kinds"),
+    ("DELETE", "/resources/reservations/chat:7"), ("chats.create", 3), ("chats.remove", 1))
+CHAT_STEPS = (CHAT_DEV_GET, RESERVE, CREATE, CHAT_TAG)
+CHATTED = ("200", {"chat_id": 1, "developer_id": 1, "reservation_id": 3, "status": "ACTIVE"})
+
+# (saga, step, outcome) -> the compensations, in order, or None when the
+# saga still succeeds (a step with no required fields takes a bare 200).
+COMPENSATIONS = {
+    ("provision", DEV_GET, "refused"): [],
+    ("provision", DEV_GET, "5xx"): [],
+    ("provision", DEV_GET, "bare"): None,
+    ("provision", RESERVE, "refused"): [],
+    ("provision", RESERVE, "5xx"): [RELEASE],
+    ("provision", RESERVE, "bare"): [RELEASE],
+    ("provision", PERSIST, "refused"): [UNPERSIST, RELEASE],
+    ("provision", PERSIST, "5xx"): [UNPERSIST, RELEASE],
+    ("provision", PERSIST, "bare"): [UNPERSIST, RELEASE],
+    ("provision", TAG, "refused"): [UNPERSIST, RELEASE],
+    ("provision", TAG, "5xx"): [UNPERSIST, RELEASE],
+    ("provision", TAG, "bare"): None,
+    ("chat", CHAT_DEV_GET, "refused"): [],
+    ("chat", CHAT_DEV_GET, "5xx"): [],
+    ("chat", CHAT_DEV_GET, "bare"): None,
+    ("chat", RESERVE, "refused"): [],
+    ("chat", RESERVE, "5xx"): [CHAT_RELEASE],
+    ("chat", RESERVE, "bare"): [CHAT_RELEASE],
+    ("chat", CHAT_TAG, "refused"): [REMOVE, CHAT_RELEASE],
+    ("chat", CHAT_TAG, "5xx"): [REMOVE, CHAT_RELEASE],
+    ("chat", CHAT_TAG, "bare"): None,
+}
+
+
+@pytest.mark.parametrize("saga, step, outcome", COMPENSATIONS,
+                         ids=[f"{saga}-{' '.join(step)}-{outcome}"
+                              for saga, step, outcome in COMPENSATIONS])
+def test_a_failed_step_compensates_in_reverse_before_the_reply(saga, step, outcome):
+    route = (step[0], step[1].replace("/1", "/{did}"))
+    log = run_saga(saga, route, OUTCOMES[outcome])
+    steps = PROVISION_STEPS if saga == "provision" else CHAT_STEPS
+    compensations = COMPENSATIONS[(saga, step, outcome)]
+    if compensations is None:
+        assert log == [*steps, PROVISIONED if saga == "provision" else CHATTED]
+    else:
+        answer = DOWN if outcome == "bare" else OUTCOMES[outcome]
+        assert log == [*steps[:steps.index(step) + 1], *compensations, answer]
 
 
 # -- service flows -------------------------------------------------------------
