@@ -9,15 +9,17 @@ and the service name owning resource reservations.
 A handler refuses a request by raising a chassis :class:`Refusal`: a
 store's domain error, a :class:`DecodeError`, or a plain 400 ``Malformed``
 for a bad argument. :meth:`ServiceNode.dispatch` answers it with the
-refusal's status and body, and so does :func:`forward` for one raised in a
-continuation that runs after an upstream call. :func:`forward` passes an
-upstream call's (status, body) on as it is, or a 2xx body to the next step.
+refusal's status and body, and so does :func:`saga` for one raised after an
+upstream call. :func:`forward` relays one upstream call's (status, body) as
+it is. :func:`saga` runs a long flow, a table of steps, and holds the one
+rule for what a failure undoes.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..chassis import (
     MONOLITH_NODE,
@@ -67,41 +69,64 @@ def _str_arg(raw: object) -> str:
 
 
 def forward(node: ServiceNode, req: Request, service: str, method: str, path: str,
-            body: Body = None, then: Optional[Callable[[Any], None]] = None,
-            fields: tuple[str, ...] = (), undo: Optional[Callable[[], None]] = None,
-            if_unknown: bool = False) -> None:
-    """Make one upstream call, one step of the flow that answers ``req``.
+            body: Body) -> None:
+    """Answer ``req`` with the outcome of one upstream call, as it is."""
+    node.client.call(service, method, path, body,
+                     on_result=lambda status, rbody: relay_result(req, status, rbody))
 
-    Without ``then`` the upstream's outcome is relayed as it is. With it, a
-    success's body goes to ``then``, decoded to ``fields`` first when given,
-    and a :class:`Refusal` that ``then`` raises is answered with its own
-    status and body, as :meth:`ServiceNode.dispatch` answers a handler's.
-    A failure, or a success lacking ``fields``, runs ``undo`` and is then
-    answered, so a compensating call goes out before the reply does. With
-    ``if_unknown``, ``undo`` compensates this call's own effect, so a refusal
-    (4xx), which had none, skips it: only a 5xx runs it, the deadline's too.
+
+def saga(node: ServiceNode, req: Request, steps: tuple[tuple, ...],
+         finish: Callable[..., Body]) -> None:
+    """Answer ``req`` by running ``steps`` in order: one saga.
+
+    A step is ``(service, method, path, body, fields, undo)``: an upstream
+    call, whose success is decoded to ``fields`` when given, and ``undo``
+    the call ``(service, method, path)`` that compensates it. A step with no
+    service runs locally: its result is ``method(*results)`` over the
+    results so far, and its ``undo`` a function of that result. The first
+    step is a call. After the last step, ``req`` is answered 200 with
+    ``finish(*results)``.
+
+    A failed call or a success lacking its fields fails the saga, and so
+    does a :class:`Refusal` that a local step or ``finish`` raises, which is
+    answered with its own status and body. The undo of every completed step
+    runs, last first, and only then is the failure answered, so every
+    compensating call goes out before the reply does. A 5xx (the deadline's
+    too) leaves the failed call's outcome unknown, so its own undo runs
+    first; a refusal (4xx) made nothing, so it does not.
     """
-    def done(status: str, rbody: Body) -> None:
-        if then is not None and status.startswith("2"):
+    results: list = []
+
+    def done(status: str, body: Body) -> None:
+        answer = relay_result  # a failed call's outcome is relayed as it is
+        if status.startswith("2"):
+            fields = steps[len(results)][4]
             try:
-                out = decode_tolerant(rbody, fields) if fields else rbody
-            except DecodeError:  # as good as unreachable
-                status, rbody = "503", {"error": "UpstreamUnavailable"}
+                results.append(decode_tolerant(body, fields) if fields else body)
+            except DecodeError:
+                status, body = "503", {"error": "UpstreamUnavailable"}
             else:
                 try:
-                    then(out)
-                except Refusal as exc:
-                    req.reply(exc.status, exc.body())
-                return
-        if undo is not None and not (if_unknown and status.startswith("4")):
-            undo()
-        relay_result(req, status, rbody)
+                    while len(results) < len(steps):
+                        step = steps[len(results)]
+                        if step[0] is not None:
+                            node.client.call(*step[:4], on_result=done)
+                            return
+                        results.append(step[1](*results))
+                    req.reply("200", finish(*results))
+                    return
+                except Refusal as exc:  # answered as dispatch answers a handler's
+                    status, body, answer = exc.status, exc.body(), Request.reply
+        if not status.startswith("4") and steps[len(results)][5] is not None:
+            node.client.call(*steps[len(results)][5])  # its outcome is unknown
+        for (service, _, _, _, _, undo), out in reversed(list(zip(steps, results))):
+            if service is None and undo is not None:
+                undo(out)
+            elif undo is not None:
+                node.client.call(*undo)
+        answer(req, status, body)
 
-    node.client.call(service, method, path, body, on_result=done)
-
-
-def _release(node: ServiceNode, resources_service: str, owner: str) -> None:
-    node.client.call(resources_service, "DELETE", f"/resources/reservations/{owner}")
+    node.client.call(*steps[0][:4], on_result=done)
 
 
 def mount_developer_entity(node: ServiceNode, store: DeveloperStore, prefix: str) -> None:
@@ -223,13 +248,12 @@ class DeveloperInfoServices(ServiceNode):
 class DeveloperServices(ServiceNode):
     """Use-case service for developer accounts and project provisioning.
 
-    Provisioning a project is the long flow: refuse an empty name, validate
-    the developer, reserve an ORACLE database, persist the schema, tag the
-    developer with the RDBMS kind. The reservation and the project are made
-    under one key unique to the request, its message id. A reserve whose
-    outcome is unknown releases by that key before the error goes back out;
-    a failed persist or tag first deletes the project made under the key,
-    then releases.
+    Provisioning a project is a :func:`saga`: refuse an empty name, then
+    validate the developer, reserve an ORACLE database, persist the schema,
+    and tag the developer with the RDBMS kind. The reservation and the
+    project are made under one key unique to the request, its message id,
+    and a failure undoes each by that key: the project by a delete, then
+    the reservation by a release.
     """
 
     def __init__(self, sim: Simulator, node_id: str,
@@ -267,36 +291,19 @@ class DeveloperServices(ServiceNode):
         if not name:  # the schema store would refuse it, after the reservation
             raise Refusal("project name required")
         dev_svc, dev_prefix = self.dev_entity
-        key = f"project:{req.env.message_id}"
-
-        def release() -> None:
-            _release(self, self.resources_service, key)
-
-        def unpersist() -> None:
-            self.client.call("DeveloperData", "DELETE", f"/schema/projects/keys/{key}")
-            release()
-
-        def reserve(_: Body) -> None:
-            forward(self, req, self.resources_service, "POST", "/resources/reservations",
-                    {"flavor": ServerFlavor.ORACLE, "owner": key}, then=persist,
-                    fields=("reservation_id", "server_id", "database_name"),
-                    undo=release, if_unknown=True)
-
-        def persist(res: dict) -> None:
-            def tag(proj: dict) -> None:
-                forward(self, req, dev_svc, "POST", f"{dev_prefix}/{owner}/kinds",
-                        {"kind": KIND_RDBMS}, undo=unpersist,
-                        then=lambda _: req.reply("200", {
-                            "project_id": proj["project_id"],
-                            "reservation_id": res["reservation_id"],
-                            "database_name": res["database_name"],
-                            "server_id": res["server_id"]}))
-
-            forward(self, req, "DeveloperData", "POST", "/schema/projects",
-                    {"name": name, "owner_developer_id": owner, "key": key},
-                    then=tag, fields=("project_id",), undo=unpersist)
-
-        forward(self, req, dev_svc, "GET", f"{dev_prefix}/{owner}", then=reserve)
+        rm, key = self.resources_service, f"project:{req.env.message_id}"
+        saga(self, req, (
+            (dev_svc, "GET", f"{dev_prefix}/{owner}", None, (), None),
+            (rm, "POST", "/resources/reservations", {"flavor": ServerFlavor.ORACLE, "owner": key},
+             ("reservation_id", "server_id", "database_name"),
+             (rm, "DELETE", f"/resources/reservations/{key}")),
+            ("DeveloperData", "POST", "/schema/projects",
+             {"name": name, "owner_developer_id": owner, "key": key}, ("project_id",),
+             ("DeveloperData", "DELETE", f"/schema/projects/keys/{key}")),
+            (dev_svc, "POST", f"{dev_prefix}/{owner}/kinds", {"kind": KIND_RDBMS}, (), None),
+        ), lambda dev, res, proj, tagged: {
+            "project_id": proj["project_id"], "reservation_id": res["reservation_id"],
+            "database_name": res["database_name"], "server_id": res["server_id"]})
 
 
 class ContentServices(ServiceNode):
@@ -319,43 +326,45 @@ class ContentServices(ServiceNode):
         self.route("PUT", "/content/{pid}/{table}/{rid}", self._update)
         self.route("DELETE", "/content/{pid}/{table}/{rid}", self._delete)
 
-    def _with_schema(self, req: Request, pid: int, fn: Callable[[dict], None]) -> None:
+    def _with_schema(self, req: Request, pid: int, fn: Callable[[dict], Body]) -> None:
+        """Answer ``req`` 200 with ``fn`` of project ``pid``'s schema."""
         cached = self._schema_cache.get(pid)
         if cached is not None and self.sim.now - cached[0] < SCHEMA_CACHE_TTL_TICKS:
-            fn(cached[1])
+            req.reply("200", fn(cached[1]))
             return
+        saga(self, req, (("DeveloperData", "GET", f"/schema/projects/{pid}", None, (), None),),
+             partial(self._fetched, pid, fn))
 
-        def got(schema: Body) -> None:
-            self._schema_cache[pid] = (self.sim.now, schema)
-            fn(schema)
+    def _fetched(self, pid: int, fn: Callable[[dict], Body], schema: Body) -> Body:
+        """A fetch's finish: cache ``schema`` for ``pid``, then apply ``fn``."""
+        self._schema_cache[pid] = (self.sim.now, schema)
+        return fn(schema)
 
-        forward(self, req, "DeveloperData", "GET", f"/schema/projects/{pid}", then=got)
-
-    def _checked_write(self, req: Request, apply: Callable[[int, str, dict], tuple[str, Body]]) -> None:
+    def _checked_write(self, req: Request, apply: Callable[[int, str, dict], Body]) -> None:
         pid = _int_arg(req.params["pid"])
         values = decode_tolerant(req.body, ["values"])["values"]
         table = req.params["table"]
 
-        def validated(schema_body: dict) -> None:
+        def validated(schema_body: dict) -> Body:
             tables = schema_body.get("tables", {}) if isinstance(schema_body, dict) else {}
             if table not in tables:
                 raise UnknownTable(table)
             validate_values(tables[table], values)
-            req.reply(*apply(pid, table, values))
+            return apply(pid, table, values)
 
         self._with_schema(req, pid, validated)
 
     def _insert(self, req: Request) -> None:
         def apply(pid: int, table: str, values: dict):
             rid = self.content.insert(pid, table, values)
-            return "200", {"record_id": rid}
+            return {"record_id": rid}
         self._checked_write(req, apply)
 
     def _update(self, req: Request) -> None:
         def apply(pid: int, table: str, values: dict):
             rid = _int_arg(req.params["rid"])
             self.content.update(pid, table, rid, values)
-            return "200", {"record_id": rid, "values": dict(values)}
+            return {"record_id": rid, "values": dict(values)}
         self._checked_write(req, apply)
 
     def _get(self, req: Request):
@@ -389,27 +398,15 @@ class ChatServices(ServiceNode):
         developer_id = _int_arg(doc["developer_id"])
         dev_svc, dev_prefix = DEV_ENTITY_SERVICE
         key = f"chat:{req.env.message_id}"  # the owner key, as in provisioning
-
-        def release() -> None:
-            _release(self, "ResourceManager", key)
-
-        def reserve(_: Body) -> None:
-            forward(self, req, "ResourceManager", "POST", "/resources/reservations",
-                    {"flavor": ServerFlavor.MYSQL, "owner": key}, then=tag,
-                    fields=("reservation_id",), undo=release, if_unknown=True)
-
-        def tag(res: dict) -> None:
-            inst = self.chats.create(developer_id, res["reservation_id"])
-
-            def undo() -> None:
-                self.chats.remove(inst.chat_id)
-                release()
-
-            forward(self, req, dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds",
-                    {"kind": KIND_CHAT}, undo=undo,
-                    then=lambda _: req.reply("200", inst.to_body()))
-
-        forward(self, req, dev_svc, "GET", f"{dev_prefix}/{developer_id}", then=reserve)
+        saga(self, req, (
+            (dev_svc, "GET", f"{dev_prefix}/{developer_id}", None, (), None),
+            ("ResourceManager", "POST", "/resources/reservations",
+             {"flavor": ServerFlavor.MYSQL, "owner": key}, ("reservation_id",),
+             ("ResourceManager", "DELETE", f"/resources/reservations/{key}")),
+            (None, lambda dev, res: self.chats.create(developer_id, res["reservation_id"]),
+             None, None, (), lambda inst: self.chats.remove(inst.chat_id)),
+            (dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds", {"kind": KIND_CHAT}, (), None),
+        ), lambda dev, res, inst, tagged: inst.to_body())
 
     def _get(self, req: Request):
         return "200", self.chats.get(_int_arg(req.params["cid"])).to_body()

@@ -14,7 +14,8 @@ from ssaas_sim.confsvc import ConfigServer
 from ssaas_sim.simwire import Body, Envelope, FaultEffect, FaultRule, Simulator
 from ssaas_sim.ssaas.services import (ChatServices, ContentServices, DeveloperData,
                                      DeveloperInfoServices, DeveloperServices, Monolith,
-                                     ResourceManager, forward, policy_rng, validate_values)
+                                     ResourceManager, forward, policy_rng, saga,
+                                     validate_values)
 from ssaas_sim.ssaas.stores import (ChatStore, ContentStore, DeveloperStore, DomainError,
                                    DuplicateColumn, DuplicateServer, DuplicateTable,
                                    MalformedColumn, MalformedDeveloper, ReleasedOwner,
@@ -268,14 +269,20 @@ class TestContentStore:
             store.get(2, "posts", rid)
 
 
-# -- one upstream step ----------------------------------------------------------
+# -- one upstream step, and a saga of them --------------------------------------
 
-class TestForward:
-    """``forward`` over an in-process upstream: each outcome, and ``undo``
-    always before the answer."""
+def step(path: str, name: str, fields: tuple[str, ...] = ()) -> tuple:
+    """A saga step that GETs ``path`` from Up; its undo DELETEs ``/undo/{name}``."""
+    return ("Up", "GET", path, None, fields, ("Up", "DELETE", f"/undo/{name}"))
 
-    def _forward(self, path, steps=True, fields=()):
-        """The log of one step: what ``then`` got, ``undo``, and the reply."""
+
+class TestSaga:
+    """``forward`` and ``saga`` over an in-process upstream: each outcome,
+    and every undo before the answer."""
+
+    def _log(self, *steps, path=None, finish=None):
+        """The log of ``forward`` to ``path``, or of a saga over ``steps``:
+        what ``finish`` got, each undo, and the reply."""
         sim = Simulator()
         caller = ServiceNode(sim, "caller", "Caller")
         ServiceClient(caller, WiringMode.LIBRARY_CALL)
@@ -284,32 +291,75 @@ class TestForward:
         upstream.route("GET", "/missing", lambda req: ("404", {"error": "Nope"}))
         # What a client answers for an upstream it could not reach.
         upstream.route("GET", "/down", lambda req: ("503", {"error": "UpstreamUnavailable"}))
-        caller.host(upstream)
         log: list = []
+        upstream.route("DELETE", "/undo/{name}", lambda req: (
+            log.append(("undo", req.params["name"])), ("200", {}))[1])
+        caller.host(upstream)
         req = Request("GET", "/x", None, _reply=lambda s, b: log.append((s, b)))
-        kw = {"then": lambda body: log.append(("then", body)),
-              "undo": lambda: log.append("undo")} if steps else {}
-        forward(caller, req, "Up", "GET", path, fields=fields, **kw)
+        if path is not None:
+            forward(caller, req, "Up", "GET", path, None)
+        else:
+            saga(caller, req, steps, finish or (lambda *results: (
+                log.append(("finish", results)), {"steps": len(results)})[1]))
         return log
 
-    def test_without_steps_relays_the_outcome(self):
-        assert self._forward("/ok", steps=False) == [("200", {"a": 1, "extra": 2})]
-        assert self._forward("/missing", steps=False) == [("404", {"error": "Nope"})]
-        assert self._forward("/down", steps=False) == [
-            ("503", {"error": "UpstreamUnavailable"})]
+    def test_forward_relays_the_outcome(self):
+        assert self._log(path="/ok") == [("200", {"a": 1, "extra": 2})]
+        assert self._log(path="/missing") == [("404", {"error": "Nope"})]
+        assert self._log(path="/down") == [("503", {"error": "UpstreamUnavailable"})]
 
-    def test_success_goes_to_then_decoded_to_fields(self):
-        assert self._forward("/ok") == [("then", {"a": 1, "extra": 2})]
-        assert self._forward("/ok", fields=("a",)) == [("then", {"a": 1})]
+    def test_success_goes_to_finish_decoded_to_fields(self):
+        assert self._log(step("/ok", "a")) == [
+            ("finish", ({"a": 1, "extra": 2},)), ("200", {"steps": 1})]
+        assert self._log(step("/ok", "a", ("a",))) == [
+            ("finish", ({"a": 1},)), ("200", {"steps": 1})]
 
     def test_failure_runs_undo_then_relays(self):
-        assert self._forward("/missing") == ["undo", ("404", {"error": "Nope"})]
-        assert self._forward("/down") == [
-            "undo", ("503", {"error": "UpstreamUnavailable"})]
+        assert self._log(step("/ok", "a"), step("/missing", "b")) == [
+            ("undo", "a"), ("404", {"error": "Nope"})]
+        assert self._log(step("/ok", "a"), step("/down", "b")) == [
+            ("undo", "b"), ("undo", "a"), ("503", {"error": "UpstreamUnavailable"})]
 
     def test_success_lacking_fields_runs_undo_then_503(self):
-        assert self._forward("/ok", fields=("a", "b")) == [
-            "undo", ("503", {"error": "UpstreamUnavailable"})]
+        assert self._log(step("/ok", "a", ("a", "b"))) == [
+            ("undo", "a"), ("503", {"error": "UpstreamUnavailable"})]
+
+    def test_a_refusal_skips_the_failed_calls_undo_and_a_5xx_runs_it(self):
+        # A refused call made nothing; a 5xx (or the deadline) may have.
+        assert self._log(step("/missing", "a")) == [("404", {"error": "Nope"})]
+        assert self._log(step("/down", "a")) == [
+            ("undo", "a"), ("503", {"error": "UpstreamUnavailable"})]
+
+    def test_completed_steps_are_undone_last_first(self):
+        assert self._log(step("/ok", "a"), step("/ok", "b"), step("/ok", "c"),
+                         step("/missing", "d")) == [
+            ("undo", "c"), ("undo", "b"), ("undo", "a"), ("404", {"error": "Nope"})]
+
+    def test_a_refusal_raised_in_finish_is_answered_with_its_status(self):
+        def refuse(*results):
+            raise UnknownTable("posts")
+
+        assert self._log(step("/ok", "a"), step("/ok", "b"), finish=refuse) == [
+            ("undo", "b"), ("undo", "a"), ("404", {"error": "UnknownTable"})]
+
+    def test_a_local_steps_result_reaches_later_steps_and_finish(self):
+        log: list = []
+        local = (None, lambda ok: ok["a"] + 1, None, None, (),
+                 lambda two: log.append(("unlocal", two)))
+        later = (None, lambda ok, two: two * 10, None, None, (), None)
+        assert self._log(step("/ok", "a"), local, later, step("/ok", "b", ("a",))) == [
+            ("finish", ({"a": 1, "extra": 2}, 2, 20, {"a": 1})), ("200", {"steps": 4})]
+        # A failure after it undoes it with its own result, in its turn.
+        reply = self._log(step("/ok", "a"), local, step("/missing", "b"))
+        assert (log, reply) == ([("unlocal", 2)], [("undo", "a"), ("404", {"error": "Nope"})])
+
+    def test_a_refusal_raised_by_a_local_step_undoes_the_completed_steps(self):
+        def refuse(ok):
+            raise UnknownTable("posts")
+
+        assert self._log(step("/ok", "a"), (None, refuse, None, None, (), None),
+                         step("/ok", "b")) == [
+            ("undo", "a"), ("404", {"error": "UnknownTable"})]
 
 
 # -- the compensation matrix of both sagas ---------------------------------------
@@ -399,7 +449,8 @@ COMPENSATIONS = {
     ("provision", RESERVE, "refused"): [],
     ("provision", RESERVE, "5xx"): [RELEASE],
     ("provision", RESERVE, "bare"): [RELEASE],
-    ("provision", PERSIST, "refused"): [UNPERSIST, RELEASE],
+    # A refused create made no project, so only the reservation is undone.
+    ("provision", PERSIST, "refused"): [RELEASE],
     ("provision", PERSIST, "5xx"): [UNPERSIST, RELEASE],
     ("provision", PERSIST, "bare"): [UNPERSIST, RELEASE],
     ("provision", TAG, "refused"): [UNPERSIST, RELEASE],

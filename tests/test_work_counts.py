@@ -36,6 +36,8 @@ PROGRAM = os.path.dirname(ssaas_sim.__file__) + os.sep
 BOUNDS = {
     ("basic.wl", 0): 1296,
     ("basic.wl", 6): 9581,
+    # The only counted run that creates chats: basic.wl and the mix have none.
+    ("chat_resilience.wl", 6): 3542,
     ("mix-s6", 6): 102404,
     # A warm build_stage(6), and 700 idle ticks of a settled stage 6 system.
     ("build", 6): 566,
@@ -105,6 +107,11 @@ def counted(stage: int, lines) -> int:
 def test_basic_run_stays_within_its_call_count(stage):
     lines = migration.parse_workload(workloads.load_text("basic.wl"))
     assert counted(stage, lines) <= BOUNDS[("basic.wl", stage)]
+
+
+def test_a_chat_run_stays_within_its_call_count():
+    lines = migration.parse_workload(workloads.load_text("chat_resilience.wl"))
+    assert counted(6, lines) <= BOUNDS[("chat_resilience.wl", 6)]
 
 
 def test_generated_mix_stays_within_its_call_count(monkeypatch):
