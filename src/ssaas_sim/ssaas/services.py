@@ -80,24 +80,25 @@ def saga(node: ServiceNode, req: Request, steps: tuple[tuple, ...],
     """Answer ``req`` by running ``steps`` in order: one saga.
 
     A step is ``(service, method, path, body, fields, undo)``: an upstream
-    call, whose success is decoded to ``fields`` when given, and ``undo``
-    the call ``(service, method, path)`` that compensates it. A step with no
-    service runs locally: its result is ``method(*results)`` over the
-    results so far, and its ``undo`` a function of that result. The first
-    step is a call. After the last step, ``req`` is answered 200 with
-    ``finish(*results)``.
+    call, its success decoded to ``fields`` when given, and ``undo`` the
+    call ``(service, method, path)`` that compensates it. A step with no
+    service runs locally: its result is ``method(*results so far)``, and
+    its ``undo`` a function of that result. The first step is a call; after
+    the last, ``req`` is answered 200 with ``finish(*results)``.
 
     A failed call or a success lacking its fields fails the saga, and so
     does a :class:`Refusal` that a local step or ``finish`` raises, which is
     answered with its own status and body. The undo of every completed step
     runs, last first, and only then is the failure answered, so every
     compensating call goes out before the reply does. A 5xx (the deadline's
-    too) leaves the failed call's outcome unknown, so its own undo runs
-    first; a refusal (4xx) made nothing, so it does not.
+    too) leaves the failed call's outcome unknown, and a success lacking its
+    fields had an effect, so either runs its own undo first; a refusal (4xx)
+    made nothing, so it does not.
     """
     results: list = []
 
     def done(status: str, body: Body) -> None:
+        nonlocal done  # None once the saga ends: no cycle outlives it
         answer = relay_result  # a failed call's outcome is relayed as it is
         if status.startswith("2"):
             fields = steps[len(results)][4]
@@ -114,6 +115,7 @@ def saga(node: ServiceNode, req: Request, steps: tuple[tuple, ...],
                             return
                         results.append(step[1](*results))
                     req.reply("200", finish(*results))
+                    done = None
                     return
                 except Refusal as exc:  # answered as dispatch answers a handler's
                     status, body, answer = exc.status, exc.body(), Request.reply
@@ -124,6 +126,7 @@ def saga(node: ServiceNode, req: Request, steps: tuple[tuple, ...],
                 undo(out)
             elif undo is not None:
                 node.client.call(*undo)
+        done = None
         answer(req, status, body)
 
     node.client.call(*steps[0][:4], on_result=done)
@@ -336,7 +339,6 @@ class ContentServices(ServiceNode):
              partial(self._fetched, pid, fn))
 
     def _fetched(self, pid: int, fn: Callable[[dict], Body], schema: Body) -> Body:
-        """A fetch's finish: cache ``schema`` for ``pid``, then apply ``fn``."""
         self._schema_cache[pid] = (self.sim.now, schema)
         return fn(schema)
 
