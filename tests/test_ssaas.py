@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -280,9 +281,9 @@ class TestSaga:
     """``forward`` and ``saga`` over an in-process upstream: each outcome,
     and every undo before the answer."""
 
-    def _log(self, *steps, path=None, finish=None):
-        """The log of ``forward`` to ``path``, or of a saga over ``steps``:
-        what ``finish`` got, each undo, and the reply."""
+    def _world(self):
+        """A caller with an in-process upstream Up, and the log Up's undo
+        route writes to."""
         sim = Simulator()
         caller = ServiceNode(sim, "caller", "Caller")
         ServiceClient(caller, WiringMode.LIBRARY_CALL)
@@ -295,6 +296,12 @@ class TestSaga:
         upstream.route("DELETE", "/undo/{name}", lambda req: (
             log.append(("undo", req.params["name"])), ("200", {}))[1])
         caller.host(upstream)
+        return caller, log
+
+    def _log(self, *steps, path=None, finish=None):
+        """The log of ``forward`` to ``path``, or of a saga over ``steps``:
+        what ``finish`` got, each undo, and the reply."""
+        caller, log = self._world()
         req = Request("GET", "/x", None, _reply=lambda s, b: log.append((s, b)))
         if path is not None:
             forward(caller, req, "Up", "GET", path, None)
@@ -353,6 +360,21 @@ class TestSaga:
         reply = self._log(step("/ok", "a"), local, step("/missing", "b"))
         assert (log, reply) == ([("unlocal", 2)], [("undo", "a"), ("404", {"error": "Nope"})])
 
+    def test_a_finished_saga_leaves_nothing_for_the_cycle_collector(self):
+        # A cycle left per saga costs the collector's time on every run.
+        caller, log = self._world()
+        for last in ("/ok", "/missing", "/down"):
+            gc.collect()
+            gc.disable()
+            try:
+                req = Request("GET", "/x", None, _reply=lambda s, b: log.append((s, b)))
+                saga(caller, req, (step("/ok", "a"), step(last, "b")), lambda *results: {})
+                del req
+                assert gc.collect() == 0, last
+            finally:
+                gc.enable()
+        assert [entry[0] for entry in log] == ["200", "undo", "404", "undo", "undo", "503"]
+
     def test_a_refusal_raised_by_a_local_step_undoes_the_completed_steps(self):
         def refuse(ok):
             raise UnknownTable("posts")
@@ -394,7 +416,7 @@ def stub_handler(log: list, answer: tuple[str, Body]):
     return handle
 
 
-def run_saga(saga: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> list:
+def run_saga(flow: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> list:
     """The log of one saga, run in process against stub upstreams: every
     upstream call, the chat store's create and remove, and the reply last.
     The upstream route ``fail`` answers ``outcome``; every other succeeds."""
@@ -402,7 +424,7 @@ def run_saga(saga: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> lis
     caller = ServiceNode(sim, "caller", "Caller")
     ServiceClient(caller, WiringMode.LIBRARY_CALL)
     log: list = []
-    if saga == "provision":
+    if flow == "provision":
         node, prefix = DeveloperServices(sim, "ds"), "/schema/developers"
         path, body = "/projects", {"name": "blog", "owner_developer_id": 1}
     else:
@@ -440,7 +462,7 @@ CHAT_DEV_GET, CHAT_TAG, CHAT_RELEASE, CREATE, REMOVE = (
 CHAT_STEPS = (CHAT_DEV_GET, RESERVE, CREATE, CHAT_TAG)
 CHATTED = ("200", {"chat_id": 1, "developer_id": 1, "reservation_id": 3, "status": "ACTIVE"})
 
-# (saga, step, outcome) -> the compensations, in order, or None when the
+# (flow, failed step, outcome) -> the compensations, in order, or None when the
 # saga still succeeds (a step with no required fields takes a bare 200).
 COMPENSATIONS = {
     ("provision", DEV_GET, "refused"): [],
@@ -468,19 +490,19 @@ COMPENSATIONS = {
 }
 
 
-@pytest.mark.parametrize("saga, step, outcome", COMPENSATIONS,
-                         ids=[f"{saga}-{' '.join(step)}-{outcome}"
-                              for saga, step, outcome in COMPENSATIONS])
-def test_a_failed_step_compensates_in_reverse_before_the_reply(saga, step, outcome):
-    route = (step[0], step[1].replace("/1", "/{did}"))
-    log = run_saga(saga, route, OUTCOMES[outcome])
-    steps = PROVISION_STEPS if saga == "provision" else CHAT_STEPS
-    compensations = COMPENSATIONS[(saga, step, outcome)]
+@pytest.mark.parametrize("flow, failed, outcome", COMPENSATIONS,
+                         ids=[f"{flow}-{' '.join(failed)}-{outcome}"
+                              for flow, failed, outcome in COMPENSATIONS])
+def test_a_failed_step_compensates_in_reverse_before_the_reply(flow, failed, outcome):
+    route = (failed[0], failed[1].replace("/1", "/{did}"))
+    log = run_saga(flow, route, OUTCOMES[outcome])
+    steps = PROVISION_STEPS if flow == "provision" else CHAT_STEPS
+    compensations = COMPENSATIONS[(flow, failed, outcome)]
     if compensations is None:
-        assert log == [*steps, PROVISIONED if saga == "provision" else CHATTED]
+        assert log == [*steps, PROVISIONED if flow == "provision" else CHATTED]
     else:
         answer = DOWN if outcome == "bare" else OUTCOMES[outcome]
-        assert log == [*steps[:steps.index(step) + 1], *compensations, answer]
+        assert log == [*steps[:steps.index(failed) + 1], *compensations, answer]
 
 
 # -- service flows -------------------------------------------------------------
