@@ -228,11 +228,11 @@ class Simulator:
     for a deadline and :meth:`step` when it re-arms a loop, do so inline;
     the rest enter through :meth:`_enqueue`.
 
-    A bucket holds four kinds of event: an :class:`Envelope` to deliver,
-    a call's deadline marker (:meth:`call`; its request's message id, a
-    positive int), the id of a one-shot timer (:meth:`set_timer`; a
-    negative int), or a periodic loop's ``(fn, node, interval)`` entry
-    (:meth:`every`), which :meth:`step` re-arms as soon as ``fn`` returns.
+    A bucket holds three kinds of event: an :class:`Envelope` to deliver,
+    a call's deadline marker (:meth:`call`; its request's message id), or
+    a timer's ``[fn, node, interval, maintenance]`` entry: a one-shot's
+    interval is 0 (:meth:`set_timer`), and :meth:`step` re-arms a loop
+    (:meth:`every`) as soon as ``fn`` returns; cancelling clears ``fn``.
     The delivered reply that ends a call takes the call's marker out of its
     bucket, so only the markers of calls still pending are stepped; a
     bucket emptied so is still stepped at its tick.
@@ -268,14 +268,10 @@ class Simulator:
         self._kills: list[FaultRule] = []
         self._link_rules: list[FaultRule] = []
         self._awaiting_reply: set[int] = set()
-        # Pending timers by id; cancelling one removes it here and leaves
-        # its queue entry behind as a tombstone.
-        self._timers: dict[int, tuple[Callable[[], None], bool, str]] = {}
         # Pending calls by message id: the request, and the bucket holding its deadline
         self._calls: dict[int, tuple[Envelope, list]] = {}
         self._timeouts: dict[str, Callable[[int], None]] = {}  # by node
         self._next_message_id = 1
-        self._next_timer_id = -1  # timer ids count down, so none is a message id
         self._ctx_maintenance = False
 
     # -- nodes ------------------------------------------------------------
@@ -379,8 +375,9 @@ class Simulator:
         return mid
 
     def set_timer(self, node: str, delay: int, fn: Callable[[], None],
-                  maintenance: Optional[bool] = None) -> int:
-        """Schedule ``fn`` to run on ``node`` after ``delay`` ticks.
+                  maintenance: Optional[bool] = None) -> list:
+        """Run ``fn`` once on ``node`` after ``delay`` ticks. Returns the
+        timer's queue entry, the handle :meth:`cancel_timer` takes.
 
         Timers are scheduler internals, not wire traffic: they never appear
         in the trace and are skipped if the node has been killed. The
@@ -390,17 +387,13 @@ class Simulator:
             raise UnknownNode(f"unknown node: {node}")
         if delay < 1:
             raise SimwireError("timer delay must be >= 1 tick")
-        if maintenance is None:
-            maintenance = self._ctx_maintenance
-        tid = self._next_timer_id
-        self._next_timer_id -= 1
-        self._timers[tid] = (fn, maintenance, node)
-        self._enqueue(self.now + delay, tid)
-        return tid
+        entry = [fn, node, 0, self._ctx_maintenance if maintenance is None else maintenance]
+        self._enqueue(self.now + delay, entry)
+        return entry
 
     def every(self, node: str, interval: int, fn: Callable[[], None]) -> None:
         """Run ``fn`` on ``node`` every ``interval`` ticks, from ``interval``
-        ticks from now, as maintenance work.
+        ticks from now, as maintenance work: one entry, re-armed in place.
 
         The loop never counts as pending work. It ends at the first firing
         that finds ``node`` killed; a later revive does not restart it.
@@ -409,10 +402,11 @@ class Simulator:
             raise UnknownNode(f"unknown node: {node}")
         if interval < 1:
             raise SimwireError("timer interval must be >= 1 tick")
-        self._enqueue(self.now + interval, (fn, node, interval))
+        self._enqueue(self.now + interval, [fn, node, interval, True])
 
-    def cancel_timer(self, timer_id: int) -> None:
-        self._timers.pop(timer_id, None)
+    def cancel_timer(self, timer: list) -> None:
+        """Clear the entry's ``fn``: it stays queued as a tombstone."""
+        timer[0] = None
 
     # -- faults -----------------------------------------------------------
 
@@ -422,9 +416,12 @@ class Simulator:
         self._apply_rule(rule)
 
     def schedule_fault(self, tick: int, rule: FaultRule) -> None:
-        """Apply ``rule`` when the clock reaches ``tick``. Rules due on one
-        tick apply in the order they were scheduled."""
+        """Apply ``rule`` when the clock reaches ``tick``, which gets a bucket so
+        :meth:`step` stops there; rules due on a tick apply in scheduling order."""
         heappush(self._fault_schedule, (tick, next(self._fault_seq), rule))
+        if tick > self.now and tick not in self._buckets:
+            self._buckets[tick] = []
+            heappush(self._ticks, tick)
 
     def _apply_rule(self, rule: FaultRule) -> None:
         """Put ``rule`` in force; a REVIVE or a HEAL lifts instead."""
@@ -512,31 +509,23 @@ class Simulator:
                     delivered.append(event)
                     self._ctx_maintenance = event.maintenance
                     handler(event)
-                elif type(event) is int:
-                    if event > 0:  # a call's deadline, if the call is still pending
-                        call = self._calls.pop(event, None)
-                        if call is not None and (request := call[0]).source in live:
-                            self._ctx_maintenance = request.maintenance
-                            self._timeouts[request.source](event)
-                        continue
-                    entry = self._timers.pop(event, None)
-                    if entry is None:
-                        continue  # cancelled
-                    fn, maintenance, node = entry
-                    if node in live:
+                elif type(event) is int:  # a call's deadline, if the call is still pending
+                    call = self._calls.pop(event, None)
+                    if call is not None and (request := call[0]).source in live:
+                        self._ctx_maintenance = request.maintenance
+                        self._timeouts[request.source](event)
+                else:  # a timer entry; a cancelled one's fn is None
+                    fn, node, interval, maintenance = event
+                    if fn is not None and node in live:
                         self._ctx_maintenance = maintenance
                         fn()
-                else:  # a periodic loop: (fn, node, interval)
-                    fn, node, interval = event
-                    if node in live:
-                        self._ctx_maintenance = True
-                        fn()
-                        bucket = buckets.get(tick + interval)
-                        if bucket is None:
-                            buckets[tick + interval] = [event]
-                            heappush(self._ticks, tick + interval)
-                        else:
-                            bucket.append(event)
+                        if interval:  # a loop, re-armed once fn returns
+                            bucket = buckets.get(tick + interval)
+                            if bucket is None:
+                                buckets[tick + interval] = [event]
+                                heappush(self._ticks, tick + interval)
+                            else:
+                                bucket.append(event)
         except BaseException:
             # The rest of the tick goes back on the queue, undelivered: every
             # other event lands at least one tick ahead, so nothing else can
@@ -572,7 +561,7 @@ class Simulator:
     @property
     def pending_external(self) -> int:
         """Work that is not maintenance: queued messages, pending calls and
-        pending one-shot timers, counted from the kernel's own records.
+        armed one-shot timers, counted from the queue and ``_calls``.
 
         While a tick is being delivered, the messages of the rest of that
         tick are no longer counted: :meth:`step` has taken its bucket off the
@@ -581,19 +570,17 @@ class Simulator:
         return sum(self._pending_work())
 
     def _pending_work(self) -> Iterator[int]:
-        """Yield 1 per queued message, per pending call and per pending
+        """Yield 1 per queued message, per pending call and per armed
         one-shot timer that is not flagged maintenance. An answered or
-        timed-out call has left ``_calls``, a cancelled or fired timer has
-        left ``_timers``; a periodic loop is always maintenance."""
+        timed-out call has left ``_calls``, a fired timer the queue, and a
+        cancelled timer's ``fn`` is None; a loop is always maintenance."""
         for request, _ in self._calls.values():
             if not request.maintenance:
                 yield 1
-        for _, maintenance, _ in self._timers.values():
-            if not maintenance:
-                yield 1
         for bucket in self._buckets.values():
             for event in bucket:
-                if type(event) is Envelope and not event.maintenance:
+                if type(event) is Envelope and not event.maintenance or \
+                        type(event) is list and not event[3] and event[0] is not None:
                     yield 1
 
     @property

@@ -136,7 +136,7 @@ class Script:
     def __init__(self) -> None:
         self.sim = Simulator()
         self.log: list[tuple[object, frozenset[str], frozenset[str]]] = []
-        self.timer_nodes: dict[int, str] = {}
+        self.timers: list[tuple[list, str]] = []  # (handle, node) per timer armed
         self.calls: dict[int, tuple[str, object]] = {}  # message id -> (source, action)
         self.names: set[str] = set()  # the nodes registered
         self.kills: list[FaultRule] = []  # kill rules in force, in that order
@@ -242,10 +242,10 @@ class Script:
         assert observed_fate(sim, env, mid) == want
 
     def set_timer(self, node: str, delay: int, action) -> None:
-        box: list[int] = []
-        tid = self.sim.set_timer(node, delay, lambda: self._run(box[0], node, action))
-        box.append(tid)
-        self.timer_nodes[tid] = node
+        box: list[list] = []
+        handle = self.sim.set_timer(node, delay, lambda: self._run(box[0], node, action))
+        box.append(handle)
+        self.timers.append((handle, node))
 
     def step(self) -> None:
         """Step once; what was delivered or fired must be exactly the events
@@ -253,7 +253,7 @@ class Script:
         sim = self.sim
         tick = sim.next_event_tick()
         bucket = list(sim._buckets[tick]) if tick is not None else []
-        pending_timers, pending_calls = set(sim._timers), set(sim._calls)
+        pending_calls = set(sim._calls)
         self.log.clear()
         self.fire_due(tick if tick is not None else sim.now + 1)
         delivered = sim.step()
@@ -262,14 +262,12 @@ class Script:
         state: Optional[frozenset[str]] = None  # live set between two runs
         ran = 0
         for event in bucket:
-            if type(event) is int and event > 0:  # a call's deadline
+            if type(event) is int:  # a call's deadline
                 if event not in pending_calls:
                     continue  # a reply ended the call
                 node = self.calls[event][0]
-            elif type(event) is int:
-                if event not in pending_timers:
-                    continue  # cancelled
-                node = self.timer_nodes[event]
+            elif type(event) is list:  # a timer's entry; the script cancels none
+                node = next(node for handle, node in self.timers if handle is event)
             else:
                 node = event.destination
             if ran < len(self.log) and self.log[ran][0] == event:
@@ -278,7 +276,7 @@ class Script:
                 assert state is None or before == state
                 assert node in before
                 state = state_after
-                if type(event) is not int:
+                if type(event) is Envelope:
                     expected.append(event)
                     if event.kind is RESPONSE:
                         pending_calls.discard(event.correlation_id)

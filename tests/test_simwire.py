@@ -278,6 +278,18 @@ class TestFaults:
         sim.advance_to(10)
         assert not sim.node_alive("b")
 
+    def test_a_fault_due_now_or_earlier_waits_for_the_next_step(self):
+        # Its tick is not ahead of the clock, so it gets no bucket: the
+        # clock never moves back, and the next step applies it.
+        sim = make_sim("a")
+        sim.advance_to(5)
+        sim.schedule_fault(3, FaultRule(FaultEffect.KILL_NODE, node="a"))
+        sim.schedule_fault(5, FaultRule(FaultEffect.KILL_NODE, node="a"))
+        assert sim.next_event_tick() is None and sim.node_alive("a")
+        sim.step()
+        assert sim.now == 6 and not sim.node_alive("a")
+        assert len(sim._kills) == 2
+
     def test_timer_fires_and_is_not_traced(self):
         sim = make_sim("a")
         fired: list[int] = []
@@ -365,8 +377,8 @@ class TestReviveHook:
             make_sim("a").on_revive("ghost", lambda: None)
 
     def test_a_hook_that_sends_stamps_the_tick_it_runs_at(self):
-        # The kill and the revive fall due while the clock jumps to the
-        # loop's tick 12, so the hook runs at 12 and its send lands at 13.
+        # The kill and the revive each stop the clock at their own tick,
+        # before the loop's tick 12: the hook runs at 10, its send lands at 11.
         sim = make_sim("a", "b")
         sim.every("b", 12, lambda: None)
         sim.on_revive("a", lambda: sim.send(Envelope.request("a", "b", "/hello")))
@@ -376,8 +388,8 @@ class TestReviveHook:
         for _ in range(4):
             sim.step()
             clock.append(sim.now)
-        assert clock == [12, 13, 24, 36]
-        assert [(r.tick, r.path, r.status) for r in sim.records] == [(13, "/hello", DELIVERED)]
+        assert clock == [1, 10, 11, 12]
+        assert [(r.tick, r.path, r.status) for r in sim.records] == [(11, "/hello", DELIVERED)]
 
 
 class TestHeal:
@@ -468,14 +480,13 @@ class TestCall:
         assert log == [] and sim._calls == {}
 
     def test_a_deadline_and_a_timer_keep_apart(self):
-        # Timer ids and message ids never collide: cancelling the timer
-        # armed right before the call leaves the call's deadline armed.
+        # Cancelling the timer armed right before the call, on the same
+        # tick, leaves the call's deadline armed.
         sim, log = call_sim()
         fired: list[int] = []
-        tid = sim.set_timer("a", 2, lambda: fired.append(sim.now))
+        timer = sim.set_timer("a", 2, lambda: fired.append(sim.now))
         mid = sim.call(Envelope.request("a", "b", "/x"), 2)
-        assert tid < 0 < mid
-        sim.cancel_timer(tid)
+        sim.cancel_timer(timer)
         sim.advance_to(5)
         assert (fired, log) == ([], [(2, mid)])
 
@@ -997,6 +1008,47 @@ class TestEvery:
             sim.every("a", 0, lambda: None)
 
 
+class TestTimerEntry:
+    """A one-shot timer is the queue entry a loop is, with interval 0; its
+    handle is that entry, and cancelling it clears the entry's ``fn``."""
+
+    def test_cancelling_a_fired_timer_does_nothing(self):
+        sim = make_sim("a")
+        fired: list[str] = []
+        first = sim.set_timer("a", 1, lambda: fired.append("first"))
+        sim.set_timer("a", 2, lambda: fired.append("second"))
+        sim.step()
+        sim.cancel_timer(first)
+        assert (sim.queue_depth, sim.pending_external) == (1, 1)
+        assert sim.run_until_idle() and sim.now == 2
+        assert fired == ["first", "second"]
+
+    def test_a_cancelled_one_shot_is_queued_but_not_pending(self):
+        sim = make_sim("a")
+        fired: list[int] = []
+        timer = sim.set_timer("a", 3, lambda: fired.append(sim.now))
+        assert (sim.queue_depth, sim.pending_external) == (1, 1)
+        sim.cancel_timer(timer)
+        assert (sim.queue_depth, sim.pending_external) == (1, 0)
+        assert sim.run_until_idle() and sim.now == 0
+        assert sim.next_event_tick() == 3
+        sim.step()
+        assert fired == [] and sim.now == 3 and sim.queue_depth == 0
+
+    def test_a_one_shot_armed_as_maintenance_is_never_pending(self):
+        sim = make_sim("a")
+        fired: list[int] = []
+        sim.set_timer("a", 2, lambda: fired.append(sim.now), maintenance=True)
+        # Armed while a maintenance event runs, a timer takes its flag.
+        sim.every("a", 1, lambda: sim.set_timer("a", 1, lambda: fired.append(-sim.now))
+                  if sim.now == 1 else None)
+        for _ in range(3):
+            assert sim.pending_external == 0
+            assert sim.run_until_idle() and sim.queue_depth > 0
+            sim.step()
+        assert fired == [2, -2]
+
+
 class _TrackedCounters:
     """A kernel driven by test ops, next to the pending and sent counts kept
     by the rule the kernel once tracked them by: +1 per queued message or
@@ -1017,10 +1069,10 @@ class _TrackedCounters:
         self.pending = 0
         self.ids = 0
         # due tick -> ("msg", maintenance, source, destination, is_request)
-        # or ("timer", timer id)
+        # or ("timer", its record)
         self.queue: dict[int, list[tuple]] = {}
-        self.timers: dict[int, bool] = {}  # live timer id -> maintenance
-        self.timer_ids: list[int] = []
+        # One [handle, maintenance, armed] record per timer set, in order
+        self.timers: list[list] = []
         self.drops: list[tuple[str, str]] = []  # DROP rules in force
         self.ctx = False  # the flag the kernel runs the current callback under
 
@@ -1069,20 +1121,25 @@ class _TrackedCounters:
             elif then == "timer":
                 self._running(flag, lambda: self.set_timer(node, 1, None, "none"))
 
-        tid = self.sim.set_timer(node, delay, fire, maintenance)
-        self.timers[tid] = flag
-        self.timer_ids.append(tid)
-        self._enqueue(self.sim.now + delay, ("timer", tid))
+        record = [self.sim.set_timer(node, delay, fire, maintenance), flag, True]
+        self.timers.append(record)
+        self._enqueue(self.sim.now + delay, ("timer", record))
         if not flag:
             self.pending += 1
 
     def cancel(self, k: int) -> None:
-        if not self.timer_ids:
+        if not self.timers:
             return
-        tid = self.timer_ids[k % len(self.timer_ids)]
-        self.sim.cancel_timer(tid)
-        if self.timers.pop(tid, True) is False:
+        record = self.timers[k % len(self.timers)]
+        self.sim.cancel_timer(record[0])
+        self._disarm(record)
+
+    def _disarm(self, record: list) -> None:
+        """A timer leaves the pending count once, by a cancel or a firing."""
+        _, flag, armed = record
+        if armed and not flag:
             self.pending -= 1
+        record[2] = False
 
     def every(self, node: str, interval: int) -> None:
         self.sim.every(node, interval, lambda: self._running(
@@ -1121,8 +1178,7 @@ class _TrackedCounters:
             tick = min(self.queue)
             for item in self.queue.pop(tick):
                 if item[0] == "timer":
-                    if self.timers.pop(item[1], True) is False:
-                        self.pending -= 1
+                    self._disarm(item[1])
                     continue
                 _, flag, source, destination, is_request = item
                 if not flag:

@@ -11,12 +11,18 @@ since a build compiles them all. A change that makes the program do more
 per message, per build or per idle tick fails here; one that must add calls
 raises the bound and says why in CHANGES.md.
 
+A reference cycle makes no Python call, yet each one left as garbage costs
+the cyclic collector's time. So every counted call runs with the collector
+off, and a collection right after it, while its system is still held, must
+find nothing; a few uncounted runs are held to the same rule.
+
 The seed-1 mix-s6 inputs come from the benchmark's generator, loaded
 read-only from ``bench/`` as ``tests/test_bench_workloads.py`` loads it.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -25,6 +31,7 @@ import pytest
 import ssaas_sim
 from ssaas_sim import chassis, gateway, migration, workloads
 from ssaas_sim.migration import audit
+from ssaas_sim.simwire import parse_fault_script
 
 from test_bench_workloads import load
 
@@ -63,7 +70,8 @@ def tables_compiled(fn, *args) -> int:
 
 
 def calls_of(counts, fn, *args) -> int:
-    """Python-level calls, of code objects that ``counts``, while ``fn(*args)`` runs."""
+    """Python-level calls, of code objects that ``counts``, while ``fn(*args)``
+    runs. The call must leave no garbage cycle (:func:`garbage_left`)."""
     count = 0
 
     def profile(frame, event, arg) -> None:
@@ -71,13 +79,30 @@ def calls_of(counts, fn, *args) -> int:
         if event == "call" and counts(frame.f_code):
             count += 1
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
+    def profiled():
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(previous)
+
+    garbage = garbage_left(profiled)
+    assert garbage == 0, f"{fn.__qualname__} left {garbage} objects in reference cycles"
     return count
+
+
+def garbage_left(fn, *args) -> int:
+    """The objects in reference cycles that ``fn(*args)`` leaves as garbage:
+    it runs with the cyclic collector off, and a collection follows while
+    its result and its arguments (a run's system among them) are held."""
+    gc.collect()
+    gc.disable()
+    try:
+        kept = fn(*args)  # held, like the arguments, through the collection
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 # Every per-process cache of compiled routing: node route tables, gateway
@@ -146,3 +171,22 @@ def test_an_idle_stretch_stays_within_its_call_count():
     warmed_up(6)
     sim = migration.build_stage(6, 1).sim
     assert calls_into_program(sim.advance_to, sim.now + 700) <= BOUNDS[("idle-700", 6)]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+def test_a_basic_run_at_an_uncounted_stage_leaves_no_garbage_cycle(stage):
+    lines = migration.parse_workload(workloads.load_text("basic.wl"))
+    warmed_up(stage, lines)
+    assert garbage_left(migration.run_workload, migration.build_stage(stage, 1), lines) == 0
+
+
+def test_a_chat_run_under_its_kill_script_leaves_no_garbage_cycle():
+    lines = migration.parse_workload(workloads.load_text("chat_resilience.wl"))
+    faults = parse_fault_script(workloads.load_text("faults_kill_chat.fs"))
+    warmed_up(6, lines)
+    assert garbage_left(migration.run_workload, migration.build_stage(6, 1), lines, faults) == 0
+
+
+def test_a_warm_stage_zero_build_leaves_no_garbage_cycle():
+    warmed_up(0)
+    assert garbage_left(migration.build_stage, 0, 1) == 0
