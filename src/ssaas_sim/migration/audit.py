@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from ..chassis import ROUTE_MEMO_LIMIT, split_path
 from ..simwire import DELIVERED, REQUEST, MessageRecord, WireTrace
-from .stages import STAGES
+from .stages import holders
 
 WRITE_METHODS = ("POST", "PUT", "DELETE")
 
@@ -41,34 +41,23 @@ _SCHEMA_ENTITIES = {"developers": ENTITY_DEVELOPER, "projects": ENTITY_PROJECT_S
 def classify_write(path: str, stage: int) -> Optional[str]:
     """Name the entity a write path touches, or None for paths that carry
     no entity data (use-case surfaces, infrastructure traffic)."""
-    parts = split_path(path)
-    if not parts:
-        return None
-    root = parts[0]
+    root, second = (*split_path(path), "", "")[:2]  # "" for a missing segment
     if root == "schema":
-        return _SCHEMA_ENTITIES.get(parts[1]) if len(parts) > 1 else None
+        return _SCHEMA_ENTITIES.get(second)
     if root == "developers":
-        # Until the stage runs DeveloperInfoServices the developer entity
-        # lives behind /schema, and /developers is only the use-case surface.
-        return ENTITY_DEVELOPER if "DeveloperInfoServices" in STAGES[stage].services else None
+        # /developers names the developer entity only where the entity's own
+        # service holds it; until then it is the use-case surface.
+        return ENTITY_DEVELOPER if holders(stage)[0][1] == "/developers" else None
     return _ROOT_ENTITIES.get(root)
 
 
 def expected_owner(entity: str, stage: int) -> str:
-    """The service that owns ``entity`` at ``stage``. An entity that leaves
-    DeveloperData moves at the first stage that runs its own service."""
-    runs = STAGES[stage].services
-    if entity == ENTITY_DEVELOPER:
-        return "DeveloperInfoServices" if "DeveloperInfoServices" in runs else "DeveloperData"
-    if entity == ENTITY_PROJECT_SCHEMA:
-        return "DeveloperData"
-    if entity == ENTITY_SERVER:
-        return "ResourceManager" if "ResourceManager" in runs else "DeveloperData"
-    if entity == ENTITY_CHAT:
-        return "ChatServices"
-    if entity == ENTITY_CONTENT:
-        return "ContentServices"
-    raise ValueError(f"unknown entity: {entity}")
+    """The service that owns ``entity`` at ``stage``, as :func:`holders` says."""
+    (dev_owner, _), pool_owner = holders(stage)
+    owners = {ENTITY_DEVELOPER: dev_owner, ENTITY_PROJECT_SCHEMA: "DeveloperData",
+              ENTITY_SERVER: pool_owner, ENTITY_CHAT: "ChatServices",
+              ENTITY_CONTENT: "ContentServices"}
+    return owners[entity]
 
 
 @lru_cache(maxsize=ROUTE_MEMO_LIMIT)

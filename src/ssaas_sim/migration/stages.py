@@ -7,13 +7,14 @@ makes the step-to-step trace comparisons meaningful.
 
 The ladder is the :data:`STAGES` table. Each row is the one before it plus
 one migration step: a service split out, or an infrastructure node added.
-Whatever else differs by stage follows from the services a row runs.
-Building a stage, scaling it out and adding a client all go through one
-start path, :meth:`SystemHandle.start`.
+Whatever else differs by stage follows from the services a row runs
+(:func:`holders`). Building a stage, scaling it out and adding a client all
+go through one start path, :meth:`SystemHandle.start`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..chassis import (DEFAULT_BREAKER_OPEN_TICKS, DEFAULT_BREAKER_THRESHOLD, DEFAULT_PROFILE,
@@ -53,7 +54,6 @@ class StageTopology(NamedTuple):
     """One rung of the ladder: the app services the stage runs, in start
     order, and its infrastructure nodes, also in start order."""
 
-    stage: int
     title: str
     wiring: str
     services: tuple[str, ...]
@@ -65,15 +65,15 @@ _INFRASTRUCTURE = {"confsvc": ConfigServer, "gateway": Gateway, "registry": Regi
 _INFRA = tuple(_INFRASTRUCTURE)
 
 STAGES: dict[int, StageTopology] = {
-    0: StageTopology(0, "single deployable", WiringMode.LIBRARY_CALL, _SPLIT),
-    1: StageTopology(1, "data service split out", WiringMode.DIRECT_WIRE, _SPLIT),
-    2: StageTopology(2, "central configuration", WiringMode.DIRECT_WIRE, _SPLIT, _INFRA[:1]),
-    3: StageTopology(3, "edge gateway", WiringMode.DIRECT_WIRE, _SPLIT, _INFRA[:2]),
-    4: StageTopology(4, "discovery, balancing, breakers", WiringMode.DISCOVERED,
+    0: StageTopology("single deployable", WiringMode.LIBRARY_CALL, _SPLIT),
+    1: StageTopology("data service split out", WiringMode.DIRECT_WIRE, _SPLIT),
+    2: StageTopology("central configuration", WiringMode.DIRECT_WIRE, _SPLIT, _INFRA[:1]),
+    3: StageTopology("edge gateway", WiringMode.DIRECT_WIRE, _SPLIT, _INFRA[:2]),
+    4: StageTopology("discovery, balancing, breakers", WiringMode.DISCOVERED,
                      _SPLIT, _INFRA),
-    5: StageTopology(5, "resource manager split out", WiringMode.DISCOVERED,
+    5: StageTopology("resource manager split out", WiringMode.DISCOVERED,
                      _SPLIT + ("ResourceManager",), _INFRA),
-    6: StageTopology(6, "target topology", WiringMode.DISCOVERED,
+    6: StageTopology("target topology", WiringMode.DISCOVERED,
                      _SPLIT + ("ResourceManager", "ChatServices", "DeveloperInfoServices"),
                      _INFRA),
 }
@@ -91,10 +91,20 @@ class Stores:
         self.chats = ChatStore()
 
 
+@lru_cache(maxsize=None)
+def holders(stage: int) -> tuple[tuple[str, str], str]:
+    """Where ``stage`` holds the developer entity (service, path prefix) and
+    the server pool: each in its own service once the row runs it, else in
+    DeveloperData. Cached by stage number: a number names one row per process."""
+    runs = STAGES[stage].services
+    return (DEV_ENTITY_SERVICE if DEV_ENTITY_SERVICE[0] in runs else DEV_ENTITY_EMBEDDED,
+            "ResourceManager" if "ResourceManager" in runs else "DeveloperData")
+
+
 def route_entries(stage: int) -> dict[str, str]:
     """Gateway route table for a stage, as config entries."""
-    dev_target = "DeveloperInfoServices" if "DeveloperInfoServices" in STAGES[stage].services \
-        else "DeveloperServices"
+    dev_holder = holders(stage)[0][0]  # DeveloperServices relays while DeveloperData holds it
+    dev_target = "DeveloperServices" if dev_holder == "DeveloperData" else dev_holder
     return {"route.1": f"/api/developers|{dev_target}|1",
             "route.2": "/api/projects|DeveloperServices|1",
             "route.3": "/api/content|ContentServices|1",
@@ -231,25 +241,22 @@ def _node_id(service: str, instance: int) -> str:
 
 
 def _app_node(handle: SystemHandle, service: str, node_id: str) -> ServiceNode:
-    """One instance of an app service, calling the upstreams its stage runs:
-    the developer entity and the server pool stay in the data service until
-    their own services exist."""
-    sim, stores, runs = handle.sim, handle.stores, STAGES[handle.stage].services
-    info_split, rm_split = "DeveloperInfoServices" in runs, "ResourceManager" in runs
+    """One instance of an app service, holding or calling the developer
+    entity and the server pool where :func:`holders` puts them."""
+    sim, stores = handle.sim, handle.stores
+    dev_entity, pool_holder = holders(handle.stage)
     if service == "DeveloperData":
         return DeveloperData(sim, node_id, stores.schemas,
-                             developers=None if info_split else stores.developers,
-                             pool=None if rm_split else stores.pool)
+                             stores.developers if dev_entity == DEV_ENTITY_EMBEDDED else None,
+                             stores.pool if pool_holder == "DeveloperData" else None)
     if service == "DeveloperServices":
-        return DeveloperServices(
-            sim, node_id, dev_entity=DEV_ENTITY_SERVICE if info_split else DEV_ENTITY_EMBEDDED,
-            resources_service="ResourceManager" if rm_split else "DeveloperData")
+        return DeveloperServices(sim, node_id, dev_entity, pool_holder)
     if service == "ContentServices":
         return ContentServices(sim, node_id, stores.content)
     if service == "ResourceManager":
         return ResourceManager(sim, node_id, stores.pool)
     if service == "ChatServices":
-        return ChatServices(sim, node_id, stores.chats)
+        return ChatServices(sim, node_id, stores.chats, dev_entity, pool_holder)
     return DeveloperInfoServices(sim, node_id, stores.developers)
 
 

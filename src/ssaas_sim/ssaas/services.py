@@ -3,8 +3,8 @@
 Each class is one deployable service; which ones exist, how their clients
 are wired, and who hosts which entity surface is decided by the topology
 builder, not here. Constructor parameters carry the only stage-dependent
-facts: the service name owning the developer entity (and its path prefix)
-and the service name owning resource reservations.
+facts: the stores DeveloperData holds, and the services the use-case
+services call for the developer entity (and its path prefix) and the pool.
 
 A handler refuses a request by raising a chassis :class:`Refusal`: a
 store's domain error, a :class:`DecodeError`, or a plain 400 ``Malformed``
@@ -389,22 +389,26 @@ class ContentServices(ServiceNode):
 class ChatServices(ServiceNode):
     """Chat instance provisioning over MYSQL reservations."""
 
-    def __init__(self, sim: Simulator, node_id: str, chats: ChatStore) -> None:
+    def __init__(self, sim: Simulator, node_id: str, chats: ChatStore,
+                 dev_entity: tuple[str, str] = DEV_ENTITY_EMBEDDED,
+                 resources_service: str = "DeveloperData") -> None:
         super().__init__(sim, node_id, "ChatServices")
         self.chats = chats
+        self.dev_entity = dev_entity
+        self.resources_service = resources_service
         self.route("POST", "/chat", self._create)
         self.route("GET", "/chat/{cid}", self._get)
 
     def _create(self, req: Request) -> None:
         doc = decode_tolerant(req.body, ["developer_id"])
         developer_id = _int_arg(doc["developer_id"])
-        dev_svc, dev_prefix = DEV_ENTITY_SERVICE
-        key = f"chat:{req.env.message_id}"  # the owner key, as in provisioning
+        dev_svc, dev_prefix = self.dev_entity
+        rm, key = self.resources_service, f"chat:{req.env.message_id}"  # the owner key
         saga(self, req, (
             (dev_svc, "GET", f"{dev_prefix}/{developer_id}", None, (), None),
-            ("ResourceManager", "POST", "/resources/reservations",
+            (rm, "POST", "/resources/reservations",
              {"flavor": ServerFlavor.MYSQL, "owner": key}, ("reservation_id",),
-             ("ResourceManager", "DELETE", f"/resources/reservations/{key}")),
+             (rm, "DELETE", f"/resources/reservations/{key}")),
             (None, lambda dev, res: self.chats.create(developer_id, res["reservation_id"]),
              None, None, (), lambda inst: self.chats.remove(inst.chat_id)),
             (dev_svc, "POST", f"{dev_prefix}/{developer_id}/kinds", {"kind": KIND_CHAT}, (), None),

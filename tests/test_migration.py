@@ -18,6 +18,7 @@ from ssaas_sim.migration.traces import (ID_FAMILIES, TraceDiff, TraceEntry, Trac
                                        compare_traces, normalize_trace, parse_trace,
                                        serialize_trace)
 from ssaas_sim.simwire import Envelope, SimwireError, parse_fault_script
+from ssaas_sim.ssaas.services import DEV_ENTITY_SERVICE
 from ssaas_sim.workloads import load_text
 
 
@@ -130,6 +131,14 @@ class TestStageBuilder:
         hits = [r.destination for r in handle.sim.records
                 if r.kind == "REQUEST" and r.path == "/projects"]
         assert sorted(hits) == ["developerservices-1"] * 2 + ["developerservices-2"] * 2
+
+    def test_a_scaled_out_chat_instance_calls_where_the_stage_holds(self):
+        handle = build_stage(6)
+        first = handle.nodes["chatservices-1"]
+        second = handle.nodes[handle.add_instance("ChatServices")]
+        assert (second.dev_entity, second.resources_service) \
+            == (first.dev_entity, first.resources_service) \
+            == (DEV_ENTITY_SERVICE, "ResourceManager")
 
 
 class TestWorkloadParsing:
@@ -599,6 +608,18 @@ class TestHarness:
         assert hits.count("contentservices-2") == 4
 
 
+# The owner of each entity at stages 1-6. The developer entity and the
+# server pool leave DeveloperData at the first stage that runs their own
+# service; ChatInstance belongs to ChatServices even where no stage runs it.
+OWNERS = {
+    "Developer": ("DeveloperData",) * 5 + ("DeveloperInfoServices",),
+    "ProjectSchema": ("DeveloperData",) * 6,
+    "ServerResource": ("DeveloperData",) * 4 + ("ResourceManager",) * 2,
+    "ChatInstance": ("ChatServices",) * 6,
+    "ContentRecord": ("ContentServices",) * 6,
+}
+
+
 class TestAudit:
     def test_stage_zero_not_applicable(self):
         handle = build_stage(0)
@@ -653,24 +674,33 @@ class TestAudit:
             assert first.violations == second.violations == []
             assert first.violations is not second.violations
 
-    def test_owner_map_tracks_entity_moves(self):
-        assert expected_owner("Developer", 5) == "DeveloperData"
-        assert expected_owner("Developer", 6) == "DeveloperInfoServices"
-        assert expected_owner("ServerResource", 4) == "DeveloperData"
-        assert expected_owner("ServerResource", 5) == "ResourceManager"
-        assert expected_owner("ContentRecord", 1) == "ContentServices"
+    @pytest.mark.parametrize("entity, stage, owner", [
+        (entity, stage, owner) for entity, owners in OWNERS.items()
+        for stage, owner in enumerate(owners, start=1)])
+    def test_owner_map_tracks_entity_moves(self, entity, stage, owner):
+        assert expected_owner(entity, stage) == owner
 
-    def test_classification_ignores_use_case_surfaces(self):
-        assert classify_write("/developers", 5) is None
-        assert classify_write("/developers", 6) == "Developer"
-        assert classify_write("/developers/3/kinds", 6) == "Developer"
-        assert classify_write("/projects", 6) is None
-        assert classify_write("/schema/projects/1/tables", 2) == "ProjectSchema"
-        assert classify_write("/registry/Svc", 6) is None
-        assert classify_write("/refresh", 6) is None
-        assert classify_write("/content/1/posts", 3) == "ContentRecord"
-        assert classify_write("/", 6) is None
-        assert classify_write("/schema/other", 6) is None
+    def test_an_unknown_entity_has_no_owner(self):
+        with pytest.raises(KeyError):
+            expected_owner("Invoice", 6)
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_classification_ignores_use_case_surfaces(self, stage):
+        # /developers names the developer entity only where the entity's
+        # own service holds it; before that it is the use-case surface.
+        developer = "Developer" if stage == 6 else None
+        assert classify_write("/developers", stage) == developer
+        assert classify_write("/developers/3/kinds", stage) == developer
+        assert classify_write("/schema/developers", stage) == "Developer"
+        assert classify_write("/projects", stage) is None
+        assert classify_write("/schema/projects/1/tables", stage) == "ProjectSchema"
+        assert classify_write("/resources/reservations", stage) == "ServerResource"
+        assert classify_write("/chat", stage) == "ChatInstance"
+        assert classify_write("/registry/Svc", stage) is None
+        assert classify_write("/refresh", stage) is None
+        assert classify_write("/content/1/posts", stage) == "ContentRecord"
+        assert classify_write("/", stage) is None
+        assert classify_write("/schema/other", stage) is None
 
 
 class TestCrossStageEquality:

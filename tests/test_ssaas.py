@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from ssaas_sim.chassis import Request, ServiceClient, ServiceNode, WiringMode
 from ssaas_sim.confsvc import ConfigServer
 from ssaas_sim.simwire import Body, Envelope, FaultEffect, FaultRule, Simulator
-from ssaas_sim.ssaas.services import (ChatServices, ContentServices, DeveloperData,
-                                     DeveloperInfoServices, DeveloperServices, Monolith,
-                                     ResourceManager, forward, policy_rng, saga,
-                                     validate_values)
+from ssaas_sim.ssaas.services import (DEV_ENTITY_EMBEDDED, DEV_ENTITY_SERVICE, ChatServices,
+                                     ContentServices, DeveloperData, DeveloperInfoServices,
+                                     DeveloperServices, Monolith, ResourceManager, forward,
+                                     policy_rng, saga, validate_values)
 from ssaas_sim.ssaas.stores import (ChatStore, ContentStore, DeveloperStore, DomainError,
                                    DuplicateColumn, DuplicateServer, DuplicateTable,
                                    MalformedColumn, MalformedDeveloper, ReleasedOwner,
@@ -416,20 +416,37 @@ def stub_handler(log: list, answer: tuple[str, Body]):
     return handle
 
 
-def run_saga(flow: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> list:
+# The chat flows' holders of the developer entity and the server pool: their
+# own services, as at stage 6, or DeveloperData, as in a row that runs
+# ChatServices but neither DeveloperInfoServices nor ResourceManager.
+CHAT_HOLDERS = {"chat": (DEV_ENTITY_SERVICE, "ResourceManager"),
+                "chat-embedded": (DEV_ENTITY_EMBEDDED, "DeveloperData")}
+
+
+def run_saga(flow: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> tuple[list, list]:
     """The log of one saga, run in process against stub upstreams: every
-    upstream call, the chat store's create and remove, and the reply last.
-    The upstream route ``fail`` answers ``outcome``; every other succeeds."""
+    upstream call, the chat store's create and remove, and the reply last;
+    and the service each upstream call named, in order. The upstream route
+    ``fail`` answers ``outcome``; every other succeeds."""
     sim = Simulator()
     caller = ServiceNode(sim, "caller", "Caller")
-    ServiceClient(caller, WiringMode.LIBRARY_CALL)
+    client = ServiceClient(caller, WiringMode.LIBRARY_CALL)
     log: list = []
+    services: list = []
+    call = client.call
+
+    def named(service, *args, **kwargs) -> None:  # LIBRARY_CALL ignores the service
+        services.append(service)
+        call(service, *args, **kwargs)
+
+    client.call = named  # type: ignore[method-assign]
     if flow == "provision":
-        node, prefix = DeveloperServices(sim, "ds"), "/schema/developers"
+        node = DeveloperServices(sim, "ds")
         path, body = "/projects", {"name": "blog", "owner_developer_id": 1}
     else:
-        node, prefix = ChatServices(sim, "chat", LoggedChats(log)), "/developers"
+        node = ChatServices(sim, "chat", LoggedChats(log), *CHAT_HOLDERS[flow])
         path, body = "/chat", {"developer_id": 1}
+    prefix = node.dev_entity[1]
     stub = ServiceNode(sim, "stub", "Stub")
     for route, ok in {("GET", prefix + "/{did}"): {"developer_id": 1},
                       ("POST", "/resources/reservations"): RESERVATION,
@@ -444,7 +461,7 @@ def run_saga(flow: str, fail: tuple[str, str], outcome: tuple[str, Body]) -> lis
     env.message_id = 7  # the saga's key
     caller.dispatch(Request("POST", path, body, env=env,
                             _reply=lambda status, reply: log.append((status, reply))))
-    return log
+    return log, services
 
 
 DEV_GET, RESERVE, PERSIST, TAG, RELEASE, UNPERSIST = (
@@ -461,6 +478,10 @@ CHAT_DEV_GET, CHAT_TAG, CHAT_RELEASE, CREATE, REMOVE = (
     ("DELETE", "/resources/reservations/chat:7"), ("chats.create", 3), ("chats.remove", 1))
 CHAT_STEPS = (CHAT_DEV_GET, RESERVE, CREATE, CHAT_TAG)
 CHATTED = ("200", {"chat_id": 1, "developer_id": 1, "reservation_id": 3, "status": "ACTIVE"})
+
+# flow -> (its steps, its answer when every step succeeds)
+FLOWS = {"provision": (PROVISION_STEPS, PROVISIONED), "chat": (CHAT_STEPS, CHATTED),
+         "chat-embedded": ((DEV_GET, RESERVE, CREATE, TAG), CHATTED)}
 
 # (flow, failed step, outcome) -> the compensations, in order, or None when the
 # saga still succeeds (a step with no required fields takes a bare 200).
@@ -487,6 +508,16 @@ COMPENSATIONS = {
     ("chat", CHAT_TAG, "refused"): [REMOVE, CHAT_RELEASE],
     ("chat", CHAT_TAG, "5xx"): [REMOVE, CHAT_RELEASE],
     ("chat", CHAT_TAG, "bare"): None,
+    # DeveloperData holds the developer entity and the server pool.
+    ("chat-embedded", DEV_GET, "refused"): [],
+    ("chat-embedded", DEV_GET, "5xx"): [],
+    ("chat-embedded", DEV_GET, "bare"): None,
+    ("chat-embedded", RESERVE, "refused"): [],
+    ("chat-embedded", RESERVE, "5xx"): [CHAT_RELEASE],
+    ("chat-embedded", RESERVE, "bare"): [CHAT_RELEASE],
+    ("chat-embedded", TAG, "refused"): [REMOVE, CHAT_RELEASE],
+    ("chat-embedded", TAG, "5xx"): [REMOVE, CHAT_RELEASE],
+    ("chat-embedded", TAG, "bare"): None,
 }
 
 
@@ -495,14 +526,21 @@ COMPENSATIONS = {
                               for flow, failed, outcome in COMPENSATIONS])
 def test_a_failed_step_compensates_in_reverse_before_the_reply(flow, failed, outcome):
     route = (failed[0], failed[1].replace("/1", "/{did}"))
-    log = run_saga(flow, route, OUTCOMES[outcome])
-    steps = PROVISION_STEPS if flow == "provision" else CHAT_STEPS
+    log, services = run_saga(flow, route, OUTCOMES[outcome])
+    steps, success = FLOWS[flow]
     compensations = COMPENSATIONS[(flow, failed, outcome)]
     if compensations is None:
-        assert log == [*steps, PROVISIONED if flow == "provision" else CHATTED]
+        assert log == [*steps, success]
     else:
         answer = DOWN if outcome == "bare" else OUTCOMES[outcome]
         assert log == [*steps[:steps.index(failed) + 1], *compensations, answer]
+    # Each call names the service that holds what its path names.
+    roots = [entry[1].split("/")[1] for entry in log if isinstance(entry[1], str)]
+    if flow == "chat":
+        own = {"developers": "DeveloperInfoServices", "resources": "ResourceManager"}
+        assert services == [own[root] for root in roots]
+    else:
+        assert services == ["DeveloperData"] * len(roots)
 
 
 # -- service flows -------------------------------------------------------------
@@ -890,7 +928,7 @@ def build_final_world():
     dis.bind()
     rm = ResourceManager(sim, "resourcemanager-1", pool)
     rm.bind()
-    chat = ChatServices(sim, "chatservices-1", chats)
+    chat = ChatServices(sim, "chatservices-1", chats, DEV_ENTITY_SERVICE, "ResourceManager")
     chat.bind()
     confsvc = ConfigServer(sim).bind()
     for svc in (dis, rm, chat):
